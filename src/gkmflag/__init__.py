@@ -9,7 +9,7 @@ exact rational arithmetic; there are no floats anywhere.
 """
 
 from .polyring import LinearForm, Polynomial, parse_polynomial
-from .rootsys import RootSystem, WeylElement, build
+from .rootsys import RootSystem, WeylElement
 
 __all__ = [
     "LinearForm",
@@ -17,7 +17,6 @@ __all__ = [
     "parse_polynomial",
     "RootSystem",
     "WeylElement",
-    "build",
 ]
 
 __version__ = "0.1.0"

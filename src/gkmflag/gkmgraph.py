@@ -14,9 +14,13 @@ e to its reverse.  The axioms checked by :func:`verify_gkm` are
    connection image differ by a rational multiple of the label of e.
 
 A cohomology class assigns a polynomial to every vertex so that the two
-ends of each edge agree modulo the edge label.  Classes form a ring; the
-ring operations optionally re-verify their output on small graphs (the
-default below 50 vertices) as a cheap regression net.
+ends of each edge agree modulo the edge label.  Classes form a ring, and
+pullback along an isomorphism sends classes to classes, so ring
+operations and :func:`pullback_class` never re-check their output.  The
+class condition is checked only where values are assembled from outside
+the ring: construction with ``check=True``, :func:`class_from_json`, and
+the final results of the extension and decomposition routines in
+``invbases``.
 
 Isomorphisms are pairs (Phi, Psi): a vertex bijection plus a linear map
 intertwining the labels.  Psi is stored as a matrix with one row per
@@ -63,7 +67,6 @@ __all__ = [
     "graph_to_dot",
     "class_to_json",
     "class_from_json",
-    "set_debug_reverify",
 ]
 
 
@@ -241,21 +244,6 @@ def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
 # ----------------------------------------------------------------------
 # cohomology classes
 
-_DEBUG_REVERIFY = None  # None = auto (graphs with <= 50 vertices)
-
-
-def set_debug_reverify(flag):
-    """Force (True/False) or restore auto (None) re-verification of ring ops."""
-    global _DEBUG_REVERIFY
-    _DEBUG_REVERIFY = flag
-
-
-def _should_reverify(g: GkmGraph) -> bool:
-    if _DEBUG_REVERIFY is None:
-        return g.nvertices <= 50
-    return bool(_DEBUG_REVERIFY)
-
-
 class CohClass:
     """A vertex-indexed family of polynomials subject to edge divisibility."""
 
@@ -285,7 +273,7 @@ class CohClass:
             vals = [op(a, b) for a, b in zip(self.values, other.values)]
         else:
             raise TypeError("expected CohClass")
-        return CohClass(self.graph, vals, check=_should_reverify(self.graph))
+        return CohClass(self.graph, vals)
 
     def __add__(self, other):
         return self._binop(other, lambda a, b: a + b)
@@ -300,7 +288,7 @@ class CohClass:
 
     def scale_poly(self, f: Polynomial) -> "CohClass":
         vals = [f * v for v in self.values]
-        return CohClass(self.graph, vals, check=_should_reverify(self.graph))
+        return CohClass(self.graph, vals)
 
     def scale(self, c) -> "CohClass":
         return CohClass(self.graph, [v.scale(c) for v in self.values])
@@ -496,8 +484,7 @@ def invert_iso(iso: GkmIso) -> GkmIso:
     return GkmIso(tuple(phi), psi)
 
 
-def pullback_class(iso: GkmIso, g1: GkmGraph, g2: GkmGraph, c2: CohClass,
-                   check: bool = True) -> CohClass:
+def pullback_class(iso: GkmIso, g1: GkmGraph, g2: GkmGraph, c2: CohClass) -> CohClass:
     """Pull a class on g2 back to g1 through (Phi, Psi).
 
     The value at p is Psi^{-1} applied to the value at Phi(p).  For a
@@ -512,7 +499,7 @@ def pullback_class(iso: GkmIso, g1: GkmGraph, g2: GkmGraph, c2: CohClass,
               for j in range(len(left[0]))]
     vals = [c2.values[iso.phi[p]].substitute_linear(images)
             for p in range(g1.nvertices)]
-    return CohClass(g1, vals, check=check and _should_reverify(g1))
+    return CohClass(g1, vals)
 
 
 # ----------------------------------------------------------------------
@@ -577,18 +564,46 @@ def graph_to_json(g: GkmGraph) -> dict:
     }
 
 
+def _is_index(v, n: int) -> bool:
+    return type(v) is int and 0 <= v < n
+
+
 def graph_from_json(data: dict) -> GkmGraph:
-    m = data["varcount"]
-    edges = [
-        Edge(e["src"], e["dst"], LinearForm([parse_rational(c) for c in e["alpha"]]))
-        for e in data["edges"]
-    ]
-    connection = [
-        {a: b for a, b in entry["map"]} for entry in data["connection"]
-    ]
+    """Parse :func:`graph_to_json` output.
+
+    Malformed structure (types, index ranges, label lengths, connection
+    entries) raises ValueError; the axioms are left to :func:`verify_gkm`.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("graph JSON must be an object")
+    m, vertices = data.get("varcount"), data.get("vertices")
+    if type(m) is not int or m < 1 or not isinstance(vertices, list):
+        raise ValueError("need an integer varcount >= 1 and a list of vertices")
+    raw_edges, raw_connection = data.get("edges"), data.get("connection")
+    if not (isinstance(raw_edges, list) and isinstance(raw_connection, list)
+            and len(raw_edges) == len(raw_connection)):
+        raise ValueError("edges and connection must be lists of equal length")
+    n, edges = len(vertices), []
+    for eid, e in enumerate(raw_edges):
+        alpha = e.get("alpha") if isinstance(e, dict) else None
+        if not (isinstance(alpha, list) and len(alpha) == m
+                and all(isinstance(c, str) for c in alpha)
+                and _is_index(e.get("src"), n) and _is_index(e.get("dst"), n)):
+            raise ValueError(f"edge {eid}: need vertex indices src, dst and {m} rationals alpha")
+        edges.append(Edge(e["src"], e["dst"], LinearForm([parse_rational(c) for c in alpha])))
+    connection = []
+    for eid, entry in enumerate(raw_connection):
+        pairs = entry.get("map") if isinstance(entry, dict) else None
+        if not (isinstance(pairs, list) and all(
+                isinstance(pair, list) and len(pair) == 2
+                and all(_is_index(x, len(edges)) for x in pair) for pair in pairs)):
+            raise ValueError(f"connection {eid}: map must pair existing edge ids")
+        connection.append(dict(pairs))
+        if eid not in connection[eid]:
+            raise ValueError(f"connection {eid}: map does not send edge {eid} anywhere")
     # the reverse of e is where the connection along e sends e itself
     reverse = [connection[eid][eid] for eid in range(len(edges))]
-    return GkmGraph(m, data["vertices"], edges, reverse, connection)
+    return GkmGraph(m, vertices, edges, reverse, connection)
 
 
 def graph_hash(g: GkmGraph) -> str:
@@ -609,7 +624,7 @@ def class_from_json(data: dict, g: GkmGraph) -> CohClass:
     if data.get("graph_hash") != graph_hash(g):
         raise ValueError("class was saved for a different graph")
     vals = [parse_polynomial(data["values"][name], g.varcount) for name in g.vertices]
-    return CohClass(g, vals)
+    return CohClass(g, vals, check=True)
 
 
 def graph_to_dot(g: GkmGraph, name: str = "gkm") -> str:

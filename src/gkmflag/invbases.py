@@ -206,7 +206,7 @@ def extend_invariant(b: BundleMap, fiber_class: CohClass,
     if hol is None:
         hol = holonomy(b, base_point)
     for loopdesc, iso in hol.generators:
-        pulled = pullback_class(iso, fib.graph, fib.graph, fiber_class, check=False)
+        pulled = pullback_class(iso, fib.graph, fib.graph, fiber_class)
         if pulled != fiber_class:
             raise ValueError(
                 f"class is not holonomy invariant; violated by the loop {loopdesc}"
@@ -236,8 +236,8 @@ def extend_invariant(b: BundleMap, fiber_class: CohClass,
                 back = b.transition_iso(rev)  # fiber(q2) -> fiber(q)
                 sub_q2, _, _ = b.fiber_subgraph(q2)
                 sub_q, _, _ = b.fiber_subgraph(q)
-                f_q = CohClass(sub_q, fiber_values[q], check=False)
-                f_q2 = pullback_class(back, sub_q2, sub_q, f_q, check=False)
+                f_q = CohClass(sub_q, fiber_values[q])
+                f_q2 = pullback_class(back, sub_q2, sub_q, f_q)
                 fiber_values[q2] = list(f_q2.values)
                 nxt.append(q2)
         frontier = nxt
@@ -255,9 +255,6 @@ def extend_invariant(b: BundleMap, fiber_class: CohClass,
     return out
 
 
-_FIBER_KIND = {"A": "A", "B": "B", "C": "C", "D": "D"}
-
-
 def fiber_invariant_classes(b: BundleMap):
     """The lower-rank invariant family realized on the typical fiber.
 
@@ -266,7 +263,7 @@ def fiber_invariant_classes(b: BundleMap):
     """
     rs = b.rs
     fib = typical_fiber(b)
-    indices = index_set(_FIBER_KIND[rs.kind], rs.rank - 1)
+    indices = index_set(rs.kind, rs.rank - 1)
     out = []
     for J in indices:
         exps = [0] * rs.varcount

@@ -53,7 +53,6 @@ __all__ = [
     "build_bundle",
     "make_bundle",
     "product_bundle",
-    "minimal_representatives",
     "verify_fibration",
     "bundle_to_json",
     "bundle_from_json",
@@ -188,31 +187,10 @@ def build_coset_graph(rs: RootSystem, sigma1, sigma2, build_reps=None) -> CosetG
     if build_reps is not None:
         return CosetGraph(rs, sigma1, sigma2, build_reps)
     key = (frozenset(sigma1), frozenset(sigma2))
-    cache = getattr(rs, "_coset_cache", None)
-    if cache is None:
-        cache = {}
-        rs._coset_cache = cache
+    cache = rs.coset_graph_cache
     if key not in cache:
         cache[key] = CosetGraph(rs, key[0], key[1])
     return cache[key]
-
-
-def minimal_representatives(rs: RootSystem, sigma):
-    """Map each group element to the minimal-length representative of its coset."""
-    sigma = frozenset(sigma)
-    wsub = rs.parabolic_elements(sigma)
-    out = {}
-    for w in rs.elements():
-        if w in out:
-            continue
-        coset = [w * u for u in wsub]
-        min_len = min(rs.length(x) for x in coset)
-        best = [x for x in coset if rs.length(x) == min_len]
-        if len(best) != 1:
-            raise AssertionError("minimal coset representative is not unique")
-        for x in coset:
-            out[x] = best[0]
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -747,7 +725,8 @@ def _sigma2_factorization(b: BundleMap, w: WeylElement):
     v = rs.identity()
     for r in vroots:
         v = v * rs.reflection(r)
-    assert u * v == w
+    if u * v != w:
+        raise AssertionError("Sigma2 factorization does not multiply back to w")
     return u, vroots
 
 
@@ -784,7 +763,8 @@ def _steps_to_edges(b: BundleMap, base_point: int, steps):
         gamma = rs.positive_part(c.act_linear(delta))
         edges.append(base.edge_id(p, gamma))
         z = z * rs.reflection(delta)
-    assert base.vertex_of(z) == base_point
+    if base.vertex_of(z) != base_point:
+        raise AssertionError("reflection steps do not close a loop at the base point")
     return edges
 
 
@@ -861,11 +841,11 @@ def _is_complete(g: GkmGraph) -> bool:
 
 
 def holonomy(b: BundleMap, base_point: int | None = None,
-             include_triangles: bool = True, check: bool = True) -> HolonomyGroup:
+             check: bool = True) -> HolonomyGroup:
     """Holonomy from explicit generating loops, compared with W(Sigma2).
 
-    One constructive loop per simple root of Sigma2; when the base is a
-    complete graph all triangle loops are thrown in as extra generators.
+    One constructive loop per simple root of Sigma2; on a complete base,
+    every based triangle is always added as an extra generator.
     For coset bundles the computed group is asserted (check=True) to be
     exactly the left-multiplication action of W(Sigma2) on the typical
     fiber.
@@ -880,7 +860,7 @@ def holonomy(b: BundleMap, base_point: int | None = None,
         loop = _loop_for_simple(b, base_point, i)
         vmap, psi = holonomy_of_loop(b, loop)
         gens.append((loop, _conjugate_to_typical(b, base_point, vmap, psi)))
-    if include_triangles and _is_complete(b.base):
+    if _is_complete(b.base):
         n = b.base.nvertices
         for i in range(n):
             for j in range(n):

@@ -46,7 +46,10 @@ __all__ = [
 
 
 def parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def format_rational(c: Fraction) -> str:

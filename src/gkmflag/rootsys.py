@@ -16,8 +16,11 @@ its machine text is comma-separated, e.g. "-2,1".
 
 The group-theoretic layer (lengths, reduced words, Bruhat and weak
 orders, parabolic subgroups W(Sigma) and root subsets <Sigma>) is
-computed combinatorially and cached on the RootSystem instance.  A
-RootSystem is immutable after construction and safe to share.
+computed combinatorially and cached on the RootSystem instance.  The
+root data never changes after construction; the only state that grows is
+the set of caches declared in ``RootSystem.__init__``, including
+``coset_graph_cache`` (filled by ``parabolic.build_coset_graph``) and
+``schubert_table_cache`` (set by ``schubert.schubert_table``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 from . import linalg
 from .polyring import LinearForm, Polynomial
 
-__all__ = ["WeylElement", "RootSystem", "RootSubset", "build"]
+__all__ = ["WeylElement", "RootSystem", "RootSubset"]
 
 DEFAULT_GROUP_CAP = 3628800  # 10!
 
@@ -182,6 +185,8 @@ class RootSystem:
         self._bruhat_cache: dict = {}
         self._elements = None
         self._parabolic_cache: dict = {}
+        self.coset_graph_cache: dict = {}
+        self.schubert_table_cache = None
 
     # ------------------------------------------------------------------
     # construction
@@ -457,8 +462,3 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.kind}{self.rank})"
-
-
-def build(kind: str, rank: int) -> RootSystem:
-    """Construct a classical root system."""
-    return RootSystem(kind, rank)

@@ -202,11 +202,10 @@ class SchubertTable:
 
 
 def schubert_table(rs: RootSystem) -> SchubertTable:
-    cached = getattr(rs, "_schubert_table", None)
-    if cached is None:
-        cached = SchubertTable(rs)
-        rs._schubert_table = cached
-    return cached
+    """The Schubert table of rs, built once and kept on the root system."""
+    if rs.schubert_table_cache is None:
+        rs.schubert_table_cache = SchubertTable(rs)
+    return rs.schubert_table_cache
 
 
 def key_identity_check(rs: RootSystem, pairs=None):

@@ -381,9 +381,9 @@ def test_criterion_12_property_suite():
 
             c = restrict(fam.classes[1], sub_q, vmap_q)
             d = restrict(fam.classes[3], sub_q, vmap_q)
-            lhs = pullback_class(iso, sub_p, sub_q, c * d, check=False)
-            rhs = pullback_class(iso, sub_p, sub_q, c, check=False) * \
-                pullback_class(iso, sub_p, sub_q, d, check=False)
+            lhs = pullback_class(iso, sub_p, sub_q, c * d)
+            rhs = pullback_class(iso, sub_p, sub_q, c) * \
+                pullback_class(iso, sub_p, sub_q, d)
             assert lhs == rhs
 
     # divided differences: squares vanish, braid words agree

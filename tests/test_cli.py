@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gkmflag.cli import main
 from gkmflag.gkmgraph import graph_from_json, graph_hash, graph_to_json
 from gkmflag.parabolic import build_coset_graph
@@ -61,6 +63,41 @@ def test_verify_detects_broken_file(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--graph", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+def _dst_out_of_range(data):
+    data["edges"][0]["dst"] = len(data["vertices"])
+    return data
+
+
+def _missing_connection_target(data):
+    data["connection"][0]["map"][0][1] = len(data["edges"])
+    return data
+
+
+def _zero_denominator(data):
+    data["edges"][0]["alpha"][0] = "1/0"
+    return data
+
+
+@pytest.mark.parametrize("mutate", [
+    _dst_out_of_range,
+    _missing_connection_target,
+    _zero_denominator,
+    lambda data: [data],
+    lambda data: {**data, "vertices": "123456"},
+    lambda data: {**data, "varcount": 0},
+], ids=["dst-out-of-range", "missing-connection-target", "zero-denominator",
+        "top-level-list", "vertices-string", "varcount-zero"])
+def test_verify_malformed_graph_file_is_usage_error(tmp_path, capsys, mutate):
+    rs = RootSystem("A", 2)
+    data = graph_to_json(build_coset_graph(rs, frozenset({2}), rs.full_sigma()).graph)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(mutate(data)))
+    code, out, err = run(capsys, "verify", "--graph", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
 
 
 def test_bundle_verify(capsys):

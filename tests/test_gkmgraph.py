@@ -200,7 +200,7 @@ def test_model_fiber_iso(s3_graph):
     assert verify_iso(iso, s2, sub)
     # pull the fiber restriction of u -> x_{u(2)} back to the model graph
     c = CohClass(sub, [Polynomial.variable(3, w) for w in (1, 2)])
-    pulled = pullback_class(iso, s2, sub, c, check=False)
+    pulled = pullback_class(iso, s2, sub, c)
     assert [str(v) for v in pulled.values] == ["x1", "x2"]
     assert is_coh_class(pulled)
 
@@ -255,9 +255,9 @@ def test_pullback_is_ring_morphism(s3_graph):
     iso = GkmIso(phi, psi)
     c = CohClass(sub, [Polynomial.variable(3, w) for w in (1, 2)])
     d = CohClass(sub, [Polynomial.variable(3, 2) * Polynomial.variable(3, 1)] * 2)
-    lhs = pullback_class(iso, s2, sub, c * d, check=False)
-    rhs = pullback_class(iso, s2, sub, c, check=False) * pullback_class(
-        iso, s2, sub, d, check=False
+    lhs = pullback_class(iso, s2, sub, c * d)
+    rhs = pullback_class(iso, s2, sub, c) * pullback_class(
+        iso, s2, sub, d
     )
     assert lhs == rhs
 
@@ -282,6 +282,11 @@ def test_class_json_round_trip(s3_graph):
     assert c2 == c
     with pytest.raises(ValueError):
         class_from_json(data, complete_graph(3))
+    # x2 at the identity breaks divisibility by x1 - x3 on the edge to 3,2,1
+    tampered = copy.deepcopy(data)
+    tampered["values"]["1,2,3"] = "x2"
+    with pytest.raises(ValueError, match=r"fails at \(1,2,3 -> 3,2,1; x1 - x3\)"):
+        class_from_json(tampered, g)
 
 
 def test_dot_export():

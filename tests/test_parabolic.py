@@ -15,7 +15,6 @@ from gkmflag.parabolic import (
     holonomy,
     holonomy_exhaustive,
     make_bundle,
-    minimal_representatives,
     product_bundle,
     typical_fiber,
     upsilon_elements,
@@ -111,17 +110,16 @@ def test_sigma_ordering_enforced(a2):
 
 
 def test_minimal_representatives(a2, b2):
-    reps = minimal_representatives(a2, {2})
-    rep_set = set(reps.values())
-    assert rep_set == {
+    reps = build_coset_graph(a2, frozenset({2}), a2.full_sigma()).reps
+    assert set(reps) == {
         a2.identity(),
         a2.simple_reflection(1),
         a2.simple_reflection(2) * a2.simple_reflection(1),
     }
-    reps_b = minimal_representatives(b2, {2})
-    assert sorted(b2.length(w) for w in set(reps_b.values())) == [0, 1, 2, 3]
-    full = minimal_representatives(a2, a2.full_sigma())
-    assert set(full.values()) == {a2.identity()}
+    reps_b = build_coset_graph(b2, frozenset({2}), b2.full_sigma()).reps
+    assert sorted(b2.length(w) for w in reps_b) == [0, 1, 2, 3]
+    full = build_coset_graph(a2, a2.full_sigma(), a2.full_sigma()).reps
+    assert full == [a2.identity()]
 
 
 # ----------------------------------------------------------------------
