@@ -621,9 +621,17 @@ def class_to_json(c: CohClass) -> dict:
 
 
 def class_from_json(data: dict, g: GkmGraph) -> CohClass:
-    if data.get("graph_hash") != graph_hash(g):
+    """Parse :func:`class_to_json` output; malformed input raises ValueError."""
+    if not isinstance(data, dict) or data.get("graph_hash") != graph_hash(g):
         raise ValueError("class was saved for a different graph")
-    vals = [parse_polynomial(data["values"][name], g.varcount) for name in g.vertices]
+    values = data.get("values", {})
+    if not isinstance(values, dict):
+        raise ValueError("class values must map vertex names to polynomials")
+    vals = []
+    for name in g.vertices:
+        if not isinstance(values.get(name), str):
+            raise ValueError(f"no polynomial value for vertex {name}")
+        vals.append(parse_polynomial(values[name], g.varcount))
     return CohClass(g, vals, check=True)
 
 

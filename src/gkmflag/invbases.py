@@ -20,8 +20,11 @@ classes, multiply) is built too and compared against it, which pins down
 every sign convention.
 
 ``verify_basis`` checks independence by evaluating the value matrix at a
-point with distinct coordinates and spanning by solving, exactly, for
-the module coefficients of every Schubert class.  ``express_in_basis``
+point with distinct coordinates.  Spanning needs no solve: the Schubert
+classes are a free basis, so a family of homogeneous classes whose
+degrees sum to sum_w l(w) is a basis iff that determinant is nonzero at
+a point where no root vanishes (the certificate is spelled out in
+``verify_basis``).  ``express_in_basis``
 is the constructive decomposition of an arbitrary class over a bundle:
 solve one small exact linear system per fiber, then read the resulting
 base coefficients, which are themselves classes on the base.
@@ -36,7 +39,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .gkmgraph import CohClass, Report, coh_failure, pullback_class
+from .gkmgraph import CohClass, Report, coh_failure, degree_of, pullback_class
 from .parabolic import (
     BundleMap,
     CosetGraph,
@@ -49,7 +52,7 @@ from .parabolic import (
 )
 from .polyring import LinearForm, Polynomial
 from .rootsys import RootSystem
-from .schubert import flag_graph, invariant_class, schubert_table
+from .schubert import flag_graph, invariant_class
 
 __all__ = [
     "index_set",
@@ -370,42 +373,80 @@ def _distinct_points(m: int, seed: int, attempt: int):
     return pts if len(set(pts)) == m else [Fraction(v) for v in vals]
 
 
+def _check_regular(rs: RootSystem, pt):
+    """Raise ValueError if some positive root vanishes at ``pt``."""
+    for beta in rs.positive_roots:
+        if sum(c * x for c, x in zip(beta.coeffs, pt)) == 0:
+            raise ValueError(f"positive root {beta} vanishes at the evaluation point {pt}")
+
+
+def _certificate_failure(rs: RootSystem, family: BasisFamily) -> str:
+    """Which class, homogeneity or degree-sum premise of the certificate fails, or ""."""
+    degree_sum = 0
+    for I, c in zip(family.indices, family.classes):
+        name = "c[" + ",".join(str(i) for i in I) + "]"
+        bad = coh_failure(c)
+        if bad is not None:
+            return f"{name} fails the class condition at {c.graph.edge_str(bad)}"
+        d = degree_of(c)
+        if d is None:
+            return f"{name} is not homogeneous"
+        degree_sum += d // 2
+    length_sum = sum(rs.length(w) for w in rs.elements())
+    if degree_sum != length_sum:
+        return f"degree sum {degree_sum} differs from the length sum {length_sum}"
+    return ""
+
+
 def verify_basis(rs: RootSystem, family: BasisFamily | None = None,
                  seed: int = 0) -> Report:
-    """Counting, independence and spanning checks for an invariant family."""
+    """Counting, independence and spanning checks for an invariant family.
+
+    Independence: the value matrix M (vertices x classes) has a nonzero
+    determinant at some point.  Spanning is certified without solving:
+    M = S.B with S the Schubert value matrix and B polynomial, and
+    det S = prod_w tau_w(w) is a product of roots of degree sum_w l(w).
+    When every member is a homogeneous class and the degrees sum to
+    sum_w l(w), det B is a constant, so det M nonzero at one point where
+    no root vanishes (the first evaluation point) makes B invertible
+    over the polynomial ring.
+    """
     family = family or basis_family(rs)
     rep = Report()
     nW = len(rs.elements())
-    rep.add("count", len(family.indices) == nW,
+    square = len(family.indices) == nW
+    rep.add("count", square,
             f"{len(family.indices)} classes for a group of order {nW}")
+    if not square:
+        rep.add("independence", False, "the value matrix is not square")
+        rep.add("spanning", False, "the value matrix is not square")
+        return rep
 
-    flag = flag_graph(rs)
-    order = flag.reps
-    independent = False
-    witness = ""
-    for attempt in range(5):
+    nvert = flag_graph(rs).nvertices
+
+    def det_at(pt):
+        return linalg.det_fraction([[c.values[p].evaluate(pt) for c in family.classes]
+                                    for p in range(nvert)])
+
+    pt0 = _distinct_points(rs.varcount, seed, 0)
+    _check_regular(rs, pt0)
+    det0 = det_at(pt0)
+    pt, det, attempt = pt0, det0, 0
+    while det == 0 and attempt < 4:
+        attempt += 1
         pt = _distinct_points(rs.varcount, seed, attempt)
-        mat = [[c.values[p].evaluate(pt) for c in family.classes]
-               for p in range(len(order))]
-        if linalg.det_fraction(mat) != 0:
-            independent = True
-            break
-        witness = f"evaluation determinant vanished at {pt}"
+        det = det_at(pt)
+    independent = det != 0
+    witness = "" if independent else f"evaluation determinant vanished at {pt}"
     if not independent and nW <= 8:
-        rows = [[c.values[p] for c in family.classes] for p in range(len(order))]
+        rows = [[c.values[p] for c in family.classes] for p in range(nvert)]
         independent = not linalg.det_poly(rows).is_zero()
         witness = "" if independent else "symbolic determinant is zero"
     rep.add("independence", independent, witness)
 
-    table = schubert_table(rs)
-    columns = [list(c.values) for c in family.classes]
-    bad = ""
-    for u in table.order:
-        target = [table.tau_value(u, w) for w in order]
-        sol = linalg.solve_module_coeffs(columns, target, rs.varcount)
-        if sol is None:
-            bad = f"no polynomial coefficients for tau[{u.one_line_str()}]"
-            break
+    bad = _certificate_failure(rs, family)
+    if not bad and det0 == 0:
+        bad = f"evaluation determinant vanished at the regular point {pt0}"
     rep.add("spanning", not bad, bad)
     return rep
 

@@ -1,6 +1,6 @@
 """Exact linear algebra helpers: rational matrices and polynomial systems.
 
-Three solvers cover everything the package needs, all exact:
+Three solvers, all exact:
 
 * dense Gauss elimination over Q (``solve_fraction``, ``rank_fraction``,
   ``det_fraction``, ``invert_fraction``) for small matrices of Fractions;
@@ -15,7 +15,10 @@ Three solvers cover everything the package needs, all exact:
   polynomial coefficients degree by degree turns the polynomial system
   into one sparse linear system over Q per degree, which is solved with
   Markowitz-style pivoting.  A solution certificate is always polynomial
-  by construction, so no fraction-field divisions ever appear.
+  by construction, so no fraction-field divisions ever appear.  The
+  package itself no longer calls it: ``invbases.verify_basis`` proves
+  spanning with a determinant certificate, and this solver is the one
+  the tests' spanning oracle uses to cross-check that certificate.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "solve_poly_square",
     "solve_module_coeffs",
     "monomials_of_degree",
-    "express_in_forms",
 ]
 
 Matrix = tuple  # tuple of row tuples of Fractions
@@ -412,35 +414,3 @@ def solve_module_coeffs(columns, target, varcount: int):
             return None
     return betas
 
-
-def express_in_forms(f: Polynomial, forms: Sequence[LinearForm]):
-    """Rewrite f as a polynomial in the given linear forms, if possible.
-
-    Returns g in Q[y1..yk] (k = len(forms)) with g(forms) == f, or None if
-    f is not in the subring they generate.  Solved degreewise by dense
-    rational elimination on monomial coefficients.
-    """
-    k = len(forms)
-    m = f.varcount
-    form_polys = [l.to_polynomial() for l in forms]
-    out_terms: dict = {}
-    for d in f.degrees_present() or []:
-        fd = f.homogeneous_component(d)
-        monos = monomials_of_degree(k, d)
-        prods = []
-        for lam in monos:
-            p = Polynomial.one(m)
-            for i, e in enumerate(lam):
-                if e:
-                    p = p * form_polys[i] ** e
-            prods.append(p)
-        support = sorted({e for p in prods for e in p.terms} | set(fd.terms))
-        rows = [[p.terms.get(e, Fraction(0)) for p in prods] for e in support]
-        rhs = [fd.terms[e] if e in fd.terms else Fraction(0) for e in support]
-        sol = solve_fraction(rows, rhs)
-        if sol is None:
-            return None
-        for lam, c in zip(monos, sol):
-            if c != 0:
-                out_terms[lam] = out_terms.get(lam, Fraction(0)) + c
-    return Polynomial(k, out_terms)

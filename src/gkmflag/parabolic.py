@@ -954,13 +954,25 @@ def bundle_to_json(b: BundleMap) -> dict:
 
 
 def bundle_from_json(data: dict) -> BundleMap:
+    """Parse :func:`bundle_to_json` output; malformed input raises ValueError."""
     from .gkmgraph import graph_from_json
 
+    missing = [k for k in ("total", "base", "projection")
+               if not isinstance(data, dict) or k not in data]
+    if missing:
+        raise ValueError(f"bundle JSON lacks {', '.join(missing)}")
     total = graph_from_json(data["total"])
     base = graph_from_json(data["base"])
-    pi = [
-        base.vertex_index(data["projection"][name]) for name in total.vertices
-    ]
+    projection = data["projection"]
+    if not isinstance(projection, dict):
+        raise ValueError("projection must map total vertices to base vertices")
+    base_index = {name: i for i, name in enumerate(base.vertices)}
+    pi = []
+    for name in total.vertices:
+        target = projection.get(name)
+        if not isinstance(target, str) or target not in base_index:
+            raise ValueError(f"projection sends {name} to {target!r}, which is not a base vertex")
+        pi.append(base_index[target])
     return make_bundle(total, base, pi)
 
 

@@ -39,5 +39,10 @@ def c2():
 
 
 @pytest.fixture(scope="session")
+def c3():
+    return RootSystem("C", 3)
+
+
+@pytest.fixture(scope="session")
 def d3():
     return RootSystem("D", 3)

@@ -3,16 +3,20 @@
 These deliberately avoid the production code paths they are checking:
 the Schubert solver works from the degree/support/normalization
 conditions as a plain linear system, the Bruhat oracle enumerates
-subwords, and the toy polynomial expander multiplies term lists
-directly.
+subwords, the toy polynomial expander multiplies term lists directly,
+the spanning oracle solves for the module coefficients of every
+Schubert class instead of trusting the determinant certificate, and
+the form expander rewrites a polynomial in given linear forms by dense
+elimination.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from gkmflag import linalg
-from gkmflag.polyring import Polynomial
-from gkmflag.schubert import flag_graph
+from gkmflag.polyring import LinearForm, Polynomial
+from gkmflag.schubert import flag_graph, schubert_table
 
 
 def naive_product(terms_a, terms_b, varcount):
@@ -118,3 +122,52 @@ def schubert_by_conditions(rs, u):
         else:
             values[v] = Polynomial.zero(rs.varcount)
     return values, unique
+
+
+def spanning_by_solves(rs, family):
+    """Does the family span? Solve exactly for every Schubert class.
+
+    Every class is a polynomial combination of the Schubert classes, so
+    the family spans iff each tau_u is a polynomial combination of it.
+    """
+    table = schubert_table(rs)
+    order = flag_graph(rs).reps
+    columns = [list(c.values) for c in family.classes]
+    for u in table.order:
+        target = [table.tau_value(u, w) for w in order]
+        if linalg.solve_module_coeffs(columns, target, rs.varcount) is None:
+            return False
+    return True
+
+
+def express_in_forms(f: Polynomial, forms: Sequence[LinearForm]):
+    """Rewrite f as a polynomial in the given linear forms, if possible.
+
+    Returns g in Q[y1..yk] (k = len(forms)) with g(forms) == f, or None if
+    f is not in the subring they generate.  Solved degreewise by dense
+    rational elimination on monomial coefficients.
+    """
+    k = len(forms)
+    m = f.varcount
+    form_polys = [l.to_polynomial() for l in forms]
+    out_terms: dict = {}
+    for d in f.degrees_present() or []:
+        fd = f.homogeneous_component(d)
+        monos = linalg.monomials_of_degree(k, d)
+        prods = []
+        for lam in monos:
+            p = Polynomial.one(m)
+            for i, e in enumerate(lam):
+                if e:
+                    p = p * form_polys[i] ** e
+            prods.append(p)
+        support = sorted({e for p in prods for e in p.terms} | set(fd.terms))
+        rows = [[p.terms.get(e, Fraction(0)) for p in prods] for e in support]
+        rhs = [fd.terms[e] if e in fd.terms else Fraction(0) for e in support]
+        sol = linalg.solve_fraction(rows, rhs)
+        if sol is None:
+            return None
+        for lam, c in zip(monos, sol):
+            if c != 0:
+                out_terms[lam] = out_terms.get(lam, Fraction(0)) + c
+    return Polynomial(k, out_terms)

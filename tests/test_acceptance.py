@@ -27,7 +27,7 @@ from gkmflag.invbases import (
     tower_bundle,
     verify_basis,
 )
-from gkmflag.linalg import express_in_forms, identity_matrix
+from gkmflag.linalg import identity_matrix
 from gkmflag.parabolic import (
     build_bundle,
     build_coset_graph,
@@ -53,7 +53,7 @@ from gkmflag.schubert import (
     transition_matrices,
 )
 
-from oracles import schubert_by_conditions
+from oracles import express_in_forms, schubert_by_conditions
 
 A2 = RootSystem("A", 2)
 A3 = RootSystem("A", 3)

@@ -289,6 +289,18 @@ def test_class_json_round_trip(s3_graph):
         class_from_json(tampered, g)
 
 
+def test_class_json_missing_values_name_the_vertex(s3_graph):
+    g = s3_graph.graph
+    c = column_class(s3_graph, lambda w: Polynomial.variable(3, w.perm[0]))
+    data = class_to_json(c)
+    no_values = {k: v for k, v in data.items() if k != "values"}
+    with pytest.raises(ValueError, match="vertex 1,2,3"):
+        class_from_json(no_values, g)
+    lacking = copy.deepcopy(data)
+    del lacking["values"]["2,3,1"]
+    with pytest.raises(ValueError, match="vertex 2,3,1"):
+        class_from_json(lacking, g)
+
 def test_dot_export():
     dot = graph_to_dot(complete_graph(3), name="K3")
     assert dot.count(" -- ") == 3

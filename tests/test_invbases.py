@@ -1,9 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from gkmflag.gkmgraph import CohClass, is_coh_class
+from gkmflag.gkmgraph import CohClass, coh_failure, is_coh_class
 from gkmflag.invbases import (
     BasisFamily,
     base_eta,
@@ -25,7 +26,8 @@ from gkmflag.invbases import (
 from gkmflag.linalg import det_fraction
 from gkmflag.parabolic import holonomy, typical_fiber
 from gkmflag.polyring import Polynomial
-from gkmflag.schubert import permuted_class, seeded_random_class
+from gkmflag.schubert import permuted_class, schubert_table, seeded_random_class
+from oracles import spanning_by_solves
 
 
 # ----------------------------------------------------------------------
@@ -253,6 +255,109 @@ def test_verify_basis_detects_duplicates(a2):
     assert not rep.ok
     assert any(c.name == "independence" for c in rep.failures())
 
+
+
+def _family_variants(rs):
+    """The real family and four edits of it, with their spanning verdicts."""
+    fam = basis_family(rs)
+    cls = fam.classes
+    i, j = [k for k, I in enumerate(fam.indices) if sum(I) == 1][:2]
+    mid = len(cls) // 2
+
+    def replaced(k, c):
+        out = list(cls)
+        out[k] = c
+        return BasisFamily(rs, fam.indices, out)
+
+    return {
+        "real": (fam, True),
+        "duplicate": (replaced(j, cls[i]), False),
+        "times-degree-one": (replaced(mid, cls[mid] * cls[i]), False),
+        "scaled": (replaced(mid, cls[mid].scale(2)), True),
+        "sum-same-degree": (replaced(i, cls[i] + cls[j]), True),
+    }
+
+
+@pytest.mark.parametrize("rs_name", ["a2", "b2", "c2", "a3", "d3"])
+@pytest.mark.parametrize("variant", ["real", "duplicate", "times-degree-one",
+                                     "scaled", "sum-same-degree"])
+def test_spanning_certificate_matches_solve_oracle(request, rs_name, variant):
+    rs = request.getfixturevalue(rs_name)
+    fam, expected = _family_variants(rs)[variant]
+    checks = {c.name: c for c in verify_basis(rs, fam).checks}
+    assert checks["spanning"].passed == spanning_by_solves(rs, fam) == expected
+
+
+def _tau_diagonal_at(rs, pt):
+    """prod_w tau_w(w) at pt; tau_w(w) is the product of the inversions of w."""
+    out = Fraction(1)
+    for w in rs.elements():
+        wi = w.inverse()
+        for beta in rs.positive_roots:
+            if not rs.is_positive_root(wi.act_linear(beta)):
+                out *= beta.to_polynomial().evaluate(pt)
+    return out
+
+
+@pytest.mark.parametrize("rs_name,constant", [
+    ("a2", -1), ("b2", -2**8), ("c2", -1), ("c3", 1),
+    ("a3", -1), ("d3", -2**24), ("b3", 2**72),
+])
+def test_certificate_determinant_ratio_is_constant(request, rs_name, constant):
+    """det M / det S is the constant det B, the same at any regular point."""
+    rs = request.getfixturevalue(rs_name)
+    fam = basis_family(rs)
+    nvert = len(fam.classes[0].values)
+    m = rs.varcount
+    for pt in ([Fraction(2**k) for k in range(m)],
+               [Fraction(k * k + 1, k + 2) for k in range(m)]):
+        assert all(beta.to_polynomial().evaluate(pt) != 0 for beta in rs.positive_roots)
+        mat = [[c.values[v].evaluate(pt) for c in fam.classes] for v in range(nvert)]
+        assert det_fraction(mat) / _tau_diagonal_at(rs, pt) == constant
+
+
+def test_tau_diagonal_matches_schubert_table(a2, b2):
+    for rs in (a2, b2):
+        table = schubert_table(rs)
+        pt = [Fraction(2**k) for k in range(rs.varcount)]
+        got = Fraction(1)
+        for w in rs.elements():
+            got *= table.tau_value(w, w).evaluate(pt)
+        assert got == _tau_diagonal_at(rs, pt)
+
+
+def test_verify_basis_tampered_value_names_edge(a2):
+    fam = basis_family(a2)
+    k = fam.indices.index((1, 0))
+    c = fam.classes[k]
+    vals = list(c.values)
+    vals[0] = vals[0].scale(2)
+    tampered = CohClass(c.graph, vals)
+    bad = coh_failure(tampered)
+    assert bad is not None
+    classes = list(fam.classes)
+    classes[k] = tampered
+    checks = {ch.name: ch for ch in verify_basis(a2, BasisFamily(a2, fam.indices, classes)).checks}
+    assert not checks["spanning"].passed
+    assert "c[1,0]" in checks["spanning"].witness
+    assert c.graph.edge_str(bad) in checks["spanning"].witness
+
+
+def test_verify_basis_non_homogeneous_member_fails_spanning(a2):
+    fam = basis_family(a2)
+    k = fam.indices.index((1, 0))
+    classes = list(fam.classes)
+    classes[k] = classes[k] + CohClass.constant(classes[k].graph, 1)
+    checks = {ch.name: ch for ch in verify_basis(a2, BasisFamily(a2, fam.indices, classes)).checks}
+    assert not checks["spanning"].passed
+    assert checks["spanning"].witness == "c[1,0] is not homogeneous"
+
+
+def test_verify_basis_wrong_count_fails_every_check(a2):
+    fam = basis_family(a2)
+    short = BasisFamily(a2, fam.indices[:-1], fam.classes[:-1])
+    rep = verify_basis(a2, short)
+    assert [c.name for c in rep.failures()] == ["count", "independence", "spanning"]
 
 def test_iterated_family_matches_closed_form(a2):
     fam = iterated_family(a2)

@@ -362,6 +362,27 @@ def test_bundle_json_round_trip(b2):
     assert verify_fiber_bundle(b2_).ok
 
 
+
+@pytest.mark.parametrize("key", ["total", "base", "projection"])
+def test_bundle_json_missing_key_is_value_error(key):
+    _, b = tower("A", 2)
+    data = bundle_to_json(b)
+    del data[key]
+    with pytest.raises(ValueError, match=key):
+        bundle_from_json(data)
+
+
+def test_bundle_json_projection_outside_base_is_value_error():
+    _, b = tower("A", 2)
+    data = bundle_to_json(b)
+    name = b.total.vertices[0]
+    data["projection"][name] = "no-such-vertex"
+    with pytest.raises(ValueError, match="not a base vertex"):
+        bundle_from_json(data)
+    del data["projection"][name]
+    with pytest.raises(ValueError, match="not a base vertex"):
+        bundle_from_json(data)
+
 def test_d3_base_partition_structure(d3):
     """The type-D base is complete multipartite: each vertex misses
     exactly its opposite, the vertex with negated degree-one value."""

@@ -1,4 +1,7 @@
 import ast
+import importlib
+import inspect
+import json
 from pathlib import Path
 
 import gkmflag
@@ -14,3 +17,25 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_benchmark_layer_functions_exist():
+    """Every function a per-layer benchmark metric names is still defined.
+
+    The tracer refuses a run whose metric names a function it did not
+    wrap, so deleting or moving such a function must fail here first.
+    """
+    spec = json.loads((Path(__file__).parent.parent / "BENCHMARK.json").read_text())
+    missing = []
+    for metric in spec["per_layer"]:
+        layer, *path, stat = metric["name"].split(".")
+        if stat not in ("calls", "self_s") or not path:
+            continue  # layer totals and special metrics
+        obj = importlib.import_module(f"gkmflag.{layer}")
+        for attr in path:
+            obj = vars(obj).get(attr)
+            if obj is None:
+                break
+        if not inspect.isfunction(obj) or obj.__module__ != f"gkmflag.{layer}":
+            missing.append(metric["name"])
+    assert missing == []
