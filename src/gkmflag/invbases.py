@@ -24,10 +24,14 @@ point with distinct coordinates.  Spanning needs no solve: the Schubert
 classes are a free basis, so a family of homogeneous classes whose
 degrees sum to sum_w l(w) is a basis iff that determinant is nonzero at
 a point where no root vanishes (the certificate is spelled out in
-``verify_basis``).  ``express_in_basis``
-is the constructive decomposition of an arbitrary class over a bundle:
-solve one small exact linear system per fiber, then read the resulting
-base coefficients, which are themselves classes on the base.
+``verify_basis``).  ``express_in_basis`` is the constructive
+decomposition of an arbitrary class over a bundle, the graph
+Leray-Serre theorem made explicit: the same certificate, applied to the
+restrictions of the family to each fiber, proves that they are a fiber
+basis, and then one degree-wise sparse rational solve per fiber
+(``linalg.solve_module_coeffs``) gives the base coefficients, which are
+themselves classes on the base.  Both certificates use the one regular
+point of ``_regular_point``.
 """
 
 from __future__ import annotations
@@ -315,13 +319,37 @@ def iterated_family(rs: RootSystem) -> dict:
 def express_in_basis(b: BundleMap, classes, target: CohClass):
     """Solve target == sum_k pi^*(beta_k) * classes[k] fiber by fiber.
 
-    The restrictions of the given classes to every fiber must form a
-    module basis there (square, invertible system with a polynomial
-    solution); the resulting coefficients beta_k are returned as classes
-    on the base, and the reassembly is checked exactly.
+    Precondition: ``classes`` and ``target`` are classes on the total
+    graph of a coset bundle.  The restrictions of ``classes`` to every
+    fiber must be a module basis there; this is certified, not solved
+    for, exactly as ``verify_basis`` certifies spanning:
+
+    * every member is homogeneous (``degree_of``);
+    * on every fiber the value matrix M_p (fiber vertices x classes) has
+      a nonzero determinant at the regular point of ``_regular_point``;
+    * the halved degrees sum to sum_{u in W_fiber} l(u) = n_f N_f / 2,
+      with n_f fiber vertices of valency N_f in the fiber graph.
+
+    Then M_p = S_p.B_p with S_p the fiber's Schubert value matrix and
+    det B_p a nonzero constant, so every class has unique polynomial
+    coefficients on every fiber; ``linalg.solve_module_coeffs`` finds
+    them one degree at a time.  A family that fails a premise raises
+    ValueError naming the class, the fiber or the two sums; a
+    non-homogeneous family is refused even where it would span.  The
+    coefficients beta_k are returned as classes on the base, and the
+    reassembly is checked exactly.
     """
+    if b.rs is None:
+        raise ValueError("expressing over a bundle needs Weyl-group data")
+    degree_sum = 0
+    for k, c in enumerate(classes):
+        d = degree_of(c)
+        if d is None:
+            raise ValueError(f"classes[{k}] is not homogeneous")
+        degree_sum += d // 2
+    pt = _regular_point(b.rs)
     nbase = b.base.nvertices
-    beta_vals = [[None] * nbase for _ in classes]
+    fibers = []
     for p in range(nbase):
         fverts = b.fiber_vertices(p)
         if len(fverts) != len(classes):
@@ -329,13 +357,31 @@ def express_in_basis(b: BundleMap, classes, target: CohClass):
                 f"fiber over {b.base.vertices[p]} has {len(fverts)} vertices "
                 f"but {len(classes)} classes were given"
             )
-        rows = [[c.values[v] for c in classes] for v in fverts]
-        rhs = [target.values[v] for v in fverts]
-        sol = linalg.solve_poly_square(rows, rhs)
-        if sol is None:
+        at_pt = [[c.values[v].evaluate(pt) for c in classes] for v in fverts]
+        if linalg.det_fraction(at_pt) == 0:
             raise ValueError(
                 f"restrictions to the fiber over {b.base.vertices[p]} are not "
-                f"a module basis (singular or non-polynomial solution)"
+                f"a module basis: their value determinant vanishes at "
+                f"({', '.join(map(str, pt))})"
+            )
+        fibers.append(fverts)
+    valency = sum(1 for eid in b.total.edges_at[0] if b.edge_class[eid] == "v")
+    length_sum = len(classes) * valency // 2
+    if degree_sum != length_sum:
+        raise ValueError(
+            f"class degrees sum to {degree_sum} but the fiber lengths sum to "
+            f"{length_sum}; the restrictions cannot be a module basis"
+        )
+    beta_vals = [[None] * nbase for _ in classes]
+    for p, fverts in enumerate(fibers):
+        columns = [[c.values[v] for v in fverts] for c in classes]
+        sol = linalg.solve_module_coeffs(
+            columns, [target.values[v] for v in fverts], b.total.varcount)
+        if sol is None:
+            raise AssertionError(
+                f"no polynomial coefficients on the fiber over "
+                f"{b.base.vertices[p]} although the family passed the basis "
+                f"certificate"
             )
         for k, val in enumerate(sol):
             beta_vals[k][p] = val
@@ -378,6 +424,14 @@ def _check_regular(rs: RootSystem, pt):
     for beta in rs.positive_roots:
         if sum(c * x for c, x in zip(beta.coeffs, pt)) == 0:
             raise ValueError(f"positive root {beta} vanishes at the evaluation point {pt}")
+
+
+def _regular_point(rs: RootSystem):
+    """The point of both determinant certificates: the first evaluation
+    point (powers of 2), checked to lie on no root hyperplane."""
+    pt = _distinct_points(rs.varcount, 0, 0)
+    _check_regular(rs, pt)
+    return pt
 
 
 def _certificate_failure(rs: RootSystem, family: BasisFamily) -> str:
@@ -428,8 +482,7 @@ def verify_basis(rs: RootSystem, family: BasisFamily | None = None,
         return linalg.det_fraction([[c.values[p].evaluate(pt) for c in family.classes]
                                     for p in range(nvert)])
 
-    pt0 = _distinct_points(rs.varcount, seed, 0)
-    _check_regular(rs, pt0)
+    pt0 = _regular_point(rs)
     det0 = det_at(pt0)
     pt, det, attempt = pt0, det0, 0
     while det == 0 and attempt < 4:

@@ -4,21 +4,28 @@ Three solvers, all exact:
 
 * dense Gauss elimination over Q (``solve_fraction``, ``rank_fraction``,
   ``det_fraction``, ``invert_fraction``) for small matrices of Fractions;
+  ``det_fraction`` computes the determinant at one point that the basis
+  certificates of ``invbases.verify_basis`` and
+  ``invbases.express_in_basis`` rest on;
+
+* a sparse rational solver for the module-coefficient systems that
+  arise when expressing one cohomology class in a family of homogeneous
+  classes (``solve_module_coeffs``).  Writing the unknown polynomial
+  coefficients degree by degree turns the polynomial system into one
+  sparse linear system over Q per degree, which is solved with
+  Markowitz-style pivoting.  A solution certificate is always polynomial
+  by construction, so no fraction-field divisions ever appear.
+  ``invbases.express_in_basis`` calls it once per fiber; the tests'
+  spanning oracle calls it for every Schubert class;
 
 * fraction-free (Bareiss) determinants of polynomial matrices plus a
   Cramer-style square solve whose final divisions are checked to be exact
-  polynomial divisions (``det_poly``, ``solve_poly_square``);
-
-* a sparse rational solver for the large homogeneous module-coefficient
-  systems that arise when expressing one cohomology class in a family of
-  homogeneous classes (``solve_module_coeffs``).  Writing the unknown
-  polynomial coefficients degree by degree turns the polynomial system
-  into one sparse linear system over Q per degree, which is solved with
-  Markowitz-style pivoting.  A solution certificate is always polynomial
-  by construction, so no fraction-field divisions ever appear.  The
-  package itself no longer calls it: ``invbases.verify_basis`` proves
-  spanning with a determinant certificate, and this solver is the one
-  the tests' spanning oracle uses to cross-check that certificate.
+  polynomial divisions (``det_poly``, ``solve_poly_square``).  The one
+  caller of ``det_poly`` left in the package is the symbolic fallback of
+  ``invbases.verify_basis`` for groups of order at most 8;
+  ``solve_poly_square`` is called only by the tests' Cramer oracle for
+  ``express_in_basis`` and stays while the benchmark's per-layer
+  metrics name it.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ the Schubert solver works from the degree/support/normalization
 conditions as a plain linear system, the Bruhat oracle enumerates
 subwords, the toy polynomial expander multiplies term lists directly,
 the spanning oracle solves for the module coefficients of every
-Schubert class instead of trusting the determinant certificate, and
-the form expander rewrites a polynomial in given linear forms by dense
+Schubert class instead of trusting the determinant certificate, the
+bundle expander solves each fiber by Cramer's rule instead, and the
+form expander rewrites a polynomial in given linear forms by dense
 elimination.
 """
 
@@ -15,6 +16,7 @@ from itertools import combinations
 from typing import Sequence
 
 from gkmflag import linalg
+from gkmflag.gkmgraph import CohClass
 from gkmflag.polyring import LinearForm, Polynomial
 from gkmflag.schubert import flag_graph, schubert_table
 
@@ -138,6 +140,26 @@ def spanning_by_solves(rs, family):
         if linalg.solve_module_coeffs(columns, target, rs.varcount) is None:
             return False
     return True
+
+
+def express_by_cramer(b, classes, target):
+    """The coefficients of ``express_in_basis``, by Cramer's rule per fiber.
+
+    Solves each fiber's square polynomial system with Bareiss
+    determinants (``linalg.solve_poly_square``), trusting no
+    certificate; returns the coefficients as classes on the base, or
+    None if some fiber has no polynomial solution.
+    """
+    beta_vals = [[None] * b.base.nvertices for _ in classes]
+    for p in range(b.base.nvertices):
+        fverts = b.fiber_vertices(p)
+        rows = [[c.values[v] for c in classes] for v in fverts]
+        sol = linalg.solve_poly_square(rows, [target.values[v] for v in fverts])
+        if sol is None:
+            return None
+        for k, val in enumerate(sol):
+            beta_vals[k][p] = val
+    return [CohClass(b.base, vals) for vals in beta_vals]
 
 
 def express_in_forms(f: Polynomial, forms: Sequence[LinearForm]):

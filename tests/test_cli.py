@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +132,20 @@ def test_express_verb_deterministic(capsys):
     code, out2, _ = run(capsys, "express", "--type", "A", "--rank", "2",
                         "--seed", "5", "--degree", "3")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("kind,rank,seeds", [
+    ("B", 2, (0, 1, 2)), ("C", 2, (0, 1, 2)), ("B", 3, (0, 7)), ("D", 3, (0, 7)),
+])
+def test_express_stdout_matches_bench_references(capsys, kind, rank, seeds):
+    """express prints byte for byte what the benchmark recorded for it."""
+    references = json.loads(
+        (Path(__file__).parent.parent / "perfbench" / "references.json").read_text())
+    for seed in seeds:
+        key = f"express --type {kind} --rank {rank} --seed {seed}"
+        code, out, _ = run(capsys, *key.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == references[key], key
 
 
 def test_export_json_round_trip(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkmflag.gkmgraph import CohClass, coh_failure, is_coh_class
+from gkmflag.gkmgraph import CohClass, coh_failure, degree_of, is_coh_class
 from gkmflag.invbases import (
     BasisFamily,
     base_eta,
@@ -24,10 +24,10 @@ from gkmflag.invbases import (
     verify_basis,
 )
 from gkmflag.linalg import det_fraction
-from gkmflag.parabolic import holonomy, typical_fiber
+from gkmflag.parabolic import bundle_from_json, bundle_to_json, holonomy, typical_fiber
 from gkmflag.polyring import Polynomial
 from gkmflag.schubert import permuted_class, schubert_table, seeded_random_class
-from oracles import spanning_by_solves
+from oracles import express_by_cramer, spanning_by_solves
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +236,49 @@ def test_express_wrong_arity(a2):
     b = tower_bundle(a2)
     with pytest.raises(ValueError, match="fiber"):
         express_in_basis(b, [class_cI(a2, (0, 0))], class_cI(a2, (0, 0)))
+
+
+def test_express_singular_family_names_the_fiber(a2):
+    b = tower_bundle(a2)
+    c00 = class_cI(a2, (0, 0))
+    with pytest.raises(ValueError, match=r"fiber over 1,2,3 .* vanishes at \(1, 2, 4\)"):
+        express_in_basis(b, [c00, c00], c00)
+
+
+def test_express_non_homogeneous_member_names_the_class(a2):
+    b = tower_bundle(a2)
+    c00, c01 = class_cI(a2, (0, 0)), class_cI(a2, (0, 1))
+    with pytest.raises(ValueError, match=r"classes\[1\] is not homogeneous"):
+        express_in_basis(b, [c00, c01 + c00], c00)
+
+
+def test_express_degree_sum_mismatch_names_both_sums(a2):
+    b = tower_bundle(a2)
+    c00, c01 = class_cI(a2, (0, 0)), class_cI(a2, (0, 1))
+    with pytest.raises(ValueError, match="sum to 2 but the fiber lengths sum to 1"):
+        express_in_basis(b, [c00, c01 * c01], c00)
+
+
+def test_express_needs_a_coset_bundle(a2):
+    b = bundle_from_json(bundle_to_json(tower_bundle(a2)))
+    c00, c01 = class_cI(a2, (0, 0)), class_cI(a2, (0, 1))
+    with pytest.raises(ValueError, match="Weyl-group data"):
+        express_in_basis(b, [c00, c01], c00)
+
+
+@pytest.mark.parametrize("rs_name", ["a2", "b2", "c2", "a3", "d3"])
+def test_express_matches_cramer_oracle(request, rs_name):
+    rs = request.getfixturevalue(rs_name)
+    b = tower_bundle(rs)
+    classes = [class_cI(rs, (0,) + J) for J in index_set(rs.kind, rs.rank - 1)]
+    table = schubert_table(rs)
+    rng = random.Random(41)
+    targets = [seeded_random_class(rs, d, rng, table) for d in (1, 2)]
+    targets.append(seeded_random_class(rs, 0, rng, table)
+                   + seeded_random_class(rs, 1, rng, table))
+    assert degree_of(targets[-1]) is None  # one target of mixed degree
+    for target in targets:
+        assert express_in_basis(b, classes, target) == express_by_cramer(b, classes, target)
 
 
 # ----------------------------------------------------------------------
