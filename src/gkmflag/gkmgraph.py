@@ -139,20 +139,6 @@ class GkmGraph:
         e = self.edges[eid]
         return f"({self.vertices[e.src]} -> {self.vertices[e.dst]}; {e.label})"
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            p = stack.pop()
-            for eid in self.edges_at[p]:
-                q = self.edges[eid].dst
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return len(seen) == self.nvertices
-
     def __repr__(self):
         return f"GkmGraph({self.nvertices} vertices, {len(self.edges)} oriented edges)"
 
@@ -427,14 +413,6 @@ class GkmIso:
 
     phi: tuple
     psi: tuple
-
-    @classmethod
-    def from_dict(cls, phi: dict, psi) -> "GkmIso":
-        n = len(phi)
-        return cls(tuple(phi[i] for i in range(n)), linalg.as_matrix(psi))
-
-    def apply_vertex(self, p: int) -> int:
-        return self.phi[p]
 
     def apply_form(self, form: LinearForm) -> LinearForm:
         return linalg.apply_matrix_form(self.psi, form)

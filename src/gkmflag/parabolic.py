@@ -14,11 +14,13 @@ direction beta is vertical when beta lies in <Sigma2> and horizontal
 otherwise, horizontal edges project isomorphically, and the transition
 across a base edge labeled w*beta is left multiplication by the
 reflection s_{w beta} together with that same reflection on coordinates.
-Holonomy around based loops is computed from a finite set of explicit
-loops (one per simple root of Sigma2, plus triangles when the base is
-complete) and, optionally, by exhausting short based cycles; for these
-bundles the group is the image of W(Sigma2) acting on the typical fiber
-by left multiplication, and that identity is asserted.
+Holonomy is computed exactly from one breadth-first spanning tree of the
+base: the loops "tree path, one non-tree edge, tree path back" generate
+the fundamental group of a graph, so their transports generate the
+holonomy group (optionally cross-checked by exhausting short based
+cycles).  For these bundles the group is the image of W(Sigma2) acting
+on the typical fiber by left multiplication, and that identity is
+asserted.
 
 Bundles assembled from raw graph data (no Weyl group behind them) are
 also supported for axiom verification; see :func:`make_bundle` and
@@ -37,12 +39,13 @@ from .gkmgraph import (
     GkmGraph,
     GkmIso,
     Report,
+    compose_iso,
     induced_subgraph,
     verify_gkm,
     verify_iso,
 )
 from .polyring import LinearForm
-from .rootsys import RootSystem, WeylElement
+from .rootsys import RootSystem, WeylElement, group_closure
 
 __all__ = [
     "CosetGraph",
@@ -58,6 +61,7 @@ __all__ = [
     "bundle_from_json",
     "bundle_hash",
     "verify_fiber_bundle",
+    "base_tree",
     "holonomy",
     "upsilon_elements",
     "lift_class",
@@ -162,9 +166,6 @@ class CosetGraph:
 
     def vertex_of(self, w: WeylElement) -> int:
         return self.elem_vertex[w]
-
-    def rep_of(self, p: int) -> WeylElement:
-        return self.reps[p]
 
     def direction(self, eid: int) -> LinearForm:
         return self.roots[eid % len(self.roots)]
@@ -651,7 +652,7 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
 class HolonomyGroup:
     base_point: int
     fiber: "CosetGraph | GkmGraph"
-    generators: list  # (loop description, GkmIso)
+    generators: list  # (loop as base edge ids, GkmIso)
     elements: list  # GkmIso, canonically ordered
     matches_upsilon: bool | None = None
 
@@ -683,89 +684,27 @@ def fiber_model_iso(b: BundleMap, p: int, rep: WeylElement | None = None) -> Gkm
     return GkmIso(phi, rep.matrix())
 
 
-def _base_element_lifts(b: BundleMap):
-    """BFS factorization data: base vertex -> (element, list of roots).
+def base_tree(b: BundleMap, base_point: int):
+    """(tree, chords) for a breadth-first spanning tree of the base.
 
-    The element is a product of reflections in roots outside <Sigma2> and
-    lies in the vertex's coset; the root list multiplies left to right.
+    ``tree`` lists the tree edges in BFS order from ``base_point``, so
+    each leaves a vertex reached before; ``chords`` lists every base edge
+    outside the tree once, in its lower-numbered orientation.
     """
-    rs = b.rs
-    base = b.base_coset
-    start = base.vertex_of(rs.identity())
-    data = {start: (rs.identity(), [])}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            w_p, roots_p = data[p]
-            rep_p = base.reps[p]
-            for eid in base.graph.edges_at[p]:
-                q = base.graph.edges[eid].dst
-                if q in data:
-                    continue
-                gamma = base.direction(eid)
-                delta = rs.positive_part(
-                    w_p.inverse().act_linear(rep_p.act_linear(gamma))
-                )
-                data[q] = (w_p * rs.reflection(delta), roots_p + [delta])
-                nxt.append(q)
-        frontier = nxt
-    return data
-
-
-def _sigma2_factorization(b: BundleMap, w: WeylElement):
-    """w = u * s_{r1} ... s_{rk} with u in W(Sigma2), r_i outside <Sigma2>."""
-    rs = b.rs
-    lifts = _base_element_lifts(b)
-    p = b.base_coset.vertex_of(w.inverse())
-    vtil, roots = lifts[p]
-    u = (vtil.inverse() * w.inverse()).inverse()
-    vroots = list(reversed(roots))
-    # sanity: the factorization really multiplies back to w
-    v = rs.identity()
-    for r in vroots:
-        v = v * rs.reflection(r)
-    if u * v != w:
-        raise AssertionError("Sigma2 factorization does not multiply back to w")
-    return u, vroots
-
-
-def _loop_for_simple(b: BundleMap, base_point: int, i: int):
-    """A based loop whose holonomy is left multiplication by s_i (i in Sigma2)."""
-    rs = b.rs
-    closure2 = set(rs.closure(b.sigma2).roots)
-    alpha_i = rs.simple_roots[i - 1]
-    chosen = None
-    for w in rs.elements():
-        img = w.act_linear(alpha_i)
-        if rs.is_positive_root(img) and img not in closure2:
-            chosen = w
-            break
-    if chosen is None:
-        raise AssertionError("no element throws the simple root out of <Sigma2>")
-    u, vroots = _sigma2_factorization(b, chosen)
-    delta_mid = rs.positive_part(
-        u.inverse().act_linear(chosen.act_linear(alpha_i))
-    )
-    steps = list(reversed(vroots)) + [delta_mid] + list(vroots)
-    return _steps_to_edges(b, base_point, steps)
-
-
-def _steps_to_edges(b: BundleMap, base_point: int, steps):
-    """Convert right multiplications by reflections into base edge ids."""
-    rs = b.rs
-    base = b.base_coset
-    z = base.reps[base_point]
-    edges = []
-    for delta in steps:
-        p = base.vertex_of(z)
-        c = base.reps[p].inverse() * z
-        gamma = rs.positive_part(c.act_linear(delta))
-        edges.append(base.edge_id(p, gamma))
-        z = z * rs.reflection(delta)
-    if base.vertex_of(z) != base_point:
-        raise AssertionError("reflection steps do not close a loop at the base point")
-    return edges
+    seen = {base_point}
+    tree = []
+    queue = [base_point]
+    for p in queue:
+        for eid in b.base.edges_at[p]:
+            q = b.base.edges[eid].dst
+            if q not in seen:
+                seen.add(q)
+                tree.append(eid)
+                queue.append(q)
+    in_tree = set(tree) | {b.base.reverse[eid] for eid in tree}
+    chords = [eid for eid in range(len(b.base.edges))
+              if eid not in in_tree and eid < b.base.reverse[eid]]
+    return tree, chords
 
 
 def holonomy_of_loop(b: BundleMap, loop_edges) -> tuple:
@@ -796,30 +735,6 @@ def _conjugate_to_typical(b: BundleMap, base_point: int, vmap, psi) -> GkmIso:
     return GkmIso(tuple(phi), psi_conj)
 
 
-def _close_group(gens):
-    """Finite closure of a set of GkmIso under composition."""
-    from .gkmgraph import compose_iso
-
-    n = len(gens[0].phi) if gens else 0
-    ident = GkmIso(tuple(range(n)), linalg.identity_matrix(len(gens[0].psi))) \
-        if gens else None
-    seen = {}
-    frontier = []
-    if ident is not None:
-        seen[ident.key()] = ident
-        frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                comp = compose_iso(g, h)
-                if comp.key() not in seen:
-                    seen[comp.key()] = comp
-                    nxt.append(comp)
-        frontier = nxt
-    return sorted(seen.values(), key=lambda iso: iso.key())
-
-
 def upsilon_elements(b: BundleMap):
     """Left multiplication by W(Sigma2) on the typical fiber, as iso pairs."""
     rs = b.rs
@@ -832,49 +747,74 @@ def upsilon_elements(b: BundleMap):
     return sorted(out.values(), key=lambda iso: iso.key())
 
 
-def _is_complete(g: GkmGraph) -> bool:
-    n = g.nvertices
-    for p in range(n):
-        if {g.edges[eid].dst for eid in g.edges_at[p]} != set(range(n)) - {p}:
-            return False
-    return True
+def _group_elements(n: int, m: int, gens):
+    """The group the isos ``gens`` generate on an n-vertex fiber, sorted."""
+    ident = GkmIso(tuple(range(n)), linalg.identity_matrix(m))
+    return sorted(group_closure([ident], gens, compose_iso), key=GkmIso.key)
 
 
 def holonomy(b: BundleMap, base_point: int | None = None,
              check: bool = True) -> HolonomyGroup:
-    """Holonomy from explicit generating loops, compared with W(Sigma2).
+    """The holonomy group of a coset bundle, exactly, from one spanning tree.
 
-    One constructive loop per simple root of Sigma2; on a complete base,
-    every based triangle is always added as an extra generator.
-    For coset bundles the computed group is asserted (check=True) to be
-    exactly the left-multiplication action of W(Sigma2) on the typical
-    fiber.
+    Transport from the base point to every base vertex q (T_q) and back
+    (R_q) runs along the tree of :func:`base_tree`.  Each unoriented
+    non-tree edge e = (p -> q) gives the loop "tree path, e, tree path
+    back", whose holonomy is R_q . t_e . T_p.  These loops generate the
+    fundamental group of the base (Serre, *Trees*), and backtracking is
+    trivial because the transitions across e and its reverse are the
+    same reflection, so the distinct non-identity values generate the
+    whole holonomy group.  ``generators`` holds them with their loops as
+    base edge ids.  For coset bundles the group is asserted (check=True)
+    to be the left-multiplication action of W(Sigma2) on the typical
+    fiber.  When Sigma2 is every simple root the base is one vertex
+    without loops and that identity fails, so ValueError is raised.
     """
     if b.rs is None:
         raise ValueError("constructive holonomy needs Weyl-group data; "
                          "use holonomy_exhaustive for raw bundles")
+    if b.sigma2 == b.rs.full_sigma():
+        raise ValueError("Sigma2 contains every simple root, so the base is "
+                         "one vertex and has no loops")
     if base_point is None:
         base_point = b.base_point()
+    start = b.fiber_vertices(base_point)
+    ident = ({x: x for x in start}, linalg.identity_matrix(b.total.varcount))
+    there = {base_point: ident}  # T_q: fiber over base_point -> fiber over q
+    back = {base_point: ident}  # R_q: fiber over q -> fiber over base_point
+    path = {base_point: []}
+    tree, chords = base_tree(b, base_point)
+    for eid in tree:
+        e = b.base.edges[eid]
+        t = b.transitions[eid]
+        t_rev = b.transitions[b.base.reverse[eid]]
+        vmap, psi = there[e.src]
+        there[e.dst] = ({x: t.vmap[y] for x, y in vmap.items()},
+                        linalg.mat_mul(t.psi, psi))
+        vmap, psi = back[e.src]
+        back[e.dst] = ({y: vmap[x] for y, x in t_rev.vmap.items()},
+                       linalg.mat_mul(psi, t_rev.psi))
+        path[e.dst] = path[e.src] + [eid]
+    seen = {(tuple(start), ident[1])}
     gens = []
-    for i in sorted(b.sigma2):
-        loop = _loop_for_simple(b, base_point, i)
-        vmap, psi = holonomy_of_loop(b, loop)
+    for eid in chords:
+        e = b.base.edges[eid]
+        t = b.transitions[eid]
+        vmap_p, psi_p = there[e.src]
+        vmap_q, psi_q = back[e.dst]
+        vmap = {x: vmap_q[t.vmap[y]] for x, y in vmap_p.items()}
+        psi = linalg.mat_mul(psi_q, linalg.mat_mul(t.psi, psi_p))
+        key = (tuple(vmap[x] for x in start), psi)
+        if key in seen:
+            continue
+        seen.add(key)
+        loop = (path[e.src] + [eid]
+                + [b.base.reverse[f] for f in reversed(path[e.dst])])
         gens.append((loop, _conjugate_to_typical(b, base_point, vmap, psi)))
-    if _is_complete(b.base):
-        n = b.base.nvertices
-        for i in range(n):
-            for j in range(n):
-                if len({base_point, i, j}) != 3:
-                    continue
-                loop = [
-                    b.base.find_edges(base_point, i)[0],
-                    b.base.find_edges(i, j)[0],
-                    b.base.find_edges(j, base_point)[0],
-                ]
-                vmap, psi = holonomy_of_loop(b, loop)
-                gens.append((loop, _conjugate_to_typical(b, base_point, vmap, psi)))
-    elements = _close_group([iso for _, iso in gens])
-    group = HolonomyGroup(base_point, typical_fiber(b), gens, elements)
+    fib = typical_fiber(b)
+    elements = _group_elements(fib.nvertices, b.total.varcount,
+                               [iso for _, iso in gens])
+    group = HolonomyGroup(base_point, fib, gens, elements)
     ups = upsilon_elements(b)
     group.matches_upsilon = (
         {iso.key() for iso in ups} == group.element_keys()
@@ -922,13 +862,9 @@ def holonomy_exhaustive(b: BundleMap, base_point: int = 0, max_len: int = 6,
             sub, vm, _ = b.fiber_subgraph(base_point)
             phi = tuple(vm[vmap[p]] for p in sorted(vm))
             gens.append((loop, GkmIso(phi, psi)))
-    if not gens:
-        sub, vm, _ = b.fiber_subgraph(base_point)
-        ident = GkmIso(tuple(range(sub.nvertices)),
-                       linalg.identity_matrix(b.total.varcount))
-        gens = [([], ident)]
-    elements = _close_group([iso for _, iso in gens])
     fib = typical_fiber(b) if b.rs is not None else b.fiber_subgraph(base_point)[0]
+    elements = _group_elements(fib.nvertices, b.total.varcount,
+                               [iso for _, iso in gens])
     return HolonomyGroup(base_point, fib, gens, elements)
 
 

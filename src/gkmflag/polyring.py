@@ -284,12 +284,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self):
-        """Max total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def homogeneous_degree(self):
         """Degree d if all terms have total degree d, else None.
 
@@ -301,9 +295,6 @@ class Polynomial:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def is_homogeneous(self) -> bool:
-        return self.is_zero() or self.homogeneous_degree() is not None
 
     def homogeneous_component(self, d: int) -> "Polynomial":
         return Polynomial(
@@ -457,15 +448,6 @@ class Polynomial:
                     v *= x**k
             total += v
         return total
-
-    def as_linear_form(self) -> LinearForm:
-        """Convert a homogeneous degree-1 polynomial to a LinearForm."""
-        coeffs = [Fraction(0)] * self.varcount
-        for e, c in self.terms.items():
-            if sum(e) != 1:
-                raise ValueError("not a linear form")
-            coeffs[e.index(1)] = c
-        return LinearForm(coeffs)
 
     # ------------------------------------------------------------------
     # text format

@@ -25,15 +25,37 @@ the set of caches declared in ``RootSystem.__init__``, including
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .polyring import LinearForm, Polynomial
 
-__all__ = ["WeylElement", "RootSystem", "RootSubset"]
+__all__ = ["WeylElement", "RootSystem", "RootSubset", "group_closure"]
 
 DEFAULT_GROUP_CAP = 3628800  # 10!
+
+
+def group_closure(seed, gens, compose):
+    """Every element reachable from ``seed`` by right composition with
+    ``gens``: a breadth-first search of the Cayley graph.
+
+    Elements must be hashable; ``compose(w, g)`` is the step from w along
+    g.  Seeded with the identity this is the group the generators span.
+    """
+    seen = set(seed)
+    frontier = list(seed)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                wg = compose(w, g)
+                if wg not in seen:
+                    seen.add(wg)
+                    nxt.append(wg)
+        frontier = nxt
+    return list(seen)
 
 
 class WeylElement:
@@ -191,11 +213,6 @@ class RootSystem:
     # ------------------------------------------------------------------
     # construction
 
-    def _unit(self, i, c=1):
-        v = [Fraction(0)] * self.varcount
-        v[i - 1] = Fraction(c)
-        return v
-
     def _form(self, entries) -> LinearForm:
         v = [Fraction(0)] * self.varcount
         for i, c in entries:
@@ -251,19 +268,12 @@ class RootSystem:
     def is_positive_root(self, form: LinearForm) -> bool:
         return form in self._pos_set
 
-    def is_root(self, form: LinearForm) -> bool:
-        return form in self._pos_set or (-form) in self._pos_set
-
     def positive_part(self, form: LinearForm) -> LinearForm:
         if form in self._pos_set:
             return form
         if (-form) in self._pos_set:
             return -form
         raise ValueError(f"not a root: {form}")
-
-    def root_coordinates(self, beta: LinearForm):
-        """Coefficients of a positive root on the simple roots."""
-        return self._root_coords[self.positive_part(beta)]
 
     def reflection(self, beta: LinearForm) -> WeylElement:
         """The reflection s_beta for a root beta (either sign accepted)."""
@@ -402,25 +412,10 @@ class RootSystem:
                 f"group order {self.group_order()} exceeds enumeration cap {cap}"
             )
         gens = [self.simple_reflection(i) for i in range(1, self.rank + 1)]
-        elems = self._closure([self.identity()], gens)
+        elems = group_closure([self.identity()], gens, operator.mul)
         elems.sort(key=self.sort_key)
         self._elements = elems
         return elems
-
-    @staticmethod
-    def _closure(seed, gens):
-        seen = set(seed)
-        frontier = list(seed)
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    wg = w * g
-                    if wg not in seen:
-                        seen.add(wg)
-                        nxt.append(wg)
-            frontier = nxt
-        return list(seen)
 
     def longest_element(self) -> WeylElement:
         return max(self.elements(), key=self.length)
@@ -446,7 +441,7 @@ class RootSystem:
         if sigma in self._parabolic_cache:
             return self._parabolic_cache[sigma]
         gens = [self.simple_reflection(i) for i in sorted(sigma)]
-        elems = self._closure([self.identity()], gens)
+        elems = group_closure([self.identity()], gens, operator.mul)
         if len(elems) > cap:
             raise ValueError("parabolic subgroup exceeds enumeration cap")
         elems.sort(key=self.sort_key)

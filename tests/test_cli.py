@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gkmflag
 from gkmflag.cli import main
 from gkmflag.gkmgraph import graph_from_json, graph_hash, graph_to_json
 from gkmflag.parabolic import build_coset_graph
@@ -212,3 +216,28 @@ def test_build_verb(tmp_path, capsys):
     data = json.loads(path.read_text())
     g = graph_from_json(data)
     assert g.nvertices == 8
+
+
+def test_holonomy_one_vertex_base_is_usage_error(capsys):
+    code, _, err = run(capsys, "holonomy", "--type", "A", "--rank", "2",
+                       "--sigma2", "1,2")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    """A reader that closes the pipe before any output gets one error line."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gkmflag.__file__).resolve().parent.parent))
+    # the child waits for stdin to close, so its stdout is closed first
+    code = "import sys; sys.stdin.read(); from gkmflag.cli import main; sys.exit(main())"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "schubert", "--type", "A", "--rank", "3"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    proc.stdin.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err
+    assert err.strip() == "error: cannot write to stdout"

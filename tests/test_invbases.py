@@ -24,7 +24,7 @@ from gkmflag.invbases import (
     verify_basis,
 )
 from gkmflag.linalg import det_fraction
-from gkmflag.parabolic import bundle_from_json, bundle_to_json, holonomy, typical_fiber
+from gkmflag.parabolic import bundle_from_json, bundle_to_json, typical_fiber
 from gkmflag.polyring import Polynomial
 from gkmflag.schubert import permuted_class, schubert_table, seeded_random_class
 from oracles import express_by_cramer, spanning_by_solves
@@ -180,9 +180,8 @@ def test_extend_constant(a2):
 def test_extend_reproduces_shifted_class(a2, b2):
     for rs in (a2, b2):
         b = tower_bundle(rs)
-        hol = holonomy(b)
         for J, fc in fiber_invariant_classes(b):
-            ext = extend_invariant(b, fc, hol=hol)
+            ext = extend_invariant(b, fc)
             assert ext == class_cI(rs, (0,) + tuple(J))
 
 
@@ -192,8 +191,11 @@ def test_extend_rejects_non_invariant(a2):
     # x_{u(2)} with a sign flip at one vertex is not holonomy invariant
     vals = [Polynomial.variable(3, 2), Polynomial.variable(3, 3).scale(-1)]
     bad = CohClass(fib.graph, vals, check=False)
-    with pytest.raises(ValueError, match="holonomy invariant"):
+    with pytest.raises(ValueError, match="holonomy invariant; violated by the loop through"):
         extend_invariant(b, bad)
+    on_total = CohClass.constant(b.total, 1)
+    with pytest.raises(ValueError, match="typical fiber"):
+        extend_invariant(b, on_total)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,21 @@
 import copy
+import itertools
 import random
 
 import pytest
 
-from gkmflag.gkmgraph import Edge, GkmGraph, verify_gkm, verify_iso
+from gkmflag.gkmgraph import (
+    Edge,
+    GkmGraph,
+    GkmIso,
+    compose_iso,
+    invert_iso,
+    verify_gkm,
+    verify_iso,
+)
 from gkmflag.linalg import identity_matrix
 from gkmflag.parabolic import (
+    base_tree,
     build_bundle,
     build_coset_graph,
     bundle_from_json,
@@ -14,6 +24,7 @@ from gkmflag.parabolic import (
     fiber_model_iso,
     holonomy,
     holonomy_exhaustive,
+    holonomy_of_loop,
     make_bundle,
     product_bundle,
     typical_fiber,
@@ -315,13 +326,59 @@ def test_holonomy_exhaustive_agrees(a2, b2):
 
 
 def test_generators_come_from_loops(a2):
-    rs, b = tower("A", 2)
-    group = holonomy(b)
-    for loop, iso in group.generators:
-        assert loop, "generator without a loop"
-        # the loop is closed at the base point
-        assert b.base.edges[loop[0]].src == group.base_point
-        assert b.base.edges[loop[-1]].dst == group.base_point
+    for kind, n, sigma2 in [("A", 2, {2}), ("A", 3, {2, 3}), ("B", 2, {1}),
+                            ("D", 3, {2, 3})]:
+        rs, b = tower(kind, n, frozenset(sigma2))
+        group = holonomy(b)
+        bp = group.base_point
+        rho = fiber_model_iso(b, bp)  # typical fiber -> fiber over bp
+        _, vm, _ = b.fiber_subgraph(bp)
+        for loop, iso in group.generators:
+            assert loop, "generator without a loop"
+            # the loop is a closed edge path at the base point
+            assert b.base.edges[loop[0]].src == bp
+            assert b.base.edges[loop[-1]].dst == bp
+            for e1, e2 in zip(loop, loop[1:]):
+                assert b.base.edges[e1].dst == b.base.edges[e2].src
+            # transport around the loop, conjugated to the typical fiber
+            vmap, psi = holonomy_of_loop(b, loop)
+            on_fiber = GkmIso(tuple(vm[vmap[v]] for v in sorted(vm, key=vm.get)), psi)
+            assert compose_iso(compose_iso(rho, on_fiber), invert_iso(rho)) == iso
+        assert len({iso for _, iso in group.generators}) == len(group.generators)
+
+
+def test_base_tree_spans(a3):
+    b = build_bundle(a3, frozenset(), frozenset({2}))
+    n = b.base.nvertices
+    tree, chords = base_tree(b, 0)
+    assert len(tree) == n - 1
+    reached = {0}
+    for eid in tree:
+        assert b.base.edges[eid].src in reached
+        reached.add(b.base.edges[eid].dst)
+    assert reached == set(range(n))
+    assert 2 * (len(tree) + len(chords)) == len(b.base.edges)
+
+
+_SMALL_TYPES = [("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 3)]
+
+
+@pytest.mark.parametrize("kind,n", _SMALL_TYPES)
+def test_holonomy_is_sigma2_action_for_every_proper_sigma2(kind, n):
+    """Every proper Sigma2, the empty set included (order 1)."""
+    rs = RootSystem(kind, n)
+    for k in range(n):
+        for sigma2 in itertools.combinations(range(1, n + 1), k):
+            b = build_bundle(rs, frozenset(), frozenset(sigma2))
+            group = holonomy(b, check=False)
+            assert group.matches_upsilon, (kind, n, sigma2)
+            assert group.order == len(rs.parabolic_elements(sigma2))
+
+
+def test_holonomy_refuses_a_one_vertex_base(a2):
+    b = build_bundle(a2, frozenset(), a2.full_sigma())
+    with pytest.raises(ValueError, match="every simple root"):
+        holonomy(b)
 
 
 def test_trivial_product_bundle():
