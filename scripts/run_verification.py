@@ -49,7 +49,7 @@ def main() -> int:
         tag = f"{kind}{n}-S2={','.join(map(str, sorted(sigma2)))}"
         print(f"CHECK bundle-{tag}: {'PASS' if rep.ok else 'FAIL'}")
         ok &= rep.ok
-        group = holonomy(b, check=False)
+        group = holonomy(b)
         good = bool(group.matches_upsilon)
         print(f"CHECK holonomy-{tag}: {'PASS' if good else 'FAIL'} "
               f"(order {group.order})")

@@ -147,13 +147,14 @@ def cmd_holonomy(args) -> int:
             base_point = b.base_coset.vertex_of(w)
         except (ValueError, KeyError):
             raise SystemExit2(f"bad base point {args.base_point!r}")
-    group = parabolic.holonomy(b, base_point=base_point, check=False)
+    group = parabolic.holonomy(b, base_point=base_point)
+    # the cycle search may refuse a large base; do it before printing
+    ex = parabolic.holonomy_exhaustive(b, group.base_point) if args.exhaustive else None
     rep = Report()
     rep.add("holonomy-equals-group-action", bool(group.matches_upsilon),
             f"computed order {group.order}")
     print(f"holonomy group order: {group.order}")
-    if args.exhaustive:
-        ex = parabolic.holonomy_exhaustive(b, group.base_point)
+    if ex is not None:
         rep.add("holonomy-exhaustive-agrees",
                 ex.element_keys() == group.element_keys(),
                 f"cycle search found order {ex.order}")
@@ -161,6 +162,8 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    if args.max_degree < 0:
+        raise SystemExit2("--max-degree must be non-negative")
     rs = _root_system(args)
     basis_rep = invbases.verify_basis(rs, seed=args.seed)
     rep = Report(list(basis_rep.checks))
@@ -175,6 +178,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_express(args) -> int:
+    if args.degree < 0:
+        raise SystemExit2("--degree must be non-negative")
     rs = _root_system(args)
     b = invbases.tower_bundle(rs)
     rng = random.Random(args.seed)

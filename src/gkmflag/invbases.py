@@ -44,16 +44,15 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .gkmgraph import CohClass, GkmIso, Report, coh_failure, degree_of
+from .gkmgraph import CohClass, Report, coh_failure, degree_of
 from .parabolic import (
     BundleMap,
     base_tree,
     build_bundle,
-    fiber_model_iso,
     lift_class,
     typical_fiber,
 )
-from .polyring import LinearForm, Polynomial
+from .polyring import Polynomial
 from .rootsys import RootSystem
 from .schubert import flag_graph, invariant_class
 
@@ -191,55 +190,50 @@ def base_power_classes(b: BundleMap):
 # extension of holonomy-invariant fiber classes
 
 
-def _push_values(iso: GkmIso, vals):
-    """Carry fiber values through (phi, psi): the value at phi(x) is psi
-    applied to the value at x."""
-    m = len(iso.psi)
-    images = [LinearForm([iso.psi[i][j] for i in range(m)])
-              for j in range(len(iso.psi[0]))]
-    out = [None] * len(vals)
-    for x, v in enumerate(vals):
-        out[iso.phi[x]] = v.substitute_linear(images)
-    return out
-
-
 def extend_invariant(b: BundleMap, fiber_class: CohClass,
                      base_point: int | None = None) -> CohClass:
     """Extend a holonomy-invariant class on the typical fiber to the total.
 
-    The class is realized on the fiber over the base point and carried
-    to every other fiber along the spanning tree of ``base_tree``.  On
-    each non-tree edge, transport across the edge must then agree with
-    the tree value at its head; that is invariance under exactly the
-    generators of ``holonomy`` (tree path, the edge, tree path back), so
-    the extension exists iff every such check passes.  A failing edge is
-    named in the ValueError.
+    The class is realized on the fiber over the base point through its
+    representative r (the value at [r u] is r applied to the value at u)
+    and carried to every other fiber along the spanning tree of
+    ``base_tree``: across an edge labeled gamma the value at [s_gamma x]
+    is s_gamma applied to the value at x.  On each non-tree edge the same
+    transport must then agree with the tree value at its head; that is
+    invariance under exactly the generators of ``holonomy`` (tree path,
+    the edge, tree path back), so the extension exists iff every such
+    check passes.  A failing edge is named in the ValueError.
     """
     if b.rs is None:
         raise ValueError("extension needs a coset bundle")
     if base_point is None:
         base_point = b.base_point()
-    rho = fiber_model_iso(b, base_point)  # typical fiber -> fiber over base point
-    if len(fiber_class.values) != len(rho.phi):
+    fib = typical_fiber(b)
+    if len(fiber_class.values) != fib.nvertices:
         raise ValueError("class does not live on the typical fiber")
-    fiber_values = {base_point: _push_values(rho, fiber_class.values)}
+    total = b.total_coset
+    rep = b.base_coset.reps[base_point]
+    vals = [None] * b.total.nvertices
+    for u, value in zip(fib.reps, fiber_class.values):
+        vals[total.vertex_of(rep * u)] = rep.act_poly(value)
+
+    def transported(beid):
+        """(vertex, value) over the head of beid, carried from its tail."""
+        e = b.base.edges[beid]
+        s = b.rs.reflection(e.label)
+        return [(total.vertex_of(s * total.reps[x]), s.act_poly(vals[x]))
+                for x in b.fiber_vertices(e.src)]
+
     tree, chords = base_tree(b, base_point)
     for beid in tree:
-        e = b.base.edges[beid]
-        fiber_values[e.dst] = _push_values(b.transition_iso(beid),
-                                           fiber_values[e.src])
+        for y, value in transported(beid):
+            vals[y] = value
     for beid in chords:
-        e = b.base.edges[beid]
-        if _push_values(b.transition_iso(beid), fiber_values[e.src]) != fiber_values[e.dst]:
+        if any(vals[y] != value for y, value in transported(beid)):
             raise ValueError(
                 f"class is not holonomy invariant; violated by the loop "
                 f"through {b.base.edge_str(beid)}"
             )
-    vals = [None] * b.total.nvertices
-    for q, fvals in fiber_values.items():
-        _, vmap, _ = b.fiber_subgraph(q)
-        for tv, sv in vmap.items():
-            vals[tv] = fvals[sv]
     out = CohClass(b.total, vals)
     bad = coh_failure(out)
     if bad is not None:
@@ -292,9 +286,9 @@ def iterated_family(rs: RootSystem) -> dict:
             I2 = (0,) + tuple(x + 1 for x in J)
             out[I2] = eta_lift * extended[J]
     else:
-        for J, _ in fiber_invariant_classes(b):
+        for J, ext in extended.items():
             for i1 in range(len(lifted)):
-                out[(i1,) + tuple(J)] = lifted[i1] * extended[J]
+                out[(i1,) + tuple(J)] = lifted[i1] * ext
     return out
 
 

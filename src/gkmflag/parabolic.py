@@ -14,13 +14,15 @@ direction beta is vertical when beta lies in <Sigma2> and horizontal
 otherwise, horizontal edges project isomorphically, and the transition
 across a base edge labeled w*beta is left multiplication by the
 reflection s_{w beta} together with that same reflection on coordinates.
-Holonomy is computed exactly from one breadth-first spanning tree of the
-base: the loops "tree path, one non-tree edge, tree path back" generate
-the fundamental group of a graph, so their transports generate the
-holonomy group (optionally cross-checked by exhausting short based
-cycles).  For these bundles the group is the image of W(Sigma2) acting
-on the typical fiber by left multiplication, and that identity is
-asserted.
+Transport along a base path is therefore one Weyl element, the product
+of the reflections of its edge labels.  Holonomy is computed exactly from
+one breadth-first spanning tree of the base: the loops "tree path, one
+non-tree edge, tree path back" generate the fundamental group of a
+graph, so their transports generate the holonomy group, a subgroup of
+W(Sigma2) (optionally cross-checked by exhausting short based cycles
+through the stored transition data).  For these bundles the group is
+W(Sigma2) acting on the typical fiber by left multiplication; whether
+that identity holds is reported in ``HolonomyGroup.matches_upsilon``.
 
 Bundles assembled from raw graph data (no Weyl group behind them) are
 also supported for axiom verification; see :func:`make_bundle` and
@@ -29,6 +31,7 @@ also supported for axiom verification; see :func:`make_bundle` and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,6 +44,7 @@ from .gkmgraph import (
     Report,
     compose_iso,
     induced_subgraph,
+    invert_iso,
     verify_gkm,
     verify_iso,
 )
@@ -720,123 +724,87 @@ def holonomy_of_loop(b: BundleMap, loop_edges) -> tuple:
     return cur, psi
 
 
-def _conjugate_to_typical(b: BundleMap, base_point: int, vmap, psi) -> GkmIso:
-    fib = typical_fiber(b)
-    rep = b.base_coset.reps[base_point]
-    phi = []
-    inv = rep.inverse()
-    for u in fib.reps:
-        total_v = b.total_coset.vertex_of(rep * u)
-        image = vmap[total_v]
-        phi.append(fib.vertex_of(inv * b.total_coset.reps[image]))
-    psi_conj = linalg.mat_mul(
-        linalg.mat_mul(inv.matrix(), psi), rep.matrix()
-    )
-    return GkmIso(tuple(phi), psi_conj)
+def _left_mult_iso(fib: CosetGraph, w: WeylElement) -> GkmIso:
+    """Left multiplication by w on the typical fiber: u -> [w u], psi = w."""
+    return GkmIso(tuple(fib.vertex_of(w * u) for u in fib.reps), w.matrix())
 
 
 def upsilon_elements(b: BundleMap):
     """Left multiplication by W(Sigma2) on the typical fiber, as iso pairs."""
-    rs = b.rs
     fib = typical_fiber(b)
-    out = {}
-    for w in rs.parabolic_elements(b.sigma2):
-        phi = tuple(fib.vertex_of(w * u) for u in fib.reps)
-        iso = GkmIso(phi, w.matrix())
-        out[iso.key()] = iso
-    return sorted(out.values(), key=lambda iso: iso.key())
+    return sorted((_left_mult_iso(fib, w) for w in b.rs.parabolic_elements(b.sigma2)),
+                  key=GkmIso.key)
 
 
-def _group_elements(n: int, m: int, gens):
-    """The group the isos ``gens`` generate on an n-vertex fiber, sorted."""
-    ident = GkmIso(tuple(range(n)), linalg.identity_matrix(m))
-    return sorted(group_closure([ident], gens, compose_iso), key=GkmIso.key)
-
-
-def holonomy(b: BundleMap, base_point: int | None = None,
-             check: bool = True) -> HolonomyGroup:
+def holonomy(b: BundleMap, base_point: int | None = None) -> HolonomyGroup:
     """The holonomy group of a coset bundle, exactly, from one spanning tree.
 
-    Transport from the base point to every base vertex q (T_q) and back
-    (R_q) runs along the tree of :func:`base_tree`.  Each unoriented
+    Transport across a base edge labeled gamma is left multiplication by
+    s_gamma, so transport along a path is one Weyl element.  Walking the
+    tree of :func:`base_tree` gives T_q (base point -> q) with
+    T_dst = s_gamma . T_src; transport back is T_q^{-1}.  Each unoriented
     non-tree edge e = (p -> q) gives the loop "tree path, e, tree path
-    back", whose holonomy is R_q . t_e . T_p.  These loops generate the
-    fundamental group of the base (Serre, *Trees*), and backtracking is
-    trivial because the transitions across e and its reverse are the
-    same reflection, so the distinct non-identity values generate the
-    whole holonomy group.  ``generators`` holds them with their loops as
-    base edge ids.  For coset bundles the group is asserted (check=True)
-    to be the left-multiplication action of W(Sigma2) on the typical
-    fiber.  When Sigma2 is every simple root the base is one vertex
-    without loops and that identity fails, so ValueError is raised.
+    back", whose holonomy is T_q^{-1} . s_e . T_p.  Conjugated by the base
+    representative r to the typical fiber it is
+    h = r^{-1} . T_q^{-1} . s_e . T_p . r, an element of W(Sigma2).  These
+    loops generate the fundamental group of the base (Serre, *Trees*),
+    and backtracking is trivial because an edge and its reverse carry the
+    same reflection, so the distinct non-identity h generate the whole
+    holonomy group.  ``generators`` holds their left-multiplication isos
+    with the loops as base edge ids; ``matches_upsilon`` reports whether
+    the group is all of W(Sigma2).  When Sigma2 is every simple root the
+    base is one vertex without loops, so ValueError is raised.
     """
     if b.rs is None:
         raise ValueError("constructive holonomy needs Weyl-group data; "
                          "use holonomy_exhaustive for raw bundles")
-    if b.sigma2 == b.rs.full_sigma():
+    rs = b.rs
+    if b.sigma2 == rs.full_sigma():
         raise ValueError("Sigma2 contains every simple root, so the base is "
                          "one vertex and has no loops")
     if base_point is None:
         base_point = b.base_point()
-    start = b.fiber_vertices(base_point)
-    ident = ({x: x for x in start}, linalg.identity_matrix(b.total.varcount))
-    there = {base_point: ident}  # T_q: fiber over base_point -> fiber over q
-    back = {base_point: ident}  # R_q: fiber over q -> fiber over base_point
+    # T_q . r: typical fiber -> fiber over base_point -> fiber over q
+    model = {base_point: b.base_coset.reps[base_point]}
     path = {base_point: []}
     tree, chords = base_tree(b, base_point)
     for eid in tree:
         e = b.base.edges[eid]
-        t = b.transitions[eid]
-        t_rev = b.transitions[b.base.reverse[eid]]
-        vmap, psi = there[e.src]
-        there[e.dst] = ({x: t.vmap[y] for x, y in vmap.items()},
-                        linalg.mat_mul(t.psi, psi))
-        vmap, psi = back[e.src]
-        back[e.dst] = ({y: vmap[x] for y, x in t_rev.vmap.items()},
-                       linalg.mat_mul(psi, t_rev.psi))
+        model[e.dst] = rs.reflection(e.label) * model[e.src]
         path[e.dst] = path[e.src] + [eid]
-    seen = {(tuple(start), ident[1])}
+    ident = rs.identity()
+    seen = {ident}
     gens = []
     for eid in chords:
         e = b.base.edges[eid]
-        t = b.transitions[eid]
-        vmap_p, psi_p = there[e.src]
-        vmap_q, psi_q = back[e.dst]
-        vmap = {x: vmap_q[t.vmap[y]] for x, y in vmap_p.items()}
-        psi = linalg.mat_mul(psi_q, linalg.mat_mul(t.psi, psi_p))
-        key = (tuple(vmap[x] for x in start), psi)
-        if key in seen:
+        h = model[e.dst].inverse() * rs.reflection(e.label) * model[e.src]
+        if h in seen:
             continue
-        seen.add(key)
+        seen.add(h)
         loop = (path[e.src] + [eid]
                 + [b.base.reverse[f] for f in reversed(path[e.dst])])
-        gens.append((loop, _conjugate_to_typical(b, base_point, vmap, psi)))
+        gens.append((loop, h))
+    elements = group_closure([ident], [h for _, h in gens], operator.mul)
     fib = typical_fiber(b)
-    elements = _group_elements(fib.nvertices, b.total.varcount,
-                               [iso for _, iso in gens])
-    group = HolonomyGroup(base_point, fib, gens, elements)
-    ups = upsilon_elements(b)
-    group.matches_upsilon = (
-        {iso.key() for iso in ups} == group.element_keys()
+    return HolonomyGroup(
+        base_point,
+        fib,
+        [(loop, _left_mult_iso(fib, h)) for loop, h in gens],
+        sorted((_left_mult_iso(fib, w) for w in elements), key=GkmIso.key),
+        set(elements) == set(rs.parabolic_elements(b.sigma2)),
     )
-    if check and not group.matches_upsilon:
-        have = group.element_keys()
-        want = {iso.key() for iso in ups}
-        diff = have.symmetric_difference(want)
-        raise AssertionError(
-            f"holonomy group differs from the W(Sigma2) action; "
-            f"{len(diff)} mismatching elements"
-        )
-    return group
 
 
 def holonomy_exhaustive(b: BundleMap, base_point: int = 0, max_len: int = 6,
                         max_base: int = 8) -> HolonomyGroup:
     """Subgroup generated by all based cycles up to a length bound.
 
-    Only guaranteed to exhaust the holonomy group for the coset bundles
-    (where it is cross-checked against the constructive generators); for
-    arbitrary data it reports the subgroup its cycles happen to generate.
+    Transport is read from the stored transitions.  Only guaranteed to
+    exhaust the holonomy group for the coset bundles (where it is
+    cross-checked against the constructive generators, conjugated to the
+    typical fiber by :func:`fiber_model_iso`); for arbitrary data it
+    reports the subgroup its cycles happen to generate on the fiber over
+    the base point.
     """
     if b.base.nvertices > max_base:
         raise ValueError("base too large for exhaustive cycle enumeration")
@@ -853,18 +821,21 @@ def holonomy_exhaustive(b: BundleMap, base_point: int = 0, max_len: int = 6,
             path.pop()
 
     extend([], base_point)
+    fib, vm, _ = b.fiber_subgraph(base_point)
+    if b.rs is not None:
+        rho = fiber_model_iso(b, base_point)  # typical fiber -> fiber over base point
+        rho_inv = invert_iso(rho)
+        fib = typical_fiber(b)
     gens = []
     for loop in loops:
         vmap, psi = holonomy_of_loop(b, loop)
+        iso = GkmIso(tuple(vm[vmap[p]] for p in sorted(vm)), psi)
         if b.rs is not None:
-            gens.append((loop, _conjugate_to_typical(b, base_point, vmap, psi)))
-        else:
-            sub, vm, _ = b.fiber_subgraph(base_point)
-            phi = tuple(vm[vmap[p]] for p in sorted(vm))
-            gens.append((loop, GkmIso(phi, psi)))
-    fib = typical_fiber(b) if b.rs is not None else b.fiber_subgraph(base_point)[0]
-    elements = _group_elements(fib.nvertices, b.total.varcount,
-                               [iso for _, iso in gens])
+            iso = compose_iso(compose_iso(rho, iso), rho_inv)
+        gens.append((loop, iso))
+    ident = GkmIso(tuple(range(fib.nvertices)), linalg.identity_matrix(b.total.varcount))
+    elements = sorted(group_closure([ident], [iso for _, iso in gens], compose_iso),
+                      key=GkmIso.key)
     return HolonomyGroup(base_point, fib, gens, elements)
 
 

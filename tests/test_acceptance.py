@@ -276,7 +276,7 @@ def test_criterion_08_holonomy_groups():
     expected_orders = {}
     for rs, sigma2 in BUNDLE_SPECS:
         b = build_bundle(rs, frozenset(), sigma2)
-        group = holonomy(b)  # raises unless it equals the W(Sigma2) action
+        group = holonomy(b)
         assert group.matches_upsilon
         expected_orders[(rs.kind, rs.rank, tuple(sorted(sigma2)))] = group.order
     assert expected_orders[("A", 2, (2,))] == 2

@@ -121,6 +121,15 @@ def test_holonomy_verb(capsys):
     assert "CHECK holonomy-equals-group-action: PASS" in out
 
 
+def test_holonomy_exhaustive_refusal_prints_no_partial_report(capsys):
+    code, out, err = run(capsys, "holonomy", "--type", "A", "--rank", "3",
+                         "--sigma2", "2", "--exhaustive")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "too large" in err
+
+
 def test_basis_verb(capsys):
     code, out, _ = run(capsys, "basis", "--type", "A", "--rank", "2",
                        "--max-degree", "3")
@@ -136,6 +145,18 @@ def test_express_verb_deterministic(capsys):
     code, out2, _ = run(capsys, "express", "--type", "A", "--rank", "2",
                         "--seed", "5", "--degree", "3")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ("express", "--type", "A", "--rank", "2", "--degree", "-1"),
+    ("basis", "--type", "A", "--rank", "2", "--max-degree", "-1"),
+])
+def test_negative_degree_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "non-negative" in err
 
 
 @pytest.mark.parametrize("kind,rank,seeds", [

@@ -326,10 +326,19 @@ def test_holonomy_exhaustive_agrees(a2, b2):
 
 
 def test_generators_come_from_loops(a2):
-    for kind, n, sigma2 in [("A", 2, {2}), ("A", 3, {2, 3}), ("B", 2, {1}),
-                            ("D", 3, {2, 3})]:
-        rs, b = tower(kind, n, frozenset(sigma2))
+    """The stored transitions (data, not Weyl elements) are the oracle;
+    A4 with Sigma2={1} has a 60-vertex base, and Sigma1 != {} gives
+    fibers on which only psi is faithful."""
+    for kind, n, sigma1, sigma2 in [
+        ("A", 2, (), {2}), ("A", 3, (), {2, 3}), ("B", 2, (), {1}),
+        ("D", 3, (), {2, 3}), ("A", 4, (), {1}), ("A", 3, {3}, {2, 3}),
+        ("B", 3, {1}, {1, 3}),
+    ]:
+        rs = RootSystem(kind, n)
+        b = build_bundle(rs, frozenset(sigma1), frozenset(sigma2))
         group = holonomy(b)
+        assert group.matches_upsilon
+        assert group.order == len(rs.parabolic_elements(sigma2))
         bp = group.base_point
         rho = fiber_model_iso(b, bp)  # typical fiber -> fiber over bp
         _, vm, _ = b.fiber_subgraph(bp)
@@ -365,14 +374,18 @@ _SMALL_TYPES = [("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("C", 3), ("D"
 
 @pytest.mark.parametrize("kind,n", _SMALL_TYPES)
 def test_holonomy_is_sigma2_action_for_every_proper_sigma2(kind, n):
-    """Every proper Sigma2, the empty set included (order 1)."""
+    """Every Sigma1 within every proper Sigma2, the empty set included
+    (order 1).  The order stays |W(Sigma2)| for Sigma1 != {} because psi
+    is faithful even where the vertex action is not."""
     rs = RootSystem(kind, n)
     for k in range(n):
         for sigma2 in itertools.combinations(range(1, n + 1), k):
-            b = build_bundle(rs, frozenset(), frozenset(sigma2))
-            group = holonomy(b, check=False)
-            assert group.matches_upsilon, (kind, n, sigma2)
-            assert group.order == len(rs.parabolic_elements(sigma2))
+            for j in range(k + 1):
+                for sigma1 in itertools.combinations(sigma2, j):
+                    b = build_bundle(rs, frozenset(sigma1), frozenset(sigma2))
+                    group = holonomy(b)
+                    assert group.matches_upsilon, (kind, n, sigma1, sigma2)
+                    assert group.order == len(rs.parabolic_elements(sigma2))
 
 
 def test_holonomy_refuses_a_one_vertex_base(a2):
