@@ -17,10 +17,11 @@ A cohomology class assigns a polynomial to every vertex so that the two
 ends of each edge agree modulo the edge label.  Classes form a ring, and
 pullback along an isomorphism sends classes to classes, so ring
 operations and :func:`pullback_class` never re-check their output.  The
-class condition is checked only where values are assembled from outside
-the ring: construction with ``check=True``, :func:`class_from_json`, and
-the final results of the extension and decomposition routines in
-``invbases``.
+class condition is checked only where values come from outside the
+ring: construction with ``check=True``, :func:`class_from_json`, the
+members given to ``invbases.verify_basis``, the input of
+``invbases.extend_invariant`` (its output is a class by construction)
+and the coefficients solved for by ``invbases.express_in_basis``.
 
 Isomorphisms are pairs (Phi, Psi): a vertex bijection plus a linear map
 intertwining the labels.  Psi is stored as a matrix with one row per

@@ -20,25 +20,24 @@ checking holonomy invariance on every non-tree edge, lift base classes,
 multiply) is built too and compared against it, which pins down every
 sign convention.
 
-``verify_basis`` checks independence by evaluating the value matrix at a
-point with distinct coordinates.  Spanning needs no solve: the Schubert
-classes are a free basis, so a family of homogeneous classes whose
-degrees sum to sum_w l(w) is a basis iff that determinant is nonzero at
-a point where no root vanishes (the certificate is spelled out in
-``verify_basis``).  ``express_in_basis`` is the constructive
-decomposition of an arbitrary class over a bundle, the graph
-Leray-Serre theorem made explicit: the same certificate, applied to the
-restrictions of the family to each fiber, proves that they are a fiber
-basis, and then one degree-wise sparse rational solve per fiber
-(``linalg.solve_module_coeffs``) gives the base coefficients, which are
-themselves classes on the base.  Both certificates use the one regular
-point of ``_regular_point``.
+One certificate, ``_basis_failures``, proves that classes restrict to
+a module basis on a set of vertex blocks: homogeneous members whose
+degrees sum to the length sum of the block's group, and a nonzero value
+determinant at the regular point (1, 2, 4, ...).  No solve is needed,
+because the Schubert classes are a free basis.  ``verify_basis`` applies
+it to the whole flag graph, after checking that every member is a class,
+and decides independence exactly from the same determinant, falling
+back on a degree bound and a grid of regular points when it vanishes.
+``express_in_basis`` is the constructive decomposition of an arbitrary
+class over a bundle, the graph Leray-Serre theorem made explicit: it
+applies the certificate to the fibers, and then one degree-wise sparse
+rational solve per fiber (``linalg.solve_module_coeffs``) gives the base
+coefficients, which are themselves classes on the base.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -54,7 +53,7 @@ from .parabolic import (
 )
 from .polyring import Polynomial
 from .rootsys import RootSystem
-from .schubert import flag_graph, invariant_class
+from .schubert import invariant_class
 
 __all__ = [
     "index_set",
@@ -202,7 +201,16 @@ def extend_invariant(b: BundleMap, fiber_class: CohClass,
     transport must then agree with the tree value at its head; that is
     invariance under exactly the generators of ``holonomy`` (tree path,
     the edge, tree path back), so the extension exists iff every such
-    check passes.  A failing edge is named in the ValueError.
+    check passes.  A failing edge is named in the ValueError, and so is
+    the typical-fiber edge of an input that is not a class there (checked
+    after the loops, so a non-invariant input is named by its loop).
+
+    The result is then a class by construction and is not re-checked.
+    Horizontal edges: the value at [s_gamma x] is s_gamma g for the value
+    g at x (by construction on the tree, by the loop checks elsewhere),
+    and gamma divides s_gamma g - g.  Vertical edges: the fiber over q is
+    the image of the typical fiber, values included, under left
+    multiplication by T_q r (T_q the tree transport), a GKM isomorphism.
     """
     if b.rs is None:
         raise ValueError("extension needs a coset bundle")
@@ -234,13 +242,11 @@ def extend_invariant(b: BundleMap, fiber_class: CohClass,
                 f"class is not holonomy invariant; violated by the loop "
                 f"through {b.base.edge_str(beid)}"
             )
-    out = CohClass(b.total, vals)
-    bad = coh_failure(out)
+    bad = coh_failure(CohClass(fib.graph, fiber_class.values))
     if bad is not None:
-        raise AssertionError(
-            f"extension failed the class condition at {b.total.edge_str(bad)}"
-        )
-    return out
+        raise ValueError("input is not a class on the typical fiber; fails at "
+                         + fib.graph.edge_str(bad))
+    return CohClass(b.total, vals)
 
 
 def fiber_invariant_classes(b: BundleMap):
@@ -301,59 +307,25 @@ def express_in_basis(b: BundleMap, classes, target: CohClass):
 
     Precondition: ``classes`` and ``target`` are classes on the total
     graph of a coset bundle.  The restrictions of ``classes`` to every
-    fiber must be a module basis there; this is certified, not solved
-    for, exactly as ``verify_basis`` certifies spanning:
-
-    * every member is homogeneous (``degree_of``);
-    * on every fiber the value matrix M_p (fiber vertices x classes) has
-      a nonzero determinant at the regular point of ``_regular_point``;
-    * the halved degrees sum to sum_{u in W_fiber} l(u) = n_f N_f / 2,
-      with n_f fiber vertices of valency N_f in the fiber graph.
-
-    Then M_p = S_p.B_p with S_p the fiber's Schubert value matrix and
-    det B_p a nonzero constant, so every class has unique polynomial
-    coefficients on every fiber; ``linalg.solve_module_coeffs`` finds
-    them one degree at a time.  A family that fails a premise raises
-    ValueError naming the class, the fiber or the two sums; a
-    non-homogeneous family is refused even where it would span.  The
-    coefficients beta_k are returned as classes on the base.  The
-    reassembly is verified where it is solved: ``solve_module_coeffs``
+    fiber must be a module basis there; ``_basis_failures`` certifies it
+    with the fibers as blocks, or the first witness is raised as
+    ValueError (a non-homogeneous family is refused even where it would
+    span).  ``linalg.solve_module_coeffs`` then finds the unique
+    polynomial coefficients on every fiber one degree at a time, and
     checks sum_k beta_k * c_k == target exactly at every vertex of the
-    fiber before it returns, and every total vertex lies in one fiber.
+    fiber before it returns; every total vertex lies in one fiber.  The
+    coefficients beta_k are returned as classes on the base.
     """
     if b.rs is None:
         raise ValueError("expressing over a bundle needs Weyl-group data")
-    degree_sum = 0
-    for k, c in enumerate(classes):
-        d = degree_of(c)
-        if d is None:
-            raise ValueError(f"classes[{k}] is not homogeneous")
-        degree_sum += d // 2
-    pt = _regular_point(b.rs)
     nbase = b.base.nvertices
-    fibers = []
-    for p in range(nbase):
-        fverts = b.fiber_vertices(p)
-        if len(fverts) != len(classes):
-            raise ValueError(
-                f"fiber over {b.base.vertices[p]} has {len(fverts)} vertices "
-                f"but {len(classes)} classes were given"
-            )
-        at_pt = [[c.values[v].evaluate(pt) for c in classes] for v in fverts]
-        if linalg.det_fraction(at_pt) == 0:
-            raise ValueError(
-                f"restrictions to the fiber over {b.base.vertices[p]} are not "
-                f"a module basis: their value determinant vanishes at "
-                f"({', '.join(map(str, pt))})"
-            )
-        fibers.append(fverts)
-    valency = sum(1 for eid in b.total.edges_at[0] if b.edge_class[eid] == "v")
-    length_sum = len(classes) * valency // 2
-    if degree_sum != length_sum:
-        raise ValueError(
-            f"class degrees sum to {degree_sum} but the fiber lengths sum to "
-            f"{length_sum}; the restrictions cannot be a module basis"
-        )
+    fibers = [b.fiber_vertices(p) for p in range(nbase)]
+    bad = _basis_failures(
+        b.rs, classes, [f"classes[{k}]" for k in range(len(classes))],
+        {f"fiber over {b.base.vertices[p]}": fibers[p] for p in range(nbase)},
+        "fiber")
+    if bad:
+        raise ValueError(next(iter(bad.values())))
     beta_vals = [[None] * nbase for _ in classes]
     for p, fverts in enumerate(fibers):
         columns = [[c.values[v] for v in fverts] for c in classes]
@@ -381,64 +353,83 @@ def express_in_basis(b: BundleMap, classes, target: CohClass):
 
 
 # ----------------------------------------------------------------------
+# the module-basis certificate
+
+
+def _regular_grid(rs: RootSystem, e: int):
+    """The (e + 1)^m points with coordinate i in {2^(i + k m) : k <= e}.
+
+    Coordinates are distinct powers of 2, so no root x_i -+ x_j, x_i, 2 x_i
+    vanishes.  The first point, (1, 2, 4, ...), is the regular point of the
+    certificate.  A polynomial of degree at most e that vanishes on the
+    grid is zero (Alon's combinatorial Nullstellensatz).
+    """
+    m = rs.varcount
+    axes = [[Fraction(2 ** (i + k * m)) for k in range(e + 1)] for i in range(m)]
+    return (list(pt) for pt in itertools.product(*axes))
+
+
+def _basis_failures(rs: RootSystem, classes, names, blocks: dict, kind: str) -> dict:
+    """{premise: witness} for each failing premise of the module-basis
+    certificate, in this order; {} proves that ``classes`` (named by
+    ``names``) restrict to a module basis on every block (label ->
+    vertices: the flag graph, or the fibers of a bundle).
+
+    * "count": every block has one vertex per class;
+    * "homogeneity": every member is homogeneous (``degree_of``);
+    * "determinant": every block's value matrix M_p (vertices x classes)
+      is nonsingular at the regular point;
+    * "degree-sum": the halved degrees sum to n N / 2, the length sum of
+      the group (``kind``) of a block of n vertices of valency N.
+
+    Then M_p = S_p.B_p with S_p the Schubert value matrix, det S_p =
+    prod_u tau_u(u) of degree n N / 2, and det B_p a nonzero constant.  A
+    wrong count ends the check; every other premise is evaluated, so a
+    caller sees whether the determinant is the only failure.
+    """
+    for label, verts in blocks.items():
+        if len(verts) != len(classes):
+            return {"count": f"{label} has {len(verts)} vertices but "
+                             f"{len(classes)} classes were given"}
+    out = {}
+    degrees = [degree_of(c) for c in classes]
+    if None in degrees:
+        out["homogeneity"] = f"{names[degrees.index(None)]} is not homogeneous"
+    pt = next(_regular_grid(rs, 0))
+    for label, verts in blocks.items():
+        at_pt = [[c.values[v].evaluate(pt) for c in classes] for v in verts]
+        if linalg.det_fraction(at_pt) == 0:
+            out["determinant"] = (
+                f"on the {label} the value determinant vanishes at "
+                f"({', '.join(map(str, pt))}); the classes are not a module "
+                f"basis there")
+            break
+    if "homogeneity" not in out:
+        graph, verts = classes[0].graph, next(iter(blocks.values()))
+        inside = set(verts)
+        valency = sum(graph.edges[eid].dst in inside for eid in graph.edges_at[verts[0]])
+        degree_sum, length_sum = sum(degrees) // 2, len(verts) * valency // 2
+        if degree_sum != length_sum:
+            out["degree-sum"] = (f"class degrees sum to {degree_sum} but the "
+                                 f"{kind} lengths sum to {length_sum}")
+    return out
+
+
+# ----------------------------------------------------------------------
 # basis verification
 
 
-def _distinct_points(m: int, seed: int, attempt: int):
-    if attempt == 0:
-        return [Fraction(2**k) for k in range(m)]
-    rng = random.Random(seed * 1000003 + attempt)
-    vals = rng.sample(range(1, 200), m)
-    dens = [rng.choice([1, 1, 2, 3]) for _ in range(m)]
-    pts = [Fraction(v, d) for v, d in zip(vals, dens)]
-    return pts if len(set(pts)) == m else [Fraction(v) for v in vals]
-
-
-def _check_regular(rs: RootSystem, pt):
-    """Raise ValueError if some positive root vanishes at ``pt``."""
-    for beta in rs.positive_roots:
-        if sum(c * x for c, x in zip(beta.coeffs, pt)) == 0:
-            raise ValueError(f"positive root {beta} vanishes at the evaluation point {pt}")
-
-
-def _regular_point(rs: RootSystem):
-    """The point of both determinant certificates: the first evaluation
-    point (powers of 2), checked to lie on no root hyperplane."""
-    pt = _distinct_points(rs.varcount, 0, 0)
-    _check_regular(rs, pt)
-    return pt
-
-
-def _certificate_failure(rs: RootSystem, family: BasisFamily) -> str:
-    """Which class, homogeneity or degree-sum premise of the certificate fails, or ""."""
-    degree_sum = 0
-    for I, c in zip(family.indices, family.classes):
-        name = "c[" + ",".join(str(i) for i in I) + "]"
-        bad = coh_failure(c)
-        if bad is not None:
-            return f"{name} fails the class condition at {c.graph.edge_str(bad)}"
-        d = degree_of(c)
-        if d is None:
-            return f"{name} is not homogeneous"
-        degree_sum += d // 2
-    length_sum = sum(rs.length(w) for w in rs.elements())
-    if degree_sum != length_sum:
-        return f"degree sum {degree_sum} differs from the length sum {length_sum}"
-    return ""
-
-
-def verify_basis(rs: RootSystem, family: BasisFamily | None = None,
-                 seed: int = 0) -> Report:
+def verify_basis(rs: RootSystem, family: BasisFamily | None = None) -> Report:
     """Counting, independence and spanning checks for an invariant family.
 
-    Independence: the value matrix M (vertices x classes) has a nonzero
-    determinant at some point.  Spanning is certified without solving:
-    M = S.B with S the Schubert value matrix and B polynomial, and
-    det S = prod_w tau_w(w) is a product of roots of degree sum_w l(w).
-    When every member is a homogeneous class and the degrees sum to
-    sum_w l(w), det B is a constant, so det M nonzero at one point where
-    no root vanishes (the first evaluation point) makes B invertible
-    over the polynomial ring.
+    Spanning: every member passes ``coh_failure`` and ``_basis_failures``
+    holds on the flag graph.  Independence is exact: a nonzero
+    certificate determinant det M proves it.  If it vanishes and every
+    member is a class, det M = det S . det B with det S nonzero off the
+    root hyperplanes and det B of degree at most e = sum_k (top degree of
+    c_k) - sum_w l(w), so det M = 0 iff it vanishes on ``_regular_grid``
+    (the regular point alone when every premise holds, e = 0).  Otherwise
+    one Bareiss ``det_poly`` of M decides.
     """
     family = family or basis_family(rs)
     rep = Report()
@@ -451,31 +442,34 @@ def verify_basis(rs: RootSystem, family: BasisFamily | None = None,
         rep.add("spanning", False, "the value matrix is not square")
         return rep
 
-    nvert = flag_graph(rs).nvertices
-
-    def det_at(pt):
-        return linalg.det_fraction([[c.values[p].evaluate(pt) for c in family.classes]
-                                    for p in range(nvert)])
-
-    pt0 = _regular_point(rs)
-    det0 = det_at(pt0)
-    pt, det, attempt = pt0, det0, 0
-    while det == 0 and attempt < 4:
-        attempt += 1
-        pt = _distinct_points(rs.varcount, seed, attempt)
-        det = det_at(pt)
-    independent = det != 0
-    witness = "" if independent else f"evaluation determinant vanished at {pt}"
-    if not independent and nW <= 8:
-        rows = [[c.values[p] for c in family.classes] for p in range(nvert)]
+    names = ["c[" + ",".join(str(i) for i in I) + "]" for I in family.indices]
+    bad = {}
+    for name, c in zip(names, family.classes):
+        edge = coh_failure(c)
+        if edge is not None:
+            bad["class"] = f"{name} fails the class condition at {c.graph.edge_str(edge)}"
+            break
+    bad.update(_basis_failures(rs, family.classes, names,
+                               {"flag graph": list(range(nW))}, "Weyl group"))
+    if "determinant" not in bad:
+        independent, witness = True, ""
+    elif "class" in bad:
+        rows = [[c.values[p] for c in family.classes] for p in range(nW)]
         independent = not linalg.det_poly(rows).is_zero()
         witness = "" if independent else "symbolic determinant is zero"
+    else:
+        e = sum(max((sum(x) for v in c.values for x in v.terms), default=0)
+                for c in family.classes) - nW * len(rs.positive_roots) // 2
+        independent = any(
+            linalg.det_fraction([[c.values[p].evaluate(pt) for c in family.classes]
+                                 for p in range(nW)]) != 0
+            for pt in itertools.islice(_regular_grid(rs, e), 1, None))
+        witness = "" if independent else (
+            f"the value determinant is prod_w tau_w(w) times a polynomial of "
+            f"degree at most {e}, and it vanishes on the "
+            f"{max(e + 1, 0) ** rs.varcount}-point regular grid")
     rep.add("independence", independent, witness)
-
-    bad = _certificate_failure(rs, family)
-    if not bad and det0 == 0:
-        bad = f"evaluation determinant vanished at the regular point {pt0}"
-    rep.add("spanning", not bad, bad)
+    rep.add("spanning", not bad, next(iter(bad.values()), ""))
     return rep
 
 

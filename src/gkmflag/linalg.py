@@ -4,9 +4,8 @@ Three solvers, all exact:
 
 * dense Gauss elimination over Q (``solve_fraction``, ``rank_fraction``,
   ``det_fraction``, ``invert_fraction``) for small matrices of Fractions;
-  ``det_fraction`` computes the determinant at one point that the basis
-  certificates of ``invbases.verify_basis`` and
-  ``invbases.express_in_basis`` rest on;
+  ``det_fraction`` gives the determinant at one point that the basis
+  certificate of ``invbases`` rests on;
 
 * a sparse rational solver for the module-coefficient systems that
   arise when expressing one cohomology class in a family of homogeneous
@@ -21,10 +20,10 @@ Three solvers, all exact:
 * fraction-free (Bareiss) determinants of polynomial matrices plus a
   Cramer-style square solve whose final divisions are checked to be exact
   polynomial divisions (``det_poly``, ``solve_poly_square``).  The one
-  caller of ``det_poly`` left in the package is the symbolic fallback of
-  ``invbases.verify_basis`` for groups of order at most 8;
-  ``solve_poly_square`` is called only by the tests' Cramer oracle for
-  ``express_in_basis`` and stays while the benchmark's per-layer
+  caller of ``det_poly`` in the package is the exact independence check
+  of ``invbases.verify_basis`` outside the certificate, with no order
+  cap; ``solve_poly_square`` is called only by the tests' Cramer oracle
+  for ``express_in_basis`` and stays while the benchmark's per-layer
   metrics name it.
 """
 

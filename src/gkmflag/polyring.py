@@ -526,6 +526,8 @@ def parse_polynomial(s: str, varcount: int) -> Polynomial:
             pos += 1
             if pos + 1 < len(tokens) and tokens[pos] == "/" and tokens[pos + 1].isdigit():
                 den = int(tokens[pos + 1])
+                if den == 0:
+                    raise ValueError(f"zero denominator in {s!r}")
                 pos += 2
                 return Polynomial.constant(varcount, Fraction(num, den)), pos
             return Polynomial.constant(varcount, num), pos

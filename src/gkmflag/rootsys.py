@@ -25,6 +25,7 @@ the set of caches declared in ``RootSystem.__init__``, including
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,7 @@ from fractions import Fraction
 from . import linalg
 from .polyring import LinearForm, Polynomial
 
-__all__ = ["WeylElement", "RootSystem", "RootSubset", "group_closure"]
+__all__ = ["WeylElement", "RootSystem", "RootSubset", "group_closure", "weyl_group_order"]
 
 DEFAULT_GROUP_CAP = 3628800  # 10!
 
@@ -185,16 +186,27 @@ class RootSubset:
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 
+def weyl_group_order(kind: str, rank: int) -> int:
+    """|W| from (type, rank) alone, before any root system is built;
+    ValueError for an unknown type or a rank below its minimum."""
+    kind = kind.upper()
+    if kind not in _RANK_MIN:
+        raise ValueError(f"unknown type {kind!r}; expected A, B, C or D")
+    if rank < _RANK_MIN[kind]:
+        raise ValueError(f"type {kind} needs rank >= {_RANK_MIN[kind]}")
+    if kind == "A":
+        return math.factorial(rank + 1)
+    if kind in ("B", "C"):
+        return 2**rank * math.factorial(rank)
+    return 2 ** (rank - 1) * math.factorial(rank)
+
+
 class RootSystem:
     """One of the classical root systems with its Weyl group machinery."""
 
     def __init__(self, kind: str, rank: int):
-        kind = kind.upper()
-        if kind not in _RANK_MIN:
-            raise ValueError(f"unknown type {kind!r}; expected A, B, C or D")
-        if rank < _RANK_MIN[kind]:
-            raise ValueError(f"type {kind} needs rank >= {_RANK_MIN[kind]}")
-        self.kind = kind
+        weyl_group_order(kind, rank)  # validates the type and rank
+        self.kind = kind = kind.upper()
         self.rank = rank
         self.varcount = rank + 1 if kind == "A" else rank
         self.simple_roots = tuple(self._make_simples())
@@ -391,14 +403,7 @@ class RootSystem:
     # the group
 
     def group_order(self) -> int:
-        import math
-
-        n = self.rank
-        if self.kind == "A":
-            return math.factorial(n + 1)
-        if self.kind in ("B", "C"):
-            return 2**n * math.factorial(n)
-        return 2 ** (n - 1) * math.factorial(n)
+        return weyl_group_order(self.kind, self.rank)
 
     def sort_key(self, w: WeylElement):
         return (self.length(w), w.one_line())

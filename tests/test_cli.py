@@ -239,6 +239,21 @@ def test_build_verb(tmp_path, capsys):
     assert g.nvertices == 8
 
 
+def test_group_order_cap_is_checked_before_the_root_system(capsys, monkeypatch):
+    def refuse(self):
+        raise RuntimeError("root system built for a refused group")
+
+    monkeypatch.setattr(RootSystem, "_expand_in_simples", refuse)
+    for verb in ("verify", "basis"):
+        code, _, err = run(capsys, verb, "--type", "A", "--rank", "200")
+        assert code == 2
+        assert err.startswith("error: group order ")
+        assert err.rstrip().endswith("exceeds --max-group-order")
+    code, _, err = run(capsys, "verify", "--type", "D", "--rank", "2")
+    assert code == 2
+    assert err == "error: type D needs rank >= 3\n"
+
+
 def test_holonomy_one_vertex_base_is_usage_error(capsys):
     code, _, err = run(capsys, "holonomy", "--type", "A", "--rank", "2",
                        "--sigma2", "1,2")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkmflag import invbases, linalg
 from gkmflag.gkmgraph import CohClass, coh_failure, degree_of, is_coh_class
 from gkmflag.invbases import (
     BasisFamily,
@@ -196,6 +197,29 @@ def test_extend_rejects_non_invariant(a2):
     on_total = CohClass.constant(b.total, 1)
     with pytest.raises(ValueError, match="typical fiber"):
         extend_invariant(b, on_total)
+
+
+def test_extend_refuses_a_non_class_on_the_typical_fiber(a2, monkeypatch):
+    """The input premise is checked on its own, not left to a final re-check."""
+    b = tower_bundle(a2)
+    fib = typical_fiber(b)
+    # silence the loop checks so only the class premise can refuse the input
+    tree, _ = invbases.base_tree(b, b.base_point())
+    monkeypatch.setattr(invbases, "base_tree", lambda b, base_point: (tree, []))
+    vals = [Polynomial.variable(3, 2), Polynomial.variable(3, 3).scale(-1)]
+    bad = CohClass(fib.graph, vals, check=False)
+    edge = fib.graph.edge_str(coh_failure(bad))
+    with pytest.raises(ValueError, match="typical fiber") as err:
+        extend_invariant(b, bad)
+    assert edge in str(err.value)
+
+
+@pytest.mark.parametrize("rs_name", ["a3", "b3", "c3", "d3"])
+def test_extensions_are_classes(request, rs_name):
+    """The extension is a class by construction; check that independently."""
+    b = tower_bundle(request.getfixturevalue(rs_name))
+    for _, fc in fiber_invariant_classes(b):
+        assert coh_failure(extend_invariant(b, fc)) is None
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +427,85 @@ def test_verify_basis_wrong_count_fails_every_check(a2):
     short = BasisFamily(a2, fam.indices[:-1], fam.classes[:-1])
     rep = verify_basis(a2, short)
     assert [c.name for c in rep.failures()] == ["count", "independence", "spanning"]
+
+
+def _replaced_a2_family(a2, replacements):
+    fam = basis_family(a2)
+    classes = list(fam.classes)
+    for I, c in replacements.items():
+        classes[fam.indices.index(I)] = c
+    return BasisFamily(a2, fam.indices, classes)
+
+
+def _counting_det_poly(monkeypatch):
+    calls = []
+    real = linalg.det_poly
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "det_poly", counted)
+    return calls
+
+
+def test_independence_outside_the_certificate_by_the_grid(a2, monkeypatch):
+    """det vanishes at (1, 2, 4) and the degree sum fails, yet independent."""
+    c10 = class_cI(a2, (1, 0))
+    factor = Polynomial.variable(3, 1).scale(2) - Polynomial.variable(3, 2)
+    fam = _replaced_a2_family(a2, {(1, 0): c10.scale_poly(factor)})
+    calls = _counting_det_poly(monkeypatch)
+    checks = {c.name: c for c in verify_basis(a2, fam).checks}
+    assert checks["independence"].passed
+    assert calls == []
+    assert not checks["spanning"].passed
+    assert "vanishes at (1, 2, 4)" in checks["spanning"].witness
+
+
+def test_dependence_outside_the_certificate_by_the_grid(a2, monkeypatch):
+    """Classes with a degree excess of 2: det M vanishes on the 27-point grid."""
+    c10 = class_cI(a2, (1, 0))
+    fam = _replaced_a2_family(a2, {(0, 1): c10 * c10, (1, 0): c10 * c10})
+    calls = _counting_det_poly(monkeypatch)
+    checks = {c.name: c for c in verify_basis(a2, fam).checks}
+    assert calls == []
+    assert not checks["independence"].passed
+    assert checks["independence"].witness.endswith(
+        "degree at most 2, and it vanishes on the 27-point regular grid")
+    assert not checks["spanning"].passed
+
+
+def test_dependence_inside_the_certificate_is_read_at_one_point(a2, monkeypatch):
+    """Every premise holds and det vanishes at the regular point: det M = 0."""
+    fam = _replaced_a2_family(a2, {(0, 1): class_cI(a2, (1, 0))})
+    calls = _counting_det_poly(monkeypatch)
+    dets = []
+    real = linalg.det_fraction
+    monkeypatch.setattr(linalg, "det_fraction", lambda m: dets.append(1) or real(m))
+    checks = {c.name: c for c in verify_basis(a2, fam).checks}
+    assert calls == [] and dets == [1]
+    assert not checks["independence"].passed
+    assert "degree at most 0" in checks["independence"].witness
+    assert checks["spanning"].witness == (
+        "on the flag graph the value determinant vanishes at (1, 2, 4); "
+        "the classes are not a module basis there")
+
+
+def test_non_class_family_is_decided_by_bareiss(a2, monkeypatch):
+    c10 = class_cI(a2, (1, 0))
+    tampered = CohClass(c10.graph, [c10.values[0].scale(2)] + list(c10.values[1:]))
+    factor = Polynomial.variable(3, 1).scale(2) - Polynomial.variable(3, 2)
+    calls = _counting_det_poly(monkeypatch)
+    independent = _replaced_a2_family(a2, {(1, 0): tampered.scale_poly(factor)})
+    checks = {c.name: c for c in verify_basis(a2, independent).checks}
+    assert checks["independence"].passed
+    assert "c[1,0] fails the class condition" in checks["spanning"].witness
+    dependent = _replaced_a2_family(a2, {(0, 1): tampered, (1, 0): tampered})
+    checks = {c.name: c for c in verify_basis(a2, dependent).checks}
+    assert not checks["independence"].passed
+    assert checks["independence"].witness == "symbolic determinant is zero"
+    assert calls == [6, 6]
+
 
 def test_iterated_family_matches_closed_form(a2):
     fam = iterated_family(a2)
