@@ -424,12 +424,12 @@ def verify_basis(rs: RootSystem, family: BasisFamily | None = None) -> Report:
 
     Spanning: every member passes ``coh_failure`` and ``_basis_failures``
     holds on the flag graph.  Independence is exact: a nonzero
-    certificate determinant det M proves it.  If it vanishes and every
-    member is a class, det M = det S . det B with det S nonzero off the
-    root hyperplanes and det B of degree at most e = sum_k (top degree of
-    c_k) - sum_w l(w), so det M = 0 iff it vanishes on ``_regular_grid``
-    (the regular point alone when every premise holds, e = 0).  Otherwise
-    one Bareiss ``det_poly`` of M decides.
+    certificate determinant det M proves it.  Else det M, or det B =
+    det M / prod_w tau_w(w) when every member is a class, has degree at
+    most e = sum_k (top degree of c_k), less sum_w l(w) for det B.  It is
+    zero if e < 0, else iff it vanishes on ``_regular_grid`` (whose points
+    avoid the root hyperplanes): the regular point alone when every
+    premise holds, else (e + 1)^m value determinants of size |W|.
     """
     family = family or basis_family(rs)
     rep = Report()
@@ -451,23 +451,25 @@ def verify_basis(rs: RootSystem, family: BasisFamily | None = None) -> Report:
             break
     bad.update(_basis_failures(rs, family.classes, names,
                                {"flag graph": list(range(nW))}, "Weyl group"))
-    if "determinant" not in bad:
-        independent, witness = True, ""
-    elif "class" in bad:
-        rows = [[c.values[p] for c in family.classes] for p in range(nW)]
-        independent = not linalg.det_poly(rows).is_zero()
-        witness = "" if independent else "symbolic determinant is zero"
-    else:
-        e = sum(max((sum(x) for v in c.values for x in v.terms), default=0)
-                for c in family.classes) - nW * len(rs.positive_roots) // 2
-        independent = any(
-            linalg.det_fraction([[c.values[p].evaluate(pt) for c in family.classes]
-                                 for p in range(nW)]) != 0
-            for pt in itertools.islice(_regular_grid(rs, e), 1, None))
-        witness = "" if independent else (
-            f"the value determinant is prod_w tau_w(w) times a polynomial of "
-            f"degree at most {e}, and it vanishes on the "
-            f"{max(e + 1, 0) ** rs.varcount}-point regular grid")
+    independent, witness = "determinant" not in bad, ""
+    if not independent:
+        top = sum(max((sum(x) for v in c.values for x in v.terms), default=0)
+                  for c in family.classes)
+        length_sum = nW * len(rs.positive_roots) // 2
+        e = top if "class" in bad else top - length_sum
+        if e < 0:
+            witness = (f"the top degrees sum to {top}, below the length sum "
+                       f"{length_sum}, so the value determinant is zero")
+        else:
+            independent = any(
+                linalg.det_fraction([[c.values[p].evaluate(pt) for c in family.classes]
+                                     for p in range(nW)]) != 0
+                for pt in itertools.islice(_regular_grid(rs, e), 1, None))
+            factor = "" if "class" in bad else "prod_w tau_w(w) times "
+            witness = "" if independent else (
+                f"the value determinant is {factor}a polynomial of degree at "
+                f"most {e}, and it vanishes on the {(e + 1) ** rs.varcount}-point "
+                f"regular grid")
     rep.add("independence", independent, witness)
     rep.add("spanning", not bad, next(iter(bad.values()), ""))
     return rep

@@ -19,12 +19,10 @@ Three solvers, all exact:
 
 * fraction-free (Bareiss) determinants of polynomial matrices plus a
   Cramer-style square solve whose final divisions are checked to be exact
-  polynomial divisions (``det_poly``, ``solve_poly_square``).  The one
-  caller of ``det_poly`` in the package is the exact independence check
-  of ``invbases.verify_basis`` outside the certificate, with no order
-  cap; ``solve_poly_square`` is called only by the tests' Cramer oracle
-  for ``express_in_basis`` and stays while the benchmark's per-layer
-  metrics name it.
+  polynomial divisions (``det_poly``, ``solve_poly_square``).  No
+  production path calls them: ``solve_poly_square`` serves only the
+  tests' Cramer oracle for ``express_in_basis``, and both stay while the
+  benchmark's per-layer metrics name them.
 """
 
 from __future__ import annotations
