@@ -91,7 +91,7 @@ def cmd_verify(args) -> int:
             with open(args.graph) as fh:
                 data = json.load(fh)
             g = gkmgraph.graph_from_json(data)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, ValueError, RecursionError) as exc:
             raise SystemExit2(f"cannot load graph {args.graph}: {exc}")
     else:
         rs = _root_system(args)

@@ -177,9 +177,8 @@ def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
     for p in range(g.nvertices):
         eids = g.edges_at[p]
         if strict_independence:
-            rows = [list(g.edges[eid].label.coeffs) for eid in eids]
-            cols = list(zip(*rows)) if rows else []
-            if rows and linalg.rank_fraction(cols) != len(rows):
+            rows = [g.edges[eid].label.coeffs for eid in eids]
+            if linalg.rank_fraction(rows) != len(rows):
                 bad = f"labels at vertex {g.vertices[p]} are linearly dependent"
                 break
         else:
@@ -429,8 +428,7 @@ def verify_iso(iso: GkmIso, g1: GkmGraph, g2: GkmGraph) -> bool:
     rows = iso.psi
     if len(rows) != g2.varcount or any(len(r) != g1.varcount for r in rows):
         return False
-    cols = list(zip(*rows))
-    if linalg.rank_fraction(cols) != g1.varcount:
+    if linalg.rank_fraction(rows) != g1.varcount:
         return False
     for p in range(g1.nvertices):
         have = sorted(

@@ -357,16 +357,32 @@ def express_in_basis(b: BundleMap, classes, target: CohClass):
 
 
 def _regular_grid(rs: RootSystem, e: int):
-    """The (e + 1)^m points with coordinate i in {2^(i + k m) : k <= e}.
+    """The C(e + m, m) points (a_{1,k_1}, ..., a_{m,k_m}) with k_1 + ... +
+    k_m <= e, where a_{i,k} = 2^(i - 1 + k m).
 
     Coordinates are distinct powers of 2, so no root x_i -+ x_j, x_i, 2 x_i
     vanishes.  The first point, (1, 2, 4, ...), is the regular point of the
-    certificate.  A polynomial of degree at most e that vanishes on the
-    grid is zero (Alon's combinatorial Nullstellensatz).
+    certificate.  A polynomial f of total degree at most e that vanishes on
+    the grid is zero, by induction on m (m = 0 is a constant vanishing at
+    one point).  In the Newton basis N_j = prod_{k<j} (x_1 - a_{1,k}),
+    f = sum_{j<=e} f_j N_j with f_j free of x_1 and of degree at most
+    e - j (the change from the powers of x_1 to the N_j is triangular with
+    constant entries).  At x_1 = a_{1,j} every N_l with l > j vanishes and
+    N_j does not, so once f_0 = ... = f_{j-1} = 0, f_j vanishes on the
+    grid of the other m - 1 coordinates with index sum at most e - j, and
+    is zero.
     """
     m = rs.varcount
-    axes = [[Fraction(2 ** (i + k * m)) for k in range(e + 1)] for i in range(m)]
-    return (list(pt) for pt in itertools.product(*axes))
+
+    def points(i, budget):
+        if i == m:
+            yield []
+            return
+        for k in range(budget + 1):
+            for rest in points(i + 1, budget - k):
+                yield [Fraction(2 ** (i + k * m))] + rest
+
+    return points(0, e)
 
 
 def _basis_failures(rs: RootSystem, classes, names, blocks: dict, kind: str) -> dict:
@@ -429,7 +445,7 @@ def verify_basis(rs: RootSystem, family: BasisFamily | None = None) -> Report:
     most e = sum_k (top degree of c_k), less sum_w l(w) for det B.  It is
     zero if e < 0, else iff it vanishes on ``_regular_grid`` (whose points
     avoid the root hyperplanes): the regular point alone when every
-    premise holds, else (e + 1)^m value determinants of size |W|.
+    premise holds, else C(e + m, m) value determinants of size |W|.
     """
     family = family or basis_family(rs)
     rep = Report()
@@ -468,7 +484,7 @@ def verify_basis(rs: RootSystem, family: BasisFamily | None = None) -> Report:
             factor = "" if "class" in bad else "prod_w tau_w(w) times "
             witness = "" if independent else (
                 f"the value determinant is {factor}a polynomial of degree at "
-                f"most {e}, and it vanishes on the {(e + 1) ** rs.varcount}-point "
+                f"most {e}, and it vanishes on the {comb(e + rs.varcount, e)}-point "
                 f"regular grid")
     rep.add("independence", independent, witness)
     rep.add("spanning", not bad, next(iter(bad.values()), ""))
@@ -581,10 +597,8 @@ def check_bases_over_invariants(rs: RootSystem, indices, max_degree: int = 6) ->
                 vectors.append(g * monos[I])
         dim = comb(d + m - 1, m - 1)
         support = linalg.monomials_of_degree(m, d)
-        matrix_cols = list(zip(*[
-            [v.terms.get(e, Fraction(0)) for e in support] for v in vectors
-        ])) if vectors else []
-        rank = linalg.rank_fraction(matrix_cols) if matrix_cols else 0
+        rank = linalg.rank_fraction(
+            [[v.terms.get(e, 0) for e in support] for v in vectors])
         ok = rank == dim and len(vectors) == dim
         rep.add(
             f"degree-{d}", ok,

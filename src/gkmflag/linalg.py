@@ -1,21 +1,20 @@
 """Exact linear algebra helpers: rational matrices and polynomial systems.
 
-Three solvers, all exact:
+One rational elimination core and Bareiss, all exact:
 
-* dense Gauss elimination over Q (``solve_fraction``, ``rank_fraction``,
-  ``det_fraction``, ``invert_fraction``) for small matrices of Fractions;
-  ``det_fraction`` gives the determinant at one point that the basis
-  certificate of ``invbases`` rests on;
-
-* a sparse rational solver for the module-coefficient systems that
-  arise when expressing one cohomology class in a family of homogeneous
-  classes (``solve_module_coeffs``).  Writing the unknown polynomial
-  coefficients degree by degree turns the polynomial system into one
-  sparse linear system over Q per degree, which is solved with
-  Markowitz-style pivoting.  A solution certificate is always polynomial
-  by construction, so no fraction-field divisions ever appear.
-  ``invbases.express_in_basis`` calls it once per fiber; the tests'
-  spanning oracle calls it for every Schubert class;
+* one sparse Gauss elimination over Q with Markowitz-style pivoting
+  (``_eliminate``) on rows given as {col: Fraction} dicts.  Every rational
+  routine is a thin wrapper over it: ``solve_sparse_fraction`` and
+  ``solve_fraction`` back-substitute, ``rank_fraction`` counts the
+  pivots, ``det_fraction`` multiplies them (the determinant at one point
+  that the basis certificate of ``invbases`` rests on), and
+  ``invert_fraction`` and ``left_inverse_fraction`` solve on it.
+  ``solve_module_coeffs`` writes the unknown polynomial coefficients of
+  a module-coefficient system degree by degree, which turns it into one
+  sparse linear system over Q per degree; a solution certificate is
+  polynomial by construction, so no fraction-field divisions ever
+  appear.  ``invbases.express_in_basis`` calls it once per fiber; the
+  tests' spanning oracle calls it for every Schubert class;
 
 * fraction-free (Bareiss) determinants of polynomial matrices plus a
   Cramer-style square solve whose final divisions are checked to be exact
@@ -58,10 +57,6 @@ def identity_matrix(n: int) -> Matrix:
     )
 
 
-def as_matrix(rows) -> Matrix:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch")
@@ -88,88 +83,87 @@ def apply_matrix_form(a: Matrix, form: LinearForm) -> LinearForm:
     return LinearForm(mat_vec(a, form.coeffs))
 
 
-def _elim(rows, ncols):
-    """In-place row echelon; returns list of (row_index, pivot_col)."""
+# ----------------------------------------------------------------------
+# rational elimination
+
+
+def _eliminate(rows, rhs=None) -> list:
+    """Forward elimination in place; returns the pivots (row, col) in order.
+
+    ``rows`` are dicts {col: nonzero Fraction}; ``rhs``, if given, is
+    updated alongside them.  Pivot choice approximates Markowitz order:
+    always eliminate with the shortest active row, on its least-used
+    column.  A pivot row keeps only its pivot and columns pivoted later,
+    and every row that is not a pivot ends empty.
+    """
+    col_rows: dict[int, set[int]] = {}
+    for i, r in enumerate(rows):
+        for c in r:
+            col_rows.setdefault(c, set()).add(i)
+    active = set(range(len(rows)))
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+    while True:
+        best = None
+        for i in active:
+            if not rows[i]:
+                continue
+            ln = len(rows[i])
+            if best is None or ln < best[0]:
+                best = (ln, i)
+                if ln == 1:
+                    break
+        if best is None:
+            return pivots
+        _, pr = best
+        prow = rows[pr]
+        pc = min(prow, key=lambda c: (len(col_rows[c]), c))
+        active.discard(pr)
+        pivots.append((pr, pc))
+        for c in prow:
+            col_rows[c].discard(pr)
+        pv = prow[pc]
+        for i in list(col_rows[pc]):
+            row = rows[i]
+            f = row[pc] / pv
+            for c, v in prow.items():
+                if c in row:
+                    s = row[c] - f * v
+                    if s:
+                        row[c] = s
+                    else:
+                        del row[c]
+                        col_rows[c].discard(i)
+                else:
+                    row[c] = -f * v
+                    col_rows[c].add(i)
+            if rhs is not None:
+                rhs[i] -= f * rhs[pr]
 
 
-def rank_fraction(rows) -> int:
-    work = [list(map(Fraction, row)) for row in rows]
-    if not work:
-        return 0
-    return len(_elim(work, len(work[0])))
+def _sparse_rows(rows) -> list:
+    return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
 
 
-def det_fraction(rows) -> Fraction:
-    n = len(rows)
-    work = [list(map(Fraction, row)) for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if work[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            work[c], work[pr] = work[pr], work[c]
-            det = -det
-        det *= work[c][c]
-        inv = 1 / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return det
+def solve_sparse_fraction(rows, rhs, ncols):
+    """Solve a sparse rational system; rows are dicts {col: nonzero coeff}.
 
-
-def invert_fraction(rows):
-    """Inverse of a square rational matrix, or None if singular."""
-    n = len(rows)
-    work = [list(map(Fraction, row)) + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(rows)]
-    pivots = _elim(work, n)
-    if len(pivots) != n:
+    Returns a solution list (free columns set to 0) or None if
+    inconsistent.
+    """
+    rows = [dict(r) for r in rows]
+    rhs = [Fraction(v) for v in rhs]
+    pivots = _eliminate(rows, rhs)
+    # a row the elimination emptied reads 0 = rhs
+    if any(rhs[i] for i, r in enumerate(rows) if not r):
         return None
-    return tuple(tuple(work[i][n:]) for i in range(n))
-
-
-def left_inverse_fraction(rows):
-    """A left inverse L (L @ A = I) of a full-column-rank matrix, or None."""
-    a = as_matrix(rows)
-    nrows, ncols = len(a), len(a[0])
-    if nrows == ncols:
-        return invert_fraction(a)
-    # Solve A^T A x = A^T e_j columnwise via the normal equations; A has
-    # full column rank iff A^T A is invertible.
-    at = tuple(tuple(a[i][j] for i in range(nrows)) for j in range(ncols))
-    gram = mat_mul(at, a)
-    gram_inv = invert_fraction(gram)
-    if gram_inv is None:
-        return None
-    return mat_mul(gram_inv, at)
+    sol = [Fraction(0)] * ncols
+    for pr, pc in reversed(pivots):
+        s = rhs[pr]
+        for c, v in rows[pr].items():
+            if c != pc:
+                s -= v * sol[c]
+        sol[pc] = s / rows[pr][pc]
+    return sol
 
 
 def solve_fraction(rows, rhs):
@@ -177,24 +171,54 @@ def solve_fraction(rows, rhs):
 
     Free variables are set to zero.  Works for any shape.
     """
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return []
-    n = len(rows[0])
-    work = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = _elim(work, n)
-    piv_cols = {c for _, c in pivots}
-    for i in range(len(pivots), m):
-        if work[i][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for r, c in pivots:
-        sol[c] = work[r][n] - sum(
-            (work[r][j] * sol[j] for j in range(n) if j != c and j not in piv_cols),
-            Fraction(0),
-        )
-    return sol
+    return solve_sparse_fraction(_sparse_rows(rows), rhs, len(rows[0]))
 
+
+def rank_fraction(rows) -> int:
+    return len(_eliminate(_sparse_rows(rows)))
+
+
+def det_fraction(rows) -> Fraction:
+    """The product of the pivots times the sign of the row -> column
+    pivot permutation; 0 when there are fewer pivots than rows."""
+    work = _sparse_rows(rows)
+    pivots = _eliminate(work)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    det = Fraction(1)
+    for r, c in pivots:
+        det *= work[r][c]
+    cols = [c for _, c in sorted(pivots)]
+    inversions = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1:])
+    return -det if inversions % 2 else det
+
+
+def invert_fraction(rows):
+    """Inverse of a square rational matrix, or None if singular."""
+    n = len(rows)
+    cols = [solve_fraction(rows, [int(i == j) for i in range(n)]) for j in range(n)]
+    return None if None in cols else tuple(zip(*cols))
+
+
+def left_inverse_fraction(rows):
+    """A left inverse L (L @ A = I) of a full-column-rank matrix, or None.
+
+    L inverts the block of the rows the elimination pivots on, which are
+    independent, and is zero on every other row.
+    """
+    n = len(rows[0])
+    picked = [r for r, _ in _eliminate(_sparse_rows(rows))]
+    if len(picked) < n:
+        return None
+    block = invert_fraction([rows[r] for r in picked])
+    where = {r: k for k, r in enumerate(picked)}
+    zero = Fraction(0)
+    return tuple(
+        tuple(block[i][where[r]] if r in where else zero for r in range(len(rows)))
+        for i in range(n)
+    )
 
 # ----------------------------------------------------------------------
 # polynomial matrices
@@ -264,69 +288,7 @@ def solve_poly_square(
 
 
 # ----------------------------------------------------------------------
-# sparse rational elimination
-
-
-def solve_sparse_fraction(rows, rhs, ncols):
-    """Solve a sparse rational system; rows are dicts {col: coeff}.
-
-    Returns a solution list (free columns set to 0) or None if
-    inconsistent.  Pivot choice approximates Markowitz order: always
-    eliminate with the shortest available row, on its least-used column.
-    """
-    rows = [dict(r) for r in rows]
-    rhs = [Fraction(v) for v in rhs]
-    col_rows: dict[int, set[int]] = {}
-    for i, r in enumerate(rows):
-        for c in r:
-            col_rows.setdefault(c, set()).add(i)
-    active = set(range(len(rows)))
-    pivots = []  # (row index, col) in elimination order
-    while True:
-        best = None
-        for i in active:
-            if not rows[i]:
-                continue
-            ln = len(rows[i])
-            if best is None or ln < best[0]:
-                best = (ln, i)
-                if ln == 1:
-                    break
-        if best is None:
-            break
-        _, pr = best
-        pc = min(rows[pr], key=lambda c: (len(col_rows.get(c, ())), c))
-        pv = rows[pr][pc]
-        for i in list(col_rows.get(pc, ())):
-            if i == pr or i not in active:
-                continue
-            f = rows[i][pc] / pv
-            for c, v in rows[pr].items():
-                s = rows[i].get(c, Fraction(0)) - f * v
-                if s == 0:
-                    if c in rows[i]:
-                        del rows[i][c]
-                        col_rows[c].discard(i)
-                else:
-                    if c not in rows[i]:
-                        col_rows.setdefault(c, set()).add(i)
-                    rows[i][c] = s
-            rhs[i] -= f * rhs[pr]
-        active.discard(pr)
-        pivots.append((pr, pc))
-        for c in rows[pr]:
-            col_rows[c].discard(pr)
-    for i in active:
-        if not rows[i] and rhs[i] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for pr, pc in reversed(pivots):
-        s = rhs[pr]
-        for c, v in rows[pr].items():
-            if c != pc:
-                s -= v * sol[c]
-        sol[pc] = s / rows[pr][pc]
-    return sol
+# module coefficients
 
 
 def monomials_of_degree(varcount: int, d: int):

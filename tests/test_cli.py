@@ -93,13 +93,15 @@ def _zero_denominator(data):
     lambda data: [data],
     lambda data: {**data, "vertices": "123456"},
     lambda data: {**data, "varcount": 0},
+    "[" * 200000 + "]" * 200000,
 ], ids=["dst-out-of-range", "missing-connection-target", "zero-denominator",
-        "top-level-list", "vertices-string", "varcount-zero"])
+        "top-level-list", "vertices-string", "varcount-zero", "deeply-nested"])
 def test_verify_malformed_graph_file_is_usage_error(tmp_path, capsys, mutate):
+    """``mutate`` edits a valid graph's JSON, or is the raw file text."""
     rs = RootSystem("A", 2)
     data = graph_to_json(build_coset_graph(rs, frozenset({2}), rs.full_sigma()).graph)
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(mutate(data)))
+    path.write_text(mutate if isinstance(mutate, str) else json.dumps(mutate(data)))
     code, out, err = run(capsys, "verify", "--graph", str(path))
     assert code == 2
     assert err.startswith("error:")

@@ -448,14 +448,18 @@ def test_independence_outside_the_certificate_by_the_grid(a2):
     assert "vanishes at (1, 2, 4)" in checks["spanning"].witness
 
 
-def test_dependence_outside_the_certificate_by_the_grid(a2):
-    """Classes with a degree excess of 2: det M vanishes on the 27-point grid."""
+def test_dependence_outside_the_certificate_by_the_grid(a2, monkeypatch):
+    """Classes with a degree excess of 2: det M vanishes on the 10-point grid."""
     c10 = class_cI(a2, (1, 0))
     fam = _replaced_a2_family(a2, {(0, 1): c10 * c10, (1, 0): c10 * c10})
+    dets = []
+    real = linalg.det_fraction
+    monkeypatch.setattr(linalg, "det_fraction", lambda m: dets.append(1) or real(m))
     checks = {c.name: c for c in verify_basis(a2, fam).checks}
+    assert len(dets) == 10
     assert not checks["independence"].passed
     assert checks["independence"].witness.endswith(
-        "degree at most 2, and it vanishes on the 27-point regular grid")
+        "degree at most 2, and it vanishes on the 10-point regular grid")
     assert not checks["spanning"].passed
 
 
@@ -503,7 +507,7 @@ def test_non_class_family_is_decided_by_the_grid(a2):
     assert not checks["independence"].passed
     assert checks["independence"].witness == (
         "the value determinant is a polynomial of degree at most 9, "
-        "and it vanishes on the 1000-point regular grid")
+        "and it vanishes on the 220-point regular grid")
 
 
 def test_iterated_family_matches_closed_form(a2):
