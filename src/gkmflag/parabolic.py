@@ -7,7 +7,8 @@ labeled w*beta, and the connection along ([w], [w s_beta]) sends
 ([w], [w s_beta']) to ([w s_beta], [w s_beta s_beta']).  Everything is
 stored relative to the canonical minimal-length coset representatives;
 labels and the connection do not depend on that choice (tests rebuild
-from random representatives and compare).
+from random representatives and compare).  W(Sigma1) permutes the edge
+directions, so one pass builds the graph (see :class:`CosetGraph`).
 
 The projection W/W1 -> W/W2 is a fiber bundle of such graphs: an edge in
 direction beta is vertical when beta lies in <Sigma2> and horizontal
@@ -73,7 +74,20 @@ __all__ = [
 
 
 class CosetGraph:
-    """The labeled graph of W(Sigma2)/W(Sigma1) with its connection."""
+    """The labeled graph of W(Sigma2)/W(Sigma1) with its connection.
+
+    Vertex p (representative w = build_reps[p]) has one edge per direction
+    beta in ``roots`` = <Sigma2> \\ <Sigma1>, to q = [w s_beta], labeled
+    w beta.  With w' = build_reps[q], u = (w s_beta)^-1 w' lies in
+    W(Sigma1), and the connection sends direction beta' at p to direction
+    u^-1 beta' at q, labeled w s_beta beta' = s_{w beta}(w beta').  Each s_i
+    with i in Sigma1 permutes the positive roots other than alpha_i and
+    preserves the span of Sigma1, so W(Sigma1) permutes ``roots`` and each
+    u acts as one index permutation, tabulated once per graph.  The labels
+    at a vertex are w beta for distinct positive roots beta, which are never
+    proportional in a reduced root system, so the build checks no labels;
+    the independence axiom of :func:`verify_gkm` reports that condition.
+    """
 
     def __init__(self, rs: RootSystem, sigma1, sigma2, build_reps=None):
         sigma1 = frozenset(sigma1)
@@ -85,14 +99,10 @@ class CosetGraph:
         self.rs = rs
         self.sigma1 = sigma1
         self.sigma2 = sigma2
-        self.roots = [
-            beta for beta in rs.closure(sigma2).roots
-            if beta not in set(rs.closure(sigma1).roots)
-        ]
+        inner = set(rs.closure(sigma1).roots)
+        self.roots = [beta for beta in rs.closure(sigma2).roots if beta not in inner]
         w2 = rs.parabolic_elements(sigma2)
         w1 = rs.parabolic_elements(sigma1)
-        self._w1 = set(w1)
-        self._w2 = set(w2)
         self.reps: list[WeylElement] = []
         self.elem_vertex: dict[WeylElement, int] = {}
         for w in w2:  # canonical order; first element of each coset is minimal
@@ -121,44 +131,25 @@ class CosetGraph:
     def _build_graph(self) -> GkmGraph:
         rs = self.rs
         d = len(self.roots)
-        nverts = len(self.reps)
-        edges = []
-        for p in range(nverts):
-            w = self.build_reps[p]
-            for beta in self.roots:
-                q = self.elem_vertex[w * rs.reflection(beta)]
-                edges.append(Edge(p, q, w.act_linear(beta)))
-        # reject exact duplicates and proportional parallel labels
-        for p in range(nverts):
-            by_dst: dict = {}
-            for k in range(d):
-                e = edges[p * d + k]
-                by_dst.setdefault(e.dst, []).append(e.label)
-            for labels in by_dst.values():
-                for i in range(len(labels)):
-                    for j in range(i + 1, len(labels)):
-                        if labels[i].proportional_to(labels[j]) is not None:
-                            raise ValueError(
-                                "parallel edges with proportional labels"
-                            )
-        root_index = {beta: k for k, beta in enumerate(self.roots)}
-        connection = []
-        reverse = []
-        for p in range(nverts):
-            w = self.build_reps[p]
+        index = {beta: k for k, beta in enumerate(self.roots)}
+        # perm[u][k] is the direction of u^-1 * roots[k]; see the class docstring
+        perm = {
+            u: [index[u.inverse().act_linear(beta)] for beta in self.roots]
+            for u in rs.parabolic_elements(self.sigma1)
+        }
+        refl = [rs.reflection(beta) for beta in self.roots]
+        edges, reverse, connection = [], [], []
+        for p, w in enumerate(self.build_reps):
             for k, beta in enumerate(self.roots):
-                eid = p * d + k
-                q = edges[eid].dst
-                u = (w * rs.reflection(beta)).inverse() * self.build_reps[q]
-                if u not in self._w1:
+                ws = w * refl[k]
+                q = self.elem_vertex[ws]
+                u = ws.inverse() * self.build_reps[q]
+                if u not in perm:
                     raise AssertionError("coset transport left W(Sigma1)")
-                uinv = u.inverse()
-                conn = {}
-                for k2, beta2 in enumerate(self.roots):
-                    gamma = rs.positive_part(uinv.act_linear(beta2))
-                    conn[p * d + k2] = q * d + root_index[gamma]
+                edges.append(Edge(p, q, w.act_linear(beta)))
+                conn = {p * d + k2: q * d + k3 for k2, k3 in enumerate(perm[u])}
                 connection.append(conn)
-                reverse.append(conn[eid])
+                reverse.append(conn[p * d + k])
         names = [w.one_line_str() for w in self.reps]
         return GkmGraph(rs.varcount, names, edges, reverse, connection)
 

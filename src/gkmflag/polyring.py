@@ -197,6 +197,8 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, varcount: int, exps: Sequence[int], coeff=1) -> "Polynomial":
+        if any(e < 0 for e in exps):
+            raise ValueError(f"exponents must be non-negative, got {tuple(exps)}")
         return cls(varcount, {tuple(exps): Fraction(coeff)})
 
     # ------------------------------------------------------------------

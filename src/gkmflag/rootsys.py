@@ -263,15 +263,15 @@ class RootSystem:
         return out
 
     def _expand_in_simples(self):
-        cols = list(self.simple_roots)
+        """Simple-root coordinates of each positive root, by one left inverse."""
+        simples = tuple(zip(*(alpha.coeffs for alpha in self.simple_roots)))
+        left = linalg.left_inverse_fraction(simples)
         coords = {}
         for beta in self.positive_roots:
-            rows = [[cols[j].coeffs[i] for j in range(self.rank)]
-                    for i in range(self.varcount)]
-            sol = linalg.solve_fraction(rows, list(beta.coeffs))
-            if sol is None:
+            c = linalg.mat_vec(left, beta.coeffs)
+            if linalg.mat_vec(simples, c) != beta.coeffs:
                 raise AssertionError("positive root outside simple-root span")
-            coords[beta] = tuple(sol)
+            coords[beta] = c
         return coords
 
     # ------------------------------------------------------------------

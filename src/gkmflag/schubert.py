@@ -182,7 +182,6 @@ class SchubertTable:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.flag = flag_graph(rs)
         self.order = list(rs.elements())
         self.values: dict = {u: {} for u in self.order}
         for w in self.order:
@@ -194,8 +193,8 @@ class SchubertTable:
         return self.values[u][w]
 
     def tau(self, u: WeylElement) -> CohClass:
-        vals = [self.values[u][w] for w in self.flag.reps]
-        return CohClass(self.flag.graph, vals)
+        flag = flag_graph(self.rs)
+        return CohClass(flag.graph, [self.values[u][w] for w in flag.reps])
 
     def classes(self) -> dict:
         return {u: self.tau(u) for u in self.order}
@@ -298,14 +297,14 @@ class TransitionMatrix:
         return True
 
 
-def transition_matrices(rs: RootSystem, w: WeylElement, table: SchubertTable | None = None):
+def transition_matrices(rs: RootSystem, w: WeylElement):
     """The pair (a^w, b^w) relating permuted and plain Schubert bases.
 
     a^w expresses tau_u^w in the tau basis with entries
     (-1)^len(v u^-1) tau_{v u^-1}(w^-1) for v weakly below u, and b^w is
     its inverse, with entries tau_{u v^-1}(w^-1).
     """
-    table = table or schubert_table(rs)
+    table = schubert_table(rs)
     winv = w.inverse()
     order = tuple(table.order)
     a_entries = {}
@@ -329,13 +328,12 @@ def transition_matrices(rs: RootSystem, w: WeylElement, table: SchubertTable | N
     )
 
 
-def symmetrized_matrix(rs: RootSystem, table: SchubertTable | None = None) -> TransitionMatrix:
+def symmetrized_matrix(rs: RootSystem) -> TransitionMatrix:
     """Average of the a^w over the group: tau_u^sym = sum_v a_{u,v} tau_v."""
-    table = table or schubert_table(rs)
-    order = tuple(table.order)
+    order = tuple(schubert_table(rs).order)
     acc: dict = {}
     for w in rs.elements():
-        aw, _ = transition_matrices(rs, w, table)
+        aw, _ = transition_matrices(rs, w)
         for key, val in aw.entries.items():
             cur = acc.get(key)
             acc[key] = val if cur is None else cur + val
@@ -392,10 +390,10 @@ def invariant_decomposition(rs: RootSystem, f: Polynomial) -> dict:
     return out
 
 
-def reassemble(rs: RootSystem, coeffs: dict, table: SchubertTable | None = None) -> CohClass:
+def reassemble(rs: RootSystem, coeffs: dict) -> CohClass:
     """sum_w coeffs[w] * tau_w as a class on the flag graph."""
-    table = table or schubert_table(rs)
-    flag = table.flag
+    table = schubert_table(rs)
+    flag = flag_graph(rs)
     vals = [Polynomial.zero(rs.varcount) for _ in range(flag.nvertices)]
     for w, coeff in coeffs.items():
         for p, v in enumerate(flag.reps):
@@ -403,17 +401,15 @@ def reassemble(rs: RootSystem, coeffs: dict, table: SchubertTable | None = None)
     return CohClass(flag.graph, vals)
 
 
-def seeded_random_class(rs: RootSystem, degree: int, rng,
-                        table: SchubertTable | None = None) -> CohClass:
+def seeded_random_class(rs: RootSystem, degree: int, rng) -> CohClass:
     """A reproducible random class: a polynomial combination of tau's.
 
     Homogeneous of the requested degree; coefficients are random small
     integers on random monomials, so the result is a genuine class by
     construction.
     """
-    table = table or schubert_table(rs)
     coeffs = {}
-    for u in table.order:
+    for u in schubert_table(rs).order:
         rem = degree - rs.length(u)
         if rem < 0:
             continue
@@ -430,7 +426,7 @@ def seeded_random_class(rs: RootSystem, degree: int, rng,
             coeffs[u] = poly
     if not coeffs:
         coeffs[rs.identity()] = Polynomial.one(rs.varcount)
-    return reassemble(rs, coeffs, table)
+    return reassemble(rs, coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -456,9 +452,9 @@ def invariant_table_tsv(rs: RootSystem, indices) -> str:
     return "\n".join(lines) + "\n"
 
 
-def schubert_table_tsv(rs: RootSystem, table: SchubertTable | None = None) -> str:
+def schubert_table_tsv(rs: RootSystem) -> str:
     """Rows = evaluation points w, columns = Schubert classes tau_u."""
-    table = table or schubert_table(rs)
+    table = schubert_table(rs)
     names = ["tau[" + u.one_line_str() + "]" for u in table.order]
     lines = ["\t".join(["word", "one_line"] + names)]
     for w in table.order:

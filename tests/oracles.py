@@ -6,9 +6,10 @@ conditions as a plain linear system, the Bruhat oracle enumerates
 subwords, the toy polynomial expander multiplies term lists directly,
 the spanning oracle solves for the module coefficients of every
 Schubert class instead of trusting the determinant certificate, the
-bundle expander solves each fiber by Cramer's rule instead, and the
+bundle expander solves each fiber by Cramer's rule instead, the
 form expander rewrites a polynomial in given linear forms by dense
-elimination.
+elimination, and the connection oracle reflects edge labels by the
+textbook formula instead of acting by Weyl group elements.
 """
 
 from fractions import Fraction
@@ -29,6 +30,27 @@ def naive_product(terms_a, terms_b, varcount):
             e = tuple(x + y for x, y in zip(ea, eb))
             out[e] = out.get(e, Fraction(0)) + Fraction(ca) * Fraction(cb)
     return Polynomial(varcount, out)
+
+
+def reflect_form(alpha: LinearForm, form: LinearForm) -> LinearForm:
+    """s_alpha(form) = form - 2 (form, alpha) / (alpha, alpha) * alpha."""
+    return form - alpha.scale(2 * form.dot(alpha) / alpha.dot(alpha))
+
+
+def connection_failure(g):
+    """First (eid, e1) whose connection image is not the edge at dst(eid)
+    labeled s_{label(eid)}(label(e1)), or None.
+
+    On a coset graph the labels at a vertex are distinct, so this pins
+    the connection down completely.
+    """
+    for eid, e in enumerate(g.edges):
+        for e1, e2 in g.connection[eid].items():
+            image = g.edges[e2]
+            if (g.edges[e1].src != e.src or image.src != e.dst
+                    or image.label != reflect_form(e.label, g.edges[e1].label)):
+                return eid, e1
+    return None
 
 
 def bruhat_by_subwords(rs, u, v):

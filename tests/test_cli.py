@@ -152,6 +152,7 @@ def test_express_verb_deterministic(capsys):
 @pytest.mark.parametrize("argv", [
     ("express", "--type", "A", "--rank", "2", "--degree", "-1"),
     ("basis", "--type", "A", "--rank", "2", "--max-degree", "-1"),
+    ("export", "--type", "A", "--rank", "2", "--what", "class", "--index=-1,0"),
 ])
 def test_negative_degree_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from gkmflag.gkmgraph import (
     GkmGraph,
     GkmIso,
     compose_iso,
+    graph_hash,
     invert_iso,
     verify_gkm,
     verify_iso,
@@ -34,6 +36,8 @@ from gkmflag.parabolic import (
 )
 from gkmflag.polyring import LinearForm
 from gkmflag.rootsys import RootSystem
+
+from oracles import connection_failure
 
 BUNDLES = [
     ("A", 2, frozenset({2})),
@@ -113,6 +117,49 @@ def test_representative_independence(a2, b2):
         reps = [w * rng.choice(w1) for w in canonical.reps]
         rebuilt = build_coset_graph(rs, sigma1, rs.full_sigma(), build_reps=reps)
         assert canonical_structure(rebuilt) == canonical_structure(canonical)
+
+
+# sha256 over the graph_hash of every coset graph of the type at rank 3,
+# one per line, in the order of test_connection_reflects_labels
+RANK3_GRAPH_DIGESTS = {
+    "A": "d4c9581040fa3972447ebdbd556fe91b6e5057c15d5ffb34ae1952ccc6f30bc6",
+    "B": "5e8c32bbbbba33830a5bc7fd9864af556bddfae6e56285c98760aa400b060ece",
+    "C": "97a5f0d31618a054c3c8425a1425e69923924f02aa4013586eb7ca2e7363f477",
+    "D": "05997efd3bd70d78da7ca3f6891ea5d0c6f2ffb4bdc346cfb2e329ca4629bdd8",
+}
+
+
+@pytest.mark.parametrize("kind", "ABCD")
+def test_connection_reflects_labels(kind):
+    """On every coset graph of rank 3, canonical and rebuilt from random
+    representatives, the connection along e sends e1 to the edge at dst(e)
+    labeled s_{label(e)}(label(e1)); the canonical graphs are byte-stable."""
+    rs = RootSystem(kind, 3)
+    rng = random.Random(kind)
+    hashes = []
+    for r2 in range(4):
+        for sigma2 in itertools.combinations((1, 2, 3), r2):
+            for r1 in range(r2 + 1):
+                for sigma1 in itertools.combinations(sigma2, r1):
+                    cg = build_coset_graph(rs, sigma1, sigma2)
+                    w1 = rs.parabolic_elements(sigma1)
+                    reps = [w * rng.choice(w1) for w in cg.reps]
+                    rebuilt = build_coset_graph(rs, sigma1, sigma2, build_reps=reps)
+                    for g in (cg.graph, rebuilt.graph):
+                        assert connection_failure(g) is None, (sigma1, sigma2)
+                    hashes.append(graph_hash(cg.graph))
+    assert len(hashes) == 27
+    digest = hashlib.sha256("\n".join(hashes).encode()).hexdigest()
+    assert digest == RANK3_GRAPH_DIGESTS[kind]
+
+
+def test_connection_oracle_catches_a_swapped_connection(a2):
+    g = copy.deepcopy(build_coset_graph(a2, frozenset(), a2.full_sigma()).graph)
+    assert connection_failure(g) is None
+    conn = g.connection[0]
+    e1, e2 = [k for k in conn if k != 0]
+    conn[e1], conn[e2] = conn[e2], conn[e1]
+    assert connection_failure(g) == (0, e1)
 
 
 def test_sigma_ordering_enforced(a2):

@@ -69,6 +69,12 @@ def test_divrem_zero_form():
         X1.divrem_linear(lf(0, 0, 0))
 
 
+def test_monomial_rejects_negative_exponent():
+    assert Polynomial.monomial(3, (2, 0, 1)) == X1 ** 2 * X3
+    with pytest.raises(ValueError, match="non-negative"):
+        Polynomial.monomial(3, (-1, 0, 0))
+
+
 def test_eval_examples():
     assert Polynomial.zero(3).evaluate([7, 8, 9]) == 0
     assert (X1 - X2).evaluate([3, 1, 0]) == 2

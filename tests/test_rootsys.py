@@ -204,6 +204,23 @@ def test_closure_full(b3):
     assert set(b3.closure(b3.full_sigma()).roots) == set(b3.positive_roots)
 
 
+@pytest.mark.parametrize("kind,n", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4),
+])
+def test_closure_is_the_roots_reflecting_in_the_parabolic_subgroup(kind, n):
+    """<Sigma> = {beta in Phi+ : s_beta in W(Sigma)} for every Sigma."""
+    import itertools
+
+    rs = RootSystem(kind, n)
+    for r in range(n + 1):
+        for sigma in itertools.combinations(range(1, n + 1), r):
+            group = set(rs.parabolic_elements(sigma))
+            assert set(rs.closure(sigma).roots) == {
+                beta for beta in rs.positive_roots if rs.reflection(beta) in group
+            }, (kind, n, sigma)
+
+
 def test_parabolic_group_sizes(a3):
     assert len(a3.parabolic_elements({1})) == 2
     assert len(a3.parabolic_elements({1, 2})) == 6
