@@ -29,8 +29,11 @@ target coordinate; it is usually square and invertible, but a rectangular
 injective Psi is accepted so a small model graph can be identified with a
 fiber living in a bigger coordinate space.
 
-Graphs are immutable after construction by convention; verification
-walks are read-only and safe to run concurrently.
+The library never changes a graph after construction, but callers may
+(the tests tamper with edges to see that verification notices), so
+nothing derived from a graph's edges is stored on it: verification
+walks build what they need on every call, are read-only, and are safe
+to run concurrently.
 """
 
 from __future__ import annotations
@@ -149,8 +152,24 @@ class GkmGraph:
 
 
 def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
-    """Check the connection/axial-function axioms; report first witnesses."""
+    """Check the connection/axial-function axioms; report first witnesses.
+
+    Each label axiom is a function of label values alone, and a flag
+    graph carries only |Phi| distinct labels but |W|*|Phi+|^2 connection
+    entries.  So the labels are interned to int ids, one per edge, and
+    each axiom is decided once per distinct tuple of ids: negation once
+    per label, independence once per (id_i, id_j), congruence once per
+    (id_e, id_e1, id_e2).  The walks over vertices and edges, and so the
+    first witness of each check, are those of a per-edge check.  The ids
+    are built on every call rather than stored on the graph, because a
+    graph's edges can be changed after construction and stored ids would
+    then hide the change.
+    """
     rep = Report()
+    ids: dict[LinearForm, int] = {}
+    lid = [ids.setdefault(e.label, len(ids)) for e in g.edges]
+    labels = list(ids)
+    negated = [ids.get(-label) for label in labels]
 
     bad = ""
     for eid, e in enumerate(g.edges):
@@ -162,7 +181,7 @@ def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
         if (re.src, re.dst) != (e.dst, e.src):
             bad = f"reverse of {g.edge_str(eid)} has wrong endpoints"
             break
-        if re.label != -e.label:
+        if lid[r] != negated[lid[eid]]:
             bad = f"label of reverse of {g.edge_str(eid)} is not negated"
             break
         if e.label.is_zero():
@@ -174,6 +193,7 @@ def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
     rep.add("regular", len(degrees) <= 1, f"vertex degrees {sorted(degrees)}")
 
     bad = ""
+    proportional: dict[tuple, bool] = {}
     for p in range(g.nvertices):
         eids = g.edges_at[p]
         if strict_independence:
@@ -184,10 +204,11 @@ def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
         else:
             for i in range(len(eids)):
                 for j in range(i + 1, len(eids)):
-                    li = g.edges[eids[i]].label
-                    lj = g.edges[eids[j]].label
-                    if li.proportional_to(lj) is not None:
-                        bad = (f"labels {li} and {lj} at vertex "
+                    a, b = lid[eids[i]], lid[eids[j]]
+                    if (a, b) not in proportional:
+                        proportional[a, b] = labels[a].proportional_to(labels[b]) is not None
+                    if proportional[a, b]:
+                        bad = (f"labels {labels[a]} and {labels[b]} at vertex "
                                f"{g.vertices[p]} are proportional")
                         break
                 if bad:
@@ -214,10 +235,13 @@ def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
     rep.add("connection-shape", not bad, bad)
 
     bad = ""
+    congruent: dict[tuple, bool] = {}
     for eid, e in enumerate(g.edges):
         for e1, e2 in g.connection[eid].items():
-            diff = g.edges[e2].label - g.edges[e1].label
-            if diff.proportional_to(e.label) is None:
+            k, k1, k2 = key = lid[eid], lid[e1], lid[e2]
+            if key not in congruent:
+                congruent[key] = (labels[k2] - labels[k1]).proportional_to(labels[k]) is not None
+            if not congruent[key]:
                 bad = (f"congruence fails along {g.edge_str(eid)} at "
                        f"{g.edge_str(e1)} -> {g.edge_str(e2)}")
                 break
@@ -422,7 +446,11 @@ class GkmIso:
 
 
 def verify_iso(iso: GkmIso, g1: GkmGraph, g2: GkmGraph) -> bool:
-    """Graph morphism + bijectivity + label intertwining, all by inspection."""
+    """Graph morphism + bijectivity + label intertwining, all by inspection.
+
+    Psi is applied once per distinct source label, in a table built on
+    every call (not stored on the graphs, whose edges may change).
+    """
     if len(iso.phi) != g1.nvertices or sorted(iso.phi) != list(range(g2.nvertices)):
         return False
     rows = iso.psi
@@ -430,9 +458,10 @@ def verify_iso(iso: GkmIso, g1: GkmGraph, g2: GkmGraph) -> bool:
         return False
     if linalg.rank_fraction(rows) != g1.varcount:
         return False
+    image = {label: iso.apply_form(label).coeffs for label in {e.label for e in g1.edges}}
     for p in range(g1.nvertices):
         have = sorted(
-            ((iso.phi[g1.edges[eid].dst], iso.apply_form(g1.edges[eid].label).coeffs)
+            ((iso.phi[g1.edges[eid].dst], image[g1.edges[eid].label])
              for eid in g1.edges_at[p])
         )
         want = sorted(
@@ -561,13 +590,17 @@ def graph_from_json(data: dict) -> GkmGraph:
             and len(raw_edges) == len(raw_connection)):
         raise ValueError("edges and connection must be lists of equal length")
     n, edges = len(vertices), []
+    forms: dict[tuple, LinearForm] = {}  # each distinct alpha is parsed once
     for eid, e in enumerate(raw_edges):
         alpha = e.get("alpha") if isinstance(e, dict) else None
         if not (isinstance(alpha, list) and len(alpha) == m
                 and all(isinstance(c, str) for c in alpha)
                 and _is_index(e.get("src"), n) and _is_index(e.get("dst"), n)):
             raise ValueError(f"edge {eid}: need vertex indices src, dst and {m} rationals alpha")
-        edges.append(Edge(e["src"], e["dst"], LinearForm([parse_rational(c) for c in alpha])))
+        key = tuple(alpha)
+        if key not in forms:
+            forms[key] = LinearForm([parse_rational(c) for c in alpha])
+        edges.append(Edge(e["src"], e["dst"], forms[key]))
     connection = []
     for eid, entry in enumerate(raw_connection):
         pairs = entry.get("map") if isinstance(entry, dict) else None

@@ -73,6 +73,19 @@ __all__ = [
 ]
 
 
+def _check_sigmas(rs: RootSystem, sigma1, sigma2):
+    """(Sigma1, Sigma2) as frozensets of simple-root indices, Sigma1 within
+    Sigma2; the indices are checked first, so a bad set is named as given."""
+    sigma1, sigma2 = frozenset(sigma1), frozenset(sigma2)
+    for name, sigma in (("Sigma1", sigma1), ("Sigma2", sigma2)):
+        if not sigma <= rs.full_sigma():
+            raise ValueError(f"{name} must consist of simple-root indices "
+                             f"1..{rs.rank}, not {sorted(sigma)}")
+    if not sigma1 <= sigma2:
+        raise ValueError("Sigma1 must be contained in Sigma2")
+    return sigma1, sigma2
+
+
 class CosetGraph:
     """The labeled graph of W(Sigma2)/W(Sigma1) with its connection.
 
@@ -90,12 +103,7 @@ class CosetGraph:
     """
 
     def __init__(self, rs: RootSystem, sigma1, sigma2, build_reps=None):
-        sigma1 = frozenset(sigma1)
-        sigma2 = frozenset(sigma2)
-        if not sigma1 <= sigma2:
-            raise ValueError("Sigma1 must be contained in Sigma2")
-        if not sigma2 <= rs.full_sigma():
-            raise ValueError("Sigma2 must consist of simple-root indices")
+        sigma1, sigma2 = _check_sigmas(rs, sigma1, sigma2)
         self.rs = rs
         self.sigma1 = sigma1
         self.sigma2 = sigma2
@@ -295,10 +303,7 @@ class BundleMap:
 
 def build_bundle(rs: RootSystem, sigma1, sigma2) -> BundleMap:
     """The bundle W/W(Sigma1) -> W/W(Sigma2) with its transition data."""
-    sigma1 = frozenset(sigma1)
-    sigma2 = frozenset(sigma2)
-    if not sigma1 <= sigma2:
-        raise ValueError("Sigma1 must be contained in Sigma2")
+    sigma1, sigma2 = _check_sigmas(rs, sigma1, sigma2)
     full = rs.full_sigma()
     total = build_coset_graph(rs, sigma1, full)
     base = build_coset_graph(rs, sigma2, full)
@@ -519,7 +524,15 @@ def verify_fibration(b: BundleMap) -> Report:
 
 
 def verify_fiber_bundle(b: BundleMap) -> Report:
-    """All the fiber-bundle axioms, data-driven so mutations are caught."""
+    """All the fiber-bundle axioms, data-driven so mutations are caught.
+
+    Like :func:`verify_gkm` and :func:`verify_iso`, the label axioms are
+    decided once per distinct label: the transition-gkm-iso shift check
+    asks "Psi(lambda) - lambda in Q*alpha" once per distinct fiber label
+    lambda of each base edge, in the order the labels first occur, so the
+    first witness is that of a per-edge check.  Nothing is stored on the
+    bundle, whose data may change after construction.
+    """
     rep = verify_fibration(b)
     for check in verify_gkm(b.total).checks:
         rep.add("total-" + check.name, check.passed, check.witness)
@@ -627,11 +640,10 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
                    f"isomorphism of labeled fibers")
             break
         alpha = e.label
-        for fe in sub_p.edges:
-            shifted = iso.apply_form(fe.label) - fe.label
-            if shifted.proportional_to(alpha) is None:
+        for label in dict.fromkeys(fe.label for fe in sub_p.edges):
+            if (iso.apply_form(label) - label).proportional_to(alpha) is None:
                 bad = (f"linear part across {b.base.edge_str(beid)} does not "
-                       f"shift {fe.label} along {alpha}")
+                       f"shift {label} along {alpha}")
                 break
         if bad:
             break

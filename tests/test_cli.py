@@ -115,6 +115,20 @@ def test_bundle_verify(capsys):
     assert "CHECK transition-gkm-iso: PASS" in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["bundle", "--sigma2", "0", "--verify"],
+     "Sigma2 must consist of simple-root indices 1..3, not [0]"),
+    (["verify", "--sigma1", "5"], "Sigma1 must consist of simple-root indices 1..3, not [5]"),
+    (["holonomy", "--sigma2", "0,2"],
+     "Sigma2 must consist of simple-root indices 1..3, not [0, 2]"),
+], ids=["bundle", "verify", "holonomy"])
+def test_bad_sigma_index_names_the_given_set(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--type", "A", "--rank", "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_holonomy_verb(capsys):
     code, out, _ = run(capsys, "holonomy", "--type", "A", "--rank", "2",
                        "--sigma2", "2", "--exhaustive")

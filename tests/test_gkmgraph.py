@@ -1,6 +1,7 @@
 import copy
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -29,6 +30,8 @@ from gkmflag.linalg import identity_matrix
 from gkmflag.parabolic import build_coset_graph
 from gkmflag.polyring import LinearForm, Polynomial
 from gkmflag.rootsys import RootSystem
+
+from oracles import gkm_report_by_edges
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +79,77 @@ def test_strict_independence_fails_on_flag_graphs(s3_graph):
     # three edge directions in an effective rank-2 span
     rep = verify_gkm(s3_graph.graph, strict_independence=True)
     assert not rep.ok and not verify_gkm(s3_graph.graph).failures()
+
+
+def checks_of(rep):
+    return [(c.name, c.passed, c.witness) for c in rep.checks]
+
+
+def subsets(indices):
+    return [frozenset(c) for k in range(len(indices) + 1)
+            for c in combinations(sorted(indices), k)]
+
+
+@pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                                    ("C", 2), ("C", 3), ("D", 3)])
+def test_verify_gkm_matches_edge_oracle_on_every_coset_graph(kind, n):
+    rs = RootSystem(kind, n)
+    for sigma2 in subsets(rs.full_sigma()):
+        for sigma1 in subsets(sigma2):
+            g = build_coset_graph(rs, sigma1, sigma2).graph
+            assert checks_of(verify_gkm(g)) == gkm_report_by_edges(g), (sigma1, sigma2)
+
+
+def _set_label(g, eid, label):
+    """Give eid the label and its reverse the negated label."""
+    g.edges[eid] = g.edges[eid]._replace(label=label)
+    g.edges[g.reverse[eid]] = g.edges[g.reverse[eid]]._replace(label=-label)
+
+
+def _scale_label(g, e, f):
+    _set_label(g, e, g.edges[e].label.scale(2))
+
+
+def _swap_labels_at_vertex(g, e, f):
+    le, lf = g.edges[e].label, g.edges[f].label
+    g.edges[e] = g.edges[e]._replace(label=lf)
+    g.edges[f] = g.edges[f]._replace(label=le)
+
+
+def _swap_connection_images(g, e, f):
+    conn = g.connection[e]
+    a, b = [k for k in conn if k != e][:2]
+    conn[a], conn[b] = conn[b], conn[a]
+
+
+def _reverse_not_negated(g, e, f):
+    r = g.reverse[e]
+    g.edges[r] = g.edges[r]._replace(label=g.edges[e].label)
+
+
+def _zero_label(g, e, f):
+    _set_label(g, e, LinearForm([0] * g.varcount))
+
+
+def _proportional_to_neighbour(g, e, f):
+    _set_label(g, e, g.edges[f].label.scale(-3))
+
+
+@pytest.mark.parametrize("mutate", [
+    _scale_label, _swap_labels_at_vertex, _swap_connection_images,
+    _reverse_not_negated, _zero_label, _proportional_to_neighbour,
+])
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_verify_gkm_matches_edge_oracle_on_mutated_flag_graphs(kind, mutate):
+    """``mutate(g, e, f)`` breaks g at edge e, using f, another edge at
+    the same vertex; both sides must fail with the same first witnesses."""
+    rs = RootSystem(kind, 3)
+    g = copy.deepcopy(build_coset_graph(rs, frozenset(), rs.full_sigma()).graph)
+    e, f = g.edges_at[g.nvertices // 2][1:3]
+    mutate(g, e, f)
+    rep = verify_gkm(g)
+    assert not rep.ok
+    assert checks_of(rep) == gkm_report_by_edges(g)
 
 
 # ----------------------------------------------------------------------

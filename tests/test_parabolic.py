@@ -332,6 +332,36 @@ def test_psi_mutation_detected(b2):
     assert any("transition-gkm-iso" == c.name for c in rep.failures())
 
 
+def _identity_psi(rs, b, beid):
+    b.transitions[beid].psi = identity_matrix(rs.varcount)
+
+
+def _conjugated_transition(rs, b, beid):
+    """Left multiplication by s_alpha w s_2 w^-1, w over the source: an
+    isomorphism of the labeled fibers whose linear part does not shift
+    the fiber labels along alpha."""
+    e = b.base.edges[beid]
+    w = b.base_coset.reps[e.src]
+    g = rs.reflection(e.label) * w * rs.simple_reflection(2) * w.inverse()
+    t = b.transitions[beid]
+    t.vmap = {x: b.total_coset.vertex_of(g * b.total_coset.reps[x]) for x in t.vmap}
+    t.psi = g.matrix()
+
+
+@pytest.mark.parametrize("tamper,witness", [
+    (_identity_psi, "transition across (2,1,3,4 -> 4,1,2,3; x2 - x4) is not an "
+                    "isomorphism of labeled fibers"),
+    (_conjugated_transition, "linear part across (2,1,3,4 -> 4,1,2,3; x2 - x4) "
+                             "does not shift x1 - x3 along x2 - x4"),
+], ids=["identity-psi", "conjugated"])
+def test_tampered_a3_transition_fails_gkm_iso_with_its_witness(tamper, witness):
+    rs, b = tower("A", 3)
+    mutated = copy.deepcopy(b)
+    tamper(rs, mutated, 5)
+    failed = {c.name: c.witness for c in verify_fiber_bundle(mutated).failures()}
+    assert failed["transition-gkm-iso"] == witness
+
+
 # ----------------------------------------------------------------------
 # holonomy
 
