@@ -46,6 +46,8 @@ __all__ = [
 
 
 def parse_rational(s: str) -> Fraction:
+    if not re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", s):
+        raise ValueError(f"not an integer or n/d: {s!r}")
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:

@@ -16,6 +16,11 @@ by the product of its inversion roots.  Reversing the factors with
 negated arguments inverts H_w, which is where the alternating formula
 and the transition matrices between permuted Schubert bases come from.
 
+The table is built in one walk of the weak order, by length.  If s_i
+ends the reduced word of w, then H_w = H_{w s_i} (1 + (w s_i)(alpha_i) u_i),
+so the column at w is one generator times the column of w s_i (Billey's
+formula, applied one factor at a time).
+
 The Weyl group acts on classes by f^w(v) = w^{-1} f(wv); averaging over
 the group symmetrizes a class, and the change of basis from symmetrized
 Schubert classes back to Schubert classes is unitriangular for the weak
@@ -161,43 +166,35 @@ def H(rs: RootSystem, w: WeylElement, word=None) -> NilCoxElt:
 
 
 def H_inv(rs: RootSystem, w: WeylElement, word=None) -> NilCoxElt:
-    """Inverse of H(w): the reversed product with negated arguments."""
+    """Inverse of H(w): w applied to H(w^-1) along the reversed word.
+
+    w s_{i_r} ... s_{i_{k+1}}(alpha_{i_k}) = -s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}),
+    so this is the reversed product with negated arguments.
+    """
     if word is None:
         word = rs.reduced_word(w)
-    elif rs.from_word(word) != w or len(word) != rs.length(w):
-        raise ValueError("not a reduced word for w")
-    args = []
-    prefix = rs.identity()
-    for i in word:
-        args.append((i, prefix.act_linear(rs.simple_roots[i - 1])))
-        prefix = prefix * rs.simple_reflection(i)
-    out = nilcox_one(rs)
-    for i, arg in reversed(args):
-        out = out * nilcox_generator(rs, i, -arg)
-    return out
+    return H(rs, w.inverse(), word[::-1]).act(w)
 
 
 class SchubertTable:
-    """All values tau_u(w) for one Weyl group, plus class accessors."""
+    """All values tau_u(w) for one Weyl group: the column at w is H(w)."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.order = list(rs.elements())
-        self.values: dict = {u: {} for u in self.order}
-        for w in self.order:
-            hw = H(rs, w)
-            for u in self.order:
-                self.values[u][w] = hw.coefficient(u)
+        self.columns = {rs.identity(): nilcox_one(rs)}
+        for w in self.order[1:]:  # order[0] is the identity
+            i = rs.reduced_word(w)[-1]
+            prev = w * rs.simple_reflection(i)
+            arg = prev.act_linear(rs.simple_roots[i - 1])
+            self.columns[w] = self.columns[prev] * nilcox_generator(rs, i, arg)
 
     def tau_value(self, u: WeylElement, w: WeylElement) -> Polynomial:
-        return self.values[u][w]
+        return self.columns[w].coefficient(u)
 
     def tau(self, u: WeylElement) -> CohClass:
         flag = flag_graph(self.rs)
-        return CohClass(flag.graph, [self.values[u][w] for w in flag.reps])
-
-    def classes(self) -> dict:
-        return {u: self.tau(u) for u in self.order}
+        return CohClass(flag.graph, [self.tau_value(u, w) for w in flag.reps])
 
 
 def schubert_table(rs: RootSystem) -> SchubertTable:
@@ -210,14 +207,15 @@ def schubert_table(rs: RootSystem) -> SchubertTable:
 def key_identity_check(rs: RootSystem, pairs=None):
     """Does H(w*v) == H(w) * (w applied to H(v)) on the given pairs?
 
+    H is read from the Schubert table.  Its walk uses only the pairs
+    (w s_i, s_i), so every other pair checks the walk.
     Returns (ok, first bad pair or None).  Defaults to all pairs.
     """
-    elems = rs.elements()
+    columns = schubert_table(rs).columns
     if pairs is None:
-        pairs = [(w, v) for w in elems for v in elems]
-    hcache = {w: H(rs, w) for w in {x for p in pairs for x in p}}
+        pairs = [(w, v) for w in rs.elements() for v in rs.elements()]
     for w, v in pairs:
-        if H(rs, w * v) != hcache[w] * hcache[v].act(w):
+        if columns[w * v] != columns[w] * columns[v].act(w):
             return False, (w, v)
     return True, None
 

@@ -9,9 +9,11 @@ Schubert class instead of trusting the determinant certificate, the
 bundle expander solves each fiber by Cramer's rule instead, the
 form expander rewrites a polynomial in given linear forms by dense
 elimination, the connection oracle reflects edge labels by the
-textbook formula instead of acting by Weyl group elements, and the
+textbook formula instead of acting by Weyl group elements, the
 axiom oracle decides every label axiom afresh on every edge instead of
-once per distinct label.
+once per distinct label, and the Chevalley oracle checks a Schubert
+table by the equivariant Chevalley formula, with tau_{s_i} in closed
+form, instead of by nilCoxeter products or the class condition.
 """
 
 from fractions import Fraction
@@ -221,6 +223,43 @@ def schubert_by_conditions(rs, u):
         else:
             values[v] = Polynomial.zero(rs.varcount)
     return values, unique
+
+
+def chevalley_failures(rs, table):
+    """Every (i, w, v) at which ``table`` breaks the Chevalley formula.
+
+    The equivariant Chevalley formula (Kostant & Kumar, "The nil Hecke
+    ring and cohomology of G/P for a Kac-Moody group G", Adv. Math. 62,
+    1986) reads, at every vertex v,
+
+        tau_{s_i} tau_w = (omega_i - w omega_i) tau_w
+                          + sum <omega_i, beta^vee> tau_{w s_beta},
+
+    the sum over positive roots beta with len(w s_beta) = len(w) + 1.
+    tau_{s_i}(v) is the closed form omega_i - v omega_i, and omega_i is
+    solved from <omega_i, alpha_j^vee> = delta_ij, so only the table's
+    values tau_w(v) are trusted.
+    """
+    simple_coroots = [[2 * c / a.dot(a) for c in a.coeffs] for a in rs.simple_roots]
+    failures = []
+    for i in range(1, rs.rank + 1):
+        delta = [Fraction(int(j == i)) for j in range(1, rs.rank + 1)]
+        omega = LinearForm(linalg.solve_fraction(simple_coroots, delta))
+        tau_si = {v: (omega - v.act_linear(omega)).to_polynomial() for v in table.order}
+        for w in table.order:
+            covers = []
+            for beta in rs.positive_roots:
+                up = w * rs.reflection(beta)
+                if rs.length(up) == rs.length(w) + 1:
+                    covers.append((2 * omega.dot(beta) / beta.dot(beta), up))
+            for v in table.order:
+                tw = table.tau_value(w, v)
+                rhs = tau_si[w] * tw
+                for pairing, up in covers:
+                    rhs = rhs + table.tau_value(up, v).scale(pairing)
+                if tau_si[v] * tw != rhs:
+                    failures.append((i, w, v))
+    return failures
 
 
 def spanning_by_solves(rs, family):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkmflag.polyring import LinearForm, Polynomial, parse_polynomial
+from gkmflag.polyring import LinearForm, Polynomial, parse_polynomial, parse_rational
 
 from oracles import naive_product
 
@@ -107,6 +107,14 @@ def test_parse_rejects_garbage():
         parse_polynomial("x1 + y2", 3)
     with pytest.raises(ValueError):
         parse_polynomial("x9", 3)
+
+
+def test_parse_rational_reads_only_integers_and_fractions():
+    assert parse_rational(" -3/4\n") == Fraction(-3, 4)
+    assert parse_rational("+5") == 5
+    for text in ["0.5", "1e3", "1e999999999", "1_000", "", "1/", "/2", "inf", "1/0"]:
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 # ----------------------------------------------------------------------

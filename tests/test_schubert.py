@@ -5,10 +5,12 @@ import pytest
 
 from gkmflag.gkmgraph import degree_of, is_coh_class
 from gkmflag.polyring import Polynomial
+from gkmflag.rootsys import RootSystem
 from gkmflag.schubert import (
     H,
     H_inv,
     NilCoxElt,
+    SchubertTable,
     divided_difference,
     flag_graph,
     invariant_class,
@@ -28,7 +30,7 @@ from gkmflag.schubert import (
     transition_matrices,
 )
 
-from oracles import schubert_by_conditions
+from oracles import chevalley_failures, schubert_by_conditions
 
 
 def x(rs, i):
@@ -142,6 +144,33 @@ def test_oracle_equivalence_spot(a2):
     assert unique
     for v in tab.order:
         assert values[v] == tab.tau_value(s1, v)
+
+
+@pytest.mark.parametrize("name", ["a3", "b3", "c3", "d3"])
+def test_table_walk_matches_the_product_along_each_word(request, name):
+    rs = request.getfixturevalue(name)
+    columns = schubert_table(rs).columns
+    for w in rs.elements():
+        assert columns[w] == H(rs, w), w.one_line_str()
+
+
+@pytest.mark.parametrize("name", ["a3", "b3", "c3", "d3"])
+def test_table_satisfies_chevalley_formula(request, name):
+    rs = request.getfixturevalue(name)
+    assert chevalley_failures(rs, schubert_table(rs)) == []
+
+
+def test_chevalley_oracle_sees_a_tampered_entry():
+    rs = RootSystem("A", 3)  # fresh, so no tampered table can reach a shared rs's cache
+    table = SchubertTable(rs)
+    w0, s2 = rs.longest_element(), rs.simple_reflection(2)
+    table.columns[w0] = table.columns[w0] + NilCoxElt(rs, {s2: x(rs, 1)})
+    # tau_{s2}(w0) enters the formula at v = w0 only: as tau_w(v) for
+    # w = s2, with a nonzero coefficient for every i, and as the cover
+    # term tau_{w s_beta}(v) for w = e, where only i = 2 pairs with beta
+    e = rs.identity()
+    assert chevalley_failures(rs, table) == [
+        (1, s2, w0), (2, e, w0), (2, s2, w0), (3, s2, w0)]
 
 
 def test_key_identity_a2(a2):
