@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Run the whole desk-scale verification battery and print CHECK lines.
 
-Covers: graph axioms for the flag graphs up to rank 4,
-fiber-bundle axioms and holonomy for the standard bundles, basis
-verification for the rank-2 and rank-3 families, and the iteration
-consistency check.  Exit code 0 iff everything passes.
+Covers: graph axioms for the flag graphs up to rank 4, fiber-bundle
+axioms and holonomy for the standard bundles up to rank 3 and for the
+A4, B4 and D4 bundles with Sigma2 = {2,3,4}, basis verification for the
+rank-2 and rank-3 families, and the iteration consistency check (the
+iterated family equals the closed form) for A2, B2, D3, A3 and B3.
+Exit code 0 iff everything passes.
 """
 
 import sys
@@ -29,8 +31,10 @@ from gkmflag.schubert import flag_graph
 CASES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3),
          ("A", 4), ("B", 4), ("C", 4), ("D", 4)]
 BUNDLES = [("A", 2, {2}), ("A", 3, {2, 3}), ("A", 3, {1, 3}),
-           ("B", 2, {2}), ("C", 2, {2}), ("D", 3, {2, 3})]
+           ("B", 2, {2}), ("C", 2, {2}), ("D", 3, {2, 3}),
+           ("A", 4, {2, 3, 4}), ("B", 4, {2, 3, 4}), ("D", 4, {2, 3, 4})]
 BASES = [("A", 2), ("A", 3), ("B", 2), ("D", 3)]
+ITERATIONS = [("A", 2), ("B", 2), ("D", 3), ("A", 3), ("B", 3)]
 
 
 def main() -> int:
@@ -62,7 +66,7 @@ def main() -> int:
         print(f"CHECK basis-{kind}{n}: {'PASS' if rep.ok else 'FAIL'}")
         ok &= rep.ok
 
-    for kind, n in [("A", 2), ("B", 2), ("D", 3)]:
+    for kind, n in ITERATIONS:
         rs = RootSystem(kind, n)
         fam = iterated_family(rs)
         good = all(fam[I] == class_cI(rs, I) for I in index_set(kind, n))

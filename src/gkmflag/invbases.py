@@ -46,9 +46,9 @@ from . import linalg
 from .gkmgraph import CohClass, Report, coh_failure, degree_of
 from .parabolic import (
     BundleMap,
-    base_tree,
     build_bundle,
     lift_class,
+    tree_transport,
     typical_fiber,
 )
 from .polyring import Polynomial
@@ -191,61 +191,52 @@ def base_power_classes(b: BundleMap):
 
 def extend_invariant(b: BundleMap, fiber_class: CohClass,
                      base_point: int | None = None) -> CohClass:
-    """Extend a holonomy-invariant class on the typical fiber to the total.
+    """Extend a holonomy-invariant class f on the typical fiber to the total.
 
-    The class is realized on the fiber over the base point through its
-    representative r (the value at [r u] is r applied to the value at u)
-    and carried to every other fiber along the spanning tree of
-    ``base_tree``: across an edge labeled gamma the value at [s_gamma x]
-    is s_gamma applied to the value at x.  On each non-tree edge the same
-    transport must then agree with the tree value at its head; that is
-    invariance under exactly the generators of ``holonomy`` (tree path,
-    the edge, tree path back), so the extension exists iff every such
-    check passes.  A failing edge is named in the ValueError, and so is
-    the typical-fiber edge of an input that is not a class there (checked
+    :func:`parabolic.tree_transport` gives T_q r, the transport of the
+    typical fiber onto the fiber over q along the spanning tree, and the
+    holonomy h of every loop "tree path, non-tree edge, tree path back".
+    The extension has value (T_q r) . f(u) at [T_q r u].  Carrying the
+    values across a non-tree edge must agree with the tree values at its
+    head, which reads h . f = f: f([h u]) = h . f(u) for every u.  Those
+    loops generate the fundamental group of the base, so the extension
+    exists iff that holds for each h of ``tree_transport``; a failing
+    loop is named in the ValueError by its non-tree edge, and so is the
+    typical-fiber edge of an input that is not a class there (checked
     after the loops, so a non-invariant input is named by its loop).
 
     The result is then a class by construction and is not re-checked.
-    Horizontal edges: the value at [s_gamma x] is s_gamma g for the value
-    g at x (by construction on the tree, by the loop checks elsewhere),
-    and gamma divides s_gamma g - g.  Vertical edges: the fiber over q is
-    the image of the typical fiber, values included, under left
-    multiplication by T_q r (T_q the tree transport), a GKM isomorphism.
+    Horizontal edges: across an edge labeled gamma the value at
+    [s_gamma x] is s_gamma g for the value g at x (on the tree by
+    construction, elsewhere by h . f = f), and gamma divides
+    s_gamma g - g.  Vertical edges: the fiber over q is the image of the
+    typical fiber, values included, under left multiplication by T_q r,
+    a GKM isomorphism.
     """
     if b.rs is None:
         raise ValueError("extension needs a coset bundle")
     if base_point is None:
         base_point = b.base_point()
     fib = typical_fiber(b)
-    if len(fiber_class.values) != fib.nvertices:
+    values = fiber_class.values
+    if len(values) != fib.nvertices:
         raise ValueError("class does not live on the typical fiber")
-    total = b.total_coset
-    rep = b.base_coset.reps[base_point]
-    vals = [None] * b.total.nvertices
-    for u, value in zip(fib.reps, fiber_class.values):
-        vals[total.vertex_of(rep * u)] = rep.act_poly(value)
-
-    def transported(beid):
-        """(vertex, value) over the head of beid, carried from its tail."""
-        e = b.base.edges[beid]
-        s = b.rs.reflection(e.label)
-        return [(total.vertex_of(s * total.reps[x]), s.act_poly(vals[x]))
-                for x in b.fiber_vertices(e.src)]
-
-    tree, chords = base_tree(b, base_point)
-    for beid in tree:
-        for y, value in transported(beid):
-            vals[y] = value
-    for beid in chords:
-        if any(vals[y] != value for y, value in transported(beid)):
+    transports, generators = tree_transport(b, base_point)
+    for beid, _, h in generators:
+        if any(values[fib.vertex_of(h * u)] != h.act_poly(value)
+               for u, value in zip(fib.reps, values)):
             raise ValueError(
                 f"class is not holonomy invariant; violated by the loop "
                 f"through {b.base.edge_str(beid)}"
             )
-    bad = coh_failure(CohClass(fib.graph, fiber_class.values))
+    bad = coh_failure(CohClass(fib.graph, values))
     if bad is not None:
         raise ValueError("input is not a class on the typical fiber; fails at "
                          + fib.graph.edge_str(bad))
+    vals = [None] * b.total.nvertices
+    for g in transports.values():
+        for u, value in zip(fib.reps, values):
+            vals[b.total_coset.vertex_of(g * u)] = g.act_poly(value)
     return CohClass(b.total, vals)
 
 

@@ -25,15 +25,20 @@ through the stored transition data).  For these bundles the group is
 W(Sigma2) acting on the typical fiber by left multiplication; whether
 that identity holds is reported in ``HolonomyGroup.matches_upsilon``.
 
-Bundles assembled from raw graph data (no Weyl group behind them) are
-also supported for axiom verification; see :func:`make_bundle` and
-:func:`product_bundle`.
+A :class:`BundleMap` stores only the bundle data: the total and base
+graphs, pi on vertices, dpi on edges (its keys are the horizontal edges;
+every other edge is vertical), the transitions, and the coset metadata
+of a Weyl-group bundle.  Nothing derived is stored: each function derives
+fibers, lifts and fiber subgraphs from that data when called, so a
+bundle whose data changed is checked as it now stands.  Bundles assembled
+from raw graph data (no Weyl group behind them) are also supported for
+axiom verification; see :func:`make_bundle` and :func:`product_bundle`.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import linalg
@@ -67,6 +72,7 @@ __all__ = [
     "bundle_hash",
     "verify_fiber_bundle",
     "base_tree",
+    "tree_transport",
     "holonomy",
     "upsilon_elements",
     "lift_class",
@@ -212,10 +218,18 @@ class Transition:
 
 @dataclass
 class BundleMap:
+    """The data of a graph fiber bundle, and nothing derived from it.
+
+    ``total`` and ``base`` are the graphs, ``pi`` sends each total vertex
+    to a base vertex, ``dpi`` sends each horizontal total edge to a base
+    edge (an edge is horizontal exactly when it is a key of ``dpi``), and
+    ``transitions`` holds one :class:`Transition` per base edge.  Coset
+    bundles also carry their coset graphs, root system and Sigma pair.
+    """
+
     total: GkmGraph
     base: GkmGraph
     pi: list
-    edge_class: list  # 'v' or 'h' per total oriented edge
     dpi: dict  # horizontal total edge -> base edge
     transitions: dict  # base edge -> Transition
     total_coset: CosetGraph | None = None
@@ -223,7 +237,6 @@ class BundleMap:
     rs: RootSystem | None = None
     sigma1: frozenset | None = None
     sigma2: frozenset | None = None
-    _fiber_cache: dict = field(default_factory=dict, repr=False)
 
     # -- fibers --------------------------------------------------------
 
@@ -231,10 +244,8 @@ class BundleMap:
         return [q for q in range(self.total.nvertices) if self.pi[q] == p]
 
     def fiber_subgraph(self, p: int):
-        """(subgraph, old->new vertex map, old->new edge map), cached."""
-        if p not in self._fiber_cache:
-            self._fiber_cache[p] = induced_subgraph(self.total, self.fiber_vertices(p))
-        return self._fiber_cache[p]
+        """(subgraph, old->new vertex map, old->new edge map)."""
+        return induced_subgraph(self.total, self.fiber_vertices(p))
 
     def base_point(self) -> int:
         """Default base point: the coset of the identity when available."""
@@ -246,10 +257,7 @@ class BundleMap:
 
     def lift_edge(self, base_eid: int, start: int):
         """The unique horizontal edge at ``start`` projecting onto base_eid."""
-        hits = [
-            eid for eid in self.total.edges_at[start]
-            if self.edge_class[eid] == "h" and self.dpi.get(eid) == base_eid
-        ]
+        hits = [eid for eid in self.total.edges_at[start] if self.dpi.get(eid) == base_eid]
         if len(hits) != 1:
             raise ValueError(
                 f"edge {self.base.edge_str(base_eid)} has {len(hits)} lifts at "
@@ -293,83 +301,62 @@ class BundleMap:
 
     def transition_iso(self, base_eid: int) -> GkmIso:
         """The stored transition as an isomorphism of fiber subgraphs."""
-        t = self.transitions[base_eid]
         e = self.base.edges[base_eid]
-        sub_p, vmap_p, _ = self.fiber_subgraph(e.src)
-        sub_q, vmap_q, _ = self.fiber_subgraph(e.dst)
-        phi = {vmap_p[a]: vmap_q[b] for a, b in t.vmap.items()}
-        return GkmIso(tuple(phi[i] for i in range(sub_p.nvertices)), t.psi)
+        return _transition_iso(self.transitions[base_eid], self.fiber_subgraph(e.src)[1],
+                               self.fiber_subgraph(e.dst)[1])
+
+
+def _transition_iso(t: Transition, vmap_p, vmap_q) -> GkmIso:
+    """``t`` as an isomorphism between the fiber subgraphs at its ends;
+    vmap_p and vmap_q renumber their vertices (see :func:`induced_subgraph`)."""
+    phi = {vmap_p[a]: vmap_q[b] for a, b in t.vmap.items()}
+    return GkmIso(tuple(phi[i] for i in range(len(vmap_p))), t.psi)
 
 
 def build_bundle(rs: RootSystem, sigma1, sigma2) -> BundleMap:
-    """The bundle W/W(Sigma1) -> W/W(Sigma2) with its transition data."""
+    """The bundle W/W(Sigma1) -> W/W(Sigma2) with its transition data.
+
+    pi sends [w] to [w] W(Sigma2), and the transition across a base edge
+    labeled gamma sends [x] to [s_gamma x]; :func:`make_bundle` matches
+    the horizontal edges to their base edges.
+    """
     sigma1, sigma2 = _check_sigmas(rs, sigma1, sigma2)
     full = rs.full_sigma()
     total = build_coset_graph(rs, sigma1, full)
     base = build_coset_graph(rs, sigma2, full)
-    closure2 = set(rs.closure(sigma2).roots)
     pi = [base.vertex_of(w) for w in total.reps]
-    edge_class = []
-    dpi = {}
-    for eid in range(len(total.graph.edges)):
-        beta = total.direction(eid)
-        if beta in closure2:
-            edge_class.append("v")
-            continue
-        edge_class.append("h")
-        p = total.graph.edges[eid].src
-        bp = pi[p]
-        u = base.reps[bp].inverse() * total.reps[p]
-        gamma = rs.positive_part(u.act_linear(beta))
-        dpi[eid] = base.edge_id(bp, gamma)
+    fibers = _fibers(pi, base.nvertices)
     transitions = {}
-    for beid in range(len(base.graph.edges)):
-        e = base.graph.edges[beid]
+    for beid, e in enumerate(base.graph.edges):
         refl = rs.reflection(e.label)
-        vmap = {}
-        for p in range(total.nvertices):
-            if pi[p] != e.src:
-                continue
-            vmap[p] = total.vertex_of(refl * total.reps[p])
+        vmap = {p: total.vertex_of(refl * total.reps[p]) for p in fibers[e.src]}
         transitions[beid] = Transition(beid, vmap, refl.matrix())
-    return BundleMap(
-        total=total.graph,
-        base=base.graph,
-        pi=pi,
-        edge_class=edge_class,
-        dpi=dpi,
-        transitions=transitions,
-        total_coset=total,
-        base_coset=base,
-        rs=rs,
-        sigma1=sigma1,
-        sigma2=sigma2,
-    )
+    return replace(make_bundle(total.graph, base.graph, pi, transitions),
+                   total_coset=total, base_coset=base, rs=rs,
+                   sigma1=sigma1, sigma2=sigma2)
 
 
 def make_bundle(total: GkmGraph, base: GkmGraph, pi, transitions=None) -> BundleMap:
     """Assemble a bundle from raw graph data (for user-supplied bundles).
 
-    Edge classes, the projection on edges, and (if absent) the transition
-    maps are derived from the data: lifts by endpoint-plus-label matching,
-    linear parts by solving the intertwining condition on fiber labels.
+    The projection on edges, and (if absent) the transition maps are
+    derived from the data: an edge between two fibers is horizontal and
+    projects onto the base edge joining their base vertices (matched by
+    label among parallel edges); lifts give the vertex maps, and linear
+    parts solve the intertwining condition on fiber labels.
     """
     pi = list(pi)
-    edge_class = []
     dpi = {}
     for eid, e in enumerate(total.edges):
         if pi[e.src] == pi[e.dst]:
-            edge_class.append("v")
             continue
-        edge_class.append("h")
         cands = base.find_edges(pi[e.src], pi[e.dst])
         if len(cands) > 1:
             cands = [c for c in cands if base.edges[c].label == e.label]
         if len(cands) != 1:
             raise ValueError(f"cannot project edge {total.edge_str(eid)}")
         dpi[eid] = cands[0]
-    b = BundleMap(total=total, base=base, pi=pi, edge_class=edge_class,
-                  dpi=dpi, transitions={})
+    b = BundleMap(total=total, base=base, pi=pi, dpi=dpi, transitions={})
     if transitions is None:
         transitions = {}
         for beid in range(len(base.edges)):
@@ -392,7 +379,7 @@ def _solve_transition_psi(b: BundleMap, beid: int, vmap):
     src = b.base.edges[beid].src
     for p in b.fiber_vertices(src):
         for eid in b.total.edges_at[p]:
-            if b.edge_class[eid] != "v":
+            if eid in b.dpi:
                 continue
             e = b.total.edges[eid]
             # the matching fiber edge between the transported endpoints
@@ -491,18 +478,15 @@ def verify_fibration(b: BundleMap) -> Report:
     rep = Report()
     bad = ""
     for eid, e in enumerate(b.total.edges):
+        beid = b.dpi.get(eid)
         if b.pi[e.src] == b.pi[e.dst]:
-            if b.edge_class[eid] != "v":
+            if beid is not None:
                 bad = f"edge {b.total.edge_str(eid)} misclassified"
                 break
+        elif beid is None:
+            bad = f"horizontal edge {b.total.edge_str(eid)} has no projection"
+            break
         else:
-            if b.edge_class[eid] != "h":
-                bad = f"edge {b.total.edge_str(eid)} misclassified"
-                break
-            beid = b.dpi.get(eid)
-            if beid is None:
-                bad = f"horizontal edge {b.total.edge_str(eid)} has no projection"
-                break
             be = b.base.edges[beid]
             if (be.src, be.dst) != (b.pi[e.src], b.pi[e.dst]):
                 bad = (f"projection of {b.total.edge_str(eid)} has wrong "
@@ -512,15 +496,21 @@ def verify_fibration(b: BundleMap) -> Report:
 
     bad = ""
     for q in range(b.total.nvertices):
-        horiz = [eid for eid in b.total.edges_at[q] if b.edge_class[eid] == "h"]
-        images = [b.dpi.get(eid) for eid in horiz]
-        base_edges = b.base.edges_at[b.pi[q]]
-        if None in images or sorted(images) != sorted(base_edges):
+        images = [b.dpi[eid] for eid in b.total.edges_at[q] if eid in b.dpi]
+        if sorted(images) != sorted(b.base.edges_at[b.pi[q]]):
             bad = (f"horizontal differential not bijective at vertex "
                    f"{b.total.vertices[q]}")
             break
     rep.add("dpi-bijective", not bad, bad)
     return rep
+
+
+def _fibers(pi, nbase: int):
+    """The total vertices over each base vertex, in increasing order."""
+    fibers = [[] for _ in range(nbase)]
+    for q, p in enumerate(pi):
+        fibers[p].append(q)
+    return fibers
 
 
 def verify_fiber_bundle(b: BundleMap) -> Report:
@@ -530,8 +520,12 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
     decided once per distinct label: the transition-gkm-iso shift check
     asks "Psi(lambda) - lambda in Q*alpha" once per distinct fiber label
     lambda of each base edge, in the order the labels first occur, so the
-    first witness is that of a per-edge check.  Nothing is stored on the
-    bundle, whose data may change after construction.
+    first witness is that of a per-edge check.  The fibers, their
+    subgraphs and the lifts of base edges are derived from the bundle
+    data once per call; nothing is stored on the bundle, whose data may
+    change after construction.  A transition check that cannot run (no
+    transition, a vertex map that is not a bijection of fibers, a base
+    edge without exactly one lift at a vertex) fails with that reason.
     """
     rep = verify_fibration(b)
     for check in verify_gkm(b.total).checks:
@@ -550,7 +544,7 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
     bad = ""
     for eid in range(len(b.total.edges)):
         for e1, e2 in b.total.connection[eid].items():
-            if b.edge_class[e1] != b.edge_class[e2]:
+            if (e1 in b.dpi) != (e2 in b.dpi):
                 bad = (f"connection along {b.total.edge_str(eid)} mixes "
                        f"vertical and horizontal at {b.total.edge_str(e1)}")
                 break
@@ -563,10 +557,10 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
         src = b.total.edges[eid].src
         conn = b.total.connection[eid]
         for e1 in b.total.edges_at[src]:
-            if b.edge_class[e1] != "h":
+            if e1 not in b.dpi:
                 continue
-            want = (b.base.connection[beid]).get(b.dpi[e1])
-            got = b.dpi.get(conn[e1])
+            want = b.base.connection[beid].get(b.dpi[e1])
+            got = b.dpi.get(conn.get(e1))
             if want != got:
                 bad = (f"horizontal connection over {b.base.edge_str(beid)} "
                        f"is not compatible at {b.total.edge_str(e1)}")
@@ -575,66 +569,84 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
             break
     rep.add("horizontal-connection-compatible", not bad, bad)
 
-    bad = ""
-    for beid in range(len(b.base.edges)):
+    fibers = _fibers(b.pi, b.base.nvertices)
+    lifts = {}  # (base edge, total vertex) -> the horizontal edges there over it
+    for eid, beid in b.dpi.items():
+        lifts.setdefault((beid, b.total.edges[eid].src), []).append(eid)
+    unusable = {}  # base edge -> why its transition cannot be checked
+    for beid, e in enumerate(b.base.edges):
         t = b.transitions.get(beid)
-        e = b.base.edges[beid]
-        fib_p = b.fiber_vertices(e.src)
-        fib_q = b.fiber_vertices(e.dst)
         if t is None:
-            bad = f"no transition stored for {b.base.edge_str(beid)}"
+            unusable[beid] = f"no transition stored for {b.base.edge_str(beid)}"
+        elif sorted(t.vmap) != fibers[e.src] or sorted(t.vmap.values()) != fibers[e.dst]:
+            unusable[beid] = f"transition across {b.base.edge_str(beid)} is not a bijection"
+
+    def lift(beid, p):
+        """(the lift of beid at p, "") or (None, why there is no unique one)."""
+        hits = lifts.get((beid, p), [])
+        if len(hits) == 1:
+            return hits[0], ""
+        return None, (f"edge {b.base.edge_str(beid)} has {len(hits)} lifts at "
+                      f"{b.total.vertices[p]}")
+
+    bad = ""
+    for beid, e in enumerate(b.base.edges):
+        if beid in unusable:
+            bad = unusable[beid]
             break
-        if sorted(t.vmap) != sorted(fib_p) or sorted(t.vmap.values()) != sorted(fib_q):
-            bad = f"transition across {b.base.edge_str(beid)} is not a bijection"
-            break
-        for p in fib_p:
-            lifted = b.lift_edge(beid, p)
-            if b.total.edges[lifted].dst != t.vmap[p]:
+        for p in fibers[e.src]:
+            lifted, bad = lift(beid, p)
+            if not bad and b.total.edges[lifted].dst != b.transitions[beid].vmap[p]:
                 bad = (f"transition across {b.base.edge_str(beid)} disagrees "
                        f"with path lifting at {b.total.vertices[p]}")
+            if bad:
                 break
         if bad:
             break
     rep.add("transition-from-lifts", not bad, bad)
 
     bad = ""
-    for beid in range(len(b.base.edges)):
-        if bad:
+    for beid, e in enumerate(b.base.edges):
+        if beid in unusable:
+            bad = unusable[beid]
             break
-        t = b.transitions.get(beid)
-        if t is None:
-            continue
-        e = b.base.edges[beid]
-        for p in b.fiber_vertices(e.src):
-            lifted = b.lift_edge(beid, p)
+        vmap = b.transitions[beid].vmap
+        for p in fibers[e.src]:
+            lifted, bad = lift(beid, p)
+            if bad:
+                break
             conn = b.total.connection[lifted]
             for e1 in b.total.edges_at[p]:
-                if b.edge_class[e1] != "v":
+                if e1 in b.dpi:
                     continue
-                e2 = conn[e1]
-                if (b.total.edges[e2].src != t.vmap[p]
-                        or b.total.edges[e2].dst != t.vmap[b.total.edges[e1].dst]):
+                e2 = conn.get(e1)
+                if (e2 is None or b.total.edges[e2].src != vmap[p]
+                        or b.total.edges[e2].dst != vmap.get(b.total.edges[e1].dst)):
                     bad = (f"connection along a lift of {b.base.edge_str(beid)} "
                            f"does not follow the transition at "
                            f"{b.total.edge_str(e1)}")
                     break
             if bad:
                 break
+        if bad:
+            break
     rep.add("transition-connection-compatible", not bad, bad)
 
     bad = ""
-    for beid in range(len(b.base.edges)):
-        t = b.transitions.get(beid)
-        if t is None:
-            continue
-        try:
-            iso = b.transition_iso(beid)
-        except Exception as exc:  # broken vmap already reported above
-            bad = f"transition across {b.base.edge_str(beid)}: {exc}"
+    subgraphs = {}  # base vertex -> its fiber subgraph, built on first use
+    for beid, e in enumerate(b.base.edges):
+        if beid in unusable:
+            bad = unusable[beid]
             break
-        e = b.base.edges[beid]
-        sub_p, _, _ = b.fiber_subgraph(e.src)
-        sub_q, _, _ = b.fiber_subgraph(e.dst)
+        try:
+            for p in (e.src, e.dst):
+                if p not in subgraphs:
+                    subgraphs[p] = induced_subgraph(b.total, fibers[p])
+        except (KeyError, ValueError) as exc:  # check_subgraph on a broken connection
+            bad = f"fiber over {b.base.vertices[p]}: {exc}"
+            break
+        (sub_p, vmap_p, _), (sub_q, vmap_q, _) = subgraphs[e.src], subgraphs[e.dst]
+        iso = _transition_iso(b.transitions[beid], vmap_p, vmap_q)
         if not verify_iso(iso, sub_p, sub_q):
             bad = (f"transition across {b.base.edge_str(beid)} is not an "
                    f"isomorphism of labeled fibers")
@@ -714,6 +726,41 @@ def base_tree(b: BundleMap, base_point: int):
     return tree, chords
 
 
+def tree_transport(b: BundleMap, base_point: int):
+    """(transports, generators) of a coset bundle, from one walk of
+    :func:`base_tree`.
+
+    Transport across a base edge labeled gamma is left multiplication by
+    s_gamma, so ``transports[q]`` = T_q . r (r the representative of the
+    base point, T_q = s_gamma . T_src along the tree edge into q) carries
+    the typical fiber onto the fiber over q: [u] -> [T_q r u].  Each chord
+    e = (p -> q) closes the loop "tree path, e, tree path back" with
+    holonomy h = (T_q r)^-1 . s_e . (T_p r) on the typical fiber.
+    ``generators`` lists (chord, loop as base edge ids, h) for each chord
+    whose h is not the identity and not met at an earlier chord.
+    """
+    rs = b.rs
+    transports = {base_point: b.base_coset.reps[base_point]}
+    path = {base_point: []}
+    tree, chords = base_tree(b, base_point)
+    for eid in tree:
+        e = b.base.edges[eid]
+        transports[e.dst] = rs.reflection(e.label) * transports[e.src]
+        path[e.dst] = path[e.src] + [eid]
+    seen = {rs.identity()}
+    generators = []
+    for eid in chords:
+        e = b.base.edges[eid]
+        h = transports[e.dst].inverse() * rs.reflection(e.label) * transports[e.src]
+        if h in seen:
+            continue
+        seen.add(h)
+        loop = (path[e.src] + [eid]
+                + [b.base.reverse[f] for f in reversed(path[e.dst])])
+        generators.append((eid, loop, h))
+    return transports, generators
+
+
 def holonomy_of_loop(b: BundleMap, loop_edges) -> tuple:
     """(vertex map on the start fiber, linear part) of transport around a loop."""
     if not loop_edges:
@@ -743,17 +790,15 @@ def holonomy(b: BundleMap, base_point: int | None = None) -> HolonomyGroup:
     """The holonomy group of a coset bundle, exactly, from one spanning tree.
 
     Transport across a base edge labeled gamma is left multiplication by
-    s_gamma, so transport along a path is one Weyl element.  Walking the
-    tree of :func:`base_tree` gives T_q (base point -> q) with
-    T_dst = s_gamma . T_src; transport back is T_q^{-1}.  Each unoriented
+    s_gamma, so transport along a path is one Weyl element.
+    :func:`tree_transport` walks the spanning tree once; each unoriented
     non-tree edge e = (p -> q) gives the loop "tree path, e, tree path
-    back", whose holonomy is T_q^{-1} . s_e . T_p.  Conjugated by the base
-    representative r to the typical fiber it is
-    h = r^{-1} . T_q^{-1} . s_e . T_p . r, an element of W(Sigma2).  These
-    loops generate the fundamental group of the base (Serre, *Trees*),
-    and backtracking is trivial because an edge and its reverse carry the
-    same reflection, so the distinct non-identity h generate the whole
-    holonomy group.  ``generators`` holds their left-multiplication isos
+    back", whose holonomy on the typical fiber is
+    h = r^{-1} . T_q^{-1} . s_e . T_p . r, an element of W(Sigma2) (T the
+    tree transport, r the base representative).  These loops generate the
+    fundamental group of the base (Serre, *Trees*), and backtracking is
+    trivial because an edge and its reverse carry the same reflection, so
+    the distinct non-identity h generate the whole holonomy group.  ``generators`` holds their left-multiplication isos
     with the loops as base edge ids; ``matches_upsilon`` reports whether
     the group is all of W(Sigma2).  When Sigma2 is every simple root the
     base is one vertex without loops, so ValueError is raised.
@@ -767,32 +812,13 @@ def holonomy(b: BundleMap, base_point: int | None = None) -> HolonomyGroup:
                          "one vertex and has no loops")
     if base_point is None:
         base_point = b.base_point()
-    # T_q . r: typical fiber -> fiber over base_point -> fiber over q
-    model = {base_point: b.base_coset.reps[base_point]}
-    path = {base_point: []}
-    tree, chords = base_tree(b, base_point)
-    for eid in tree:
-        e = b.base.edges[eid]
-        model[e.dst] = rs.reflection(e.label) * model[e.src]
-        path[e.dst] = path[e.src] + [eid]
-    ident = rs.identity()
-    seen = {ident}
-    gens = []
-    for eid in chords:
-        e = b.base.edges[eid]
-        h = model[e.dst].inverse() * rs.reflection(e.label) * model[e.src]
-        if h in seen:
-            continue
-        seen.add(h)
-        loop = (path[e.src] + [eid]
-                + [b.base.reverse[f] for f in reversed(path[e.dst])])
-        gens.append((loop, h))
-    elements = group_closure([ident], [h for _, h in gens], operator.mul)
+    _, generators = tree_transport(b, base_point)
+    elements = group_closure([rs.identity()], [h for _, _, h in generators], operator.mul)
     fib = typical_fiber(b)
     return HolonomyGroup(
         base_point,
         fib,
-        [(loop, _left_mult_iso(fib, h)) for loop, h in gens],
+        [(loop, _left_mult_iso(fib, h)) for _, loop, h in generators],
         sorted((_left_mult_iso(fib, w) for w in elements), key=GkmIso.key),
         set(elements) == set(rs.parabolic_elements(b.sigma2)),
     )
@@ -852,7 +878,7 @@ def bundle_to_json(b: BundleMap) -> dict:
 
     total = graph_to_json(b.total)
     for eid, entry in enumerate(total["edges"]):
-        entry["class"] = "vertical" if b.edge_class[eid] == "v" else "horizontal"
+        entry["class"] = "horizontal" if eid in b.dpi else "vertical"
     return {
         "total": total,
         "base": graph_to_json(b.base),

@@ -11,9 +11,13 @@ form expander rewrites a polynomial in given linear forms by dense
 elimination, the connection oracle reflects edge labels by the
 textbook formula instead of acting by Weyl group elements, the
 axiom oracle decides every label axiom afresh on every edge instead of
-once per distinct label, and the Chevalley oracle checks a Schubert
+once per distinct label, the Chevalley oracle checks a Schubert
 table by the equivariant Chevalley formula, with tau_{s_i} in closed
-form, instead of by nilCoxeter products or the class condition.
+form, instead of by nilCoxeter products or the class condition, the
+projection oracle maps the edges of a coset bundle by the Weyl action
+instead of by matching endpoints, and the extension oracle carries
+values across the base edge by edge instead of testing holonomy
+elements.
 """
 
 from fractions import Fraction
@@ -21,7 +25,8 @@ from itertools import combinations
 from typing import Sequence
 
 from gkmflag import linalg
-from gkmflag.gkmgraph import CohClass
+from gkmflag.gkmgraph import CohClass, coh_failure
+from gkmflag.parabolic import base_tree, build_coset_graph, typical_fiber
 from gkmflag.polyring import LinearForm, Polynomial
 from gkmflag.schubert import flag_graph, schubert_table
 
@@ -260,6 +265,81 @@ def chevalley_failures(rs, table):
                 if tau_si[v] * tw != rhs:
                     failures.append((i, w, v))
     return failures
+
+
+def coset_projection(rs, sigma1, sigma2):
+    """(pi, dpi, vmaps) of the bundle W/W(Sigma1) -> W/W(Sigma2), by the
+    Weyl action alone.
+
+    pi sends [w] to [w] W(Sigma2).  An edge in direction beta is vertical
+    iff beta lies in <Sigma2>; else, with w and r the representatives of
+    its source and of the base vertex below, it projects onto the base
+    edge at r in direction positive_part((r^-1 w) beta).  vmaps[e] sends
+    [x] over the tail of base edge e to [s_gamma x], gamma its label.
+    """
+    full = rs.full_sigma()
+    total = build_coset_graph(rs, sigma1, full)
+    base = build_coset_graph(rs, sigma2, full)
+    closure2 = set(rs.closure(sigma2).roots)
+    pi = [base.vertex_of(w) for w in total.reps]
+    dpi = {}
+    for eid, e in enumerate(total.graph.edges):
+        beta = total.direction(eid)
+        if beta in closure2:
+            continue
+        u = base.reps[pi[e.src]].inverse() * total.reps[e.src]
+        dpi[eid] = base.edge_id(pi[e.src], rs.positive_part(u.act_linear(beta)))
+    vmaps = {}
+    for beid, e in enumerate(base.graph.edges):
+        s = rs.reflection(e.label)
+        vmaps[beid] = {x: total.vertex_of(s * total.reps[x])
+                       for x in range(total.nvertices) if pi[x] == e.src}
+    return pi, dpi, vmaps
+
+
+def extend_by_edges(b, fiber_class, base_point=None):
+    """``invbases.extend_invariant``, carrying values edge by edge.
+
+    The class is placed on the fiber over the base point through its
+    representative r and carried along every edge of ``base_tree``:
+    across an edge labeled gamma the value at [s_gamma x] is s_gamma
+    applied to the value at x.  Carrying it across each non-tree edge
+    must then agree with the value already there; the first edge that
+    disagrees is named in the ValueError.  Then the input must be a class
+    on the typical fiber.
+    """
+    if base_point is None:
+        base_point = b.base_point()
+    fib = typical_fiber(b)
+    if len(fiber_class.values) != fib.nvertices:
+        raise ValueError("class does not live on the typical fiber")
+    total = b.total_coset
+    rep = b.base_coset.reps[base_point]
+    vals = [None] * b.total.nvertices
+    for u, value in zip(fib.reps, fiber_class.values):
+        vals[total.vertex_of(rep * u)] = rep.act_poly(value)
+
+    def transported(beid):
+        e = b.base.edges[beid]
+        s = b.rs.reflection(e.label)
+        return [(total.vertex_of(s * total.reps[x]), s.act_poly(vals[x]))
+                for x in b.fiber_vertices(e.src)]
+
+    tree, chords = base_tree(b, base_point)
+    for beid in tree:
+        for y, value in transported(beid):
+            vals[y] = value
+    for beid in chords:
+        if any(vals[y] != value for y, value in transported(beid)):
+            raise ValueError(
+                f"class is not holonomy invariant; violated by the loop "
+                f"through {b.base.edge_str(beid)}"
+            )
+    bad = coh_failure(CohClass(fib.graph, fiber_class.values))
+    if bad is not None:
+        raise ValueError("input is not a class on the typical fiber; fails at "
+                         + fib.graph.edge_str(bad))
+    return CohClass(b.total, vals)
 
 
 def spanning_by_solves(rs, family):

@@ -245,7 +245,7 @@ def test_criterion_07_bundle_axioms_and_mutations():
         bundles.append(b)
     # single-field mutations are detected
     b = copy.deepcopy(bundles[3])  # the rank-2 signed bundle
-    eid = next(e for e in range(len(b.total.edges)) if b.edge_class[e] == "h")
+    eid = min(b.dpi)  # the first horizontal edge
     old = b.total.edges[eid]
     b.total.edges[eid] = Edge(old.src, old.dst, old.label + old.label)
     assert not verify_fiber_bundle(b).ok

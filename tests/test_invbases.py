@@ -25,10 +25,11 @@ from gkmflag.invbases import (
     verify_basis,
 )
 from gkmflag.linalg import det_fraction
-from gkmflag.parabolic import bundle_from_json, bundle_to_json, typical_fiber
+from gkmflag.parabolic import build_bundle, bundle_from_json, bundle_to_json, typical_fiber
 from gkmflag.polyring import Polynomial
+from gkmflag.rootsys import RootSystem
 from gkmflag.schubert import permuted_class, schubert_table, seeded_random_class
-from oracles import express_by_cramer, spanning_by_solves
+from oracles import express_by_cramer, extend_by_edges, spanning_by_solves
 
 
 # ----------------------------------------------------------------------
@@ -204,8 +205,8 @@ def test_extend_refuses_a_non_class_on_the_typical_fiber(a2, monkeypatch):
     b = tower_bundle(a2)
     fib = typical_fiber(b)
     # silence the loop checks so only the class premise can refuse the input
-    tree, _ = invbases.base_tree(b, b.base_point())
-    monkeypatch.setattr(invbases, "base_tree", lambda b, base_point: (tree, []))
+    transports, _ = invbases.tree_transport(b, b.base_point())
+    monkeypatch.setattr(invbases, "tree_transport", lambda b, base_point: (transports, []))
     vals = [Polynomial.variable(3, 2), Polynomial.variable(3, 3).scale(-1)]
     bad = CohClass(fib.graph, vals, check=False)
     edge = fib.graph.edge_str(coh_failure(bad))
@@ -220,6 +221,45 @@ def test_extensions_are_classes(request, rs_name):
     b = tower_bundle(request.getfixturevalue(rs_name))
     for _, fc in fiber_invariant_classes(b):
         assert coh_failure(extend_invariant(b, fc)) is None
+
+
+def _refusal(extend, b, fiber_class):
+    with pytest.raises(ValueError) as err:
+        extend(b, fiber_class)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("kind,n", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
+                                    ("D", 3)])
+def test_extend_matches_the_edge_by_edge_oracle(kind, n):
+    """Every fiber invariant class extends as carrying values edge by edge
+    does; an input changed at one fiber vertex is refused with the same
+    loop named."""
+    b = tower_bundle(RootSystem(kind, n))
+    for J, fc in fiber_invariant_classes(b):
+        assert extend_invariant(b, fc) == extend_by_edges(b, fc), J
+    vals = list(fc.values)
+    vals[1] = vals[1] + Polynomial.one(b.total.varcount)
+    bad = CohClass(fc.graph, vals, check=False)
+    witness = _refusal(extend_invariant, b, bad)
+    assert witness.startswith("class is not holonomy invariant; violated by the loop through")
+    assert witness == _refusal(extend_by_edges, b, bad)
+
+
+def test_extend_matches_the_oracle_with_sigma1(a3):
+    """Sigma1 = {3}: f(u) = u g is a class on W(Sigma2)/W(Sigma1) and
+    holonomy invariant for g fixed by s_3, from every base point; g = x3
+    is refused with the same witness."""
+    b = build_bundle(a3, frozenset({3}), frozenset({2, 3}))
+    fib = typical_fiber(b)
+    x = [Polynomial.variable(4, i) for i in range(1, 5)]
+    for g in (Polynomial.one(4), x[1], x[2] + x[3], x[2] * x[3],
+              x[0] * x[1] + x[2] * x[2] + x[3] * x[3]):
+        fc = CohClass(fib.graph, [u.act_poly(g) for u in fib.reps])
+        for p in range(b.base.nvertices):
+            assert extend_invariant(b, fc, p) == extend_by_edges(b, fc, p)
+    bad = CohClass(fib.graph, [u.act_poly(x[2]) for u in fib.reps], check=False)
+    assert _refusal(extend_invariant, b, bad) == _refusal(extend_by_edges, b, bad)
 
 
 # ----------------------------------------------------------------------

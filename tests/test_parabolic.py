@@ -37,7 +37,7 @@ from gkmflag.parabolic import (
 from gkmflag.polyring import LinearForm
 from gkmflag.rootsys import RootSystem
 
-from oracles import connection_failure
+from oracles import connection_failure, coset_projection
 
 BUNDLES = [
     ("A", 2, frozenset({2})),
@@ -286,23 +286,72 @@ def test_fiber_model_isos(a3, b2):
 def test_deleted_edge_detected(a2):
     rs, b = tower("A", 2)
     mutated = copy.deepcopy(b)
-    victim = next(eid for eid in range(len(b.total.edges))
-                  if b.edge_class[eid] == "h")
+    victim = min(b.dpi)  # the first horizontal edge
     # drop the edge from its vertex's star: dpi image disappears
     src = mutated.total.edges[victim].src
     mutated.total.edges_at[src].remove(victim)
     mutated.dpi.pop(victim)
-    mutated.edge_class[victim] = "v"
     rep = verify_fibration(mutated)
-    assert not rep.ok
-    assert any("bijective" in c.name or "misclassified" in c.witness
-               for c in rep.failures()) or rep.failures()
+    failed = {c.name: c.witness for c in rep.failures()}
+    assert failed["graph-morphism"] == (
+        f"horizontal edge {b.total.edge_str(victim)} has no projection")
+    assert "dpi-bijective" in failed
+    failed = {c.name: c.witness for c in verify_fiber_bundle(mutated).failures()}
+    assert failed["transition-from-lifts"] == "edge (1,2,3 -> 2,1,3; x1 - x2) has 0 lifts at 1,2,3"
+
+
+def _drop_projection(b):
+    b.dpi.pop(min(b.dpi))
+
+
+def _drop_transition_entry(b):
+    del b.transitions[0].vmap[min(b.transitions[0].vmap)]
+
+
+@pytest.mark.parametrize("tamper,witnesses", [
+    (_drop_projection, {
+        "transition-from-lifts": "edge (1,2,3 -> 2,1,3; x1 - x2) has 0 lifts at 1,2,3",
+        "transition-connection-compatible":
+            "edge (1,2,3 -> 2,1,3; x1 - x2) has 0 lifts at 1,2,3",
+    }),
+    (_drop_transition_entry, {
+        "transition-from-lifts": "transition across (1,2,3 -> 2,1,3; x1 - x2) is not a bijection",
+        "transition-connection-compatible":
+            "transition across (1,2,3 -> 2,1,3; x1 - x2) is not a bijection",
+        "transition-gkm-iso": "transition across (1,2,3 -> 2,1,3; x1 - x2) is not a bijection",
+    }),
+], ids=["dpi-pop", "vmap-entry"])
+def test_broken_lift_data_is_reported_not_raised(tamper, witnesses):
+    """A transition check that cannot run fails with the reason."""
+    _, b = tower("A", 2)
+    mutated = copy.deepcopy(b)
+    tamper(mutated)
+    failed = {c.name: c.witness for c in verify_fiber_bundle(mutated).failures()}
+    for name, witness in witnesses.items():
+        assert failed[name] == witness
+
+
+def test_changed_fiber_labels_are_checked_as_they_stand():
+    """Verifying a bundle stores nothing on it: after a vertical edge and
+    its reverse are scaled, the transitions are checked against the
+    fibers as they now are."""
+    _, b = tower("A", 3)
+    assert verify_fiber_bundle(b).ok
+    mutated = copy.deepcopy(b)
+    eid = next(e for e in range(len(b.total.edges)) if e not in b.dpi)
+    for f in (eid, b.total.reverse[eid]):
+        old = mutated.total.edges[f]
+        mutated.total.edges[f] = Edge(old.src, old.dst, old.label.scale(2))
+    failed = {c.name: c.witness for c in verify_fiber_bundle(mutated).failures()}
+    assert failed["transition-gkm-iso"] == (
+        "transition across (1,2,3,4 -> 2,1,3,4; x1 - x2) is not an isomorphism "
+        "of labeled fibers")
 
 
 def test_label_mutation_detected(b2):
     rs, b = tower("B", 2)
     mutated = copy.deepcopy(b)
-    eid = next(e for e in range(len(b.total.edges)) if b.edge_class[e] == "h")
+    eid = min(b.dpi)  # the first horizontal edge
     old = mutated.total.edges[eid]
     mutated.total.edges[eid] = Edge(old.src, old.dst, old.label + old.label)
     rep = verify_fiber_bundle(mutated)
@@ -404,12 +453,13 @@ def test_holonomy_exhaustive_agrees(a2, b2):
 
 def test_generators_come_from_loops(a2):
     """The stored transitions (data, not Weyl elements) are the oracle;
-    A4 with Sigma2={1} has a 60-vertex base, and Sigma1 != {} gives
-    fibers on which only psi is faithful."""
+    A4 with Sigma2={1} has a 60-vertex base, Sigma1 != {} gives fibers on
+    which only psi is faithful, and B3 with Sigma2={1,2} has generators
+    that are not involutions, so h and h^-1 differ."""
     for kind, n, sigma1, sigma2 in [
         ("A", 2, (), {2}), ("A", 3, (), {2, 3}), ("B", 2, (), {1}),
         ("D", 3, (), {2, 3}), ("A", 4, (), {1}), ("A", 3, {3}, {2, 3}),
-        ("B", 3, {1}, {1, 3}),
+        ("B", 3, {1}, {1, 3}), ("B", 3, (), {1, 2}),
     ]:
         rs = RootSystem(kind, n)
         b = build_bundle(rs, frozenset(sigma1), frozenset(sigma2))
@@ -465,6 +515,23 @@ def test_holonomy_is_sigma2_action_for_every_proper_sigma2(kind, n):
                     assert group.order == len(rs.parabolic_elements(sigma2))
 
 
+@pytest.mark.parametrize("kind,n", _SMALL_TYPES)
+def test_bundle_data_matches_the_projection_oracle(kind, n):
+    """pi, dpi and the transition vertex maps of every Sigma1 within
+    Sigma2 agree with the Weyl-action formulas of ``coset_projection``."""
+    rs = RootSystem(kind, n)
+    for k in range(n + 1):
+        for sigma2 in itertools.combinations(range(1, n + 1), k):
+            for j in range(k + 1):
+                for sigma1 in itertools.combinations(sigma2, j):
+                    b = build_bundle(rs, frozenset(sigma1), frozenset(sigma2))
+                    pi, dpi, vmaps = coset_projection(rs, frozenset(sigma1),
+                                                      frozenset(sigma2))
+                    assert b.pi == pi, (sigma1, sigma2)
+                    assert b.dpi == dpi, (sigma1, sigma2)
+                    assert {e: t.vmap for e, t in b.transitions.items()} == vmaps
+
+
 def test_holonomy_refuses_a_one_vertex_base(a2):
     b = build_bundle(a2, frozenset(), a2.full_sigma())
     with pytest.raises(ValueError, match="every simple root"):
@@ -490,7 +557,6 @@ def test_make_bundle_matches_built(a2):
     are only pinned on the fiber spans, so they are checked by axiom."""
     rs, b = tower("A", 2)
     rebuilt = make_bundle(b.total, b.base, b.pi)
-    assert rebuilt.edge_class == b.edge_class
     assert rebuilt.dpi == b.dpi
     for beid in range(len(b.base.edges)):
         assert rebuilt.transitions[beid].vmap == b.transitions[beid].vmap
