@@ -310,7 +310,7 @@ def express_in_basis(b: BundleMap, classes, target: CohClass):
     if b.rs is None:
         raise ValueError("expressing over a bundle needs Weyl-group data")
     nbase = b.base.nvertices
-    fibers = [b.fiber_vertices(p) for p in range(nbase)]
+    fibers = b.fibers()
     bad = _basis_failures(
         b.rs, classes, [f"classes[{k}]" for k in range(len(classes))],
         {f"fiber over {b.base.vertices[p]}": fibers[p] for p in range(nbase)},

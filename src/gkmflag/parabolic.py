@@ -243,6 +243,13 @@ class BundleMap:
     def fiber_vertices(self, p: int):
         return [q for q in range(self.total.nvertices) if self.pi[q] == p]
 
+    def fibers(self):
+        """The total vertices over each base vertex, in increasing order."""
+        out = [[] for _ in range(self.base.nvertices)]
+        for q, p in enumerate(self.pi):
+            out[p].append(q)
+        return out
+
     def fiber_subgraph(self, p: int):
         """(subgraph, old->new vertex map, old->new edge map)."""
         return induced_subgraph(self.total, self.fiber_vertices(p))
@@ -325,12 +332,13 @@ def build_bundle(rs: RootSystem, sigma1, sigma2) -> BundleMap:
     total = build_coset_graph(rs, sigma1, full)
     base = build_coset_graph(rs, sigma2, full)
     pi = [base.vertex_of(w) for w in total.reps]
-    fibers = _fibers(pi, base.nvertices)
-    transitions = {}
-    for beid, e in enumerate(base.graph.edges):
-        refl = rs.reflection(e.label)
-        vmap = {p: total.vertex_of(refl * total.reps[p]) for p in fibers[e.src]}
-        transitions[beid] = Transition(beid, vmap, refl.matrix())
+    refls = [rs.reflection(e.label) for e in base.graph.edges]
+    vmaps = [{} for _ in refls]
+    for q, p in enumerate(pi):
+        for beid in base.graph.edges_at[p]:
+            vmaps[beid][q] = total.vertex_of(refls[beid] * total.reps[q])
+    transitions = {beid: Transition(beid, vmaps[beid], refl.matrix())
+                   for beid, refl in enumerate(refls)}
     return replace(make_bundle(total.graph, base.graph, pi, transitions),
                    total_coset=total, base_coset=base, rs=rs,
                    sigma1=sigma1, sigma2=sigma2)
@@ -505,14 +513,6 @@ def verify_fibration(b: BundleMap) -> Report:
     return rep
 
 
-def _fibers(pi, nbase: int):
-    """The total vertices over each base vertex, in increasing order."""
-    fibers = [[] for _ in range(nbase)]
-    for q, p in enumerate(pi):
-        fibers[p].append(q)
-    return fibers
-
-
 def verify_fiber_bundle(b: BundleMap) -> Report:
     """All the fiber-bundle axioms, data-driven so mutations are caught.
 
@@ -520,12 +520,13 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
     decided once per distinct label: the transition-gkm-iso shift check
     asks "Psi(lambda) - lambda in Q*alpha" once per distinct fiber label
     lambda of each base edge, in the order the labels first occur, so the
-    first witness is that of a per-edge check.  The fibers, their
-    subgraphs and the lifts of base edges are derived from the bundle
-    data once per call; nothing is stored on the bundle, whose data may
-    change after construction.  A transition check that cannot run (no
-    transition, a vertex map that is not a bijection of fibers, a base
-    edge without exactly one lift at a vertex) fails with that reason.
+    first witness is that of a per-edge check.  The fibers and their
+    subgraphs are derived from the bundle data once per call, and lifts
+    come from :meth:`BundleMap.lift_edge`; nothing is stored on the
+    bundle, whose data may change after construction.  A transition
+    check that cannot run (no transition, a vertex map that is not a
+    bijection of fibers, a base edge without exactly one lift at a
+    vertex) fails with that reason.
     """
     rep = verify_fibration(b)
     for check in verify_gkm(b.total).checks:
@@ -569,10 +570,7 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
             break
     rep.add("horizontal-connection-compatible", not bad, bad)
 
-    fibers = _fibers(b.pi, b.base.nvertices)
-    lifts = {}  # (base edge, total vertex) -> the horizontal edges there over it
-    for eid, beid in b.dpi.items():
-        lifts.setdefault((beid, b.total.edges[eid].src), []).append(eid)
+    fibers = b.fibers()
     unusable = {}  # base edge -> why its transition cannot be checked
     for beid, e in enumerate(b.base.edges):
         t = b.transitions.get(beid)
@@ -581,25 +579,20 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
         elif sorted(t.vmap) != fibers[e.src] or sorted(t.vmap.values()) != fibers[e.dst]:
             unusable[beid] = f"transition across {b.base.edge_str(beid)} is not a bijection"
 
-    def lift(beid, p):
-        """(the lift of beid at p, "") or (None, why there is no unique one)."""
-        hits = lifts.get((beid, p), [])
-        if len(hits) == 1:
-            return hits[0], ""
-        return None, (f"edge {b.base.edge_str(beid)} has {len(hits)} lifts at "
-                      f"{b.total.vertices[p]}")
-
     bad = ""
     for beid, e in enumerate(b.base.edges):
         if beid in unusable:
             bad = unusable[beid]
             break
         for p in fibers[e.src]:
-            lifted, bad = lift(beid, p)
-            if not bad and b.total.edges[lifted].dst != b.transitions[beid].vmap[p]:
+            try:
+                lifted = b.lift_edge(beid, p)
+            except ValueError as exc:
+                bad = str(exc)
+                break
+            if b.total.edges[lifted].dst != b.transitions[beid].vmap[p]:
                 bad = (f"transition across {b.base.edge_str(beid)} disagrees "
                        f"with path lifting at {b.total.vertices[p]}")
-            if bad:
                 break
         if bad:
             break
@@ -612,8 +605,10 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
             break
         vmap = b.transitions[beid].vmap
         for p in fibers[e.src]:
-            lifted, bad = lift(beid, p)
-            if bad:
+            try:
+                lifted = b.lift_edge(beid, p)
+            except ValueError as exc:
+                bad = str(exc)
                 break
             conn = b.total.connection[lifted]
             for e1 in b.total.edges_at[p]:
@@ -643,7 +638,7 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
                 if p not in subgraphs:
                     subgraphs[p] = induced_subgraph(b.total, fibers[p])
         except (KeyError, ValueError) as exc:  # check_subgraph on a broken connection
-            bad = f"fiber over {b.base.vertices[p]}: {exc}"
+            bad = f"transition across {b.base.edge_str(beid)}: {exc}"
             break
         (sub_p, vmap_p, _), (sub_q, vmap_q, _) = subgraphs[e.src], subgraphs[e.dst]
         iso = _transition_iso(b.transitions[beid], vmap_p, vmap_q)
@@ -798,10 +793,11 @@ def holonomy(b: BundleMap, base_point: int | None = None) -> HolonomyGroup:
     tree transport, r the base representative).  These loops generate the
     fundamental group of the base (Serre, *Trees*), and backtracking is
     trivial because an edge and its reverse carry the same reflection, so
-    the distinct non-identity h generate the whole holonomy group.  ``generators`` holds their left-multiplication isos
-    with the loops as base edge ids; ``matches_upsilon`` reports whether
-    the group is all of W(Sigma2).  When Sigma2 is every simple root the
-    base is one vertex without loops, so ValueError is raised.
+    the distinct non-identity h generate the whole holonomy group.
+    ``generators`` holds their left-multiplication isos with the loops as
+    base edge ids; ``matches_upsilon`` reports whether the group is all of
+    W(Sigma2).  When Sigma2 is every simple root the base is one vertex
+    without loops, so ValueError is raised.
     """
     if b.rs is None:
         raise ValueError("constructive holonomy needs Weyl-group data; "

@@ -331,6 +331,21 @@ def test_broken_lift_data_is_reported_not_raised(tamper, witnesses):
         assert failed[name] == witness
 
 
+def test_fiber_that_is_not_a_subgraph_is_reported():
+    """A fiber on which the stored connection does not restrict fails
+    transition-gkm-iso at the first base edge that touches it."""
+    _, b = tower("A", 2)
+    mutated = copy.deepcopy(b)
+    eid = next(e for e in range(len(b.total.edges)) if e not in b.dpi)
+    h = next(e for e in b.total.edges_at[b.total.edges[eid].src] if e in b.dpi)
+    conn = mutated.total.connection[eid]
+    conn[eid], conn[h] = conn[h], conn[eid]
+    failed = {c.name: c.witness for c in verify_fiber_bundle(mutated).failures()}
+    assert failed["transition-gkm-iso"] == (
+        "transition across (1,2,3 -> 2,1,3; x1 - x2): not a GKM subgraph for "
+        "the stored connection")
+
+
 def test_changed_fiber_labels_are_checked_as_they_stand():
     """Verifying a bundle stores nothing on it: after a vertical edge and
     its reverse are scaled, the transitions are checked against the
