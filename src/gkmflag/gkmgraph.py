@@ -324,13 +324,21 @@ class CohClass:
 
 
 def coh_failure(c: CohClass):
-    """The first edge violating divisibility, or None if c is a class."""
+    """The first edge violating divisibility, or None if c is a class.
+
+    Each unoriented edge is checked once, in edge order, with
+    ``Polynomial.congruent_mod``: the values at its ends are restricted
+    to the hyperplane where the label vanishes, and they must agree
+    there.  That restriction is the remainder ``divrem_linear`` would
+    leave on the difference, so the verdict and the first failing edge
+    are those of long division; labels with three or more nonzero
+    coefficients are decided by ``divrem_linear`` itself.
+    """
     g = c.graph
     for eid, e in enumerate(g.edges):
         if eid > g.reverse[eid]:
             continue  # each unoriented edge once
-        diff = c.values[e.dst] - c.values[e.src]
-        if not diff.is_multiple_of(e.label):
+        if not c.values[e.dst].congruent_mod(c.values[e.src], e.label):
             return eid
     return None
 

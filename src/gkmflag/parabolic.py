@@ -482,8 +482,31 @@ def product_bundle(base: GkmGraph, fiber: GkmGraph) -> BundleMap:
 # verification
 
 
+def _projection_fault(b: BundleMap) -> str:
+    """Why pi or dpi does not map into the graphs, or "" if they do."""
+    if len(b.pi) != b.total.nvertices:
+        return f"pi has {len(b.pi)} entries for {b.total.nvertices} total vertices"
+    for q, p in enumerate(b.pi):
+        if not 0 <= p < b.base.nvertices:
+            return f"pi sends {b.total.vertices[q]} to {p}, not a base vertex"
+    for eid, beid in b.dpi.items():
+        if not 0 <= eid < len(b.total.edges):
+            return f"dpi has key {eid}, not a total edge"
+        if not 0 <= beid < len(b.base.edges):
+            return f"dpi sends {b.total.edge_str(eid)} to {beid}, not a base edge"
+    return ""
+
+
 def verify_fibration(b: BundleMap) -> Report:
+    """graph-morphism and dpi-bijective.  When pi or dpi points outside
+    the graphs, graph-morphism fails with the first such entry and
+    dpi-bijective, which cannot run, fails with the same witness."""
     rep = Report()
+    fault = _projection_fault(b)
+    if fault:
+        rep.add("graph-morphism", False, fault)
+        rep.add("dpi-bijective", False, fault)
+        return rep
     bad = ""
     for eid, e in enumerate(b.total.edges):
         beid = b.dpi.get(eid)
@@ -513,6 +536,12 @@ def verify_fibration(b: BundleMap) -> Report:
     return rep
 
 
+# The checks of verify_fiber_bundle after those of the two graphs.
+_BUNDLE_CHECKS = ("lifted-labels", "connection-preserves-class",
+                  "horizontal-connection-compatible", "transition-from-lifts",
+                  "transition-connection-compatible", "transition-gkm-iso")
+
+
 def verify_fiber_bundle(b: BundleMap) -> Report:
     """All the fiber-bundle axioms, data-driven so mutations are caught.
 
@@ -526,13 +555,19 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
     bundle, whose data may change after construction.  A transition
     check that cannot run (no transition, a vertex map that is not a
     bijection of fibers, a base edge without exactly one lift at a
-    vertex) fails with that reason.
+    vertex) fails with that reason; if pi or dpi points outside the
+    graphs, every bundle check fails with the first such entry.
     """
     rep = verify_fibration(b)
     for check in verify_gkm(b.total).checks:
         rep.add("total-" + check.name, check.passed, check.witness)
     for check in verify_gkm(b.base).checks:
         rep.add("base-" + check.name, check.passed, check.witness)
+    fault = _projection_fault(b)
+    if fault:
+        for name in _BUNDLE_CHECKS:
+            rep.add(name, False, fault)
+        return rep
 
     bad = ""
     for eid, beid in b.dpi.items():

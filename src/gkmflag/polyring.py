@@ -17,8 +17,9 @@ same grammar with arbitrary whitespace.
 Linear forms (degree-one polynomials without constant term) get their own
 lightweight class because they are used as dictionary keys (roots, edge
 labels) and support the handful of vector operations the rest of the code
-needs: negation, scaling, proportionality tests, and division of a
-polynomial by a linear form.
+needs: negation, scaling, proportionality tests, division of a
+polynomial by a linear form, and a divisibility test that restricts the
+polynomial to the form's hyperplane instead of dividing.
 
 All values are immutable by convention: no operation mutates its inputs,
 so instances can be shared freely across threads.
@@ -404,7 +405,57 @@ class Polynomial:
         return Polynomial(self.varcount, qterms), Polynomial(self.varcount, work)
 
     def is_multiple_of(self, l: LinearForm) -> bool:
-        return self.divrem_linear(l)[1].is_zero()
+        """Whether l divides self, decided on the hyperplane l = 0.
+
+        Let p be the pivot of :meth:`divrem_linear` (the highest-index
+        variable of l) and a its coefficient.  The substitution
+        x_p -> x_p - l/a is a ring homomorphism that kills l and fixes
+        every polynomial free of x_p; applied to self == q*l + r it gives
+        exactly the remainder r.  So l divides self iff the image is zero,
+        and no division is done.  For l = a*x_p the image keeps the terms
+        without x_p; for l = a*x_p + b*x_q it sends x^e to
+        (-b/a)^{e_p} * x^{e'}, with e'_q = e_q + e_p and e'_p = 0, and sums
+        the coefficients per e'.  Forms with three or more nonzero
+        coefficients fall back to ``divrem_linear``.
+        """
+        return self.congruent_mod(Polynomial.zero(self.varcount), l)
+
+    def congruent_mod(self, other: "Polynomial", l: LinearForm) -> bool:
+        """Whether l divides self - other, as :meth:`is_multiple_of`
+        decides it, without building the difference: the terms of self
+        and the negated terms of other go into one restriction."""
+        self._check_compatible(other)
+        if l.varcount != self.varcount:
+            raise ValueError("varcount mismatch")
+        support = [i for i, c in enumerate(l.coeffs) if c != 0]
+        if not support:
+            raise ZeroDivisionError("division by zero linear form")
+        if len(support) > 2:
+            return (self - other).divrem_linear(l)[1].is_zero()
+        p = support[-1]
+        if len(support) == 1:
+            return ({e: c for e, c in self.terms.items() if not e[p]}
+                    == {e: c for e, c in other.terms.items() if not e[p]})
+        q = support[0]
+        a, b = l.coeffs[p], l.coeffs[q]
+        # x_p -> ratio*x_q.  For the roots x_q -+ x_p the ratio is +-1, kept an
+        # int so that their terms are negated or kept, never multiplied.
+        ratio = 1 if b == -a else -1 if b == a else -b / a
+        acc: dict = {}
+        for terms, sign in ((self.terms, 1), (other.terms, -1)):
+            for e, c in terms.items():
+                w = sign
+                k = e[p]
+                if k:
+                    e = e[:q] + (e[q] + k,) + e[q + 1:p] + (0,) + e[p + 1:]
+                    w = sign * ratio ** k
+                if w == -1:
+                    c = -c
+                elif w != 1:
+                    c = c * w
+                old = acc.get(e)
+                acc[e] = c if old is None else old + c
+        return not any(acc.values())
 
     def divmod_poly(self, g: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Single-divisor division with remainder in graded-lex order.

@@ -15,9 +15,11 @@ once per distinct label, the Chevalley oracle checks a Schubert
 table by the equivariant Chevalley formula, with tau_{s_i} in closed
 form, instead of by nilCoxeter products or the class condition, the
 projection oracle maps the edges of a coset bundle by the Weyl action
-instead of by matching endpoints, and the extension oracle carries
+instead of by matching endpoints, the extension oracle carries
 values across the base edge by edge instead of testing holonomy
-elements.
+elements, and the division oracle decides the class condition by long
+division of each edge difference instead of by restriction to the
+label's hyperplane.
 """
 
 from fractions import Fraction
@@ -59,6 +61,18 @@ def connection_failure(g):
             if (g.edges[e1].src != e.src or image.src != e.dst
                     or image.label != reflect_form(e.label, g.edges[e1].label)):
                 return eid, e1
+    return None
+
+
+def coh_failure_by_division(c):
+    """The first unoriented edge whose end values differ by a
+    non-multiple of its label, found with ``divrem_linear``."""
+    g = c.graph
+    for eid, e in enumerate(g.edges):
+        if eid > g.reverse[eid]:
+            continue
+        if not (c.values[e.dst] - c.values[e.src]).divrem_linear(e.label)[1].is_zero():
+            return eid
     return None
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from gkmflag.gkmgraph import (
     CohClass,
+    Edge,
+    GkmGraph,
     GkmIso,
     check_subgraph,
     class_from_json,
@@ -26,12 +28,13 @@ from gkmflag.gkmgraph import (
     verify_gkm,
     verify_iso,
 )
+from gkmflag.invbases import basis_family
 from gkmflag.linalg import identity_matrix
 from gkmflag.parabolic import build_coset_graph
 from gkmflag.polyring import LinearForm, Polynomial
 from gkmflag.rootsys import RootSystem
 
-from oracles import gkm_report_by_edges
+from oracles import coh_failure_by_division, gkm_report_by_edges
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +177,52 @@ def test_broken_class_witness(s3_graph):
     assert bad is not None
     e = g.edges[bad]
     assert {g.vertices[e.src], g.vertices[e.dst]} == {"1,2,3", "2,1,3"}
+
+
+def _tampered_at_one_edge(c):
+    """c plus, at vertex 0, the product of the labels of all its edges
+    but the last: still divisible along every edge at 0 except that one.
+    Returns the tampered class and that edge as coh_failure reports it."""
+    g = c.graph
+    *others, last = g.edges_at[0]
+    bump = Polynomial.one(g.varcount)
+    for eid in others:
+        bump = bump * g.edges[eid].label.to_polynomial()
+    values = list(c.values)
+    values[0] = values[0] + bump
+    return CohClass(g, values), min(last, g.reverse[last])
+
+
+@pytest.mark.parametrize("kind,n", [("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                                    ("C", 2), ("C", 3), ("D", 3)])
+def test_restriction_verdicts_match_long_division_on_flag_graphs(kind, n):
+    """On every unoriented edge, for every basis_family class and one
+    tampered class, congruent_mod and is_multiple_of agree with the
+    remainder of divrem_linear, and coh_failure with its oracle."""
+    classes = basis_family(RootSystem(kind, n)).classes
+    tampered, bad_edge = _tampered_at_one_edge(classes[-1])
+    g = tampered.graph
+    for c in classes + [tampered]:
+        for eid, e in enumerate(g.edges):
+            if eid > g.reverse[eid]:
+                continue
+            hi, lo = c.values[e.dst], c.values[e.src]
+            divisible = (hi - lo).divrem_linear(e.label)[1].is_zero()
+            assert hi.congruent_mod(lo, e.label) == divisible
+            assert (hi - lo).is_multiple_of(e.label) == divisible
+        assert coh_failure(c) == coh_failure_by_division(c)
+    assert coh_failure(tampered) == bad_edge
+
+
+def test_coh_failure_with_three_term_labels():
+    """Labels with three nonzero coefficients are decided by division."""
+    l = LinearForm([2, -1, 3])
+    g = GkmGraph(3, ["a", "b"], [Edge(0, 1, l), Edge(1, 0, -l)], [1, 0], [{0: 1}, {1: 0}])
+    x1 = Polynomial.variable(3, 1)
+    good = CohClass(g, [x1, x1 + x1 * l.to_polynomial()])
+    bad = CohClass(g, [x1, x1 * x1])
+    assert coh_failure(good) is None and coh_failure_by_division(good) is None
+    assert coh_failure(bad) == 0 == coh_failure_by_division(bad)
 
 
 def test_class_ring(s3_graph):

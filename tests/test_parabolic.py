@@ -300,6 +300,30 @@ def test_deleted_edge_detected(a2):
     assert failed["transition-from-lifts"] == "edge (1,2,3 -> 2,1,3; x1 - x2) has 0 lifts at 1,2,3"
 
 
+def _dpi_off_the_base(b):
+    b.dpi[min(b.dpi)] = 999
+
+
+def _pi_off_the_base(b):
+    b.pi[0] = 99
+
+
+@pytest.mark.parametrize("tamper,witness", [
+    (_dpi_off_the_base, "dpi sends (1,2,3 -> 2,1,3; x1 - x2) to 999, not a base edge"),
+    (_pi_off_the_base, "pi sends 1,2,3 to 99, not a base vertex"),
+], ids=["dpi-999", "pi-99"])
+def test_projection_outside_the_base_is_reported_not_raised(tamper, witness):
+    _, b = tower("A", 2)
+    mutated = copy.deepcopy(b)
+    tamper(mutated)
+    rep = verify_fibration(mutated)
+    assert [(c.name, c.passed, c.witness) for c in rep.checks] == [
+        ("graph-morphism", False, witness), ("dpi-bijective", False, witness)]
+    failed = {c.name: c.witness for c in verify_fiber_bundle(mutated).failures()}
+    assert failed["graph-morphism"] == witness
+    assert failed["transition-gkm-iso"] == witness
+
+
 def _drop_projection(b):
     b.dpi.pop(min(b.dpi))
 
@@ -565,6 +589,24 @@ def test_trivial_product_bundle():
     assert verify_fiber_bundle(b).ok
     group = holonomy_exhaustive(b, 0)
     assert group.order == 1
+
+
+def test_make_bundle_matches_parallel_base_edges_by_label():
+    """A base with two edges a -> b labeled x1 and x2: each horizontal
+    edge projects onto the base edge with its own label."""
+    x1, x2, x3 = (LinearForm([int(i == j) for j in range(3)]) for i in range(3))
+    base = GkmGraph(3, ["a", "b"],
+                    [Edge(0, 1, x1), Edge(0, 1, x2), Edge(1, 0, -x1), Edge(1, 0, -x2)],
+                    [2, 3, 0, 1],
+                    [{0: 2, 1: 3}, {1: 3, 0: 2}, {2: 0, 3: 1}, {3: 1, 2: 0}])
+    fiber = GkmGraph(3, ["u", "v"], [Edge(0, 1, x3), Edge(1, 0, -x3)],
+                     [1, 0], [{0: 1}, {1: 0}])
+    product = product_bundle(base, fiber)
+    b = make_bundle(product.total, base, product.pi)
+    assert len(b.dpi) == 8
+    for eid, beid in b.dpi.items():
+        e, be = b.total.edges[eid], base.edges[beid]
+        assert (be.src, be.dst, be.label) == (b.pi[e.src], b.pi[e.dst], e.label)
 
 
 def test_make_bundle_matches_built(a2):

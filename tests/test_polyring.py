@@ -69,6 +69,38 @@ def test_divrem_zero_form():
         X1.divrem_linear(lf(0, 0, 0))
 
 
+def test_is_multiple_of_examples():
+    l = lf(2, 0, -3)
+    f = (X1 + X2 ** 2) * l.to_polynomial()
+    assert f.is_multiple_of(l)
+    assert not (f + X2).is_multiple_of(l)
+    assert (X3 ** 2 * X1).is_multiple_of(lf(0, 0, 5))
+    assert not (X1 ** 2 + X3).is_multiple_of(lf(0, 0, 5))
+    three = lf(1, 1, 1)
+    assert (X1 * three.to_polynomial()).is_multiple_of(three)
+    assert not (X1 ** 2).is_multiple_of(three)
+    assert Polynomial.zero(3).is_multiple_of(three)
+
+
+def test_congruent_mod_examples():
+    l = lf(1, 0, -1)
+    assert (X1 ** 2).congruent_mod(X3 ** 2, l)
+    assert not (X1 ** 2).congruent_mod(X3 ** 2 + X2, l)
+    assert (X1 * X2).congruent_mod(X2 * X3, l)
+    assert (X1 + X2).congruent_mod(X2, lf(4, 0, 0))
+
+
+def test_divisibility_errors():
+    with pytest.raises(ZeroDivisionError):
+        X1.is_multiple_of(lf(0, 0, 0))
+    with pytest.raises(ZeroDivisionError):
+        X1.congruent_mod(X2, lf(0, 0, 0))
+    with pytest.raises(ValueError, match="varcount"):
+        X1.is_multiple_of(lf(1, 0))
+    with pytest.raises(ValueError, match="varcount"):
+        X1.congruent_mod(Polynomial.variable(2, 1), lf(1, 0, 0))
+
+
 def test_monomial_rejects_negative_exponent():
     assert Polynomial.monomial(3, (2, 0, 1)) == X1 ** 2 * X3
     with pytest.raises(ValueError, match="non-negative"):
@@ -184,6 +216,28 @@ def test_divisibility_is_substitution_independent(f, l):
             sol[p] = Fraction(0)
             images.append(LinearForm(sol))
     assert r.is_zero() == f.substitute_linear(images).is_zero()
+
+
+@st.composite
+def sparse_forms(draw):
+    """Forms with one, two or three nonzero coefficients, such as
+    2*x1 - 3*x3, so ratios other than +-1 occur."""
+    size = draw(st.integers(1, 3))
+    support = draw(st.permutations([0, 1, 2]))[:size]
+    return LinearForm([draw(coeffs) if i in support else 0 for i in range(3)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys(), sparse_forms(), exponents, coeffs)
+def test_restriction_decides_divisibility_as_long_division(f, l, e, c):
+    multiple = f * l.to_polynomial()
+    mono = Polynomial.monomial(3, e, c)
+    assert multiple.is_multiple_of(l)
+    assert (multiple + mono).congruent_mod(mono, l)
+    for g in (f, multiple + mono):
+        assert g.is_multiple_of(l) == g.divrem_linear(l)[1].is_zero()
+    assert multiple.congruent_mod(mono, l) == (multiple - mono).divrem_linear(l)[1].is_zero()
+    assert f.congruent_mod(mono, l) == (f - mono).divrem_linear(l)[1].is_zero()
 
 
 @settings(max_examples=40, deadline=None)
