@@ -9,7 +9,9 @@ Exit codes: 0 when every check passes, 1 when a check fails (the
 offending witness is printed), 2 for usage errors.  Every verb accepts
 --seed, but only ``express`` uses it: its random target class is drawn
 through Python's Mersenne Twister (``random.Random``), so reports are
-byte-identical for a fixed seed.  Every check is deterministic.
+byte-identical for a fixed seed.  Every check is deterministic.  Only
+the verbs that read Sigma1/Sigma2 (build, verify, bundle, holonomy,
+export) accept --sigma1/--sigma2; the others reject them as usage errors.
 """
 
 from __future__ import annotations
@@ -239,13 +241,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, out=True):
+    def common(p, out=True, sigmas=True):
         p.add_argument("--type", choices=list("ABCD"), help="root system type")
         p.add_argument("--rank", type=int, help="root system rank")
-        p.add_argument("--sigma1", type=_parse_sigma, default=frozenset(),
-                       help="comma-separated simple-root indices")
-        p.add_argument("--sigma2", type=_parse_sigma, default=frozenset(),
-                       help="comma-separated simple-root indices")
+        if sigmas:
+            p.add_argument("--sigma1", type=_parse_sigma, default=frozenset(),
+                           help="comma-separated simple-root indices")
+            p.add_argument("--sigma2", type=_parse_sigma, default=frozenset(),
+                           help="comma-separated simple-root indices")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-group-order", type=int, default=DEFAULT_GROUP_CAP)
         if out:
@@ -262,11 +265,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("schubert", help="emit the Schubert class table (TSV)")
-    common(p)
+    common(p, sigmas=False)
     p.set_defaults(func=cmd_schubert)
 
     p = sub.add_parser("table", help="emit the invariant class table (TSV)")
-    common(p)
+    common(p, sigmas=False)
     p.add_argument("--basis", action="store_true",
                    help="columns are the invariant basis family (default)")
     p.set_defaults(func=cmd_table)
@@ -284,12 +287,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_holonomy)
 
     p = sub.add_parser("basis", help="verify the invariant basis family")
-    common(p)
+    common(p, sigmas=False)
     p.add_argument("--max-degree", type=int, default=4)
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("express", help="decompose a random class over the bundle")
-    common(p, out=False)
+    common(p, out=False, sigmas=False)
     p.add_argument("--degree", type=int, default=4)
     p.set_defaults(func=cmd_express)
 

@@ -16,9 +16,15 @@ its machine text is comma-separated, e.g. "-2,1".
 
 The group-theoretic layer (lengths, reduced words, Bruhat and weak
 orders, parabolic subgroups W(Sigma) and root subsets <Sigma>) is
-computed combinatorially and cached on the RootSystem instance.  The
-root data never changes after construction; the only state that grows is
-the set of caches declared in ``RootSystem.__init__``, including
+computed combinatorially and cached on the RootSystem instance.  A
+reflection is read off its root's support as a sign change or a signed
+transposition; <Sigma> is read off W(Sigma) as the positive roots whose
+reflections lie in it; the Weyl action relabels coordinates and
+monomials.  The module solves no linear system and does not use
+``linalg``.
+
+The root data never changes after construction; the only state that
+grows is the set of caches declared in ``RootSystem.__init__``, including
 ``coset_graph_cache`` (filled by ``parabolic.build_coset_graph``) and
 ``schubert_table_cache`` (set by ``schubert.schubert_table``).
 """
@@ -30,7 +36,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .polyring import LinearForm, Polynomial
 
 __all__ = ["WeylElement", "RootSystem", "RootSubset", "group_closure", "weyl_group_order"]
@@ -105,32 +110,29 @@ class WeylElement:
         )
 
     def act_linear(self, form: LinearForm) -> LinearForm:
+        """Relabel: the coefficient c_k of x_k moves to x_{u(k)} as eps_k*c_k."""
         if form.varcount != self.size:
             raise ValueError("varcount mismatch")
-        out = [Fraction(0)] * self.size
+        out = [0] * self.size
         for k, c in enumerate(form.coeffs):
-            if c != 0:
-                out[self.perm[k] - 1] += c * self.signs[k]
+            out[self.perm[k] - 1] = c if self.signs[k] > 0 else -c
         return LinearForm(out)
 
     def act_poly(self, f: Polynomial) -> Polynomial:
+        """Relabel each term: x^e goes to the monomial with exponent e_k on
+        x_{u(k)}, negated when the exponents on the negated coordinates sum
+        to an odd number.  Distinct terms go to distinct terms, so nothing
+        cancels."""
         if f.varcount != self.size:
             raise ValueError("varcount mismatch")
+        src = [0] * self.size  # src[j] = u^-1(j+1) - 1
+        for k, j in enumerate(self.perm):
+            src[j - 1] = k
+        neg = [k for k, s in enumerate(self.signs) if s < 0]
         terms = {}
         for e, c in f.terms.items():
-            out = [0] * self.size
-            sign = 1
-            for k, exp in enumerate(e):
-                if exp:
-                    out[self.perm[k] - 1] = exp
-                    if self.signs[k] < 0 and exp % 2:
-                        sign = -sign
-            key = tuple(out)
-            v = terms.get(key, Fraction(0)) + sign * c
-            if v == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = v
+            odd = sum([e[k] for k in neg]) % 2
+            terms[tuple([e[k] for k in src])] = -c if odd else c
         return Polynomial(f.varcount, terms)
 
     def matrix(self):
@@ -212,12 +214,10 @@ class RootSystem:
         self.simple_roots = tuple(self._make_simples())
         self.positive_roots = tuple(self._make_positives())
         self._pos_set = set(self.positive_roots)
-        self._root_coords = self._expand_in_simples()
         self._refl_cache: dict = {}
         self._len_cache: dict = {}
         self._word_cache: dict = {}
         self._bruhat_cache: dict = {}
-        self._elements = None
         self._parabolic_cache: dict = {}
         self.coset_graph_cache: dict = {}
         self.schubert_table_cache = None
@@ -262,18 +262,6 @@ class RootSystem:
                 out.append(self._form([(i, 1), (j, 1)]))
         return out
 
-    def _expand_in_simples(self):
-        """Simple-root coordinates of each positive root, by one left inverse."""
-        simples = tuple(zip(*(alpha.coeffs for alpha in self.simple_roots)))
-        left = linalg.left_inverse_fraction(simples)
-        coords = {}
-        for beta in self.positive_roots:
-            c = linalg.mat_vec(left, beta.coeffs)
-            if linalg.mat_vec(simples, c) != beta.coeffs:
-                raise AssertionError("positive root outside simple-root span")
-            coords[beta] = c
-        return coords
-
     # ------------------------------------------------------------------
     # roots and reflections
 
@@ -288,26 +276,26 @@ class RootSystem:
         raise ValueError(f"not a root: {form}")
 
     def reflection(self, beta: LinearForm) -> WeylElement:
-        """The reflection s_beta for a root beta (either sign accepted)."""
+        """The reflection s_beta for a root beta (either sign accepted).
+
+        s_beta(x) = x - 2 (x, beta) / (beta, beta) beta, read off the
+        root's support.  A classical root is c*x_i, and then s_beta negates
+        x_i, or b_i*x_i + b_j*x_j with b_i, b_j = +-1, and then s_beta is
+        the signed transposition x_i -> -b_i b_j x_j, x_j -> -b_i b_j x_i.
+        """
         root = self.positive_part(beta)
         if root in self._refl_cache:
             return self._refl_cache[root]
-        bb = root.dot(root)
-        perm = [0] * self.varcount
+        perm = list(range(1, self.varcount + 1))
         signs = [1] * self.varcount
-        for k in range(self.varcount):
-            # image of x_{k+1} under s_root
-            img = [Fraction(0)] * self.varcount
-            img[k] = Fraction(1)
-            factor = 2 * root.coeffs[k] / bb
-            for j in range(self.varcount):
-                img[j] -= factor * root.coeffs[j]
-            nz = [(j, c) for j, c in enumerate(img) if c != 0]
-            if len(nz) != 1 or abs(nz[0][1]) != 1:
-                raise AssertionError("reflection is not a signed permutation")
-            j, c = nz[0]
-            perm[k] = j + 1
-            signs[k] = 1 if c > 0 else -1
+        support = [k for k, c in enumerate(root.coeffs) if c != 0]
+        if len(support) == 1:
+            signs[support[0]] = -1
+        else:
+            i, j = support
+            perm[i], perm[j] = j + 1, i + 1
+            if root.coeffs[i] == root.coeffs[j]:
+                signs[i] = signs[j] = -1
         w = WeylElement(perm, signs)
         self._refl_cache[root] = w
         return w
@@ -410,17 +398,11 @@ class RootSystem:
 
     def elements(self, cap: int = DEFAULT_GROUP_CAP):
         """The whole Weyl group in canonical (length, one-line) order."""
-        if self._elements is not None:
-            return self._elements
         if self.group_order() > cap:
             raise ValueError(
                 f"group order {self.group_order()} exceeds enumeration cap {cap}"
             )
-        gens = [self.simple_reflection(i) for i in range(1, self.rank + 1)]
-        elems = group_closure([self.identity()], gens, operator.mul)
-        elems.sort(key=self.sort_key)
-        self._elements = elems
-        return elems
+        return self.parabolic_elements(self.full_sigma(), cap)
 
     def longest_element(self) -> WeylElement:
         return max(self.elements(), key=self.length)
@@ -429,14 +411,24 @@ class RootSystem:
     # parabolic data
 
     def closure(self, sigma) -> RootSubset:
-        """<Sigma>: positive roots supported on the simple roots in Sigma."""
+        """<Sigma>: the positive roots beta with s_beta in W(Sigma), in the
+        order of ``positive_roots``.
+
+        These are the positive roots in the span of Sigma, that is, those
+        supported on the simple roots in Sigma (Humphreys, Reflection
+        Groups and Coxeter Groups, 1990, section 1.10).  If beta lies in the
+        span, it is a root of the subsystem with simple system Sigma, whose
+        Weyl group is W(Sigma), so s_beta is in W(Sigma).  Conversely every
+        s_alpha with alpha in Sigma fixes span(Sigma)^perp pointwise, hence
+        so does W(Sigma); if s_beta does, then span(Sigma)^perp lies in
+        beta^perp and beta lies in span(Sigma).
+        """
         sigma = frozenset(sigma)
         if not sigma <= set(range(1, self.rank + 1)):
             raise ValueError("Sigma must be a set of simple-root indices")
+        group = set(self.parabolic_elements(sigma))
         roots = tuple(
-            beta for beta in self.positive_roots
-            if all(c == 0 or (j + 1) in sigma
-                   for j, c in enumerate(self._root_coords[beta]))
+            beta for beta in self.positive_roots if self.reflection(beta) in group
         )
         return RootSubset(sigma, roots)
 

@@ -10,6 +10,8 @@ bundle expander solves each fiber by Cramer's rule instead, the
 form expander rewrites a polynomial in given linear forms by dense
 elimination, the connection oracle reflects edge labels by the
 textbook formula instead of acting by Weyl group elements, the
+closure oracle finds <Sigma> from the simple-root coordinates of each
+root instead of from the parabolic subgroup W(Sigma), the
 axiom oracle decides every label axiom afresh on every edge instead of
 once per distinct label, the Chevalley oracle checks a Schubert
 table by the equivariant Chevalley formula, with tau_{s_i} in closed
@@ -46,6 +48,21 @@ def naive_product(terms_a, terms_b, varcount):
 def reflect_form(alpha: LinearForm, form: LinearForm) -> LinearForm:
     """s_alpha(form) = form - 2 (form, alpha) / (alpha, alpha) * alpha."""
     return form - alpha.scale(2 * form.dot(alpha) / alpha.dot(alpha))
+
+
+def closure_by_coordinates(rs, sigma):
+    """<Sigma> as the positive roots whose simple-root coordinates vanish
+    off Sigma, each root solved against the simple roots by elimination."""
+    simples = [list(row) for row in zip(*(alpha.coeffs for alpha in rs.simple_roots))]
+    sigma = set(sigma)
+    out = []
+    for beta in rs.positive_roots:
+        coords = linalg.solve_fraction(simples, list(beta.coeffs))
+        if coords is None:
+            raise ValueError(f"{beta} is outside the span of the simple roots")
+        if all(c == 0 or j + 1 in sigma for j, c in enumerate(coords)):
+            out.append(beta)
+    return tuple(out)
 
 
 def connection_failure(g):

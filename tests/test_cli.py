@@ -269,7 +269,7 @@ def test_group_order_cap_is_checked_before_the_root_system(capsys, monkeypatch):
     def refuse(self):
         raise RuntimeError("root system built for a refused group")
 
-    monkeypatch.setattr(RootSystem, "_expand_in_simples", refuse)
+    monkeypatch.setattr(RootSystem, "_make_positives", refuse)
     for verb in ("verify", "basis"):
         code, _, err = run(capsys, verb, "--type", "A", "--rank", "200")
         assert code == 2
@@ -278,6 +278,18 @@ def test_group_order_cap_is_checked_before_the_root_system(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--type", "D", "--rank", "2")
     assert code == 2
     assert err == "error: type D needs rank >= 3\n"
+
+
+@pytest.mark.parametrize("flag", ["--sigma1", "--sigma2"])
+@pytest.mark.parametrize("verb", ["schubert", "table", "basis", "express"])
+def test_verbs_without_sigmas_refuse_sigma_flags(capsys, verb, flag):
+    """Only the verbs that read Sigma1/Sigma2 accept them; the rest exit 2
+    instead of ignoring the flag."""
+    code, out, err = run(capsys, verb, "--type", "A", "--rank", "2", flag, "1")
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag} 1" in err
+    assert "Traceback" not in err
 
 
 def test_holonomy_one_vertex_base_is_usage_error(capsys):

@@ -571,6 +571,50 @@ def test_bundle_data_matches_the_projection_oracle(kind, n):
                     assert {e: t.vmap for e, t in b.transitions.items()} == vmaps
 
 
+def _negative_label_counts(g, xi):
+    """Coefficients of sum over vertices v of t^k, k = #labels at v negative at xi."""
+    counts = [0] * (max(len(at) for at in g.edges_at) + 1)
+    for at in g.edges_at:
+        counts[sum(1 for eid in at if g.edges[eid].label.dot(xi) < 0)] += 1
+    return counts
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@pytest.mark.parametrize("kind,n", [("A", 1)] + _SMALL_TYPES)
+def test_betti_numbers_from_negative_labels(kind, n):
+    """For xi = (m, m-1, ..., 1), positive on every positive root, b_2k of
+    W(Sigma2)/W(Sigma1) is the number of vertices with exactly k labels
+    negative at xi (Guillemin and Zara, Duke Math. J. 107, 2001).  These
+    counts are sum over the minimal representatives w of t^l(w), and the
+    Poincare polynomials multiply along W/W(Sigma1) -> W/W(Sigma2)."""
+    rs = RootSystem(kind, n)
+    xi = LinearForm(range(rs.varcount, 0, -1))
+    assert all(beta.dot(xi) > 0 for beta in rs.positive_roots)
+    subsets = [frozenset(s) for k in range(n + 1)
+               for s in itertools.combinations(range(1, n + 1), k)]
+    poincare = {}
+    for sigma2 in subsets:
+        for sigma1 in (s for s in subsets if s <= sigma2):
+            cg = build_coset_graph(rs, sigma1, sigma2)
+            counts = _negative_label_counts(cg.graph, xi)
+            by_length = [0] * len(counts)
+            for w in cg.reps:
+                by_length[rs.length(w)] += 1
+            assert counts == by_length, (sigma1, sigma2)
+            poincare[sigma1, sigma2] = counts
+    full = rs.full_sigma()
+    for (sigma1, sigma2), fiber in poincare.items():
+        assert poincare[sigma1, full] == _times(poincare[sigma2, full], fiber), (
+            sigma1, sigma2)
+
+
 def test_holonomy_refuses_a_one_vertex_base(a2):
     b = build_bundle(a2, frozenset(), a2.full_sigma())
     with pytest.raises(ValueError, match="every simple root"):

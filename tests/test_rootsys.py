@@ -1,11 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from gkmflag.polyring import LinearForm
+from gkmflag.polyring import LinearForm, Polynomial
 from gkmflag.rootsys import RootSystem, WeylElement
 
-from oracles import bruhat_by_subwords
+from oracles import bruhat_by_subwords, closure_by_coordinates, reflect_form
+
+CLASSICAL = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4),
+]
 
 
 def lf(*coeffs):
@@ -66,6 +72,20 @@ def test_reflection_examples(a2, b2, d3):
     assert s.perm == (3, 2, 1) and s.signs == (-1, 1, -1)
 
 
+@pytest.mark.parametrize("kind,n", CLASSICAL)
+def test_reflection_matches_the_textbook_formula(kind, n):
+    """s_beta x_k = x_k - 2 (x_k, beta) / (beta, beta) beta, and s_beta^2 = e."""
+    rs = RootSystem(kind, n)
+    m = rs.varcount
+    for beta in rs.positive_roots:
+        s = rs.reflection(beta)
+        for k in range(m):
+            x = lf(*(int(j == k) for j in range(m)))
+            assert s.act_linear(x) == reflect_form(beta, x), (beta, k)
+        assert s * s == rs.identity()
+        assert rs.reflection(-beta) == s
+
+
 def test_reflection_rejects_non_roots(a2):
     with pytest.raises(ValueError):
         a2.reflection(lf(1, 1, 0))
@@ -78,6 +98,21 @@ def test_act_examples(a2, b2):
     assert u231.act_linear(lf(1, -1, 0)) == lf(0, 1, -1)
     w = WeylElement((2, 1), (-1, 1))  # one-line -2,1
     assert w.act_linear(lf(1, 0)) == lf(0, -1)
+
+
+@pytest.mark.parametrize("kind,n", [("A", 3), ("B", 3), ("C", 3), ("D", 3)])
+def test_act_poly_is_substitution_of_the_linear_action(kind, n):
+    """w acts on polynomials as the ring map x_k -> w x_k."""
+    rs = RootSystem(kind, n)
+    m = rs.varcount
+    rng = random.Random(13)
+    f = Polynomial(m, {
+        tuple(rng.randrange(4) for _ in range(m)): Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+        for _ in range(8)
+    })
+    xs = [lf(*(int(j == k) for j in range(m))) for k in range(m)]
+    for w in rs.elements():
+        assert w.act_poly(f) == f.substitute_linear([w.act_linear(x) for x in xs]), w
 
 
 def test_one_line_forms():
@@ -204,21 +239,22 @@ def test_closure_full(b3):
     assert set(b3.closure(b3.full_sigma()).roots) == set(b3.positive_roots)
 
 
-@pytest.mark.parametrize("kind,n", [
-    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
-    ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4),
-])
+@pytest.mark.parametrize("kind,n", CLASSICAL)
 def test_closure_is_the_roots_reflecting_in_the_parabolic_subgroup(kind, n):
-    """<Sigma> = {beta in Phi+ : s_beta in W(Sigma)} for every Sigma."""
+    """<Sigma> = {beta in Phi+ : s_beta in W(Sigma)} for every Sigma: the
+    roots reflecting in W(Sigma) are exactly those supported on Sigma in
+    simple-root coordinates, in the order of the positive roots."""
     import itertools
 
     rs = RootSystem(kind, n)
     for r in range(n + 1):
         for sigma in itertools.combinations(range(1, n + 1), r):
             group = set(rs.parabolic_elements(sigma))
-            assert set(rs.closure(sigma).roots) == {
+            reflecting = tuple(
                 beta for beta in rs.positive_roots if rs.reflection(beta) in group
-            }, (kind, n, sigma)
+            )
+            assert rs.closure(sigma).roots == reflecting, (kind, n, sigma)
+            assert reflecting == closure_by_coordinates(rs, sigma), (kind, n, sigma)
 
 
 def test_parabolic_group_sizes(a3):
