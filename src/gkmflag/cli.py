@@ -270,8 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="emit the invariant class table (TSV)")
     common(p, sigmas=False)
-    p.add_argument("--basis", action="store_true",
-                   help="columns are the invariant basis family (default)")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("bundle", help="build/verify a coset fiber bundle")

@@ -18,10 +18,12 @@ ends of each edge agree modulo the edge label.  Classes form a ring, and
 pullback along an isomorphism sends classes to classes, so ring
 operations and :func:`pullback_class` never re-check their output.  The
 class condition is checked only where values come from outside the
-ring: construction with ``check=True``, :func:`class_from_json`, the
-members given to ``invbases.verify_basis``, the input of
-``invbases.extend_invariant`` (its output is a class by construction)
-and the coefficients solved for by ``invbases.express_in_basis``.
+ring: :func:`class_from_json`, the members given to
+``invbases.verify_basis``, the input of ``invbases.extend_invariant``
+(its output is a class by construction) and the coefficients solved for
+by ``invbases.express_in_basis``.  Classes built from an invariant
+polynomial, such as ``invbases.base_tau``, are classes by proof and are
+not checked either.
 
 Isomorphisms are pairs (Phi, Psi): a vertex bijection plus a linear map
 intertwining the labels.  Psi is stored as a matrix with one row per
@@ -259,7 +261,7 @@ class CohClass:
 
     __slots__ = ("graph", "values")
 
-    def __init__(self, graph: GkmGraph, values: Sequence[Polynomial], check: bool = False):
+    def __init__(self, graph: GkmGraph, values: Sequence[Polynomial]):
         if len(values) != graph.nvertices:
             raise ValueError("need one value per vertex")
         for v in values:
@@ -267,10 +269,6 @@ class CohClass:
                 raise ValueError("value varcount does not match graph")
         self.graph = graph
         self.values = tuple(values)
-        if check:
-            bad = coh_failure(self)
-            if bad is not None:
-                raise ValueError(f"not a cohomology class; fails at {graph.edge_str(bad)}")
 
     @classmethod
     def constant(cls, graph: GkmGraph, c) -> "CohClass":
@@ -650,7 +648,11 @@ def class_from_json(data: dict, g: GkmGraph) -> CohClass:
         if not isinstance(values.get(name), str):
             raise ValueError(f"no polynomial value for vertex {name}")
         vals.append(parse_polynomial(values[name], g.varcount))
-    return CohClass(g, vals, check=True)
+    c = CohClass(g, vals)
+    bad = coh_failure(c)
+    if bad is not None:
+        raise ValueError(f"not a cohomology class; fails at {g.edge_str(bad)}")
+    return c
 
 
 def graph_to_dot(g: GkmGraph, name: str = "gkm") -> str:

@@ -145,16 +145,29 @@ def tower_bundle(rs: RootSystem) -> BundleMap:
 
 
 def base_tau(b: BundleMap) -> CohClass:
-    """tau([w]) = w . x1, the degree-one class on the base quotient."""
+    """tau([w]) = w . x1, the degree-one class on the base quotient.
+
+    x1 is fixed by W(Delta - {1}), so the value does not depend on the
+    choice of coset representative.  tau is a class: across the edge
+    ([w], [w s_beta]) labeled w beta the two values differ by
+    w . (x1 - s_beta x1), and beta divides x1 - s_beta x1, so w beta
+    divides the difference.
+    """
     if b.base_coset is None:
         raise ValueError("base classes need a coset base")
     x1 = Polynomial.variable(b.total.varcount, 1)
     vals = [w.act_poly(x1) for w in b.base_coset.reps]
-    return CohClass(b.base, vals, check=True)
+    return CohClass(b.base, vals)
 
 
 def base_eta(b: BundleMap) -> CohClass:
-    """The extra type-D base class: the coordinate product divided by tau."""
+    """The extra type-D base class: the coordinate product divided by tau.
+
+    eta([w]) = w . (x2 ... xn).  In type D, W(Delta - {1}) permutes x2..xn
+    and changes an even number of their signs, so it fixes x2 ... xn and
+    the value does not depend on the representative; eta is a class by
+    the argument given for :func:`base_tau`.
+    """
     rs = b.rs
     if rs is None or rs.kind != "D":
         raise ValueError("eta exists only in type D")
@@ -162,7 +175,7 @@ def base_eta(b: BundleMap) -> CohClass:
     for i in range(2, rs.varcount + 1):
         rest = rest * Polynomial.variable(rs.varcount, i)
     vals = [w.act_poly(rest) for w in b.base_coset.reps]
-    return CohClass(b.base, vals, check=True)
+    return CohClass(b.base, vals)
 
 
 def base_power_classes(b: BundleMap):

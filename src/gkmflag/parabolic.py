@@ -78,6 +78,11 @@ __all__ = [
     "lift_class",
 ]
 
+# Bounds of the cycle search in holonomy_exhaustive: the number of based
+# cycles grows exponentially with their length.
+EXHAUSTIVE_MAX_LEN = 6
+EXHAUSTIVE_MAX_BASE = 8
+
 
 def _check_sigmas(rs: RootSystem, sigma1, sigma2):
     """(Sigma1, Sigma2) as frozensets of simple-root indices, Sigma1 within
@@ -113,8 +118,8 @@ class CosetGraph:
         self.rs = rs
         self.sigma1 = sigma1
         self.sigma2 = sigma2
-        inner = set(rs.closure(sigma1).roots)
-        self.roots = [beta for beta in rs.closure(sigma2).roots if beta not in inner]
+        inner = set(rs.closure(sigma1))
+        self.roots = [beta for beta in rs.closure(sigma2) if beta not in inner]
         w2 = rs.parabolic_elements(sigma2)
         w1 = rs.parabolic_elements(sigma1)
         self.reps: list[WeylElement] = []
@@ -211,7 +216,6 @@ def build_coset_graph(rs: RootSystem, sigma1, sigma2, build_reps=None) -> CosetG
 class Transition:
     """Fiber transport across one base edge: vertex map plus linear part."""
 
-    base_edge: int
     vmap: dict  # total vertex -> total vertex, defined on the source fiber
     psi: tuple  # m x m rational matrix
 
@@ -303,9 +307,6 @@ class BundleMap:
             edges.append(cands[0])
         return edges
 
-    def transition(self, base_eid: int) -> Transition:
-        return self.transitions[base_eid]
-
     def transition_iso(self, base_eid: int) -> GkmIso:
         """The stored transition as an isomorphism of fiber subgraphs."""
         e = self.base.edges[base_eid]
@@ -337,7 +338,7 @@ def build_bundle(rs: RootSystem, sigma1, sigma2) -> BundleMap:
     for q, p in enumerate(pi):
         for beid in base.graph.edges_at[p]:
             vmaps[beid][q] = total.vertex_of(refls[beid] * total.reps[q])
-    transitions = {beid: Transition(beid, vmaps[beid], refl.matrix())
+    transitions = {beid: Transition(vmaps[beid], refl.matrix())
                    for beid, refl in enumerate(refls)}
     return replace(make_bundle(total.graph, base.graph, pi, transitions),
                    total_coset=total, base_coset=base, rs=rs,
@@ -374,7 +375,7 @@ def make_bundle(total: GkmGraph, base: GkmGraph, pi, transitions=None) -> Bundle
                 te = b.lift_edge(beid, p)
                 vmap[p] = total.edges[te].dst
             psi = _solve_transition_psi(b, beid, vmap)
-            transitions[beid] = Transition(beid, vmap, psi)
+            transitions[beid] = Transition(vmap, psi)
     b.transitions = transitions
     return b
 
@@ -855,9 +856,9 @@ def holonomy(b: BundleMap, base_point: int | None = None) -> HolonomyGroup:
     )
 
 
-def holonomy_exhaustive(b: BundleMap, base_point: int = 0, max_len: int = 6,
-                        max_base: int = 8) -> HolonomyGroup:
-    """Subgroup generated by all based cycles up to a length bound.
+def holonomy_exhaustive(b: BundleMap, base_point: int = 0) -> HolonomyGroup:
+    """Subgroup generated by all based cycles of at most EXHAUSTIVE_MAX_LEN
+    edges, on a base of at most EXHAUSTIVE_MAX_BASE vertices.
 
     Transport is read from the stored transitions.  Only guaranteed to
     exhaust the holonomy group for the coset bundles (where it is
@@ -866,14 +867,14 @@ def holonomy_exhaustive(b: BundleMap, base_point: int = 0, max_len: int = 6,
     reports the subgroup its cycles happen to generate on the fiber over
     the base point.
     """
-    if b.base.nvertices > max_base:
+    if b.base.nvertices > EXHAUSTIVE_MAX_BASE:
         raise ValueError("base too large for exhaustive cycle enumeration")
     loops = []
 
     def extend(path, cur):
         if len(path) >= 1 and cur == base_point:
             loops.append(list(path))
-        if len(path) >= max_len:
+        if len(path) >= EXHAUSTIVE_MAX_LEN:
             return
         for eid in b.base.edges_at[cur]:
             path.append(eid)

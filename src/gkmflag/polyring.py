@@ -554,52 +554,66 @@ def _tokenize(s: str):
 
 
 def parse_polynomial(s: str, varcount: int) -> Polynomial:
-    """Parse the canonical string format (whitespace-insensitive)."""
+    """Parse the canonical string format: terms joined by single ``+`` or
+    ``-`` with at most one leading sign, each term a ``*``-product of
+    factors ``x<i>``, ``x<i>^<k>``, ``<n>`` or ``<n>/<d>``.  Whitespace
+    between tokens is ignored; any other deviation raises ValueError."""
     tokens = _tokenize(s)
     if not tokens:
         raise ValueError("empty polynomial string")
-    result = Polynomial.zero(varcount)
     pos = 0
 
-    def parse_factor(pos):
-        tok = tokens[pos]
+    def take():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ValueError(f"polynomial string ends early: {s!r}")
+        pos += 1
+        return tokens[pos - 1]
+
+    def accept(tok):
+        nonlocal pos
+        if pos < len(tokens) and tokens[pos] == tok:
+            pos += 1
+            return True
+        return False
+
+    def parse_factor():
+        tok = take()
         if tok.startswith("x"):
             idx = int(tok[1:])
             if not 1 <= idx <= varcount:
                 raise ValueError(f"variable {tok} out of range for varcount {varcount}")
             exp = 1
-            pos += 1
-            if pos < len(tokens) and tokens[pos] == "^":
-                pos += 1
-                if pos >= len(tokens) or not tokens[pos].isdigit():
+            if accept("^"):
+                tok = take()
+                if not tok.isdigit():
                     raise ValueError("expected exponent after ^")
-                exp = int(tokens[pos])
-                pos += 1
-            return Polynomial.variable(varcount, idx) ** exp, pos
+                exp = int(tok)
+            return Polynomial.variable(varcount, idx) ** exp
         if tok.isdigit():
-            num = int(tok)
-            pos += 1
-            if pos + 1 < len(tokens) and tokens[pos] == "/" and tokens[pos + 1].isdigit():
-                den = int(tokens[pos + 1])
-                if den == 0:
-                    raise ValueError(f"zero denominator in {s!r}")
-                pos += 2
-                return Polynomial.constant(varcount, Fraction(num, den)), pos
-            return Polynomial.constant(varcount, num), pos
+            if not accept("/"):
+                return Polynomial.constant(varcount, int(tok))
+            den = take()
+            if not den.isdigit():
+                raise ValueError(f"expected denominator after / in {s!r}")
+            if int(den) == 0:
+                raise ValueError(f"zero denominator in {s!r}")
+            return Polynomial.constant(varcount, Fraction(int(tok), int(den)))
         raise ValueError(f"unexpected token {tok!r}")
 
-    while pos < len(tokens):
-        sign = 1
-        while pos < len(tokens) and tokens[pos] in "+-":
-            if tokens[pos] == "-":
-                sign = -sign
-            pos += 1
-        if pos >= len(tokens):
-            raise ValueError("dangling sign")
-        term, pos = parse_factor(pos)
-        while pos < len(tokens) and tokens[pos] == "*":
-            factor, npos = parse_factor(pos + 1)
-            term = term * factor
-            pos = npos
-        result = result + term.scale(sign)
-    return result
+    def parse_term():
+        term = parse_factor()
+        while accept("*"):
+            term = term * parse_factor()
+        return term
+
+    result = Polynomial.zero(varcount)
+    sign = take() if tokens[0] in ("+", "-") else "+"
+    while True:
+        term = parse_term()
+        result = result + term if sign == "+" else result - term
+        if pos == len(tokens):
+            return result
+        sign = take()
+        if sign not in ("+", "-"):
+            raise ValueError(f"expected + or - between terms, got {sign!r}")

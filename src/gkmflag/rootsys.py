@@ -16,9 +16,10 @@ its machine text is comma-separated, e.g. "-2,1".
 
 The group-theoretic layer (lengths, reduced words, Bruhat and weak
 orders, parabolic subgroups W(Sigma) and root subsets <Sigma>) is
-computed combinatorially and cached on the RootSystem instance.  A
-reflection is read off its root's support as a sign change or a signed
-transposition; <Sigma> is read off W(Sigma) as the positive roots whose
+computed combinatorially; lengths, reduced words and parabolic subgroups
+are cached on the RootSystem instance.  A reflection is read off its
+root's support as a sign change or a signed transposition; ``closure``
+reads <Sigma> off W(Sigma) as the tuple of positive roots whose
 reflections lie in it; the Weyl action relabels coordinates and
 monomials.  The module solves no linear system and does not use
 ``linalg``.
@@ -33,12 +34,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyring import LinearForm, Polynomial
 
-__all__ = ["WeylElement", "RootSystem", "RootSubset", "group_closure", "weyl_group_order"]
+__all__ = ["WeylElement", "RootSystem", "group_closure", "weyl_group_order"]
 
 DEFAULT_GROUP_CAP = 3628800  # 10!
 
@@ -146,17 +146,9 @@ class WeylElement:
     def one_line(self):
         return tuple(self.signs[k] * self.perm[k] for k in range(self.size))
 
-    def one_line_str(self, display: bool = False) -> str:
-        """Machine form "-2,1"; display form underlines negative entries."""
-        if not display:
-            return ",".join(str(v) for v in self.one_line())
-        out = []
-        for v in self.one_line():
-            s = str(abs(v))
-            if v < 0:
-                s = "".join(ch + "̲" for ch in s)
-            out.append(s)
-        return "".join(out)
+    def one_line_str(self) -> str:
+        """Machine form, e.g. "-2,1"."""
+        return ",".join(str(v) for v in self.one_line())
 
     @classmethod
     def from_one_line(cls, text: str) -> "WeylElement":
@@ -175,14 +167,6 @@ class WeylElement:
 
     def __repr__(self):
         return f"W[{self.one_line_str()}]"
-
-
-@dataclass(frozen=True)
-class RootSubset:
-    """A subset Sigma of simple-root indices with its closure <Sigma>."""
-
-    simple_indices: frozenset
-    roots: tuple  # the positive roots lying in the span of Sigma
 
 
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 3}
@@ -217,7 +201,6 @@ class RootSystem:
         self._refl_cache: dict = {}
         self._len_cache: dict = {}
         self._word_cache: dict = {}
-        self._bruhat_cache: dict = {}
         self._parabolic_cache: dict = {}
         self.coset_graph_cache: dict = {}
         self.schubert_table_cache = None
@@ -361,31 +344,19 @@ class RootSystem:
         return self.length(u * v.inverse()) == self.length(u) - self.length(v)
 
     def bruhat_leq(self, u: WeylElement, v: WeylElement) -> bool:
-        """Strong Bruhat order u <= v, by descent recursion with memoization."""
-        key = (u, v)
-        try:
-            return self._bruhat_cache[key]
-        except KeyError:
-            pass
+        """Strong Bruhat order u <= v, by descent recursion: for a left
+        descent s of v, u <= v iff min(u, su) <= sv."""
         lu, lv = self.length(u), self.length(v)
         if u == v:
-            res = True
-        elif lu >= lv:
-            res = False
-        else:
-            i = next(
-                i for i in range(1, self.rank + 1)
-                if self.length(self.simple_reflection(i) * v) < lv
-            )
-            si = self.simple_reflection(i)
-            sv = si * v
-            su = si * u
-            if self.length(su) < lu:
-                res = self.bruhat_leq(su, sv)
-            else:
-                res = self.bruhat_leq(u, sv)
-        self._bruhat_cache[key] = res
-        return res
+            return True
+        if lu >= lv:
+            return False
+        si = next(
+            si for si in map(self.simple_reflection, range(1, self.rank + 1))
+            if self.length(si * v) < lv
+        )
+        su = si * u
+        return self.bruhat_leq(su if self.length(su) < lu else u, si * v)
 
     # ------------------------------------------------------------------
     # the group
@@ -396,13 +367,14 @@ class RootSystem:
     def sort_key(self, w: WeylElement):
         return (self.length(w), w.one_line())
 
-    def elements(self, cap: int = DEFAULT_GROUP_CAP):
-        """The whole Weyl group in canonical (length, one-line) order."""
-        if self.group_order() > cap:
+    def elements(self):
+        """The whole Weyl group in canonical (length, one-line) order;
+        refused before any element is built when |W| exceeds 10!."""
+        if self.group_order() > DEFAULT_GROUP_CAP:
             raise ValueError(
-                f"group order {self.group_order()} exceeds enumeration cap {cap}"
+                f"group order {self.group_order()} exceeds enumeration cap {DEFAULT_GROUP_CAP}"
             )
-        return self.parabolic_elements(self.full_sigma(), cap)
+        return self.parabolic_elements(self.full_sigma())
 
     def longest_element(self) -> WeylElement:
         return max(self.elements(), key=self.length)
@@ -410,7 +382,7 @@ class RootSystem:
     # ------------------------------------------------------------------
     # parabolic data
 
-    def closure(self, sigma) -> RootSubset:
+    def closure(self, sigma) -> tuple:
         """<Sigma>: the positive roots beta with s_beta in W(Sigma), in the
         order of ``positive_roots``.
 
@@ -427,20 +399,17 @@ class RootSystem:
         if not sigma <= set(range(1, self.rank + 1)):
             raise ValueError("Sigma must be a set of simple-root indices")
         group = set(self.parabolic_elements(sigma))
-        roots = tuple(
+        return tuple(
             beta for beta in self.positive_roots if self.reflection(beta) in group
         )
-        return RootSubset(sigma, roots)
 
-    def parabolic_elements(self, sigma, cap: int = DEFAULT_GROUP_CAP):
+    def parabolic_elements(self, sigma):
         """W(Sigma), generated by the reflections of the simples in Sigma."""
         sigma = frozenset(sigma)
         if sigma in self._parabolic_cache:
             return self._parabolic_cache[sigma]
         gens = [self.simple_reflection(i) for i in sorted(sigma)]
         elems = group_closure([self.identity()], gens, operator.mul)
-        if len(elems) > cap:
-            raise ValueError("parabolic subgroup exceeds enumeration cap")
         elems.sort(key=self.sort_key)
         self._parabolic_cache[sigma] = elems
         return elems

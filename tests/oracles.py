@@ -311,7 +311,7 @@ def coset_projection(rs, sigma1, sigma2):
     full = rs.full_sigma()
     total = build_coset_graph(rs, sigma1, full)
     base = build_coset_graph(rs, sigma2, full)
-    closure2 = set(rs.closure(sigma2).roots)
+    closure2 = set(rs.closure(sigma2))
     pi = [base.vertex_of(w) for w in total.reps]
     dpi = {}
     for eid, e in enumerate(total.graph.edges):

@@ -21,7 +21,7 @@ def run(capsys, *argv):
 
 
 def test_table_a2(capsys):
-    code, out, _ = run(capsys, "table", "--type", "A", "--rank", "2", "--basis")
+    code, out, _ = run(capsys, "table", "--type", "A", "--rank", "2")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0].split("\t") == [
@@ -36,6 +36,33 @@ def test_missing_graph_file_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--graph", "missing.json")
     assert code == 2
     assert "missing.json" in err
+
+
+def test_table_refuses_the_removed_basis_flag(capsys):
+    code, out, err = run(capsys, "table", "--type", "A", "--rank", "2", "--basis")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --basis" in err
+    assert "Traceback" not in err
+
+
+def _readme_commands():
+    """The argv of each ``gkm`` line in the README's command-line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split()[1:]
+            for line in block.splitlines() if line.startswith("gkm ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
+    """Every documented command exits 0; my_graph.json stands for user data."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["export", "--type", "B", "--rank", "2", "--out", "my_graph.json"]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert "Traceback" not in out + err
 
 
 def test_bad_flags_exit_2(capsys):

@@ -420,6 +420,14 @@ def test_class_json_zero_denominator_is_value_error(s3_graph):
         class_from_json(data, g)
 
 
+def test_class_json_trailing_operator_is_value_error(s3_graph):
+    g = s3_graph.graph
+    data = class_to_json(CohClass.constant(g, 1))
+    data["values"]["1,2,3"] = "x1*"
+    with pytest.raises(ValueError, match="ends early"):
+        class_from_json(data, g)
+
+
 def test_class_json_missing_values_name_the_vertex(s3_graph):
     g = s3_graph.graph
     c = column_class(s3_graph, lambda w: Polynomial.variable(3, w.perm[0]))

@@ -29,7 +29,12 @@ from gkmflag.parabolic import build_bundle, bundle_from_json, bundle_to_json, ty
 from gkmflag.polyring import Polynomial
 from gkmflag.rootsys import RootSystem
 from gkmflag.schubert import permuted_class, schubert_table, seeded_random_class
-from oracles import express_by_cramer, extend_by_edges, spanning_by_solves
+from oracles import (
+    coh_failure_by_division,
+    express_by_cramer,
+    extend_by_edges,
+    spanning_by_solves,
+)
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +154,23 @@ def test_base_eta_d3(d3):
         assert eta.values[p] * tau.values[p] == prod
 
 
+_BASE_CLASS_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+                     ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4)]
+
+
+@pytest.mark.parametrize("kind,n", _BASE_CLASS_TYPES)
+def test_base_power_classes_are_classes(kind, n):
+    """base_tau and base_eta are built unchecked; every power of tau and
+    eta passes the division oracle, and a tau built from x2 (not fixed by
+    W(Delta - {1})) does not."""
+    b = tower_bundle(RootSystem(kind, n))
+    for k, c in enumerate(base_power_classes(b)):
+        assert coh_failure_by_division(c) is None, (kind, n, k)
+    x2 = Polynomial.variable(b.total.varcount, 2)
+    wrong = CohClass(b.base, [w.act_poly(x2) for w in b.base_coset.reps])
+    assert coh_failure_by_division(wrong) is not None
+
+
 def test_eta_outside_type_d(a2):
     with pytest.raises(ValueError):
         base_eta(tower_bundle(a2))
@@ -192,7 +214,7 @@ def test_extend_rejects_non_invariant(a2):
     fib = typical_fiber(b)
     # x_{u(2)} with a sign flip at one vertex is not holonomy invariant
     vals = [Polynomial.variable(3, 2), Polynomial.variable(3, 3).scale(-1)]
-    bad = CohClass(fib.graph, vals, check=False)
+    bad = CohClass(fib.graph, vals)
     with pytest.raises(ValueError, match="holonomy invariant; violated by the loop through"):
         extend_invariant(b, bad)
     on_total = CohClass.constant(b.total, 1)
@@ -208,7 +230,7 @@ def test_extend_refuses_a_non_class_on_the_typical_fiber(a2, monkeypatch):
     transports, _ = invbases.tree_transport(b, b.base_point())
     monkeypatch.setattr(invbases, "tree_transport", lambda b, base_point: (transports, []))
     vals = [Polynomial.variable(3, 2), Polynomial.variable(3, 3).scale(-1)]
-    bad = CohClass(fib.graph, vals, check=False)
+    bad = CohClass(fib.graph, vals)
     edge = fib.graph.edge_str(coh_failure(bad))
     with pytest.raises(ValueError, match="typical fiber") as err:
         extend_invariant(b, bad)
@@ -240,7 +262,7 @@ def test_extend_matches_the_edge_by_edge_oracle(kind, n):
         assert extend_invariant(b, fc) == extend_by_edges(b, fc), J
     vals = list(fc.values)
     vals[1] = vals[1] + Polynomial.one(b.total.varcount)
-    bad = CohClass(fc.graph, vals, check=False)
+    bad = CohClass(fc.graph, vals)
     witness = _refusal(extend_invariant, b, bad)
     assert witness.startswith("class is not holonomy invariant; violated by the loop through")
     assert witness == _refusal(extend_by_edges, b, bad)
@@ -258,7 +280,7 @@ def test_extend_matches_the_oracle_with_sigma1(a3):
         fc = CohClass(fib.graph, [u.act_poly(g) for u in fib.reps])
         for p in range(b.base.nvertices):
             assert extend_invariant(b, fc, p) == extend_by_edges(b, fc, p)
-    bad = CohClass(fib.graph, [u.act_poly(x[2]) for u in fib.reps], check=False)
+    bad = CohClass(fib.graph, [u.act_poly(x[2]) for u in fib.reps])
     assert _refusal(extend_invariant, b, bad) == _refusal(extend_by_edges, b, bad)
 
 

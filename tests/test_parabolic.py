@@ -587,7 +587,8 @@ def _times(p, q):
     return out
 
 
-@pytest.mark.parametrize("kind,n", [("A", 1)] + _SMALL_TYPES)
+@pytest.mark.parametrize(
+    "kind,n", [("A", 1)] + _SMALL_TYPES + [("A", 4), ("B", 4), ("C", 4), ("D", 4)])
 def test_betti_numbers_from_negative_labels(kind, n):
     """For xi = (m, m-1, ..., 1), positive on every positive root, b_2k of
     W(Sigma2)/W(Sigma1) is the number of vertices with exactly k labels

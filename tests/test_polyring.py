@@ -141,6 +141,17 @@ def test_parse_rejects_garbage():
         parse_polynomial("x9", 3)
 
 
+@pytest.mark.parametrize("text", [
+    "x1 x2", "3x1", "- - x1", "x1--x2", "x1 + + x2", "+-x1",
+    "x1*", "x1^", "x1 +", "-", "1/", "1/x1", "*x1", "x1**x2",
+])
+def test_parse_rejects_malformed_grammar(text):
+    """Terms are joined by exactly one + or -, with at most one leading
+    sign, and every operator needs its operand."""
+    with pytest.raises(ValueError):
+        parse_polynomial(text, 3)
+
+
 def test_parse_rational_reads_only_integers_and_fractions():
     assert parse_rational(" -3/4\n") == Fraction(-3, 4)
     assert parse_rational("+5") == 5

@@ -193,7 +193,7 @@ def test_type_constraints(a3, d3):
 
 def test_enumeration_cap(a2):
     with pytest.raises(ValueError):
-        RootSystem("B", 4).elements(cap=10)
+        RootSystem("A", 10).elements()
 
 
 # ----------------------------------------------------------------------
@@ -229,14 +229,14 @@ def test_bruhat_sampled_rank3(a3):
 
 
 def test_closure_examples(a2, b2):
-    assert a2.closure(frozenset()).roots == ()
-    assert set(a2.closure({2}).roots) == {lf(0, 1, -1)}
-    assert set(b2.closure({2}).roots) == {lf(0, 1)}
+    assert a2.closure(frozenset()) == ()
+    assert set(a2.closure({2})) == {lf(0, 1, -1)}
+    assert set(b2.closure({2})) == {lf(0, 1)}
     assert a2.parabolic_elements(frozenset()) == [a2.identity()]
 
 
 def test_closure_full(b3):
-    assert set(b3.closure(b3.full_sigma()).roots) == set(b3.positive_roots)
+    assert set(b3.closure(b3.full_sigma())) == set(b3.positive_roots)
 
 
 @pytest.mark.parametrize("kind,n", CLASSICAL)
@@ -253,7 +253,7 @@ def test_closure_is_the_roots_reflecting_in_the_parabolic_subgroup(kind, n):
             reflecting = tuple(
                 beta for beta in rs.positive_roots if rs.reflection(beta) in group
             )
-            assert rs.closure(sigma).roots == reflecting, (kind, n, sigma)
+            assert rs.closure(sigma) == reflecting, (kind, n, sigma)
             assert reflecting == closure_by_coordinates(rs, sigma), (kind, n, sigma)
 
 
@@ -276,7 +276,7 @@ def test_sigma_difference_invariance_rank_le_3():
                     for s2 in itertools.combinations(idxs, r2):
                         if not set(s1) <= set(s2):
                             continue
-                        diff = set(rs.closure(s2).roots) - set(rs.closure(s1).roots)
+                        diff = set(rs.closure(s2)) - set(rs.closure(s1))
                         for w in rs.parabolic_elements(s1):
                             image = {rs.positive_part(w.act_linear(b)) for b in diff}
                             moved = {w.act_linear(b) for b in diff}
