@@ -43,7 +43,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -330,13 +329,19 @@ def coh_failure(c: CohClass):
     there.  That restriction is the remainder ``divrem_linear`` would
     leave on the difference, so the verdict and the first failing edge
     are those of long division; labels with three or more nonzero
-    coefficients are decided by ``divrem_linear`` itself.
+    coefficients are decided by ``divrem_linear`` itself.  A flag graph
+    has far fewer distinct labels than edges, so each label's
+    substitution (``LinearForm.hyperplane``) is derived once per call.
     """
     g = c.graph
+    planes: dict = {}
     for eid, e in enumerate(g.edges):
         if eid > g.reverse[eid]:
             continue  # each unoriented edge once
-        if not c.values[e.dst].congruent_mod(c.values[e.src], e.label):
+        label = e.label
+        if label not in planes:
+            planes[label] = label.hyperplane()
+        if not c.values[e.dst].congruent_on(c.values[e.src], label, planes[label]):
             return eid
     return None
 
@@ -534,7 +539,7 @@ def complete_graph(n: int) -> GkmGraph:
         for j in range(n):
             if i == j:
                 continue
-            coeffs = [Fraction(0)] * n
+            coeffs = [0] * n
             coeffs[i] += 1
             coeffs[j] -= 1
             eid[(i, j)] = len(edges)

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from . import linalg
@@ -384,7 +383,7 @@ def _regular_grid(rs: RootSystem, e: int):
             return
         for k in range(budget + 1):
             for rest in points(i + 1, budget - k):
-                yield [Fraction(2 ** (i + k * m))] + rest
+                yield [2 ** (i + k * m)] + rest
 
     return points(0, e)
 

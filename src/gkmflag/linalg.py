@@ -147,10 +147,11 @@ def _sparse_rows(rows) -> list:
 def solve_sparse_fraction(rows, rhs, ncols):
     """Solve a sparse rational system; rows are dicts {col: nonzero coeff}.
 
-    Returns a solution list (free columns set to 0) or None if
-    inconsistent.
+    Entries are converted to Fraction on entry, so that int coefficients
+    never meet in a true division.  Returns a solution list (free columns
+    set to 0) or None if inconsistent.
     """
-    rows = [dict(r) for r in rows]
+    rows = [{c: Fraction(v) for c, v in r.items()} for r in rows]
     rhs = [Fraction(v) for v in rhs]
     pivots = _eliminate(rows, rhs)
     # a row the elimination emptied reads 0 = rhs
@@ -357,9 +358,9 @@ def solve_module_coeffs(columns, target, varcount: int):
                         if key not in eq_index:
                             eq_index[key] = len(rows)
                             rows.append({})
-                            rhs.append(Fraction(0))
+                            rhs.append(0)
                         r = rows[eq_index[key]]
-                        r[off + j] = r.get(off + j, Fraction(0)) + c0
+                        r[off + j] = r.get(off + j, 0) + c0
         sol = solve_sparse_fraction(rows, rhs, total)
         if sol is None:
             return None

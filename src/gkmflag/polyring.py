@@ -2,9 +2,15 @@
 
 Everything downstream (edge labels, cohomology classes, nilCoxeter
 coefficients) lives in Q[x1,...,xm], so this module is deliberately
-self-contained and exact: coefficients are ``fractions.Fraction``, never
-floats.  A polynomial is a finite map from exponent vectors (tuples of
-non-negative ints of fixed length ``varcount``) to nonzero rationals.
+self-contained and exact.  Every stored coefficient is in one normal form
+(``_q``): an ``int`` when it is integral, otherwise a
+``fractions.Fraction`` with denominator > 1; never a float, which the
+constructors refuse with TypeError.  The objects of the paper (roots,
+labels, Schubert values) are integral, so their arithmetic stays in
+``int``.  Every true division goes through ``_div``, so two ints never
+meet in a float division.  A polynomial is a finite map from exponent
+vectors (tuples of non-negative ints of fixed length ``varcount``) to
+nonzero coefficients.
 
 Canonical term order is graded lexicographic, descending, with
 x1 > x2 > ... > xm.  The string format is bit-exact under that order:
@@ -31,11 +37,9 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
 Monomial = tuple  # exponent vector, length == varcount
 
 __all__ = [
-    "Rational",
     "Monomial",
     "LinearForm",
     "Polynomial",
@@ -46,11 +50,28 @@ __all__ = [
 ]
 
 
-def parse_rational(s: str) -> Fraction:
+def _q(c):
+    """The normal form of an exact coefficient: an int when integral, else
+    a Fraction with denominator > 1.  A float raises TypeError."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        if isinstance(c, float):
+            raise TypeError(f"float coefficient {c!r}: coefficients must be exact")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """The exact quotient a / b in normal form; the module's only division."""
+    return _q(Fraction(a) / b)
+
+
+def parse_rational(s: str):
     if not re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", s):
         raise ValueError(f"not an integer or n/d: {s!r}")
     try:
-        return Fraction(s.strip())
+        return _q(Fraction(s.strip()))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
 
@@ -65,7 +86,8 @@ def grlex_key(exps: Monomial):
 
 
 class LinearForm:
-    """A linear form sum(a_i * x_i) with rational coefficients.
+    """A linear form sum(a_i * x_i) with rational coefficients, each in the
+    normal form of ``_q`` (int when integral, else Fraction).
 
     Hashable and immutable; used for roots and axial-function values.
     """
@@ -73,7 +95,7 @@ class LinearForm:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(map(_q, coeffs))
 
     @property
     def varcount(self) -> int:
@@ -94,13 +116,13 @@ class LinearForm:
         return self + (-other)
 
     def scale(self, c) -> "LinearForm":
-        c = Fraction(c)
+        c = _q(c)
         return LinearForm(tuple(c * a for a in self.coeffs))
 
-    def dot(self, other: "LinearForm") -> Fraction:
+    def dot(self, other: "LinearForm"):
         if self.varcount != other.varcount:
             raise ValueError("varcount mismatch")
-        return sum((a * b for a, b in zip(self.coeffs, other.coeffs)), Fraction(0))
+        return _q(sum(a * b for a, b in zip(self.coeffs, other.coeffs)))
 
     def proportional_to(self, other: "LinearForm"):
         """Return c with self == c*other, or None if not proportional.
@@ -111,7 +133,7 @@ class LinearForm:
         if self.varcount != other.varcount:
             raise ValueError("varcount mismatch")
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if other.is_zero():
             return None
         c = None
@@ -120,12 +142,32 @@ class LinearForm:
                 if a != 0:
                     return None
             else:
-                ratio = a / b
+                ratio = _div(a, b)
                 if c is None:
                     c = ratio
                 elif ratio != c:
                     return None
         return c
+
+    def hyperplane(self):
+        """The substitution that restricts a polynomial to the hyperplane
+        self = 0, for :meth:`Polynomial.congruent_on`: (p, q, ratio) for
+        x_p -> ratio*x_q, with p the pivot of ``divrem_linear`` and q None
+        when self = a*x_p (x_p -> 0); None when self has three or more
+        nonzero coefficients."""
+        support = [i for i, c in enumerate(self.coeffs) if c != 0]
+        if not support:
+            raise ZeroDivisionError("division by zero linear form")
+        if len(support) > 2:
+            return None
+        p = support[-1]
+        if len(support) == 1:
+            return p, None, 0
+        q = support[0]
+        a, b = self.coeffs[p], self.coeffs[q]
+        # For the roots x_q -+ x_p the ratio is +-1, so that their terms are
+        # negated or kept, never multiplied.
+        return p, q, 1 if b == -a else -1 if b == a else _div(-b, a)
 
     def to_polynomial(self) -> "Polynomial":
         terms = {}
@@ -153,9 +195,10 @@ class LinearForm:
 class Polynomial:
     """Sparse polynomial in Q[x1,...,x_varcount].
 
-    ``terms`` maps exponent tuples to nonzero Fractions; the zero
-    polynomial has an empty map.  Instances are never mutated after
-    construction.
+    ``terms`` maps exponent tuples to nonzero coefficients in the normal
+    form of ``_q`` (int when integral, else Fraction with denominator > 1);
+    the zero polynomial has an empty map.  Instances are never mutated
+    after construction.
     """
 
     __slots__ = ("varcount", "terms")
@@ -169,7 +212,7 @@ class Polynomial:
             for e, c in terms.items():
                 if len(e) != varcount:
                     raise ValueError("exponent length != varcount")
-                c = Fraction(c)
+                c = _q(c)
                 if c != 0:
                     clean[tuple(e)] = c
         self.terms = clean
@@ -187,7 +230,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, varcount: int, c) -> "Polynomial":
-        return cls(varcount, {(0,) * varcount: Fraction(c)})
+        return cls(varcount, {(0,) * varcount: c})
 
     @classmethod
     def variable(cls, varcount: int, i: int) -> "Polynomial":
@@ -196,13 +239,13 @@ class Polynomial:
             raise ValueError(f"variable index {i} out of range")
         e = [0] * varcount
         e[i - 1] = 1
-        return cls(varcount, {tuple(e): Fraction(1)})
+        return cls(varcount, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, varcount: int, exps: Sequence[int], coeff=1) -> "Polynomial":
         if any(e < 0 for e in exps):
             raise ValueError(f"exponents must be non-negative, got {tuple(exps)}")
-        return cls(varcount, {tuple(exps): Fraction(coeff)})
+        return cls(varcount, {tuple(exps): coeff})
 
     # ------------------------------------------------------------------
     # ring structure
@@ -217,11 +260,13 @@ class Polynomial:
         self._check_compatible(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            s = terms.get(e, 0) + c
             if s == 0:
                 terms.pop(e, None)
-            else:
+            elif type(s) is int or s.denominator != 1:
                 terms[e] = s
+            else:
+                terms[e] = s.numerator
         out = Polynomial.__new__(Polynomial)
         out.varcount = self.varcount
         out.terms = terms
@@ -242,11 +287,14 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
+                s = terms.get(e, 0) + c1 * c2
                 if s == 0:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
+        for e, s in terms.items():
+            if type(s) is not int and s.denominator == 1:
+                terms[e] = s.numerator
         out = Polynomial.__new__(Polynomial)
         out.varcount = self.varcount
         out.terms = terms
@@ -265,13 +313,8 @@ class Polynomial:
         return result
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial.zero(self.varcount)
-        out = Polynomial.__new__(Polynomial)
-        out.varcount = self.varcount
-        out.terms = {e: c * v for e, v in self.terms.items()}
-        return out
+        c = _q(c)
+        return Polynomial(self.varcount, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -309,8 +352,8 @@ class Polynomial:
     def degrees_present(self):
         return sorted({sum(e) for e in self.terms})
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Sequence[int]):
+        return self.terms.get(tuple(exps), 0)
 
     def leading_term(self):
         """(exponents, coeff) of the graded-lex leading term; None if zero."""
@@ -388,8 +431,8 @@ class Polynomial:
             eq = list(e)
             eq[p] -= 1
             eq = tuple(eq)
-            factor = c / a
-            qterms[eq] = qterms.get(eq, Fraction(0)) + factor
+            factor = _div(c, a)
+            qterms[eq] = qterms.get(eq, 0) + factor
             # work -= factor * x^eq * l
             for i, li in enumerate(l.coeffs):
                 if li == 0:
@@ -397,7 +440,7 @@ class Polynomial:
                 et = list(eq)
                 et[i] += 1
                 et = tuple(et)
-                s = work.get(et, Fraction(0)) - factor * li
+                s = work.get(et, 0) - factor * li
                 if s == 0:
                     work.pop(et, None)
                 else:
@@ -424,23 +467,21 @@ class Polynomial:
         """Whether l divides self - other, as :meth:`is_multiple_of`
         decides it, without building the difference: the terms of self
         and the negated terms of other go into one restriction."""
+        return self.congruent_on(other, l, l.hyperplane())
+
+    def congruent_on(self, other: "Polynomial", l: LinearForm, plane) -> bool:
+        """:meth:`congruent_mod` with ``plane == l.hyperplane()`` given, so
+        that a caller checking many pairs against few forms derives each
+        substitution once."""
         self._check_compatible(other)
         if l.varcount != self.varcount:
             raise ValueError("varcount mismatch")
-        support = [i for i, c in enumerate(l.coeffs) if c != 0]
-        if not support:
-            raise ZeroDivisionError("division by zero linear form")
-        if len(support) > 2:
+        if plane is None:
             return (self - other).divrem_linear(l)[1].is_zero()
-        p = support[-1]
-        if len(support) == 1:
+        p, q, ratio = plane
+        if q is None:
             return ({e: c for e, c in self.terms.items() if not e[p]}
                     == {e: c for e, c in other.terms.items() if not e[p]})
-        q = support[0]
-        a, b = l.coeffs[p], l.coeffs[q]
-        # x_p -> ratio*x_q.  For the roots x_q -+ x_p the ratio is +-1, kept an
-        # int so that their terms are negated or kept, never multiplied.
-        ratio = 1 if b == -a else -1 if b == a else -b / a
         acc: dict = {}
         for terms, sign in ((self.terms, 1), (other.terms, -1)):
             for e, c in terms.items():
@@ -478,31 +519,33 @@ class Polynomial:
             if any(d < 0 for d in diff):
                 rterms[e] = c
                 continue
-            factor = c / gc
-            qterms[diff] = qterms.get(diff, Fraction(0)) + factor
+            factor = _div(c, gc)
+            qterms[diff] = qterms.get(diff, 0) + factor
             for e2, c2 in g.terms.items():
                 if e2 == ge:
                     continue
                 et = tuple(a + b for a, b in zip(diff, e2))
-                s = work.get(et, Fraction(0)) - factor * c2
+                s = work.get(et, 0) - factor * c2
                 if s == 0:
                     work.pop(et, None)
                 else:
                     work[et] = s
         return Polynomial(self.varcount, qterms), Polynomial(self.varcount, rterms)
 
-    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
+    def evaluate(self, point: Sequence[Fraction | int]):
+        """The value at ``point``, in normal form; int arithmetic throughout
+        when the point and the coefficients are integral."""
         if len(point) != self.varcount:
             raise ValueError("point length != varcount")
-        pt = [Fraction(v) for v in point]
-        total = Fraction(0)
+        pt = [_q(v) for v in point]
+        total = 0
         for e, c in self.terms.items():
             v = c
             for x, k in zip(pt, e):
                 if k:
                     v *= x**k
             total += v
-        return total
+        return _q(total)
 
     # ------------------------------------------------------------------
     # text format

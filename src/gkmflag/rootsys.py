@@ -209,9 +209,9 @@ class RootSystem:
     # construction
 
     def _form(self, entries) -> LinearForm:
-        v = [Fraction(0)] * self.varcount
+        v = [0] * self.varcount
         for i, c in entries:
-            v[i - 1] += Fraction(c)
+            v[i - 1] += c
         return LinearForm(v)
 
     def _make_simples(self):

@@ -419,7 +419,7 @@ def seeded_random_class(rs: RootSystem, degree: int, rng) -> CohClass:
             c = rng.randint(-3, 3)
             if c:
                 terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
-        poly = Polynomial(rs.varcount, {e: Fraction(c) for e, c in terms.items() if c})
+        poly = Polynomial(rs.varcount, terms)
         if not poly.is_zero():
             coeffs[u] = poly
     if not coeffs:

@@ -47,7 +47,7 @@ def naive_product(terms_a, terms_b, varcount):
 
 def reflect_form(alpha: LinearForm, form: LinearForm) -> LinearForm:
     """s_alpha(form) = form - 2 (form, alpha) / (alpha, alpha) * alpha."""
-    return form - alpha.scale(2 * form.dot(alpha) / alpha.dot(alpha))
+    return form - alpha.scale(Fraction(2 * form.dot(alpha), alpha.dot(alpha)))
 
 
 def closure_by_coordinates(rs, sigma):
@@ -276,7 +276,7 @@ def chevalley_failures(rs, table):
     solved from <omega_i, alpha_j^vee> = delta_ij, so only the table's
     values tau_w(v) are trusted.
     """
-    simple_coroots = [[2 * c / a.dot(a) for c in a.coeffs] for a in rs.simple_roots]
+    simple_coroots = [[Fraction(2 * c, a.dot(a)) for c in a.coeffs] for a in rs.simple_roots]
     failures = []
     for i in range(1, rs.rank + 1):
         delta = [Fraction(int(j == i)) for j in range(1, rs.rank + 1)]
@@ -287,7 +287,7 @@ def chevalley_failures(rs, table):
             for beta in rs.positive_roots:
                 up = w * rs.reflection(beta)
                 if rs.length(up) == rs.length(w) + 1:
-                    covers.append((2 * omega.dot(beta) / beta.dot(beta), up))
+                    covers.append((Fraction(2 * omega.dot(beta), beta.dot(beta)), up))
             for v in table.order:
                 tw = table.tau_value(w, v)
                 rhs = tau_si[w] * tw

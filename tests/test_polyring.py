@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkmflag.invbases import basis_family
 from gkmflag.polyring import LinearForm, Polynomial, parse_polynomial, parse_rational
+from gkmflag.rootsys import RootSystem
+from gkmflag.schubert import schubert_table
 
 from oracles import naive_product
 
@@ -112,6 +115,31 @@ def test_eval_examples():
     assert (X1 - X2).evaluate([3, 1, 0]) == 2
     vandermonde = (X1 - X2) * (X1 - X3) * (X2 - X3)
     assert vandermonde.evaluate([1, 2, 4]) == -6
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial(1, {(1,): 0.1}),
+    lambda: LinearForm([0.1]),
+    lambda: Polynomial.variable(1, 1).scale(0.5),
+    lambda: LinearForm([1]).scale(0.5),
+    lambda: Polynomial.constant(1, 0.5),
+    lambda: Polynomial.monomial(1, (1,), 0.5),
+], ids=["Polynomial", "LinearForm", "Polynomial.scale", "LinearForm.scale",
+        "constant", "monomial"])
+def test_float_coefficients_are_refused(build):
+    """Fraction(0.1) is exact, so a float would silently become
+    3602879701896397/36028797018963968; every entry point refuses it."""
+    with pytest.raises(TypeError, match="float"):
+        build()
+
+
+def test_integral_values_are_stored_as_int():
+    assert Polynomial.constant(2, Fraction(4, 2)).terms == {(0, 0): 2}
+    assert type(LinearForm([Fraction(3, 3)]).coeffs[0]) is int
+    assert type(X1.scale(Fraction(1, 2)).scale(2).coefficient((1, 0, 0))) is int
+    assert LinearForm([1, 2]).proportional_to(LinearForm([3, 6])) == Fraction(1, 3)
+    assert type(LinearForm([3, 6]).proportional_to(LinearForm([1, 2]))) is int
+    assert type((X1 - X2).evaluate([Fraction(6, 2), 1, 0])) is int
 
 
 def test_eval_length_mismatch():
@@ -223,7 +251,7 @@ def test_divisibility_is_substitution_independent(f, l):
             e[i] = 1
             images.append(LinearForm(e))
         else:
-            sol = [-c / l.coeffs[p] for c in l.coeffs]
+            sol = [Fraction(-c, l.coeffs[p]) for c in l.coeffs]
             sol[p] = Fraction(0)
             images.append(LinearForm(sol))
     assert r.is_zero() == f.substitute_linear(images).is_zero()
@@ -268,3 +296,47 @@ def test_substitute_permutation_round_trip(f, perm):
 @given(polys())
 def test_string_round_trip(f):
     assert parse_polynomial(str(f), 3) == f
+
+
+def normal(c) -> bool:
+    """The coefficient normal form: an int, or a Fraction that is not one."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def assert_normal(*values):
+    for v in values:
+        coeffs = v.coeffs if isinstance(v, LinearForm) else v.terms.values()
+        bad = [c for c in coeffs if not normal(c)]
+        assert bad == [], f"{v!r} stores {bad!r}"
+
+
+B3 = RootSystem("B", 3)  # varcount 3, with sign changes
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), nonzero_forms(), sparse_forms(), coeffs,
+       st.integers(0, 3), st.sampled_from(B3.elements()))
+def test_coefficients_stay_in_normal_form(f, g, l, m, c, k, w):
+    assert_normal(f, g, f + g, f - g, -f, f * g, f ** k, f.scale(c), f.scale(0))
+    assert_normal(*f.divrem_linear(l), *f.divrem_linear(m))
+    divisor = g if not g.is_zero() else l.to_polynomial()
+    assert_normal(*f.divmod_poly(divisor))
+    assert_normal(f.substitute_linear([l, m, l + m]))
+    assert_normal(parse_polynomial(str(f), 3), w.act_poly(f))
+    assert_normal(l, m, l + m, l - m, -m, m.scale(c), m.scale(c).scale(1 / c))
+    for ratio in (m.scale(c).proportional_to(m), m.proportional_to(m.scale(c)),
+                  l.proportional_to(m)):
+        assert ratio is None or normal(ratio)
+    assert normal(f.evaluate([1, 2, Fraction(1, 3)]))
+
+
+@pytest.mark.parametrize("kind, rank", [("A", 3), ("B", 3)])
+def test_schubert_table_values_are_in_normal_form(kind, rank):
+    table = schubert_table(RootSystem(kind, rank))
+    for w in table.order:
+        assert_normal(*table.columns[w].coeffs.values())
+
+
+def test_basis_family_values_are_in_normal_form():
+    for c in basis_family(B3).classes:
+        assert_normal(*c.values)

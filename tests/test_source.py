@@ -19,6 +19,34 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_polyring_divides_only_through_one_helper():
+    """Every true division in ``polyring`` is ``_div``'s, which divides a
+    Fraction; a ``/`` elsewhere could divide two int coefficients into a
+    float."""
+    tree = ast.parse((PACKAGE / "polyring.py").read_text())
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_div")
+    inside = {id(node) for node in ast.walk(helper)}
+    outside = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, (ast.BinOp, ast.AugAssign))
+               and isinstance(node.op, ast.Div) and id(node) not in inside]
+    assert outside == []
+
+
+def test_library_has_no_floats():
+    """No library module calls ``float(`` or writes a float literal."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"):
+                found.append(f"{path.name}:{node.lineno}: float(")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert found == []
+
+
 def test_benchmark_layer_functions_exist():
     """Every function a per-layer benchmark metric names is still defined.
 
