@@ -31,11 +31,14 @@ target coordinate; it is usually square and invertible, but a rectangular
 injective Psi is accepted so a small model graph can be identified with a
 fiber living in a bigger coordinate space.
 
-The library never changes a graph after construction, but callers may
-(the tests tamper with edges to see that verification notices), so
-nothing derived from a graph's edges is stored on it: verification
-walks build what they need on every call, are read-only, and are safe
-to run concurrently.
+A graph is an immutable value, like ``Polynomial`` and ``LinearForm``:
+its fields are tuples, fixed at construction.  A flag graph has
+|W|*|Phi+| oriented edges but only |Phi| distinct labels, so the
+constructor interns them once: ``labels`` holds each distinct form in
+order of first occurrence, ``label_id`` the index of each edge's label,
+and every ``Edge.label`` is the interned object.  Verification decides
+each label axiom once per distinct label (or tuple of labels) by id,
+and a changed graph is a new graph, so no derived data can go stale.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -111,21 +115,30 @@ class Report:
 
 
 class GkmGraph:
-    """Vertices, oriented labeled edges, and a stored per-edge connection."""
+    """Vertices, oriented labeled edges, and a stored per-edge connection.
+
+    Immutable: every field is a tuple.  ``connection[e]`` is the dict
+    given for edge e, taken over as is, from the edges at its tail to the
+    edges at its head.  ``labels`` are the distinct edge labels in order
+    of first occurrence and ``edges[e].label is labels[label_id[e]]``.
+    """
 
     def __init__(self, varcount: int, vertices: Sequence[str], edges: Sequence[Edge],
                  reverse: Sequence[int], connection: Sequence[dict]):
         self.varcount = varcount
-        self.vertices = list(vertices)
-        self.edges = [Edge(e.src, e.dst, e.label) if isinstance(e, Edge) else Edge(*e)
-                      for e in edges]
-        self.reverse = list(reverse)
-        self.connection = [dict(c) for c in connection]
+        self.vertices = tuple(vertices)
+        index: dict[LinearForm, int] = {}
+        self.label_id = tuple(index.setdefault(label, len(index)) for _, _, label in edges)
+        self.labels = tuple(index)
+        self.edges = tuple(Edge(e[0], e[1], self.labels[k]) for e, k in zip(edges, self.label_id))
+        self.reverse = tuple(reverse)
+        self.connection = tuple(connection)
         if len(self.reverse) != len(self.edges) or len(self.connection) != len(self.edges):
             raise ValueError("edges, reverse and connection must have equal length")
-        self.edges_at: list[list[int]] = [[] for _ in self.vertices]
+        edges_at: list[list[int]] = [[] for _ in self.vertices]
         for eid, e in enumerate(self.edges):
-            self.edges_at[e.src].append(eid)
+            edges_at[e.src].append(eid)
+        self.edges_at = tuple(map(tuple, edges_at))
 
     @property
     def nvertices(self) -> int:
@@ -157,20 +170,15 @@ def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
 
     Each label axiom is a function of label values alone, and a flag
     graph carries only |Phi| distinct labels but |W|*|Phi+|^2 connection
-    entries.  So the labels are interned to int ids, one per edge, and
-    each axiom is decided once per distinct tuple of ids: negation once
-    per label, independence once per (id_i, id_j), congruence once per
+    entries.  So each axiom is decided once per distinct tuple of the
+    graph's label ids: each label is negated once, independence is
+    decided once per (id_i, id_j) and congruence once per
     (id_e, id_e1, id_e2).  The walks over vertices and edges, and so the
-    first witness of each check, are those of a per-edge check.  The ids
-    are built on every call rather than stored on the graph, because a
-    graph's edges can be changed after construction and stored ids would
-    then hide the change.
+    first witness of each check, are those of a per-edge check.
     """
     rep = Report()
-    ids: dict[LinearForm, int] = {}
-    lid = [ids.setdefault(e.label, len(ids)) for e in g.edges]
-    labels = list(ids)
-    negated = [ids.get(-label) for label in labels]
+    labels, lid = g.labels, g.label_id
+    negated = [-label for label in labels]
 
     bad = ""
     for eid, e in enumerate(g.edges):
@@ -182,7 +190,7 @@ def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
         if (re.src, re.dst) != (e.dst, e.src):
             bad = f"reverse of {g.edge_str(eid)} has wrong endpoints"
             break
-        if lid[r] != negated[lid[eid]]:
+        if re.label != negated[lid[eid]]:
             bad = f"label of reverse of {g.edge_str(eid)} is not negated"
             break
         if e.label.is_zero():
@@ -203,16 +211,13 @@ def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
                 bad = f"labels at vertex {g.vertices[p]} are linearly dependent"
                 break
         else:
-            for i in range(len(eids)):
-                for j in range(i + 1, len(eids)):
-                    a, b = lid[eids[i]], lid[eids[j]]
-                    if (a, b) not in proportional:
-                        proportional[a, b] = labels[a].proportional_to(labels[b]) is not None
-                    if proportional[a, b]:
-                        bad = (f"labels {labels[a]} and {labels[b]} at vertex "
-                               f"{g.vertices[p]} are proportional")
-                        break
-                if bad:
+            for e1, e2 in combinations(eids, 2):
+                a, b = lid[e1], lid[e2]
+                if (a, b) not in proportional:
+                    proportional[a, b] = labels[a].proportional_to(labels[b]) is not None
+                if proportional[a, b]:
+                    bad = (f"labels {labels[a]} and {labels[b]} at vertex "
+                           f"{g.vertices[p]} are proportional")
                     break
         if bad:
             break
@@ -221,9 +226,7 @@ def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
     bad = ""
     for eid, e in enumerate(g.edges):
         conn = g.connection[eid]
-        src_edges = set(g.edges_at[e.src])
-        dst_edges = set(g.edges_at[e.dst])
-        if set(conn.keys()) != src_edges or set(conn.values()) != dst_edges:
+        if set(conn) != set(g.edges_at[e.src]) or set(conn.values()) != set(g.edges_at[e.dst]):
             bad = f"connection along {g.edge_str(eid)} is not a bijection E_p -> E_q"
             break
         if conn[eid] != g.reverse[eid]:
@@ -324,24 +327,24 @@ def coh_failure(c: CohClass):
     """The first edge violating divisibility, or None if c is a class.
 
     Each unoriented edge is checked once, in edge order, with
-    ``Polynomial.congruent_mod``: the values at its ends are restricted
+    ``Polynomial.congruent_on``: the values at its ends are restricted
     to the hyperplane where the label vanishes, and they must agree
     there.  That restriction is the remainder ``divrem_linear`` would
     leave on the difference, so the verdict and the first failing edge
     are those of long division; labels with three or more nonzero
-    coefficients are decided by ``divrem_linear`` itself.  A flag graph
-    has far fewer distinct labels than edges, so each label's
-    substitution (``LinearForm.hyperplane``) is derived once per call.
+    coefficients are decided by ``divrem_linear`` itself.  Each label's
+    substitution (``LinearForm.hyperplane``) is derived once per label
+    id, on the first edge that carries it.
     """
     g = c.graph
-    planes: dict = {}
+    planes: dict[int, tuple | None] = {}
     for eid, e in enumerate(g.edges):
         if eid > g.reverse[eid]:
             continue  # each unoriented edge once
-        label = e.label
-        if label not in planes:
-            planes[label] = label.hyperplane()
-        if not c.values[e.dst].congruent_on(c.values[e.src], label, planes[label]):
+        k = g.label_id[eid]
+        if k not in planes:
+            planes[k] = e.label.hyperplane()
+        if not c.values[e.dst].congruent_on(c.values[e.src], e.label, planes[k]):
             return eid
     return None
 
@@ -424,11 +427,8 @@ def induced_subgraph(g: GkmGraph, vertexset):
     edges = [Edge(vmap[g.edges[eid].src], vmap[g.edges[eid].dst], g.edges[eid].label)
              for eid in eids]
     reverse = [emap[g.reverse[eid]] for eid in eids]
-    connection = []
-    for eid in eids:
-        connection.append({
-            emap[a]: emap[b] for a, b in g.connection[eid].items() if a in emap
-        })
+    connection = [{emap[a]: emap[b] for a, b in g.connection[eid].items() if a in emap}
+                  for eid in eids]
     sub = GkmGraph(g.varcount, [g.vertices[v] for v in vs], edges, reverse, connection)
     return sub, vmap, emap
 
@@ -459,8 +459,7 @@ class GkmIso:
 def verify_iso(iso: GkmIso, g1: GkmGraph, g2: GkmGraph) -> bool:
     """Graph morphism + bijectivity + label intertwining, all by inspection.
 
-    Psi is applied once per distinct source label, in a table built on
-    every call (not stored on the graphs, whose edges may change).
+    Psi is applied once per distinct source label, by label id.
     """
     if len(iso.phi) != g1.nvertices or sorted(iso.phi) != list(range(g2.nvertices)):
         return False
@@ -469,10 +468,10 @@ def verify_iso(iso: GkmIso, g1: GkmGraph, g2: GkmGraph) -> bool:
         return False
     if linalg.rank_fraction(rows) != g1.varcount:
         return False
-    image = {label: iso.apply_form(label).coeffs for label in {e.label for e in g1.edges}}
+    image = [iso.apply_form(label).coeffs for label in g1.labels]
     for p in range(g1.nvertices):
         have = sorted(
-            ((iso.phi[g1.edges[eid].dst], image[g1.edges[eid].label])
+            ((iso.phi[g1.edges[eid].dst], image[g1.label_id[eid]])
              for eid in g1.edges_at[p])
         )
         want = sorted(
@@ -642,9 +641,13 @@ def class_to_json(c: CohClass) -> dict:
 
 
 def class_from_json(data: dict, g: GkmGraph) -> CohClass:
-    """Parse :func:`class_to_json` output; malformed input raises ValueError."""
+    """Parse :func:`class_to_json` output; malformed input raises ValueError,
+    and so does a graph with a zero label, on which no class is defined."""
     if not isinstance(data, dict) or data.get("graph_hash") != graph_hash(g):
         raise ValueError("class was saved for a different graph")
+    for k, label in enumerate(g.labels):
+        if label.is_zero():
+            raise ValueError(f"zero label on {g.edge_str(g.label_id.index(k))}")
     values = data.get("values", {})
     if not isinstance(values, dict):
         raise ValueError("class values must map vertex names to polynomials")

@@ -26,6 +26,7 @@ One rational elimination core and Bareiss, all exact:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -353,7 +354,7 @@ def solve_module_coeffs(columns, target, varcount: int):
                 cv = columns[k][v]
                 for j, lam in enumerate(mk):
                     for e0, c0 in cv.terms.items():
-                        e = tuple(a + b for a, b in zip(e0, lam))
+                        e = tuple(map(operator.add, e0, lam))
                         key = (v, e)
                         if key not in eq_index:
                             eq_index[key] = len(rows)

@@ -548,12 +548,13 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
 
     Like :func:`verify_gkm` and :func:`verify_iso`, the label axioms are
     decided once per distinct label: the transition-gkm-iso shift check
-    asks "Psi(lambda) - lambda in Q*alpha" once per distinct fiber label
-    lambda of each base edge, in the order the labels first occur, so the
-    first witness is that of a per-edge check.  The fibers and their
-    subgraphs are derived from the bundle data once per call, and lifts
-    come from :meth:`BundleMap.lift_edge`; nothing is stored on the
-    bundle, whose data may change after construction.  A transition
+    asks "Psi(lambda) - lambda in Q*alpha" once per label lambda of the
+    fiber subgraph over the tail of each base edge, read off its interned
+    ``labels``, which are in order of first occurrence, so the first
+    witness is that of a per-edge check.  The fibers and their subgraphs
+    are derived from the bundle data once per call, and lifts come from
+    :meth:`BundleMap.lift_edge`; nothing is stored on the bundle, whose
+    data may change after construction.  A transition
     check that cannot run (no transition, a vertex map that is not a
     bijection of fibers, a base edge without exactly one lift at a
     vertex) fails with that reason; if pi or dpi points outside the
@@ -683,7 +684,7 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
                    f"isomorphism of labeled fibers")
             break
         alpha = e.label
-        for label in dict.fromkeys(fe.label for fe in sub_p.edges):
+        for label in sub_p.labels:
             if (iso.apply_form(label) - label).proportional_to(alpha) is None:
                 bad = (f"linear part across {b.base.edge_str(beid)} does not "
                        f"shift {label} along {alpha}")

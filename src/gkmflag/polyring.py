@@ -33,6 +33,7 @@ so instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -286,7 +287,7 @@ class Polynomial:
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 s = terms.get(e, 0) + c1 * c2
                 if s == 0:
                     terms.pop(e, None)
@@ -515,7 +516,7 @@ class Polynomial:
         while work:
             e = max(work, key=grlex_key)
             c = work.pop(e)
-            diff = tuple(a - b for a, b in zip(e, ge))
+            diff = tuple(map(operator.sub, e, ge))
             if any(d < 0 for d in diff):
                 rterms[e] = c
                 continue
@@ -524,7 +525,7 @@ class Polynomial:
             for e2, c2 in g.terms.items():
                 if e2 == ge:
                     continue
-                et = tuple(a + b for a, b in zip(diff, e2))
+                et = tuple(map(operator.add, diff, e2))
                 s = work.get(et, 0) - factor * c2
                 if s == 0:
                     work.pop(et, None)

@@ -22,6 +22,9 @@ values across the base edge by edge instead of testing holonomy
 elements, and the division oracle decides the class condition by long
 division of each edge difference instead of by restriction to the
 label's hyperplane.
+
+``changed_graph`` is not an oracle: graphs are immutable, so the tests
+that tamper with one build the tampered copy with it.
 """
 
 from fractions import Fraction
@@ -29,10 +32,20 @@ from itertools import combinations
 from typing import Sequence
 
 from gkmflag import linalg
-from gkmflag.gkmgraph import CohClass, coh_failure
+from gkmflag.gkmgraph import CohClass, GkmGraph, coh_failure
 from gkmflag.parabolic import base_tree, build_coset_graph, typical_fiber
 from gkmflag.polyring import LinearForm, Polynomial
 from gkmflag.schubert import flag_graph, schubert_table
+
+
+def changed_graph(g, edges=None, connection=None):
+    """A new graph equal to g but at the given edge ids: ``edges`` maps an
+    edge id to its new Edge and ``connection`` to its new connection dict.
+    The vertices and the reverse map are g's."""
+    edges, connection = edges or {}, connection or {}
+    return GkmGraph(g.varcount, g.vertices,
+                    [edges.get(eid, e) for eid, e in enumerate(g.edges)], g.reverse,
+                    [connection.get(eid, c) for eid, c in enumerate(g.connection)])
 
 
 def naive_product(terms_a, terms_b, varcount):

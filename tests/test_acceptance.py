@@ -53,7 +53,7 @@ from gkmflag.schubert import (
     transition_matrices,
 )
 
-from oracles import express_in_forms, schubert_by_conditions
+from oracles import changed_graph, express_in_forms, schubert_by_conditions
 
 A2 = RootSystem("A", 2)
 A3 = RootSystem("A", 3)
@@ -247,13 +247,14 @@ def test_criterion_07_bundle_axioms_and_mutations():
     b = copy.deepcopy(bundles[3])  # the rank-2 signed bundle
     eid = min(b.dpi)  # the first horizontal edge
     old = b.total.edges[eid]
-    b.total.edges[eid] = Edge(old.src, old.dst, old.label + old.label)
+    b.total = changed_graph(b.total, edges={eid: Edge(old.src, old.dst, old.label + old.label)})
     assert not verify_fiber_bundle(b).ok
 
     b = copy.deepcopy(bundles[0])
-    conn = b.total.connection[0]
+    conn = dict(b.total.connection[0])
     keys = [k for k in conn if k != 0]
     conn[keys[0]], conn[keys[1]] = conn[keys[1]], conn[keys[0]]
+    b.total = changed_graph(b.total, connection={0: conn})
     assert not verify_fiber_bundle(b).ok
 
     b = copy.deepcopy(bundles[3])

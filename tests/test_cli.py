@@ -216,13 +216,32 @@ def test_negative_degree_is_usage_error(capsys, argv):
       for seed in seeds),
     "schubert --type A --rank 2",
     "schubert --type A --rank 4",
-], ids=lambda key: "-".join(key.replace("--", "").split()))
-def test_stdout_matches_bench_references(capsys, key):
-    """The command ``key`` prints byte for byte what the benchmark recorded."""
+    "verify --type B --rank 4",
+    "verify --type D --rank 4",
+    "bundle --type A --rank 4 --sigma2 2,3,4 --verify",
+    "holonomy --type A --rank 4 --sigma2 2,3,4",
+    "export --type B --rank 4 --out {B4_JSON}",
+    "verify --graph {B4_JSON}",
+], ids=lambda key: "-".join(key.replace("--", "").replace("{", "").replace("}", "").split()))
+def test_stdout_matches_bench_references(capsys, tmp_path, key):
+    """The command ``key`` prints byte for byte what the benchmark recorded.
+
+    ``{B4_JSON}`` stands for the benchmark's input file, the B4 flag graph
+    written by ``export --type B --rank 4``: for the export itself the
+    recorded digest is that of the file, which pins the ``graph_to_json``
+    bytes, and ``verify --graph`` reads the file the export wrote.
+    """
     references = json.loads(
         (Path(__file__).parent.parent / "perfbench" / "references.json").read_text())
-    code, out, _ = run(capsys, *key.split())
+    b4_json = str(tmp_path / "B4_JSON.json")
+    export = ["export", "--type", "B", "--rank", "4", "--out", b4_json]
+    argv = [b4_json if arg == "{B4_JSON}" else arg for arg in key.split()]
+    if "{B4_JSON}" in key and argv != export:
+        assert run(capsys, *export)[0] == 0
+    code, out, _ = run(capsys, *argv)
     assert code == 0
+    if argv == export:
+        out = Path(b4_json).read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == references[key]
 
 

@@ -34,7 +34,7 @@ from gkmflag.parabolic import build_coset_graph
 from gkmflag.polyring import LinearForm, Polynomial
 from gkmflag.rootsys import RootSystem
 
-from oracles import coh_failure_by_division, gkm_report_by_edges
+from oracles import changed_graph, coh_failure_by_division, gkm_report_by_edges
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +62,11 @@ def test_k2_k3_pass():
 
 def test_k3_bad_label_fails_congruence():
     g = complete_graph(3)
-    bad = copy.deepcopy(g)
     eid = g.find_edges(0, 1)[0]
     rev = g.reverse[eid]
     label = LinearForm([1, 1, 0])
-    bad.edges[eid] = bad.edges[eid]._replace(label=label)
-    bad.edges[rev] = bad.edges[rev]._replace(label=-label)
+    bad = changed_graph(g, edges={eid: g.edges[eid]._replace(label=label),
+                                  rev: g.edges[rev]._replace(label=-label)})
     rep = verify_gkm(bad)
     assert not rep.ok
     names = {c.name for c in rep.failures()}
@@ -103,39 +102,63 @@ def test_verify_gkm_matches_edge_oracle_on_every_coset_graph(kind, n):
             assert checks_of(verify_gkm(g)) == gkm_report_by_edges(g), (sigma1, sigma2)
 
 
+@pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                                    ("C", 2), ("C", 3), ("D", 3)])
+def test_labels_are_interned_once_on_every_coset_graph(kind, n):
+    """Each edge label is the graph's one object for that form; ``labels``
+    lists the distinct forms in order of first occurrence; on the full
+    flag graph they are exactly the roots; and the graph is immutable."""
+    rs = RootSystem(kind, n)
+    roots = set(rs.positive_roots) | {-beta for beta in rs.positive_roots}
+    for sigma2 in subsets(rs.full_sigma()):
+        for sigma1 in subsets(sigma2):
+            g = build_coset_graph(rs, sigma1, sigma2).graph
+            assert len(g.label_id) == len(g.edges)
+            assert all(e.label is g.labels[k] for e, k in zip(g.edges, g.label_id))
+            assert len(set(g.labels)) == len(g.labels)
+            assert list(dict.fromkeys(g.label_id)) == list(range(len(g.labels)))
+            if not sigma1 and sigma2 == rs.full_sigma():
+                assert set(g.labels) == roots
+            for field in ("edges", "reverse", "vertices", "edges_at", "connection", "labels"):
+                with pytest.raises(TypeError):
+                    getattr(g, field)[0] = None
+
+
 def _set_label(g, eid, label):
-    """Give eid the label and its reverse the negated label."""
-    g.edges[eid] = g.edges[eid]._replace(label=label)
-    g.edges[g.reverse[eid]] = g.edges[g.reverse[eid]]._replace(label=-label)
+    """g with the label on eid and the negated label on its reverse."""
+    r = g.reverse[eid]
+    return changed_graph(g, edges={eid: g.edges[eid]._replace(label=label),
+                                   r: g.edges[r]._replace(label=-label)})
 
 
 def _scale_label(g, e, f):
-    _set_label(g, e, g.edges[e].label.scale(2))
+    return _set_label(g, e, g.edges[e].label.scale(2))
 
 
 def _swap_labels_at_vertex(g, e, f):
     le, lf = g.edges[e].label, g.edges[f].label
-    g.edges[e] = g.edges[e]._replace(label=lf)
-    g.edges[f] = g.edges[f]._replace(label=le)
+    return changed_graph(g, edges={e: g.edges[e]._replace(label=lf),
+                                   f: g.edges[f]._replace(label=le)})
 
 
 def _swap_connection_images(g, e, f):
-    conn = g.connection[e]
+    conn = dict(g.connection[e])
     a, b = [k for k in conn if k != e][:2]
     conn[a], conn[b] = conn[b], conn[a]
+    return changed_graph(g, connection={e: conn})
 
 
 def _reverse_not_negated(g, e, f):
     r = g.reverse[e]
-    g.edges[r] = g.edges[r]._replace(label=g.edges[e].label)
+    return changed_graph(g, edges={r: g.edges[r]._replace(label=g.edges[e].label)})
 
 
 def _zero_label(g, e, f):
-    _set_label(g, e, LinearForm([0] * g.varcount))
+    return _set_label(g, e, LinearForm([0] * g.varcount))
 
 
 def _proportional_to_neighbour(g, e, f):
-    _set_label(g, e, g.edges[f].label.scale(-3))
+    return _set_label(g, e, g.edges[f].label.scale(-3))
 
 
 @pytest.mark.parametrize("mutate", [
@@ -144,12 +167,12 @@ def _proportional_to_neighbour(g, e, f):
 ])
 @pytest.mark.parametrize("kind", ["A", "B"])
 def test_verify_gkm_matches_edge_oracle_on_mutated_flag_graphs(kind, mutate):
-    """``mutate(g, e, f)`` breaks g at edge e, using f, another edge at
+    """``mutate(g, e, f)`` is g broken at edge e, using f, another edge at
     the same vertex; both sides must fail with the same first witnesses."""
     rs = RootSystem(kind, 3)
-    g = copy.deepcopy(build_coset_graph(rs, frozenset(), rs.full_sigma()).graph)
+    g = build_coset_graph(rs, frozenset(), rs.full_sigma()).graph
     e, f = g.edges_at[g.nvertices // 2][1:3]
-    mutate(g, e, f)
+    g = mutate(g, e, f)
     rep = verify_gkm(g)
     assert not rep.ok
     assert checks_of(rep) == gkm_report_by_edges(g)
@@ -426,6 +449,16 @@ def test_class_json_trailing_operator_is_value_error(s3_graph):
     data["values"]["1,2,3"] = "x1*"
     with pytest.raises(ValueError, match="ends early"):
         class_from_json(data, g)
+
+
+def test_class_json_on_a_graph_with_a_zero_label_is_value_error(s3_graph):
+    """A zero label would make every class check divide by zero; the
+    graph is refused instead, naming the first edge that carries it."""
+    data = graph_to_json(s3_graph.graph)
+    data["edges"][0]["alpha"] = ["0", "0", "0"]
+    g = graph_from_json(data)
+    with pytest.raises(ValueError, match=r"zero label on \(1,2,3 -> 2,1,3; 0\)"):
+        class_from_json(class_to_json(CohClass.constant(g, 1)), g)
 
 
 def test_class_json_missing_values_name_the_vertex(s3_graph):
