@@ -4,7 +4,15 @@ A graph here is regular, with *oriented* edges: an unoriented edge
 between p and q shows up twice, once per orientation, and the two copies
 carry opposite labels.  Each oriented edge e = (p, q) also carries a
 connection map, a bijection from the edges at p to the edges at q sending
-e to its reverse.  The axioms checked by :func:`verify_gkm` are
+e to its reverse.  The edges at a vertex, in increasing id order, are its
+*star*, and the connection along e is stored as positions in stars: a
+tuple whose entry i is the position, within the star of q, of the image
+of the i-th edge of the star of p.  On a coset graph the connection is
+left multiplication by W(Sigma1) (Guillemin & Zara, Duke Math. J. 107,
+2001), so its edges share at most |W(Sigma1)| such tuples.  Only this
+module decodes the format: :meth:`GkmGraph.along` and
+:meth:`GkmGraph.connection_pairs` read it as edge ids.  The axioms checked
+by :func:`verify_gkm` are
 
 1. reversal antisymmetry of labels,
 2. independence of the labels at every vertex (pairwise independence by
@@ -117,14 +125,21 @@ class Report:
 class GkmGraph:
     """Vertices, oriented labeled edges, and a stored per-edge connection.
 
-    Immutable: every field is a tuple.  ``connection[e]`` is the dict
-    given for edge e, taken over as is, from the edges at its tail to the
-    edges at its head.  ``labels`` are the distinct edge labels in order
-    of first occurrence and ``edges[e].label is labels[label_id[e]]``.
+    Immutable: every field is a tuple.  ``edges_at[p]`` is the star of p,
+    its edge ids in increasing order, and ``slot[e]`` the position of e in
+    the star of its tail.  ``connection[e]`` is a tuple of positions: entry
+    i is the position, in the star of dst(e), of the image of
+    ``edges_at[src(e)][i]``.  The constructor refuses, with ValueError, a
+    connection tuple whose length is not the degree of the tail or whose
+    positions fall outside the star of the head, so every connection is a
+    function from star to star; whether it is a bijection is left to
+    :func:`verify_gkm`.  Equal tuples may be one shared object.
+    ``labels`` are the distinct edge labels in order of first occurrence
+    and ``edges[e].label is labels[label_id[e]]``.
     """
 
     def __init__(self, varcount: int, vertices: Sequence[str], edges: Sequence[Edge],
-                 reverse: Sequence[int], connection: Sequence[dict]):
+                 reverse: Sequence[int], connection: Sequence[Sequence[int]]):
         self.varcount = varcount
         self.vertices = tuple(vertices)
         index: dict[LinearForm, int] = {}
@@ -132,20 +147,29 @@ class GkmGraph:
         self.labels = tuple(index)
         self.edges = tuple(Edge(e[0], e[1], self.labels[k]) for e, k in zip(edges, self.label_id))
         self.reverse = tuple(reverse)
-        self.connection = tuple(connection)
+        self.connection = tuple(map(tuple, connection))
         if len(self.reverse) != len(self.edges) or len(self.connection) != len(self.edges):
             raise ValueError("edges, reverse and connection must have equal length")
-        edges_at: list[list[int]] = [[] for _ in self.vertices]
-        for eid, e in enumerate(self.edges):
-            edges_at[e.src].append(eid)
-        self.edges_at = tuple(map(tuple, edges_at))
+        self.edges_at, self.slot = _stars(self.edges, len(self.vertices))
+        for (src, dst, _), conn in zip(self.edges, self.connection):
+            if (len(conn) != len(self.edges_at[src]) or min(conn) < 0
+                    or max(conn) >= len(self.edges_at[dst])):
+                raise ValueError(f"a connection must give a position in the star of "
+                                 f"vertex {dst} for each edge at vertex {src}")
 
     @property
     def nvertices(self) -> int:
         return len(self.vertices)
 
-    def degree(self) -> int:
-        return len(self.edges_at[0]) if self.vertices else 0
+    def along(self, eid: int, x: int) -> int:
+        """The image of x, an edge at the tail of eid, under the connection
+        along eid.  An edge elsewhere has no image; the caller checks."""
+        return self.edges_at[self.edges[eid].dst][self.connection[eid][self.slot[x]]]
+
+    def connection_pairs(self, eid: int):
+        """(x, image of x) for each edge x at the tail of eid, in star order."""
+        src, dst, _ = self.edges[eid]
+        return zip(self.edges_at[src], map(self.edges_at[dst].__getitem__, self.connection[eid]))
 
     def vertex_index(self, name: str) -> int:
         return self.vertices.index(name)
@@ -159,6 +183,17 @@ class GkmGraph:
 
     def __repr__(self):
         return f"GkmGraph({self.nvertices} vertices, {len(self.edges)} oriented edges)"
+
+
+def _stars(edges: Sequence[Edge], nvertices: int):
+    """(edges_at, slot): the star of each vertex and each edge's position
+    in the star of its tail."""
+    edges_at: list[list[int]] = [[] for _ in range(nvertices)]
+    slot = []
+    for eid, e in enumerate(edges):
+        slot.append(len(edges_at[e.src]))
+        edges_at[e.src].append(eid)
+    return tuple(map(tuple, edges_at)), tuple(slot)
 
 
 # ----------------------------------------------------------------------
@@ -226,14 +261,17 @@ def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
     bad = ""
     for eid, e in enumerate(g.edges):
         conn = g.connection[eid]
-        if set(conn) != set(g.edges_at[e.src]) or set(conn.values()) != set(g.edges_at[e.dst]):
+        if len(set(conn)) != len(g.edges_at[e.dst]):
             bad = f"connection along {g.edge_str(eid)} is not a bijection E_p -> E_q"
             break
-        if conn[eid] != g.reverse[eid]:
+        r = g.along(eid, eid)
+        if r != g.reverse[eid]:
             bad = f"connection along {g.edge_str(eid)} does not reverse the edge"
             break
-        rconn = g.connection[g.reverse[eid]]
-        if any(rconn.get(v) != k for k, v in conn.items()):
+        # r lies at the head of e; its connection undoes conn exactly when it
+        # leads back to the tail of e and maps each position back to itself
+        if g.edges[r].dst != e.src or list(map(g.connection[r].__getitem__, conn)) != list(
+                range(len(conn))):
             bad = f"connection along reverse of {g.edge_str(eid)} is not the inverse"
             break
     rep.add("connection-shape", not bad, bad)
@@ -241,7 +279,7 @@ def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
     bad = ""
     congruent: dict[tuple, bool] = {}
     for eid, e in enumerate(g.edges):
-        for e1, e2 in g.connection[eid].items():
+        for e1, e2 in g.connection_pairs(eid):
             k, k1, k2 = key = lid[eid], lid[e1], lid[e2]
             if key not in congruent:
                 congruent[key] = (labels[k2] - labels[k1]).proportional_to(labels[k]) is not None
@@ -384,7 +422,7 @@ def check_subgraph(g: GkmGraph, vertexset) -> bool:
         raise ValueError("vertex set induces a disconnected subgraph")
     for eid in induced:
         e = g.edges[eid]
-        img = {g.connection[eid][x] for x in g.edges_at[e.src] if x in induced}
+        img = {g.along(eid, x) for x in g.edges_at[e.src] if x in induced}
         want = {x for x in g.edges_at[e.dst] if x in induced}
         if img != want:
             return False
@@ -427,7 +465,8 @@ def induced_subgraph(g: GkmGraph, vertexset):
     edges = [Edge(vmap[g.edges[eid].src], vmap[g.edges[eid].dst], g.edges[eid].label)
              for eid in eids]
     reverse = [emap[g.reverse[eid]] for eid in eids]
-    connection = [{emap[a]: emap[b] for a, b in g.connection[eid].items() if a in emap}
+    _, slot = _stars(edges, len(vs))
+    connection = [tuple(slot[emap[b]] for a, b in g.connection_pairs(eid) if a in emap)
                   for eid in eids]
     sub = GkmGraph(g.varcount, [g.vertices[v] for v in vs], edges, reverse, connection)
     return sub, vmap, emap
@@ -532,7 +571,6 @@ def complete_graph(n: int) -> GkmGraph:
     if n < 2:
         raise ValueError("need n >= 2")
     vertices = [str(i + 1) for i in range(n)]
-    eid = {}
     edges = []
     for i in range(n):
         for j in range(n):
@@ -541,21 +579,14 @@ def complete_graph(n: int) -> GkmGraph:
             coeffs = [0] * n
             coeffs[i] += 1
             coeffs[j] -= 1
-            eid[(i, j)] = len(edges)
             edges.append(Edge(i, j, LinearForm(coeffs)))
-    reverse = [eid[(e.dst, e.src)] for e in edges]
+    # (i, k) is at position k - (k > i) of the star at i, which starts at
+    # edge id i*(n-1); along (i, j), (i, k) goes to (j, k) and (i, j) to (j, i)
+    reverse = [j * (n - 1) + i - (i > j) for i, j, _ in edges]
     connection = []
-    for e in edges:
-        i, j = e.src, e.dst
-        conn = {}
-        for k in range(n):
-            if k == i:
-                continue
-            if k == j:
-                conn[eid[(i, j)]] = eid[(j, i)]
-            else:
-                conn[eid[(i, k)]] = eid[(j, k)]
-        connection.append(conn)
+    for i, j, _ in edges:
+        images = [i if k == j else k for k in range(n) if k != i]
+        connection.append(tuple(k - (k > j) for k in images))
     return GkmGraph(n, vertices, edges, reverse, connection)
 
 
@@ -574,7 +605,7 @@ def graph_to_json(g: GkmGraph) -> dict:
         ],
         "connection": [
             {"edge": [g.edges[eid].src, g.edges[eid].dst],
-             "map": sorted([a, b] for a, b in g.connection[eid].items())}
+             "map": [[a, b] for a, b in g.connection_pairs(eid)]}
             for eid in range(len(g.edges))
         ],
     }
@@ -587,14 +618,21 @@ def _is_index(v, n: int) -> bool:
 def graph_from_json(data: dict) -> GkmGraph:
     """Parse :func:`graph_to_json` output.
 
-    Malformed structure (types, index ranges, label lengths, connection
-    entries) raises ValueError; the axioms are left to :func:`verify_gkm`.
+    Malformed structure raises ValueError: types, index ranges, label
+    lengths, vertex names that are not distinct strings, and a connection
+    ``map`` that is not a function from the edges at the tail to the edges
+    at the head (every edge at the tail paired once, each with an edge at
+    the head).  Equal connection tuples are stored once.  The axioms,
+    bijectivity of the connection among them, are left to
+    :func:`verify_gkm`.
     """
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
     m, vertices = data.get("varcount"), data.get("vertices")
     if type(m) is not int or m < 1 or not isinstance(vertices, list):
         raise ValueError("need an integer varcount >= 1 and a list of vertices")
+    if not all(isinstance(v, str) for v in vertices) or len(set(vertices)) != len(vertices):
+        raise ValueError("vertex names must be distinct strings")
     raw_edges, raw_connection = data.get("edges"), data.get("connection")
     if not (isinstance(raw_edges, list) and isinstance(raw_connection, list)
             and len(raw_edges) == len(raw_connection)):
@@ -611,18 +649,28 @@ def graph_from_json(data: dict) -> GkmGraph:
         if key not in forms:
             forms[key] = LinearForm([parse_rational(c) for c in alpha])
         edges.append(Edge(e["src"], e["dst"], forms[key]))
-    connection = []
+    edges_at, slot = _stars(edges, n)
+    shared: dict[tuple, tuple] = {}
+    connection, reverse = [], []
     for eid, entry in enumerate(raw_connection):
+        src, dst, _ = edges[eid]
         pairs = entry.get("map") if isinstance(entry, dict) else None
-        if not (isinstance(pairs, list) and all(
-                isinstance(pair, list) and len(pair) == 2
-                and all(_is_index(x, len(edges)) for x in pair) for pair in pairs)):
-            raise ValueError(f"connection {eid}: map must pair existing edge ids")
-        connection.append(dict(pairs))
-        if eid not in connection[eid]:
-            raise ValueError(f"connection {eid}: map does not send edge {eid} anywhere")
-    # the reverse of e is where the connection along e sends e itself
-    reverse = [connection[eid][eid] for eid in range(len(edges))]
+        conn = [-1] * len(edges_at[src])
+        # with as many pairs as edges at src, no repeated key means no missing one
+        ok = isinstance(pairs, list) and len(pairs) == len(conn)
+        for pair in pairs if ok else ():
+            ok = (type(pair) is list and len(pair) == 2 and _is_index(pair[0], len(edges))
+                  and _is_index(pair[1], len(edges)) and edges[pair[0]].src == src
+                  and edges[pair[1]].src == dst and conn[slot[pair[0]]] < 0)
+            if not ok:
+                break
+            conn[slot[pair[0]]] = slot[pair[1]]
+        if not ok:
+            raise ValueError(f"connection {eid}: map must pair each edge at vertex {src} "
+                             f"once with an edge at vertex {dst}")
+        connection.append(shared.setdefault(tuple(conn), tuple(conn)))
+        # the reverse of e is where the connection along e sends e itself
+        reverse.append(edges_at[dst][conn[slot[eid]]])
     return GkmGraph(m, vertices, edges, reverse, connection)
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 
 from . import linalg
 from .gkmgraph import (
@@ -107,7 +108,10 @@ class CosetGraph:
     u^-1 beta' at q, labeled w s_beta beta' = s_{w beta}(w beta').  Each s_i
     with i in Sigma1 permutes the positive roots other than alpha_i and
     preserves the span of Sigma1, so W(Sigma1) permutes ``roots`` and each
-    u acts as one index permutation, tabulated once per graph.  The labels
+    u acts as one index permutation, tabulated once per graph.  Edge p*d + k
+    (d = len(roots)) is the edge at p in direction roots[k], so directions
+    are positions in stars and that table, one tuple per u, is the
+    connection: every edge whose u agrees shares its tuple.  The labels
     at a vertex are w beta for distinct positive roots beta, which are never
     proportional in a reduced root system, so the build checks no labels;
     the independence axiom of :func:`verify_gkm` reports that condition.
@@ -153,7 +157,7 @@ class CosetGraph:
         index = {beta: k for k, beta in enumerate(self.roots)}
         # perm[u][k] is the direction of u^-1 * roots[k]; see the class docstring
         perm = {
-            u: [index[u.inverse().act_linear(beta)] for beta in self.roots]
+            u: tuple(index[u.inverse().act_linear(beta)] for beta in self.roots)
             for u in rs.parabolic_elements(self.sigma1)
         }
         refl = [rs.reflection(beta) for beta in self.roots]
@@ -166,9 +170,8 @@ class CosetGraph:
                 if u not in perm:
                     raise AssertionError("coset transport left W(Sigma1)")
                 edges.append(Edge(p, q, w.act_linear(beta)))
-                conn = {p * d + k2: q * d + k3 for k2, k3 in enumerate(perm[u])}
-                connection.append(conn)
-                reverse.append(conn[p * d + k])
+                connection.append(perm[u])
+                reverse.append(q * d + perm[u][k])
         names = [w.one_line_str() for w in self.reps]
         return GkmGraph(rs.varcount, names, edges, reverse, connection)
 
@@ -439,41 +442,29 @@ def product_bundle(base: GkmGraph, fiber: GkmGraph) -> BundleMap:
     def vid(b_, f_):
         return b_ * nf + f_
 
-    edges = []
-    eid_h = {}
-    eid_v = {}
+    # the star at (b, f) is the base star at b, then the fiber star at f
+    nb = [len(star) for star in base.edges_at]
+    first = list(accumulate((nb[b_] + len(fiber.edges_at[f_])
+                             for b_ in range(base.nvertices) for f_ in range(nf)), initial=0))
+
+    edges, reverse, connection = [], [], []
     for b_ in range(base.nvertices):
         for f_ in range(nf):
             p = vid(b_, f_)
+            df = len(fiber.edges_at[f_])
             for beid in base.edges_at[b_]:
-                eid_h[(beid, f_)] = len(edges)
-                edges.append(Edge(p, vid(base.edges[beid].dst, f_),
-                                  base.edges[beid].label))
+                e = base.edges[beid]
+                edges.append(Edge(p, vid(e.dst, f_), e.label))
+                r = base.reverse[beid]  # its lift at f_ is edge slot[r] of (src(r), f_)
+                reverse.append(first[vid(base.edges[r].src, f_)] + base.slot[r])
+                connection.append(base.connection[beid] + tuple(range(nb[e.dst], nb[e.dst] + df)))
             for feid in fiber.edges_at[f_]:
-                eid_v[(b_, feid)] = len(edges)
-                edges.append(Edge(p, vid(b_, fiber.edges[feid].dst),
-                                  fiber.edges[feid].label))
-    reverse = [0] * len(edges)
-    connection = [dict() for _ in edges]
-    for (beid, f_), eid in eid_h.items():
-        reverse[eid] = eid_h[(base.reverse[beid], f_)]
-        conn = {}
-        b_ = base.edges[beid].src
-        b2 = base.edges[beid].dst
-        for beid2, image in base.connection[beid].items():
-            conn[eid_h[(beid2, f_)]] = eid_h[(image, f_)]
-        for feid in fiber.edges_at[f_]:
-            conn[eid_v[(b_, feid)]] = eid_v[(b2, feid)]
-        connection[eid] = conn
-    for (b_, feid), eid in eid_v.items():
-        reverse[eid] = eid_v[(b_, fiber.reverse[feid])]
-        conn = {}
-        f_ = fiber.edges[feid].src
-        for feid2, image in fiber.connection[feid].items():
-            conn[eid_v[(b_, feid2)]] = eid_v[(b_, image)]
-        for beid in base.edges_at[b_]:
-            conn[eid_h[(beid, f_)]] = eid_h[(beid, fiber.edges[feid].dst)]
-        connection[eid] = conn
+                e = fiber.edges[feid]
+                edges.append(Edge(p, vid(b_, e.dst), e.label))
+                r = fiber.reverse[feid]
+                reverse.append(first[vid(b_, fiber.edges[r].src)] + nb[b_] + fiber.slot[r])
+                connection.append(tuple(range(nb[b_]))
+                                  + tuple(nb[b_] + i for i in fiber.connection[feid]))
     total = GkmGraph(base.varcount, vertices, edges, reverse, connection)
     pi = [b_ for b_ in range(base.nvertices) for _ in range(nf)]
     return make_bundle(total, base, pi)
@@ -581,7 +572,7 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
 
     bad = ""
     for eid in range(len(b.total.edges)):
-        for e1, e2 in b.total.connection[eid].items():
+        for e1, e2 in b.total.connection_pairs(eid):
             if (e1 in b.dpi) != (e2 in b.dpi):
                 bad = (f"connection along {b.total.edge_str(eid)} mixes "
                        f"vertical and horizontal at {b.total.edge_str(e1)}")
@@ -592,13 +583,13 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
 
     bad = ""
     for eid, beid in b.dpi.items():
-        src = b.total.edges[eid].src
-        conn = b.total.connection[eid]
-        for e1 in b.total.edges_at[src]:
+        for e1, e2 in b.total.connection_pairs(eid):
             if e1 not in b.dpi:
                 continue
-            want = b.base.connection[beid].get(b.dpi[e1])
-            got = b.dpi.get(conn.get(e1))
+            # a wrong dpi can send e1 off the tail of beid, where it has no image
+            x = b.dpi[e1]
+            want = b.base.along(beid, x) if b.base.edges[x].src == b.base.edges[beid].src else None
+            got = b.dpi.get(e2)
             if want != got:
                 bad = (f"horizontal connection over {b.base.edge_str(beid)} "
                        f"is not compatible at {b.total.edge_str(e1)}")
@@ -647,12 +638,10 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
             except ValueError as exc:
                 bad = str(exc)
                 break
-            conn = b.total.connection[lifted]
-            for e1 in b.total.edges_at[p]:
+            for e1, e2 in b.total.connection_pairs(lifted):
                 if e1 in b.dpi:
                     continue
-                e2 = conn.get(e1)
-                if (e2 is None or b.total.edges[e2].src != vmap[p]
+                if (b.total.edges[e2].src != vmap[p]
                         or b.total.edges[e2].dst != vmap.get(b.total.edges[e1].dst)):
                     bad = (f"connection along a lift of {b.base.edge_str(beid)} "
                            f"does not follow the transition at "
@@ -674,7 +663,7 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
             for p in (e.src, e.dst):
                 if p not in subgraphs:
                     subgraphs[p] = induced_subgraph(b.total, fibers[p])
-        except (KeyError, ValueError) as exc:  # check_subgraph on a broken connection
+        except ValueError as exc:  # check_subgraph on a broken connection
             bad = f"transition across {b.base.edge_str(beid)}: {exc}"
             break
         (sub_p, vmap_p, _), (sub_q, vmap_q, _) = subgraphs[e.src], subgraphs[e.dst]

@@ -23,6 +23,10 @@ elements, and the division oracle decides the class condition by long
 division of each edge difference instead of by restriction to the
 label's hyperplane.
 
+The connection oracles read a connection's star positions through
+``connection_dict``, which decodes them with ``edges_at`` alone, not with
+``GkmGraph.along`` or ``GkmGraph.connection_pairs``.
+
 ``changed_graph`` is not an oracle: graphs are immutable, so the tests
 that tamper with one build the tampered copy with it.
 """
@@ -40,8 +44,8 @@ from gkmflag.schubert import flag_graph, schubert_table
 
 def changed_graph(g, edges=None, connection=None):
     """A new graph equal to g but at the given edge ids: ``edges`` maps an
-    edge id to its new Edge and ``connection`` to its new connection dict.
-    The vertices and the reverse map are g's."""
+    edge id to its new Edge and ``connection`` to its new connection
+    tuple of star positions.  The vertices and the reverse map are g's."""
     edges, connection = edges or {}, connection or {}
     return GkmGraph(g.varcount, g.vertices,
                     [edges.get(eid, e) for eid, e in enumerate(g.edges)], g.reverse,
@@ -78,6 +82,14 @@ def closure_by_coordinates(rs, sigma):
     return tuple(out)
 
 
+def connection_dict(g, eid):
+    """The connection along eid as {edge at the tail: its image}, decoded
+    from star positions through ``edges_at`` alone."""
+    e = g.edges[eid]
+    head = g.edges_at[e.dst]
+    return {e1: head[i] for e1, i in zip(g.edges_at[e.src], g.connection[eid])}
+
+
 def connection_failure(g):
     """First (eid, e1) whose connection image is not the edge at dst(eid)
     labeled s_{label(eid)}(label(e1)), or None.
@@ -86,7 +98,7 @@ def connection_failure(g):
     the connection down completely.
     """
     for eid, e in enumerate(g.edges):
-        for e1, e2 in g.connection[eid].items():
+        for e1, e2 in connection_dict(g, eid).items():
             image = g.edges[e2]
             if (g.edges[e1].src != e.src or image.src != e.dst
                     or image.label != reflect_form(e.label, g.edges[e1].label)):
@@ -151,7 +163,7 @@ def gkm_report_by_edges(g):
 
     bad = ""
     for eid, e in enumerate(g.edges):
-        conn = g.connection[eid]
+        conn = connection_dict(g, eid)
         if (set(conn.keys()) != set(g.edges_at[e.src])
                 or set(conn.values()) != set(g.edges_at[e.dst])):
             bad = f"connection along {g.edge_str(eid)} is not a bijection E_p -> E_q"
@@ -159,7 +171,7 @@ def gkm_report_by_edges(g):
         if conn[eid] != g.reverse[eid]:
             bad = f"connection along {g.edge_str(eid)} does not reverse the edge"
             break
-        rconn = g.connection[g.reverse[eid]]
+        rconn = connection_dict(g, g.reverse[eid])
         if any(rconn.get(v) != k for k, v in conn.items()):
             bad = f"connection along reverse of {g.edge_str(eid)} is not the inverse"
             break
@@ -167,7 +179,7 @@ def gkm_report_by_edges(g):
 
     bad = ""
     for eid, e in enumerate(g.edges):
-        for e1, e2 in g.connection[eid].items():
+        for e1, e2 in connection_dict(g, eid).items():
             diff = g.edges[e2].label - g.edges[e1].label
             if diff.proportional_to(e.label) is None:
                 bad = (f"congruence fails along {g.edge_str(eid)} at "

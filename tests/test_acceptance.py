@@ -251,10 +251,10 @@ def test_criterion_07_bundle_axioms_and_mutations():
     assert not verify_fiber_bundle(b).ok
 
     b = copy.deepcopy(bundles[0])
-    conn = dict(b.total.connection[0])
-    keys = [k for k in conn if k != 0]
+    conn = list(b.total.connection[0])
+    keys = [i for i, k in enumerate(b.total.edges_at[b.total.edges[0].src]) if k != 0]
     conn[keys[0]], conn[keys[1]] = conn[keys[1]], conn[keys[0]]
-    b.total = changed_graph(b.total, connection={0: conn})
+    b.total = changed_graph(b.total, connection={0: tuple(conn)})
     assert not verify_fiber_bundle(b).ok
 
     b = copy.deepcopy(bundles[3])

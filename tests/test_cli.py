@@ -108,6 +108,26 @@ def _missing_connection_target(data):
     return data
 
 
+def _repeated_map_key(data):
+    data["connection"][0]["map"][1][0] = data["connection"][0]["map"][0][0]
+    return data
+
+
+def _map_key_off_the_tail(data):
+    data["connection"][0]["map"][1][0] = len(data["edges"]) - 1  # an edge at the last vertex
+    return data
+
+
+def _map_image_off_the_head(data):
+    data["connection"][0]["map"][0][1] = 0  # edge 0 lies at the tail, not the head
+    return data
+
+
+def _missing_map_key(data):
+    del data["connection"][0]["map"][-1]
+    return data
+
+
 def _zero_denominator(data):
     data["edges"][0]["alpha"][0] = "1/0"
     return data
@@ -127,8 +147,16 @@ def _exponent_string(data):
     lambda data: {**data, "vertices": "123456"},
     lambda data: {**data, "varcount": 0},
     "[" * 200000 + "]" * 200000,
+    lambda data: {**data, "vertices": [{"a": 1}] * len(data["vertices"])},
+    lambda data: {**data, "vertices": ["a"] * len(data["vertices"])},
+    _repeated_map_key,
+    _map_key_off_the_tail,
+    _map_image_off_the_head,
+    _missing_map_key,
 ], ids=["dst-out-of-range", "missing-connection-target", "zero-denominator",
-        "exponent-string", "top-level-list", "vertices-string", "varcount-zero", "deeply-nested"])
+        "exponent-string", "top-level-list", "vertices-string", "varcount-zero", "deeply-nested",
+        "vertices-not-strings", "vertices-repeated", "repeated-map-key", "map-key-off-the-tail",
+        "map-image-off-the-head", "missing-map-key"])
 def test_verify_malformed_graph_file_is_usage_error(tmp_path, capsys, mutate):
     """``mutate`` edits a valid graph's JSON, or is the raw file text."""
     rs = RootSystem("A", 2)
@@ -139,6 +167,21 @@ def test_verify_malformed_graph_file_is_usage_error(tmp_path, capsys, mutate):
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_verify_non_injective_connection_fails_its_check(tmp_path, capsys):
+    """A map that pairs each edge at the tail once, two of them with one
+    edge at the head, is a graph whose connection-shape check fails."""
+    rs = RootSystem("A", 2)
+    data = graph_to_json(build_coset_graph(rs, frozenset(), rs.full_sigma()).graph)
+    pairs = data["connection"][0]["map"]
+    pairs[2][1] = pairs[1][1]
+    path = tmp_path / "non_injective.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--graph", str(path))
+    assert code == 1
+    assert ("CHECK connection-shape: FAIL connection along (1,2,3 -> 2,1,3; x1 - x2) "
+            "is not a bijection E_p -> E_q\n") in out
 
 
 def test_bundle_verify(capsys):

@@ -119,9 +119,45 @@ def test_labels_are_interned_once_on_every_coset_graph(kind, n):
             assert list(dict.fromkeys(g.label_id)) == list(range(len(g.labels)))
             if not sigma1 and sigma2 == rs.full_sigma():
                 assert set(g.labels) == roots
-            for field in ("edges", "reverse", "vertices", "edges_at", "connection", "labels"):
+            for field in ("edges", "reverse", "vertices", "edges_at", "slot", "connection",
+                          "labels"):
                 with pytest.raises(TypeError):
                     getattr(g, field)[0] = None
+
+
+@pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                                    ("C", 2), ("C", 3), ("D", 3)])
+def test_connections_are_shared_star_positions_on_every_coset_graph(kind, n):
+    """Each edge sits at ``slot`` in the star of its tail, the edges share
+    at most |W(Sigma1)| connection tuples, and a JSON round trip keeps the
+    connection, the reverse map and the hash."""
+    rs = RootSystem(kind, n)
+    for sigma2 in subsets(rs.full_sigma()):
+        for sigma1 in subsets(sigma2):
+            g = build_coset_graph(rs, sigma1, sigma2).graph
+            assert all(g.edges_at[e.src][g.slot[eid]] == eid for eid, e in enumerate(g.edges))
+            assert len({id(c) for c in g.connection}) <= len(rs.parabolic_elements(sigma1))
+            back = graph_from_json(json.loads(json.dumps(graph_to_json(g))))
+            assert back.connection == g.connection and back.reverse == g.reverse
+            assert graph_hash(back) == graph_hash(g)
+
+
+@pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                                    ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4)])
+def test_full_flag_graph_shares_one_connection_tuple(kind, n):
+    """W(Sigma1) is trivial, so every edge carries the identity positions."""
+    rs = RootSystem(kind, n)
+    g = build_coset_graph(rs, frozenset(), rs.full_sigma()).graph
+    assert len({id(c) for c in g.connection}) == 1
+    assert g.connection[0] == tuple(range(len(rs.positive_roots)))
+
+
+@pytest.mark.parametrize("connection", [[(0, 0), (0,)], [(0,), (1,)], [(-1,), (0,)], [(), (0,)]],
+                         ids=["too-long", "past-the-head", "negative", "empty"])
+def test_graph_refuses_a_connection_that_is_not_star_positions(connection):
+    l = LinearForm([1, -1])
+    with pytest.raises(ValueError, match="position in the star of vertex"):
+        GkmGraph(2, ["a", "b"], [Edge(0, 1, l), Edge(1, 0, -l)], [1, 0], connection)
 
 
 def _set_label(g, eid, label):
@@ -142,10 +178,10 @@ def _swap_labels_at_vertex(g, e, f):
 
 
 def _swap_connection_images(g, e, f):
-    conn = dict(g.connection[e])
-    a, b = [k for k in conn if k != e][:2]
+    conn = list(g.connection[e])
+    a, b = [i for i, k in enumerate(g.edges_at[g.edges[e].src]) if k != e][:2]
     conn[a], conn[b] = conn[b], conn[a]
-    return changed_graph(g, connection={e: conn})
+    return changed_graph(g, connection={e: tuple(conn)})
 
 
 def _reverse_not_negated(g, e, f):
@@ -240,7 +276,7 @@ def test_restriction_verdicts_match_long_division_on_flag_graphs(kind, n):
 def test_coh_failure_with_three_term_labels():
     """Labels with three nonzero coefficients are decided by division."""
     l = LinearForm([2, -1, 3])
-    g = GkmGraph(3, ["a", "b"], [Edge(0, 1, l), Edge(1, 0, -l)], [1, 0], [{0: 1}, {1: 0}])
+    g = GkmGraph(3, ["a", "b"], [Edge(0, 1, l), Edge(1, 0, -l)], [1, 0], [(0,), (0,)])
     x1 = Polynomial.variable(3, 1)
     good = CohClass(g, [x1, x1 + x1 * l.to_polynomial()])
     bad = CohClass(g, [x1, x1 * x1])

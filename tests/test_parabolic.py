@@ -37,7 +37,7 @@ from gkmflag.parabolic import (
 from gkmflag.polyring import LinearForm
 from gkmflag.rootsys import RootSystem
 
-from oracles import changed_graph, connection_failure, coset_projection
+from oracles import changed_graph, connection_dict, connection_failure, coset_projection
 
 BUNDLES = [
     ("A", 2, frozenset({2})),
@@ -65,7 +65,7 @@ def canonical_structure(cg):
     edges = sorted(key.values())
     conn = set()
     for eid in range(len(g.edges)):
-        for a, b in g.connection[eid].items():
+        for a, b in connection_dict(g, eid).items():
             conn.add((key[eid], key[a], key[b]))
     return edges, conn
 
@@ -156,10 +156,10 @@ def test_connection_reflects_labels(kind):
 def test_connection_oracle_catches_a_swapped_connection(a2):
     g = build_coset_graph(a2, frozenset(), a2.full_sigma()).graph
     assert connection_failure(g) is None
-    conn = dict(g.connection[0])
-    e1, e2 = [k for k in conn if k != 0]
-    conn[e1], conn[e2] = conn[e2], conn[e1]
-    assert connection_failure(changed_graph(g, connection={0: conn})) == (0, e1)
+    conn = list(g.connection[0])
+    (i, e1), (j, _) = [(i, k) for i, k in enumerate(g.edges_at[0]) if k != 0]
+    conn[i], conn[j] = conn[j], conn[i]
+    assert connection_failure(changed_graph(g, connection={0: tuple(conn)})) == (0, e1)
 
 
 def test_sigma_ordering_enforced(a2):
@@ -360,9 +360,10 @@ def test_fiber_that_is_not_a_subgraph_is_reported():
     mutated = copy.deepcopy(b)
     eid = next(e for e in range(len(b.total.edges)) if e not in b.dpi)
     h = next(e for e in b.total.edges_at[b.total.edges[eid].src] if e in b.dpi)
-    conn = dict(b.total.connection[eid])
-    conn[eid], conn[h] = conn[h], conn[eid]
-    mutated.total = changed_graph(b.total, connection={eid: conn})
+    conn = list(b.total.connection[eid])
+    i, j = b.total.slot[eid], b.total.slot[h]
+    conn[i], conn[j] = conn[j], conn[i]
+    mutated.total = changed_graph(b.total, connection={eid: tuple(conn)})
     failed = {c.name: c.witness for c in verify_fiber_bundle(mutated).failures()}
     assert failed["transition-gkm-iso"] == (
         "transition across (1,2,3 -> 2,1,3; x1 - x2): not a GKM subgraph for "
@@ -401,11 +402,11 @@ def test_connection_mutation_detected(a2):
     rs, b = tower("A", 2)
     mutated = copy.deepcopy(b)
     eid = 0
-    conn = dict(b.total.connection[eid])
-    keys = [k for k in conn if k != eid]
+    conn = list(b.total.connection[eid])
+    keys = [i for i, k in enumerate(b.total.edges_at[b.total.edges[eid].src]) if k != eid]
     a, bb = keys[0], keys[1]
     conn[a], conn[bb] = conn[bb], conn[a]
-    mutated.total = changed_graph(b.total, connection={eid: conn})
+    mutated.total = changed_graph(b.total, connection={eid: tuple(conn)})
     rep = verify_fiber_bundle(mutated)
     assert not rep.ok
 
@@ -626,7 +627,7 @@ def test_holonomy_refuses_a_one_vertex_base(a2):
 def test_trivial_product_bundle():
     def k2(label, names):
         edges = [Edge(0, 1, label), Edge(1, 0, -label)]
-        return GkmGraph(3, names, edges, [1, 0], [{0: 1}, {1: 0}])
+        return GkmGraph(3, names, edges, [1, 0], [(0,), (0,)])
 
     base = k2(LinearForm([1, -1, 0]), ["a", "b"])
     fiber = k2(LinearForm([0, 0, 1]), ["u", "v"])
@@ -644,9 +645,9 @@ def test_make_bundle_matches_parallel_base_edges_by_label():
     base = GkmGraph(3, ["a", "b"],
                     [Edge(0, 1, x1), Edge(0, 1, x2), Edge(1, 0, -x1), Edge(1, 0, -x2)],
                     [2, 3, 0, 1],
-                    [{0: 2, 1: 3}, {1: 3, 0: 2}, {2: 0, 3: 1}, {3: 1, 2: 0}])
+                    [(0, 1)] * 4)
     fiber = GkmGraph(3, ["u", "v"], [Edge(0, 1, x3), Edge(1, 0, -x3)],
-                     [1, 0], [{0: 1}, {1: 0}])
+                     [1, 0], [(0,), (0,)])
     product = product_bundle(base, fiber)
     b = make_bundle(product.total, base, product.pi)
     assert len(b.dpi) == 8
