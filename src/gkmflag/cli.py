@@ -54,15 +54,18 @@ class SystemExit2(Exception):
     """Usage error carrying its message; handled in main()."""
 
 
-def _write_out(args, text: str):
+def _write_out(args, text):
+    """Write ``text``, one string or an iterable of string chunks written as
+    they come, to --out or to stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if getattr(args, "out", None):
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise SystemExit2(f"cannot write {args.out}: {exc}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_report(rep: Report) -> int:

@@ -261,7 +261,7 @@ def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
     bad = ""
     for eid, e in enumerate(g.edges):
         conn = g.connection[eid]
-        if len(set(conn)) != len(g.edges_at[e.dst]):
+        if len(conn) != len(g.edges_at[e.dst]) or len(set(conn)) != len(conn):
             bad = f"connection along {g.edge_str(eid)} is not a bijection E_p -> E_q"
             break
         r = g.along(eid, eid)

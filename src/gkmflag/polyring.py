@@ -33,6 +33,7 @@ so instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from fractions import Fraction
@@ -79,6 +80,15 @@ def parse_rational(s: str):
 
 def format_rational(c: Fraction) -> str:
     return str(c)
+
+
+@functools.lru_cache(maxsize=4096)
+def _monomial_text(exps: Monomial) -> str:
+    """The text of one monomial, e.g. "x1^2*x3" for (2, 0, 1); "" for the
+    constant monomial.  Pure, so memoised: a table prints few distinct
+    monomials many times."""
+    return "*".join(f"x{i}" if k == 1 else f"x{i}^{k}"
+                    for i, k in enumerate(exps, 1) if k)
 
 
 def grlex_key(exps: Monomial):
@@ -554,27 +564,19 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        pieces = []
+        parts = []
         for e, c in self.sorted_terms():
+            mono = _monomial_text(e)
             mag = abs(c)
-            vars_ = []
-            for i, k in enumerate(e):
-                if k == 1:
-                    vars_.append(f"x{i + 1}")
-                elif k > 1:
-                    vars_.append(f"x{i + 1}^{k}")
-            if not vars_:
-                body = format_rational(mag)
+            parts.append(" - " if c < 0 else " + ")
+            if not mono:
+                parts.append(format_rational(mag))
             elif mag == 1:
-                body = "*".join(vars_)
+                parts.append(mono)
             else:
-                body = format_rational(mag) + "*" + "*".join(vars_)
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+                parts.append(format_rational(mag) + "*" + mono)
+        parts[0] = "-" if parts[0] == " - " else ""
+        return "".join(parts)
 
     def __repr__(self):
         return f"Polynomial({self.varcount}, {self})"

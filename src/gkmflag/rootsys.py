@@ -12,7 +12,11 @@ A Weyl group element is a signed permutation (u, eps) acting by
 x_k -> eps_k * x_{u(k)}.  Type A carries no signs and type D only an even
 number of minus signs; type C shares the type-B group and differs only in
 its roots.  The one-line form is the tuple (eps_1*u(1), ..., eps_N*u(N));
-its machine text is comma-separated, e.g. "-2,1".
+its machine text is comma-separated, e.g. "-2,1".  The public constructor
+``WeylElement(perm, signs)`` checks that perm permutes 1..N and that there
+is one sign +-1 per position.  Products and inverses rely on closure (the
+product or inverse of signed permutations is a signed permutation) and
+build their result without repeating those checks.
 
 The group-theoretic layer (lengths, reduced words, Bruhat and weak
 orders, parabolic subgroups W(Sigma) and root subsets <Sigma>) is
@@ -87,22 +91,20 @@ class WeylElement:
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         # (self*other) . x_k = self . (other . x_k)
-        if self.size != other.size:
+        if len(self.perm) != len(other.perm):
             raise ValueError("size mismatch")
-        perm = tuple(self.perm[other.perm[k] - 1] for k in range(self.size))
-        signs = tuple(
-            other.signs[k] * self.signs[other.perm[k] - 1] for k in range(self.size)
+        perm, signs = self.perm, self.signs
+        return _signed_permutation(
+            tuple([perm[j - 1] for j in other.perm]),
+            tuple([s * signs[j - 1] for j, s in zip(other.perm, other.signs)]),
         )
-        return WeylElement(perm, signs)
 
     def inverse(self) -> "WeylElement":
-        perm = [0] * self.size
-        signs = [1] * self.size
-        for k in range(self.size):
-            j = self.perm[k] - 1
-            perm[j] = k + 1
-            signs[j] = self.signs[k]
-        return WeylElement(perm, signs)
+        # pos[j] is the k with u(k) = j + 1
+        pos = [self.perm.index(j) for j in range(1, len(self.perm) + 1)]
+        return _signed_permutation(
+            tuple([k + 1 for k in pos]), tuple([self.signs[k] for k in pos])
+        )
 
     def is_identity(self) -> bool:
         return self.perm == tuple(range(1, self.size + 1)) and all(
@@ -167,6 +169,16 @@ class WeylElement:
 
     def __repr__(self):
         return f"W[{self.one_line_str()}]"
+
+
+def _signed_permutation(perm: tuple, signs: tuple) -> WeylElement:
+    """A WeylElement from tuples already known to form a signed
+    permutation, without ``__init__``'s checks: products and inverses of
+    signed permutations are signed permutations."""
+    w = WeylElement.__new__(WeylElement)
+    w.perm = perm
+    w.signs = signs
+    return w
 
 
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 3}

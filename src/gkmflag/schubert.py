@@ -16,10 +16,14 @@ by the product of its inversion roots.  Reversing the factors with
 negated arguments inverts H_w, which is where the alternating formula
 and the transition matrices between permuted Schubert bases come from.
 
-The table is built in one walk of the weak order, by length.  If s_i
-ends the reduced word of w, then H_w = H_{w s_i} (1 + (w s_i)(alpha_i) u_i),
-so the column at w is one generator times the column of w s_i (Billey's
-formula, applied one factor at a time).
+All columns come from one walk of the weak order, by length
+(``walk_columns``).  If s_i ends the reduced word of w, then
+H_w = H_{w s_i} (1 + (w s_i)(alpha_i) u_i) (Billey's formula, applied one
+factor at a time), so the column at w is the column at w s_i plus
+c * (w s_i)(alpha_i) at v s_i for each of its terms c u_v with
+len(v s_i) > len(v).  The walk holds only the columns of two lengths at a
+time; ``SchubertTable`` keeps every column it yields, while
+``schubert_table_tsv`` streams one row per column and keeps none.
 
 The Weyl group acts on classes by f^w(v) = w^{-1} f(wv); averaging over
 the group symmetrizes a class, and the change of basis from symmetrized
@@ -47,6 +51,7 @@ __all__ = [
     "nilcox_generator",
     "H",
     "H_inv",
+    "walk_columns",
     "schubert_table",
     "key_identity_check",
     "permuted_class",
@@ -176,18 +181,51 @@ def H_inv(rs: RootSystem, w: WeylElement, word=None) -> NilCoxElt:
     return H(rs, w.inverse(), word[::-1]).act(w)
 
 
+def walk_columns(rs: RootSystem):
+    """Yield (w, H(w)) for every w of ``rs.elements()``, in that order.
+
+    For w != e, with i the last letter of ``rs.reduced_word(w)``,
+    w' = w s_i and a = w'(alpha_i), the column H(w) = H(w')(1 + a u_i) is
+    H(w') plus c * a at v s_i for every term c u_v of H(w') with
+    len(v s_i) > len(v): one generator step, with no general product.
+    The elements come by length and w' is one shorter than w, so only the
+    columns of the previous and the current length are held.
+    """
+    order = rs.elements()
+    level_len, prev_level = 0, {}
+    level = {order[0]: nilcox_one(rs)}  # order[0] is the identity
+    yield order[0], level[order[0]]
+    for w in order[1:]:
+        if rs.length(w) != level_len:
+            level_len, prev_level, level = rs.length(w), level, {}
+        i = rs.reduced_word(w)[-1]
+        si = rs.simple_reflection(i)
+        w_prev = w * si
+        a = w_prev.act_linear(rs.simple_roots[i - 1]).to_polynomial()
+        base = prev_level[w_prev].coeffs
+        coeffs = dict(base)
+        for v, c in base.items():
+            vs = v * si
+            if rs.length(vs) > rs.length(v):
+                old = coeffs.get(vs)
+                new = c * a if old is None else old + c * a
+                if new.is_zero():
+                    del coeffs[vs]
+                else:
+                    coeffs[vs] = new
+        level[w] = col = NilCoxElt(rs, coeffs)
+        yield w, col
+
+
 class SchubertTable:
-    """All values tau_u(w) for one Weyl group: the column at w is H(w)."""
+    """All values tau_u(w) for one Weyl group: the column at w is H(w).
+
+    ``columns`` keeps every column of one ``walk_columns`` walk."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.order = list(rs.elements())
-        self.columns = {rs.identity(): nilcox_one(rs)}
-        for w in self.order[1:]:  # order[0] is the identity
-            i = rs.reduced_word(w)[-1]
-            prev = w * rs.simple_reflection(i)
-            arg = prev.act_linear(rs.simple_roots[i - 1])
-            self.columns[w] = self.columns[prev] * nilcox_generator(rs, i, arg)
+        self.columns = dict(walk_columns(rs))
 
     def tau_value(self, u: WeylElement, w: WeylElement) -> Polynomial:
         return self.columns[w].coefficient(u)
@@ -450,16 +488,18 @@ def invariant_table_tsv(rs: RootSystem, indices) -> str:
     return "\n".join(lines) + "\n"
 
 
-def schubert_table_tsv(rs: RootSystem) -> str:
-    """Rows = evaluation points w, columns = Schubert classes tau_u."""
-    table = schubert_table(rs)
-    names = ["tau[" + u.one_line_str() + "]" for u in table.order]
-    lines = ["\t".join(["word", "one_line"] + names)]
-    for w in table.order:
-        word, one = _row_labels(rs, w)
-        cells = [str(table.tau_value(u, w)) for u in table.order]
-        lines.append("\t".join([word, one] + cells))
-    return "\n".join(lines) + "\n"
+def schubert_table_tsv(rs: RootSystem):
+    """Rows = evaluation points w, columns = Schubert classes tau_u.
+
+    Yields the header line, then the row of each w (the column H(w)) as
+    ``walk_columns`` produces it, so the whole table is never held."""
+    order = rs.elements()
+    names = ["tau[" + u.one_line_str() + "]" for u in order]
+    yield "\t".join(["word", "one_line"] + names) + "\n"
+    for w, col in walk_columns(rs):
+        coeffs = col.coeffs
+        cells = [str(coeffs[u]) if u in coeffs else "0" for u in order]
+        yield "\t".join([*_row_labels(rs, w), *cells]) + "\n"
 
 
 def matrix_to_json(mat: TransitionMatrix) -> dict:

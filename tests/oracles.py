@@ -19,9 +19,12 @@ form, instead of by nilCoxeter products or the class condition, the
 projection oracle maps the edges of a coset bundle by the Weyl action
 instead of by matching endpoints, the extension oracle carries
 values across the base edge by edge instead of testing holonomy
-elements, and the division oracle decides the class condition by long
+elements, the division oracle decides the class condition by long
 division of each edge difference instead of by restriction to the
-label's hyperplane.
+label's hyperplane, the table emitter writes the Schubert TSV whole from
+the stored table instead of streaming it from the walk, and the term
+formatter writes a polynomial's text term by term with no memo and
+none of ``polyring``'s helpers.
 
 The connection oracles read a connection's star positions through
 ``connection_dict``, which decodes them with ``edges_at`` alone, not with
@@ -165,7 +168,8 @@ def gkm_report_by_edges(g):
     for eid, e in enumerate(g.edges):
         conn = connection_dict(g, eid)
         if (set(conn.keys()) != set(g.edges_at[e.src])
-                or set(conn.values()) != set(g.edges_at[e.dst])):
+                or set(conn.values()) != set(g.edges_at[e.dst])
+                or len(set(conn.values())) != len(conn)):
             bad = f"connection along {g.edge_str(eid)} is not a bijection E_p -> E_q"
             break
         if conn[eid] != g.reverse[eid]:
@@ -465,3 +469,40 @@ def express_in_forms(f: Polynomial, forms: Sequence[LinearForm]):
             if c != 0:
                 out_terms[lam] = out_terms.get(lam, Fraction(0)) + c
     return Polynomial(k, out_terms)
+
+
+def schubert_tsv_from_table(rs):
+    """The Schubert TSV built whole from ``schubert_table(rs).columns``:
+    rows = evaluation points w, columns = Schubert classes tau_u."""
+    table = schubert_table(rs)
+    names = ["tau[" + u.one_line_str() + "]" for u in table.order]
+    lines = ["\t".join(["word", "one_line"] + names)]
+    for w in table.order:
+        cells = [str(table.tau_value(u, w)) for u in table.order]
+        lines.append("\t".join([rs.word_str(w), w.one_line_str()] + cells))
+    return "\n".join(lines) + "\n"
+
+
+def polynomial_text(p):
+    """The text of a polynomial written out term by term: graded-lex
+    descending, coefficient 1 and exponent 1 omitted, "a/b" for a
+    fraction, and " + " or " - " between terms."""
+    terms = sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    out = ""
+    for n, (exps, c) in enumerate(terms):
+        factors = [f"x{i + 1}" + (f"^{k}" if k > 1 else "")
+                   for i, k in enumerate(exps) if k > 0]
+        mag = abs(Fraction(c))
+        number = (str(mag.numerator) if mag.denominator == 1
+                  else f"{mag.numerator}/{mag.denominator}")
+        if not factors:
+            body = number
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = number + "*" + "*".join(factors)
+        if n == 0:
+            out = ("-" if c < 0 else "") + body
+        else:
+            out += (" - " if c < 0 else " + ") + body
+    return out or "0"

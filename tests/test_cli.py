@@ -332,6 +332,15 @@ def test_export_bundle_round_trip(tmp_path, capsys):
     assert bundle_to_json(b) == bundle_to_json(built) == data
 
 
+def test_schubert_out_file_holds_the_stdout_bytes(capsys, tmp_path):
+    path = tmp_path / "a3.tsv"
+    code, out, _ = run(capsys, "schubert", "--type", "A", "--rank", "3")
+    assert code == 0
+    code, quiet, _ = run(capsys, "schubert", "--type", "A", "--rank", "3", "--out", str(path))
+    assert code == 0 and quiet == ""
+    assert path.read_bytes() == out.encode()
+
+
 def test_schubert_verb(capsys):
     code, out, _ = run(capsys, "schubert", "--type", "A", "--rank", "2")
     assert code == 0

@@ -160,6 +160,20 @@ def test_graph_refuses_a_connection_that_is_not_star_positions(connection):
         GkmGraph(2, ["a", "b"], [Edge(0, 1, l), Edge(1, 0, -l)], [1, 0], connection)
 
 
+def test_connection_onto_a_smaller_star_is_not_a_bijection():
+    """On the path b - a - c the connection along a -> b sends both edges
+    at a to the one edge at b: its image fills b's star, but it is not
+    injective."""
+    l1, l2 = LinearForm([1, 0]), LinearForm([0, 1])
+    edges = [Edge(0, 1, l1), Edge(1, 0, -l1), Edge(0, 2, l2), Edge(2, 0, -l2)]
+    g = GkmGraph(2, ["a", "b", "c"], edges, [1, 0, 3, 2], [(0, 0), (0,), (0, 0), (1,)])
+    rep = verify_gkm(g)
+    assert [(c.name, c.passed, c.witness) for c in rep.checks] == gkm_report_by_edges(g)
+    check = next(c for c in rep.checks if c.name == "connection-shape")
+    assert not check.passed
+    assert check.witness == f"connection along {g.edge_str(0)} is not a bijection E_p -> E_q"
+
+
 def _set_label(g, eid, label):
     """g with the label on eid and the negated label on its reverse."""
     r = g.reverse[eid]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from gkmflag.polyring import LinearForm, Polynomial, parse_polynomial, parse_rat
 from gkmflag.rootsys import RootSystem
 from gkmflag.schubert import schubert_table
 
-from oracles import naive_product
+from oracles import naive_product, polynomial_text
 
 X1 = Polynomial.variable(3, 1)
 X2 = Polynomial.variable(3, 2)
@@ -227,6 +228,30 @@ def test_ring_axioms(f, g, h):
 @given(polys(), polys())
 def test_mul_matches_naive_oracle(f, g):
     assert f * g == naive_product(f.terms, g.terms, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(max_terms=6))
+def test_text_matches_term_formatter(f):
+    assert str(f) == polynomial_text(f)
+
+
+def test_text_matches_term_formatter_on_pinned_shapes():
+    one = Polynomial.one(3)
+    for f in [Polynomial.zero(3), one.scale(7), one.scale(Fraction(-3, 4)), -X1 ** 2 * X3 + X2,
+              X1.scale(Fraction(-5, 2)) - one, X1 * X2 * X3 - one]:
+        assert str(f) == polynomial_text(f)
+
+
+def test_text_is_unchanged_after_more_monomials_than_the_memo_holds():
+    """Formatting 6,561 distinct monomials, more than the 4,096 memoised
+    monomial texts, evicts early entries; the text must not change."""
+    f = X1 ** 2 * X3 - X2.scale(Fraction(1, 3)) + Polynomial.constant(3, 4)
+    before = str(f)
+    monomials = [Polynomial.monomial(4, e, -2) for e in product(range(9), repeat=4)]
+    assert all(str(m) == polynomial_text(m) for m in monomials)
+    assert str(f) == before == polynomial_text(f)
+    assert all(str(m) == polynomial_text(m) for m in monomials[:100])
 
 
 @settings(max_examples=60, deadline=None)

@@ -186,6 +186,46 @@ def test_group_axioms_spot(b2):
         assert (a * b) * c == a * (b * c)
 
 
+@pytest.mark.parametrize("name", ["a3", "b3", "d3"])
+def test_products_and_inverses_match_the_matrices(request, name):
+    """Products and inverses skip the constructor's checks, so compare
+    them with the matrices of the action on linear forms, for every pair."""
+    rs = request.getfixturevalue(name)
+    elems = rs.elements()
+    mats = {w: w.matrix() for w in elems}
+    m = rs.varcount
+    e = rs.identity()
+    for w in elems:
+        a = mats[w]
+        assert w.inverse() * w == e
+        for v in elems:
+            b = mats[v]
+            product = tuple(tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m))
+                            for i in range(m))
+            assert (w * v).matrix() == product, (w, v)
+
+
+@pytest.mark.parametrize("perm, signs, match", [
+    ((1, 1, 3), None, "not a permutation"),
+    ((0, 1, 2), None, "not a permutation"),
+    ((1, 2, 4), (1, 1, 1), "not a permutation"),
+    ((1, 2, 3), (1, 2, 1), "signs must be"),
+    ((1, 2, 3), (1, 0, -1), "signs must be"),
+    ((1, 2, 3), (1, -1), "signs must be"),
+    ((1, 2, 3), (1, -1, 1, 1), "signs must be"),
+], ids=["repeat", "zero", "gap", "sign-2", "sign-0", "too-few-signs", "too-many-signs"])
+def test_constructor_refuses_what_is_not_a_signed_permutation(perm, signs, match):
+    with pytest.raises(ValueError, match=match):
+        WeylElement(perm, signs)
+
+
+def test_product_of_different_sizes_is_refused():
+    with pytest.raises(ValueError, match="size mismatch"):
+        WeylElement((2, 1)) * WeylElement((1, 2, 3))
+    with pytest.raises(ValueError, match="size mismatch"):
+        WeylElement((1, 2, 3)) * WeylElement((2, 1))
+
+
 def test_type_constraints(a3, d3):
     assert all(all(s == 1 for s in w.signs) for w in a3.elements())
     assert all(w.signs.count(-1) % 2 == 0 for w in d3.elements())

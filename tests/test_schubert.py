@@ -23,6 +23,7 @@ from gkmflag.schubert import (
     permuted_class,
     reassemble,
     schubert_table,
+    schubert_table_tsv,
     seeded_random_class,
     sign_of,
     symmetrize,
@@ -30,7 +31,7 @@ from gkmflag.schubert import (
     transition_matrices,
 )
 
-from oracles import chevalley_failures, schubert_by_conditions
+from oracles import chevalley_failures, schubert_by_conditions, schubert_tsv_from_table
 
 
 def x(rs, i):
@@ -152,6 +153,12 @@ def test_table_walk_matches_the_product_along_each_word(request, name):
     columns = schubert_table(rs).columns
     for w in rs.elements():
         assert columns[w] == H(rs, w), w.one_line_str()
+
+
+@pytest.mark.parametrize("name", ["a3", "b3", "c3", "d3"])
+def test_streamed_tsv_matches_the_whole_table(request, name):
+    rs = request.getfixturevalue(name)
+    assert "".join(schubert_table_tsv(rs)) == schubert_tsv_from_table(rs)
 
 
 @pytest.mark.parametrize("name", ["a3", "b3", "c3", "d3"])
