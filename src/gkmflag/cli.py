@@ -6,12 +6,14 @@ invariant-class and Schubert tables as TSV, compute holonomy groups, and
 export graphs/bundles/classes as JSON or DOT.
 
 Exit codes: 0 when every check passes, 1 when a check fails (the
-offending witness is printed), 2 for usage errors.  Every verb accepts
---seed, but only ``express`` uses it: its random target class is drawn
-through Python's Mersenne Twister (``random.Random``), so reports are
-byte-identical for a fixed seed.  Every check is deterministic.  Only
-the verbs that read Sigma1/Sigma2 (build, verify, bundle, holonomy,
-export) accept --sigma1/--sigma2; the others reject them as usage errors.
+offending witness is printed), 2 for usage errors.  ``express`` draws its
+random target class from --seed through Python's Mersenne Twister
+(``random.Random``), so reports are byte-identical for a fixed seed;
+``basis`` also accepts --seed, which changes nothing it prints.  Every
+check is deterministic.  A verb refuses, as a usage error, each flag it
+does not read: only build, verify, bundle, holonomy and export take
+--sigma1/--sigma2, only express and basis take --seed, and ``export``
+takes --index only with ``--what class``, which has no DOT form.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def cmd_verify(args) -> int:
         rs = _root_system(args)
         sigma2 = args.sigma2 if args.sigma2 else rs.full_sigma()
         g = parabolic.build_coset_graph(rs, args.sigma1, sigma2).graph
-    rep = gkmgraph.verify_gkm(g, strict_independence=args.strict_independence)
+    rep = gkmgraph.verify_gkm(g)
     return _emit_report(rep)
 
 
@@ -205,6 +207,10 @@ def cmd_express(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.what != "class" and args.index is not None:
+        raise SystemExit2(f"--index is read only with --what class, not {args.what}")
+    if args.what == "class" and args.format == "dot":
+        raise SystemExit2("class export has no DOT format")
     rs = _root_system(args)
     sigma2 = args.sigma2 if args.sigma2 else rs.full_sigma()
     if args.what == "bundle":
@@ -244,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, out=True, sigmas=True):
+    def common(p, out=True, sigmas=True, seed=False):
         p.add_argument("--type", choices=list("ABCD"), help="root system type")
         p.add_argument("--rank", type=int, help="root system rank")
         if sigmas:
@@ -252,7 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="comma-separated simple-root indices")
             p.add_argument("--sigma2", type=_parse_sigma, default=frozenset(),
                            help="comma-separated simple-root indices")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-group-order", type=int, default=DEFAULT_GROUP_CAP)
         if out:
             p.add_argument("--out", help="write output to this path")
@@ -264,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify the graph axioms")
     common(p, out=False)
     p.add_argument("--graph", help="verify a graph loaded from JSON")
-    p.add_argument("--strict-independence", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("schubert", help="emit the Schubert class table (TSV)")
@@ -288,12 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_holonomy)
 
     p = sub.add_parser("basis", help="verify the invariant basis family")
-    common(p, sigmas=False)
+    common(p, sigmas=False, seed=True)
     p.add_argument("--max-degree", type=int, default=4)
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("express", help="decompose a random class over the bundle")
-    common(p, out=False, sigmas=False)
+    common(p, out=False, sigmas=False, seed=True)
     p.add_argument("--degree", type=int, default=4)
     p.set_defaults(func=cmd_express)
 

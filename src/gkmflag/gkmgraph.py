@@ -15,9 +15,9 @@ module decodes the format: :meth:`GkmGraph.along` and
 by :func:`verify_gkm` are
 
 1. reversal antisymmetry of labels,
-2. independence of the labels at every vertex (pairwise independence by
-   default; a strict mode demands full linear independence, which fails
-   for flag graphs whenever there are more edges than dimensions), and
+2. pairwise independence of the labels at every vertex (full linear
+   independence would fail on every flag graph with more edges at a
+   vertex than dimensions), and
 3. the congruence condition: along any edge e, a label and its
    connection image differ by a rational multiple of the label of e.
 
@@ -33,11 +33,11 @@ by ``invbases.express_in_basis``.  Classes built from an invariant
 polynomial, such as ``invbases.base_tau``, are classes by proof and are
 not checked either.
 
-Isomorphisms are pairs (Phi, Psi): a vertex bijection plus a linear map
-intertwining the labels.  Psi is stored as a matrix with one row per
-target coordinate; it is usually square and invertible, but a rectangular
-injective Psi is accepted so a small model graph can be identified with a
-fiber living in a bigger coordinate space.
+Isomorphisms are pairs (Phi, Psi): a vertex bijection plus an invertible
+linear map of the label space intertwining the labels, as in the
+transition maps of a graph fiber bundle (Guillemin, Sabatini & Zara,
+J. Algebraic Combin. 35, 2012).  Psi is a square matrix, one row per
+coordinate, with entries in ``polyring``'s number normal form.
 
 A graph is an immutable value, like ``Polynomial`` and ``LinearForm``:
 its fields are tuples, fixed at construction.  A flag graph has
@@ -200,7 +200,7 @@ def _stars(edges: Sequence[Edge], nvertices: int):
 # axiom verification
 
 
-def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
+def verify_gkm(g: GkmGraph) -> Report:
     """Check the connection/axial-function axioms; report first witnesses.
 
     Each label axiom is a function of label values alone, and a flag
@@ -239,21 +239,14 @@ def verify_gkm(g: GkmGraph, strict_independence: bool = False) -> Report:
     bad = ""
     proportional: dict[tuple, bool] = {}
     for p in range(g.nvertices):
-        eids = g.edges_at[p]
-        if strict_independence:
-            rows = [g.edges[eid].label.coeffs for eid in eids]
-            if linalg.rank_fraction(rows) != len(rows):
-                bad = f"labels at vertex {g.vertices[p]} are linearly dependent"
+        for e1, e2 in combinations(g.edges_at[p], 2):
+            a, b = lid[e1], lid[e2]
+            if (a, b) not in proportional:
+                proportional[a, b] = labels[a].proportional_to(labels[b]) is not None
+            if proportional[a, b]:
+                bad = (f"labels {labels[a]} and {labels[b]} at vertex "
+                       f"{g.vertices[p]} are proportional")
                 break
-        else:
-            for e1, e2 in combinations(eids, 2):
-                a, b = lid[e1], lid[e2]
-                if (a, b) not in proportional:
-                    proportional[a, b] = labels[a].proportional_to(labels[b]) is not None
-                if proportional[a, b]:
-                    bad = (f"labels {labels[a]} and {labels[b]} at vertex "
-                           f"{g.vertices[p]} are proportional")
-                    break
         if bad:
             break
     rep.add("independence", not bad, bad)
@@ -481,15 +474,14 @@ class GkmIso:
     """A vertex bijection Phi plus a label-intertwining linear map Psi.
 
     ``phi`` maps vertex indices of the source graph to vertex indices of
-    the target; ``psi`` is a matrix (rows = target coordinates) applied to
-    labels.
+    the target; ``psi`` is a square matrix applied to labels.
     """
 
     phi: tuple
     psi: tuple
 
     def apply_form(self, form: LinearForm) -> LinearForm:
-        return linalg.apply_matrix_form(self.psi, form)
+        return LinearForm(linalg.mat_vec(self.psi, form.coeffs))
 
     def key(self):
         return (self.phi, self.psi)
@@ -498,14 +490,15 @@ class GkmIso:
 def verify_iso(iso: GkmIso, g1: GkmGraph, g2: GkmGraph) -> bool:
     """Graph morphism + bijectivity + label intertwining, all by inspection.
 
-    Psi is applied once per distinct source label, by label id.
+    Psi must be an invertible m x m matrix, m the label dimension of both
+    graphs; it is applied once per distinct source label, by label id.
     """
     if len(iso.phi) != g1.nvertices or sorted(iso.phi) != list(range(g2.nvertices)):
         return False
-    rows = iso.psi
-    if len(rows) != g2.varcount or any(len(r) != g1.varcount for r in rows):
+    m = g1.varcount
+    if g2.varcount != m or len(iso.psi) != m or any(len(r) != m for r in iso.psi):
         return False
-    if linalg.rank_fraction(rows) != g1.varcount:
+    if linalg.rank_fraction(iso.psi) != m:
         return False
     image = [iso.apply_form(label).coeffs for label in g1.labels]
     for p in range(g1.nvertices):
@@ -542,16 +535,12 @@ def invert_iso(iso: GkmIso) -> GkmIso:
 def pullback_class(iso: GkmIso, g1: GkmGraph, g2: GkmGraph, c2: CohClass) -> CohClass:
     """Pull a class on g2 back to g1 through (Phi, Psi).
 
-    The value at p is Psi^{-1} applied to the value at Phi(p).  For a
-    rectangular injective Psi a left inverse is used; values are then
-    assumed to lie in the image span (true for classes supported on the
-    image fiber, which is the only use).
+    The value at p is Psi^{-1} applied to the value at Phi(p).
     """
-    left = linalg.left_inverse_fraction(iso.psi)
-    if left is None:
-        raise ValueError("Psi has no left inverse")
-    images = [LinearForm([left[i][j] for i in range(len(left))])
-              for j in range(len(left[0]))]
+    inv = linalg.invert_fraction(iso.psi)
+    if inv is None:
+        raise ValueError("Psi is not invertible")
+    images = [LinearForm(col) for col in zip(*inv)]
     vals = [c2.values[iso.phi[p]].substitute_linear(images)
             for p in range(g1.nvertices)]
     return CohClass(g1, vals)

@@ -1,14 +1,20 @@
 """Exact linear algebra helpers: rational matrices and polynomial systems.
 
+Entries are numbers in ``polyring``'s normal form: an ``int`` when
+integral, else a ``Fraction``.  Every routine takes them in that form and
+returns them in that form, and its only true divisions go through
+``polyring._div``, so integral data stays in ``int`` arithmetic until a
+pivot does not divide.
+
 One rational elimination core and Bareiss, all exact:
 
 * one sparse Gauss elimination over Q with Markowitz-style pivoting
-  (``_eliminate``) on rows given as {col: Fraction} dicts.  Every rational
-  routine is a thin wrapper over it: ``solve_sparse_fraction`` and
-  ``solve_fraction`` back-substitute, ``rank_fraction`` counts the
+  (``_eliminate``) on rows given as {col: nonzero number} dicts.  Every
+  rational routine is a thin wrapper over it: ``solve_sparse_fraction``
+  and ``solve_fraction`` back-substitute, ``rank_fraction`` counts the
   pivots, ``det_fraction`` multiplies them (the determinant at one point
   that the basis certificate of ``invbases`` rests on), and
-  ``invert_fraction`` and ``left_inverse_fraction`` solve on it.
+  ``invert_fraction`` solves on it.
   ``solve_module_coeffs`` writes the unknown polynomial coefficients of
   a module-coefficient system degree by degree, which turns it into one
   sparse linear system over Q per degree; a solution certificate is
@@ -27,19 +33,16 @@ One rational elimination core and Bareiss, all exact:
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .polyring import LinearForm, Polynomial
+from .polyring import Polynomial, _div, _q
 
 __all__ = [
     "identity_matrix",
     "mat_mul",
     "mat_vec",
-    "apply_matrix_form",
     "invert_fraction",
-    "left_inverse_fraction",
     "det_fraction",
     "rank_fraction",
     "solve_fraction",
@@ -49,13 +52,11 @@ __all__ = [
     "monomials_of_degree",
 ]
 
-Matrix = tuple  # tuple of row tuples of Fractions
+Matrix = tuple  # tuple of row tuples of numbers in polyring's normal form
 
 
 def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -63,25 +64,20 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("shape mismatch")
     return tuple(
         tuple(
-            sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+            _q(sum(a[i][k] * b[k][j] for k in range(len(b))))
             for j in range(len(b[0]))
         )
         for i in range(len(a))
     )
 
 
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> tuple:
+def mat_vec(a: Matrix, v: Sequence) -> tuple:
     if len(a[0]) != len(v):
         raise ValueError("shape mismatch")
     return tuple(
-        sum((a[i][k] * v[k] for k in range(len(v))), Fraction(0))
+        _q(sum(a[i][k] * v[k] for k in range(len(v))))
         for i in range(len(a))
     )
-
-
-def apply_matrix_form(a: Matrix, form: LinearForm) -> LinearForm:
-    """Apply a linear map (rows x cols matrix) to a linear form (a vector)."""
-    return LinearForm(mat_vec(a, form.coeffs))
 
 
 # ----------------------------------------------------------------------
@@ -91,11 +87,12 @@ def apply_matrix_form(a: Matrix, form: LinearForm) -> LinearForm:
 def _eliminate(rows, rhs=None) -> list:
     """Forward elimination in place; returns the pivots (row, col) in order.
 
-    ``rows`` are dicts {col: nonzero Fraction}; ``rhs``, if given, is
-    updated alongside them.  Pivot choice approximates Markowitz order:
-    always eliminate with the shortest active row, on its least-used
-    column.  A pivot row keeps only its pivot and columns pivoted later,
-    and every row that is not a pivot ends empty.
+    ``rows`` are dicts {col: nonzero number}; ``rhs``, if given, is
+    updated alongside them, and every updated entry is put back in normal
+    form, so an integral one stays an int.  Pivot choice approximates
+    Markowitz order: always eliminate with the shortest active row, on its
+    least-used column.  A pivot row keeps only its pivot and columns
+    pivoted later, and every row that is not a pivot ends empty.
     """
     col_rows: dict[int, set[int]] = {}
     for i, r in enumerate(rows):
@@ -125,46 +122,45 @@ def _eliminate(rows, rhs=None) -> list:
         pv = prow[pc]
         for i in list(col_rows[pc]):
             row = rows[i]
-            f = row[pc] / pv
+            f = _div(row[pc], pv)
             for c, v in prow.items():
                 if c in row:
-                    s = row[c] - f * v
+                    s = _q(row[c] - f * v)
                     if s:
                         row[c] = s
                     else:
                         del row[c]
                         col_rows[c].discard(i)
                 else:
-                    row[c] = -f * v
+                    row[c] = _q(-f * v)
                     col_rows[c].add(i)
             if rhs is not None:
-                rhs[i] -= f * rhs[pr]
+                rhs[i] = _q(rhs[i] - f * rhs[pr])
 
 
 def _sparse_rows(rows) -> list:
-    return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
 
 
 def solve_sparse_fraction(rows, rhs, ncols):
     """Solve a sparse rational system; rows are dicts {col: nonzero coeff}.
 
-    Entries are converted to Fraction on entry, so that int coefficients
-    never meet in a true division.  Returns a solution list (free columns
-    set to 0) or None if inconsistent.
+    The rows and ``rhs`` are worked on in copies.  Returns a solution
+    list (free columns set to 0) or None if inconsistent.
     """
-    rows = [{c: Fraction(v) for c, v in r.items()} for r in rows]
-    rhs = [Fraction(v) for v in rhs]
+    rows = [dict(r) for r in rows]
+    rhs = list(rhs)
     pivots = _eliminate(rows, rhs)
     # a row the elimination emptied reads 0 = rhs
     if any(rhs[i] for i, r in enumerate(rows) if not r):
         return None
-    sol = [Fraction(0)] * ncols
+    sol = [0] * ncols
     for pr, pc in reversed(pivots):
         s = rhs[pr]
         for c, v in rows[pr].items():
             if c != pc:
                 s -= v * sol[c]
-        sol[pc] = s / rows[pr][pc]
+        sol[pc] = _div(s, rows[pr][pc])
     return sol
 
 
@@ -182,45 +178,29 @@ def rank_fraction(rows) -> int:
     return len(_eliminate(_sparse_rows(rows)))
 
 
-def det_fraction(rows) -> Fraction:
+def det_fraction(rows):
     """The product of the pivots times the sign of the row -> column
     pivot permutation; 0 when there are fewer pivots than rows."""
     work = _sparse_rows(rows)
     pivots = _eliminate(work)
     if len(pivots) < len(rows):
-        return Fraction(0)
-    det = Fraction(1)
+        return 0
+    det = 1
     for r, c in pivots:
         det *= work[r][c]
     cols = [c for _, c in sorted(pivots)]
     inversions = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1:])
-    return -det if inversions % 2 else det
+    return _q(-det if inversions % 2 else det)
 
 
 def invert_fraction(rows):
     """Inverse of a square rational matrix, or None if singular."""
     n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("not a square matrix")
     cols = [solve_fraction(rows, [int(i == j) for i in range(n)]) for j in range(n)]
     return None if None in cols else tuple(zip(*cols))
 
-
-def left_inverse_fraction(rows):
-    """A left inverse L (L @ A = I) of a full-column-rank matrix, or None.
-
-    L inverts the block of the rows the elimination pivots on, which are
-    independent, and is zero on every other row.
-    """
-    n = len(rows[0])
-    picked = [r for r, _ in _eliminate(_sparse_rows(rows))]
-    if len(picked) < n:
-        return None
-    block = invert_fraction([rows[r] for r in picked])
-    where = {r: k for k, r in enumerate(picked)}
-    zero = Fraction(0)
-    return tuple(
-        tuple(block[i][where[r]] if r in where else zero for r in range(len(rows)))
-        for i in range(n)
-    )
 
 # ----------------------------------------------------------------------
 # polynomial matrices

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import accumulate
 
 from . import linalg
@@ -411,23 +410,20 @@ def _solve_transition_psi(b: BundleMap, beid: int, vmap):
             raise ValueError("fiber labels do not shift along the base label")
         rows.append(list(v.coeffs))
         rhs.append(c)
-    cvec = linalg.solve_fraction(rows, rhs) if rows else [Fraction(0)] * m
+    cvec = linalg.solve_fraction(rows, rhs) if rows else [0] * m
     if cvec is None:
         raise ValueError("no linear transition exists")
+    c = LinearForm(cvec)
     # x -> x + c(x) alpha has determinant 1 + c(alpha); the data pins c only
     # on the fiber-label span, so steer the free part away from -1.
-    c_alpha = sum(a * b for a, b in zip(cvec, alpha.coeffs))
+    c_alpha = c.dot(alpha)
     if 1 + c_alpha == 0:
-        z = linalg.solve_fraction(rows + [list(alpha.coeffs)],
-                                  [Fraction(0)] * len(rows) + [Fraction(1)])
+        z = linalg.solve_fraction(rows + [list(alpha.coeffs)], [0] * len(rows) + [1])
         if z is None:
             raise ValueError("transition is singular on the fiber span")
-        cvec = [c - c_alpha * zi for c, zi in zip(cvec, z)]
-    ident = linalg.identity_matrix(m)
-    return tuple(
-        tuple(ident[i][j] + alpha.coeffs[i] * cvec[j] for j in range(m))
-        for i in range(m)
-    )
+        c = c - LinearForm(z).scale(c_alpha)
+    return tuple((LinearForm(row) + c.scale(a)).coeffs
+                 for row, a in zip(linalg.identity_matrix(m), alpha.coeffs))
 
 
 def product_bundle(base: GkmGraph, fiber: GkmGraph) -> BundleMap:

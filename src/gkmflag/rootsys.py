@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 from .polyring import LinearForm, Polynomial
 
@@ -140,9 +139,9 @@ class WeylElement:
     def matrix(self):
         """The m x m matrix of the action on linear forms."""
         m = self.size
-        rows = [[Fraction(0)] * m for _ in range(m)]
+        rows = [[0] * m for _ in range(m)]
         for k in range(m):
-            rows[self.perm[k] - 1][k] = Fraction(self.signs[k])
+            rows[self.perm[k] - 1][k] = self.signs[k]
         return tuple(tuple(r) for r in rows)
 
     def one_line(self):

@@ -46,6 +46,15 @@ def test_table_refuses_the_removed_basis_flag(capsys):
     assert "Traceback" not in err
 
 
+def test_verify_refuses_the_removed_strict_independence_flag(capsys):
+    code, out, err = run(capsys, "verify", "--type", "A", "--rank", "2",
+                         "--strict-independence")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --strict-independence" in err
+    assert "Traceback" not in err
+
+
 def _readme_commands():
     """The argv of each ``gkm`` line in the README's command-line block."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -318,6 +327,22 @@ def test_export_class(capsys):
     assert data["values"]["2,1"] == "x1*x2^3"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--what", "class", "--index", "3,1", "--format", "dot"),
+     "class export has no DOT format"),
+    (("--index", "3,1"), "--index is read only with --what class, not graph"),
+    (("--what", "bundle", "--sigma2", "2", "--index", "3,1"),
+     "--index is read only with --what class, not bundle"),
+])
+def test_export_refuses_flags_it_would_ignore(capsys, argv, message):
+    """``--what class`` has no DOT form, and only it reads --index; either
+    flag used elsewhere is a usage error, not silently dropped."""
+    code, out, err = run(capsys, "export", "--type", "B", "--rank", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_export_bundle_round_trip(tmp_path, capsys):
     from gkmflag.parabolic import bundle_from_json, bundle_to_json, build_bundle
 
@@ -387,6 +412,18 @@ def test_verbs_without_sigmas_refuse_sigma_flags(capsys, verb, flag):
     assert code == 2
     assert out == ""
     assert f"unrecognized arguments: {flag} 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "verb", ["build", "verify", "schubert", "table", "bundle", "holonomy", "export"])
+def test_verbs_without_a_seed_refuse_the_seed_flag(capsys, verb):
+    """Only ``express`` and ``basis`` accept --seed; the rest exit 2
+    instead of ignoring it."""
+    code, out, err = run(capsys, verb, "--type", "A", "--rank", "2", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --seed 1" in err
     assert "Traceback" not in err
 
 

@@ -1,6 +1,5 @@
 import copy
 import json
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -75,12 +74,6 @@ def test_k3_bad_label_fails_congruence():
 
 def test_flag_graph_passes(s3_graph):
     assert verify_gkm(s3_graph.graph).ok
-
-
-def test_strict_independence_fails_on_flag_graphs(s3_graph):
-    # three edge directions in an effective rank-2 span
-    rep = verify_gkm(s3_graph.graph, strict_independence=True)
-    assert not rep.ok and not verify_gkm(s3_graph.graph).failures()
 
 
 def checks_of(rep):
@@ -381,23 +374,36 @@ def test_identity_iso(s3_graph):
     assert verify_iso(iso, g, g)
 
 
-def test_model_fiber_iso(s3_graph):
-    """The model rank-1 graph embeds onto the fiber over 3."""
-    s2 = canonical_s2_graph()
-    sub, vmap, _ = fiber_over(s3_graph, 3)
-    # phi: id -> 312, s1 -> 321; psi embeds x1, x2 into three coordinates
-    g = s3_graph.graph
-    phi = (
-        sub.vertex_index("3,1,2"),
-        sub.vertex_index("3,2,1"),
-    )
-    psi = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
-    iso = GkmIso(phi, psi)
-    assert verify_iso(iso, s2, sub)
-    # pull the fiber restriction of u -> x_{u(2)} back to the model graph
-    c = CohClass(sub, [Polynomial.variable(3, w) for w in (1, 2)])
-    pulled = pullback_class(iso, s2, sub, c)
-    assert [str(v) for v in pulled.values] == ["x1", "x2"]
+def fiber_iso(s3_graph, w, a):
+    """Left multiplication by w from the fiber over a to the fiber over
+    w(a), with Psi the (square) matrix of w."""
+    sub_a, vmap_a, _ = fiber_over(s3_graph, a)
+    sub_b, vmap_b, _ = fiber_over(s3_graph, w.perm[a - 1])
+    phi = [None] * sub_a.nvertices
+    for p, i in vmap_a.items():
+        phi[i] = vmap_b[s3_graph.vertex_of(w * s3_graph.reps[p])]
+    return GkmIso(tuple(phi), w.matrix()), sub_a, sub_b
+
+
+def test_model_fiber_iso(s3_graph, a2_mod):
+    """The transposition (1 3) carries the fiber over 1 onto the fiber
+    over 3; only a square invertible Psi is an isomorphism."""
+    w = a2_mod.reflection(LinearForm([1, 0, -1]))
+    iso, sub1, sub3 = fiber_iso(s3_graph, w, 1)
+    assert verify_iso(iso, sub1, sub3)
+    assert not verify_iso(GkmIso(iso.phi, identity_matrix(3)), sub1, sub3)
+    # the embedding of a two-coordinate model graph is no longer an iso
+    embed = ((1, 0), (0, 1), (0, 0))
+    assert not verify_iso(GkmIso(iso.phi, embed), canonical_s2_graph(), sub3)
+    with pytest.raises(ValueError, match="not a square matrix"):
+        pullback_class(GkmIso(iso.phi, embed), canonical_s2_graph(), sub3,
+                       CohClass(sub3, [Polynomial.variable(3, 1)] * 2))
+    # pull the fiber restriction of u -> x_{u(2)} back to the fiber over 1
+    assert list(sub3.vertices) == ["3,1,2", "3,2,1"]
+    assert list(sub1.vertices) == ["1,2,3", "1,3,2"]
+    c = CohClass(sub3, [Polynomial.variable(3, k) for k in (1, 2)])
+    pulled = pullback_class(iso, sub1, sub3, c)
+    assert [str(v) for v in pulled.values] == ["x2", "x3"]
     assert is_coh_class(pulled)
 
 
@@ -442,19 +448,13 @@ def test_pullback_round_trip(s3_graph):
     assert compose_iso(iso, inv).phi == tuple(range(g.nvertices))
 
 
-def test_pullback_is_ring_morphism(s3_graph):
-    g = s3_graph.graph
-    sub, vmap, _ = fiber_over(s3_graph, 3)
-    s2 = canonical_s2_graph()
-    phi = (sub.vertex_index("3,1,2"), sub.vertex_index("3,2,1"))
-    psi = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
-    iso = GkmIso(phi, psi)
-    c = CohClass(sub, [Polynomial.variable(3, w) for w in (1, 2)])
-    d = CohClass(sub, [Polynomial.variable(3, 2) * Polynomial.variable(3, 1)] * 2)
-    lhs = pullback_class(iso, s2, sub, c * d)
-    rhs = pullback_class(iso, s2, sub, c) * pullback_class(
-        iso, s2, sub, d
-    )
+def test_pullback_is_ring_morphism(s3_graph, a2_mod):
+    w = a2_mod.reflection(LinearForm([1, 0, -1]))
+    iso, sub1, sub3 = fiber_iso(s3_graph, w, 1)
+    c = CohClass(sub3, [Polynomial.variable(3, k) for k in (1, 2)])
+    d = CohClass(sub3, [Polynomial.variable(3, 2) * Polynomial.variable(3, 1)] * 2)
+    lhs = pullback_class(iso, sub1, sub3, c * d)
+    rhs = pullback_class(iso, sub1, sub3, c) * pullback_class(iso, sub1, sub3, d)
     assert lhs == rhs
 
 

@@ -2,12 +2,15 @@
 
 Determinants are compared with the Leibniz formula, ranks with products
 B.C of known rank, and solutions and inverses are checked by
-multiplying back, so no oracle shares the elimination under test.
+multiplying back, so no oracle shares the elimination under test.  The
+number normal form of ``polyring`` (an int when integral, else a
+Fraction) is checked on the types of the results.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,19 +18,20 @@ from gkmflag.linalg import (
     det_fraction,
     identity_matrix,
     invert_fraction,
-    left_inverse_fraction,
     mat_mul,
     mat_vec,
     rank_fraction,
     solve_fraction,
     solve_sparse_fraction,
 )
+from gkmflag.rootsys import RootSystem
 
 entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+integers = st.integers(-4, 4)
 
 
-def square(n):
-    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+def square(n, elements=entries):
+    return st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n)
 
 
 def leibniz(a):
@@ -124,25 +128,6 @@ def test_solve_consistent_and_inconsistent(case, data):
         assert solve_fraction(a, outside) is None
 
 
-def test_left_inverse_of_a_tall_matrix():
-    a = [[1, 2], [3, 4], [5, 6]]
-    left = left_inverse_fraction(a)
-    assert len(left) == 2 and len(left[0]) == 3
-    assert mat_mul(left, a) == identity_matrix(2)
-    assert left_inverse_fraction([[1, 2], [2, 4], [3, 6]]) is None
-
-
-@settings(max_examples=60, deadline=None)
-@given(of_known_rank(max_rows=6, max_cols=4))
-def test_left_inverse_iff_full_column_rank(case):
-    a, rank, _ = case
-    left = left_inverse_fraction(a)
-    if rank < len(a[0]):
-        assert left is None
-    else:
-        assert mat_mul(left, a) == identity_matrix(len(a[0]))
-
-
 def test_sparse_solve_sets_free_columns_to_zero():
     # x0 + x1 = 3 and 2 x3 = 4 leave one of x0, x1 free; x2 and x4 appear nowhere
     sol = solve_sparse_fraction([{0: Fraction(1), 1: Fraction(1)}, {3: Fraction(2)}],
@@ -162,3 +147,50 @@ def test_sparse_solution_has_at_most_rank_nonzeros(case, data):
     sol = solve_sparse_fraction(sparse, b, len(a[0]))
     assert mat_vec(a, sol) == b
     assert sum(v != 0 for v in sol) <= rank
+
+
+def normal(x):
+    """polyring's normal form: an int when integral, else a Fraction."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(square(n, integers), st.lists(integers, min_size=n, max_size=n))))
+def test_integral_input_keeps_the_normal_form(case):
+    """Integral input gives int entries, and a Fraction appears only where
+    a value is not integral, as in ``polyring``."""
+    a, b = case
+    n = len(a)
+    assert normal(det_fraction(a))
+    assert all(type(v) is int for row in mat_mul(a, a) for v in row)
+    assert all(type(v) is int for row in identity_matrix(n) for v in row)
+    x = solve_fraction(a, b)
+    assert x is None or all(map(normal, x))
+    inv = invert_fraction(a)
+    if inv is not None:
+        assert all(normal(v) for row in inv for v in row)
+        assert all(type(v) is int for row in mat_mul(inv, a) for v in row)
+        assert all(type(v) is int for v in mat_vec(inv, mat_vec(a, b)))
+
+
+def test_normal_form_pinned():
+    assert type(det_fraction([[2, 1], [1, 1]])) is int
+    assert det_fraction([[Fraction(1, 2), 0], [0, 4]]) == 2
+    assert type(det_fraction([[Fraction(1, 2), 0], [0, 4]])) is int
+    assert invert_fraction([[2, 0], [0, 1]]) == ((Fraction(1, 2), 0), (0, 1))
+    assert [type(v) for row in invert_fraction([[2, 0], [0, 1]]) for v in row] == [
+        Fraction, int, int, int]
+    assert [type(v) for v in solve_fraction([[2, 0], [0, 3]], [4, 1])] == [int, Fraction]
+    assert type(mat_mul([[Fraction(1, 2)]], [[2]])[0][0]) is int
+
+
+def test_weyl_matrices_are_integral():
+    for kind, rank in (("A", 3), ("B", 3), ("D", 3)):
+        for w in RootSystem(kind, rank).elements():
+            assert all(type(v) is int for row in w.matrix() for v in row)
+
+
+def test_invert_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="not a square matrix"):
+        invert_fraction([[1, 0, 0], [0, 1, 0]])

@@ -20,16 +20,20 @@ def test_library_has_no_assert_statements():
 
 
 def test_polyring_divides_only_through_one_helper():
-    """Every true division in ``polyring`` is ``_div``'s, which divides a
-    Fraction; a ``/`` elsewhere could divide two int coefficients into a
-    float."""
-    tree = ast.parse((PACKAGE / "polyring.py").read_text())
-    helper = next(node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "_div")
-    inside = {id(node) for node in ast.walk(helper)}
-    outside = [node.lineno for node in ast.walk(tree)
-               if isinstance(node, (ast.BinOp, ast.AugAssign))
-               and isinstance(node.op, ast.Div) and id(node) not in inside]
+    """Every true division in every library module is ``polyring._div``'s,
+    which divides a Fraction and returns polyring's normal form; a ``/``
+    elsewhere could divide two int coefficients into a float."""
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = set()
+        if path.name == "polyring.py":
+            helper = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_div")
+            inside = {id(node) for node in ast.walk(helper)}
+        outside += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Div) and id(node) not in inside]
     assert outside == []
 
 
