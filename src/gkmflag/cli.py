@@ -13,7 +13,9 @@ random target class from --seed through Python's Mersenne Twister
 check is deterministic.  A verb refuses, as a usage error, each flag it
 does not read: only build, verify, bundle, holonomy and export take
 --sigma1/--sigma2, only express and basis take --seed, and ``export``
-takes --index only with ``--what class``, which has no DOT form.
+takes --index only with ``--what class``, which has no DOT form and
+takes no --sigma1/--sigma2.  A run that exhausts memory exits 2 with one
+``error:`` line, like a usage error.
 """
 
 from __future__ import annotations
@@ -189,16 +191,12 @@ def cmd_express(args) -> int:
     b = invbases.tower_bundle(rs)
     rng = random.Random(args.seed)
     target = schubert.seeded_random_class(rs, args.degree, rng)
-    sub_indices = invbases.index_set(rs.kind, rs.rank - 1) if rs.rank > 1 else [()]
-    classes = [
-        invbases.class_cI(rs, (0,) + tuple(J)) for J in sub_indices
-    ]
+    fam = invbases.fiber_family(rs)
     rep = Report()
     try:
-        betas = invbases.express_in_basis(b, classes, target)
+        betas = invbases.express_in_basis(b, fam.classes, target)
         rep.add("express-reassembly", True)
-        for J, beta in zip(sub_indices, betas):
-            name = "c[0," + ",".join(str(j) for j in J) + "]" if J else "c[0]"
+        for name, beta in zip(fam.names(), betas):
             print(f"beta for {name}: "
                   + "; ".join(str(v) for v in beta.values))
     except (ValueError, AssertionError) as exc:
@@ -211,6 +209,8 @@ def cmd_export(args) -> int:
         raise SystemExit2(f"--index is read only with --what class, not {args.what}")
     if args.what == "class" and args.format == "dot":
         raise SystemExit2("class export has no DOT format")
+    if args.what == "class" and (args.sigma1 or args.sigma2):
+        raise SystemExit2("class export reads neither --sigma1 nor --sigma2")
     rs = _root_system(args)
     sigma2 = args.sigma2 if args.sigma2 else rs.full_sigma()
     if args.what == "bundle":
@@ -334,6 +334,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller rank", file=sys.stderr)
         return 2
 
 

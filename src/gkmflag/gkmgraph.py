@@ -26,12 +26,12 @@ ends of each edge agree modulo the edge label.  Classes form a ring, and
 pullback along an isomorphism sends classes to classes, so ring
 operations and :func:`pullback_class` never re-check their output.  The
 class condition is checked only where values come from outside the
-ring: :func:`class_from_json`, the members given to
-``invbases.verify_basis``, the input of ``invbases.extend_invariant``
+ring: :func:`class_from_json`, the input of ``invbases.extend_invariant``
 (its output is a class by construction) and the coefficients solved for
 by ``invbases.express_in_basis``.  Classes built from an invariant
-polynomial, such as ``invbases.base_tau``, are classes by proof and are
-not checked either.
+polynomial, such as ``invbases.base_tau`` and the family that
+``invbases.verify_basis`` proves, are classes by proof and are not
+checked either.
 
 Isomorphisms are pairs (Phi, Psi): a vertex bijection plus an invertible
 linear map of the label space intertwining the labels, as in the

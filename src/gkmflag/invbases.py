@@ -22,12 +22,15 @@ sign convention.
 
 One certificate, ``_basis_failures``, proves that classes restrict to
 a module basis on a set of vertex blocks: homogeneous members whose
-degrees sum to the length sum of the block's group, and a nonzero value
-determinant at the regular point (1, 2, 4, ...).  No solve is needed,
-because the Schubert classes are a free basis.  ``verify_basis`` applies
-it to the whole flag graph, after checking that every member is a class,
-and decides independence exactly from the same determinant, falling
-back on a degree bound and a grid of regular points when it vanishes.
+degrees sum to the length sum of the block's Schubert classes, and a
+nonzero value determinant at the regular point (1, 2, 4, ...).  No solve
+is needed, because the Schubert classes are a free basis.
+``verify_basis`` is the graph Leray-Hirsch theorem on the one-step
+bundle: every c_I is the lift of a base class (a power of tau, or eta)
+times a fiber class c_{(0,J)} (``fiber_family``), so it is a class by
+construction, and the certificate on the base and on the fibers proves
+the whole family a module basis.  The flag graph's value determinant is
+the product of the blocks' determinants, so none of size |W| is taken.
 ``express_in_basis`` is the constructive decomposition of an arbitrary
 class over a bundle, the graph Leray-Serre theorem made explicit: it
 applies the certificate to the fibers, and then one degree-wise sparse
@@ -59,6 +62,7 @@ __all__ = [
     "index_family_size",
     "BasisFamily",
     "basis_family",
+    "fiber_family",
     "class_cI",
     "tower_bundle",
     "base_tau",
@@ -127,9 +131,21 @@ class BasisFamily:
     indices: list
     classes: list  # CohClass per index, same order
 
+    def names(self):
+        return ["c[" + ",".join(map(str, I)) + "]" for I in self.indices]
+
 
 def basis_family(rs: RootSystem) -> BasisFamily:
     indices = index_set(rs.kind, rs.rank)
+    return BasisFamily(rs, indices, [class_cI(rs, I) for I in indices])
+
+
+def fiber_family(rs: RootSystem) -> BasisFamily:
+    """The classes c_{(0,J)} for J in the index set of rank n - 1 ([()] at
+    rank 1).  On the fiber of :func:`tower_bundle` over [r] they are the
+    rank n - 1 family moved by r: the fiber classes of the tower."""
+    lower = index_set(rs.kind, rs.rank - 1) if rs.rank > 1 else [()]
+    indices = [(0,) + tuple(J) for J in lower]
     return BasisFamily(rs, indices, [class_cI(rs, I) for I in indices])
 
 
@@ -359,47 +375,24 @@ def express_in_basis(b: BundleMap, classes, target: CohClass):
 # the module-basis certificate
 
 
-def _regular_grid(rs: RootSystem, e: int):
-    """The C(e + m, m) points (a_{1,k_1}, ..., a_{m,k_m}) with k_1 + ... +
-    k_m <= e, where a_{i,k} = 2^(i - 1 + k m).
-
-    Coordinates are distinct powers of 2, so no root x_i -+ x_j, x_i, 2 x_i
-    vanishes.  The first point, (1, 2, 4, ...), is the regular point of the
-    certificate.  A polynomial f of total degree at most e that vanishes on
-    the grid is zero, by induction on m (m = 0 is a constant vanishing at
-    one point).  In the Newton basis N_j = prod_{k<j} (x_1 - a_{1,k}),
-    f = sum_{j<=e} f_j N_j with f_j free of x_1 and of degree at most
-    e - j (the change from the powers of x_1 to the N_j is triangular with
-    constant entries).  At x_1 = a_{1,j} every N_l with l > j vanishes and
-    N_j does not, so once f_0 = ... = f_{j-1} = 0, f_j vanishes on the
-    grid of the other m - 1 coordinates with index sum at most e - j, and
-    is zero.
-    """
-    m = rs.varcount
-
-    def points(i, budget):
-        if i == m:
-            yield []
-            return
-        for k in range(budget + 1):
-            for rest in points(i + 1, budget - k):
-                yield [2 ** (i + k * m)] + rest
-
-    return points(0, e)
+def _regular_point(rs: RootSystem):
+    """(1, 2, 4, ...): distinct powers of 2, so no root x_i -+ x_j, x_i,
+    2 x_i vanishes there."""
+    return [2 ** i for i in range(rs.varcount)]
 
 
 def _basis_failures(rs: RootSystem, classes, names, blocks: dict, kind: str) -> dict:
     """{premise: witness} for each failing premise of the module-basis
     certificate, in this order; {} proves that ``classes`` (named by
     ``names``) restrict to a module basis on every block (label ->
-    vertices: the flag graph, or the fibers of a bundle).
+    vertices: the base of a bundle, or its fibers).
 
     * "count": every block has one vertex per class;
     * "homogeneity": every member is homogeneous (``degree_of``);
     * "determinant": every block's value matrix M_p (vertices x classes)
       is nonsingular at the regular point;
     * "degree-sum": the halved degrees sum to n N / 2, the length sum of
-      the group (``kind``) of a block of n vertices of valency N.
+      the Schubert classes (``kind``) of a block of n vertices of valency N.
 
     Then M_p = S_p.B_p with S_p the Schubert value matrix, det S_p =
     prod_u tau_u(u) of degree n N / 2, and det B_p a nonzero constant.  A
@@ -414,7 +407,7 @@ def _basis_failures(rs: RootSystem, classes, names, blocks: dict, kind: str) -> 
     degrees = [degree_of(c) for c in classes]
     if None in degrees:
         out["homogeneity"] = f"{names[degrees.index(None)]} is not homogeneous"
-    pt = next(_regular_grid(rs, 0))
+    pt = _regular_point(rs)
     for label, verts in blocks.items():
         at_pt = [[c.values[v].evaluate(pt) for c in classes] for v in verts]
         if linalg.det_fraction(at_pt) == 0:
@@ -438,59 +431,50 @@ def _basis_failures(rs: RootSystem, classes, names, blocks: dict, kind: str) -> 
 # basis verification
 
 
-def verify_basis(rs: RootSystem, family: BasisFamily | None = None) -> Report:
-    """Counting, independence and spanning checks for an invariant family.
+def verify_basis(rs: RootSystem) -> Report:
+    """Count, independence and spanning of ``basis_family(rs)``, proved by
+    the graph Leray-Hirsch theorem on ``tower_bundle(rs)``.
 
-    Spanning: every member passes ``coh_failure`` and ``_basis_failures``
-    holds on the flag graph.  Independence is exact: a nonzero
-    certificate determinant det M proves it.  Else det M, or det B =
-    det M / prod_w tau_w(w) when every member is a class, has degree at
-    most e = sum_k (top degree of c_k), less sum_w l(w) for det B.  It is
-    zero if e < 0, else iff it vanishes on ``_regular_grid`` (whose points
-    avoid the root hyperplanes): the regular point alone when every
-    premise holds, else C(e + m, m) value determinants of size |W|.
+    At w the value w . x^I of c_I = c_T(x^I) factors as (w . x1)^k times
+    w . x^(0,J) for I = (k,) + J, and in type D as eta([w]) times
+    w . x^(0,J) for I = (0,) + (J + 1): every member is the lift of a
+    ``base_power_classes`` member times a ``fiber_family`` member, and
+    ``index_set`` holds exactly these products (the tests pin this).  So
+    each member is a class by construction, and no class condition is
+    checked.  The theorem: if the base classes are a module basis of the
+    base and the fiber classes restrict to a module basis on every fiber,
+    the products are a module basis of the flag graph.  ``_basis_failures``
+    certifies the two premises, on the base and on the fibers; spanning
+    holds iff neither fails, and the first failing premise is the witness.
+    "count" compares the size of the index set with |W|.
+
+    Independence reads the certificate determinants alone.  Group the
+    rows of the flag graph's value matrix M by fiber and its columns by
+    fiber class; then M = diag_p(C_p) (B (x) 1), so |det M| =
+    |det B|^|J| prod_p |det C_p| at the regular point, with B the base
+    matrix and C_p the matrix on the fiber over p.  Independence holds iff
+    none of these determinants vanishes there; when one does and the other
+    premises hold, it is a constant times its block's Schubert determinant
+    and vanishes identically, and so does det M.
     """
-    family = family or basis_family(rs)
+    b = tower_bundle(rs)
+    indices = index_set(rs.kind, rs.rank)
+    order = b.total.nvertices
     rep = Report()
-    nW = len(rs.elements())
-    square = len(family.indices) == nW
-    rep.add("count", square,
-            f"{len(family.indices)} classes for a group of order {nW}")
-    if not square:
-        rep.add("independence", False, "the value matrix is not square")
-        rep.add("spanning", False, "the value matrix is not square")
-        return rep
-
-    names = ["c[" + ",".join(str(i) for i in I) + "]" for I in family.indices]
-    bad = {}
-    for name, c in zip(names, family.classes):
-        edge = coh_failure(c)
-        if edge is not None:
-            bad["class"] = f"{name} fails the class condition at {c.graph.edge_str(edge)}"
-            break
-    bad.update(_basis_failures(rs, family.classes, names,
-                               {"flag graph": list(range(nW))}, "Weyl group"))
-    independent, witness = "determinant" not in bad, ""
-    if not independent:
-        top = sum(max((sum(x) for v in c.values for x in v.terms), default=0)
-                  for c in family.classes)
-        length_sum = nW * len(rs.positive_roots) // 2
-        e = top if "class" in bad else top - length_sum
-        if e < 0:
-            witness = (f"the top degrees sum to {top}, below the length sum "
-                       f"{length_sum}, so the value determinant is zero")
-        else:
-            independent = any(
-                linalg.det_fraction([[c.values[p].evaluate(pt) for c in family.classes]
-                                     for p in range(nW)]) != 0
-                for pt in itertools.islice(_regular_grid(rs, e), 1, None))
-            factor = "" if "class" in bad else "prod_w tau_w(w) times "
-            witness = "" if independent else (
-                f"the value determinant is {factor}a polynomial of degree at "
-                f"most {e}, and it vanishes on the {comb(e + rs.varcount, e)}-point "
-                f"regular grid")
-    rep.add("independence", independent, witness)
-    rep.add("spanning", not bad, next(iter(bad.values()), ""))
+    rep.add("count", len(indices) == order,
+            f"{len(indices)} classes for a group of order {order}")
+    base = base_power_classes(b)
+    fiber = fiber_family(rs)
+    bad = list(_basis_failures(
+        rs, base, [f"base class {k}" for k in range(len(base))],
+        {"base": list(range(b.base.nvertices))}, "coset").items())
+    bad += _basis_failures(
+        rs, fiber.classes, fiber.names(),
+        {f"fiber over {b.base.vertices[p]}": verts for p, verts in enumerate(b.fibers())},
+        "fiber").items()
+    singular = [witness for premise, witness in bad if premise == "determinant"]
+    rep.add("independence", not singular, singular[0] if singular else "")
+    rep.add("spanning", not bad, bad[0][1] if bad else "")
     return rep
 
 

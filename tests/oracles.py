@@ -22,9 +22,13 @@ values across the base edge by edge instead of testing holonomy
 elements, the division oracle decides the class condition by long
 division of each edge difference instead of by restriction to the
 label's hyperplane, the table emitter writes the Schubert TSV whole from
-the stored table instead of streaming it from the walk, and the term
+the stored table instead of streaming it from the walk, the term
 formatter writes a polynomial's text term by term with no memo and
-none of ``polyring``'s helpers.
+none of ``polyring``'s helpers, and the basis oracle decides a family
+given as classes by the class condition on every member and one
+|W| x |W| value determinant over the whole flag graph, with a
+degree-bounded grid of regular points when it vanishes, instead of by
+the base and fiber certificates of the tower bundle.
 
 The connection oracles read a connection's star positions through
 ``connection_dict``, which decodes them with ``edges_at`` alone, not with
@@ -35,11 +39,13 @@ that tamper with one build the tampered copy with it.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 from typing import Sequence
 
 from gkmflag import linalg
-from gkmflag.gkmgraph import CohClass, GkmGraph, coh_failure
+from gkmflag.gkmgraph import CohClass, GkmGraph, Report, coh_failure
+from gkmflag.invbases import _basis_failures
 from gkmflag.parabolic import base_tree, build_coset_graph, typical_fiber
 from gkmflag.polyring import LinearForm, Polynomial
 from gkmflag.schubert import flag_graph, schubert_table
@@ -416,6 +422,92 @@ def spanning_by_solves(rs, family):
         if linalg.solve_module_coeffs(columns, target, rs.varcount) is None:
             return False
     return True
+
+
+def regular_grid(rs, e: int):
+    """The C(e + m, m) points (a_{1,k_1}, ..., a_{m,k_m}) with k_1 + ... +
+    k_m <= e, where a_{i,k} = 2^(i - 1 + k m).
+
+    Coordinates are distinct powers of 2, so no root x_i -+ x_j, x_i, 2 x_i
+    vanishes.  The first point, (1, 2, 4, ...), is the regular point of the
+    certificate.  A polynomial f of total degree at most e that vanishes on
+    the grid is zero, by induction on m (m = 0 is a constant vanishing at
+    one point).  In the Newton basis N_j = prod_{k<j} (x_1 - a_{1,k}),
+    f = sum_{j<=e} f_j N_j with f_j free of x_1 and of degree at most
+    e - j (the change from the powers of x_1 to the N_j is triangular with
+    constant entries).  At x_1 = a_{1,j} every N_l with l > j vanishes and
+    N_j does not, so once f_0 = ... = f_{j-1} = 0, f_j vanishes on the
+    grid of the other m - 1 coordinates with index sum at most e - j, and
+    is zero.
+    """
+    m = rs.varcount
+
+    def points(i, budget):
+        if i == m:
+            yield []
+            return
+        for k in range(budget + 1):
+            for rest in points(i + 1, budget - k):
+                yield [2 ** (i + k * m)] + rest
+
+    return points(0, e)
+
+
+def verify_basis_by_determinant(rs, family):
+    """The count, independence and spanning checks of
+    ``invbases.verify_basis`` for any ``BasisFamily`` of classes on the
+    flag graph, decided on the whole flag graph.
+
+    Spanning: every member passes ``coh_failure`` and ``_basis_failures``
+    holds with the flag graph as its one block.  Independence is exact: a
+    nonzero certificate determinant det M proves it.  Else det M, or det B
+    = det M / prod_w tau_w(w) when every member is a class, has degree at
+    most e = sum_k (top degree of c_k), less sum_w l(w) for det B.  It is
+    zero if e < 0, else iff it vanishes on ``regular_grid`` (whose points
+    avoid the root hyperplanes): the regular point alone when every
+    premise holds, else C(e + m, m) value determinants of size |W|.
+    """
+    rep = Report()
+    nW = len(rs.elements())
+    square = len(family.indices) == nW
+    rep.add("count", square,
+            f"{len(family.indices)} classes for a group of order {nW}")
+    if not square:
+        rep.add("independence", False, "the value matrix is not square")
+        rep.add("spanning", False, "the value matrix is not square")
+        return rep
+
+    names = family.names()
+    bad = {}
+    for name, c in zip(names, family.classes):
+        edge = coh_failure(c)
+        if edge is not None:
+            bad["class"] = f"{name} fails the class condition at {c.graph.edge_str(edge)}"
+            break
+    bad.update(_basis_failures(rs, family.classes, names,
+                               {"flag graph": list(range(nW))}, "Weyl group"))
+    independent, witness = "determinant" not in bad, ""
+    if not independent:
+        top = sum(max((sum(x) for v in c.values for x in v.terms), default=0)
+                  for c in family.classes)
+        length_sum = nW * len(rs.positive_roots) // 2
+        e = top if "class" in bad else top - length_sum
+        if e < 0:
+            witness = (f"the top degrees sum to {top}, below the length sum "
+                       f"{length_sum}, so the value determinant is zero")
+        else:
+            independent = any(
+                linalg.det_fraction([[c.values[p].evaluate(pt) for c in family.classes]
+                                     for p in range(nW)]) != 0
+                for pt in islice(regular_grid(rs, e), 1, None))
+            factor = "" if "class" in bad else "prod_w tau_w(w) times "
+            witness = "" if independent else (
+                f"the value determinant is {factor}a polynomial of degree at "
+                f"most {e}, and it vanishes on the {comb(e + rs.varcount, e)}-point "
+                f"regular grid")
+    rep.add("independence", independent, witness)
+    rep.add("spanning", not bad, next(iter(bad.values()), ""))
+    return rep
 
 
 def express_by_cramer(b, classes, target):

@@ -293,7 +293,7 @@ def test_criterion_09_basis_theorems():
     for rs, size in [(A2, 6), (A3, 24), (B2, 8), (D3, 24)]:
         fam = basis_family(rs)
         assert len(fam.indices) == size
-        rep = verify_basis(rs, fam)
+        rep = verify_basis(rs)
         assert rep.ok, (rs.kind, rs.rank, rep.summary())
     for n in range(1, 6):
         assert index_family_size("A", n) == math.factorial(n + 1)

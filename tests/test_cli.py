@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gkmflag
+from gkmflag import invbases
 from gkmflag.cli import main
 from gkmflag.gkmgraph import graph_from_json, graph_hash, graph_to_json
 from gkmflag.parabolic import build_coset_graph
@@ -333,10 +334,14 @@ def test_export_class(capsys):
     (("--index", "3,1"), "--index is read only with --what class, not graph"),
     (("--what", "bundle", "--sigma2", "2", "--index", "3,1"),
      "--index is read only with --what class, not bundle"),
+    (("--what", "class", "--index", "1,0", "--sigma1", "1"),
+     "class export reads neither --sigma1 nor --sigma2"),
+    (("--what", "class", "--index", "1,0", "--sigma2", "1"),
+     "class export reads neither --sigma1 nor --sigma2"),
 ])
 def test_export_refuses_flags_it_would_ignore(capsys, argv, message):
-    """``--what class`` has no DOT form, and only it reads --index; either
-    flag used elsewhere is a usage error, not silently dropped."""
+    """``--what class`` has no DOT form and no Sigma flags, and only it
+    reads --index; each such flag is a usage error, not silently dropped."""
     code, out, err = run(capsys, "export", "--type", "B", "--rank", "2", *argv)
     assert code == 2
     assert out == ""
@@ -432,6 +437,18 @@ def test_holonomy_one_vertex_base_is_usage_error(capsys):
                        "--sigma2", "1,2")
     assert code == 2
     assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_memory_exhaustion_exits_2_without_traceback(capsys, monkeypatch):
+    def exhaust(rs):
+        raise MemoryError
+
+    monkeypatch.setattr(invbases, "verify_basis", exhaust)
+    code, out, err = run(capsys, "basis", "--type", "A", "--rank", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory; try a smaller rank\n"
     assert "Traceback" not in err
 
 

@@ -16,6 +16,7 @@ from gkmflag.invbases import (
     class_cI,
     express_in_basis,
     extend_invariant,
+    fiber_family,
     fiber_invariant_classes,
     index_family_size,
     index_set,
@@ -34,6 +35,7 @@ from oracles import (
     express_by_cramer,
     extend_by_edges,
     spanning_by_solves,
+    verify_basis_by_determinant,
 )
 
 
@@ -66,6 +68,33 @@ def test_index_set_d3_two_descriptions_agree():
     } | {(0, 1, 2), (0, 3, 1)}
     assert recursive == explicit
     assert len(recursive) == 24
+
+
+@pytest.mark.parametrize("kind,rank", [(k, n) for k in "ABC" for n in range(1, 7)]
+                         + [("D", n) for n in range(3, 7)])
+def test_index_set_is_the_tower_product(kind, rank):
+    """The indices (k,) + J, k below the number of base powers (n + 1 in
+    type A, 2n in B and C, 2n - 1 in D) and J a rank n - 1 index; in type
+    D also (0,) + (J + 1), the lift of eta times c[0,J]."""
+    lower = index_set(kind, rank - 1) if rank > 1 else [()]
+    powers = {"A": rank + 1, "B": 2 * rank, "C": 2 * rank, "D": 2 * rank - 1}[kind]
+    tower = [(k,) + J for k in range(powers) for J in lower]
+    if kind == "D":
+        tower += [(0,) + tuple(j + 1 for j in J) for J in lower]
+    assert sorted(tower) == index_set(kind, rank)
+
+
+def test_tower_base_matches_the_base_powers(a2, b2, c2, a3, b3, c3, d3):
+    """base_power_classes gives the powers of tau the tower product uses
+    (plus eta in type D), one class per base vertex."""
+    for rs in (a2, b2, c2, a3, b3, c3, d3):
+        b = tower_bundle(rs)
+        powers = {"A": rs.rank + 1, "B": 2 * rs.rank, "C": 2 * rs.rank,
+                  "D": 2 * rs.rank - 1}[rs.kind]
+        degrees = [degree_of(c) // 2 for c in base_power_classes(b)]
+        eta = [rs.rank - 1] if rs.kind == "D" else []
+        assert degrees == list(range(powers)) + eta
+        assert len(degrees) == b.base.nvertices
 
 
 def test_family_sizes_up_to_5():
@@ -377,11 +406,86 @@ def test_verify_basis_a2_b2(a2, b2):
     assert verify_basis(b2).ok
 
 
+TOWER_GROUPS = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3),
+                ("C", 3), ("D", 3), ("A", 4), ("D", 4)]
+
+
+@pytest.mark.parametrize("kind,rank", TOWER_GROUPS)
+def test_verify_basis_matches_the_determinant_oracle(kind, rank):
+    rs = RootSystem(kind, rank)
+    got = [(c.name, c.passed, c.witness) for c in verify_basis(rs).checks]
+    want = verify_basis_by_determinant(rs, basis_family(rs)).checks
+    assert got == [(c.name, c.passed, c.witness) for c in want]
+
+
+@pytest.mark.parametrize("kind,rank", TOWER_GROUPS)
+def test_value_determinant_factors_along_the_tower(kind, rank):
+    """|det M| = |det B|^|J| prod_p |det C_p| at the regular point: M on
+    the flag graph, B on the base, C_p on the fiber over p."""
+    rs = RootSystem(kind, rank)
+    b = tower_bundle(rs)
+    pt = [2**k for k in range(rs.varcount)]
+
+    def det_at(classes, verts):
+        return det_fraction([[c.values[v].evaluate(pt) for c in classes] for v in verts])
+
+    fiber = fiber_family(rs).classes
+    whole = det_at(basis_family(rs).classes, range(b.total.nvertices))
+    base = det_at(base_power_classes(b), range(b.base.nvertices))
+    fibers = math.prod(abs(det_at(fiber, verts)) for verts in b.fibers())
+    assert abs(whole) == abs(base) ** len(fiber) * fibers != 0
+
+
+def test_verify_basis_needs_no_class_check_and_no_flag_graph_determinant(b3, monkeypatch):
+    """Only base- and fiber-sized determinants, one per block, and no
+    ``coh_failure``: every member is a class by construction."""
+    def refuse(c):
+        raise AssertionError("coh_failure called")
+
+    sizes = []
+    real = linalg.det_fraction
+    monkeypatch.setattr(invbases, "coh_failure", refuse)
+    monkeypatch.setattr(linalg, "det_fraction", lambda m: sizes.append(len(m)) or real(m))
+    assert verify_basis(b3).ok
+    assert sorted(sizes) == [6] + [8] * 6
+
+
+def test_verify_basis_names_a_singular_base(a2, monkeypatch):
+    """tau^1 replaced by tau^0: the base determinant vanishes, and the
+    degrees no longer sum to the length sum of the base."""
+    real = invbases.base_power_classes
+    monkeypatch.setattr(invbases, "base_power_classes",
+                        lambda b: [real(b)[0]] * 2 + real(b)[2:])
+    checks = {c.name: c for c in verify_basis(a2).checks}
+    singular = ("on the base the value determinant vanishes at (1, 2, 4); "
+                "the classes are not a module basis there")
+    assert checks["count"].passed
+    assert (checks["independence"].passed, checks["independence"].witness) == (False, singular)
+    assert (checks["spanning"].passed, checks["spanning"].witness) == (False, singular)
+
+
+def test_verify_basis_names_a_non_homogeneous_fiber_class(a2, monkeypatch):
+    """c[0,1] + 1 keeps every fiber determinant nonzero, so independence
+    holds, but the fiber certificate needs homogeneous members."""
+    real = invbases.fiber_family
+
+    def shifted(rs):
+        fam = real(rs)
+        c00, c01 = fam.classes
+        return BasisFamily(rs, fam.indices, [c00, c01 + c00])
+
+    monkeypatch.setattr(invbases, "fiber_family", shifted)
+    checks = {c.name: c for c in verify_basis(a2).checks}
+    assert checks["independence"].passed
+    assert not checks["spanning"].passed
+    assert checks["spanning"].witness == "c[0,1] is not homogeneous"
+
+
 def test_verify_basis_detects_duplicates(a2):
     fam = basis_family(a2)
     broken = BasisFamily(a2, fam.indices,
                          [fam.classes[0]] + fam.classes[:1] + fam.classes[2:])
-    rep = verify_basis(a2, broken)
+    rep = verify_basis_by_determinant(a2, broken)
     assert not rep.ok
     assert any(c.name == "independence" for c in rep.failures())
 
@@ -414,7 +518,7 @@ def _family_variants(rs):
 def test_spanning_certificate_matches_solve_oracle(request, rs_name, variant):
     rs = request.getfixturevalue(rs_name)
     fam, expected = _family_variants(rs)[variant]
-    checks = {c.name: c for c in verify_basis(rs, fam).checks}
+    checks = {c.name: c for c in verify_basis_by_determinant(rs, fam).checks}
     assert checks["spanning"].passed == spanning_by_solves(rs, fam) == expected
 
 
@@ -467,7 +571,8 @@ def test_verify_basis_tampered_value_names_edge(a2):
     assert bad is not None
     classes = list(fam.classes)
     classes[k] = tampered
-    checks = {ch.name: ch for ch in verify_basis(a2, BasisFamily(a2, fam.indices, classes)).checks}
+    rep = verify_basis_by_determinant(a2, BasisFamily(a2, fam.indices, classes))
+    checks = {ch.name: ch for ch in rep.checks}
     assert not checks["spanning"].passed
     assert "c[1,0]" in checks["spanning"].witness
     assert c.graph.edge_str(bad) in checks["spanning"].witness
@@ -478,7 +583,8 @@ def test_verify_basis_non_homogeneous_member_fails_spanning(a2):
     k = fam.indices.index((1, 0))
     classes = list(fam.classes)
     classes[k] = classes[k] + CohClass.constant(classes[k].graph, 1)
-    checks = {ch.name: ch for ch in verify_basis(a2, BasisFamily(a2, fam.indices, classes)).checks}
+    rep = verify_basis_by_determinant(a2, BasisFamily(a2, fam.indices, classes))
+    checks = {ch.name: ch for ch in rep.checks}
     assert not checks["spanning"].passed
     assert checks["spanning"].witness == "c[1,0] is not homogeneous"
 
@@ -486,7 +592,7 @@ def test_verify_basis_non_homogeneous_member_fails_spanning(a2):
 def test_verify_basis_wrong_count_fails_every_check(a2):
     fam = basis_family(a2)
     short = BasisFamily(a2, fam.indices[:-1], fam.classes[:-1])
-    rep = verify_basis(a2, short)
+    rep = verify_basis_by_determinant(a2, short)
     assert [c.name for c in rep.failures()] == ["count", "independence", "spanning"]
 
 
@@ -503,7 +609,7 @@ def test_independence_outside_the_certificate_by_the_grid(a2):
     c10 = class_cI(a2, (1, 0))
     factor = Polynomial.variable(3, 1).scale(2) - Polynomial.variable(3, 2)
     fam = _replaced_a2_family(a2, {(1, 0): c10.scale_poly(factor)})
-    checks = {c.name: c for c in verify_basis(a2, fam).checks}
+    checks = {c.name: c for c in verify_basis_by_determinant(a2, fam).checks}
     assert checks["independence"].passed
     assert not checks["spanning"].passed
     assert "vanishes at (1, 2, 4)" in checks["spanning"].witness
@@ -516,7 +622,7 @@ def test_dependence_outside_the_certificate_by_the_grid(a2, monkeypatch):
     dets = []
     real = linalg.det_fraction
     monkeypatch.setattr(linalg, "det_fraction", lambda m: dets.append(1) or real(m))
-    checks = {c.name: c for c in verify_basis(a2, fam).checks}
+    checks = {c.name: c for c in verify_basis_by_determinant(a2, fam).checks}
     assert len(dets) == 10
     assert not checks["independence"].passed
     assert checks["independence"].witness.endswith(
@@ -530,7 +636,7 @@ def test_dependence_inside_the_certificate_is_read_at_one_point(a2, monkeypatch)
     dets = []
     real = linalg.det_fraction
     monkeypatch.setattr(linalg, "det_fraction", lambda m: dets.append(1) or real(m))
-    checks = {c.name: c for c in verify_basis(a2, fam).checks}
+    checks = {c.name: c for c in verify_basis_by_determinant(a2, fam).checks}
     assert dets == [1]
     assert not checks["independence"].passed
     assert "degree at most 0" in checks["independence"].witness
@@ -545,7 +651,7 @@ def test_degree_shortfall_is_dependent_without_a_grid(a2, monkeypatch):
     dets = []
     real = linalg.det_fraction
     monkeypatch.setattr(linalg, "det_fraction", lambda m: dets.append(1) or real(m))
-    checks = {c.name: c for c in verify_basis(a2, fam).checks}
+    checks = {c.name: c for c in verify_basis_by_determinant(a2, fam).checks}
     assert dets == [1]
     assert not checks["independence"].passed
     assert checks["independence"].witness == (
@@ -560,11 +666,11 @@ def test_non_class_family_is_decided_by_the_grid(a2):
     tampered = CohClass(c10.graph, [c10.values[0].scale(2)] + list(c10.values[1:]))
     factor = Polynomial.variable(3, 1).scale(2) - Polynomial.variable(3, 2)
     independent = _replaced_a2_family(a2, {(1, 0): tampered.scale_poly(factor)})
-    checks = {c.name: c for c in verify_basis(a2, independent).checks}
+    checks = {c.name: c for c in verify_basis_by_determinant(a2, independent).checks}
     assert checks["independence"].passed
     assert "c[1,0] fails the class condition" in checks["spanning"].witness
     dependent = _replaced_a2_family(a2, {(0, 1): tampered, (1, 0): tampered})
-    checks = {c.name: c for c in verify_basis(a2, dependent).checks}
+    checks = {c.name: c for c in verify_basis_by_determinant(a2, dependent).checks}
     assert not checks["independence"].passed
     assert checks["independence"].witness == (
         "the value determinant is a polynomial of degree at most 9, "
