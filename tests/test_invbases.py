@@ -70,6 +70,11 @@ def test_index_set_d3_two_descriptions_agree():
     assert len(recursive) == 24
 
 
+def _tower_powers(kind, rank):
+    """The number of powers of tau among the base classes of the tower."""
+    return {"A": rank + 1, "B": 2 * rank, "C": 2 * rank, "D": 2 * rank - 1}[kind]
+
+
 @pytest.mark.parametrize("kind,rank", [(k, n) for k in "ABC" for n in range(1, 7)]
                          + [("D", n) for n in range(3, 7)])
 def test_index_set_is_the_tower_product(kind, rank):
@@ -77,24 +82,11 @@ def test_index_set_is_the_tower_product(kind, rank):
     type A, 2n in B and C, 2n - 1 in D) and J a rank n - 1 index; in type
     D also (0,) + (J + 1), the lift of eta times c[0,J]."""
     lower = index_set(kind, rank - 1) if rank > 1 else [()]
-    powers = {"A": rank + 1, "B": 2 * rank, "C": 2 * rank, "D": 2 * rank - 1}[kind]
+    powers = _tower_powers(kind, rank)
     tower = [(k,) + J for k in range(powers) for J in lower]
     if kind == "D":
         tower += [(0,) + tuple(j + 1 for j in J) for J in lower]
     assert sorted(tower) == index_set(kind, rank)
-
-
-def test_tower_base_matches_the_base_powers(a2, b2, c2, a3, b3, c3, d3):
-    """base_power_classes gives the powers of tau the tower product uses
-    (plus eta in type D), one class per base vertex."""
-    for rs in (a2, b2, c2, a3, b3, c3, d3):
-        b = tower_bundle(rs)
-        powers = {"A": rs.rank + 1, "B": 2 * rs.rank, "C": 2 * rs.rank,
-                  "D": 2 * rs.rank - 1}[rs.kind]
-        degrees = [degree_of(c) // 2 for c in base_power_classes(b)]
-        eta = [rs.rank - 1] if rs.kind == "D" else []
-        assert degrees == list(range(powers)) + eta
-        assert len(degrees) == b.base.nvertices
 
 
 def test_family_sizes_up_to_5():
@@ -191,10 +183,14 @@ _BASE_CLASS_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
 def test_base_power_classes_are_classes(kind, n):
     """base_tau and base_eta are built unchecked; every power of tau and
     eta passes the division oracle, and a tau built from x2 (not fixed by
-    W(Delta - {1})) does not."""
+    W(Delta - {1})) does not.  Their degrees are those of the tower
+    product that ``index_set`` is: tau^0, tau^1, ..., plus eta in type D."""
     b = tower_bundle(RootSystem(kind, n))
     for k, c in enumerate(base_power_classes(b)):
         assert coh_failure_by_division(c) is None, (kind, n, k)
+    eta = [n - 1] if kind == "D" else []
+    assert ([degree_of(c) // 2 for c in base_power_classes(b)]
+            == list(range(_tower_powers(kind, n))) + eta)
     x2 = Polynomial.variable(b.total.varcount, 2)
     wrong = CohClass(b.base, [w.act_poly(x2) for w in b.base_coset.reps])
     assert coh_failure_by_division(wrong) is not None
