@@ -29,9 +29,9 @@ class condition is checked only where values come from outside the
 ring: :func:`class_from_json`, the input of ``invbases.extend_invariant``
 (its output is a class by construction) and the coefficients solved for
 by ``invbases.express_in_basis``.  Classes built from an invariant
-polynomial, such as ``invbases.base_tau`` and the family that
-``invbases.verify_basis`` proves, are classes by proof and are not
-checked either.
+polynomial, such as the level classes of ``invbases.tower_levels``
+and the family that ``invbases.verify_basis`` proves, are classes by
+proof and are not checked either.
 
 Isomorphisms are pairs (Phi, Psi): a vertex bijection plus an invertible
 linear map of the label space intertwining the labels, as in the

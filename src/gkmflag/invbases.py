@@ -20,35 +20,37 @@ checking holonomy invariance on every non-tree edge, lift base classes,
 multiply) is built too and compared against it, which pins down every
 sign convention.
 
-One certificate, ``_basis_failures``, proves that classes restrict to
-a module basis on a set of vertex blocks: homogeneous members whose
-degrees sum to the length sum of the block's Schubert classes, and a
-nonzero value determinant at the regular point (1, 2, 4, ...).  No solve
-is needed, because the Schubert classes are a free basis.
-``verify_basis`` is the graph Leray-Hirsch theorem on the one-step
-bundle: every c_I is the lift of a base class (a power of tau, or eta)
-times a fiber class c_{(0,J)} (``fiber_family``), so it is a class by
-construction, and the certificate on the base and on the fibers proves
-the whole family a module basis.  The flag graph's value determinant is
-the product of the blocks' determinants, so none of size |W| is taken.
+``tower_levels`` gives each level of that iteration as one small coset
+graph, with at most 2n vertices, and its classes: level 1 is the base of
+``tower_bundle`` with the powers of tau (and eta).  One certificate,
+``_basis_failures``, proves that classes on one such graph are a module
+basis: homogeneous members whose degrees sum to the length sum of its
+Schubert classes, and a nonzero value determinant at the regular point
+(1, 2, 4, ...).  No solve is needed, because the Schubert classes are a
+free basis.  ``verify_basis`` is the graph Leray-Hirsch theorem applied
+down the tower, one certificate per level, so no determinant has more
+than 2n rows and no class on the flag graph is built.
 ``express_in_basis`` is the constructive decomposition of an arbitrary
-class over a bundle, the graph Leray-Serre theorem made explicit: it
-applies the certificate to the fibers, and then one degree-wise sparse
-rational solve per fiber (``linalg.solve_module_coeffs``) gives the base
-coefficients, which are themselves classes on the base.
+class over the tower bundle, the graph Leray-Serre theorem made
+explicit: the certificates of levels 2 and up prove that the fiber
+classes (``fiber_family``) restrict to a module basis on every fiber,
+and then one degree-wise sparse rational solve per fiber
+(``linalg.solve_module_coeffs``) gives the base coefficients, which are
+themselves classes on the base.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from . import linalg
 from .gkmgraph import CohClass, Report, coh_failure, degree_of
 from .parabolic import (
     BundleMap,
     build_bundle,
+    build_coset_graph,
     lift_class,
     tree_transport,
     typical_fiber,
@@ -59,15 +61,12 @@ from .schubert import invariant_class
 
 __all__ = [
     "index_set",
-    "index_family_size",
     "BasisFamily",
     "basis_family",
     "fiber_family",
     "class_cI",
     "tower_bundle",
-    "base_tau",
-    "base_eta",
-    "base_power_classes",
+    "tower_levels",
     "extend_invariant",
     "fiber_invariant_classes",
     "iterated_family",
@@ -109,10 +108,6 @@ def index_set(kind: str, n: int):
     raise ValueError(f"unknown type {kind!r}")
 
 
-def index_family_size(kind: str, n: int) -> int:
-    return len(index_set(kind, n))
-
-
 def _index_monomial(rs: RootSystem, I) -> Polynomial:
     if len(I) != rs.rank:
         raise ValueError("index length must equal the rank")
@@ -150,7 +145,7 @@ def fiber_family(rs: RootSystem) -> BasisFamily:
 
 
 # ----------------------------------------------------------------------
-# the one-step bundle and its base classes
+# the tower of flag bundles and its levels
 
 
 def tower_bundle(rs: RootSystem) -> BundleMap:
@@ -159,58 +154,50 @@ def tower_bundle(rs: RootSystem) -> BundleMap:
     return build_bundle(rs, frozenset(), sigma2)
 
 
-def base_tau(b: BundleMap) -> CohClass:
-    """tau([w]) = w . x1, the degree-one class on the base quotient.
+def tower_levels(rs: RootSystem):
+    """[(monomials, classes)] for each level of the tower, level 1 first.
 
-    x1 is fixed by W(Delta - {1}), so the value does not depend on the
-    choice of coset representative.  tau is a class: across the edge
-    ([w], [w s_beta]) labeled w beta the two values differ by
-    w . (x1 - s_beta x1), and beta divides x1 - s_beta x1, so w beta
-    divides the difference.
+    Let S_k = Delta - {1..k}.  Level k, for 1 <= k <= n (up to n - 2 in
+    type D), is the coset graph W(S_{k-1})/W(S_k), and its classes are
+    [w] -> w . m for the monomials m: the powers of x_k (as many as
+    the index set allows at position k), plus x_{k+1} ... x_n in type D.
+    Type D ends with the flag graph of W({n-1, n}) and the monomials 1,
+    x_{n-1}, x_{n-1}^2, x_n of the seeded index set.  Level 1 is the base
+    of :func:`tower_bundle`, the same cached graph, and its classes are
+    the powers of tau([w]) = w . x1, plus eta([w]) = w . (x2 ... xn) in
+    type D.
+
+    The classes are not checked, because each one is a class by proof.
+    W(S_k) permutes x_{k+1}, x_{k+2}, ... (in types B and C with any
+    signs, in type D with an even number of them) and fixes x_k, so it
+    fixes every m, and w . m does not depend on the representative of
+    [w].  Across the edge ([w], [w s_beta]), labeled w beta, the two
+    values differ by w . (m - s_beta m), and beta divides m - s_beta m.
     """
-    if b.base_coset is None:
-        raise ValueError("base classes need a coset base")
-    x1 = Polynomial.variable(b.total.varcount, 1)
-    vals = [w.act_poly(x1) for w in b.base_coset.reps]
-    return CohClass(b.base, vals)
-
-
-def base_eta(b: BundleMap) -> CohClass:
-    """The extra type-D base class: the coordinate product divided by tau.
-
-    eta([w]) = w . (x2 ... xn).  In type D, W(Delta - {1}) permutes x2..xn
-    and changes an even number of their signs, so it fixes x2 ... xn and
-    the value does not depend on the representative; eta is a class by
-    the argument given for :func:`base_tau`.
-    """
-    rs = b.rs
-    if rs is None or rs.kind != "D":
-        raise ValueError("eta exists only in type D")
-    rest = Polynomial.one(rs.varcount)
-    for i in range(2, rs.varcount + 1):
-        rest = rest * Polynomial.variable(rs.varcount, i)
-    vals = [w.act_poly(rest) for w in b.base_coset.reps]
-    return CohClass(b.base, vals)
-
-
-def base_power_classes(b: BundleMap):
-    """The free base-module basis: powers of tau, plus eta in type D."""
-    tau = base_tau(b)
-    one = CohClass.constant(b.base, 1)
-    if b.rs is not None and b.rs.kind == "D":
-        top = 2 * b.rs.rank - 2
-    else:
-        top = b.base.nvertices - 1
-    out = [one]
-    cur = one
-    for _ in range(top):
-        cur = cur * tau
-        out.append(cur)
-    if b.rs is not None and b.rs.kind == "D":
-        out.append(base_eta(b))
-    if len(out) != b.base.nvertices:
-        raise AssertionError("base class count does not match the base size")
+    out = []
+    for sigma1, sigma2, monos in _level_monomials(rs):
+        coset = build_coset_graph(rs, sigma1, sigma2)
+        out.append((monos, [CohClass(coset.graph, [w.act_poly(mono) for w in coset.reps])
+                            for mono in monos]))
     return out
+
+
+def _level_monomials(rs: RootSystem):
+    """[(S_k, S_{k-1}, monomials)] for each level of :func:`tower_levels`."""
+    n, m = rs.rank, rs.varcount
+    x = [Polynomial.one(m)] + [Polynomial.variable(m, i) for i in range(1, m + 1)]
+    sigma = [frozenset(range(k + 1, n + 1)) for k in range(n + 1)]
+    top = n - 2 if rs.kind == "D" else n
+    levels = []
+    for k in range(1, top + 1):
+        powers = {"A": n + 2 - k, "D": 2 * (n - k) + 1}.get(rs.kind, 2 * (n - k + 1))
+        monos = [x[k] ** j for j in range(powers)]
+        if rs.kind == "D":
+            monos.append(prod(x[k + 1:], start=x[0]))
+        levels.append((sigma[k], sigma[k - 1], monos))
+    if rs.kind == "D":
+        levels.append((frozenset(), sigma[n - 2], [x[0], x[n - 1], x[n - 1] ** 2, x[n]]))
+    return levels
 
 
 # ----------------------------------------------------------------------
@@ -299,8 +286,7 @@ def iterated_family(rs: RootSystem) -> dict:
     extended = {}
     for J, fc in fiber_invariant_classes(b):
         extended[J] = extend_invariant(b, fc)
-    base_classes = base_power_classes(b)
-    lifted = [lift_class(b, bc) for bc in base_classes]
+    lifted = [lift_class(b, bc) for bc in tower_levels(rs)[0][1]]
     out = {}
     if rs.kind == "D":
         eta_lift = lifted[-1]
@@ -321,45 +307,46 @@ def iterated_family(rs: RootSystem) -> dict:
 # expressing classes over a bundle
 
 
-def express_in_basis(b: BundleMap, classes, target: CohClass):
-    """Solve target == sum_k pi^*(beta_k) * classes[k] fiber by fiber.
+def express_in_basis(b: BundleMap, target: CohClass) -> dict:
+    """Solve target == sum_k pi^*(beta_k) * c_k fiber by fiber, for the
+    classes c_k of ``fiber_family`` on ``tower_bundle``; return
+    {name of c_k: beta_k}, the coefficients as classes on the base.
 
-    Precondition: ``classes`` and ``target`` are classes on the total
-    graph of a coset bundle.  The restrictions of ``classes`` to every
-    fiber must be a module basis there; ``_basis_failures`` certifies it
-    with the fibers as blocks, or the first witness is raised as
-    ValueError (a non-homogeneous family is refused even where it would
-    span).  ``linalg.solve_module_coeffs`` then finds the unique
-    polynomial coefficients on every fiber one degree at a time, and
-    checks sum_k beta_k * c_k == target exactly at every vertex of the
-    fiber before it returns; every total vertex lies in one fiber.  The
-    coefficients beta_k are returned as classes on the base.
+    Precondition: ``target`` is a class on the total graph of ``b``.  The
+    fiber classes restrict to a module basis on every fiber iff they do
+    on the typical fiber (see :func:`verify_basis`), which is the flag
+    graph of level 2; the certificates of levels 2 and up prove that, or
+    the first witness is raised as ValueError.
+    ``linalg.solve_module_coeffs`` then finds the unique polynomial
+    coefficients on every fiber one degree at a time, and checks
+    sum_k beta_k * c_k == target exactly at every vertex of the fiber
+    before it returns; every total vertex lies in one fiber.
     """
-    if b.rs is None:
+    rs = b.rs
+    if rs is None:
         raise ValueError("expressing over a bundle needs Weyl-group data")
-    nbase = b.base.nvertices
-    fibers = b.fibers()
-    bad = _basis_failures(
-        b.rs, classes, [f"classes[{k}]" for k in range(len(classes))],
-        {f"fiber over {b.base.vertices[p]}": fibers[p] for p in range(nbase)},
-        "fiber")
+    if (b.sigma1, b.sigma2) != (frozenset(), rs.full_sigma() - {1}):
+        raise ValueError("expressing needs the tower bundle of its root system")
+    bad = _level_failures(tower_levels(rs), first=2)
     if bad:
-        raise ValueError(next(iter(bad.values())))
-    beta_vals = [[None] * nbase for _ in classes]
-    for p, fverts in enumerate(fibers):
-        columns = [[c.values[v] for v in fverts] for c in classes]
+        raise ValueError(bad[0][1])
+    fam = fiber_family(rs)
+    nbase = b.base.nvertices
+    beta_vals = [[None] * nbase for _ in fam.classes]
+    for p, fverts in enumerate(b.fibers()):
+        columns = [[c.values[v] for v in fverts] for c in fam.classes]
         sol = linalg.solve_module_coeffs(
             columns, [target.values[v] for v in fverts], b.total.varcount)
         if sol is None:
             raise AssertionError(
                 f"no polynomial coefficients on the fiber over "
-                f"{b.base.vertices[p]} although the family passed the basis "
-                f"certificate"
+                f"{b.base.vertices[p]} although the fiber classes passed the "
+                f"basis certificate"
             )
         for k, val in enumerate(sol):
             beta_vals[k][p] = val
-    betas = []
-    for k, vals in enumerate(beta_vals):
+    betas = {}
+    for k, (name, vals) in enumerate(zip(fam.names(), beta_vals)):
         c = CohClass(b.base, vals)
         bad = coh_failure(c)
         if bad is not None:
@@ -367,7 +354,7 @@ def express_in_basis(b: BundleMap, classes, target: CohClass):
                 f"coefficient {k} is not a class on the base; fails at "
                 f"{b.base.edge_str(bad)}"
             )
-        betas.append(c)
+        betas[name] = c
     return betas
 
 
@@ -375,56 +362,56 @@ def express_in_basis(b: BundleMap, classes, target: CohClass):
 # the module-basis certificate
 
 
-def _regular_point(rs: RootSystem):
-    """(1, 2, 4, ...): distinct powers of 2, so no root x_i -+ x_j, x_i,
-    2 x_i vanishes there."""
-    return [2 ** i for i in range(rs.varcount)]
-
-
-def _basis_failures(rs: RootSystem, classes, names, blocks: dict, kind: str) -> dict:
+def _basis_failures(classes, names, label: str) -> dict:
     """{premise: witness} for each failing premise of the module-basis
     certificate, in this order; {} proves that ``classes`` (named by
-    ``names``) restrict to a module basis on every block (label ->
-    vertices: the base of a bundle, or its fibers).
+    ``names``) are a module basis on their graph (called ``label`` in the
+    witnesses).
 
-    * "count": every block has one vertex per class;
+    * "count": the graph has one vertex per class;
     * "homogeneity": every member is homogeneous (``degree_of``);
-    * "determinant": every block's value matrix M_p (vertices x classes)
-      is nonsingular at the regular point;
-    * "degree-sum": the halved degrees sum to n N / 2, the length sum of
-      the Schubert classes (``kind``) of a block of n vertices of valency N.
+    * "determinant": the value matrix M (vertices x classes) is
+      nonsingular at the regular point (1, 2, 4, ...), where no root
+      x_i -+ x_j, x_i, 2 x_i vanishes;
+    * "degree-sum": the halved degrees sum to the number of edges, the
+      length sum of the graph's Schubert classes.
 
-    Then M_p = S_p.B_p with S_p the Schubert value matrix, det S_p =
-    prod_u tau_u(u) of degree n N / 2, and det B_p a nonzero constant.  A
-    wrong count ends the check; every other premise is evaluated, so a
-    caller sees whether the determinant is the only failure.
+    Then M = S.B with S the Schubert value matrix, det S = prod_u
+    tau_u(u) of that degree, and det B a nonzero constant.  A wrong count
+    ends the check; every other premise is evaluated, so a caller sees
+    whether the determinant is the only failure.
     """
-    for label, verts in blocks.items():
-        if len(verts) != len(classes):
-            return {"count": f"{label} has {len(verts)} vertices but "
-                             f"{len(classes)} classes were given"}
+    graph = classes[0].graph
+    if graph.nvertices != len(classes):
+        return {"count": f"{label} has {graph.nvertices} vertices but "
+                         f"{len(classes)} classes were given"}
     out = {}
     degrees = [degree_of(c) for c in classes]
     if None in degrees:
         out["homogeneity"] = f"{names[degrees.index(None)]} is not homogeneous"
-    pt = _regular_point(rs)
-    for label, verts in blocks.items():
-        at_pt = [[c.values[v].evaluate(pt) for c in classes] for v in verts]
-        if linalg.det_fraction(at_pt) == 0:
-            out["determinant"] = (
-                f"on the {label} the value determinant vanishes at "
-                f"({', '.join(map(str, pt))}); the classes are not a module "
-                f"basis there")
-            break
+    pt = [2 ** i for i in range(graph.varcount)]
+    if linalg.det_fraction([[c.values[v].evaluate(pt) for c in classes]
+                            for v in range(graph.nvertices)]) == 0:
+        out["determinant"] = (
+            f"on {label} the value determinant vanishes at "
+            f"({', '.join(map(str, pt))}); the classes are not a module "
+            f"basis there")
     if "homogeneity" not in out:
-        graph, verts = classes[0].graph, next(iter(blocks.values()))
-        inside = set(verts)
-        valency = sum(graph.edges[eid].dst in inside for eid in graph.edges_at[verts[0]])
-        degree_sum, length_sum = sum(degrees) // 2, len(verts) * valency // 2
+        degree_sum, length_sum = sum(degrees) // 2, len(graph.edges) // 2
         if degree_sum != length_sum:
             out["degree-sum"] = (f"class degrees sum to {degree_sum} but the "
-                                 f"{kind} lengths sum to {length_sum}")
+                                 f"Schubert lengths on {label} sum to {length_sum}")
     return out
+
+
+def _level_failures(levels, first: int = 1):
+    """[(premise, witness)] of ``_basis_failures`` on each of ``levels``
+    (from :func:`tower_levels`) from level ``first`` on, in level order."""
+    bad = []
+    for k, (monos, classes) in enumerate(levels[first - 1:], first):
+        bad += _basis_failures(classes, [f"w.{mono} on level {k}" for mono in monos],
+                               f"level {k}").items()
+    return bad
 
 
 # ----------------------------------------------------------------------
@@ -433,46 +420,50 @@ def _basis_failures(rs: RootSystem, classes, names, blocks: dict, kind: str) -> 
 
 def verify_basis(rs: RootSystem) -> Report:
     """Count, independence and spanning of ``basis_family(rs)``, proved by
-    the graph Leray-Hirsch theorem on ``tower_bundle(rs)``.
+    the graph Leray-Hirsch theorem down the tower, one certificate per
+    level of :func:`tower_levels`; "count" compares the size of the index
+    set with |W|.
 
-    At w the value w . x^I of c_I = c_T(x^I) factors as (w . x1)^k times
-    w . x^(0,J) for I = (k,) + J, and in type D as eta([w]) times
-    w . x^(0,J) for I = (0,) + (J + 1): every member is the lift of a
-    ``base_power_classes`` member times a ``fiber_family`` member, and
-    ``index_set`` holds exactly these products (the tests pin this).  So
-    each member is a class by construction, and no class condition is
-    checked.  The theorem: if the base classes are a module basis of the
-    base and the fiber classes restrict to a module basis on every fiber,
-    the products are a module basis of the flag graph.  ``_basis_failures``
-    certifies the two premises, on the base and on the fibers; spanning
-    holds iff neither fails, and the first failing premise is the witness.
-    "count" compares the size of the index set with |W|.
+    Let G_k be the flag graph of W(S_{k-1}), so G_1 is the flag graph of
+    W, with the classes w . x^I for the sums I of one exponent vector per
+    level from k on.  G_k fibers over level k, and the fiber over [r] is
+    r G_{k+1}, the vertices r u for u in W(S_k).  At w = r u the value
+    w . x^I, for I = e + J with e from level k and J from the levels
+    above, is (r . x^e) times r . (u . x^J): the lift of a level-k class
+    times the class of G_{k+1} carried to the fiber over [r] by left
+    multiplication by r.  That is a GKM isomorphism from G_{k+1} onto the
+    fiber (its linear part is r acting on coordinates), and it carries
+    the classes of G_{k+1} along with their values, so they restrict to a
+    module basis on every fiber iff they are one on G_{k+1}.  The
+    theorem: if the level-k classes are a module basis of level k and the
+    fiber classes restrict to a module basis on every fiber, the products
+    are a module basis of G_k.  The last level is its own G_k, with
+    one-vertex fibers, so by induction down to G_1 the family is a module
+    basis if every level passes ``_basis_failures``.  ``index_set`` holds
+    exactly these products (the tests pin this), and each member is a
+    class by construction, so no class condition is checked.  Spanning
+    holds iff no level fails, and the first failing premise, from level 1
+    up, is the witness.
 
-    Independence reads the certificate determinants alone.  Group the
-    rows of the flag graph's value matrix M by fiber and its columns by
-    fiber class; then M = diag_p(C_p) (B (x) 1), so |det M| =
-    |det B|^|J| prod_p |det C_p| at the regular point, with B the base
-    matrix and C_p the matrix on the fiber over p.  Independence holds iff
-    none of these determinants vanishes there; when one does and the other
-    premises hold, it is a constant times its block's Schubert determinant
-    and vanishes identically, and so does det M.
+    Independence reads the level determinants alone.  Group the rows of
+    the value matrix M of G_k by fiber and its columns by fiber class;
+    then M = diag_[r](C_r) (B (x) 1), so det M = +-det B^|J| prod_[r]
+    det C_r, with B the level-k matrix and C_r the matrix of G_{k+1}
+    moved by r, whose determinant is det C moved by r.  So det M is a
+    nonzero polynomial iff every level determinant is, and a nonzero
+    value at the regular point proves it.  When a level determinant
+    vanishes there and the other premises hold, it is a constant times
+    the level's Schubert determinant and vanishes identically, and so
+    does det M.  A level with the wrong count is not square, and fails
+    independence too.
     """
-    b = tower_bundle(rs)
     indices = index_set(rs.kind, rs.rank)
-    order = b.total.nvertices
+    order = rs.group_order()
     rep = Report()
     rep.add("count", len(indices) == order,
             f"{len(indices)} classes for a group of order {order}")
-    base = base_power_classes(b)
-    fiber = fiber_family(rs)
-    bad = list(_basis_failures(
-        rs, base, [f"base class {k}" for k in range(len(base))],
-        {"base": list(range(b.base.nvertices))}, "coset").items())
-    bad += _basis_failures(
-        rs, fiber.classes, fiber.names(),
-        {f"fiber over {b.base.vertices[p]}": verts for p, verts in enumerate(b.fibers())},
-        "fiber").items()
-    singular = [witness for premise, witness in bad if premise == "determinant"]
+    bad = _level_failures(tower_levels(rs))
+    singular = [witness for premise, witness in bad if premise in ("count", "determinant")]
     rep.add("independence", not singular, singular[0] if singular else "")
     rep.add("spanning", not bad, bad[0][1] if bad else "")
     return rep

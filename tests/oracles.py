@@ -28,7 +28,7 @@ none of ``polyring``'s helpers, and the basis oracle decides a family
 given as classes by the class condition on every member and one
 |W| x |W| value determinant over the whole flag graph, with a
 degree-bounded grid of regular points when it vanishes, instead of by
-the base and fiber certificates of the tower bundle.
+one certificate per level of the tower.
 
 The connection oracles read a connection's star positions through
 ``connection_dict``, which decodes them with ``edges_at`` alone, not with
@@ -484,8 +484,7 @@ def verify_basis_by_determinant(rs, family):
         if edge is not None:
             bad["class"] = f"{name} fails the class condition at {c.graph.edge_str(edge)}"
             break
-    bad.update(_basis_failures(rs, family.classes, names,
-                               {"flag graph": list(range(nW))}, "Weyl group"))
+    bad.update(_basis_failures(family.classes, names, "the flag graph"))
     independent, witness = "determinant" not in bad, ""
     if not independent:
         top = sum(max((sum(x) for v in c.values for x in v.terms), default=0)

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,9 +9,6 @@ from gkmflag import invbases, linalg
 from gkmflag.gkmgraph import CohClass, coh_failure, degree_of, is_coh_class
 from gkmflag.invbases import (
     BasisFamily,
-    base_eta,
-    base_power_classes,
-    base_tau,
     basis_family,
     check_bases_over_invariants,
     class_cI,
@@ -18,11 +16,11 @@ from gkmflag.invbases import (
     extend_invariant,
     fiber_family,
     fiber_invariant_classes,
-    index_family_size,
     index_set,
     invariant_generators,
     iterated_family,
     tower_bundle,
+    tower_levels,
     verify_basis,
 )
 from gkmflag.linalg import det_fraction
@@ -80,22 +78,34 @@ def _tower_powers(kind, rank):
 def test_index_set_is_the_tower_product(kind, rank):
     """The indices (k,) + J, k below the number of base powers (n + 1 in
     type A, 2n in B and C, 2n - 1 in D) and J a rank n - 1 index; in type
-    D also (0,) + (J + 1), the lift of eta times c[0,J]."""
+    D also (0,) + (J + 1), the lift of eta times c[0,J].  Down the whole
+    tower: the sums of one exponent vector per level of ``tower_levels``,
+    the type-D bottom included, are the index set, each once, and x_{n+1}
+    of type A never occurs."""
     lower = index_set(kind, rank - 1) if rank > 1 else [()]
     powers = _tower_powers(kind, rank)
     tower = [(k,) + J for k in range(powers) for J in lower]
     if kind == "D":
         tower += [(0,) + tuple(j + 1 for j in J) for J in lower]
     assert sorted(tower) == index_set(kind, rank)
+    if kind in "BC" and rank == 1:
+        return  # no root system of rank 1
+    rs = RootSystem(kind, rank)
+    product = [(0,) * rs.varcount]
+    for _, _, monos in invbases._level_monomials(rs):
+        exps = [next(iter(mono.terms)) for mono in monos]
+        product = [tuple(map(operator.add, e, f)) for e in product for f in exps]
+    assert all(not any(e[rank:]) for e in product)
+    assert sorted(e[:rank] for e in product) == index_set(kind, rank)
 
 
 def test_family_sizes_up_to_5():
     for n in range(1, 6):
-        assert index_family_size("A", n) == math.factorial(n + 1)
-        assert index_family_size("B", n) == 2**n * math.factorial(n)
-        assert index_family_size("C", n) == 2**n * math.factorial(n)
+        assert len(index_set("A", n)) == math.factorial(n + 1)
+        assert len(index_set("B", n)) == 2**n * math.factorial(n)
+        assert len(index_set("C", n)) == 2**n * math.factorial(n)
         if n >= 2:
-            assert index_family_size("D", n) == 2**(n - 1) * math.factorial(n)
+            assert len(index_set("D", n)) == 2**(n - 1) * math.factorial(n)
 
 
 # ----------------------------------------------------------------------
@@ -125,20 +135,26 @@ def test_class_cI_length_check(a2):
 
 
 # ----------------------------------------------------------------------
-# base classes
+# the levels of the tower; level 1 is the base
+
+
+def _base_classes(rs):
+    """The level-1 classes: tau^0, tau^1, ..., plus eta in type D."""
+    return tower_levels(rs)[0][1]
 
 
 def test_base_tau_a(a2):
     b = tower_bundle(a2)
-    tau = base_tau(b)
+    tau = _base_classes(a2)[1]
     g = b.base
+    assert tau.graph is g  # level 1 is the cached base graph
     for eid, e in enumerate(g.edges):
         assert e.label.to_polynomial() == tau.values[e.src] - tau.values[e.dst]
 
 
 def test_base_tau_b_half_edge(b2):
     b = tower_bundle(b2)
-    tau = base_tau(b)
+    tau = _base_classes(b2)[1]
     g = b.base
     p, q = g.vertex_index("1,2"), g.vertex_index("-1,2")
     eid = g.find_edges(p, q)[0]
@@ -164,9 +180,9 @@ def test_b_base_is_not_plain_complete_graph(b2):
 
 def test_base_eta_d3(d3):
     b = tower_bundle(d3)
-    eta = base_eta(b)
+    base = _base_classes(d3)
+    eta, tau = base[-1], base[1]
     assert is_coh_class(eta)
-    tau = base_tau(b)
     # eta * tau is the full coordinate product at every vertex
     prod = Polynomial.one(3)
     for i in (1, 2, 3):
@@ -181,30 +197,47 @@ _BASE_CLASS_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
 
 @pytest.mark.parametrize("kind,n", _BASE_CLASS_TYPES)
 def test_base_power_classes_are_classes(kind, n):
-    """base_tau and base_eta are built unchecked; every power of tau and
+    """The level-1 classes are built unchecked; every power of tau and
     eta passes the division oracle, and a tau built from x2 (not fixed by
     W(Delta - {1})) does not.  Their degrees are those of the tower
     product that ``index_set`` is: tau^0, tau^1, ..., plus eta in type D."""
-    b = tower_bundle(RootSystem(kind, n))
-    for k, c in enumerate(base_power_classes(b)):
+    rs = RootSystem(kind, n)
+    b = tower_bundle(rs)
+    base = _base_classes(rs)
+    for k, c in enumerate(base):
         assert coh_failure_by_division(c) is None, (kind, n, k)
     eta = [n - 1] if kind == "D" else []
-    assert ([degree_of(c) // 2 for c in base_power_classes(b)]
-            == list(range(_tower_powers(kind, n))) + eta)
+    assert [degree_of(c) // 2 for c in base] == list(range(_tower_powers(kind, n))) + eta
     x2 = Polynomial.variable(b.total.varcount, 2)
     wrong = CohClass(b.base, [w.act_poly(x2) for w in b.base_coset.reps])
     assert coh_failure_by_division(wrong) is not None
 
 
 def test_eta_outside_type_d(a2):
-    with pytest.raises(ValueError):
-        base_eta(tower_bundle(a2))
+    """Outside type D every level holds powers of one coordinate only."""
+    assert [[str(mono) for mono in monos] for monos, _ in tower_levels(a2)] == [
+        ["1", "x1", "x1^2"], ["1", "x2"]]
+
+
+@pytest.mark.parametrize("kind,n", [("A", n) for n in range(1, 6)]
+                         + [(k, n) for k in "BC" for n in range(2, 6)]
+                         + [("D", n) for n in range(3, 6)])
+def test_level_classes_are_classes_of_their_degrees(kind, n):
+    """Every level's classes, built unchecked, pass ``coh_failure``; each
+    has the degree of its monomial, and no level has more than 2n
+    vertices."""
+    rs = RootSystem(kind, n)
+    for k, (monos, classes) in enumerate(tower_levels(rs), 1):
+        assert len(monos) == len(classes) <= 2 * n
+        for mono, c in zip(monos, classes):
+            assert coh_failure(c) is None, (k, str(mono))
+            assert degree_of(c) == 2 * sum(next(iter(mono.terms))), (k, str(mono))
 
 
 def test_base_power_classes_independent(a2, b2, d3):
     for rs in (a2, b2, d3):
         b = tower_bundle(rs)
-        classes = base_power_classes(b)
+        classes = _base_classes(rs)
         assert len(classes) == b.base.nvertices
         for c in classes:
             assert is_coh_class(c)
@@ -316,81 +349,81 @@ def test_extend_matches_the_oracle_with_sigma1(a3):
 def test_express_constant(a2):
     b = tower_bundle(a2)
     one = class_cI(a2, (0, 0))
-    c01 = class_cI(a2, (0, 1))
-    betas = express_in_basis(b, [one, c01], one)
-    assert all(v == Polynomial.one(3) for v in betas[0].values)
-    assert all(v.is_zero() for v in betas[1].values)
+    betas = express_in_basis(b, one)
+    assert list(betas) == ["c[0,0]", "c[0,1]"]
+    assert all(v == Polynomial.one(3) for v in betas["c[0,0]"].values)
+    assert all(v.is_zero() for v in betas["c[0,1]"].values)
 
 
 def test_express_table_classes(a2):
     b = tower_bundle(a2)
-    one = class_cI(a2, (0, 0))
-    c01 = class_cI(a2, (0, 1))
-    betas = express_in_basis(b, [one, c01], class_cI(a2, (1, 1)))
-    tau = base_tau(b)
-    assert betas[1] == tau
-    betas = express_in_basis(b, [one, c01], class_cI(a2, (2, 0)))
-    assert betas[0] == tau * tau
-    assert all(v.is_zero() for v in betas[1].values)
+    betas = express_in_basis(b, class_cI(a2, (1, 1)))
+    tau = _base_classes(a2)[1]
+    assert betas["c[0,1]"] == tau
+    betas = express_in_basis(b, class_cI(a2, (2, 0)))
+    assert betas["c[0,0]"] == tau * tau
+    assert all(v.is_zero() for v in betas["c[0,1]"].values)
 
 
 def test_express_random_classes(a2):
     b = tower_bundle(a2)
-    classes = [class_cI(a2, (0, 0)), class_cI(a2, (0, 1))]
     rng = random.Random(123)
     for _ in range(3):
         target = seeded_random_class(a2, rng.randint(0, 5), rng)
-        betas = express_in_basis(b, classes, target)  # raises on failure
-        for beta in betas:
+        betas = express_in_basis(b, target)  # raises on failure
+        for beta in betas.values():
             assert is_coh_class(beta)
-
-
-def test_express_wrong_arity(a2):
-    b = tower_bundle(a2)
-    with pytest.raises(ValueError, match="fiber"):
-        express_in_basis(b, [class_cI(a2, (0, 0))], class_cI(a2, (0, 0)))
-
-
-def test_express_singular_family_names_the_fiber(a2):
-    b = tower_bundle(a2)
-    c00 = class_cI(a2, (0, 0))
-    with pytest.raises(ValueError, match=r"fiber over 1,2,3 .* vanishes at \(1, 2, 4\)"):
-        express_in_basis(b, [c00, c00], c00)
-
-
-def test_express_non_homogeneous_member_names_the_class(a2):
-    b = tower_bundle(a2)
-    c00, c01 = class_cI(a2, (0, 0)), class_cI(a2, (0, 1))
-    with pytest.raises(ValueError, match=r"classes\[1\] is not homogeneous"):
-        express_in_basis(b, [c00, c01 + c00], c00)
-
-
-def test_express_degree_sum_mismatch_names_both_sums(a2):
-    b = tower_bundle(a2)
-    c00, c01 = class_cI(a2, (0, 0)), class_cI(a2, (0, 1))
-    with pytest.raises(ValueError, match="sum to 2 but the fiber lengths sum to 1"):
-        express_in_basis(b, [c00, c01 * c01], c00)
 
 
 def test_express_needs_a_coset_bundle(a2):
     b = bundle_from_json(bundle_to_json(tower_bundle(a2)))
-    c00, c01 = class_cI(a2, (0, 0)), class_cI(a2, (0, 1))
     with pytest.raises(ValueError, match="Weyl-group data"):
-        express_in_basis(b, [c00, c01], c00)
+        express_in_basis(b, class_cI(a2, (0, 0)))
+
+
+def test_express_needs_the_tower_bundle(a3):
+    b = build_bundle(a3, frozenset(), frozenset({1, 2}))
+    with pytest.raises(ValueError, match="tower bundle"):
+        express_in_basis(b, class_cI(a3, (0, 0, 0)))
+
+
+def test_express_takes_only_level_determinants(b3, monkeypatch):
+    """The fiber classes are certified on levels 2 and 3 of B3 (4 and 2
+    vertices), not on each of the six 8-vertex fibers, and not on level 1."""
+    sizes = []
+    real = linalg.det_fraction
+    monkeypatch.setattr(linalg, "det_fraction", lambda m: sizes.append(len(m)) or real(m))
+    express_in_basis(tower_bundle(b3), class_cI(b3, (1, 0, 0)))
+    assert sizes == [4, 2]
+
+
+def test_express_names_the_failing_level(a3, monkeypatch):
+    """A level the fiber classes rest on that fails its certificate is the
+    error; a failing level 1 (the base) is not express's premise."""
+    _tamper_level(monkeypatch, 3, lambda monos, classes: (monos, [classes[0]] * 2))
+    with pytest.raises(ValueError, match=r"^on level 3 the value determinant vanishes"):
+        express_in_basis(tower_bundle(a3), class_cI(a3, (0, 0, 0)))
+    monkeypatch.undo()
+    _tamper_level(monkeypatch, 1, lambda monos, classes: (monos, [classes[0]] * 4))
+    express_in_basis(tower_bundle(a3), class_cI(a3, (0, 0, 0)))
 
 
 @pytest.mark.parametrize("rs_name", ["a2", "b2", "c2", "a3", "d3"])
 def test_express_matches_cramer_oracle(request, rs_name):
     rs = request.getfixturevalue(rs_name)
     b = tower_bundle(rs)
-    classes = [class_cI(rs, (0,) + J) for J in index_set(rs.kind, rs.rank - 1)]
+    lower = index_set(rs.kind, rs.rank - 1)
+    classes = [class_cI(rs, (0,) + J) for J in lower]
+    names = ["c[" + ",".join(map(str, (0,) + J)) + "]" for J in lower]
     rng = random.Random(41)
     targets = [seeded_random_class(rs, d, rng) for d in (1, 2)]
     targets.append(seeded_random_class(rs, 0, rng)
                    + seeded_random_class(rs, 1, rng))
     assert degree_of(targets[-1]) is None  # one target of mixed degree
     for target in targets:
-        assert express_in_basis(b, classes, target) == express_by_cramer(b, classes, target)
+        betas = express_in_basis(b, target)
+        assert list(betas) == names
+        assert list(betas.values()) == express_by_cramer(b, classes, target)
 
 
 # ----------------------------------------------------------------------
@@ -400,6 +433,11 @@ def test_express_matches_cramer_oracle(request, rs_name):
 def test_verify_basis_a2_b2(a2, b2):
     assert verify_basis(a2).ok
     assert verify_basis(b2).ok
+
+
+@pytest.mark.parametrize("kind", "ABCD")
+def test_verify_basis_at_rank_5(kind):
+    assert verify_basis(RootSystem(kind, 5)).ok
 
 
 TOWER_GROUPS = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3),
@@ -427,54 +465,97 @@ def test_value_determinant_factors_along_the_tower(kind, rank):
 
     fiber = fiber_family(rs).classes
     whole = det_at(basis_family(rs).classes, range(b.total.nvertices))
-    base = det_at(base_power_classes(b), range(b.base.nvertices))
+    base = det_at(_base_classes(rs), range(b.base.nvertices))
     fibers = math.prod(abs(det_at(fiber, verts)) for verts in b.fibers())
     assert abs(whole) == abs(base) ** len(fiber) * fibers != 0
 
 
 def test_verify_basis_needs_no_class_check_and_no_flag_graph_determinant(b3, monkeypatch):
-    """Only base- and fiber-sized determinants, one per block, and no
-    ``coh_failure``: every member is a class by construction."""
-    def refuse(c):
-        raise AssertionError("coh_failure called")
+    """One determinant per level, of sizes 6, 4 and 2, and no
+    ``coh_failure``: every member is a class by construction.  No bundle,
+    no fiber family and no class on the flag graph is built."""
+    def refuse(*args):
+        raise AssertionError("called")
 
     sizes = []
     real = linalg.det_fraction
-    monkeypatch.setattr(invbases, "coh_failure", refuse)
+    for name in ("coh_failure", "tower_bundle", "fiber_family", "invariant_class"):
+        monkeypatch.setattr(invbases, name, refuse)
     monkeypatch.setattr(linalg, "det_fraction", lambda m: sizes.append(len(m)) or real(m))
     assert verify_basis(b3).ok
-    assert sorted(sizes) == [6] + [8] * 6
+    assert sizes == [6, 4, 2]
+
+
+def _tamper_level(monkeypatch, k, change):
+    """Make ``tower_levels`` return level k as ``change(monos, classes)``."""
+    real = invbases.tower_levels
+
+    def tampered(rs):
+        levels = real(rs)
+        levels[k - 1] = change(*levels[k - 1])
+        return levels
+
+    monkeypatch.setattr(invbases, "tower_levels", tampered)
+
+
+def _checks(rs):
+    return {c.name: (c.passed, c.witness) for c in verify_basis(rs).checks}
 
 
 def test_verify_basis_names_a_singular_base(a2, monkeypatch):
     """tau^1 replaced by tau^0: the base determinant vanishes, and the
     degrees no longer sum to the length sum of the base."""
-    real = invbases.base_power_classes
-    monkeypatch.setattr(invbases, "base_power_classes",
-                        lambda b: [real(b)[0]] * 2 + real(b)[2:])
-    checks = {c.name: c for c in verify_basis(a2).checks}
-    singular = ("on the base the value determinant vanishes at (1, 2, 4); "
+    _tamper_level(monkeypatch, 1, lambda monos, classes: (monos, [classes[0]] * 2 + classes[2:]))
+    checks = _checks(a2)
+    singular = ("on level 1 the value determinant vanishes at (1, 2, 4); "
                 "the classes are not a module basis there")
-    assert checks["count"].passed
-    assert (checks["independence"].passed, checks["independence"].witness) == (False, singular)
-    assert (checks["spanning"].passed, checks["spanning"].witness) == (False, singular)
+    assert checks["count"][0]
+    assert checks["independence"] == (False, singular)
+    assert checks["spanning"] == (False, singular)
 
 
 def test_verify_basis_names_a_non_homogeneous_fiber_class(a2, monkeypatch):
-    """c[0,1] + 1 keeps every fiber determinant nonzero, so independence
-    holds, but the fiber certificate needs homogeneous members."""
-    real = invbases.fiber_family
+    """w.x2 + 1 on level 2 keeps its determinant nonzero, so independence
+    holds, but the certificate needs homogeneous members."""
+    _tamper_level(monkeypatch, 2, lambda monos, classes: (monos, [classes[0], classes[1] + classes[0]]))
+    checks = _checks(a2)
+    assert checks["independence"] == (True, "")
+    assert checks["spanning"] == (False, "w.x2 on level 2 is not homogeneous")
 
-    def shifted(rs):
-        fam = real(rs)
-        c00, c01 = fam.classes
-        return BasisFamily(rs, fam.indices, [c00, c01 + c00])
 
-    monkeypatch.setattr(invbases, "fiber_family", shifted)
-    checks = {c.name: c for c in verify_basis(a2).checks}
-    assert checks["independence"].passed
-    assert not checks["spanning"].passed
-    assert checks["spanning"].witness == "c[0,1] is not homogeneous"
+def test_verify_basis_names_a_level_with_the_wrong_count(a2, monkeypatch):
+    """A level missing a class is not square: neither independence nor
+    spanning holds, though the index set still has |W| members."""
+    _tamper_level(monkeypatch, 2, lambda monos, classes: (monos[:1], classes[:1]))
+    checks = _checks(a2)
+    wrong = "level 2 has 2 vertices but 1 classes were given"
+    assert checks["count"][0]
+    assert checks["independence"] == (False, wrong)
+    assert checks["spanning"] == (False, wrong)
+
+
+def test_verify_basis_names_a_level_whose_degrees_do_not_sum(a2, monkeypatch):
+    """(w.x2)^2 in place of w.x2 on level 2: the determinant x3^2 - x2^2
+    does not vanish, but the degrees sum to 2, not to the one edge."""
+    _tamper_level(monkeypatch, 2, lambda monos, classes: (monos, [classes[0], classes[1] * classes[1]]))
+    checks = _checks(a2)
+    assert checks["independence"] == (True, "")
+    assert checks["spanning"] == (
+        False, "class degrees sum to 2 but the Schubert lengths on level 2 sum to 1")
+
+
+@pytest.mark.parametrize("kind,rank", [("B", 3), ("D", 4)])
+def test_verify_basis_names_the_tampered_level(kind, rank, monkeypatch):
+    """Class 0 copied over class 1 on one level: that level, and no other,
+    is named, whichever level it is."""
+    rs = RootSystem(kind, rank)
+    for k in range(1, len(tower_levels(rs)) + 1):
+        _tamper_level(monkeypatch, k, lambda monos, classes: (monos, classes[:1] * 2 + classes[2:]))
+        checks = _checks(rs)
+        assert not checks["independence"][0]
+        assert checks["independence"][1].startswith(f"on level {k} the value determinant vanishes")
+        assert checks["spanning"] == checks["independence"]
+        monkeypatch.undo()
 
 
 def test_verify_basis_detects_duplicates(a2):
@@ -717,7 +798,7 @@ def test_basis_report_json(a2):
 def test_vandermonde_determinant_brute_force(a2):
     """The base power classes evaluated at (1,2,4) give determinant +-6."""
     b = tower_bundle(a2)
-    classes = base_power_classes(b)
+    classes = _base_classes(a2)
     mat = [[c.values[p].evaluate([1, 2, 4]) for c in classes]
            for p in range(b.base.nvertices)]
     det = det_fraction(mat)
