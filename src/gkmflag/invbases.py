@@ -170,8 +170,8 @@ def tower_levels(rs: RootSystem):
     The classes are not checked, because each one is a class by proof.
     W(S_k) permutes x_{k+1}, x_{k+2}, ... (in types B and C with any
     signs, in type D with an even number of them) and fixes x_k, so it
-    fixes every m, and w . m does not depend on the representative of
-    [w].  Across the edge ([w], [w s_beta]), labeled w beta, the two
+    fixes every m (the type-D bottom divides by the trivial group), and
+    w . m does not depend on the representative of [w].  Across the edge ([w], [w s_beta]), labeled w beta, the two
     values differ by w . (m - s_beta m), and beta divides m - s_beta m.
     """
     out = []
@@ -346,12 +346,12 @@ def express_in_basis(b: BundleMap, target: CohClass) -> dict:
         for k, val in enumerate(sol):
             beta_vals[k][p] = val
     betas = {}
-    for k, (name, vals) in enumerate(zip(fam.names(), beta_vals)):
+    for name, vals in zip(fam.names(), beta_vals):
         c = CohClass(b.base, vals)
         bad = coh_failure(c)
         if bad is not None:
             raise AssertionError(
-                f"coefficient {k} is not a class on the base; fails at "
+                f"the coefficient of {name} is not a class on the base; fails at "
                 f"{b.base.edge_str(bad)}"
             )
         betas[name] = c
