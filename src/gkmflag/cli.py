@@ -15,12 +15,15 @@ does not read: only build, verify, bundle, holonomy and export take
 --sigma1/--sigma2, only express and basis take --seed, and ``export``
 takes --index only with ``--what class``, which has no DOT form and
 takes no --sigma1/--sigma2.  A run that exhausts memory exits 2 with one
-``error:`` line, like a usage error.
+``error:`` line, like a usage error.  Graph and bundle files, like the
+Schubert table, are streamed to --out or stdout as their writers produce
+them, and an --out file whose writing fails part way is removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -60,14 +63,25 @@ class SystemExit2(Exception):
 
 def _write_out(args, text):
     """Write ``text``, one string or an iterable of string chunks written as
-    they come, to --out or to stdout."""
+    they come, to --out or to stdout.  A --out file whose writing fails
+    part way, in the chunks or in the file, is removed before the error
+    propagates, so no truncated file is left behind."""
     chunks = [text] if isinstance(text, str) else text
     if getattr(args, "out", None):
         try:
-            with open(args.out, "w") as fh:
-                fh.writelines(chunks)
+            fh = open(args.out, "w")
         except OSError as exc:
             raise SystemExit2(f"cannot write {args.out}: {exc}")
+        try:
+            with fh:
+                fh.writelines(chunks)
+        except BaseException as exc:
+            if os.path.isfile(args.out):  # never a device such as /dev/null
+                with contextlib.suppress(OSError):
+                    os.remove(args.out)
+            if isinstance(exc, OSError):
+                raise SystemExit2(f"cannot write {args.out}: {exc}")
+            raise
     else:
         sys.stdout.writelines(chunks)
 
@@ -90,7 +104,7 @@ def cmd_build(args) -> int:
         f"{len(cg.graph.edges)} oriented edges"
     )
     if args.out:
-        _write_out(args, json.dumps(gkmgraph.graph_to_json(cg.graph), indent=1) + "\n")
+        _write_out(args, gkmgraph.graph_json_chunks(cg.graph))
     return 0
 
 
@@ -129,7 +143,7 @@ def cmd_bundle(args) -> int:
         raise SystemExit2("bundle needs --sigma2")
     b = parabolic.build_bundle(rs, args.sigma1, args.sigma2)
     if args.out:
-        _write_out(args, json.dumps(parabolic.bundle_to_json(b), indent=1) + "\n")
+        _write_out(args, parabolic.bundle_json_chunks(b))
     if args.verify:
         rep = parabolic.verify_fiber_bundle(b)
         return _emit_report(rep)
@@ -219,7 +233,7 @@ def cmd_export(args) -> int:
         if args.format == "dot":
             _write_out(args, gkmgraph.graph_to_dot(b.total, name="total"))
         else:
-            _write_out(args, json.dumps(parabolic.bundle_to_json(b), indent=1) + "\n")
+            _write_out(args, parabolic.bundle_json_chunks(b))
         return 0
     if args.what == "class":
         if not args.index:
@@ -235,7 +249,7 @@ def cmd_export(args) -> int:
     if args.format == "dot":
         _write_out(args, gkmgraph.graph_to_dot(g, name=f"{rs.kind}{rs.rank}"))
     else:
-        _write_out(args, json.dumps(gkmgraph.graph_to_json(g), indent=1) + "\n")
+        _write_out(args, gkmgraph.graph_json_chunks(g))
     return 0
 
 

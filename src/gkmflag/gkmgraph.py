@@ -47,6 +47,11 @@ order of first occurrence, ``label_id`` the index of each edge's label,
 and every ``Edge.label`` is the interned object.  Verification decides
 each label axiom once per distinct label (or tuple of labels) by id,
 and a changed graph is a new graph, so no derived data can go stale.
+
+The text layout of a graph file is known only here:
+:func:`graph_json_chunks` writes it as a stream of entries (a bundle file
+nests two graphs through it), :func:`graph_from_json` reads it, and
+:func:`graph_to_json` gives it as a dict, which :func:`graph_hash` hashes.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -80,6 +86,7 @@ __all__ = [
     "complete_graph",
     "graph_to_json",
     "graph_from_json",
+    "graph_json_chunks",
     "graph_hash",
     "graph_to_dot",
     "class_to_json",
@@ -584,6 +591,8 @@ def complete_graph(n: int) -> GkmGraph:
 
 
 def graph_to_json(g: GkmGraph) -> dict:
+    """The graph file as a dict, which :func:`graph_hash` hashes; the file
+    itself is written by :func:`graph_json_chunks`."""
     return {
         "varcount": g.varcount,
         "vertices": list(g.vertices),
@@ -598,6 +607,53 @@ def graph_to_json(g: GkmGraph) -> dict:
             for eid in range(len(g.edges))
         ],
     }
+
+
+def graph_json_chunks(g: GkmGraph, depth: int = 0, edge_class: Sequence[str] | None = None):
+    """The graph file, ``json.dumps(graph_to_json(g), indent=1)`` and a
+    newline, as a generator of text chunks: one per vertex name, per edge
+    entry and per connection entry, so the whole file is never held as text.
+
+    Each entry is one ``%``-template filled with integers, and each string
+    goes through the escaping ``json`` itself uses (``ensure_ascii``), so
+    the bytes are those of ``json.dumps``.  A label's ``alpha`` block is
+    formatted once per distinct label.  ``depth`` > 0 writes the graph as a
+    value nested that many levels deep in a larger object, with no newline
+    after it; ``edge_class``, if given, is written after each edge's
+    ``alpha`` as its ``"class"`` (the total graph of a bundle file).
+    """
+    i0, i1, i2, i3, i4, i5 = ("\n" + " " * (depth + k) for k in range(6))
+    yield f'{{{i1}"varcount": {g.varcount},{i1}"vertices": '
+    yield from _json_items(map(_json_str, g.vertices), i2, i1)
+    yield f',{i1}"edges": '
+    alpha = [f'"alpha": {"".join(_json_items(map(_json_str, map(str, label.coeffs)), i4, i3))}'
+             for label in g.labels]
+    extra = (repeat("") if edge_class is None
+             else (f',{i3}"class": {_json_str(c)}' for c in edge_class))
+    entry = f'{{{i3}"src": %d,{i3}"dst": %d,{i3}%s%s{i2}}}'
+    yield from _json_items((entry % (src, dst, alpha[k], x) for (src, dst, _), k, x
+                            in zip(g.edges, g.label_id, extra)), i2, i1)
+    yield f',{i1}"connection": '
+    # one template per star size: the edge, then (edge, image) id pairs
+    head = f'{{{i3}"edge": [{i4}%d,{i4}%d{i3}],{i3}"map": [{i4}'
+    pair, tail = f"[{i5}%d,{i5}%d{i4}]", f"{i3}]{i2}}}"
+    templates = {deg: head + f",{i4}".join([pair] * deg) + tail
+                 for deg in set(map(len, filter(None, g.edges_at)))}
+    yield from _json_items((templates[len(g.edges_at[src])] % (
+        src, dst, *chain.from_iterable(g.connection_pairs(eid)))
+        for eid, (src, dst, _) in enumerate(g.edges)), i2, i1)
+    yield i0 + "}" + ("" if depth else "\n")
+
+
+def _json_items(texts, inner: str, outer: str):
+    """Chunks of a JSON list of items already written as text, indented as
+    ``json.dumps`` indents it: each item after ``inner``, the closing
+    bracket after ``outer``."""
+    sep = "[" + inner
+    for text in texts:
+        yield sep + text
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else outer + "]"
 
 
 def _is_index(v, n: int) -> bool:
@@ -639,28 +695,64 @@ def graph_from_json(data: dict) -> GkmGraph:
             forms[key] = LinearForm([parse_rational(c) for c in alpha])
         edges.append(Edge(e["src"], e["dst"], forms[key]))
     edges_at, slot = _stars(edges, n)
+    maps = [entry.get("map") if isinstance(entry, dict) else None for entry in raw_connection]
+    position = [dict(zip(star, range(len(star)))) for star in edges_at]
+    connection: list = [None] * len(edges)
+    bad = []
+    for star in filter(None, edges_at):
+        at_heads = [position[edges[e].dst] for e in star]
+        conns = _star_maps([maps[e] for e in star], star, at_heads)
+        if conns is None:  # name the first edge of the star whose map fails
+            bad.append(next(e for e, at_head in zip(star, at_heads)
+                            if _star_maps([maps[e]], star, [at_head]) is None))
+            continue
+        for eid, conn in zip(star, conns):
+            connection[eid] = conn
+    if bad:
+        src, dst, _ = edges[min(bad)]
+        raise ValueError(f"connection {min(bad)}: map must pair each edge at vertex {src} "
+                         f"once with an edge at vertex {dst}")
     shared: dict[tuple, tuple] = {}
-    connection, reverse = [], []
-    for eid, entry in enumerate(raw_connection):
-        src, dst, _ = edges[eid]
-        pairs = entry.get("map") if isinstance(entry, dict) else None
-        conn = [-1] * len(edges_at[src])
-        # with as many pairs as edges at src, no repeated key means no missing one
-        ok = isinstance(pairs, list) and len(pairs) == len(conn)
-        for pair in pairs if ok else ():
-            ok = (type(pair) is list and len(pair) == 2 and _is_index(pair[0], len(edges))
-                  and _is_index(pair[1], len(edges)) and edges[pair[0]].src == src
-                  and edges[pair[1]].src == dst and conn[slot[pair[0]]] < 0)
-            if not ok:
-                break
-            conn[slot[pair[0]]] = slot[pair[1]]
-        if not ok:
-            raise ValueError(f"connection {eid}: map must pair each edge at vertex {src} "
-                             f"once with an edge at vertex {dst}")
-        connection.append(shared.setdefault(tuple(conn), tuple(conn)))
-        # the reverse of e is where the connection along e sends e itself
-        reverse.append(edges_at[dst][conn[slot[eid]]])
+    connection = [shared.setdefault(conn, conn) for conn in connection]
+    # the reverse of e is where the connection along e sends e itself
+    reverse = [edges_at[dst][conn[slot[eid]]]
+               for eid, ((_, dst, _), conn) in enumerate(zip(edges, connection))]
     return GkmGraph(m, vertices, edges, reverse, connection)
+
+
+def _star_maps(maps: list, star: tuple, at_heads: list):
+    """The connection tuples of edges at one vertex, read from their
+    ``maps``, or None unless every map is a list of two-element lists of
+    ints whose first entries are ``star`` in some order and whose second
+    entries lie in the star of that edge's head.  ``at_heads`` gives, per
+    edge, the position of each edge id in the star of its head.
+
+    The maps of a star are checked together, one pass per condition over
+    all their pairs, not pair by pair; ``bool`` and ``float`` entries equal
+    to an edge id are turned away by their type, not by their value.
+    """
+    d = len(star)
+    if not (all(map(isinstance, maps, repeat(list))) and set(map(len, maps)) == {d}):
+        return None
+    pairs = list(chain.from_iterable(maps))
+    if not set(map(type, pairs)) <= {list}:
+        return None
+    try:
+        xs, ys = zip(*pairs, strict=True)
+    except ValueError:  # a pair that is not two entries long
+        return None
+    if not {*map(type, xs), *map(type, ys)} <= {int}:
+        return None
+    if xs != star * len(maps):  # a map not in star order: sort its pairs
+        ordered = [sorted(zip(xs[i:i + d], ys[i:i + d])) for i in range(0, len(xs), d)]
+        if any(tuple(x for x, _ in pairs_) != star for pairs_ in ordered):
+            return None
+        ys = [y for pairs_ in ordered for _, y in pairs_]
+    try:
+        return [tuple(map(at_head.__getitem__, ys[i:i + d]))
+                for at_head, i in zip(at_heads, range(0, len(ys), d))]
+    except KeyError:  # an image outside the star of the head
+        return None
 
 
 def graph_hash(g: GkmGraph) -> str:

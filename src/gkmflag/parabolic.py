@@ -40,6 +40,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import linalg
 from .gkmgraph import (
@@ -49,6 +50,8 @@ from .gkmgraph import (
     GkmIso,
     Report,
     compose_iso,
+    graph_from_json,
+    graph_json_chunks,
     induced_subgraph,
     invert_iso,
     verify_gkm,
@@ -67,9 +70,8 @@ __all__ = [
     "make_bundle",
     "product_bundle",
     "verify_fibration",
-    "bundle_to_json",
+    "bundle_json_chunks",
     "bundle_from_json",
-    "bundle_hash",
     "verify_fiber_bundle",
     "base_tree",
     "tree_transport",
@@ -887,30 +889,33 @@ def holonomy_exhaustive(b: BundleMap, base_point: int = 0) -> HolonomyGroup:
 
 
 # ----------------------------------------------------------------------
-# classes
+# serialization
 
 
-def bundle_to_json(b: BundleMap) -> dict:
-    """Bundle serialization: graphs, per-edge classes, and the projection."""
-    from .gkmgraph import graph_to_json
-
-    total = graph_to_json(b.total)
-    for eid, entry in enumerate(total["edges"]):
-        entry["class"] = "horizontal" if eid in b.dpi else "vertical"
-    return {
-        "total": total,
-        "base": graph_to_json(b.base),
-        "projection": {
-            b.total.vertices[q]: b.base.vertices[b.pi[q]]
-            for q in range(b.total.nvertices)
-        },
-    }
+def bundle_json_chunks(b: BundleMap):
+    """The bundle file as a generator of text chunks: an object with the
+    ``"total"`` graph, each of its edges with a ``"class"``,
+    ``"horizontal"`` or ``"vertical"``, the ``"base"`` graph, and the
+    ``"projection"`` from total to base vertex names.  The graphs are laid
+    out by :func:`gkmgraph.graph_json_chunks`, and the bytes are those of
+    ``json.dumps`` with ``indent=1`` and a newline.
+    """
+    classes = ("horizontal" if eid in b.dpi else "vertical" for eid in range(len(b.total.edges)))
+    yield '{\n "total": '
+    yield from graph_json_chunks(b.total, 1, classes)
+    yield ',\n "base": '
+    yield from graph_json_chunks(b.base, 1)
+    yield ',\n "projection": '
+    sep = "{\n  "
+    for q, p in zip(b.total.vertices, b.pi):
+        yield f"{sep}{_json_str(q)}: {_json_str(b.base.vertices[p])}"
+        sep = ",\n  "
+    yield "{}\n}\n" if sep[0] == "{" else "\n }\n}\n"
 
 
 def bundle_from_json(data: dict) -> BundleMap:
-    """Parse :func:`bundle_to_json` output; malformed input raises ValueError."""
-    from .gkmgraph import graph_from_json
-
+    """Parse a bundle file (see :func:`bundle_json_chunks`); malformed
+    input raises ValueError."""
     missing = [k for k in ("total", "base", "projection")
                if not isinstance(data, dict) or k not in data]
     if missing:
@@ -930,12 +935,8 @@ def bundle_from_json(data: dict) -> BundleMap:
     return make_bundle(total, base, pi)
 
 
-def bundle_hash(b: BundleMap) -> str:
-    import hashlib
-    import json as _json
-
-    text = _json.dumps(bundle_to_json(b), separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+# ----------------------------------------------------------------------
+# classes
 
 
 def lift_class(b: BundleMap, base_class: CohClass) -> CohClass:

@@ -24,7 +24,9 @@ division of each edge difference instead of by restriction to the
 label's hyperplane, the table emitter writes the Schubert TSV whole from
 the stored table instead of streaming it from the walk, the term
 formatter writes a polynomial's text term by term with no memo and
-none of ``polyring``'s helpers, and the basis oracle decides a family
+none of ``polyring``'s helpers, the file oracle writes a graph or bundle
+file with ``json.dumps`` from its dict form instead of streaming it from
+``%``-templates, and the basis oracle decides a family
 given as classes by the class condition on every member and one
 |W| x |W| value determinant over the whole flag graph, with a
 degree-bounded grid of regular points when it vanishes, instead of by
@@ -38,13 +40,14 @@ The connection oracles read a connection's star positions through
 that tamper with one build the tampered copy with it.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
 from typing import Sequence
 
 from gkmflag import linalg
-from gkmflag.gkmgraph import CohClass, GkmGraph, Report, coh_failure
+from gkmflag.gkmgraph import CohClass, GkmGraph, Report, coh_failure, graph_to_json
 from gkmflag.invbases import _basis_failures
 from gkmflag.parabolic import base_tree, build_coset_graph, typical_fiber
 from gkmflag.polyring import LinearForm, Polynomial
@@ -597,3 +600,24 @@ def polynomial_text(p):
         else:
             out += (" - " if c < 0 else " + ") + body
     return out or "0"
+
+
+def bundle_to_json(b):
+    """The bundle file as a dict: the total graph with each edge's class,
+    the base graph, and the projection by vertex names."""
+    total = graph_to_json(b.total)
+    for eid, entry in enumerate(total["edges"]):
+        entry["class"] = "horizontal" if eid in b.dpi else "vertical"
+    return {
+        "total": total,
+        "base": graph_to_json(b.base),
+        "projection": {
+            b.total.vertices[q]: b.base.vertices[b.pi[q]]
+            for q in range(b.total.nvertices)
+        },
+    }
+
+
+def json_file_text(data):
+    """What a graph or bundle file holds for its dict form ``data``."""
+    return json.dumps(data, indent=1) + "\n"

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gkmflag
-from gkmflag import invbases
+from gkmflag import cli, gkmgraph, invbases, parabolic, schubert
 from gkmflag.cli import main
 from gkmflag.gkmgraph import graph_from_json, graph_hash, graph_to_json
 from gkmflag.parabolic import build_coset_graph
@@ -281,7 +281,7 @@ def test_stdout_matches_bench_references(capsys, tmp_path, key):
 
     ``{B4_JSON}`` stands for the benchmark's input file, the B4 flag graph
     written by ``export --type B --rank 4``: for the export itself the
-    recorded digest is that of the file, which pins the ``graph_to_json``
+    recorded digest is that of the file, which pins the graph-file
     bytes, and ``verify --graph`` reads the file the export wrote.
     """
     references = json.loads(
@@ -349,7 +349,8 @@ def test_export_refuses_flags_it_would_ignore(capsys, argv, message):
 
 
 def test_export_bundle_round_trip(tmp_path, capsys):
-    from gkmflag.parabolic import bundle_from_json, bundle_to_json, build_bundle
+    from gkmflag.parabolic import bundle_from_json, build_bundle
+    from oracles import bundle_to_json
 
     path = tmp_path / "b.json"
     code, _, _ = run(capsys, "export", "--type", "B", "--rank", "2",
@@ -450,6 +451,41 @@ def test_memory_exhaustion_exits_2_without_traceback(capsys, monkeypatch):
     assert out == ""
     assert err == "error: out of memory; try a smaller rank\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("module,writer,argv", [
+    (gkmgraph, "graph_json_chunks", ("export", "--type", "A", "--rank", "2")),
+    (parabolic, "bundle_json_chunks",
+     ("export", "--what", "bundle", "--type", "A", "--rank", "2", "--sigma2", "2")),
+    (schubert, "schubert_table_tsv", ("schubert", "--type", "A", "--rank", "2")),
+], ids=["export-graph", "export-bundle", "schubert"])
+def test_out_file_is_removed_when_a_streamed_write_fails(capsys, monkeypatch, tmp_path,
+                                                         module, writer, argv):
+    """Chunks that run out of memory part way leave no truncated file."""
+    def exhausted(*args):
+        yield "{\n"
+        raise MemoryError
+
+    monkeypatch.setattr(module, writer, exhausted)
+    path = tmp_path / "partial.out"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory; try a smaller rank\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("export", "--type", "A", "--rank", "2"),
+    ("export", "--what", "bundle", "--type", "A", "--rank", "2", "--sigma2", "2"),
+    ("build", "--type", "A", "--rank", "2", "--out", "flag.json"),
+], ids=["export-graph", "export-bundle", "build"])
+def test_graph_and_bundle_files_are_streamed(monkeypatch, capsys, argv):
+    """The verbs hand the file over in chunks, never as one string."""
+    handed = []
+    monkeypatch.setattr(cli, "_write_out", lambda args, text: handed.append(text))
+    assert run(capsys, *argv)[0] == 0
+    assert len(handed) == 1 and not isinstance(handed[0], str)
 
 
 def test_closed_stdout_exits_2_without_traceback():

@@ -18,6 +18,7 @@ from gkmflag.gkmgraph import (
     coh_failure,
     graph_from_json,
     graph_hash,
+    graph_json_chunks,
     graph_to_dot,
     graph_to_json,
     induced_subgraph,
@@ -33,7 +34,7 @@ from gkmflag.parabolic import build_coset_graph
 from gkmflag.polyring import LinearForm, Polynomial
 from gkmflag.rootsys import RootSystem
 
-from oracles import changed_graph, coh_failure_by_division, gkm_report_by_edges
+from oracles import changed_graph, coh_failure_by_division, gkm_report_by_edges, json_file_text
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +469,100 @@ def test_json_round_trip(s3_graph):
     g2 = graph_from_json(data)
     assert graph_hash(g2) == graph_hash(g)
     assert verify_gkm(g2).ok
+
+
+@pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                                    ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4)])
+def test_graph_file_of_every_full_flag_graph_is_its_json_dump(kind, n):
+    """The streamed writer gives the bytes of ``json.dumps(..., indent=1)``
+    and a newline; B4 is pinned by its digest in test_cli."""
+    rs = RootSystem(kind, n)
+    g = build_coset_graph(rs, frozenset(), rs.full_sigma()).graph
+    assert "".join(graph_json_chunks(g)) == json_file_text(graph_to_json(g))
+
+
+@pytest.mark.parametrize("kind", "ABCD")
+def test_graph_file_of_every_rank_3_coset_graph_is_its_json_dump(kind):
+    rs = RootSystem(kind, 3)
+    for sigma1 in subsets(rs.full_sigma()):
+        g = build_coset_graph(rs, sigma1, rs.full_sigma()).graph
+        assert "".join(graph_json_chunks(g)) == json_file_text(graph_to_json(g)), sigma1
+
+
+def test_graph_file_escapes_names_and_writes_fractions():
+    """Vertex names are written with ``json``'s ASCII escapes and label
+    coefficients as ``Fraction`` text, as ``json.dumps`` writes them."""
+    data = graph_to_json(complete_graph(3))
+    data["vertices"] = ['a"b', "c\\d", "é"]
+    data["edges"][0]["alpha"] = ["1/2", "-1/2", "0"]
+    g = graph_from_json(data)
+    text = "".join(graph_json_chunks(g))
+    assert text == json_file_text(graph_to_json(g)) == json_file_text(data)
+    for written in ['"a\\"b"', '"c\\\\d"', '"\\u00e9"', '"1/2"', '"-1/2"']:
+        assert written in text
+
+
+def test_graph_file_is_streamed_one_entry_per_chunk():
+    """Each vertex name, edge entry and connection entry is its own chunk,
+    so a writer of the chunks never holds more than one entry as text."""
+    rs = RootSystem("B", 3)
+    g = build_coset_graph(rs, frozenset(), rs.full_sigma()).graph
+    chunks = list(graph_json_chunks(g))
+    assert len(chunks) >= g.nvertices + 2 * len(g.edges)
+    assert max(c.count('"src"') + c.count('"edge"') for c in chunks) == 1
+
+
+def _k3_map(pairs):
+    """K3's graph data with ``pairs`` as the map of edge 0 = (1 -> 2), whose
+    map in star order is [[0, 2], [1, 3]]."""
+    data = graph_to_json(complete_graph(3))
+    assert data["connection"][0]["map"] == [[0, 2], [1, 3]]
+    data["connection"][0]["map"] = pairs
+    return data
+
+
+@pytest.mark.parametrize("pairs", [
+    [[0, 2], [True, 3]],
+    [[0, 2.0], [1, 3]],
+    [[0, 2], (1, 3)],
+    [[0, 2], [1, 3, 3]],
+    [[0, 2], [1]],
+    [[0, 2], [0, 3]],
+    [[0, 2], [2, 3]],
+    [[0, 2], [1, 0]],
+    [[0, 2]],
+    {"0": 2, "1": 3},
+], ids=["bool-key", "float-image", "tuple-pair", "long-pair", "short-pair", "repeated-key",
+        "key-off-the-tail", "image-off-the-head", "missing-key", "dict-map"])
+def test_graph_from_json_refuses_a_malformed_map(pairs):
+    """A map is checked whole, against the star of the tail and of the
+    head; an entry equal to an edge id but not an ``int`` is refused."""
+    with pytest.raises(ValueError) as err:
+        graph_from_json(_k3_map(pairs))
+    assert str(err.value) == ("connection 0: map must pair each edge at vertex 0 "
+                              "once with an edge at vertex 1")
+
+
+def test_graph_from_json_names_the_lowest_edge_with_a_malformed_map():
+    """With the edge ids of K3 reversed, edge 0 sits at the last vertex;
+    breaking its map and that of edge 5, at vertex 0, names edge 0."""
+    data = graph_to_json(complete_graph(3))
+    last = len(data["edges"]) - 1
+    data["edges"].reverse()
+    data["connection"] = [{"edge": entry["edge"],
+                           "map": [[last - x, last - y] for x, y in entry["map"]]}
+                          for entry in reversed(data["connection"])]
+    assert graph_from_json(copy.deepcopy(data)).edges[0].src == 2
+    for eid in (0, last):
+        data["connection"][eid]["map"][0][0] = True
+    with pytest.raises(ValueError, match=r"^connection 0: map must pair each edge at vertex 2 "):
+        graph_from_json(data)
+
+
+def test_graph_from_json_reads_a_map_in_any_order():
+    g = graph_from_json(_k3_map([[1, 3], [0, 2]]))
+    assert g.connection == complete_graph(3).connection
+    assert g.reverse == complete_graph(3).reverse
 
 
 def test_class_json_round_trip(s3_graph):

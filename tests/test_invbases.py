@@ -24,11 +24,12 @@ from gkmflag.invbases import (
     verify_basis,
 )
 from gkmflag.linalg import det_fraction
-from gkmflag.parabolic import build_bundle, bundle_from_json, bundle_to_json, typical_fiber
+from gkmflag.parabolic import build_bundle, bundle_from_json, typical_fiber
 from gkmflag.polyring import Polynomial
 from gkmflag.rootsys import RootSystem
 from gkmflag.schubert import permuted_class, schubert_table, seeded_random_class
 from oracles import (
+    bundle_to_json,
     coh_failure_by_division,
     express_by_cramer,
     extend_by_edges,

@@ -21,8 +21,7 @@ from gkmflag.parabolic import (
     build_bundle,
     build_coset_graph,
     bundle_from_json,
-    bundle_hash,
-    bundle_to_json,
+    bundle_json_chunks,
     fiber_model_iso,
     holonomy,
     holonomy_exhaustive,
@@ -37,7 +36,14 @@ from gkmflag.parabolic import (
 from gkmflag.polyring import LinearForm
 from gkmflag.rootsys import RootSystem
 
-from oracles import changed_graph, connection_dict, connection_failure, coset_projection
+from oracles import (
+    bundle_to_json,
+    changed_graph,
+    json_file_text,
+    connection_dict,
+    connection_failure,
+    coset_projection,
+)
 
 BUNDLES = [
     ("A", 2, frozenset({2})),
@@ -673,9 +679,23 @@ def test_bundle_json_round_trip(b2):
     rs, b = tower("B", 2)
     data = bundle_to_json(b)
     b2_ = bundle_from_json(data)
-    assert bundle_hash(b2_) == bundle_hash(b)
+    assert bundle_to_json(b2_) == bundle_to_json(b)
     assert verify_fiber_bundle(b2_).ok
 
+
+
+@pytest.mark.parametrize("kind", "ABCD")
+def test_bundle_file_of_every_rank_3_bundle_is_its_json_dump(kind):
+    """The streamed bundle writer gives the bytes of ``json.dumps(...,
+    indent=1)`` and a newline, for every Sigma1 within a nonempty Sigma2."""
+    rs = RootSystem(kind, 3)
+    for sigma2 in itertools.chain.from_iterable(
+            itertools.combinations((1, 2, 3), k) for k in (1, 2, 3)):
+        for sigma1 in itertools.chain.from_iterable(
+                itertools.combinations(sigma2, k) for k in range(len(sigma2) + 1)):
+            b = build_bundle(rs, sigma1, sigma2)
+            assert "".join(bundle_json_chunks(b)) == json_file_text(bundle_to_json(b)), (
+                sigma1, sigma2)
 
 
 @pytest.mark.parametrize("key", ["total", "base", "projection"])

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from gkmflag.cli import main
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -28,9 +30,19 @@ def test_reproduce_tables_prints_both_rank_2_tables():
 
 
 def test_export_graphs_writes_its_files(tmp_path):
-    out = run_script("export_graphs.py", "--out", str(tmp_path))
-    names = {p.name for p in tmp_path.iterdir()}
+    out_dir = tmp_path / "exports"
+    out = run_script("export_graphs.py", "--out", str(out_dir))
+    names = {p.name for p in out_dir.iterdir()}
     assert names == {"k3.dot", "k3.json", "s3_flag.dot", "s3_flag.json",
                      "s4_over_j42.json", "j42.dot"}
     assert out.startswith("wrote 6 files")
+    # each JSON file is byte for byte what ``gkm export`` writes
+    for name, argv in [
+        ("k3.json", ["--type", "A", "--rank", "2", "--sigma1", "2"]),
+        ("s3_flag.json", ["--type", "A", "--rank", "2"]),
+        ("s4_over_j42.json", ["--what", "bundle", "--type", "A", "--rank", "3", "--sigma2", "1,3"]),
+    ]:
+        exported = tmp_path / name
+        assert main(["export", *argv, "--out", str(exported)]) == 0
+        assert (out_dir / name).read_bytes() == exported.read_bytes(), name
 

@@ -71,3 +71,20 @@ def test_benchmark_layer_functions_exist():
         if not inspect.isfunction(obj) or obj.__module__ != f"gkmflag.{layer}":
             missing.append(metric["name"])
     assert missing == []
+
+
+def test_graph_file_layout_lives_in_gkmgraph():
+    """Graph and bundle files are written only through
+    ``gkmgraph.graph_json_chunks``: no other library module or script
+    builds a graph's dict form or dumps one with ``json``."""
+    found = []
+    for path in sorted([*PACKAGE.glob("*.py"), *(PACKAGE.parents[1] / "scripts").glob("*.py")]):
+        if path.name == "gkmgraph.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}: {node.id}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id in ("graph_to_json", "bundle_to_json")]
+        found += [f"{path.name}:{node.lineno}: {node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("graph_to_json", "bundle_to_json")]
+    assert found == []
