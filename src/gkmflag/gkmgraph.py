@@ -631,17 +631,19 @@ def graph_json_chunks(g: GkmGraph, depth: int = 0, edge_class: Sequence[str] | N
     extra = (repeat("") if edge_class is None
              else (f',{i3}"class": {_json_str(c)}' for c in edge_class))
     entry = f'{{{i3}"src": %d,{i3}"dst": %d,{i3}%s%s{i2}}}'
-    yield from _json_items((entry % (src, dst, alpha[k], x) for (src, dst, _), k, x
-                            in zip(g.edges, g.label_id, extra)), i2, i1)
+    entries = (entry % (src, dst, alpha[k], x)
+               for (src, dst, _), k, x in zip(g.edges, g.label_id, extra))
+    yield from _json_items(entries, i2, i1)
     yield f',{i1}"connection": '
-    # one template per star size: the edge, then (edge, image) id pairs
+    # one template per star size: the edge, then its (edge, image) id pairs
     head = f'{{{i3}"edge": [{i4}%d,{i4}%d{i3}],{i3}"map": [{i4}'
     pair, tail = f"[{i5}%d,{i5}%d{i4}]", f"{i3}]{i2}}}"
     templates = {deg: head + f",{i4}".join([pair] * deg) + tail
                  for deg in set(map(len, filter(None, g.edges_at)))}
-    yield from _json_items((templates[len(g.edges_at[src])] % (
-        src, dst, *chain.from_iterable(g.connection_pairs(eid)))
-        for eid, (src, dst, _) in enumerate(g.edges)), i2, i1)
+    entries = (templates[len(g.edges_at[src])]
+               % (src, dst, *chain.from_iterable(g.connection_pairs(eid)))
+               for eid, (src, dst, _) in enumerate(g.edges))
+    yield from _json_items(entries, i2, i1)
     yield i0 + "}" + ("" if depth else "\n")
 
 
