@@ -159,7 +159,7 @@ def cmd_holonomy(args) -> int:
     if not args.sigma2:
         raise SystemExit2("holonomy needs --sigma2")
     b = parabolic.build_bundle(rs, args.sigma1, args.sigma2)
-    base_point = None
+    base_point = 0
     if args.base_point:
         from .rootsys import WeylElement
 

@@ -205,7 +205,7 @@ def _level_monomials(rs: RootSystem):
 
 
 def extend_invariant(b: BundleMap, fiber_class: CohClass,
-                     base_point: int | None = None) -> CohClass:
+                     base_point: int = 0) -> CohClass:
     """Extend a holonomy-invariant class f on the typical fiber to the total.
 
     :func:`parabolic.tree_transport` gives T_q r, the transport of the
@@ -230,8 +230,6 @@ def extend_invariant(b: BundleMap, fiber_class: CohClass,
     """
     if b.rs is None:
         raise ValueError("extension needs a coset bundle")
-    if base_point is None:
-        base_point = b.base_point()
     fib = typical_fiber(b)
     values = fiber_class.values
     if len(values) != fib.nvertices:

@@ -102,6 +102,11 @@ def _check_sigmas(rs: RootSystem, sigma1, sigma2):
 class CosetGraph:
     """The labeled graph of W(Sigma2)/W(Sigma1) with its connection.
 
+    The vertices are ``reps`` = ``rs.coset_reps(Sigma1, Sigma2)``, the
+    minimal coset representatives in canonical order, so the identity's
+    coset is vertex 0.  ``vertex_of(w)`` finds the coset of any w in
+    W(Sigma2): ``rs.coset_min`` steps down to its minimal element, which
+    is looked up among ``reps``; with Sigma1 empty it is the lookup alone.
     Vertex p (representative w = build_reps[p]) has one edge per direction
     beta in ``roots`` = <Sigma2> \\ <Sigma1>, to q = [w s_beta], labeled
     w beta.  With w' = build_reps[q], u = (w s_beta)^-1 w' lies in
@@ -109,13 +114,14 @@ class CosetGraph:
     u^-1 beta' at q, labeled w s_beta beta' = s_{w beta}(w beta').  Each s_i
     with i in Sigma1 permutes the positive roots other than alpha_i and
     preserves the span of Sigma1, so W(Sigma1) permutes ``roots`` and each
-    u acts as one index permutation, tabulated once per graph.  Edge p*d + k
-    (d = len(roots)) is the edge at p in direction roots[k], so directions
-    are positions in stars and that table, one tuple per u, is the
-    connection: every edge whose u agrees shares its tuple.  The labels
-    at a vertex are w beta for distinct positive roots beta, which are never
-    proportional in a reduced root system, so the build checks no labels;
-    the independence axiom of :func:`verify_gkm` reports that condition.
+    u acts as one index permutation, computed the first time u appears.
+    Edge p*d + k (d = len(roots)) is the edge at p in direction roots[k],
+    so directions are positions in stars and that permutation, one tuple
+    per u, is the connection: every edge whose u agrees shares its tuple.
+    The labels at a vertex are w beta for distinct positive roots beta,
+    which are never proportional in a reduced root system, so the build
+    checks no labels; the independence axiom of :func:`verify_gkm` reports
+    that condition.
     """
 
     def __init__(self, rs: RootSystem, sigma1, sigma2, build_reps=None):
@@ -125,29 +131,12 @@ class CosetGraph:
         self.sigma2 = sigma2
         inner = set(rs.closure(sigma1))
         self.roots = [beta for beta in rs.closure(sigma2) if beta not in inner]
-        w2 = rs.parabolic_elements(sigma2)
-        w1 = rs.parabolic_elements(sigma1)
-        self.reps: list[WeylElement] = []
-        self.elem_vertex: dict[WeylElement, int] = {}
-        for w in w2:  # canonical order; first element of each coset is minimal
-            if w in self.elem_vertex:
-                continue
-            coset = [w * u for u in w1]
-            min_len = min(rs.length(x) for x in coset)
-            if sum(1 for x in coset if rs.length(x) == min_len) != 1:
-                raise AssertionError("minimal coset representative is not unique")
-            idx = len(self.reps)
-            self.reps.append(w)
-            for x in coset:
-                self.elem_vertex[x] = idx
-        if build_reps is None:
-            build_reps = self.reps
-        else:
-            build_reps = list(build_reps)
-            for i, w in enumerate(build_reps):
-                if self.elem_vertex.get(w) != i:
-                    raise ValueError("build representative lies in the wrong coset")
-        self.build_reps = build_reps
+        self.reps: list[WeylElement] = rs.coset_reps(sigma1, sigma2)
+        self._vertex = {w: p for p, w in enumerate(self.reps)}
+        self.build_reps = self.reps if build_reps is None else list(build_reps)
+        if build_reps is not None and any(self._vertex.get(rs.coset_min(w, sigma1)) != p
+                                          for p, w in enumerate(self.build_reps)):
+            raise ValueError("build representative lies in the wrong coset")
         self.graph = self._build_graph()
 
     # ------------------------------------------------------------------
@@ -156,20 +145,16 @@ class CosetGraph:
         rs = self.rs
         d = len(self.roots)
         index = {beta: k for k, beta in enumerate(self.roots)}
-        # perm[u][k] is the direction of u^-1 * roots[k]; see the class docstring
-        perm = {
-            u: tuple(index[u.inverse().act_linear(beta)] for beta in self.roots)
-            for u in rs.parabolic_elements(self.sigma1)
-        }
         refl = [rs.reflection(beta) for beta in self.roots]
+        perm = {}  # perm[u][k] is the direction of u^-1 * roots[k]
         edges, reverse, connection = [], [], []
         for p, w in enumerate(self.build_reps):
             for k, beta in enumerate(self.roots):
                 ws = w * refl[k]
-                q = self.elem_vertex[ws]
+                q = self.vertex_of(ws)
                 u = ws.inverse() * self.build_reps[q]
                 if u not in perm:
-                    raise AssertionError("coset transport left W(Sigma1)")
+                    perm[u] = tuple(index[u.inverse().act_linear(b)] for b in self.roots)
                 edges.append(Edge(p, q, w.act_linear(beta)))
                 connection.append(perm[u])
                 reverse.append(q * d + perm[u][k])
@@ -183,7 +168,10 @@ class CosetGraph:
         return len(self.reps)
 
     def vertex_of(self, w: WeylElement) -> int:
-        return self.elem_vertex[w]
+        """The vertex of the coset w W(Sigma1); KeyError for w outside W(Sigma2)."""
+        if self.sigma1:
+            w = self.rs.coset_min(w, self.sigma1)
+        return self._vertex[w]
 
     def direction(self, eid: int) -> LinearForm:
         return self.roots[eid % len(self.roots)]
@@ -261,12 +249,6 @@ class BundleMap:
     def fiber_subgraph(self, p: int):
         """(subgraph, old->new vertex map, old->new edge map)."""
         return induced_subgraph(self.total, self.fiber_vertices(p))
-
-    def base_point(self) -> int:
-        """Default base point: the coset of the identity when available."""
-        if self.base_coset is not None:
-            return self.base_coset.vertex_of(self.rs.identity())
-        return 0
 
     # -- lifting -------------------------------------------------------
 
@@ -805,7 +787,7 @@ def upsilon_elements(b: BundleMap):
                   key=GkmIso.key)
 
 
-def holonomy(b: BundleMap, base_point: int | None = None) -> HolonomyGroup:
+def holonomy(b: BundleMap, base_point: int = 0) -> HolonomyGroup:
     """The holonomy group of a coset bundle, exactly, from one spanning tree.
 
     Transport across a base edge labeled gamma is left multiplication by
@@ -830,8 +812,6 @@ def holonomy(b: BundleMap, base_point: int | None = None) -> HolonomyGroup:
     if b.sigma2 == rs.full_sigma():
         raise ValueError("Sigma2 contains every simple root, so the base is "
                          "one vertex and has no loops")
-    if base_point is None:
-        base_point = b.base_point()
     _, generators = tree_transport(b, base_point)
     elements = group_closure([rs.identity()], [h for _, _, h in generators], operator.mul)
     fib = typical_fiber(b)

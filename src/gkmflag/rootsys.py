@@ -19,14 +19,16 @@ product or inverse of signed permutations is a signed permutation) and
 build their result without repeating those checks.
 
 The group-theoretic layer (lengths, reduced words, Bruhat and weak
-orders, parabolic subgroups W(Sigma) and root subsets <Sigma>) is
-computed combinatorially; lengths, reduced words and parabolic subgroups
-are cached on the RootSystem instance.  A reflection is read off its
-root's support as a sign change or a signed transposition; ``closure``
-reads <Sigma> off W(Sigma) as the tuple of positive roots whose
-reflections lie in it; the Weyl action relabels coordinates and
-monomials.  The module solves no linear system and does not use
-``linalg``.
+orders, minimal coset representatives and root subsets <Sigma>) is
+computed combinatorially; lengths, reduced words and coset
+representatives are cached on the RootSystem instance.  A reflection is
+read off its root's support as a sign change or a signed transposition;
+``coset_reps`` walks the minimal representatives of W(Sigma2)/W(Sigma1)
+up from the identity, and ``coset_min`` steps down to the one of a given
+coset, so no group is enumerated that is not asked for; ``closure`` finds
+<Sigma> as the orbit of Sigma's simple roots; the Weyl action relabels
+coordinates and monomials.  The module solves no linear system and does
+not use ``linalg``.
 
 The root data never changes after construction; the only state that
 grows is the set of caches declared in ``RootSystem.__init__``, including
@@ -37,7 +39,6 @@ grows is the set of caches declared in ``RootSystem.__init__``, including
 from __future__ import annotations
 
 import math
-import operator
 
 from .polyring import LinearForm, Polynomial
 
@@ -209,6 +210,10 @@ class RootSystem:
         self.simple_roots = tuple(self._make_simples())
         self.positive_roots = tuple(self._make_positives())
         self._pos_set = set(self.positive_roots)
+        # the coordinates (0-based) on which each simple root is nonzero
+        self._simple_support = tuple(
+            tuple(k for k, c in enumerate(a.coeffs) if c) for a in self.simple_roots
+        )
         self._refl_cache: dict = {}
         self._len_cache: dict = {}
         self._word_cache: dict = {}
@@ -329,17 +334,10 @@ class RootSystem:
             pass
         word = []
         cur = w
-        lcur = self.length(cur)
-        while lcur > 0:
-            for i in range(1, self.rank + 1):
-                cand = self.simple_reflection(i) * cur
-                if self.length(cand) < lcur:
-                    word.append(i)
-                    cur = cand
-                    lcur -= 1
-                    break
-            else:
-                raise AssertionError("no descent found for a non-identity element")
+        while not cur.is_identity():  # s_i is a left descent iff cur^-1(alpha_i) < 0
+            inv = cur.inverse()
+            word.append(next(i for i in range(1, self.rank + 1) if self._sends_negative(inv, i)))
+            cur = self.simple_reflection(word[-1]) * cur
         word = tuple(word)
         self._word_cache[w] = word
         return word
@@ -394,36 +392,110 @@ class RootSystem:
     # parabolic data
 
     def closure(self, sigma) -> tuple:
-        """<Sigma>: the positive roots beta with s_beta in W(Sigma), in the
-        order of ``positive_roots``.
+        """<Sigma>: the positive roots in the span of Sigma, in the order of
+        ``positive_roots``.  They are also the positive roots beta with
+        s_beta in W(Sigma) (Humphreys, Reflection Groups and Coxeter Groups,
+        1990, section 1.10).
 
-        These are the positive roots in the span of Sigma, that is, those
-        supported on the simple roots in Sigma (Humphreys, Reflection
-        Groups and Coxeter Groups, 1990, section 1.10).  If beta lies in the
-        span, it is a root of the subsystem with simple system Sigma, whose
-        Weyl group is W(Sigma), so s_beta is in W(Sigma).  Conversely every
-        s_alpha with alpha in Sigma fixes span(Sigma)^perp pointwise, hence
-        so does W(Sigma); if s_beta does, then span(Sigma)^perp lies in
-        beta^perp and beta lies in span(Sigma).
+        They are found as the orbit of Sigma's simple roots under the s_i
+        with i in Sigma, each image taken by its positive part.  The roots
+        in the span of Sigma form a root system with simple system Sigma and
+        Weyl group W(Sigma) (loc. cit.), and every root of a root system is
+        conjugate under its Weyl group to a simple root (ibid., section
+        1.5), so the orbit meets every such root or its negative.
+        Conversely each s_i with i in Sigma maps roots to roots and the span
+        of Sigma to itself, so the orbit holds nothing else.  No group is
+        built.
         """
         sigma = frozenset(sigma)
         if not sigma <= set(range(1, self.rank + 1)):
             raise ValueError("Sigma must be a set of simple-root indices")
-        group = set(self.parabolic_elements(sigma))
-        return tuple(
-            beta for beta in self.positive_roots if self.reflection(beta) in group
-        )
+        orbit = set(group_closure(
+            [self.simple_roots[i - 1] for i in sigma],
+            [self.simple_reflection(i) for i in sigma],
+            lambda beta, s: self.positive_part(s.act_linear(beta)),
+        ))
+        return tuple(beta for beta in self.positive_roots if beta in orbit)
+
+    def _sends_negative(self, w: WeylElement, i: int) -> bool:
+        """Whether w(alpha_i) is negative: whether its first nonzero
+        coordinate is below 0, the sign rule of every positive root here.
+        w moves coordinate k to perm[k] with sign signs[k], so that
+        coordinate comes from the k of alpha_i's support with least perm[k]."""
+        k = min(self._simple_support[i - 1], key=w.perm.__getitem__)
+        return self.simple_roots[i - 1].coeffs[k] * w.signs[k] < 0
+
+    def coset_min(self, w: WeylElement, sigma1) -> WeylElement:
+        """The minimal element of the coset w W(Sigma1): step to w s_i while
+        w(alpha_i) is negative for some i in Sigma1.
+
+        For w in W each step shortens w by one, since l(w s_i) < l(w) iff
+        w(alpha_i) < 0, and the loop ends at the one element of the coset
+        with w(alpha_i) > 0 for every i in Sigma1, the minimal one
+        (Bjorner & Brenti, Combinatorics of Coxeter Groups, 2005, section
+        2.4).  Any signed permutation of the coordinates is accepted: each
+        alpha_i is, up to a positive factor, a root of the type-B system on
+        the same coordinates (positive roots x_k and x_k +- x_l, k < l),
+        whose Weyl group is every signed permutation, so each step shortens
+        w in that group and the loop ends.  An element outside W stays
+        outside W.
+        """
+        if w.size != self.varcount:
+            raise ValueError("size mismatch")
+        while True:
+            for i in sigma1:
+                if self._sends_negative(w, i):
+                    w = w * self.simple_reflection(i)
+                    break
+            else:
+                return w
+
+    def coset_reps(self, sigma1, sigma2):
+        """The minimal representatives of the cosets w W(Sigma1), w in
+        W(Sigma2), for Sigma1 within Sigma2, in canonical (length, one-line)
+        order, so the identity comes first; cached.
+
+        x in W(Sigma2) is the minimal element of its coset iff x(alpha_i)
+        > 0 for every i in Sigma1, and each coset has exactly one (Bjorner &
+        Brenti, section 2.4).  The walk goes up from the identity one length
+        at a time.  The next layer is every s_j x, x in the layer, j in
+        Sigma2 with x^-1(alpha_j) > 0 (so s_j x is one longer than x), that
+        is minimal.  Sorting each layer by one-line form gives the canonical
+        order with no length computed; the lengths are cached as they come.
+
+        The walk misses nothing.  Let y be minimal and not the identity.  It
+        lies in W(Sigma2), so it has a reduced word in Sigma2 (Humphreys,
+        section 1.10) and a left descent s = s_j with j in Sigma2, and
+        x = s y is one shorter.  x is minimal: were x t < x for some t = s_i
+        with i in Sigma1, then l(s (y t)) = l(x t) = l(y) - 2, whereas y t
+        is one longer than y, as y is minimal, and s changes the length of
+        y t by one.  By induction on length, y = s_j x is reached from x.
+        """
+        key = (frozenset(sigma1), frozenset(sigma2))
+        if key in self._parabolic_cache:
+            return self._parabolic_cache[key]
+        sigma1 = key[0]
+        gens = [(j, self.simple_reflection(j)) for j in sorted(key[1])]
+        reps, layer, length = [], [self.identity()], 0
+        while layer:
+            self._len_cache.update(dict.fromkeys(layer, length))
+            reps += layer
+            nxt = set()
+            for x in layer:
+                xinv = x.inverse()
+                for j, s in gens:
+                    if not self._sends_negative(xinv, j):
+                        y = s * x
+                        if not any(self._sends_negative(y, i) for i in sigma1):
+                            nxt.add(y)
+            layer = sorted(nxt, key=WeylElement.one_line)
+            length += 1
+        self._parabolic_cache[key] = reps
+        return reps
 
     def parabolic_elements(self, sigma):
-        """W(Sigma), generated by the reflections of the simples in Sigma."""
-        sigma = frozenset(sigma)
-        if sigma in self._parabolic_cache:
-            return self._parabolic_cache[sigma]
-        gens = [self.simple_reflection(i) for i in sorted(sigma)]
-        elems = group_closure([self.identity()], gens, operator.mul)
-        elems.sort(key=self.sort_key)
-        self._parabolic_cache[sigma] = elems
-        return elems
+        """W(Sigma) in canonical order: the representatives of W(Sigma)/1."""
+        return self.coset_reps(frozenset(), sigma)
 
     def full_sigma(self) -> frozenset:
         return frozenset(range(1, self.rank + 1))

@@ -11,7 +11,10 @@ form expander rewrites a polynomial in given linear forms by dense
 elimination, the connection oracle reflects edge labels by the
 textbook formula instead of acting by Weyl group elements, the
 closure oracle finds <Sigma> from the simple-root coordinates of each
-root instead of from the parabolic subgroup W(Sigma), the
+root instead of as the orbit of Sigma's simple roots, the coset oracle
+enumerates W(Sigma2) and multiplies out each coset, with lengths counted
+from the positive roots, instead of walking the minimal representatives
+and stepping down by descents, the
 axiom oracle decides every label axiom afresh on every edge instead of
 once per distinct label, the Chevalley oracle checks a Schubert
 table by the equivariant Chevalley formula, with tau_{s_i} in closed
@@ -41,6 +44,7 @@ that tamper with one build the tampered copy with it.
 """
 
 import json
+import operator
 from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
@@ -51,6 +55,7 @@ from gkmflag.gkmgraph import CohClass, GkmGraph, Report, coh_failure, graph_to_j
 from gkmflag.invbases import _basis_failures
 from gkmflag.parabolic import base_tree, build_coset_graph, typical_fiber
 from gkmflag.polyring import LinearForm, Polynomial
+from gkmflag.rootsys import group_closure
 from gkmflag.schubert import flag_graph, schubert_table
 
 
@@ -92,6 +97,34 @@ def closure_by_coordinates(rs, sigma):
         if all(c == 0 or j + 1 in sigma for j, c in enumerate(coords)):
             out.append(beta)
     return tuple(out)
+
+
+def cosets_by_enumeration(rs, sigma1, sigma2):
+    """(reps, vertex) for W(Sigma2)/W(Sigma1): the minimal element of each
+    coset w W(Sigma1), in (length, one-line) order, and the map from every
+    element of W(Sigma2) to the index of its coset.  Both groups are
+    enumerated breadth first, W(Sigma2) is sorted by the number of
+    positive roots each element sends to negative ones, and each coset is
+    multiplied out from its first element, which must be its only element
+    of least length."""
+    def length(w):
+        return sum(not rs.is_positive_root(w.act_linear(beta)) for beta in rs.positive_roots)
+
+    def group(sigma):
+        return group_closure([rs.identity()], [rs.simple_reflection(i) for i in sigma],
+                             operator.mul)
+
+    w1 = group(sigma1)
+    reps, vertex = [], {}
+    for w in sorted(group(sigma2), key=lambda w: (length(w), w.one_line())):
+        if w in vertex:
+            continue
+        coset = [w * u for u in w1]
+        if sum(length(x) == length(w) for x in coset) != 1:
+            raise AssertionError(f"{w} is not the only minimal element of its coset")
+        vertex.update(dict.fromkeys(coset, len(reps)))
+        reps.append(w)
+    return reps, vertex
 
 
 def connection_dict(g, eid):
@@ -366,7 +399,7 @@ def coset_projection(rs, sigma1, sigma2):
     return pi, dpi, vmaps
 
 
-def extend_by_edges(b, fiber_class, base_point=None):
+def extend_by_edges(b, fiber_class, base_point=0):
     """``invbases.extend_invariant``, carrying values edge by edge.
 
     The class is placed on the fiber over the base point through its
@@ -377,8 +410,6 @@ def extend_by_edges(b, fiber_class, base_point=None):
     disagrees is named in the ValueError.  Then the input must be a class
     on the typical fiber.
     """
-    if base_point is None:
-        base_point = b.base_point()
     fib = typical_fiber(b)
     if len(fiber_class.values) != fib.nvertices:
         raise ValueError("class does not live on the typical fiber")

@@ -223,6 +223,28 @@ def test_holonomy_verb(capsys):
     assert "CHECK holonomy-equals-group-action: PASS" in out
 
 
+def test_holonomy_base_point(capsys):
+    code, out, _ = run(capsys, "holonomy", "--type", "A", "--rank", "2",
+                       "--sigma2", "1", "--base-point", "3,1,2")
+    assert code == 0
+    assert "holonomy group order: 2" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--type", "A", "--rank", "2", "--sigma2", "1", "--base-point=-1,2,3"],
+    ["--type", "D", "--rank", "3", "--sigma2", "3", "--base-point=-1,2,3"],
+    ["--type", "D", "--rank", "3", "--sigma2", "3", "--base-point=1,2"],
+], ids=["sign-in-type-A", "odd-signs-in-type-D", "wrong-length"])
+def test_holonomy_base_point_outside_w_is_usage_error(capsys, argv):
+    """A signed permutation outside W, or of the wrong length, lies in no
+    base coset.  The descent from -1,2,3 in type A must end, not step back
+    and forth through 2,-1,3."""
+    code, out, err = run(capsys, "holonomy", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad base point {argv[-1].split('=')[1]!r}\n"
+
+
 def test_holonomy_exhaustive_refusal_prints_no_partial_report(capsys):
     code, out, err = run(capsys, "holonomy", "--type", "A", "--rank", "3",
                          "--sigma2", "2", "--exhaustive")

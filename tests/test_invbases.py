@@ -286,7 +286,7 @@ def test_extend_refuses_a_non_class_on_the_typical_fiber(a2, monkeypatch):
     b = tower_bundle(a2)
     fib = typical_fiber(b)
     # silence the loop checks so only the class premise can refuse the input
-    transports, _ = invbases.tree_transport(b, b.base_point())
+    transports, _ = invbases.tree_transport(b, 0)
     monkeypatch.setattr(invbases, "tree_transport", lambda b, base_point: (transports, []))
     vals = [Polynomial.variable(3, 2), Polynomial.variable(3, 3).scale(-1)]
     bad = CohClass(fib.graph, vals)
@@ -439,6 +439,15 @@ def test_verify_basis_a2_b2(a2, b2):
 @pytest.mark.parametrize("kind", "ABCD")
 def test_verify_basis_at_rank_5(kind):
     assert verify_basis(RootSystem(kind, 5)).ok
+
+
+@pytest.mark.parametrize("kind", "ABCD")
+def test_verify_basis_at_rank_7_walks_no_whole_group(kind):
+    """Each level graph has at most 2n vertices, and its representatives
+    are walked, so no cached coset list is as long as W."""
+    rs = RootSystem(kind, 7)
+    assert verify_basis(rs).ok
+    assert all(len(reps) < rs.group_order() for reps in rs._parabolic_cache.values())
 
 
 TOWER_GROUPS = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3),

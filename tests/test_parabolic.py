@@ -43,6 +43,7 @@ from oracles import (
     connection_dict,
     connection_failure,
     coset_projection,
+    cosets_by_enumeration,
 )
 
 BUNDLES = [
@@ -115,6 +116,59 @@ def test_all_built_graphs_pass_axioms():
     assert verify_gkm(build_coset_graph(a3, frozenset({1, 3}), a3.full_sigma()).graph).ok
 
 
+def sigma_pairs(n):
+    """Every (Sigma1, Sigma2) with Sigma1 within Sigma2 within 1..n."""
+    for r2 in range(n + 1):
+        for sigma2 in itertools.combinations(range(1, n + 1), r2):
+            for r1 in range(r2 + 1):
+                for sigma1 in itertools.combinations(sigma2, r1):
+                    yield frozenset(sigma1), frozenset(sigma2)
+
+
+def assert_cosets_match_the_oracle(rs, sigma1, sigma2):
+    cg = build_coset_graph(rs, sigma1, sigma2)
+    reps, vertex = cosets_by_enumeration(rs, sigma1, sigma2)
+    assert cg.reps == reps, (rs, sigma1, sigma2)
+    assert all(cg.vertex_of(w) == p for w, p in vertex.items()), (rs, sigma1, sigma2)
+
+
+@pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                                    ("C", 2), ("C", 3), ("D", 3)])
+def test_walked_cosets_match_the_enumeration_oracle(kind, n):
+    """The walked representatives are the minimal elements of the
+    enumerated cosets in canonical order, and vertex_of finds the coset of
+    every element of W(Sigma2), for every Sigma1 within Sigma2."""
+    rs = RootSystem(kind, n)
+    for sigma1, sigma2 in sigma_pairs(n):
+        assert_cosets_match_the_oracle(rs, sigma1, sigma2)
+
+
+@pytest.mark.parametrize("kind,sigma1,sigma2", [
+    ("B", (), (1, 2, 3, 4)),
+    ("D", (), (1, 2, 3, 4)),
+    ("A", (), (1, 2, 3, 4)),
+    ("A", (2, 3, 4), (1, 2, 3, 4)),
+    ("A", (), (2, 3, 4)),
+    ("A", (3, 4), (2, 3, 4)),
+    ("A", (4,), (3, 4)),
+])
+def test_rank_4_benchmark_cosets_match_the_enumeration_oracle(kind, sigma1, sigma2):
+    """The rank-4 coset graphs the benchmark builds: the flag graphs, the
+    A4 bundle with Sigma2 = {2,3,4} (total, base and typical fiber) and
+    the A4 tower levels."""
+    assert_cosets_match_the_oracle(RootSystem(kind, 4), sigma1, sigma2)
+
+
+@pytest.mark.parametrize("kind", "ABCD")
+def test_identity_coset_is_vertex_0(kind):
+    """holonomy and extend_invariant default to base point 0, the coset
+    of the identity on every coset graph."""
+    rs = RootSystem(kind, 3)
+    for sigma1, sigma2 in sigma_pairs(3):
+        cg = build_coset_graph(rs, sigma1, sigma2)
+        assert cg.reps[0] == rs.identity() and cg.vertex_of(rs.identity()) == 0
+
+
 def test_representative_independence(a2, b2):
     rng = random.Random(17)
     for rs, sigma1 in [(a2, frozenset({2})), (b2, frozenset({2}))]:
@@ -143,17 +197,14 @@ def test_connection_reflects_labels(kind):
     rs = RootSystem(kind, 3)
     rng = random.Random(kind)
     hashes = []
-    for r2 in range(4):
-        for sigma2 in itertools.combinations((1, 2, 3), r2):
-            for r1 in range(r2 + 1):
-                for sigma1 in itertools.combinations(sigma2, r1):
-                    cg = build_coset_graph(rs, sigma1, sigma2)
-                    w1 = rs.parabolic_elements(sigma1)
-                    reps = [w * rng.choice(w1) for w in cg.reps]
-                    rebuilt = build_coset_graph(rs, sigma1, sigma2, build_reps=reps)
-                    for g in (cg.graph, rebuilt.graph):
-                        assert connection_failure(g) is None, (sigma1, sigma2)
-                    hashes.append(graph_hash(cg.graph))
+    for sigma1, sigma2 in sigma_pairs(3):
+        cg = build_coset_graph(rs, sigma1, sigma2)
+        w1 = rs.parabolic_elements(sigma1)
+        reps = [w * rng.choice(w1) for w in cg.reps]
+        rebuilt = build_coset_graph(rs, sigma1, sigma2, build_reps=reps)
+        for g in (cg.graph, rebuilt.graph):
+            assert connection_failure(g) is None, (sigma1, sigma2)
+        hashes.append(graph_hash(cg.graph))
     assert len(hashes) == 27
     digest = hashlib.sha256("\n".join(hashes).encode()).hexdigest()
     assert digest == RANK3_GRAPH_DIGESTS[kind]
@@ -565,16 +616,12 @@ def test_bundle_data_matches_the_projection_oracle(kind, n):
     """pi, dpi and the transition vertex maps of every Sigma1 within
     Sigma2 agree with the Weyl-action formulas of ``coset_projection``."""
     rs = RootSystem(kind, n)
-    for k in range(n + 1):
-        for sigma2 in itertools.combinations(range(1, n + 1), k):
-            for j in range(k + 1):
-                for sigma1 in itertools.combinations(sigma2, j):
-                    b = build_bundle(rs, frozenset(sigma1), frozenset(sigma2))
-                    pi, dpi, vmaps = coset_projection(rs, frozenset(sigma1),
-                                                      frozenset(sigma2))
-                    assert b.pi == pi, (sigma1, sigma2)
-                    assert b.dpi == dpi, (sigma1, sigma2)
-                    assert {e: t.vmap for e, t in b.transitions.items()} == vmaps
+    for sigma1, sigma2 in sigma_pairs(n):
+        b = build_bundle(rs, sigma1, sigma2)
+        pi, dpi, vmaps = coset_projection(rs, sigma1, sigma2)
+        assert b.pi == pi, (sigma1, sigma2)
+        assert b.dpi == dpi, (sigma1, sigma2)
+        assert {e: t.vmap for e, t in b.transitions.items()} == vmaps
 
 
 def _negative_label_counts(g, xi):
