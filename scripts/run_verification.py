@@ -4,7 +4,7 @@
 Covers: graph axioms for the flag graphs up to rank 4, fiber-bundle
 axioms and holonomy for the standard bundles up to rank 3 and for the
 A4, B4 and D4 bundles with Sigma2 = {2,3,4}, basis verification for
-A2, A3, B2, B3, C3, D3 and every type at ranks 4, 5 and 6, and the
+A2, A3, B2, B3, C3, D3 and every type at ranks 4 to 8, and the
 iteration consistency check (the iterated family equals the closed
 form) for A2, B2, D3, A3 and B3.
 Exit code 0 iff everything passes.
@@ -36,7 +36,8 @@ BUNDLES = [("A", 2, {2}), ("A", 3, {2, 3}), ("A", 3, {1, 3}),
            ("A", 4, {2, 3, 4}), ("B", 4, {2, 3, 4}), ("D", 4, {2, 3, 4})]
 BASES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 3),
          ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("A", 5), ("B", 5), ("C", 5), ("D", 5),
-         ("A", 6), ("B", 6), ("C", 6), ("D", 6)]
+         ("A", 6), ("B", 6), ("C", 6), ("D", 6), ("A", 7), ("B", 7), ("C", 7), ("D", 7),
+         ("A", 8), ("B", 8), ("C", 8), ("D", 8)]
 ITERATIONS = [("A", 2), ("B", 2), ("D", 3), ("A", 3), ("B", 3)]
 
 

@@ -14,11 +14,14 @@ cohomology of the total space.  Iterating downward produces the families
     D_n: the inductive set seeded by {[0,0],[1,0],[2,0],[0,1]}
 
 whose classes are simply c_I = c_T(x^I), the invariant class with value
-u . x^I at u.  The closed form is the production path; the literal
-iteration (carry a fiber basis along a spanning tree of the base,
-checking holonomy invariance on every non-tree edge, lift base classes,
-multiply) is built too and compared against it, which pins down every
-sign convention.
+u . x^I at u.  These families are derived, not spelled out: each is
+the sums of one exponent vector per level of the tower
+(``_level_exponents``), and the rank n - 1 family of the fiber is the
+sums over levels 2 and up.  The closed form is the production path;
+the literal iteration (carry a fiber basis along a spanning tree of the
+base, checking holonomy invariance on every non-tree edge, lift base
+classes, multiply) is built too and compared against it, which pins
+down every sign convention.
 
 ``tower_levels`` gives each level of that iteration as one small coset
 graph, with at most 2n vertices, and its classes: level 1 is the base of
@@ -44,6 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, prod
+from operator import add
 
 from . import linalg
 from .gkmgraph import CohClass, Report, coh_failure, degree_of
@@ -83,29 +87,44 @@ __all__ = [
 # index sets
 
 
-def index_set(kind: str, n: int):
-    """The multi-index family of one classical type, in lexicographic order."""
-    kind = kind.upper()
-    if kind == "A":
-        if n < 1:
-            raise ValueError("need n >= 1")
-        ranges = [range(n + 1 - k) for k in range(n)]
-        return sorted(itertools.product(*ranges))
-    if kind in ("B", "C"):
-        if n < 1:
-            raise ValueError("need n >= 1")
-        ranges = [range(2 * (n - k) + 2) for k in range(1, n + 1)]
-        return sorted(itertools.product(*ranges))
+def _level_exponents(kind: str, n: int):
+    """[exponent vectors] for each level of the tower, level 1 first; each
+    vector has length n.  Level k holds the powers x_k^j: n + 2 - k of
+    them in type A, 2(n - k + 1) in types B and C, and 2(n - k) + 1 in
+    type D, which adds x_{k+1} ... x_n.  The levels of type D stop at
+    n - 2, and its bottom level, on W({n-1, n}), holds 1, x_{n-1},
+    x_{n-1}^2 and x_n.  Every index family and every level class of this
+    module is read from this list."""
+    if kind not in ("A", "B", "C", "D"):
+        raise ValueError(f"unknown type {kind!r}")
+    least = 2 if kind == "D" else 1
+    if n < least:
+        raise ValueError(f"need n >= {least}")
+
+    def power(k, j):
+        return tuple(j if i == k else 0 for i in range(1, n + 1))
+
+    levels = []
+    for k in range(1, n - 1 if kind == "D" else n + 1):
+        count = {"A": n + 2 - k, "D": 2 * (n - k) + 1}.get(kind, 2 * (n - k + 1))
+        levels.append([power(k, j) for j in range(count)])
+        if kind == "D":
+            levels[-1].append(tuple(int(i > k) for i in range(1, n + 1)))
     if kind == "D":
-        if n < 2:
-            raise ValueError("need n >= 2")
-        family = [(0, 0), (1, 0), (2, 0), (0, 1)]
-        for k in range(3, n + 1):
-            nxt = [(i,) + tail for i in range(2 * k - 1) for tail in family]
-            nxt += [(0,) + tuple(x + 1 for x in tail) for tail in family]
-            family = nxt
-        return sorted(family)
-    raise ValueError(f"unknown type {kind!r}")
+        levels.append([power(n - 1, 0), power(n - 1, 1), power(n - 1, 2), power(n, 1)])
+    return levels
+
+
+def _level_sums(n: int, levels):
+    """The sums of one vector per level of ``levels`` (vectors of length n), sorted."""
+    return sorted(tuple(map(sum, zip((0,) * n, *vectors)))
+                  for vectors in itertools.product(*levels))
+
+
+def index_set(kind: str, n: int):
+    """The multi-index family of one classical type, in lexicographic
+    order: the sums of one exponent vector per level of the tower."""
+    return _level_sums(n, _level_exponents(kind.upper(), n))
 
 
 def _index_monomial(rs: RootSystem, I) -> Polynomial:
@@ -135,12 +154,17 @@ def basis_family(rs: RootSystem) -> BasisFamily:
     return BasisFamily(rs, indices, [class_cI(rs, I) for I in indices])
 
 
+def _fiber_indices(rs: RootSystem):
+    """The indices (0,) + J for J in the index set of rank n - 1: the sums
+    of one exponent vector per level from level 2 on."""
+    return _level_sums(rs.rank, _level_exponents(rs.kind, rs.rank)[1:])
+
+
 def fiber_family(rs: RootSystem) -> BasisFamily:
-    """The classes c_{(0,J)} for J in the index set of rank n - 1 ([()] at
-    rank 1).  On the fiber of :func:`tower_bundle` over [r] they are the
-    rank n - 1 family moved by r: the fiber classes of the tower."""
-    lower = index_set(rs.kind, rs.rank - 1) if rs.rank > 1 else [()]
-    indices = [(0,) + tuple(J) for J in lower]
+    """The classes c_{(0,J)} for J in the index set of rank n - 1.  On the
+    fiber of :func:`tower_bundle` over [r] they are the rank n - 1 family
+    moved by r: the fiber classes of the tower."""
+    indices = _fiber_indices(rs)
     return BasisFamily(rs, indices, [class_cI(rs, I) for I in indices])
 
 
@@ -159,10 +183,10 @@ def tower_levels(rs: RootSystem):
 
     Let S_k = Delta - {1..k}.  Level k, for 1 <= k <= n (up to n - 2 in
     type D), is the coset graph W(S_{k-1})/W(S_k), and its classes are
-    [w] -> w . m for the monomials m: the powers of x_k (as many as
-    the index set allows at position k), plus x_{k+1} ... x_n in type D.
-    Type D ends with the flag graph of W({n-1, n}) and the monomials 1,
-    x_{n-1}, x_{n-1}^2, x_n of the seeded index set.  Level 1 is the base
+    [w] -> w . m for the monomials m of ``_level_exponents``, one per
+    vertex: the powers 1, x_k, x_k^2, ... of x_k, plus x_{k+1} ... x_n
+    in type D.  Type D ends with the flag graph of W({n-1, n}) and the
+    monomials 1, x_{n-1}, x_{n-1}^2, x_n.  Level 1 is the base
     of :func:`tower_bundle`, the same cached graph, and its classes are
     the powers of tau([w]) = w . x1, plus eta([w]) = w . (x2 ... xn) in
     type D.
@@ -183,21 +207,14 @@ def tower_levels(rs: RootSystem):
 
 
 def _level_monomials(rs: RootSystem):
-    """[(S_k, S_{k-1}, monomials)] for each level of :func:`tower_levels`."""
-    n, m = rs.rank, rs.varcount
-    x = [Polynomial.one(m)] + [Polynomial.variable(m, i) for i in range(1, m + 1)]
-    sigma = [frozenset(range(k + 1, n + 1)) for k in range(n + 1)]
-    top = n - 2 if rs.kind == "D" else n
-    levels = []
-    for k in range(1, top + 1):
-        powers = {"A": n + 2 - k, "D": 2 * (n - k) + 1}.get(rs.kind, 2 * (n - k + 1))
-        monos = [x[k] ** j for j in range(powers)]
-        if rs.kind == "D":
-            monos.append(prod(x[k + 1:], start=x[0]))
-        levels.append((sigma[k], sigma[k - 1], monos))
-    if rs.kind == "D":
-        levels.append((frozenset(), sigma[n - 2], [x[0], x[n - 1], x[n - 1] ** 2, x[n]]))
-    return levels
+    """[(S_k, S_{k-1}, monomials)] for each level of :func:`tower_levels`,
+    the monomials x^e for the vectors e of ``_level_exponents``; the last
+    level's S_k is empty."""
+    levels = _level_exponents(rs.kind, rs.rank)
+    chain = [frozenset(range(k + 1, rs.rank + 1)) for k in range(len(levels))]
+    chain.append(frozenset())
+    return [(chain[k], chain[k - 1], [_index_monomial(rs, e) for e in vectors])
+            for k, vectors in enumerate(levels, 1)]
 
 
 # ----------------------------------------------------------------------
@@ -254,22 +271,18 @@ def extend_invariant(b: BundleMap, fiber_class: CohClass,
 
 
 def fiber_invariant_classes(b: BundleMap):
-    """The lower-rank invariant family realized on the typical fiber.
+    """[(J, class)]: the lower-rank invariant family realized on the
+    typical fiber.
 
     Fiber coordinates are the ambient ones shifted by one, so the index
-    [j_1..j_{n-1}] becomes the monomial x2^{j_1} ... xn^{j_{n-1}}.
+    [j_1..j_{n-1}] becomes the monomial x2^{j_1} ... xn^{j_{n-1}}, the
+    monomial of (0,) + J.
     """
-    rs = b.rs
     fib = typical_fiber(b)
-    indices = index_set(rs.kind, rs.rank - 1)
     out = []
-    for J in indices:
-        exps = [0] * rs.varcount
-        for k, j in enumerate(J):
-            exps[k + 1] = j
-        mono = Polynomial.monomial(rs.varcount, exps)
-        vals = [u.act_poly(mono) for u in fib.reps]
-        out.append((J, CohClass(fib.graph, vals)))
+    for I in _fiber_indices(b.rs):
+        mono = _index_monomial(b.rs, I)
+        out.append((I[1:], CohClass(fib.graph, [u.act_poly(mono) for u in fib.reps])))
     return out
 
 
@@ -278,26 +291,18 @@ def iterated_family(rs: RootSystem) -> dict:
 
     Extends the holonomy-invariant fiber family through transport, lifts
     the base classes, and multiplies, reproducing the closed-form family
-    index by index (rule by rule in type D).
+    index by index: the class at e + (0,) + J, for e a vector of level 1,
+    is the lift of the base class of e times the extension of the fiber
+    class of J.  In type D, eta's vector (0, 1, ..., 1) gives (0, J + 1).
     """
     b = tower_bundle(rs)
-    extended = {}
-    for J, fc in fiber_invariant_classes(b):
-        extended[J] = extend_invariant(b, fc)
     lifted = [lift_class(b, bc) for bc in tower_levels(rs)[0][1]]
+    base = _level_exponents(rs.kind, rs.rank)[0]
     out = {}
-    if rs.kind == "D":
-        eta_lift = lifted[-1]
-        for J in index_set("D", rs.rank - 1):
-            for i1 in range(2 * rs.rank - 1):
-                I = (i1,) + tuple(J)
-                out[I] = lifted[i1] * extended[J]
-            I2 = (0,) + tuple(x + 1 for x in J)
-            out[I2] = eta_lift * extended[J]
-    else:
-        for J, ext in extended.items():
-            for i1 in range(len(lifted)):
-                out[(i1,) + tuple(J)] = lifted[i1] * ext
+    for J, fc in fiber_invariant_classes(b):
+        ext = extend_invariant(b, fc)
+        for e, lift in zip(base, lifted):
+            out[tuple(map(add, e, (0,) + J))] = lift * ext
     return out
 
 
@@ -420,7 +425,7 @@ def verify_basis(rs: RootSystem) -> Report:
     """Count, independence and spanning of ``basis_family(rs)``, proved by
     the graph Leray-Hirsch theorem down the tower, one certificate per
     level of :func:`tower_levels`; "count" compares the size of the index
-    set with |W|.
+    set, the product of the level sizes, with |W|.
 
     Let G_k be the flag graph of W(S_{k-1}), so G_1 is the flag graph of
     W, with the classes w . x^I for the sums I of one exponent vector per
@@ -437,9 +442,9 @@ def verify_basis(rs: RootSystem) -> Report:
     fiber classes restrict to a module basis on every fiber, the products
     are a module basis of G_k.  The last level is its own G_k, with
     one-vertex fibers, so by induction down to G_1 the family is a module
-    basis if every level passes ``_basis_failures``.  ``index_set`` holds
-    exactly these products (the tests pin this), and each member is a
-    class by construction, so no class condition is checked.  Spanning
+    basis if every level passes ``_basis_failures``.  ``index_set`` is
+    these sums by construction, and each member is a class by
+    construction, so no class condition is checked.  Spanning
     holds iff no level fails, and the first failing premise, from level 1
     up, is the witness.
 
@@ -455,11 +460,10 @@ def verify_basis(rs: RootSystem) -> Report:
     does det M.  A level with the wrong count is not square, and fails
     independence too.
     """
-    indices = index_set(rs.kind, rs.rank)
+    size = prod(map(len, _level_exponents(rs.kind, rs.rank)))
     order = rs.group_order()
     rep = Report()
-    rep.add("count", len(indices) == order,
-            f"{len(indices)} classes for a group of order {order}")
+    rep.add("count", size == order, f"{size} classes for a group of order {order}")
     bad = _level_failures(tower_levels(rs))
     singular = [witness for premise, witness in bad if premise in ("count", "determinant")]
     rep.add("independence", not singular, singular[0] if singular else "")

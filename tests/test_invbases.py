@@ -441,11 +441,16 @@ def test_verify_basis_at_rank_5(kind):
     assert verify_basis(RootSystem(kind, 5)).ok
 
 
-@pytest.mark.parametrize("kind", "ABCD")
-def test_verify_basis_at_rank_7_walks_no_whole_group(kind):
+@pytest.mark.parametrize("kind,rank", [(k, n) for n in (7, 8) for k in "ABCD"])
+def test_verify_basis_at_ranks_7_and_8_walks_no_whole_group(kind, rank, monkeypatch):
     """Each level graph has at most 2n vertices, and its representatives
-    are walked, so no cached coset list is as long as W."""
-    rs = RootSystem(kind, 7)
+    are walked, so no cached coset list is as long as W; "count" reads
+    the level sizes and enumerates no index."""
+    def refuse(*args):
+        raise AssertionError("index_set called")
+
+    monkeypatch.setattr(invbases, "index_set", refuse)
+    rs = RootSystem(kind, rank)
     assert verify_basis(rs).ok
     assert all(len(reps) < rs.group_order() for reps in rs._parabolic_cache.values())
 
@@ -540,6 +545,25 @@ def test_verify_basis_names_a_level_with_the_wrong_count(a2, monkeypatch):
     checks = _checks(a2)
     wrong = "level 2 has 2 vertices but 1 classes were given"
     assert checks["count"][0]
+    assert checks["independence"] == (False, wrong)
+    assert checks["spanning"] == (False, wrong)
+
+
+def test_verify_basis_fails_count_on_a_short_level(a2, monkeypatch):
+    """One exponent of level 2 dropped from the level owner: the level
+    product has 3 members for a group of order 6, and level 2, now with
+    one class on two vertices, is not square."""
+    real = invbases._level_exponents
+
+    def short(kind, n):
+        levels = real(kind, n)
+        levels[1] = levels[1][:1]
+        return levels
+
+    monkeypatch.setattr(invbases, "_level_exponents", short)
+    checks = _checks(a2)
+    wrong = "level 2 has 2 vertices but 1 classes were given"
+    assert checks["count"] == (False, "3 classes for a group of order 6")
     assert checks["independence"] == (False, wrong)
     assert checks["spanning"] == (False, wrong)
 
@@ -822,7 +846,11 @@ def test_class_cI_invariance_rank3_exhaustive(a3):
             assert permuted_class(a3, c, w) == c
 
 
-def test_iterated_family_rank3(a3):
-    fam = iterated_family(a3)
-    for I in index_set("A", 3):
-        assert fam[I] == class_cI(a3, I), I
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("C", 3), ("D", 4)])
+def test_iterated_family_rank3(kind, rank):
+    """Every entry, the type-D eta rule included, is the closed-form class."""
+    rs = RootSystem(kind, rank)
+    fam = iterated_family(rs)
+    assert sorted(fam) == index_set(kind, rank)
+    for I in index_set(kind, rank):
+        assert fam[I] == class_cI(rs, I), I
