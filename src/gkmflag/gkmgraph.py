@@ -26,9 +26,11 @@ ends of each edge agree modulo the edge label.  Classes form a ring, and
 pullback along an isomorphism sends classes to classes, so ring
 operations and :func:`pullback_class` never re-check their output.  The
 class condition is checked only where values come from outside the
-ring: :func:`class_from_json`, the input of ``invbases.extend_invariant``
-(its output is a class by construction) and the coefficients solved for
-by ``invbases.express_in_basis``.  Classes built from an invariant
+ring: :func:`class_from_json` and the input of
+``invbases.extend_invariant`` (its output is a class by construction).
+The coefficients of ``invbases.express_in_basis`` are classes by
+construction too: its exact interpolation on the base makes each one a
+polynomial combination of the base classes.  Classes built from an invariant
 polynomial, such as the level classes of ``invbases.tower_levels``
 and the family that ``invbases.verify_basis`` proves, are classes by
 proof and are not checked either.

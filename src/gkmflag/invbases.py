@@ -34,12 +34,17 @@ free basis.  ``verify_basis`` is the graph Leray-Hirsch theorem applied
 down the tower, one certificate per level, so no determinant has more
 than 2n rows and no class on the flag graph is built.
 ``express_in_basis`` is the constructive decomposition of an arbitrary
-class over the tower bundle, the graph Leray-Serre theorem made
-explicit: the certificates of levels 2 and up prove that the fiber
-classes (``fiber_family``) restrict to a module basis on every fiber,
-and then one degree-wise sparse rational solve per fiber
-(``linalg.solve_module_coeffs``) gives the base coefficients, which are
-themselves classes on the base.
+class over the base of the tower bundle, the graph Leray-Serre theorem
+made explicit, and the same factorisation solves it: on each coset of
+W(S_{k-1}) the coordinates at level k are a polynomial in the node
+r . x_k, one coefficient per node, so Newton's divided differences find
+them by exact divisions by differences of nodes (in type D after one
+multiplication by the node, which turns x_{k+1} ... x_n into a constant
+term).  Down the tower, the coefficients on the base come out with no
+bundle, no fiber class and no linear solve, and a division with a
+remainder is the witness that the target is not a class.  Both the
+proof and the solve read the levels and the chain of simple-root sets
+they divide from one owner, ``_tower``.
 """
 
 from __future__ import annotations
@@ -59,15 +64,14 @@ from .parabolic import (
     tree_transport,
     typical_fiber,
 )
-from .polyring import Polynomial
+from .polyring import LinearForm, Polynomial
 from .rootsys import RootSystem
-from .schubert import invariant_class
+from .schubert import flag_graph, invariant_class
 
 __all__ = [
     "index_set",
     "BasisFamily",
     "basis_family",
-    "fiber_family",
     "class_cI",
     "tower_bundle",
     "tower_levels",
@@ -92,9 +96,9 @@ def _level_exponents(kind: str, n: int):
     vector has length n.  Level k holds the powers x_k^j: n + 2 - k of
     them in type A, 2(n - k + 1) in types B and C, and 2(n - k) + 1 in
     type D, which adds x_{k+1} ... x_n.  The levels of type D stop at
-    n - 2, and its bottom level, on W({n-1, n}), holds 1, x_{n-1},
-    x_{n-1}^2 and x_n.  Every index family and every level class of this
-    module is read from this list."""
+    n - 1, whose level, on W({n-1, n}), holds 1, x_{n-1}, x_{n-1}^2 and
+    x_n.  Every index family and every level class of this module is read
+    from this list."""
     if kind not in ("A", "B", "C", "D"):
         raise ValueError(f"unknown type {kind!r}")
     least = 2 if kind == "D" else 1
@@ -105,20 +109,24 @@ def _level_exponents(kind: str, n: int):
         return tuple(j if i == k else 0 for i in range(1, n + 1))
 
     levels = []
-    for k in range(1, n - 1 if kind == "D" else n + 1):
+    for k in range(1, n if kind == "D" else n + 1):
         count = {"A": n + 2 - k, "D": 2 * (n - k) + 1}.get(kind, 2 * (n - k + 1))
         levels.append([power(k, j) for j in range(count)])
         if kind == "D":
             levels[-1].append(tuple(int(i > k) for i in range(1, n + 1)))
-    if kind == "D":
-        levels.append([power(n - 1, 0), power(n - 1, 1), power(n - 1, 2), power(n, 1)])
     return levels
 
 
-def _level_sums(n: int, levels):
-    """The sums of one vector per level of ``levels`` (vectors of length n), sorted."""
-    return sorted(tuple(map(sum, zip((0,) * n, *vectors)))
-                  for vectors in itertools.product(*levels))
+def _level_sums(n: int, levels, max_degree=None):
+    """The sums of one vector per level of ``levels`` (vectors of length n),
+    sorted; with ``max_degree``, only those of degree at most it.  The sums
+    are extended one level at a time, and as every vector is nonnegative a
+    partial sum above ``max_degree`` is dropped at once."""
+    sums = [(0,) * n]
+    for vectors in levels:
+        sums = [s for s in (tuple(map(add, t, e)) for t in sums for e in vectors)
+                if max_degree is None or sum(s) <= max_degree]
+    return sorted(sums)
 
 
 def index_set(kind: str, n: int):
@@ -160,14 +168,6 @@ def _fiber_indices(rs: RootSystem):
     return _level_sums(rs.rank, _level_exponents(rs.kind, rs.rank)[1:])
 
 
-def fiber_family(rs: RootSystem) -> BasisFamily:
-    """The classes c_{(0,J)} for J in the index set of rank n - 1.  On the
-    fiber of :func:`tower_bundle` over [r] they are the rank n - 1 family
-    moved by r: the fiber classes of the tower."""
-    indices = _fiber_indices(rs)
-    return BasisFamily(rs, indices, [class_cI(rs, I) for I in indices])
-
-
 # ----------------------------------------------------------------------
 # the tower of flag bundles and its levels
 
@@ -181,12 +181,13 @@ def tower_bundle(rs: RootSystem) -> BundleMap:
 def tower_levels(rs: RootSystem):
     """[(monomials, classes)] for each level of the tower, level 1 first.
 
-    Let S_k = Delta - {1..k}.  Level k, for 1 <= k <= n (up to n - 2 in
-    type D), is the coset graph W(S_{k-1})/W(S_k), and its classes are
-    [w] -> w . m for the monomials m of ``_level_exponents``, one per
-    vertex: the powers 1, x_k, x_k^2, ... of x_k, plus x_{k+1} ... x_n
-    in type D.  Type D ends with the flag graph of W({n-1, n}) and the
-    monomials 1, x_{n-1}, x_{n-1}^2, x_n.  Level 1 is the base
+    Let S_k = Delta - {1..k} (:func:`_tower`).  Level k, for 1 <= k <= n
+    (up to n - 1 in type D), is the coset graph W(S_{k-1})/W(S_k), and
+    its classes are [w] -> w . m for the monomials m of
+    ``_level_exponents``, one per vertex: the powers 1, x_k, x_k^2, ...
+    of x_k, plus x_{k+1} ... x_n in type D.  Type D ends with the flag
+    graph of W({n-1, n}), S_{n-1} being empty, and the monomials 1,
+    x_{n-1}, x_{n-1}^2, x_n.  Level 1 is the base
     of :func:`tower_bundle`, the same cached graph, and its classes are
     the powers of tau([w]) = w . x1, plus eta([w]) = w . (x2 ... xn) in
     type D.
@@ -206,15 +207,22 @@ def tower_levels(rs: RootSystem):
     return out
 
 
-def _level_monomials(rs: RootSystem):
-    """[(S_k, S_{k-1}, monomials)] for each level of :func:`tower_levels`,
-    the monomials x^e for the vectors e of ``_level_exponents``; the last
-    level's S_k is empty."""
+def _tower(rs: RootSystem):
+    """[(S_k, S_{k-1}, exponent vectors)] for each level k of the tower,
+    level 1 first: S_k = Delta - {1..k}, except that the last S_k is empty
+    (in type D the levels stop at n - 1, where W({n-1, n}) is divided by
+    the trivial group), and the vectors of ``_level_exponents``."""
     levels = _level_exponents(rs.kind, rs.rank)
     chain = [frozenset(range(k + 1, rs.rank + 1)) for k in range(len(levels))]
     chain.append(frozenset())
-    return [(chain[k], chain[k - 1], [_index_monomial(rs, e) for e in vectors])
-            for k, vectors in enumerate(levels, 1)]
+    return [(chain[k], chain[k - 1], vectors) for k, vectors in enumerate(levels, 1)]
+
+
+def _level_monomials(rs: RootSystem):
+    """[(S_k, S_{k-1}, monomials)] for each level of :func:`tower_levels`:
+    the monomials x^e for the vectors e of :func:`_tower`."""
+    return [(sigma, above, [_index_monomial(rs, e) for e in vectors])
+            for sigma, above, vectors in _tower(rs)]
 
 
 # ----------------------------------------------------------------------
@@ -307,58 +315,107 @@ def iterated_family(rs: RootSystem) -> dict:
 
 
 # ----------------------------------------------------------------------
-# expressing classes over a bundle
+# expressing classes down the tower
 
 
-def express_in_basis(b: BundleMap, target: CohClass) -> dict:
-    """Solve target == sum_k pi^*(beta_k) * c_k fiber by fiber, for the
-    classes c_k of ``fiber_family`` on ``tower_bundle``; return
-    {name of c_k: beta_k}, the coefficients as classes on the base.
+def express_in_basis(rs: RootSystem, target: CohClass) -> dict:
+    """Solve target == sum_J pi^*(beta_J) * c_(0,J) over the base of
+    :func:`tower_bundle`, the graph Leray-Serre decomposition made
+    explicit, for J in the index set of rank n - 1; return
+    {"c[0,J]": beta_J}, the coefficients as classes on the base, level 1
+    of :func:`tower_levels`.
 
-    Precondition: ``target`` is a class on the total graph of ``b``.  The
-    fiber classes restrict to a module basis on every fiber iff they do
-    on the typical fiber (see :func:`verify_basis`), which is the flag
-    graph of level 2; the certificates of levels 2 and up prove that, or
-    the first witness is raised as ValueError.
-    ``linalg.solve_module_coeffs`` then finds the unique polynomial
-    coefficients on every fiber one degree at a time, and checks
-    sum_k beta_k * c_k == target exactly at every vertex of the fiber
-    before it returns; every total vertex lies in one fiber.
+    ``target`` must be a class on the flag graph of ``rs``.  The
+    certificates of levels 2 and up prove that the c_(0,J) restrict to a
+    module basis on every fiber (see :func:`verify_basis`), so the beta_J
+    are unique, or the first witness is raised as ValueError.
+    ``_coordinates`` solves down the tower: beta_J at the base vertex [r]
+    is the coordinate of J on the coset r W(S_1).  It divides exactly at
+    every step, so the result reassembles to the target by construction.
+    Level 1 is interpolated too, though only the beta_J are returned: its
+    exact divisions make each beta_J a polynomial combination of the base
+    classes of level 1, so a class on the base.  A division with a
+    remainder is raised as ValueError naming the level, the coset and the
+    node pair: the target is then not a class.
     """
-    rs = b.rs
-    if rs is None:
-        raise ValueError("expressing over a bundle needs Weyl-group data")
-    if (b.sigma1, b.sigma2) != (frozenset(), rs.full_sigma() - {1}):
-        raise ValueError("expressing needs the tower bundle of its root system")
+    flag = flag_graph(rs)
+    if target.graph is not flag.graph:
+        raise ValueError(f"the target is not a class on the flag graph of {rs.kind}{rs.rank}")
     bad = _level_failures(tower_levels(rs), first=2)
     if bad:
         raise ValueError(bad[0][1])
-    fam = fiber_family(rs)
-    nbase = b.base.nvertices
-    beta_vals = [[None] * nbase for _ in fam.classes]
-    for p, fverts in enumerate(b.fibers()):
-        columns = [[c.values[v] for v in fverts] for c in fam.classes]
-        sol = linalg.solve_module_coeffs(
-            columns, [target.values[v] for v in fverts], b.total.varcount)
-        if sol is None:
-            raise AssertionError(
-                f"no polynomial coefficients on the fiber over "
-                f"{b.base.vertices[p]} although the fiber classes passed the "
-                f"basis certificate"
-            )
-        for k, val in enumerate(sol):
-            beta_vals[k][p] = val
-    betas = {}
-    for name, vals in zip(fam.names(), beta_vals):
-        c = CohClass(b.base, vals)
-        bad = coh_failure(c)
-        if bad is not None:
-            raise AssertionError(
-                f"the coefficient of {name} is not a class on the base; fails at "
-                f"{b.base.edge_str(bad)}"
-            )
-        betas[name] = c
-    return betas
+    tower = _tower(rs)
+    base = build_coset_graph(rs, tower[0][0], tower[0][1])
+    value = dict(zip(flag.reps, target.values)).__getitem__
+    fibers = [_coordinates(rs, tower, value, 2, r) for r in base.reps]
+    _level_coordinates(rs, tower, 1, rs.identity(), fibers)  # raises unless each beta_J is a class
+    return {"c[" + ",".join(map(str, J)) + "]": CohClass(base.graph, [f[J] for f in fibers])
+            for J in _fiber_indices(rs)}
+
+
+def _coordinates(rs, tower, value, k: int, w) -> dict:
+    """{I: C_I} with value(w u) == sum_I C_I * (w u) . x^I for every u in
+    W(S_{k-1}), I over the sums of one vector per level from k on
+    (:func:`_tower`): the coordinates of the class ``value`` on the coset
+    w W(S_{k-1}), found level by level."""
+    if k > len(tower):
+        return {(0,) * rs.rank: value(w)}
+    fibers = [_coordinates(rs, tower, value, k + 1, w * r)
+              for r in rs.coset_reps(tower[k - 1][0], tower[k - 1][1])]
+    return _level_coordinates(rs, tower, k, w, fibers)
+
+
+def _level_coordinates(rs, tower, k: int, w, fibers) -> dict:
+    """Level k of :func:`_coordinates`, from the coordinates of each coset
+    w r W(S_k), r a representative of level k, over the levels above.
+
+    With u = r u', u' in W(S_k) fixes x^e for e of level k, so
+    (w u) . x^(e+J) = a_r^j * (w r u') . x^J for e = x_k^j and the node
+    a_r = (w r) . x_k.  The coordinate d_r of J on the coset w r W(S_k)
+    is then sum_j C_(e+J) a_r^j, a polynomial in the node with one
+    coefficient per node: Newton's divided differences over the nodes
+    find them.  In type D the last vector e is x_{k+1} ... x_n, and
+    (w r) . x^e = P / a_r with P = w . (x_k ... x_n), fixed by W(S_{k-1});
+    so a_r d_r is a polynomial in a_r whose constant coefficient is
+    C_(e+J) P, divisible by P as it is a_r (d_r - ...) for every node
+    +-w . x_i, i >= k, and whose other coefficients shift down by one.
+    """
+    sigma, above, vectors = tower[k - 1]
+    axis = [LinearForm([int(i == j) for i in range(rs.varcount)]) for j in range(rs.varcount)]
+    nodes = [(w * r).act_linear(axis[k - 1]) for r in rs.coset_reps(sigma, above)]
+    where = f"on level {k}, over the coset of {w.one_line_str()},"
+    out = {}
+    for J in fibers[0]:
+        values = [f[J] for f in fibers]
+        if rs.kind == "D":
+            values = [v * a.to_polynomial() for v, a in zip(values, nodes)]
+        coeffs = _interpolate(nodes, values, where)
+        if rs.kind == "D":
+            coeffs.append(coeffs.pop(0))
+            for x in axis[k - 1:]:
+                coeffs[-1] = coeffs[-1].divrem_linear(w.act_linear(x))[0]
+        out.update((tuple(map(add, e, J)), c) for e, c in zip(vectors, coeffs))
+    return out
+
+
+def _interpolate(nodes, values, where: str) -> list:
+    """[p_0, p_1, ...] with sum_j p_j a^j == v for each node a (a linear
+    form) and value v: Newton's divided differences, each one exact
+    division by a difference of distinct nodes, then the Newton form
+    expanded.  A division with a remainder is raised as ValueError."""
+    table = list(values)
+    for i in range(1, len(nodes)):
+        for j in range(len(nodes) - 1, i - 1, -1):
+            table[j], rem = (table[j] - table[j - 1]).divrem_linear(nodes[j] - nodes[j - i])
+            if not rem.is_zero():
+                raise ValueError(f"{where} the divided difference over {nodes[j - i]} "
+                                 f"and {nodes[j]} leaves a remainder")
+    coeffs = [table[-1]]
+    for a, d in zip(nodes[-2::-1], table[-2::-1]):
+        a = a.to_polynomial()
+        coeffs = ([d - a * coeffs[0]] + [c - a * c1 for c, c1 in zip(coeffs, coeffs[1:])]
+                  + coeffs[-1:])
+    return coeffs
 
 
 # ----------------------------------------------------------------------
@@ -561,8 +618,12 @@ def _invariant_monomials(gens, degree: int, varcount: int):
     return out
 
 
-def check_bases_over_invariants(rs: RootSystem, indices, max_degree: int = 6) -> Report:
-    """Degree by degree: do {g * x^I} span the polynomials of that degree?"""
+def check_bases_over_invariants(rs: RootSystem, max_degree: int = 6) -> Report:
+    """Degree by degree up to ``max_degree``: do {g * x^I}, for g a product
+    of fundamental invariants and I in the index set, span the
+    polynomials of that degree?  Only the indices of degree at most
+    ``max_degree`` are built, one level of the tower at a time."""
+    indices = _level_sums(rs.rank, _level_exponents(rs.kind, rs.rank), max_degree)
     rep = Report()
     gens = invariant_generators(rs)
     m = rs.varcount

@@ -19,8 +19,10 @@ One rational elimination core and Bareiss, all exact:
   a module-coefficient system degree by degree, which turns it into one
   sparse linear system over Q per degree; a solution certificate is
   polynomial by construction, so no fraction-field divisions ever
-  appear.  ``invbases.express_in_basis`` calls it once per fiber; the
-  tests' spanning oracle calls it for every Schubert class;
+  appear.  It is now only an oracle and a benchmark name: no production
+  path calls it, since ``invbases.express_in_basis`` interpolates down
+  the tower instead; the tests' spanning oracle calls it for every
+  Schubert class, and their ``express`` oracle once per fiber;
 
 * fraction-free (Bareiss) determinants of polynomial matrices plus a
   Cramer-style square solve whose final divisions are checked to be exact

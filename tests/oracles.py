@@ -6,7 +6,10 @@ conditions as a plain linear system, the Bruhat oracle enumerates
 subwords, the toy polynomial expander multiplies term lists directly,
 the spanning oracle solves for the module coefficients of every
 Schubert class instead of trusting the determinant certificate, the
-bundle expander solves each fiber by Cramer's rule instead, the
+bundle expanders solve each fiber of the tower bundle, on the fiber
+classes built on the whole flag graph, by Cramer's rule or by one
+degree-wise sparse rational system instead of interpolating down the
+tower, the
 form expander rewrites a polynomial in given linear forms by dense
 elimination, the connection oracle reflects edge labels by the
 textbook formula instead of acting by Weyl group elements, the
@@ -52,7 +55,7 @@ from typing import Sequence
 
 from gkmflag import linalg
 from gkmflag.gkmgraph import CohClass, GkmGraph, Report, coh_failure, graph_to_json
-from gkmflag.invbases import _basis_failures
+from gkmflag.invbases import _basis_failures, class_cI, index_set, tower_bundle
 from gkmflag.parabolic import base_tree, build_coset_graph, typical_fiber
 from gkmflag.polyring import LinearForm, Polynomial
 from gkmflag.rootsys import group_closure
@@ -561,6 +564,27 @@ def express_by_cramer(b, classes, target):
         for k, val in enumerate(sol):
             beta_vals[k][p] = val
     return [CohClass(b.base, vals) for vals in beta_vals]
+
+
+def express_by_module_solve(rs, target):
+    """The coefficients of ``express_in_basis``, by one degree-wise sparse
+    rational solve per fiber of ``tower_bundle`` (``linalg.solve_module_coeffs``)
+    on the classes c_(0,J) of the flag graph: {"c[0,J]": beta_J} with
+    beta_J a class on the base, or None if some fiber has no polynomial
+    solution.  No certificate is trusted and no coefficient is checked."""
+    b = tower_bundle(rs)
+    indices = [(0,) + J for J in index_set(rs.kind, rs.rank - 1)]
+    classes = [class_cI(rs, I) for I in indices]
+    beta_vals = [[None] * b.base.nvertices for _ in classes]
+    for p, fverts in enumerate(b.fibers()):
+        sol = linalg.solve_module_coeffs([[c.values[v] for v in fverts] for c in classes],
+                                         [target.values[v] for v in fverts], rs.varcount)
+        if sol is None:
+            return None
+        for k, val in enumerate(sol):
+            beta_vals[k][p] = val
+    return {"c[" + ",".join(map(str, I)) + "]": CohClass(b.base, vals)
+            for I, vals in zip(indices, beta_vals)}
 
 
 def express_in_forms(f: Polynomial, forms: Sequence[LinearForm]):

@@ -14,7 +14,6 @@ from gkmflag.invbases import (
     class_cI,
     express_in_basis,
     extend_invariant,
-    fiber_family,
     fiber_invariant_classes,
     index_set,
     invariant_generators,
@@ -24,14 +23,15 @@ from gkmflag.invbases import (
     verify_basis,
 )
 from gkmflag.linalg import det_fraction
-from gkmflag.parabolic import build_bundle, bundle_from_json, typical_fiber
+from gkmflag import cli, parabolic
+from gkmflag.parabolic import build_bundle, typical_fiber
 from gkmflag.polyring import Polynomial
 from gkmflag.rootsys import RootSystem
-from gkmflag.schubert import permuted_class, schubert_table, seeded_random_class
+from gkmflag.schubert import flag_graph, permuted_class, schubert_table, seeded_random_class
 from oracles import (
-    bundle_to_json,
     coh_failure_by_division,
     express_by_cramer,
+    express_by_module_solve,
     extend_by_edges,
     spanning_by_solves,
     verify_basis_by_determinant,
@@ -348,44 +348,39 @@ def test_extend_matches_the_oracle_with_sigma1(a3):
 
 
 def test_express_constant(a2):
-    b = tower_bundle(a2)
     one = class_cI(a2, (0, 0))
-    betas = express_in_basis(b, one)
+    betas = express_in_basis(a2, one)
     assert list(betas) == ["c[0,0]", "c[0,1]"]
     assert all(v == Polynomial.one(3) for v in betas["c[0,0]"].values)
     assert all(v.is_zero() for v in betas["c[0,1]"].values)
 
 
 def test_express_table_classes(a2):
-    b = tower_bundle(a2)
-    betas = express_in_basis(b, class_cI(a2, (1, 1)))
+    betas = express_in_basis(a2, class_cI(a2, (1, 1)))
     tau = _base_classes(a2)[1]
     assert betas["c[0,1]"] == tau
-    betas = express_in_basis(b, class_cI(a2, (2, 0)))
+    betas = express_in_basis(a2, class_cI(a2, (2, 0)))
     assert betas["c[0,0]"] == tau * tau
     assert all(v.is_zero() for v in betas["c[0,1]"].values)
 
 
 def test_express_random_classes(a2):
-    b = tower_bundle(a2)
     rng = random.Random(123)
     for _ in range(3):
         target = seeded_random_class(a2, rng.randint(0, 5), rng)
-        betas = express_in_basis(b, target)  # raises on failure
+        betas = express_in_basis(a2, target)  # raises on failure
         for beta in betas.values():
             assert is_coh_class(beta)
 
 
-def test_express_needs_a_coset_bundle(a2):
-    b = bundle_from_json(bundle_to_json(tower_bundle(a2)))
-    with pytest.raises(ValueError, match="Weyl-group data"):
-        express_in_basis(b, class_cI(a2, (0, 0)))
-
-
-def test_express_needs_the_tower_bundle(a3):
-    b = build_bundle(a3, frozenset(), frozenset({1, 2}))
-    with pytest.raises(ValueError, match="tower bundle"):
-        express_in_basis(b, class_cI(a3, (0, 0, 0)))
+def test_express_refuses_a_target_off_the_flag_graph(a2, a3):
+    """The target's values are read by the flag graph's vertices, so a
+    class on any other graph, even one of the same size, is refused."""
+    b = tower_bundle(a3)
+    for target in (class_cI(a3, (0, 0, 0)), CohClass.constant(b.base, 1),
+                   CohClass.constant(build_bundle(a3, frozenset({1}), frozenset({1, 2})).total, 1)):
+        with pytest.raises(ValueError, match="^the target is not a class on the flag graph of A2$"):
+            express_in_basis(a2, target)
 
 
 def test_express_takes_only_level_determinants(b3, monkeypatch):
@@ -394,7 +389,7 @@ def test_express_takes_only_level_determinants(b3, monkeypatch):
     sizes = []
     real = linalg.det_fraction
     monkeypatch.setattr(linalg, "det_fraction", lambda m: sizes.append(len(m)) or real(m))
-    express_in_basis(tower_bundle(b3), class_cI(b3, (1, 0, 0)))
+    express_in_basis(b3, class_cI(b3, (1, 0, 0)))
     assert sizes == [4, 2]
 
 
@@ -403,10 +398,27 @@ def test_express_names_the_failing_level(a3, monkeypatch):
     error; a failing level 1 (the base) is not express's premise."""
     _tamper_level(monkeypatch, 3, lambda monos, classes: (monos, [classes[0]] * 2))
     with pytest.raises(ValueError, match=r"^on level 3 the value determinant vanishes"):
-        express_in_basis(tower_bundle(a3), class_cI(a3, (0, 0, 0)))
+        express_in_basis(a3, class_cI(a3, (0, 0, 0)))
     monkeypatch.undo()
     _tamper_level(monkeypatch, 1, lambda monos, classes: (monos, [classes[0]] * 4))
-    express_in_basis(tower_bundle(a3), class_cI(a3, (0, 0, 0)))
+    express_in_basis(a3, class_cI(a3, (0, 0, 0)))
+
+
+@pytest.mark.parametrize("kind,rank", [("B", 3), ("D", 4)])
+def test_express_builds_no_bundle_and_solves_no_system(kind, rank, monkeypatch):
+    """The tower solve divides by differences of nodes only: no bundle is
+    built and no sparse rational system is solved."""
+    def refuse(*args):
+        raise AssertionError("called")
+
+    rs = RootSystem(kind, rank)
+    target = seeded_random_class(rs, 3, random.Random(5))
+    for owner, name in ((invbases, "build_bundle"), (parabolic, "build_bundle"),
+                        (invbases, "tower_bundle"), (linalg, "solve_module_coeffs"),
+                        (linalg, "solve_sparse_fraction")):
+        monkeypatch.setattr(owner, name, refuse)
+    betas = express_in_basis(rs, target)
+    assert len(betas) == rs.group_order() // len(_base_classes(rs))
 
 
 @pytest.mark.parametrize("rs_name", ["a2", "b2", "c2", "a3", "d3"])
@@ -422,9 +434,85 @@ def test_express_matches_cramer_oracle(request, rs_name):
                    + seeded_random_class(rs, 1, rng))
     assert degree_of(targets[-1]) is None  # one target of mixed degree
     for target in targets:
-        betas = express_in_basis(b, target)
+        betas = express_in_basis(rs, target)
         assert list(betas) == names
         assert list(betas.values()) == express_by_cramer(b, classes, target)
+
+
+MODULE_SOLVE_GROUPS = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+                       ("D", 3), ("A", 4), ("B", 4), ("C", 4), ("D", 4)]
+
+
+@pytest.mark.parametrize("kind,rank", MODULE_SOLVE_GROUPS)
+def test_express_matches_the_module_solve_oracle(kind, rank):
+    """The tower solve against one sparse rational solve per fiber: three
+    seeds and degrees 0 to 4, and one target of mixed degree, up to rank
+    3; one target at rank 4."""
+    rs = RootSystem(kind, rank)
+    rng = random.Random(17 * rank + ord(kind))
+    if rank <= 3:
+        targets = [seeded_random_class(rs, d, random.Random(seed))
+                   for seed, d in ((0, 0), (1, 2), (2, 4), (3, 3))]
+        targets.append(seeded_random_class(rs, 1, rng) + seeded_random_class(rs, 2, rng))
+        assert degree_of(targets[-1]) is None
+    else:
+        targets = [seeded_random_class(rs, 3, rng)]
+    for target in targets:
+        assert express_in_basis(rs, target) == express_by_module_solve(rs, target)
+
+
+def _shifted(target, v):
+    """``target`` with 1 added to its value at vertex v: no longer a class."""
+    values = list(target.values)
+    values[v] = values[v] + Polynomial.one(target.graph.varcount)
+    return CohClass(target.graph, values)
+
+
+def test_express_names_the_first_remainder(b3):
+    """A genuine class shifted by 1 at the identity fails the first
+    divided difference of its bottom coset, x3 against -x3; shifted at
+    s1 s2 it fails in that vertex's coset s1 s2 W({3}).  The oracle
+    agrees that no polynomial coefficients exist."""
+    target = seeded_random_class(b3, 2, random.Random(3))
+    with pytest.raises(ValueError, match="^on level 3, over the coset of 1,2,3, the divided "
+                                         "difference over x3 and -x3 leaves a remainder$"):
+        express_in_basis(b3, _shifted(target, 0))
+    flag = flag_graph(b3)
+    w = b3.simple_reflection(1) * b3.simple_reflection(2)
+    with pytest.raises(ValueError, match=rf"^on level 3, over the coset of {w.one_line_str()}, "):
+        express_in_basis(b3, _shifted(target, flag.vertex_of(w)))
+    assert express_by_module_solve(b3, _shifted(target, 0)) is None
+
+
+def test_express_names_a_coefficient_that_is_not_a_base_class(a2):
+    """x1^2 on the fiber W({2}) over the base point and 0 elsewhere: every
+    fiber solves, but the coefficient of c[0,0] is x1^2 at the base point
+    only, not a class on the base, and level 1's divided differences say
+    so.  The fiber-by-fiber oracle solves it."""
+    x1 = Polynomial.variable(3, 1)
+    flag = flag_graph(a2)
+    target = CohClass(flag.graph, [x1 * x1 if w.perm[0] == 1 else Polynomial.zero(3)
+                                   for w in flag.reps])
+    with pytest.raises(ValueError, match="^on level 1, over the coset of 1,2,3, the divided "
+                                         "difference over x1 and x2 leaves a remainder$"):
+        express_in_basis(a2, target)
+    zero = Polynomial.zero(3)
+    assert express_by_module_solve(a2, target)["c[0,0]"].values == (x1 * x1, zero, zero)
+
+
+def test_express_cli_reports_a_remainder_as_a_failed_check(capsys, monkeypatch):
+    """A target that is not a class is a failed check with its witness:
+    exit 1, no traceback."""
+    real = cli.schubert.seeded_random_class
+    monkeypatch.setattr(cli.schubert, "seeded_random_class",
+                        lambda rs, degree, rng: _shifted(real(rs, degree, rng), 0))
+    code = cli.main(["express", "--type", "B", "--rank", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out.splitlines() == [
+        "CHECK express-reassembly: FAIL on level 3, over the coset of 1,2,3, the "
+        "divided difference over x3 and -x3 leaves a remainder"]
+    assert "Traceback" not in out + err
 
 
 # ----------------------------------------------------------------------
@@ -478,7 +566,7 @@ def test_value_determinant_factors_along_the_tower(kind, rank):
     def det_at(classes, verts):
         return det_fraction([[c.values[v].evaluate(pt) for c in classes] for v in verts])
 
-    fiber = fiber_family(rs).classes
+    fiber = [class_cI(rs, I) for I in invbases._fiber_indices(rs)]
     whole = det_at(basis_family(rs).classes, range(b.total.nvertices))
     base = det_at(_base_classes(rs), range(b.base.nvertices))
     fibers = math.prod(abs(det_at(fiber, verts)) for verts in b.fibers())
@@ -488,13 +576,13 @@ def test_value_determinant_factors_along_the_tower(kind, rank):
 def test_verify_basis_needs_no_class_check_and_no_flag_graph_determinant(b3, monkeypatch):
     """One determinant per level, of sizes 6, 4 and 2, and no
     ``coh_failure``: every member is a class by construction.  No bundle,
-    no fiber family and no class on the flag graph is built."""
+    no fiber class and no class on the flag graph is built."""
     def refuse(*args):
         raise AssertionError("called")
 
     sizes = []
     real = linalg.det_fraction
-    for name in ("coh_failure", "tower_bundle", "fiber_family", "invariant_class"):
+    for name in ("coh_failure", "tower_bundle", "invariant_class"):
         monkeypatch.setattr(invbases, name, refuse)
     monkeypatch.setattr(linalg, "det_fraction", lambda m: sizes.append(len(m)) or real(m))
     assert verify_basis(b3).ok
@@ -802,16 +890,51 @@ def test_invariant_generators_are_invariant(a2, b2, d3):
 
 
 def test_bases_over_invariants(a2, d3):
-    rep = check_bases_over_invariants(a2, index_set("A", 2), max_degree=4)
+    rep = check_bases_over_invariants(a2, max_degree=4)
     assert rep.ok, rep.summary()
-    rep = check_bases_over_invariants(d3, index_set("D", 3), max_degree=4)
+    rep = check_bases_over_invariants(d3, max_degree=4)
     assert rep.ok, rep.summary()
 
 
-def test_bases_over_invariants_detects_bad_family(a2):
-    bad = [I for I in index_set("A", 2) if I != (2, 1)] + [(0, 0)]
-    rep = check_bases_over_invariants(a2, bad, max_degree=4)
-    assert not rep.ok
+def test_bases_over_invariants_detects_bad_family(a2, monkeypatch):
+    """x1^2 of level 1 replaced by a second x1 in the level owner: the
+    indices (1, j) come twice and (2, j) never, so from degree 1 on the
+    vectors are too many and do not span."""
+    real = invbases._level_exponents
+
+    def doubled(kind, n):
+        levels = real(kind, n)
+        levels[0][2] = levels[0][1]
+        return levels
+
+    monkeypatch.setattr(invbases, "_level_exponents", doubled)
+    checks = check_bases_over_invariants(a2, max_degree=4).checks
+    assert [c.passed for c in checks] == [True, False, False, False, False]
+    assert checks[1].witness == "rank 3, 4 vectors, dimension 3"
+    assert checks[2].witness == "rank 5, 7 vectors, dimension 6"
+
+
+@pytest.mark.parametrize("kind,rank", [(k, n) for k in "ABC" for n in range(1, 7)]
+                         + [("D", n) for n in range(2, 7)])
+def test_degree_bounded_indices_are_the_low_part_of_the_index_set(kind, rank):
+    """The indices that ``check_bases_over_invariants`` builds, extended
+    one level at a time with every partial sum above d dropped, are the
+    members of degree at most d of the whole index set."""
+    levels = invbases._level_exponents(kind, rank)
+    for d in range(7):
+        assert invbases._level_sums(rank, levels, d) == [
+            I for I in index_set(kind, rank) if sum(I) <= d]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_type_d_ends_with_the_generic_level(n):
+    """The generic type-D level at k = n - 1 is 1, x_{n-1}, x_{n-1}^2 and x_n."""
+    def power(i, j):
+        return tuple(j if k == i else 0 for k in range(1, n + 1))
+
+    levels = invbases._level_exponents("D", n)
+    assert len(levels) == n - 1
+    assert levels[-1] == [power(n - 1, 0), power(n - 1, 1), power(n - 1, 2), power(n, 1)]
 
 
 def test_d3_description_check_report():
