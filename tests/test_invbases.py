@@ -374,11 +374,11 @@ def test_express_random_classes(a2):
 
 
 def test_express_refuses_a_target_off_the_flag_graph(a2, a3):
-    """The target's values are read by the flag graph's vertices, so a
-    class on any other graph, even one of the same size, is refused."""
-    b = tower_bundle(a3)
-    for target in (class_cI(a3, (0, 0, 0)), CohClass.constant(b.base, 1),
-                   CohClass.constant(build_bundle(a3, frozenset({1}), frozenset({1, 2})).total, 1)):
+    """The target's values are read by the vertices of the flag graph of
+    ``rs``, so a class on any other graph is refused, even on the equal
+    flag graph of another A2 object, as ring operations refuse it."""
+    for target in (class_cI(a3, (0, 0, 0)), CohClass.constant(tower_bundle(a3).base, 1),
+                   CohClass.constant(flag_graph(RootSystem("A", 2)).graph, 1)):
         with pytest.raises(ValueError, match="^the target is not a class on the flag graph of A2$"):
             express_in_basis(a2, target)
 
