@@ -570,8 +570,9 @@ def express_by_module_solve(rs, target):
     """The coefficients of ``express_in_basis``, by one degree-wise sparse
     rational solve per fiber of ``tower_bundle`` (``linalg.solve_module_coeffs``)
     on the classes c_(0,J) of the flag graph: {"c[0,J]": beta_J} with
-    beta_J a class on the base, or None if some fiber has no polynomial
-    solution.  No certificate is trusted and no coefficient is checked."""
+    beta_J the solved values on the base, or None if some fiber has no
+    polynomial solution.  No certificate is trusted, and whether each
+    beta_J is a class on the base is not checked."""
     b = tower_bundle(rs)
     indices = [(0,) + J for J in index_set(rs.kind, rs.rank - 1)]
     classes = [class_cI(rs, I) for I in indices]
