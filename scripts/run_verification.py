@@ -4,9 +4,11 @@
 Covers: graph axioms for the flag graphs up to rank 4, fiber-bundle
 axioms and holonomy for the standard bundles up to rank 3 and for the
 A4, B4 and D4 bundles with Sigma2 = {2,3,4}, basis verification for
-A2, A3, B2, B3, C3, D3 and every type at ranks 4 to 8, and the
-iteration consistency check (the iterated family equals the closed
-form) for A2, B2, D3, A3 and B3.
+A2, A3, B2, B3, C3, D3 and every type at ranks 4 to 8, the iteration
+consistency check (the iterated family equals the closed form) for A2,
+B2, D3, A3 and B3, and the bases over the invariants up to degree 4 for
+A2, B2, D3 and every type at rank 8.  Under a FAIL line of a report, its
+failing CHECK lines are printed, indented.
 Exit code 0 iff everything passes.
 """
 
@@ -38,6 +40,16 @@ BASES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 3),
          ("A", 6), ("B", 6), ("C", 6), ("D", 6), ("A", 7), ("B", 7), ("C", 7), ("D", 7),
          ("A", 8), ("B", 8), ("C", 8), ("D", 8)]
 ITERATIONS = [("A", 2), ("B", 2), ("D", 3), ("A", 3), ("B", 3)]
+INVARIANTS = [("A", 2), ("B", 2), ("D", 3), ("A", 8), ("B", 8), ("C", 8), ("D", 8)]
+
+
+def show(tag: str, rep) -> bool:
+    """Print the CHECK line of one report and, under a FAIL, the CHECK
+    line of each of its failing checks; return whether it passed."""
+    print(f"CHECK {tag}: {'PASS' if rep.ok else 'FAIL'}")
+    for check in rep.failures():
+        print(f"  {check.line()}")
+    return rep.ok
 
 
 def main() -> int:
@@ -46,17 +58,13 @@ def main() -> int:
 
     for kind, n in CASES:
         rs = RootSystem(kind, n)
-        rep = verify_gkm(flag_graph(rs).graph)
-        print(f"CHECK axioms-{kind}{n}: {'PASS' if rep.ok else 'FAIL'}")
-        ok &= rep.ok
+        ok &= show(f"axioms-{kind}{n}", verify_gkm(flag_graph(rs).graph))
 
     for kind, n, sigma2 in BUNDLES:
         rs = RootSystem(kind, n)
         b = build_bundle(rs, frozenset(), frozenset(sigma2))
-        rep = verify_fiber_bundle(b)
         tag = f"{kind}{n}-S2={','.join(map(str, sorted(sigma2)))}"
-        print(f"CHECK bundle-{tag}: {'PASS' if rep.ok else 'FAIL'}")
-        ok &= rep.ok
+        ok &= show(f"bundle-{tag}", verify_fiber_bundle(b))
         group = holonomy(b)
         good = bool(group.matches_upsilon)
         print(f"CHECK holonomy-{tag}: {'PASS' if good else 'FAIL'} "
@@ -65,9 +73,7 @@ def main() -> int:
 
     for kind, n in BASES:
         rs = RootSystem(kind, n)
-        rep = verify_basis(rs)
-        print(f"CHECK basis-{kind}{n}: {'PASS' if rep.ok else 'FAIL'}")
-        ok &= rep.ok
+        ok &= show(f"basis-{kind}{n}", verify_basis(rs))
 
     for kind, n in ITERATIONS:
         rs = RootSystem(kind, n)
@@ -77,15 +83,11 @@ def main() -> int:
         print(f"CHECK iteration-{kind}{n}: {'PASS' if good else 'FAIL'}")
         ok &= good
 
-    rep = check_d3_descriptions()
-    print(f"CHECK d3-descriptions: {'PASS' if rep.ok else 'FAIL'}")
-    ok &= rep.ok
+    ok &= show("d3-descriptions", check_d3_descriptions())
 
-    for kind, n in [("A", 2), ("B", 2), ("D", 3)]:
-        rs = RootSystem(kind, n)
-        rep = check_bases_over_invariants(rs, max_degree=4)
-        print(f"CHECK invariant-module-{kind}{n}: {'PASS' if rep.ok else 'FAIL'}")
-        ok &= rep.ok
+    for kind, n in INVARIANTS:
+        rep = check_bases_over_invariants(RootSystem(kind, n), max_degree=4)
+        ok &= show(f"invariant-module-{kind}{n}", rep)
 
     print(f"total: {'PASS' if ok else 'FAIL'} in {time.time() - t0:.1f}s")
     return 0 if ok else 1

@@ -21,6 +21,13 @@ by :func:`verify_gkm` are
 3. the congruence condition: along any edge e, a label and its
    connection image differ by a rational multiple of the label of e.
 
+Every check here, and in ``parabolic.verify_fibration`` and
+``parabolic.verify_fiber_bundle``, is a walk that yields its witnesses
+in walk order; :meth:`Report.first` keeps the first, or records a pass,
+and reads nothing after it, so each walk stops at its first witness.  In
+a bundle, an entry of pi or dpi that points outside the graphs is the
+first witness of every check that reads them.
+
 A cohomology class assigns a polynomial to every vertex so that the two
 ends of each edge agree modulo the edge label.  Classes form a ring, and
 pullback along an isomorphism sends classes to classes, so ring
@@ -61,6 +68,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple, Sequence
@@ -119,6 +127,13 @@ class Report:
 
     def add(self, name: str, passed: bool, witness: str = ""):
         self.checks.append(Check(name, passed, witness))
+
+    def first(self, name: str, witnesses):
+        """Record check ``name``: it fails with the first of ``witnesses``,
+        an iterable of witness texts, and passes if there is none.  No item
+        after the first is read, so a lazy walk stops at its first witness."""
+        witness = next(iter(witnesses), None)
+        self.add(name, witness is None, witness or "")
 
     @property
     def ok(self) -> bool:
@@ -212,87 +227,64 @@ def _stars(edges: Sequence[Edge], nvertices: int):
 def verify_gkm(g: GkmGraph) -> Report:
     """Check the connection/axial-function axioms; report first witnesses.
 
-    Each label axiom is a function of label values alone, and a flag
-    graph carries only |Phi| distinct labels but |W|*|Phi+|^2 connection
-    entries.  So each axiom is decided once per distinct tuple of the
-    graph's label ids: each label is negated once, independence is
-    decided once per (id_i, id_j) and congruence once per
-    (id_e, id_e1, id_e2).  The walks over vertices and edges, and so the
-    first witness of each check, are those of a per-edge check.
+    Each check is a walk that yields its witnesses in order, and
+    :meth:`Report.first` keeps the first.  Each label axiom is a function
+    of label values alone, and a flag graph carries only |Phi| distinct
+    labels but |W|*|Phi+|^2 connection entries.  So each axiom is decided
+    once per distinct tuple of the graph's label ids: each label is
+    negated once, independence is decided once per (id_i, id_j) and
+    congruence once per (id_e, id_e1, id_e2).  The walks over vertices
+    and edges, and so the first witness of each check, are those of a
+    per-edge check.
     """
     rep = Report()
     labels, lid = g.labels, g.label_id
-    negated = [-label for label in labels]
-
-    bad = ""
-    for eid, e in enumerate(g.edges):
-        r = g.reverse[eid] if 0 <= g.reverse[eid] < len(g.edges) else None
-        if r is None or g.reverse[r] != eid or r == eid:
-            bad = f"edge {g.edge_str(eid)} has no valid reverse"
-            break
-        re = g.edges[r]
-        if (re.src, re.dst) != (e.dst, e.src):
-            bad = f"reverse of {g.edge_str(eid)} has wrong endpoints"
-            break
-        if re.label != negated[lid[eid]]:
-            bad = f"label of reverse of {g.edge_str(eid)} is not negated"
-            break
-        if e.label.is_zero():
-            bad = f"zero label on {g.edge_str(eid)}"
-            break
-    rep.add("edge-reversal", not bad, bad)
-
+    rep.first("edge-reversal", _reversal_faults(g, [-label for label in labels]))
     degrees = {len(g.edges_at[p]) for p in range(g.nvertices)}
     rep.add("regular", len(degrees) <= 1, f"vertex degrees {sorted(degrees)}")
+    proportional = cache(lambda a, b: labels[a].proportional_to(labels[b]) is not None)
+    rep.first("independence", (
+        f"labels {labels[lid[e1]]} and {labels[lid[e2]]} at vertex {g.vertices[p]} are proportional"
+        for p in range(g.nvertices) for e1, e2 in combinations(g.edges_at[p], 2)
+        if proportional(lid[e1], lid[e2])))
+    rep.first("connection-shape", _shape_faults(g))
+    congruent = cache(lambda k, k1, k2:
+                      (labels[k2] - labels[k1]).proportional_to(labels[k]) is not None)
+    rep.first("congruence", (
+        f"congruence fails along {g.edge_str(eid)} at {g.edge_str(e1)} -> {g.edge_str(e2)}"
+        for eid in range(len(g.edges)) for e1, e2 in g.connection_pairs(eid)
+        if not congruent(lid[eid], lid[e1], lid[e2])))
+    return rep
 
-    bad = ""
-    proportional: dict[tuple, bool] = {}
-    for p in range(g.nvertices):
-        for e1, e2 in combinations(g.edges_at[p], 2):
-            a, b = lid[e1], lid[e2]
-            if (a, b) not in proportional:
-                proportional[a, b] = labels[a].proportional_to(labels[b]) is not None
-            if proportional[a, b]:
-                bad = (f"labels {labels[a]} and {labels[b]} at vertex "
-                       f"{g.vertices[p]} are proportional")
-                break
-        if bad:
-            break
-    rep.add("independence", not bad, bad)
 
-    bad = ""
+def _reversal_faults(g: GkmGraph, negated):
+    """The edge-reversal witnesses, edge by edge; ``negated`` holds the
+    negation of each distinct label."""
     for eid, e in enumerate(g.edges):
-        conn = g.connection[eid]
+        r = g.reverse[eid]
+        if not (0 <= r < len(g.edges) and g.reverse[r] == eid != r):
+            yield f"edge {g.edge_str(eid)} has no valid reverse"
+        elif (g.edges[r].src, g.edges[r].dst) != (e.dst, e.src):
+            yield f"reverse of {g.edge_str(eid)} has wrong endpoints"
+        elif g.edges[r].label != negated[g.label_id[eid]]:
+            yield f"label of reverse of {g.edge_str(eid)} is not negated"
+        elif e.label.is_zero():
+            yield f"zero label on {g.edge_str(eid)}"
+
+
+def _shape_faults(g: GkmGraph):
+    """The connection-shape witnesses, edge by edge."""
+    for eid, e in enumerate(g.edges):
+        conn, r = g.connection[eid], g.reverse[eid]
         if len(conn) != len(g.edges_at[e.dst]) or len(set(conn)) != len(conn):
-            bad = f"connection along {g.edge_str(eid)} is not a bijection E_p -> E_q"
-            break
-        r = g.along(eid, eid)
-        if r != g.reverse[eid]:
-            bad = f"connection along {g.edge_str(eid)} does not reverse the edge"
-            break
+            yield f"connection along {g.edge_str(eid)} is not a bijection E_p -> E_q"
+        elif g.along(eid, eid) != r:
+            yield f"connection along {g.edge_str(eid)} does not reverse the edge"
         # r lies at the head of e; its connection undoes conn exactly when it
         # leads back to the tail of e and maps each position back to itself
-        if g.edges[r].dst != e.src or list(map(g.connection[r].__getitem__, conn)) != list(
+        elif g.edges[r].dst != e.src or list(map(g.connection[r].__getitem__, conn)) != list(
                 range(len(conn))):
-            bad = f"connection along reverse of {g.edge_str(eid)} is not the inverse"
-            break
-    rep.add("connection-shape", not bad, bad)
-
-    bad = ""
-    congruent: dict[tuple, bool] = {}
-    for eid, e in enumerate(g.edges):
-        for e1, e2 in g.connection_pairs(eid):
-            k, k1, k2 = key = lid[eid], lid[e1], lid[e2]
-            if key not in congruent:
-                congruent[key] = (labels[k2] - labels[k1]).proportional_to(labels[k]) is not None
-            if not congruent[key]:
-                bad = (f"congruence fails along {g.edge_str(eid)} at "
-                       f"{g.edge_str(e1)} -> {g.edge_str(e2)}")
-                break
-        if bad:
-            break
-    rep.add("congruence", not bad, bad)
-    return rep
+            yield f"connection along reverse of {g.edge_str(eid)} is not the inverse"
 
 
 # ----------------------------------------------------------------------

@@ -332,11 +332,11 @@ def express_in_basis(rs: RootSystem, target: CohClass) -> dict:
     ``_coordinates`` solves down the tower: beta_J at the base vertex [r]
     is the coordinate of J on the coset r W(S_1).  It divides exactly at
     every step, so the result reassembles to the target by construction.
-    Level 1 is interpolated too, though only the beta_J are returned: its
-    exact divisions make each beta_J a polynomial combination of the base
-    classes of level 1, so a class on the base.  A division with a
-    remainder is raised as ValueError naming the level, the coset and the
-    node pair: the target is then not a class.
+    Level 1 runs only the divided differences, as only the beta_J are
+    returned: their exact divisions make each beta_J a polynomial
+    combination of the base classes of level 1, so a class on the base.
+    A division with a remainder is raised as ValueError naming the level,
+    the coset and the node pair: the target is then not a class.
     """
     flag = flag_graph(rs)
     if target.graph is not flag.graph:
@@ -348,7 +348,7 @@ def express_in_basis(rs: RootSystem, target: CohClass) -> dict:
     base = build_coset_graph(rs, tower[0][0], tower[0][1])
     value = dict(zip(flag.reps, target.values)).__getitem__
     fibers = [_coordinates(rs, tower, value, 2, r) for r in base.reps]
-    _level_coordinates(rs, tower, 1, rs.identity(), fibers)  # raises unless each beta_J is a class
+    _level_differences(rs, tower, 1, rs.identity(), fibers)  # raises unless each beta_J is a class
     return {"c[" + ",".join(map(str, J)) + "]": CohClass(base.graph, [f[J] for f in fibers])
             for J in _fiber_indices(rs)}
 
@@ -380,29 +380,41 @@ def _level_coordinates(rs, tower, k: int, w, fibers) -> dict:
     C_(e+J) P, divisible by P as it is a_r (d_r - ...) for every node
     +-w . x_i, i >= k, and whose other coefficients shift down by one.
     """
-    sigma, above, vectors = tower[k - 1]
-    axis = [LinearForm([int(i == j) for i in range(rs.varcount)]) for j in range(rs.varcount)]
-    nodes = [(w * r).act_linear(axis[k - 1]) for r in rs.coset_reps(sigma, above)]
-    where = f"on level {k}, over the coset of {w.one_line_str()},"
+    nodes, tables = _level_differences(rs, tower, k, w, fibers)
     out = {}
+    for J, table in tables.items():
+        coeffs = _newton_form(nodes, table)
+        if rs.kind == "D":
+            coeffs.append(coeffs.pop(0))
+            for row in linalg.identity_matrix(rs.varcount)[k - 1:]:
+                coeffs[-1] = coeffs[-1].divrem_linear(w.act_linear(LinearForm(row)))[0]
+        out.update((tuple(map(add, e, J)), c) for e, c in zip(tower[k - 1][2], coeffs))
+    return out
+
+
+def _level_differences(rs, tower, k: int, w, fibers):
+    """(nodes, {J: table}) of level k of :func:`_level_coordinates`: the
+    nodes (w r) . x_k and, for each J, Newton's divided differences of
+    its coordinates over them (times the node in type D).  A division
+    with a remainder is raised as ValueError naming the level, the coset
+    and the node pair."""
+    x_k = LinearForm(linalg.identity_matrix(rs.varcount)[k - 1])
+    nodes = [(w * r).act_linear(x_k) for r in rs.coset_reps(tower[k - 1][0], tower[k - 1][1])]
+    where = f"on level {k}, over the coset of {w.one_line_str()},"
+    tables = {}
     for J in fibers[0]:
         values = [f[J] for f in fibers]
         if rs.kind == "D":
             values = [v * a.to_polynomial() for v, a in zip(values, nodes)]
-        coeffs = _interpolate(nodes, values, where)
-        if rs.kind == "D":
-            coeffs.append(coeffs.pop(0))
-            for x in axis[k - 1:]:
-                coeffs[-1] = coeffs[-1].divrem_linear(w.act_linear(x))[0]
-        out.update((tuple(map(add, e, J)), c) for e, c in zip(vectors, coeffs))
-    return out
+        tables[J] = _divided_differences(nodes, values, where)
+    return nodes, tables
 
 
-def _interpolate(nodes, values, where: str) -> list:
-    """[p_0, p_1, ...] with sum_j p_j a^j == v for each node a (a linear
-    form) and value v: Newton's divided differences, each one exact
-    division by a difference of distinct nodes, then the Newton form
-    expanded.  A division with a remainder is raised as ValueError."""
+def _divided_differences(nodes, values, where: str) -> list:
+    """Newton's table of ``values`` over ``nodes`` (linear forms): entry j
+    is the divided difference over nodes 0..j, each step one exact
+    division by a difference of distinct nodes.  A division with a
+    remainder is raised as ValueError."""
     table = list(values)
     for i in range(1, len(nodes)):
         for j in range(len(nodes) - 1, i - 1, -1):
@@ -410,6 +422,13 @@ def _interpolate(nodes, values, where: str) -> list:
             if not rem.is_zero():
                 raise ValueError(f"{where} the divided difference over {nodes[j - i]} "
                                  f"and {nodes[j]} leaves a remainder")
+    return table
+
+
+def _newton_form(nodes, table) -> list:
+    """[p_0, p_1, ...] with sum_j p_j a^j == v for each node a and its
+    value v: the Newton form of :func:`_divided_differences`'s ``table``
+    expanded into powers of the node."""
     coeffs = [table[-1]]
     for a, d in zip(nodes[-2::-1], table[-2::-1]):
         a = a.to_polynomial()
@@ -522,9 +541,9 @@ def verify_basis(rs: RootSystem) -> Report:
     rep = Report()
     rep.add("count", size == order, f"{size} classes for a group of order {order}")
     bad = _level_failures(tower_levels(rs))
-    singular = [witness for premise, witness in bad if premise in ("count", "determinant")]
-    rep.add("independence", not singular, singular[0] if singular else "")
-    rep.add("spanning", not bad, bad[0][1] if bad else "")
+    rep.first("independence",
+              (witness for premise, witness in bad if premise in ("count", "determinant")))
+    rep.first("spanning", (witness for _, witness in bad))
     return rep
 
 
@@ -545,15 +564,10 @@ def _elementary_symmetric(polys, k: int, varcount: int) -> Polynomial:
 def basis_report_json(rep: Report) -> dict:
     """{"independent": ..., "spanning": ..., "witness": ...} for a basis report."""
     by_name = {c.name: c for c in rep.checks}
-    witness = ""
-    for c in rep.checks:
-        if not c.passed:
-            witness = c.witness or c.name
-            break
     return {
         "independent": by_name["independence"].passed if "independence" in by_name else None,
         "spanning": by_name["spanning"].passed if "spanning" in by_name else None,
-        "witness": witness,
+        "witness": next((c.witness or c.name for c in rep.failures()), ""),
     }
 
 
@@ -622,7 +636,21 @@ def check_bases_over_invariants(rs: RootSystem, max_degree: int = 6) -> Report:
     """Degree by degree up to ``max_degree``: do {g * x^I}, for g a product
     of fundamental invariants and I in the index set, span the
     polynomials of that degree?  Only the indices of degree at most
-    ``max_degree`` are built, one level of the tower at a time."""
+    ``max_degree`` are built, one level of the tower at a time.
+
+    This is an independent desk check, not the proof: :func:`verify_basis`
+    already implies the statement in every degree, by faithfully flat
+    base change.  Let F be the free Q[x]^W-module on the indices and
+    phi: F -> Q[x] the map e_I -> x^I.  H_T(G/B) is Q[x] (x)_{Q[x]^W} Q[x],
+    with c_T(f) <-> 1 (x) f (A. Borel, Ann. of Math. 57, 1953), so the
+    base change of phi along Q[x]^W -> Q[x] sends e_I to c_I, and
+    :func:`verify_basis` proves it an isomorphism.  Q[x] is free of rank
+    |W| over Q[x]^W (C. Chevalley, Amer. J. Math. 77, 1955), so faithfully
+    flat, and a map that becomes an isomorphism after a faithfully flat
+    base change was one already.  phi keeps degrees, so in each degree
+    the products g * x^I, g running over the monomials in the fundamental
+    invariants (a basis of Q[x]^W, by the same theorem), are a basis:
+    the rank and the count checked here both equal the dimension."""
     indices = _level_sums(rs.rank, _level_exponents(rs.kind, rs.rank), max_degree)
     rep = Report()
     gens = invariant_generators(rs)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import linalg
@@ -454,214 +454,162 @@ def product_bundle(base: GkmGraph, fiber: GkmGraph) -> BundleMap:
 # verification
 
 
-def _projection_fault(b: BundleMap) -> str:
-    """Why pi or dpi does not map into the graphs, or "" if they do."""
+def _projection_fault(b: BundleMap) -> list:
+    """[why pi or dpi does not map into the graphs], or [] if they do: the
+    first witness of every check that reads them."""
     if len(b.pi) != b.total.nvertices:
-        return f"pi has {len(b.pi)} entries for {b.total.nvertices} total vertices"
+        return [f"pi has {len(b.pi)} entries for {b.total.nvertices} total vertices"]
     for q, p in enumerate(b.pi):
         if not 0 <= p < b.base.nvertices:
-            return f"pi sends {b.total.vertices[q]} to {p}, not a base vertex"
+            return [f"pi sends {b.total.vertices[q]} to {p}, not a base vertex"]
     for eid, beid in b.dpi.items():
         if not 0 <= eid < len(b.total.edges):
-            return f"dpi has key {eid}, not a total edge"
+            return [f"dpi has key {eid}, not a total edge"]
         if not 0 <= beid < len(b.base.edges):
-            return f"dpi sends {b.total.edge_str(eid)} to {beid}, not a base edge"
-    return ""
+            return [f"dpi sends {b.total.edge_str(eid)} to {beid}, not a base edge"]
+    return []
 
 
 def verify_fibration(b: BundleMap) -> Report:
     """graph-morphism and dpi-bijective.  When pi or dpi points outside
-    the graphs, graph-morphism fails with the first such entry and
-    dpi-bijective, which cannot run, fails with the same witness."""
+    the graphs, the first such entry is the first witness of both."""
     rep = Report()
-    fault = _projection_fault(b)
-    if fault:
-        rep.add("graph-morphism", False, fault)
-        rep.add("dpi-bijective", False, fault)
-        return rep
-    bad = ""
+    blocked = _projection_fault(b)
+    rep.first("graph-morphism", chain(blocked, _morphism_faults(b)))
+    rep.first("dpi-bijective", chain(blocked, (
+        f"horizontal differential not bijective at vertex {b.total.vertices[q]}"
+        for q in range(b.total.nvertices)
+        if sorted(b.dpi[eid] for eid in b.total.edges_at[q] if eid in b.dpi)
+        != sorted(b.base.edges_at[b.pi[q]]))))
+    return rep
+
+
+def _morphism_faults(b: BundleMap):
+    """The graph-morphism witnesses, total edge by total edge."""
     for eid, e in enumerate(b.total.edges):
         beid = b.dpi.get(eid)
         if b.pi[e.src] == b.pi[e.dst]:
             if beid is not None:
-                bad = f"edge {b.total.edge_str(eid)} misclassified"
-                break
+                yield f"edge {b.total.edge_str(eid)} misclassified"
         elif beid is None:
-            bad = f"horizontal edge {b.total.edge_str(eid)} has no projection"
-            break
-        else:
-            be = b.base.edges[beid]
-            if (be.src, be.dst) != (b.pi[e.src], b.pi[e.dst]):
-                bad = (f"projection of {b.total.edge_str(eid)} has wrong "
-                       f"endpoints")
-                break
-    rep.add("graph-morphism", not bad, bad)
-
-    bad = ""
-    for q in range(b.total.nvertices):
-        images = [b.dpi[eid] for eid in b.total.edges_at[q] if eid in b.dpi]
-        if sorted(images) != sorted(b.base.edges_at[b.pi[q]]):
-            bad = (f"horizontal differential not bijective at vertex "
-                   f"{b.total.vertices[q]}")
-            break
-    rep.add("dpi-bijective", not bad, bad)
-    return rep
-
-
-# The checks of verify_fiber_bundle after those of the two graphs.
-_BUNDLE_CHECKS = ("lifted-labels", "connection-preserves-class",
-                  "horizontal-connection-compatible", "transition-from-lifts",
-                  "transition-connection-compatible", "transition-gkm-iso")
+            yield f"horizontal edge {b.total.edge_str(eid)} has no projection"
+        elif (b.base.edges[beid].src, b.base.edges[beid].dst) != (b.pi[e.src], b.pi[e.dst]):
+            yield f"projection of {b.total.edge_str(eid)} has wrong endpoints"
 
 
 def verify_fiber_bundle(b: BundleMap) -> Report:
     """All the fiber-bundle axioms, data-driven so mutations are caught.
 
-    Like :func:`verify_gkm` and :func:`verify_iso`, the label axioms are
-    decided once per distinct label: the transition-gkm-iso shift check
-    asks "Psi(lambda) - lambda in Q*alpha" once per label lambda of the
-    fiber subgraph over the tail of each base edge, read off its interned
-    ``labels``, which are in order of first occurrence, so the first
-    witness is that of a per-edge check.  The fibers and their subgraphs
-    are derived from the bundle data once per call, and lifts come from
-    :meth:`BundleMap.lift_edge`; nothing is stored on the bundle, whose
-    data may change after construction.  A transition
-    check that cannot run (no transition, a vertex map that is not a
-    bijection of fibers, a base edge without exactly one lift at a
-    vertex) fails with that reason; if pi or dpi points outside the
-    graphs, every bundle check fails with the first such entry.
+    Every check is a walk that yields its witnesses in order, and
+    :meth:`Report.first` keeps the first, so a walk stops at its first
+    witness.  If pi or dpi points outside the graphs, the first such
+    entry is the first witness of every bundle check, and nothing that
+    reads them runs.  Like :func:`verify_gkm` and :func:`verify_iso`, the
+    label axioms are decided once per distinct label: the
+    transition-gkm-iso shift check asks "Psi(lambda) - lambda in
+    Q*alpha" once per label lambda of the fiber subgraph over the tail of
+    each base edge, read off its interned ``labels``, which are in order
+    of first occurrence, so the first witness is that of a per-edge
+    check.  The fibers are derived from the bundle data once per call,
+    and each fiber subgraph on first use; lifts come from
+    :meth:`BundleMap.lift_edge`.  Nothing is stored on the bundle, whose
+    data may change after construction.  The transition checks walk the
+    base edges through :func:`_transition_faults`: an edge whose
+    transition cannot be checked (none is stored, or its vertex map is
+    not a bijection of fibers) is a witness, and so is a vertex at which
+    a base edge has not exactly one lift.
     """
     rep = verify_fibration(b)
-    for check in verify_gkm(b.total).checks:
-        rep.add("total-" + check.name, check.passed, check.witness)
-    for check in verify_gkm(b.base).checks:
-        rep.add("base-" + check.name, check.passed, check.witness)
-    fault = _projection_fault(b)
-    if fault:
-        for name in _BUNDLE_CHECKS:
-            rep.add(name, False, fault)
-        return rep
+    for prefix, g in (("total-", b.total), ("base-", b.base)):
+        for check in verify_gkm(g).checks:
+            rep.add(prefix + check.name, check.passed, check.witness)
+    blocked = _projection_fault(b)
+    total, base, dpi = b.total, b.base, b.dpi
+    fibers = [] if blocked else b.fibers()  # with a pi outside the base it would raise
+    rep.first("lifted-labels", chain(blocked, (
+        f"lift {total.edge_str(eid)} does not carry the base label {base.edges[beid].label}"
+        for eid, beid in dpi.items() if total.edges[eid].label != base.edges[beid].label)))
+    rep.first("connection-preserves-class", chain(blocked, (
+        f"connection along {total.edge_str(eid)} mixes vertical and horizontal at "
+        f"{total.edge_str(e1)}"
+        for eid in range(len(total.edges)) for e1, e2 in total.connection_pairs(eid)
+        if (e1 in dpi) != (e2 in dpi))))
+    rep.first("horizontal-connection-compatible", chain(blocked, (
+        f"horizontal connection over {base.edge_str(beid)} is not compatible at "
+        f"{total.edge_str(e1)}"
+        for eid, beid in dpi.items() for e1, e2 in total.connection_pairs(eid)
+        # a wrong dpi can send e1 off the tail of beid, where it has no image
+        if e1 in dpi and dpi.get(e2) != (base.along(beid, dpi[e1])
+                                         if base.edges[dpi[e1]].src == base.edges[beid].src
+                                         else None))))
 
-    bad = ""
-    for eid, beid in b.dpi.items():
-        if b.total.edges[eid].label != b.base.edges[beid].label:
-            bad = (f"lift {b.total.edge_str(eid)} does not carry the base "
-                   f"label {b.base.edges[beid].label}")
-            break
-    rep.add("lifted-labels", not bad, bad)
+    def disagrees(beid, t, p, lifted):
+        if total.edges[lifted].dst != t.vmap[p]:
+            yield (f"transition across {base.edge_str(beid)} disagrees "
+                   f"with path lifting at {total.vertices[p]}")
 
-    bad = ""
-    for eid in range(len(b.total.edges)):
-        for e1, e2 in b.total.connection_pairs(eid):
-            if (e1 in b.dpi) != (e2 in b.dpi):
-                bad = (f"connection along {b.total.edge_str(eid)} mixes "
-                       f"vertical and horizontal at {b.total.edge_str(e1)}")
-                break
-        if bad:
-            break
-    rep.add("connection-preserves-class", not bad, bad)
+    def unfollowed(beid, t, p, lifted):
+        return (f"connection along a lift of {base.edge_str(beid)} does not follow the "
+                f"transition at {total.edge_str(e1)}"
+                for e1, e2 in total.connection_pairs(lifted)
+                if e1 not in dpi and (total.edges[e2].src != t.vmap[p]
+                                      or total.edges[e2].dst != t.vmap.get(total.edges[e1].dst)))
 
-    bad = ""
-    for eid, beid in b.dpi.items():
-        for e1, e2 in b.total.connection_pairs(eid):
-            if e1 not in b.dpi:
-                continue
-            # a wrong dpi can send e1 off the tail of beid, where it has no image
-            x = b.dpi[e1]
-            want = b.base.along(beid, x) if b.base.edges[x].src == b.base.edges[beid].src else None
-            got = b.dpi.get(e2)
-            if want != got:
-                bad = (f"horizontal connection over {b.base.edge_str(beid)} "
-                       f"is not compatible at {b.total.edge_str(e1)}")
-                break
-        if bad:
-            break
-    rep.add("horizontal-connection-compatible", not bad, bad)
-
-    fibers = b.fibers()
-    unusable = {}  # base edge -> why its transition cannot be checked
-    for beid, e in enumerate(b.base.edges):
-        t = b.transitions.get(beid)
-        if t is None:
-            unusable[beid] = f"no transition stored for {b.base.edge_str(beid)}"
-        elif sorted(t.vmap) != fibers[e.src] or sorted(t.vmap.values()) != fibers[e.dst]:
-            unusable[beid] = f"transition across {b.base.edge_str(beid)} is not a bijection"
-
-    bad = ""
-    for beid, e in enumerate(b.base.edges):
-        if beid in unusable:
-            bad = unusable[beid]
-            break
-        for p in fibers[e.src]:
-            try:
-                lifted = b.lift_edge(beid, p)
-            except ValueError as exc:
-                bad = str(exc)
-                break
-            if b.total.edges[lifted].dst != b.transitions[beid].vmap[p]:
-                bad = (f"transition across {b.base.edge_str(beid)} disagrees "
-                       f"with path lifting at {b.total.vertices[p]}")
-                break
-        if bad:
-            break
-    rep.add("transition-from-lifts", not bad, bad)
-
-    bad = ""
-    for beid, e in enumerate(b.base.edges):
-        if beid in unusable:
-            bad = unusable[beid]
-            break
-        vmap = b.transitions[beid].vmap
-        for p in fibers[e.src]:
-            try:
-                lifted = b.lift_edge(beid, p)
-            except ValueError as exc:
-                bad = str(exc)
-                break
-            for e1, e2 in b.total.connection_pairs(lifted):
-                if e1 in b.dpi:
-                    continue
-                if (b.total.edges[e2].src != vmap[p]
-                        or b.total.edges[e2].dst != vmap.get(b.total.edges[e1].dst)):
-                    bad = (f"connection along a lift of {b.base.edge_str(beid)} "
-                           f"does not follow the transition at "
-                           f"{b.total.edge_str(e1)}")
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("transition-connection-compatible", not bad, bad)
-
-    bad = ""
     subgraphs = {}  # base vertex -> its fiber subgraph, built on first use
-    for beid, e in enumerate(b.base.edges):
-        if beid in unusable:
-            bad = unusable[beid]
-            break
+
+    def not_an_iso(beid, e, t):
         try:
             for p in (e.src, e.dst):
                 if p not in subgraphs:
-                    subgraphs[p] = induced_subgraph(b.total, fibers[p])
+                    subgraphs[p] = induced_subgraph(total, fibers[p])
         except ValueError as exc:  # check_subgraph on a broken connection
-            bad = f"transition across {b.base.edge_str(beid)}: {exc}"
-            break
+            yield f"transition across {base.edge_str(beid)}: {exc}"
+            return
         (sub_p, vmap_p, _), (sub_q, vmap_q, _) = subgraphs[e.src], subgraphs[e.dst]
-        iso = _transition_iso(b.transitions[beid], vmap_p, vmap_q)
+        iso = _transition_iso(t, vmap_p, vmap_q)
         if not verify_iso(iso, sub_p, sub_q):
-            bad = (f"transition across {b.base.edge_str(beid)} is not an "
+            yield (f"transition across {base.edge_str(beid)} is not an "
                    f"isomorphism of labeled fibers")
-            break
-        alpha = e.label
-        for label in sub_p.labels:
-            if (iso.apply_form(label) - label).proportional_to(alpha) is None:
-                bad = (f"linear part across {b.base.edge_str(beid)} does not "
-                       f"shift {label} along {alpha}")
-                break
-        if bad:
-            break
-    rep.add("transition-gkm-iso", not bad, bad)
+        else:
+            yield from (f"linear part across {base.edge_str(beid)} does not shift {label} "
+                        f"along {e.label}" for label in sub_p.labels
+                        if (iso.apply_form(label) - label).proportional_to(e.label) is None)
+
+    rep.first("transition-from-lifts", chain(blocked, _lift_faults(b, fibers, disagrees)))
+    rep.first("transition-connection-compatible", chain(blocked, _lift_faults(b, fibers, unfollowed)))
+    rep.first("transition-gkm-iso", chain(blocked, _transition_faults(b, fibers, not_an_iso)))
     return rep
+
+
+def _transition_faults(b: BundleMap, fibers, faults):
+    """The witnesses of one transition check, base edge by base edge: the
+    reason an edge's transition cannot be used (none is stored, or its
+    vertex map is not a bijection of the fibers), else the witnesses
+    ``faults(beid, e, t)`` yields for the edge and its transition."""
+    for beid, e in enumerate(b.base.edges):
+        t = b.transitions.get(beid)
+        if t is None:
+            yield f"no transition stored for {b.base.edge_str(beid)}"
+        elif sorted(t.vmap) != fibers[e.src] or sorted(t.vmap.values()) != fibers[e.dst]:
+            yield f"transition across {b.base.edge_str(beid)} is not a bijection"
+        else:
+            yield from faults(beid, e, t)
+
+
+def _lift_faults(b: BundleMap, fibers, faults):
+    """:func:`_transition_faults` of a check on the lifts of each base
+    edge, vertex by vertex over its tail: where the edge has not exactly
+    one lift, the text of :meth:`BundleMap.lift_edge`, else the witnesses
+    ``faults(beid, t, p, lift)`` yields."""
+    def at_edge(beid, e, t):
+        for p in fibers[e.src]:
+            try:
+                lifted = b.lift_edge(beid, p)
+            except ValueError as exc:
+                yield str(exc)
+            else:
+                yield from faults(beid, t, p, lifted)
+    return _transition_faults(b, fibers, at_edge)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from gkmflag.gkmgraph import (
     Edge,
     GkmGraph,
     GkmIso,
+    Report,
     check_subgraph,
     class_from_json,
     class_to_json,
@@ -53,6 +54,19 @@ def column_class(flag, fn):
 
 # ----------------------------------------------------------------------
 # axioms
+
+
+def test_report_first_reads_one_witness_only():
+    def walk():
+        yield "first witness"
+        raise RuntimeError("read past the first witness")
+
+    rep = Report()
+    rep.first("a", walk())
+    rep.first("b", iter(()))
+    rep.first("c", ["one", "two"])
+    assert [(c.name, c.passed, c.witness) for c in rep.checks] == [
+        ("a", False, "first witness"), ("b", True, ""), ("c", False, "one")]
 
 
 def test_k2_k3_pass():

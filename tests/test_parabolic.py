@@ -15,6 +15,7 @@ from gkmflag.gkmgraph import (
     verify_gkm,
     verify_iso,
 )
+from gkmflag import parabolic
 from gkmflag.linalg import identity_matrix, mat_vec
 from gkmflag.parabolic import (
     base_tree,
@@ -361,20 +362,34 @@ def _pi_off_the_base(b):
     b.pi[0] = 99
 
 
+def _dpi_key_off_the_total(b):
+    b.dpi[999] = 0
+
+
+def _pi_short(b):
+    b.pi.pop()
+
+
 @pytest.mark.parametrize("tamper,witness", [
     (_dpi_off_the_base, "dpi sends (1,2,3 -> 2,1,3; x1 - x2) to 999, not a base edge"),
     (_pi_off_the_base, "pi sends 1,2,3 to 99, not a base vertex"),
-], ids=["dpi-999", "pi-99"])
+    (_dpi_key_off_the_total, "dpi has key 999, not a total edge"),
+    (_pi_short, "pi has 5 entries for 6 total vertices"),
+], ids=["dpi-999", "pi-99", "dpi-key-999", "pi-short"])
 def test_projection_outside_the_base_is_reported_not_raised(tamper, witness):
+    """The fault is the first witness of every check that reads pi or
+    dpi, and the report names the checks of a passing bundle, in order."""
     _, b = tower("A", 2)
     mutated = copy.deepcopy(b)
     tamper(mutated)
     rep = verify_fibration(mutated)
     assert [(c.name, c.passed, c.witness) for c in rep.checks] == [
         ("graph-morphism", False, witness), ("dpi-bijective", False, witness)]
-    failed = {c.name: c.witness for c in verify_fiber_bundle(mutated).failures()}
-    assert failed["graph-morphism"] == witness
-    assert failed["transition-gkm-iso"] == witness
+    rep = verify_fiber_bundle(mutated)
+    assert [c.name for c in rep.checks] == [c.name for c in verify_fiber_bundle(b).checks]
+    assert [(c.name, c.witness) for c in rep.failures()] == [
+        (c.name, witness) for c in rep.checks if not c.name.startswith(("total-", "base-"))]
+    assert len(rep.failures()) == 8
 
 
 def _drop_projection(b):
@@ -505,6 +520,44 @@ def test_tampered_a3_transition_fails_gkm_iso_with_its_witness(tamper, witness):
     tamper(rs, mutated, 5)
     failed = {c.name: c.witness for c in verify_fiber_bundle(mutated).failures()}
     assert failed["transition-gkm-iso"] == witness
+
+
+TRANSITION_CHECKS = ("transition-from-lifts", "transition-connection-compatible",
+                     "transition-gkm-iso")
+
+
+def test_each_transition_check_names_the_lower_of_two_tampered_edges():
+    rs, b = tower("A", 3)
+
+    def witnesses(*beids):
+        mutated = copy.deepcopy(b)
+        for beid in beids:
+            _conjugated_transition(rs, mutated, beid)
+        failed = {c.name: c.witness for c in verify_fiber_bundle(mutated).failures()}
+        assert set(failed) == set(TRANSITION_CHECKS)
+        return failed
+
+    lower, upper = witnesses(2), witnesses(9)
+    for name in TRANSITION_CHECKS:
+        assert b.base.edge_str(2) in lower[name]
+        assert b.base.edge_str(9) in upper[name]
+    assert witnesses(9, 2) == lower
+
+
+def test_gkm_iso_check_stops_at_its_first_witness(monkeypatch):
+    """After the witness at base edge 0, no other fiber subgraph is built."""
+    rs, b = tower("A", 3)
+    mutated = copy.deepcopy(b)
+    _identity_psi(rs, mutated, 0)
+    built = []
+    induced = parabolic.induced_subgraph
+    monkeypatch.setattr(parabolic, "induced_subgraph",
+                        lambda g, vs: built.append(sorted(vs)) or induced(g, vs))
+    failed = {c.name: c.witness for c in verify_fiber_bundle(mutated).failures()}
+    assert failed == {"transition-gkm-iso": "transition across (1,2,3,4 -> 2,1,3,4; x1 - x2) "
+                                            "is not an isomorphism of labeled fibers"}
+    e = b.base.edges[0]
+    assert built == [b.fiber_vertices(e.src), b.fiber_vertices(e.dst)]
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """The scripts under scripts/ run end to end and exit 0."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 from gkmflag.cli import main
+from gkmflag.gkmgraph import Check, Report
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -21,6 +23,26 @@ def test_run_verification_passes():
     out = run_script("run_verification.py")
     assert "FAIL" not in out
     assert out.splitlines()[-1].startswith("total: PASS")
+    for kind in "ABCD":
+        assert f"CHECK invariant-module-{kind}8: PASS\n" in out
+
+
+def test_run_verification_prints_what_failed(capsys):
+    spec = importlib.util.spec_from_file_location("run_verification",
+                                                  SCRIPTS / "run_verification.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rep = Report()
+    rep.add("count", True)
+    rep.add("spanning", False, "level 2 fails")
+    rep.add("independence", False)
+    assert not script.show("basis-X1", rep)
+    assert script.show("basis-X2", Report([Check("count", True)]))
+    assert capsys.readouterr().out == (
+        "CHECK basis-X1: FAIL\n"
+        "  CHECK spanning: FAIL level 2 fails\n"
+        "  CHECK independence: FAIL\n"
+        "CHECK basis-X2: PASS\n")
 
 
 def test_reproduce_tables_prints_both_rank_2_tables():
