@@ -29,7 +29,10 @@ a bundle, an entry of pi or dpi that points outside the graphs is the
 first witness of every check that reads them.
 
 A cohomology class assigns a polynomial to every vertex so that the two
-ends of each edge agree modulo the edge label.  Classes form a ring, and
+ends of each edge agree modulo the edge label: their difference leaves
+no remainder under ``Polynomial.divrem_linear``, ``polyring``'s one
+division by a linear form, whose remainder is the restriction to the
+hyperplane where the label vanishes.  Classes form a ring, and
 pullback along an isomorphism sends classes to classes, so ring
 operations and :func:`pullback_class` never re-check their output.  The
 class condition is checked only where values come from outside the
@@ -239,7 +242,7 @@ def verify_gkm(g: GkmGraph) -> Report:
     """
     rep = Report()
     labels, lid = g.labels, g.label_id
-    rep.first("edge-reversal", _reversal_faults(g, [-label for label in labels]))
+    rep.first("edge-reversal", _reversal_faults(g))
     degrees = {len(g.edges_at[p]) for p in range(g.nvertices)}
     rep.add("regular", len(degrees) <= 1, f"vertex degrees {sorted(degrees)}")
     proportional = cache(lambda a, b: labels[a].proportional_to(labels[b]) is not None)
@@ -257,9 +260,11 @@ def verify_gkm(g: GkmGraph) -> Report:
     return rep
 
 
-def _reversal_faults(g: GkmGraph, negated):
-    """The edge-reversal witnesses, edge by edge; ``negated`` holds the
-    negation of each distinct label."""
+def _reversal_faults(g: GkmGraph):
+    """The edge-reversal witnesses, edge by edge; the negation and the
+    zero test of each distinct label are taken once, by label id."""
+    negated = [-label for label in g.labels]
+    zero = [label.is_zero() for label in g.labels]
     for eid, e in enumerate(g.edges):
         r = g.reverse[eid]
         if not (0 <= r < len(g.edges) and g.reverse[r] == eid != r):
@@ -268,7 +273,7 @@ def _reversal_faults(g: GkmGraph, negated):
             yield f"reverse of {g.edge_str(eid)} has wrong endpoints"
         elif g.edges[r].label != negated[g.label_id[eid]]:
             yield f"label of reverse of {g.edge_str(eid)} is not negated"
-        elif e.label.is_zero():
+        elif zero[g.label_id[eid]]:
             yield f"zero label on {g.edge_str(eid)}"
 
 
@@ -358,25 +363,18 @@ class CohClass:
 def coh_failure(c: CohClass):
     """The first edge violating divisibility, or None if c is a class.
 
-    Each unoriented edge is checked once, in edge order, with
-    ``Polynomial.congruent_on``: the values at its ends are restricted
-    to the hyperplane where the label vanishes, and they must agree
-    there.  That restriction is the remainder ``divrem_linear`` would
-    leave on the difference, so the verdict and the first failing edge
-    are those of long division; labels with three or more nonzero
-    coefficients are decided by ``divrem_linear`` itself.  Each label's
-    substitution (``LinearForm.hyperplane``) is derived once per label
-    id, on the first edge that carries it.
+    Each unoriented edge is checked once, in edge order: the difference
+    of the values at its ends must leave no remainder under
+    ``Polynomial.divrem_linear`` by the label, that is, vanish on the
+    hyperplane where the label does.  An edge whose two values are equal
+    passes without a division.
     """
     g = c.graph
-    planes: dict[int, tuple | None] = {}
     for eid, e in enumerate(g.edges):
         if eid > g.reverse[eid]:
             continue  # each unoriented edge once
-        k = g.label_id[eid]
-        if k not in planes:
-            planes[k] = e.label.hyperplane()
-        if not c.values[e.dst].congruent_on(c.values[e.src], e.label, planes[k]):
+        hi, lo = c.values[e.dst], c.values[e.src]
+        if hi != lo and not (hi - lo).divrem_linear(e.label)[1].is_zero():
             return eid
     return None
 

@@ -23,9 +23,10 @@ same grammar with arbitrary whitespace.
 Linear forms (degree-one polynomials without constant term) get their own
 lightweight class because they are used as dictionary keys (roots, edge
 labels) and support the handful of vector operations the rest of the code
-needs: negation, scaling, proportionality tests, division of a
-polynomial by a linear form, and a divisibility test that restricts the
-polynomial to the form's hyperplane instead of dividing.
+needs: negation, scaling, proportionality tests, and division of a
+polynomial by a linear form.  That division, ``divrem_linear``, is the
+one exact step behind every divisibility test: its remainder is the
+restriction of the polynomial to the form's hyperplane.
 
 All values are immutable by convention: no operation mutates its inputs,
 so instances can be shared freely across threads.
@@ -159,26 +160,6 @@ class LinearForm:
                 elif ratio != c:
                     return None
         return c
-
-    def hyperplane(self):
-        """The substitution that restricts a polynomial to the hyperplane
-        self = 0, for :meth:`Polynomial.congruent_on`: (p, q, ratio) for
-        x_p -> ratio*x_q, with p the pivot of ``divrem_linear`` and q None
-        when self = a*x_p (x_p -> 0); None when self has three or more
-        nonzero coefficients."""
-        support = [i for i, c in enumerate(self.coeffs) if c != 0]
-        if not support:
-            raise ZeroDivisionError("division by zero linear form")
-        if len(support) > 2:
-            return None
-        p = support[-1]
-        if len(support) == 1:
-            return p, None, 0
-        q = support[0]
-        a, b = self.coeffs[p], self.coeffs[q]
-        # For the roots x_q -+ x_p the ratio is +-1, so that their terms are
-        # negated or kept, never multiplied.
-        return p, q, 1 if b == -a else -1 if b == a else _div(-b, a)
 
     def to_polynomial(self) -> "Polynomial":
         terms = {}
@@ -417,97 +398,45 @@ class Polynomial:
         return result
 
     def divrem_linear(self, l: LinearForm) -> tuple["Polynomial", "Polynomial"]:
-        """Divide by a nonzero linear form.
+        """Divide by a nonzero linear form; the module's one such division.
 
         Returns (q, r) with self == q*l + r where r does not involve the
-        pivot variable of l (the highest-index variable with nonzero
-        coefficient).  self is divisible by l iff r == 0, and that fact is
-        independent of the pivot choice; the fixed pivot rule just makes
-        the pair (q, r) deterministic.
+        pivot variable x_p of l (its highest-index variable with nonzero
+        coefficient).  That pair is unique, and r is the restriction of
+        self to the hyperplane l = 0, with x_p solved for: self is
+        divisible by l iff r == 0.
+
+        It is synthetic division in x_p.  With l = a*x_p + m and
+        self = sum_k f_k*x_p^k, each f_k free of x_p, the quotient
+        q = sum_k q_k*x_p^k has q_{k-1} = (f_k - m*q_k)/a from the top
+        power down, and r = f_0 - m*q_0.
         """
         if l.varcount != self.varcount:
             raise ValueError("varcount mismatch")
-        if l.is_zero():
+        m = [(i, c) for i, c in enumerate(l.coeffs) if c != 0]
+        if not m:
             raise ZeroDivisionError("division by zero linear form")
-        p = max(i for i, c in enumerate(l.coeffs) if c != 0)
-        a = l.coeffs[p]
-        work = dict(self.terms)
+        p, a = m.pop()
+        # one inverse for every step; a unit pivot is its own inverse, so
+        # integral work stays in int
+        inv = a if a in (1, -1) else _div(1, a)
+        # f[k]: the terms of self with x_p^k, keyed by exponents free of x_p
+        f = [{} for _ in range(1 + max((e[p] for e in self.terms), default=0))]
+        for e, c in self.terms.items():
+            f[e[p]][e[:p] + (0,) + e[p + 1:]] = c
         qterms: dict = {}
-        while True:
-            cand = [e for e in work if e[p] > 0]
-            if not cand:
-                break
-            e = max(cand, key=grlex_key)
-            c = work[e]
-            eq = list(e)
-            eq[p] -= 1
-            eq = tuple(eq)
-            factor = _div(c, a)
-            qterms[eq] = qterms.get(eq, 0) + factor
-            # work -= factor * x^eq * l
-            for i, li in enumerate(l.coeffs):
-                if li == 0:
-                    continue
-                et = list(eq)
-                et[i] += 1
-                et = tuple(et)
-                s = work.get(et, 0) - factor * li
-                if s == 0:
-                    work.pop(et, None)
-                else:
-                    work[et] = s
-        return Polynomial(self.varcount, qterms), Polynomial(self.varcount, work)
-
-    def is_multiple_of(self, l: LinearForm) -> bool:
-        """Whether l divides self, decided on the hyperplane l = 0.
-
-        Let p be the pivot of :meth:`divrem_linear` (the highest-index
-        variable of l) and a its coefficient.  The substitution
-        x_p -> x_p - l/a is a ring homomorphism that kills l and fixes
-        every polynomial free of x_p; applied to self == q*l + r it gives
-        exactly the remainder r.  So l divides self iff the image is zero,
-        and no division is done.  For l = a*x_p the image keeps the terms
-        without x_p; for l = a*x_p + b*x_q it sends x^e to
-        (-b/a)^{e_p} * x^{e'}, with e'_q = e_q + e_p and e'_p = 0, and sums
-        the coefficients per e'.  Forms with three or more nonzero
-        coefficients fall back to ``divrem_linear``.
-        """
-        return self.congruent_mod(Polynomial.zero(self.varcount), l)
-
-    def congruent_mod(self, other: "Polynomial", l: LinearForm) -> bool:
-        """Whether l divides self - other, as :meth:`is_multiple_of`
-        decides it, without building the difference: the terms of self
-        and the negated terms of other go into one restriction."""
-        return self.congruent_on(other, l, l.hyperplane())
-
-    def congruent_on(self, other: "Polynomial", l: LinearForm, plane) -> bool:
-        """:meth:`congruent_mod` with ``plane == l.hyperplane()`` given, so
-        that a caller checking many pairs against few forms derives each
-        substitution once."""
-        self._check_compatible(other)
-        if l.varcount != self.varcount:
-            raise ValueError("varcount mismatch")
-        if plane is None:
-            return (self - other).divrem_linear(l)[1].is_zero()
-        p, q, ratio = plane
-        if q is None:
-            return ({e: c for e, c in self.terms.items() if not e[p]}
-                    == {e: c for e, c in other.terms.items() if not e[p]})
-        acc: dict = {}
-        for terms, sign in ((self.terms, 1), (other.terms, -1)):
-            for e, c in terms.items():
-                w = sign
-                k = e[p]
-                if k:
-                    e = e[:q] + (e[q] + k,) + e[q + 1:p] + (0,) + e[p + 1:]
-                    w = sign * ratio ** k
-                if w == -1:
-                    c = -c
-                elif w != 1:
-                    c = c * w
-                old = acc.get(e)
-                acc[e] = c if old is None else old + c
-        return not any(acc.values())
+        level: dict = {}  # q_k, keyed as f[k]; zero above the top power
+        for k in range(len(f) - 1, -1, -1):
+            acc = f[k]  # becomes f_k - m*q_k
+            for e, c in level.items():
+                for i, mi in m:
+                    et = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    acc[et] = acc.get(et, 0) - mi * c
+            if not k:
+                return Polynomial(self.varcount, qterms), Polynomial(self.varcount, acc)
+            level = {e: c * inv for e, c in acc.items() if c}
+            for e, c in level.items():
+                qterms[e[:p] + (k - 1,) + e[p + 1:]] = c
 
     def divmod_poly(self, g: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Single-divisor division with remainder in graded-lex order.

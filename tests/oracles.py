@@ -25,9 +25,11 @@ form, instead of by nilCoxeter products or the class condition, the
 projection oracle maps the edges of a coset bundle by the Weyl action
 instead of by matching endpoints, the extension oracle carries
 values across the base edge by edge instead of testing holonomy
-elements, the division oracle decides the class condition by long
-division of each edge difference instead of by restriction to the
-label's hyperplane, the table emitter writes the Schubert TSV whole from
+elements, the restriction oracle decides the class condition by
+substituting the solution of label = 0 into each edge difference
+instead of dividing, the long-division oracle divides by a linear form
+one grlex leading term at a time instead of by synthetic division in
+the pivot variable, the table emitter writes the Schubert TSV whole from
 the stored table instead of streaming it from the walk, the term
 formatter writes a polynomial's text term by term with no memo and
 none of ``polyring``'s helpers, the file oracle writes a graph or bundle
@@ -57,7 +59,7 @@ from gkmflag import linalg
 from gkmflag.gkmgraph import CohClass, GkmGraph, Report, coh_failure, graph_to_json
 from gkmflag.invbases import _basis_failures, class_cI, index_set, tower_bundle
 from gkmflag.parabolic import base_tree, build_coset_graph, typical_fiber
-from gkmflag.polyring import LinearForm, Polynomial
+from gkmflag.polyring import LinearForm, Polynomial, grlex_key
 from gkmflag.rootsys import group_closure
 from gkmflag.schubert import flag_graph, schubert_table
 
@@ -154,16 +156,61 @@ def connection_failure(g):
     return None
 
 
-def coh_failure_by_division(c):
+def restrict_to_hyperplane(f, l):
+    """f restricted to the hyperplane l = 0: ``substitute_linear`` sends
+    the pivot x_p (the highest-index variable of l) to -m/a, for
+    l = a*x_p + m, and fixes every other variable."""
+    p = max(i for i, c in enumerate(l.coeffs) if c != 0)
+    images = []
+    for i in range(l.varcount):
+        unit = [0] * l.varcount
+        if i == p:
+            unit = [Fraction(-c, l.coeffs[p]) for c in l.coeffs]
+            unit[p] = 0
+        else:
+            unit[i] = 1
+        images.append(LinearForm(unit))
+    return f.substitute_linear(images)
+
+
+def coh_failure_by_restriction(c):
     """The first unoriented edge whose end values differ by a
-    non-multiple of its label, found with ``divrem_linear``."""
+    non-multiple of its label: a difference that does not vanish on the
+    label's hyperplane."""
     g = c.graph
     for eid, e in enumerate(g.edges):
         if eid > g.reverse[eid]:
             continue
-        if not (c.values[e.dst] - c.values[e.src]).divrem_linear(e.label)[1].is_zero():
+        if not restrict_to_hyperplane(c.values[e.dst] - c.values[e.src], e.label).is_zero():
             return eid
     return None
+
+
+def divrem_by_long_division(f, l):
+    """(q, r) with f == q*l + r and r free of the pivot x_p of l, by
+    long division: while a term holds x_p, the grlex-largest such term
+    is cancelled by a multiple of l."""
+    p = max(i for i, c in enumerate(l.coeffs) if c != 0)
+    a = l.coeffs[p]
+    work = dict(f.terms)
+    qterms = {}
+    while True:
+        cand = [e for e in work if e[p] > 0]
+        if not cand:
+            break
+        e = max(cand, key=grlex_key)
+        factor = Fraction(work[e]) / a
+        eq = e[:p] + (e[p] - 1,) + e[p + 1:]
+        qterms[eq] = qterms.get(eq, 0) + factor
+        for i, li in enumerate(l.coeffs):
+            if li:
+                et = eq[:i] + (eq[i] + 1,) + eq[i + 1:]
+                s = work.get(et, 0) - factor * li
+                if s == 0:
+                    work.pop(et, None)
+                else:
+                    work[et] = s
+    return Polynomial(f.varcount, qterms), Polynomial(f.varcount, work)
 
 
 def gkm_report_by_edges(g):

@@ -35,7 +35,8 @@ from gkmflag.parabolic import build_coset_graph
 from gkmflag.polyring import LinearForm, Polynomial
 from gkmflag.rootsys import RootSystem
 
-from oracles import changed_graph, coh_failure_by_division, gkm_report_by_edges, json_file_text
+from oracles import (changed_graph, coh_failure_by_restriction, divrem_by_long_division,
+                     gkm_report_by_edges, json_file_text, restrict_to_hyperplane)
 
 
 @pytest.fixture(scope="module")
@@ -278,8 +279,9 @@ def _tampered_at_one_edge(c):
                                     ("C", 2), ("C", 3), ("D", 3)])
 def test_restriction_verdicts_match_long_division_on_flag_graphs(kind, n):
     """On every unoriented edge, for every basis_family class and one
-    tampered class, congruent_mod and is_multiple_of agree with the
-    remainder of divrem_linear, and coh_failure with its oracle."""
+    tampered class, the divrem_linear remainder of the edge difference is
+    its restriction to the label's hyperplane, the verdict is that of
+    long division, and coh_failure agrees with its restriction oracle."""
     classes = basis_family(RootSystem(kind, n)).classes
     tampered, bad_edge = _tampered_at_one_edge(classes[-1])
     g = tampered.graph
@@ -287,23 +289,23 @@ def test_restriction_verdicts_match_long_division_on_flag_graphs(kind, n):
         for eid, e in enumerate(g.edges):
             if eid > g.reverse[eid]:
                 continue
-            hi, lo = c.values[e.dst], c.values[e.src]
-            divisible = (hi - lo).divrem_linear(e.label)[1].is_zero()
-            assert hi.congruent_mod(lo, e.label) == divisible
-            assert (hi - lo).is_multiple_of(e.label) == divisible
-        assert coh_failure(c) == coh_failure_by_division(c)
+            diff = c.values[e.dst] - c.values[e.src]
+            rem = diff.divrem_linear(e.label)[1]
+            assert rem == restrict_to_hyperplane(diff, e.label)
+            assert rem.is_zero() == divrem_by_long_division(diff, e.label)[1].is_zero()
+        assert coh_failure(c) == coh_failure_by_restriction(c)
     assert coh_failure(tampered) == bad_edge
 
 
 def test_coh_failure_with_three_term_labels():
-    """Labels with three nonzero coefficients are decided by division."""
+    """A label with three nonzero coefficients is decided like any other."""
     l = LinearForm([2, -1, 3])
     g = GkmGraph(3, ["a", "b"], [Edge(0, 1, l), Edge(1, 0, -l)], [1, 0], [(0,), (0,)])
     x1 = Polynomial.variable(3, 1)
     good = CohClass(g, [x1, x1 + x1 * l.to_polynomial()])
     bad = CohClass(g, [x1, x1 * x1])
-    assert coh_failure(good) is None and coh_failure_by_division(good) is None
-    assert coh_failure(bad) == 0 == coh_failure_by_division(bad)
+    assert coh_failure(good) is None and coh_failure_by_restriction(good) is None
+    assert coh_failure(bad) == 0 == coh_failure_by_restriction(bad)
 
 
 def test_class_ring(s3_graph):

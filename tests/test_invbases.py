@@ -29,7 +29,7 @@ from gkmflag.polyring import Polynomial
 from gkmflag.rootsys import RootSystem
 from gkmflag.schubert import flag_graph, permuted_class, schubert_table, seeded_random_class
 from oracles import (
-    coh_failure_by_division,
+    coh_failure_by_restriction,
     express_by_cramer,
     express_by_module_solve,
     extend_by_edges,
@@ -199,19 +199,19 @@ _BASE_CLASS_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
 @pytest.mark.parametrize("kind,n", _BASE_CLASS_TYPES)
 def test_base_power_classes_are_classes(kind, n):
     """The level-1 classes are built unchecked; every power of tau and
-    eta passes the division oracle, and a tau built from x2 (not fixed by
+    eta passes the restriction oracle, and a tau built from x2 (not fixed by
     W(Delta - {1})) does not.  Their degrees are those of the tower
     product that ``index_set`` is: tau^0, tau^1, ..., plus eta in type D."""
     rs = RootSystem(kind, n)
     b = tower_bundle(rs)
     base = _base_classes(rs)
     for k, c in enumerate(base):
-        assert coh_failure_by_division(c) is None, (kind, n, k)
+        assert coh_failure_by_restriction(c) is None, (kind, n, k)
     eta = [n - 1] if kind == "D" else []
     assert [degree_of(c) // 2 for c in base] == list(range(_tower_powers(kind, n))) + eta
     x2 = Polynomial.variable(b.total.varcount, 2)
     wrong = CohClass(b.base, [w.act_poly(x2) for w in b.base_coset.reps])
-    assert coh_failure_by_division(wrong) is not None
+    assert coh_failure_by_restriction(wrong) is not None
 
 
 def test_eta_outside_type_d(a2):

@@ -10,7 +10,7 @@ from gkmflag.polyring import LinearForm, Polynomial, parse_polynomial, parse_rat
 from gkmflag.rootsys import RootSystem
 from gkmflag.schubert import schubert_table
 
-from oracles import naive_product, polynomial_text
+from oracles import divrem_by_long_division, naive_product, polynomial_text, restrict_to_hyperplane
 
 X1 = Polynomial.variable(3, 1)
 X2 = Polynomial.variable(3, 2)
@@ -73,36 +73,40 @@ def test_divrem_zero_form():
         X1.divrem_linear(lf(0, 0, 0))
 
 
-def test_is_multiple_of_examples():
+def divides(l, f) -> bool:
+    return f.divrem_linear(l)[1].is_zero()
+
+
+def test_divrem_remainder_decides_multiples():
     l = lf(2, 0, -3)
     f = (X1 + X2 ** 2) * l.to_polynomial()
-    assert f.is_multiple_of(l)
-    assert not (f + X2).is_multiple_of(l)
-    assert (X3 ** 2 * X1).is_multiple_of(lf(0, 0, 5))
-    assert not (X1 ** 2 + X3).is_multiple_of(lf(0, 0, 5))
+    assert divides(l, f)
+    assert not divides(l, f + X2)
+    assert divides(lf(0, 0, 5), X3 ** 2 * X1)
+    assert not divides(lf(0, 0, 5), X1 ** 2 + X3)
     three = lf(1, 1, 1)
-    assert (X1 * three.to_polynomial()).is_multiple_of(three)
-    assert not (X1 ** 2).is_multiple_of(three)
-    assert Polynomial.zero(3).is_multiple_of(three)
+    assert divides(three, X1 * three.to_polynomial())
+    assert not divides(three, X1 ** 2)
+    assert divides(three, Polynomial.zero(3))
 
 
-def test_congruent_mod_examples():
+def test_divrem_remainder_decides_congruences():
     l = lf(1, 0, -1)
-    assert (X1 ** 2).congruent_mod(X3 ** 2, l)
-    assert not (X1 ** 2).congruent_mod(X3 ** 2 + X2, l)
-    assert (X1 * X2).congruent_mod(X2 * X3, l)
-    assert (X1 + X2).congruent_mod(X2, lf(4, 0, 0))
+    assert divides(l, X1 ** 2 - X3 ** 2)
+    assert not divides(l, X1 ** 2 - (X3 ** 2 + X2))
+    assert divides(l, X1 * X2 - X2 * X3)
+    assert divides(lf(4, 0, 0), (X1 + X2) - X2)
 
 
 def test_divisibility_errors():
     with pytest.raises(ZeroDivisionError):
-        X1.is_multiple_of(lf(0, 0, 0))
+        divides(lf(0, 0, 0), X1)
     with pytest.raises(ZeroDivisionError):
-        X1.congruent_mod(X2, lf(0, 0, 0))
+        divides(lf(0, 0, 0), X1 - X2)
     with pytest.raises(ValueError, match="varcount"):
-        X1.is_multiple_of(lf(1, 0))
+        divides(lf(1, 0), X1)
     with pytest.raises(ValueError, match="varcount"):
-        X1.congruent_mod(Polynomial.variable(2, 1), lf(1, 0, 0))
+        divides(lf(1, 0, 0), X1 - Polynomial.variable(2, 1))
 
 
 def test_monomial_rejects_negative_exponent():
@@ -268,18 +272,7 @@ def test_divrem_reconstructs_and_is_idempotent(f, l):
 def test_divisibility_is_substitution_independent(f, l):
     """r == 0 iff f vanishes after substituting the pivot solution of l=0."""
     _, r = f.divrem_linear(l)
-    p = max(i for i, c in enumerate(l.coeffs) if c != 0)
-    images = []
-    for i in range(3):
-        if i != p:
-            e = [0, 0, 0]
-            e[i] = 1
-            images.append(LinearForm(e))
-        else:
-            sol = [Fraction(-c, l.coeffs[p]) for c in l.coeffs]
-            sol[p] = Fraction(0)
-            images.append(LinearForm(sol))
-    assert r.is_zero() == f.substitute_linear(images).is_zero()
+    assert r.is_zero() == restrict_to_hyperplane(f, l).is_zero()
 
 
 @st.composite
@@ -294,14 +287,38 @@ def sparse_forms(draw):
 @settings(max_examples=120, deadline=None)
 @given(polys(), sparse_forms(), exponents, coeffs)
 def test_restriction_decides_divisibility_as_long_division(f, l, e, c):
+    """The divrem_linear remainder is the restriction to l = 0, and its
+    verdict is that of long division."""
     multiple = f * l.to_polynomial()
     mono = Polynomial.monomial(3, e, c)
-    assert multiple.is_multiple_of(l)
-    assert (multiple + mono).congruent_mod(mono, l)
-    for g in (f, multiple + mono):
-        assert g.is_multiple_of(l) == g.divrem_linear(l)[1].is_zero()
-    assert multiple.congruent_mod(mono, l) == (multiple - mono).divrem_linear(l)[1].is_zero()
-    assert f.congruent_mod(mono, l) == (f - mono).divrem_linear(l)[1].is_zero()
+    assert divides(l, multiple)
+    assert divides(l, (multiple + mono) - mono)
+    for g in (f, multiple + mono, multiple - mono, f - mono):
+        r = g.divrem_linear(l)[1]
+        assert r == restrict_to_hyperplane(g, l)
+        assert r.is_zero() == divrem_by_long_division(g, l)[1].is_zero()
+
+
+@st.composite
+def divisors(draw):
+    """Forms with one, two or three nonzero coefficients, the pivot
+    (last nonzero) coefficient often non-unit: 2 as for the long root of
+    type C, 1/3, or any Fraction."""
+    form = draw(sparse_forms())
+    p = max(i for i, c in enumerate(form.coeffs) if c != 0)
+    pivot = draw(st.sampled_from([None, 2, -2, Fraction(1, 3)]))
+    if pivot is None:
+        return form
+    return LinearForm([pivot if i == p else c for i, c in enumerate(form.coeffs)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(max_terms=6), divisors())
+def test_divrem_matches_long_division_term_for_term(f, l):
+    q, r = f.divrem_linear(l)
+    oq, orem = divrem_by_long_division(f, l)
+    assert q.terms == oq.terms and r.terms == orem.terms
+    assert_normal(q, r)
 
 
 @settings(max_examples=40, deadline=None)
