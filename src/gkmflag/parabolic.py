@@ -6,9 +6,10 @@ the coset graph are the cosets w*W(Sigma1) with w in W(Sigma2); [w] and
 labeled w*beta, and the connection along ([w], [w s_beta]) sends
 ([w], [w s_beta']) to ([w s_beta], [w s_beta s_beta']).  Everything is
 stored relative to the canonical minimal-length coset representatives;
-labels and the connection do not depend on that choice (tests rebuild
-from random representatives and compare).  W(Sigma1) permutes the edge
-directions, so one pass builds the graph (see :class:`CosetGraph`).
+labels and the connection do not depend on that choice (a test oracle
+rebuilds the graph on random representatives and compares).  W(Sigma1)
+permutes the edge directions, so one pass builds the graph (see
+:class:`CosetGraph`).
 
 The projection W/W1 -> W/W2 is a fiber bundle of such graphs: an edge in
 direction beta is vertical when beta lies in <Sigma2> and horizontal
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -107,24 +109,26 @@ class CosetGraph:
     coset is vertex 0.  ``vertex_of(w)`` finds the coset of any w in
     W(Sigma2): ``rs.coset_min`` steps down to its minimal element, which
     is looked up among ``reps``; with Sigma1 empty it is the lookup alone.
-    Vertex p (representative w = build_reps[p]) has one edge per direction
-    beta in ``roots`` = <Sigma2> \\ <Sigma1>, to q = [w s_beta], labeled
-    w beta.  With w' = build_reps[q], u = (w s_beta)^-1 w' lies in
-    W(Sigma1), and the connection sends direction beta' at p to direction
-    u^-1 beta' at q, labeled w s_beta beta' = s_{w beta}(w beta').  Each s_i
-    with i in Sigma1 permutes the positive roots other than alpha_i and
-    preserves the span of Sigma1, so W(Sigma1) permutes ``roots`` and each
-    u acts as one index permutation, computed the first time u appears.
-    Edge p*d + k (d = len(roots)) is the edge at p in direction roots[k],
-    so directions are positions in stars and that permutation, one tuple
-    per u, is the connection: every edge whose u agrees shares its tuple.
-    The labels at a vertex are w beta for distinct positive roots beta,
-    which are never proportional in a reduced root system, so the build
-    checks no labels; the independence axiom of :func:`verify_gkm` reports
-    that condition.
+    Vertex p (representative w = reps[p]) has one edge per direction beta
+    in ``roots`` = <Sigma2> \\ <Sigma1>, to q = [w s_beta], labeled
+    w beta.  ``coset_min`` steps from w s_beta to w' = reps[q] = w s_beta u
+    with u = s_i1 ... s_im, i1 ... im its word in Sigma1 (empty on every
+    flag graph), and the connection sends direction beta' at p to
+    direction u^-1 beta' at q, labeled w s_beta beta' = s_{w beta}(w beta').
+    Each s_i with i in Sigma1 permutes the positive roots other than
+    alpha_i and preserves the span of Sigma1, so it permutes ``roots``:
+    t_i[k] is the direction of s_i roots[k], and u^-1 acts on directions
+    as t_i1, then t_i2, ..., then t_im.  Edge p*d + k (d = len(roots)) is
+    the edge at p in direction roots[k], so directions are positions in
+    stars and that permutation, one tuple per word, is the connection:
+    every edge whose word agrees shares its tuple, and no edge takes a
+    group inverse.  The labels at a vertex are w beta for distinct
+    positive roots beta, which are never proportional in a reduced root
+    system, so the build checks no labels; the independence axiom of
+    :func:`verify_gkm` reports that condition.
     """
 
-    def __init__(self, rs: RootSystem, sigma1, sigma2, build_reps=None):
+    def __init__(self, rs: RootSystem, sigma1, sigma2):
         sigma1, sigma2 = _check_sigmas(rs, sigma1, sigma2)
         self.rs = rs
         self.sigma1 = sigma1
@@ -133,31 +137,29 @@ class CosetGraph:
         self.roots = [beta for beta in rs.closure(sigma2) if beta not in inner]
         self.reps: list[WeylElement] = rs.coset_reps(sigma1, sigma2)
         self._vertex = {w: p for p, w in enumerate(self.reps)}
-        self.build_reps = self.reps if build_reps is None else list(build_reps)
-        if build_reps is not None and any(self._vertex.get(rs.coset_min(w, sigma1)) != p
-                                          for p, w in enumerate(self.build_reps)):
-            raise ValueError("build representative lies in the wrong coset")
         self.graph = self._build_graph()
 
     # ------------------------------------------------------------------
 
     def _build_graph(self) -> GkmGraph:
-        rs = self.rs
-        d = len(self.roots)
-        index = {beta: k for k, beta in enumerate(self.roots)}
-        refl = [rs.reflection(beta) for beta in self.roots]
-        perm = {}  # perm[u][k] is the direction of u^-1 * roots[k]
+        rs, roots, sigma1 = self.rs, self.roots, self.sigma1
+        d = len(roots)
+        index = {beta: k for k, beta in enumerate(roots)}
+        refl = [rs.reflection(beta) for beta in roots]
+        # t[i][k] is the direction of s_i * roots[k]; perm[word][k] that of
+        # u^-1 * roots[k] for u = s_i1 ... s_im, applying t_i1 first
+        t = {i: [index[rs.simple_reflection(i).act_linear(b)] for b in roots] for i in sigma1}
+        perm = {(): tuple(range(d))}
         edges, reverse, connection = [], [], []
-        for p, w in enumerate(self.build_reps):
-            for k, beta in enumerate(self.roots):
-                ws = w * refl[k]
-                q = self.vertex_of(ws)
-                u = ws.inverse() * self.build_reps[q]
-                if u not in perm:
-                    perm[u] = tuple(index[u.inverse().act_linear(b)] for b in self.roots)
+        for p, w in enumerate(self.reps):
+            for k, beta in enumerate(roots):
+                ws, word = rs.coset_min(w * refl[k], sigma1)
+                if word not in perm:
+                    perm[word] = tuple(reduce(lambda js, i: [t[i][j] for j in js], word, range(d)))
+                q, dirs = self._vertex[ws], perm[word]
                 edges.append(Edge(p, q, w.act_linear(beta)))
-                connection.append(perm[u])
-                reverse.append(q * d + perm[u][k])
+                connection.append(dirs)
+                reverse.append(q * d + dirs[k])
         names = [w.one_line_str() for w in self.reps]
         return GkmGraph(rs.varcount, names, edges, reverse, connection)
 
@@ -170,7 +172,7 @@ class CosetGraph:
     def vertex_of(self, w: WeylElement) -> int:
         """The vertex of the coset w W(Sigma1); KeyError for w outside W(Sigma2)."""
         if self.sigma1:
-            w = self.rs.coset_min(w, self.sigma1)
+            w = self.rs.coset_min(w, self.sigma1)[0]
         return self._vertex[w]
 
     def direction(self, eid: int) -> LinearForm:
@@ -185,14 +187,8 @@ class CosetGraph:
                 f"{self.nvertices} vertices)")
 
 
-def build_coset_graph(rs: RootSystem, sigma1, sigma2, build_reps=None) -> CosetGraph:
-    """Build (and cache, per root system) the coset graph for the pair.
-
-    Passing explicit build representatives bypasses the cache; that path
-    exists so tests can confirm representative independence.
-    """
-    if build_reps is not None:
-        return CosetGraph(rs, sigma1, sigma2, build_reps)
+def build_coset_graph(rs: RootSystem, sigma1, sigma2) -> CosetGraph:
+    """Build (and cache, per root system) the coset graph for the pair."""
     key = (frozenset(sigma1), frozenset(sigma2))
     cache = rs.coset_graph_cache
     if key not in cache:

@@ -184,6 +184,15 @@ class LinearForm:
         return str(self.to_polynomial())
 
 
+def _normal_linear_form(coeffs) -> LinearForm:
+    """A LinearForm from coefficients already in the normal form of
+    ``_q``, without normalising them again: the Weyl action only moves
+    and negates coefficients."""
+    form = LinearForm.__new__(LinearForm)
+    form.coeffs = tuple(coeffs)
+    return form
+
+
 class Polynomial:
     """Sparse polynomial in Q[x1,...,x_varcount].
 
@@ -356,7 +365,10 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms in canonical (graded-lex descending) order."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=grlex_key, reverse=True)]
+        # descending lex, then a stable sort by descending degree: grlex
+        order = sorted(self.terms, reverse=True)
+        order.sort(key=sum, reverse=True)
+        return [(e, self.terms[e]) for e in order]
 
     # ------------------------------------------------------------------
     # substitution, division, evaluation

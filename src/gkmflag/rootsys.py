@@ -11,8 +11,11 @@ Types A, B, C, D are built with the coordinates everyone uses:
 A Weyl group element is a signed permutation (u, eps) acting by
 x_k -> eps_k * x_{u(k)}.  Type A carries no signs and type D only an even
 number of minus signs; type C shares the type-B group and differs only in
-its roots.  The one-line form is the tuple (eps_1*u(1), ..., eps_N*u(N));
-its machine text is comma-separated, e.g. "-2,1".  The public constructor
+its roots.  A ``WeylElement`` is a tuple: its one-line form
+(eps_1*u(1), ..., eps_N*u(N)) (Bjorner & Brenti, Combinatorics of Coxeter
+Groups, 2005, section 8.1), so it equals the plain tuple of that form,
+and hashing, equality and ordering are tuple's own; its machine text is
+comma-separated, e.g. "-2,1".  The public constructor
 ``WeylElement(perm, signs)`` checks that perm permutes 1..N and that there
 is one sign +-1 per position.  Products and inverses rely on closure (the
 product or inverse of signed permutations is a signed permutation) and
@@ -25,7 +28,8 @@ representatives are cached on the RootSystem instance.  A reflection is
 read off its root's support as a sign change or a signed transposition;
 ``coset_reps`` walks the minimal representatives of W(Sigma2)/W(Sigma1)
 up from the identity, and ``coset_min`` steps down to the one of a given
-coset, so no group is enumerated that is not asked for; ``closure`` finds
+coset and returns the word of its steps, so no group is enumerated that
+is not asked for; ``closure`` finds
 <Sigma> as the orbit of Sigma's simple roots; the Weyl action relabels
 coordinates and monomials.  The module solves no linear system and does
 not use ``linalg``.
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import math
 
-from .polyring import LinearForm, Polynomial
+from .polyring import LinearForm, Polynomial, _normal_linear_form
 
 __all__ = ["WeylElement", "RootSystem", "group_closure", "weyl_group_order"]
 
@@ -68,69 +72,84 @@ def group_closure(seed, gens, compose):
     return list(seen)
 
 
-class WeylElement:
-    """Signed permutation (u, eps) acting by x_k -> eps_k * x_{u(k)}."""
+class WeylElement(tuple):
+    """Signed permutation (u, eps) acting by x_k -> eps_k * x_{u(k)}, stored
+    as its one-line form (eps_1*u(1), ..., eps_N*u(N)).
 
-    __slots__ = ("perm", "signs")
+    The element is that tuple, so it equals and hashes like the plain
+    tuple of its one-line form and orders by it; ``perm`` (u) and
+    ``signs`` (eps) are read off it.  Tuple concatenation and repetition
+    have no group meaning and raise TypeError.
+    """
 
-    def __init__(self, perm, signs=None):
-        self.perm = tuple(perm)
-        self.signs = tuple(signs) if signs is not None else (1,) * len(self.perm)
-        if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
-            raise ValueError(f"not a permutation: {self.perm}")
-        if len(self.signs) != len(self.perm) or any(s not in (1, -1) for s in self.signs):
+    __slots__ = ()
+    __add__ = __rmul__ = None
+
+    def __new__(cls, perm, signs=None):
+        perm = tuple(perm)
+        signs = tuple(signs) if signs is not None else (1,) * len(perm)
+        if sorted(perm) != list(range(1, len(perm) + 1)):
+            raise ValueError(f"not a permutation: {perm}")
+        if len(signs) != len(perm) or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1, one per position")
+        return _new(cls, [s * u for u, s in zip(perm, signs)])
+
+    def __getnewargs__(self):
+        return self.perm, self.signs
 
     @classmethod
     def identity(cls, size: int) -> "WeylElement":
         return cls(range(1, size + 1))
 
     @property
-    def size(self) -> int:
-        return len(self.perm)
+    def perm(self) -> tuple:
+        return tuple([abs(v) for v in self])
+
+    @property
+    def signs(self) -> tuple:
+        return tuple([1 if v > 0 else -1 for v in self])
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         # (self*other) . x_k = self . (other . x_k)
-        if len(self.perm) != len(other.perm):
+        if len(self) != len(other):
             raise ValueError("size mismatch")
-        perm, signs = self.perm, self.signs
-        return _signed_permutation(
-            tuple([perm[j - 1] for j in other.perm]),
-            tuple([s * signs[j - 1] for j, s in zip(other.perm, other.signs)]),
-        )
+        return _new(WeylElement, [self[j - 1] if j > 0 else -self[-j - 1] for j in other])
 
     def inverse(self) -> "WeylElement":
-        # pos[j] is the k with u(k) = j + 1
-        pos = [self.perm.index(j) for j in range(1, len(self.perm) + 1)]
-        return _signed_permutation(
-            tuple([k + 1 for k in pos]), tuple([self.signs[k] for k in pos])
-        )
+        out = [0] * len(self)
+        for k, v in enumerate(self, 1):
+            if v > 0:
+                out[v - 1] = k
+            else:
+                out[-v - 1] = -k
+        return _new(WeylElement, out)
 
     def is_identity(self) -> bool:
-        return self.perm == tuple(range(1, self.size + 1)) and all(
-            s == 1 for s in self.signs
-        )
+        return all(v == k for k, v in enumerate(self, 1))
 
     def act_linear(self, form: LinearForm) -> LinearForm:
         """Relabel: the coefficient c_k of x_k moves to x_{u(k)} as eps_k*c_k."""
-        if form.varcount != self.size:
+        if form.varcount != len(self):
             raise ValueError("varcount mismatch")
-        out = [0] * self.size
-        for k, c in enumerate(form.coeffs):
-            out[self.perm[k] - 1] = c if self.signs[k] > 0 else -c
-        return LinearForm(out)
+        out = [0] * len(self)
+        for v, c in zip(self, form.coeffs):
+            if v > 0:
+                out[v - 1] = c
+            else:
+                out[-v - 1] = -c
+        return _normal_linear_form(out)
 
     def act_poly(self, f: Polynomial) -> Polynomial:
         """Relabel each term: x^e goes to the monomial with exponent e_k on
         x_{u(k)}, negated when the exponents on the negated coordinates sum
         to an odd number.  Distinct terms go to distinct terms, so nothing
         cancels."""
-        if f.varcount != self.size:
+        if f.varcount != len(self):
             raise ValueError("varcount mismatch")
-        src = [0] * self.size  # src[j] = u^-1(j+1) - 1
-        for k, j in enumerate(self.perm):
-            src[j - 1] = k
-        neg = [k for k, s in enumerate(self.signs) if s < 0]
+        src = [0] * len(self)  # src[j] = u^-1(j+1) - 1
+        for k, v in enumerate(self):
+            src[abs(v) - 1] = k
+        neg = [k for k, v in enumerate(self) if v < 0]
         terms = {}
         for e, c in f.terms.items():
             odd = sum([e[k] for k in neg]) % 2
@@ -139,46 +158,32 @@ class WeylElement:
 
     def matrix(self):
         """The m x m matrix of the action on linear forms."""
-        m = self.size
+        m = len(self)
         rows = [[0] * m for _ in range(m)]
-        for k in range(m):
-            rows[self.perm[k] - 1][k] = self.signs[k]
+        for k, v in enumerate(self):
+            rows[abs(v) - 1][k] = 1 if v > 0 else -1
         return tuple(tuple(r) for r in rows)
 
     def one_line(self):
-        return tuple(self.signs[k] * self.perm[k] for k in range(self.size))
+        return tuple(self)
 
     def one_line_str(self) -> str:
         """Machine form, e.g. "-2,1"."""
-        return ",".join(str(v) for v in self.one_line())
+        return ",".join(map(str, self))
 
     @classmethod
     def from_one_line(cls, text: str) -> "WeylElement":
         vals = [int(v) for v in text.split(",")]
         return cls([abs(v) for v in vals], [1 if v > 0 else -1 for v in vals])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.perm == other.perm
-            and self.signs == other.signs
-        )
-
-    def __hash__(self):
-        return hash((self.perm, self.signs))
-
     def __repr__(self):
         return f"W[{self.one_line_str()}]"
 
 
-def _signed_permutation(perm: tuple, signs: tuple) -> WeylElement:
-    """A WeylElement from tuples already known to form a signed
-    permutation, without ``__init__``'s checks: products and inverses of
-    signed permutations are signed permutations."""
-    w = WeylElement.__new__(WeylElement)
-    w.perm = perm
-    w.signs = signs
-    return w
+# Builds a WeylElement from a one-line form known to be a signed
+# permutation, without the constructor's checks: products and inverses of
+# signed permutations are signed permutations.
+_new = tuple.__new__
 
 
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 3}
@@ -210,9 +215,9 @@ class RootSystem:
         self.simple_roots = tuple(self._make_simples())
         self.positive_roots = tuple(self._make_positives())
         self._pos_set = set(self.positive_roots)
-        # the coordinates (0-based) on which each simple root is nonzero
+        # (coordinate (0-based), coefficient) of each simple root's support
         self._simple_support = tuple(
-            tuple(k for k, c in enumerate(a.coeffs) if c) for a in self.simple_roots
+            tuple((k, c) for k, c in enumerate(a.coeffs) if c) for a in self.simple_roots
         )
         self._refl_cache: dict = {}
         self._len_cache: dict = {}
@@ -374,7 +379,7 @@ class RootSystem:
         return weyl_group_order(self.kind, self.rank)
 
     def sort_key(self, w: WeylElement):
-        return (self.length(w), w.one_line())
+        return (self.length(w), w)
 
     def elements(self):
         """The whole Weyl group in canonical (length, one-line) order;
@@ -420,14 +425,22 @@ class RootSystem:
     def _sends_negative(self, w: WeylElement, i: int) -> bool:
         """Whether w(alpha_i) is negative: whether its first nonzero
         coordinate is below 0, the sign rule of every positive root here.
-        w moves coordinate k to perm[k] with sign signs[k], so that
-        coordinate comes from the k of alpha_i's support with least perm[k]."""
-        k = min(self._simple_support[i - 1], key=w.perm.__getitem__)
-        return self.simple_roots[i - 1].coeffs[k] * w.signs[k] < 0
+        w moves coordinate k to |w[k]| with the sign of w[k], so that
+        coordinate comes from the k of alpha_i's support with least |w[k]|;
+        a support of two coordinates has coefficients +-1."""
+        (k, a), *rest = self._simple_support[i - 1]
+        x = a * w[k]
+        if rest:
+            (k, a), = rest
+            if abs(w[k]) < abs(x):
+                x = a * w[k]
+        return x < 0
 
-    def coset_min(self, w: WeylElement, sigma1) -> WeylElement:
-        """The minimal element of the coset w W(Sigma1): step to w s_i while
-        w(alpha_i) is negative for some i in Sigma1.
+    def coset_min(self, w: WeylElement, sigma1):
+        """(the minimal element of the coset w W(Sigma1), its word): step to
+        w s_i while w(alpha_i) is negative for some i in Sigma1, and return
+        the element reached with the word i1 ... im of the steps, so that
+        it is w s_i1 ... s_im.
 
         For w in W each step shortens w by one, since l(w s_i) < l(w) iff
         w(alpha_i) < 0, and the loop ends at the one element of the coset
@@ -440,15 +453,17 @@ class RootSystem:
         w in that group and the loop ends.  An element outside W stays
         outside W.
         """
-        if w.size != self.varcount:
+        if len(w) != self.varcount:
             raise ValueError("size mismatch")
+        word = ()
         while True:
             for i in sigma1:
                 if self._sends_negative(w, i):
                     w = w * self.simple_reflection(i)
+                    word += (i,)
                     break
             else:
-                return w
+                return w, word
 
     def coset_reps(self, sigma1, sigma2):
         """The minimal representatives of the cosets w W(Sigma1), w in
@@ -488,7 +503,7 @@ class RootSystem:
                         y = s * x
                         if not any(self._sends_negative(y, i) for i in sigma1):
                             nxt.add(y)
-            layer = sorted(nxt, key=WeylElement.one_line)
+            layer = sorted(nxt)
             length += 1
         self._parabolic_cache[key] = reps
         return reps

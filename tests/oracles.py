@@ -17,7 +17,9 @@ closure oracle finds <Sigma> from the simple-root coordinates of each
 root instead of as the orbit of Sigma's simple roots, the coset oracle
 enumerates W(Sigma2) and multiplies out each coset, with lengths counted
 from the positive roots, instead of walking the minimal representatives
-and stepping down by descents, the
+and stepping down by descents, the representative oracle builds a coset
+graph on arbitrary representatives with u = (w s_beta)^-1 w' by group
+products instead of reading u off the word of a descent, the
 axiom oracle decides every label axiom afresh on every edge instead of
 once per distinct label, the Chevalley oracle checks a Schubert
 table by the equivariant Chevalley formula, with tau_{s_i} in closed
@@ -56,7 +58,7 @@ from math import comb
 from typing import Sequence
 
 from gkmflag import linalg
-from gkmflag.gkmgraph import CohClass, GkmGraph, Report, coh_failure, graph_to_json
+from gkmflag.gkmgraph import CohClass, Edge, GkmGraph, Report, coh_failure, graph_to_json
 from gkmflag.invbases import _basis_failures, class_cI, index_set, tower_bundle
 from gkmflag.parabolic import base_tree, build_coset_graph, typical_fiber
 from gkmflag.polyring import LinearForm, Polynomial, grlex_key
@@ -130,6 +132,33 @@ def cosets_by_enumeration(rs, sigma1, sigma2):
         vertex.update(dict.fromkeys(coset, len(reps)))
         reps.append(w)
     return reps, vertex
+
+
+def coset_graph_from_reps(rs, sigma1, sigma2, reps):
+    """The coset graph of W(Sigma2)/W(Sigma1) built on the given
+    representatives, reps[p] in the p-th coset of
+    :func:`cosets_by_enumeration`, by the textbook formula: vertex p
+    (w = reps[p]) has one edge per direction beta of <Sigma2> \\ <Sigma1>
+    (from :func:`closure_by_coordinates`), to the coset q of w s_beta,
+    labeled w beta, and with u = (w s_beta)^-1 reps[q], found by group
+    products, the connection sends direction beta' at p to direction
+    u^-1 beta' at q.  Vertices are named by the minimal representatives."""
+    minimal, vertex = cosets_by_enumeration(rs, sigma1, sigma2)
+    if [vertex[w] for w in reps] != list(range(len(minimal))):
+        raise ValueError("a representative lies in the wrong coset")
+    inner = set(closure_by_coordinates(rs, sigma1))
+    roots = [beta for beta in closure_by_coordinates(rs, sigma2) if beta not in inner]
+    edges, reverse, connection = [], [], []
+    for p, w in enumerate(reps):
+        for k, beta in enumerate(roots):
+            ws = w * rs.reflection(beta)
+            q = vertex[ws]
+            u = ws.inverse() * reps[q]
+            directions = tuple(roots.index(u.inverse().act_linear(b)) for b in roots)
+            edges.append(Edge(p, q, w.act_linear(beta)))
+            connection.append(directions)
+            reverse.append(q * len(roots) + directions[k])
+    return GkmGraph(rs.varcount, [w.one_line_str() for w in minimal], edges, reverse, connection)
 
 
 def connection_dict(g, eid):

@@ -35,7 +35,7 @@ from gkmflag.parabolic import (
     verify_fibration,
 )
 from gkmflag.polyring import LinearForm
-from gkmflag.rootsys import RootSystem
+from gkmflag.rootsys import RootSystem, WeylElement
 
 from oracles import (
     bundle_to_json,
@@ -43,6 +43,7 @@ from oracles import (
     json_file_text,
     connection_dict,
     connection_failure,
+    coset_graph_from_reps,
     coset_projection,
     cosets_by_enumeration,
 )
@@ -64,9 +65,8 @@ def tower(kind, n, sigma2=None):
     return rs, build_bundle(rs, frozenset(), sigma2)
 
 
-def canonical_structure(cg):
+def canonical_structure(g):
     """Labeled-graph shape independent of edge ordering, for comparisons."""
-    g = cg.graph
     key = {}
     for eid, e in enumerate(g.edges):
         key[eid] = (g.vertices[e.src], g.vertices[e.dst], str(e.label))
@@ -176,8 +176,8 @@ def test_representative_independence(a2, b2):
         canonical = build_coset_graph(rs, sigma1, rs.full_sigma())
         w1 = rs.parabolic_elements(sigma1)
         reps = [w * rng.choice(w1) for w in canonical.reps]
-        rebuilt = build_coset_graph(rs, sigma1, rs.full_sigma(), build_reps=reps)
-        assert canonical_structure(rebuilt) == canonical_structure(canonical)
+        rebuilt = coset_graph_from_reps(rs, sigma1, rs.full_sigma(), reps)
+        assert canonical_structure(rebuilt) == canonical_structure(canonical.graph)
 
 
 # sha256 over the graph_hash of every coset graph of the type at rank 3,
@@ -202,13 +202,29 @@ def test_connection_reflects_labels(kind):
         cg = build_coset_graph(rs, sigma1, sigma2)
         w1 = rs.parabolic_elements(sigma1)
         reps = [w * rng.choice(w1) for w in cg.reps]
-        rebuilt = build_coset_graph(rs, sigma1, sigma2, build_reps=reps)
-        for g in (cg.graph, rebuilt.graph):
+        rebuilt = coset_graph_from_reps(rs, sigma1, sigma2, reps)
+        for g in (cg.graph, rebuilt):
             assert connection_failure(g) is None, (sigma1, sigma2)
         hashes.append(graph_hash(cg.graph))
     assert len(hashes) == 27
     digest = hashlib.sha256("\n".join(hashes).encode()).hexdigest()
     assert digest == RANK3_GRAPH_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("sigma1", [frozenset(), frozenset({2, 3})], ids=["flag", "sigma1-23"])
+def test_b4_build_takes_no_group_inverse(sigma1, monkeypatch):
+    """Each connection is read off the word of the descent from w s_beta
+    to the next vertex, so once the representatives are walked the build
+    takes no inverse; every word is empty on the flag graph alone."""
+    rs = RootSystem("B", 4)
+    rs.coset_reps(sigma1, rs.full_sigma())
+    calls = []
+    real = WeylElement.inverse
+    monkeypatch.setattr(WeylElement, "inverse", lambda w: calls.append(w) or real(w))
+    cg = build_coset_graph(rs, sigma1, rs.full_sigma())
+    assert calls == []
+    assert len(cg.graph.edges) == cg.nvertices * len(cg.roots)
+    assert (len(set(cg.graph.connection)) == 1) == (not sigma1)
 
 
 def test_connection_oracle_catches_a_swapped_connection(a2):

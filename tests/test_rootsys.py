@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -120,6 +122,39 @@ def test_one_line_forms():
     assert w.one_line_str() == "-2,1"
     assert WeylElement.from_one_line("-2,1") == w
     assert WeylElement.from_one_line("2,-1").one_line() == (2, -1)
+
+
+def test_an_element_is_its_one_line_tuple():
+    w = WeylElement((2, 3, 1), (-1, 1, -1))
+    assert w == (-2, 3, -1) and hash(w) == hash((-2, 3, -1))
+    assert w.perm == (2, 3, 1) and w.signs == (-1, 1, -1)
+    assert {w: 0}[(-2, 3, -1)] == 0
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "D"])
+def test_copies_and_pickles_are_equal_elements(kind):
+    for w in RootSystem(kind, 3).elements():
+        for twin in (copy.deepcopy(w), copy.copy(w), pickle.loads(pickle.dumps(w))):
+            assert type(twin) is WeylElement and twin == w and twin.signs == w.signs
+
+
+@pytest.mark.parametrize("operation", [
+    lambda w: w + w, lambda w: 2 * w, lambda w: w * 2,
+], ids=["w+w", "2*w", "w*2"])
+def test_sequence_operators_are_refused(operation):
+    with pytest.raises(TypeError):
+        operation(WeylElement((2, 1), (-1, 1)))
+
+
+@pytest.mark.parametrize("kind,n", CLASSICAL)
+def test_plain_order_is_the_canonical_order(kind, n):
+    """Plain tuple order is one-line order, so sort_key, (length, w), is
+    the canonical (length, one-line) order that elements() lists."""
+    rs = RootSystem(kind, n)
+    elements = rs.elements()
+    by_one_line = sorted(elements, key=lambda w: (
+        rs.length(w), [s * u for u, s in zip(w.perm, w.signs)]))
+    assert sorted(elements, key=rs.sort_key) == by_one_line == elements
 
 
 # ----------------------------------------------------------------------
