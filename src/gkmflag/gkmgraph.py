@@ -56,9 +56,10 @@ its fields are tuples, fixed at construction.  A flag graph has
 |W|*|Phi+| oriented edges but only |Phi| distinct labels, so the
 constructor interns them once: ``labels`` holds each distinct form in
 order of first occurrence, ``label_id`` the index of each edge's label,
-and every ``Edge.label`` is the interned object.  Verification decides
-each label axiom once per distinct label (or tuple of labels) by id,
-and a changed graph is a new graph, so no derived data can go stale.
+and every ``Edge.label`` is the interned object.  Verification does its
+label arithmetic once per distinct label or pair of labels, by id, into
+tables local to one call, and a changed graph is a new graph, so no
+derived data can go stale.
 
 The text layout of a graph file is known only here:
 :func:`graph_json_chunks` writes it as a stream of entries (a bundle file
@@ -71,8 +72,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import chain, combinations, repeat
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple, Sequence
 
@@ -231,64 +232,137 @@ def verify_gkm(g: GkmGraph) -> Report:
     """Check the connection/axial-function axioms; report first witnesses.
 
     Each check is a walk that yields its witnesses in order, and
-    :meth:`Report.first` keeps the first.  Each label axiom is a function
-    of label values alone, and a flag graph carries only |Phi| distinct
-    labels but |W|*|Phi+|^2 connection entries.  So each axiom is decided
-    once per distinct tuple of the graph's label ids: each label is
-    negated once, independence is decided once per (id_i, id_j) and
-    congruence once per (id_e, id_e1, id_e2).  The walks over vertices
-    and edges, and so the first witness of each check, are those of a
-    per-edge check.
+    :meth:`Report.first` keeps the first.  A flag graph carries only
+    |Phi| distinct labels but |W|*|Phi+|^2 connection entries, so every
+    ``LinearForm`` operation runs once per distinct label or pair of
+    labels, into tables local to the call, and each star or edge is then
+    tested by lookups in them:
+
+    - Congruence.  By the uniqueness of ``divrem_linear``'s (q, r) with r
+      free of the pivot variable of k, and since q is a constant when the
+      dividend is linear, b - a lies in Q*k iff a and b leave the same
+      remainder modulo k (for k = 0: iff a == b).  :func:`_residue_rows`
+      numbers the remainders, so an edge passes iff the residues of the
+      labels at its tail equal those at its head permuted by its
+      connection.
+    - Independence.  :func:`_direction_classes` gives each nonzero label
+      the first label proportional to it.  A star of nonzero labels in
+      distinct classes passes; any other star walks its pairs with
+      ``proportional_to``, whose zero form is proportional to every form
+      while no nonzero form is proportional to it.
+    - Connection shape.  Whether a connection tuple has distinct entries,
+      and its inverse permutation, are found once per distinct tuple.
+
+    Only a star or edge that fails its table test walks its pairs, so
+    the walks over vertices and edges, and the first witness of each
+    check, are those of a per-edge check.  The tables take at most
+    |L|^2/2 divisions and proportionality tests for |L| distinct labels:
+    on a coset graph |L| = |Phi|, but on a graph whose edges carry
+    mostly distinct labels, such as K_n, that exceeds the one test per
+    connection entry of a per-edge check.
     """
     rep = Report()
-    labels, lid = g.labels, g.label_id
-    rep.first("edge-reversal", _reversal_faults(g))
+    lid = g.label_id
+    index = {form: k for k, form in enumerate(g.labels)}
+    neg = [index.get(-form) for form in g.labels]  # the id of each label's negation
+    rep.first("edge-reversal", _reversal_faults(g, neg))
     degrees = {len(g.edges_at[p]) for p in range(g.nvertices)}
     rep.add("regular", len(degrees) <= 1, f"vertex degrees {sorted(degrees)}")
-    proportional = cache(lambda a, b: labels[a].proportional_to(labels[b]) is not None)
+    # at[p] reads the entries of the labels at the star of p off a table row
+    at = [_picker([lid[e] for e in star]) for star in g.edges_at]
+    classes = _direction_classes(g.labels)
     rep.first("independence", (
-        f"labels {labels[lid[e1]]} and {labels[lid[e2]]} at vertex {g.vertices[p]} are proportional"
-        for p in range(g.nvertices) for e1, e2 in combinations(g.edges_at[p], 2)
-        if proportional(lid[e1], lid[e2])))
-    rep.first("connection-shape", _shape_faults(g))
-    congruent = cache(lambda k, k1, k2:
-                      (labels[k2] - labels[k1]).proportional_to(labels[k]) is not None)
+        f"labels {g.edges[e1].label} and {g.edges[e2].label} at vertex {g.vertices[p]} "
+        f"are proportional"
+        # a zero label (class None) or a repeated class sends a star to its pairs
+        for p, star in enumerate(g.edges_at) if len({*at[p](classes), None}) <= len(star)
+        for e1, e2 in combinations(star, 2)
+        if g.edges[e1].label.proportional_to(g.edges[e2].label) is not None))
+    conns: dict[tuple, int] = {}  # the distinct connection tuples, numbered
+    cid = [conns.setdefault(conn, len(conns)) for conn in g.connection]
+    rep.first("connection-shape", _shape_faults(g, cid, list(conns)))
+    permute = [_picker(conn) for conn in conns]
+    rows = _residue_rows(g.labels, neg)
     rep.first("congruence", (
         f"congruence fails along {g.edge_str(eid)} at {g.edge_str(e1)} -> {g.edge_str(e2)}"
-        for eid in range(len(g.edges)) for e1, e2 in g.connection_pairs(eid)
-        if not congruent(lid[eid], lid[e1], lid[e2])))
+        for eid, ((p, q, _), c, row) in enumerate(zip(g.edges, cid, map(rows.__getitem__, lid)))
+        if at[p](row) != permute[c](at[q](row))
+        for e1, e2 in g.connection_pairs(eid) if row[lid[e1]] != row[lid[e2]]))
     return rep
 
 
-def _reversal_faults(g: GkmGraph):
-    """The edge-reversal witnesses, edge by edge; the negation and the
-    zero test of each distinct label are taken once, by label id."""
-    negated = [-label for label in g.labels]
-    zero = [label.is_zero() for label in g.labels]
-    for eid, e in enumerate(g.edges):
-        r = g.reverse[eid]
-        if not (0 <= r < len(g.edges) and g.reverse[r] == eid != r):
+def _picker(idx):
+    """The function taking s to ``tuple(s[i] for i in idx)``; it is
+    ``itemgetter`` but for fewer than two indices, where ``itemgetter``
+    gives a bare item or refuses."""
+    return itemgetter(*idx) if len(idx) > 1 else lambda s: tuple(s[i] for i in idx)
+
+
+def _residue_rows(labels: Sequence[LinearForm], neg: Sequence) -> list:
+    """rows[k][a]: the id of the remainder of labels[a] under
+    ``divrem_linear`` by labels[k], numbered per row, so that
+    rows[k][a] == rows[k][b] iff labels[b] - labels[a] lies in
+    Q*labels[k].  Labels k and -k (``neg[k]``) share a row, and the zero
+    label's row is the identity, the labels being distinct."""
+    polys = [form.to_polynomial() for form in labels]
+    rows: list = []
+    for k, form in enumerate(labels):
+        if neg[k] is not None and neg[k] < k:
+            rows.append(rows[neg[k]])
+        elif form.is_zero():
+            rows.append(range(len(labels)))
+        else:
+            ids: dict[Polynomial, int] = {}
+            rows.append([ids.setdefault(f.divrem_linear(form)[1], len(ids)) for f in polys])
+    return rows
+
+
+def _direction_classes(labels: Sequence[LinearForm]) -> list:
+    """classes[a]: the first label proportional to labels[a], or None for
+    the zero label.  Proportionality of nonzero forms is an equivalence,
+    so each label is tested against the first label of each class so far."""
+    classes: list = []
+    for a, form in enumerate(labels):
+        classes.append(None if form.is_zero() else next(
+            (b for b, first in enumerate(classes)
+             if b == first and form.proportional_to(labels[b]) is not None), a))
+    return classes
+
+
+def _reversal_faults(g: GkmGraph, neg: Sequence):
+    """The edge-reversal witnesses, edge by edge.  ``neg[k]`` is the id of
+    the negation of label k, or None, so labels are compared by id; only
+    the zero label is its own negation."""
+    edges, reverse, lid = g.edges, g.reverse, g.label_id
+    for eid, ((src, dst, _), r, k) in enumerate(zip(edges, reverse, lid)):
+        if not (0 <= r < len(edges) and reverse[r] == eid != r):
             yield f"edge {g.edge_str(eid)} has no valid reverse"
-        elif (g.edges[r].src, g.edges[r].dst) != (e.dst, e.src):
+        elif edges[r].src != dst or edges[r].dst != src:
             yield f"reverse of {g.edge_str(eid)} has wrong endpoints"
-        elif g.edges[r].label != negated[g.label_id[eid]]:
+        elif lid[r] != neg[k]:
             yield f"label of reverse of {g.edge_str(eid)} is not negated"
-        elif zero[g.label_id[eid]]:
+        elif neg[k] == k:
             yield f"zero label on {g.edge_str(eid)}"
 
 
-def _shape_faults(g: GkmGraph):
-    """The connection-shape witnesses, edge by edge."""
-    for eid, e in enumerate(g.edges):
-        conn, r = g.connection[eid], g.reverse[eid]
-        if len(conn) != len(g.edges_at[e.dst]) or len(set(conn)) != len(conn):
+def _shape_faults(g: GkmGraph, cid: Sequence[int], conns: Sequence[tuple]):
+    """The connection-shape witnesses, edge by edge.  ``cid[e]`` is the
+    index in ``conns``, the distinct connection tuples, of the tuple of e.
+    Whether a tuple has distinct entries, and its inverse if it does, are
+    found once per tuple; a tuple with distinct entries is a bijection
+    onto the star of the head iff it is as long as that star."""
+    distinct = [len(set(conn)) == len(conn) for conn in conns]
+    inverse = [tuple(sorted(range(len(conn)), key=conn.__getitem__)) for conn in conns]
+    edges, edges_at, reverse = g.edges, g.edges_at, g.reverse
+    for eid, ((src, dst, _), conn, c, r) in enumerate(zip(edges, g.connection, cid, reverse)):
+        head = edges_at[dst]
+        if not (distinct[c] and len(conn) == len(head)):
             yield f"connection along {g.edge_str(eid)} is not a bijection E_p -> E_q"
-        elif g.along(eid, eid) != r:
+        elif head[conn[g.slot[eid]]] != r:
             yield f"connection along {g.edge_str(eid)} does not reverse the edge"
         # r lies at the head of e; its connection undoes conn exactly when it
-        # leads back to the tail of e and maps each position back to itself
-        elif g.edges[r].dst != e.src or list(map(g.connection[r].__getitem__, conn)) != list(
-                range(len(conn))):
+        # leads back to the tail of e and is the inverse permutation
+        elif edges[r].dst != src or g.connection[r] != inverse[c]:
             yield f"connection along reverse of {g.edge_str(eid)} is not the inverse"
 
 

@@ -1,8 +1,13 @@
 import copy
 import json
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmflag.gkmgraph import (
     CohClass,
@@ -10,6 +15,8 @@ from gkmflag.gkmgraph import (
     GkmGraph,
     GkmIso,
     Report,
+    _direction_classes,
+    _residue_rows,
     check_subgraph,
     class_from_json,
     class_to_json,
@@ -183,6 +190,18 @@ def test_connection_onto_a_smaller_star_is_not_a_bijection():
     assert check.witness == f"connection along {g.edge_str(0)} is not a bijection E_p -> E_q"
 
 
+def test_connection_into_a_larger_star_is_not_a_bijection():
+    """On the same path, the connection along b -> a is injective, but a
+    has two edges and b one, so it is not onto; that edge comes first."""
+    l1, l2 = LinearForm([1, 0]), LinearForm([0, 1])
+    edges = [Edge(1, 0, l1), Edge(0, 1, -l1), Edge(0, 2, l2), Edge(2, 0, -l2)]
+    g = GkmGraph(2, ["a", "b", "c"], edges, [1, 0, 3, 2], [(0,), (0, 0), (0, 0), (1,)])
+    rep = verify_gkm(g)
+    assert checks_of(rep) == gkm_report_by_edges(g)
+    check = next(c for c in rep.checks if c.name == "connection-shape")
+    assert check.witness == f"connection along {g.edge_str(0)} is not a bijection E_p -> E_q"
+
+
 def _set_label(g, eid, label):
     """g with the label on eid and the negated label on its reverse."""
     r = g.reverse[eid]
@@ -235,6 +254,114 @@ def test_verify_gkm_matches_edge_oracle_on_mutated_flag_graphs(kind, mutate):
     rep = verify_gkm(g)
     assert not rep.ok
     assert checks_of(rep) == gkm_report_by_edges(g)
+
+
+FRACTIONS = [Fraction(c) for c in (0, 1, -1, 2, -3, "1/2", "-2/3", "3/2", "-1/3")]
+
+
+def _random_mutation(g, rng, i):
+    """g broken at a random edge e, in way i mod 8, within the star of the
+    tail of e: a label with Fraction coefficients, whose pivot is often
+    not a unit; a zero label at the first, a middle or the last position
+    of the star (by i); a label scaled by -1, 2 or 1/3; a label copied
+    from an edge of the star; one coefficient bumped by a fraction; two
+    connection images swapped (ways 5 and 6); one image duplicated.  A
+    changed label is negated on the reverse edge, except in a quarter of
+    the draws, which leave the reverse as it was."""
+    star = g.edges_at[g.edges[rng.randrange(len(g.edges))].src]
+    e = rng.choice(star)
+    way = i % 8
+    if way == 0:
+        label = LinearForm([rng.choice(FRACTIONS) for _ in range(g.varcount)])
+    elif way == 1:
+        e = star[[0, len(star) // 2, len(star) - 1][i // 8 % 3]]
+        label = LinearForm([0] * g.varcount)
+    elif way == 2:
+        label = g.edges[e].label.scale(rng.choice([-1, 2, Fraction(1, 3)]))
+    elif way == 3:
+        label = g.edges[rng.choice(star)].label
+    elif way == 4:
+        bump = [0] * g.varcount
+        bump[rng.randrange(g.varcount)] = rng.choice(FRACTIONS[1:])
+        label = g.edges[e].label + LinearForm(bump)
+    else:
+        conn = list(g.connection[e])
+        a, b = rng.sample(range(len(conn)), 2) if len(conn) > 1 else (0, 0)
+        conn[a], conn[b] = (conn[b], conn[a]) if way < 7 else (conn[b], conn[b])
+        return changed_graph(g, connection={e: tuple(conn)})
+    if rng.random() < 0.25:
+        return changed_graph(g, edges={e: g.edges[e]._replace(label=label)})
+    return _set_label(g, e, label)
+
+
+def test_verify_gkm_matches_edge_oracle_on_randomly_mutated_graphs():
+    """Seeded mutations of coset graphs up to rank 3 with Sigma1 nonempty,
+    of K4 and of graphs with stars of degree 1 (A1, K2) and 0 (Sigma1 =
+    Sigma2): every check and first witness agrees with the edge-by-edge
+    oracle, and each of the four label and shape checks fails often."""
+    graphs = [complete_graph(4), complete_graph(2)]
+    for kind, n, sigma1 in [("A", 1, ()), ("A", 2, (1,)), ("A", 3, (2,)), ("A", 3, (1, 3)),
+                            ("B", 2, (1,)), ("B", 3, (1,)), ("C", 3, (2, 3)), ("D", 3, (1,)),
+                            ("A", 2, (1, 2))]:
+        rs = RootSystem(kind, n)
+        graphs.append(build_coset_graph(rs, frozenset(sigma1), rs.full_sigma()).graph)
+    assert {len(g.edges_at[0]) for g in graphs} >= {0, 1}
+    rng = Random(30)
+    failed = Counter()
+    for g in graphs:
+        assert checks_of(verify_gkm(g)) == gkm_report_by_edges(g)
+        for i in range(48 if g.edges else 0):
+            h = _random_mutation(g, rng, i)
+            if rng.random() < 0.3:
+                h = _random_mutation(h, rng, rng.randrange(8))
+            checks = checks_of(verify_gkm(h))
+            assert checks == gkm_report_by_edges(h), (g, i)
+            failed.update(name for name, passed, _ in checks if not passed)
+    for name in ("edge-reversal", "independence", "connection-shape", "congruence"):
+        assert failed[name] >= 30, failed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(
+    st.tuples(st.lists(st.sampled_from(FRACTIONS), min_size=m, max_size=m),
+              st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-3, 2)])),
+    min_size=1, max_size=12)))
+def test_residue_rows_and_direction_classes(draws):
+    """On distinct labels with zero labels, repeated directions and
+    denominators 2 and 3: two labels share a residue modulo k iff they
+    differ by a rational multiple of k, k and -k share a row, and two
+    nonzero labels share a direction class iff they are proportional."""
+    labels = list(dict.fromkeys(LinearForm(coeffs).scale(c) for coeffs, c in draws))
+    index = {form: k for k, form in enumerate(labels)}
+    neg = [index.get(-form) for form in labels]
+    rows = _residue_rows(labels, neg)
+    for k, form in enumerate(labels):
+        if neg[k] is not None:
+            assert list(rows[k]) == list(rows[neg[k]])
+        for (a, la), (b, lb) in combinations(enumerate(labels), 2):
+            assert (rows[k][a] == rows[k][b]) == ((lb - la).proportional_to(form) is not None)
+    classes = _direction_classes(labels)
+    for a, form in enumerate(labels):
+        assert (classes[a] is None) == form.is_zero()
+        for b, other in enumerate(labels):
+            if not (form.is_zero() or other.is_zero()):
+                assert (classes[a] == classes[b]) == (form.proportional_to(other) is not None)
+
+
+def test_b4_axioms_take_label_work_per_label(monkeypatch):
+    """verify_gkm on the B4 flag graph divides and tests proportionality
+    a number of times bounded by its 32 distinct labels, not by its 6,144
+    edges or 98,304 connection entries."""
+    rs = RootSystem("B", 4)
+    g = build_coset_graph(rs, frozenset(), rs.full_sigma()).graph
+    calls = Counter()
+    for cls, name in [(LinearForm, "proportional_to"), (Polynomial, "divrem_linear")]:
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *a, real=real, name=name: (
+            calls.update([name]), real(*a))[1])
+    assert verify_gkm(g).ok
+    assert len(g.labels) == 32
+    assert 0 < sum(calls.values()) <= 2 * len(g.labels) ** 2, calls
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ def test_run_verification_passes():
     assert out.splitlines()[-1].startswith("total: PASS")
     for kind in "ABCD":
         assert f"CHECK invariant-module-{kind}8: PASS\n" in out
+    assert "CHECK axioms-D5: PASS\n" in out
 
 
 def test_run_verification_prints_what_failed(capsys):
