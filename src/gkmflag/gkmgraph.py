@@ -236,18 +236,22 @@ def verify_gkm(g: GkmGraph) -> Report:
     |Phi| distinct labels but |W|*|Phi+|^2 connection entries, so every
     ``LinearForm`` operation runs once per distinct label or pair of
     labels, into tables local to the call, and each star or edge is then
-    tested by lookups in them:
+    tested by lookups in them.  A label k and its negation share one
+    entry of each table, at the first of them, its home h; near[h] is the
+    set of labels at both ends of the edges labelled k or -k.
 
     - Congruence.  By the uniqueness of ``divrem_linear``'s (q, r) with r
       free of the pivot variable of k, and since q is a constant when the
       dividend is linear, b - a lies in Q*k iff a and b leave the same
       remainder modulo k (for k = 0: iff a == b).  :func:`_residue_rows`
-      numbers the remainders, so an edge passes iff the residues of the
-      labels at its tail equal those at its head permuted by its
+      numbers the remainders of the labels in near[h], which are those
+      the edges labelled k or -k read, so an edge passes iff the residues
+      of the labels at its tail equal those at its head permuted by its
       connection.
-    - Independence.  :func:`_direction_classes` gives each nonzero label
-      the first label proportional to it.  A star of nonzero labels in
-      distinct classes passes; any other star walks its pairs with
+    - Independence.  :func:`_direction_classes` puts proportional labels
+      that share a star into one class, testing h only against the
+      classes met in near[h].  A star of nonzero labels in distinct
+      classes passes; any other star walks its pairs with
       ``proportional_to``, whose zero form is proportional to every form
       while no nonzero form is proportional to it.
     - Connection shape.  Whether a connection tuple has distinct entries,
@@ -255,11 +259,11 @@ def verify_gkm(g: GkmGraph) -> Report:
 
     Only a star or edge that fails its table test walks its pairs, so
     the walks over vertices and edges, and the first witness of each
-    check, are those of a per-edge check.  The tables take at most
-    |L|^2/2 divisions and proportionality tests for |L| distinct labels:
-    on a coset graph |L| = |Phi|, but on a graph whose edges carry
-    mostly distinct labels, such as K_n, that exceeds the one test per
-    connection entry of a per-edge check.
+    check, are those of a per-edge check.  Each home h takes at most
+    |near[h]| divisions and as many proportionality tests, and the sizes
+    |near[h]| sum to at most min(|L|*|homes|, 2N) for |L| distinct labels
+    and N connection entries: |Phi|^2/2 on a flag graph, and about N on a
+    graph whose labels are mostly distinct, such as K_n or CP^n.
     """
     rep = Report()
     lid = g.label_id
@@ -268,9 +272,18 @@ def verify_gkm(g: GkmGraph) -> Report:
     rep.first("edge-reversal", _reversal_faults(g, neg))
     degrees = {len(g.edges_at[p]) for p in range(g.nvertices)}
     rep.add("regular", len(degrees) <= 1, f"vertex degrees {sorted(degrees)}")
-    # at[p] reads the entries of the labels at the star of p off a table row
-    at = [_picker([lid[e] for e in star]) for star in g.edges_at]
-    classes = _direction_classes(g.labels)
+    # home[k]: the first of k and -k, whose table row the two share
+    home = [k if n is None else min(k, n) for k, n in enumerate(neg)]
+    stars = [[lid[e] for e in star] for star in g.edges_at]
+    # near[h]: the labels at both ends of every edge labelled h or -h, the
+    # entries of row h that the congruence test reads; it holds every label
+    # that shares a star with h or -h, and stops growing once it holds all
+    near: list[set] = [set() for _ in home]
+    for (p, q, _), h in zip(g.edges, map(home.__getitem__, lid)):
+        if len(near[h]) < len(home):
+            near[h].update(stars[p], stars[q])
+    at = [_picker(star) for star in stars]  # at[p] reads a table row at the labels of star p
+    classes = _direction_classes(g.labels, neg, near)
     rep.first("independence", (
         f"labels {g.edges[e1].label} and {g.edges[e2].label} at vertex {g.vertices[p]} "
         f"are proportional"
@@ -282,7 +295,7 @@ def verify_gkm(g: GkmGraph) -> Report:
     cid = [conns.setdefault(conn, len(conns)) for conn in g.connection]
     rep.first("connection-shape", _shape_faults(g, cid, list(conns)))
     permute = [_picker(conn) for conn in conns]
-    rows = _residue_rows(g.labels, neg)
+    rows = _residue_rows(g.labels, home, near)
     rep.first("congruence", (
         f"congruence fails along {g.edge_str(eid)} at {g.edge_str(e1)} -> {g.edge_str(e2)}"
         for eid, ((p, q, _), c, row) in enumerate(zip(g.edges, cid, map(rows.__getitem__, lid)))
@@ -298,34 +311,43 @@ def _picker(idx):
     return itemgetter(*idx) if len(idx) > 1 else lambda s: tuple(s[i] for i in idx)
 
 
-def _residue_rows(labels: Sequence[LinearForm], neg: Sequence) -> list:
-    """rows[k][a]: the id of the remainder of labels[a] under
-    ``divrem_linear`` by labels[k], numbered per row, so that
-    rows[k][a] == rows[k][b] iff labels[b] - labels[a] lies in
-    Q*labels[k].  Labels k and -k (``neg[k]``) share a row, and the zero
-    label's row is the identity, the labels being distinct."""
+def _residue_rows(labels: Sequence[LinearForm], home: Sequence[int], near: Sequence) -> list:
+    """rows[k][a], for a in ``near[home[k]]``: the id of the remainder of
+    labels[a] under ``divrem_linear`` by labels[k], numbered per row, so
+    that rows[k][a] == rows[k][b] iff labels[b] - labels[a] lies in
+    Q*labels[k]; other entries are None.  Labels k and -k share the row of
+    ``home[k]``, and the zero label's row is the identity, the labels
+    being distinct."""
     polys = [form.to_polynomial() for form in labels]
     rows: list = []
     for k, form in enumerate(labels):
-        if neg[k] is not None and neg[k] < k:
-            rows.append(rows[neg[k]])
+        if home[k] < k:
+            rows.append(rows[home[k]])
         elif form.is_zero():
             rows.append(range(len(labels)))
         else:
             ids: dict[Polynomial, int] = {}
-            rows.append([ids.setdefault(f.divrem_linear(form)[1], len(ids)) for f in polys])
+            rows.append(row := [None] * len(labels))
+            for a in near[k]:
+                row[a] = ids.setdefault(polys[a].divrem_linear(form)[1], len(ids))
     return rows
 
 
-def _direction_classes(labels: Sequence[LinearForm]) -> list:
-    """classes[a]: the first label proportional to labels[a], or None for
-    the zero label.  Proportionality of nonzero forms is an equivalence,
-    so each label is tested against the first label of each class so far."""
-    classes: list = []
-    for a, form in enumerate(labels):
-        classes.append(None if form.is_zero() else next(
-            (b for b, first in enumerate(classes)
-             if b == first and form.proportional_to(labels[b]) is not None), a))
+def _direction_classes(labels: Sequence[LinearForm], neg: Sequence, near: Sequence) -> list:
+    """classes[a]: None for the zero label, else the id of a class of
+    proportional labels that holds every label proportional to labels[a]
+    and sharing a star with it.  A label and its negation (``neg``) take
+    one class at the first of them, h, which is tested once against each
+    class met in near[h] and merges those proportional to it into its own;
+    near[h] holds every label sharing a star with either."""
+    classes: list = [None] * len(labels)
+    for h, form in enumerate(labels):
+        if classes[h] is None and not form.is_zero():
+            merged = [c for c in {classes[b] for b in near[h]} - {None}
+                      if form.proportional_to(labels[c]) is not None]
+            if merged:
+                classes = [h if c in merged else c for c in classes]
+            classes[h] = classes[h if neg[h] is None else neg[h]] = h
     return classes
 
 
@@ -333,13 +355,12 @@ def _reversal_faults(g: GkmGraph, neg: Sequence):
     """The edge-reversal witnesses, edge by edge.  ``neg[k]`` is the id of
     the negation of label k, or None, so labels are compared by id; only
     the zero label is its own negation."""
-    edges, reverse, lid = g.edges, g.reverse, g.label_id
-    for eid, ((src, dst, _), r, k) in enumerate(zip(edges, reverse, lid)):
-        if not (0 <= r < len(edges) and reverse[r] == eid != r):
+    for eid, ((src, dst, _), r, k) in enumerate(zip(g.edges, g.reverse, g.label_id)):
+        if not (0 <= r < len(g.edges) and g.reverse[r] == eid != r):
             yield f"edge {g.edge_str(eid)} has no valid reverse"
-        elif edges[r].src != dst or edges[r].dst != src:
+        elif g.edges[r].src != dst or g.edges[r].dst != src:
             yield f"reverse of {g.edge_str(eid)} has wrong endpoints"
-        elif lid[r] != neg[k]:
+        elif g.label_id[r] != neg[k]:
             yield f"label of reverse of {g.edge_str(eid)} is not negated"
         elif neg[k] == k:
             yield f"zero label on {g.edge_str(eid)}"
@@ -353,16 +374,15 @@ def _shape_faults(g: GkmGraph, cid: Sequence[int], conns: Sequence[tuple]):
     onto the star of the head iff it is as long as that star."""
     distinct = [len(set(conn)) == len(conn) for conn in conns]
     inverse = [tuple(sorted(range(len(conn)), key=conn.__getitem__)) for conn in conns]
-    edges, edges_at, reverse = g.edges, g.edges_at, g.reverse
-    for eid, ((src, dst, _), conn, c, r) in enumerate(zip(edges, g.connection, cid, reverse)):
-        head = edges_at[dst]
+    for eid, ((src, dst, _), conn, c, r) in enumerate(zip(g.edges, g.connection, cid, g.reverse)):
+        head = g.edges_at[dst]
         if not (distinct[c] and len(conn) == len(head)):
             yield f"connection along {g.edge_str(eid)} is not a bijection E_p -> E_q"
         elif head[conn[g.slot[eid]]] != r:
             yield f"connection along {g.edge_str(eid)} does not reverse the edge"
         # r lies at the head of e; its connection undoes conn exactly when it
         # leads back to the tail of e and is the inverse permutation
-        elif edges[r].dst != src or g.connection[r] != inverse[c]:
+        elif g.edges[r].dst != src or g.connection[r] != inverse[c]:
             yield f"connection along reverse of {g.edge_str(eid)} is not the inverse"
 
 

@@ -501,12 +501,13 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
     witness.  If pi or dpi points outside the graphs, the first such
     entry is the first witness of every bundle check, and nothing that
     reads them runs.  Label arithmetic runs per distinct label, not per
-    edge, as in :func:`verify_gkm` (once per label or pair of labels) and
-    :func:`verify_iso` (Psi once per label): the transition-gkm-iso shift
-    check asks "Psi(lambda) - lambda in Q*alpha" once per label lambda of
-    the fiber subgraph over the tail of each base edge, read off its
-    interned ``labels``, which are in order of first occurrence, so the
-    first witness is that of a per-edge check.  The fibers are derived from the bundle data once per call,
+    edge, as in :func:`verify_gkm` (once per pair of labels that meet at
+    the ends of an edge) and :func:`verify_iso` (Psi once per label): the
+    transition-gkm-iso shift check asks "Psi(lambda) - lambda in
+    Q*alpha" once per label lambda of the fiber subgraph over the tail of
+    each base edge, read off its interned ``labels``, which are in order
+    of first occurrence, so the first witness is that of a per-edge
+    check.  The fibers are derived from the bundle data once per call,
     and each fiber subgraph on first use; lifts come from
     :meth:`BundleMap.lift_edge`.  Nothing is stored on the bundle, whose
     data may change after construction.  The transition checks walk the

@@ -325,27 +325,54 @@ def test_verify_gkm_matches_edge_oracle_on_randomly_mutated_graphs():
 @given(st.integers(1, 3).flatmap(lambda m: st.lists(
     st.tuples(st.lists(st.sampled_from(FRACTIONS), min_size=m, max_size=m),
               st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-3, 2)])),
-    min_size=1, max_size=12)))
-def test_residue_rows_and_direction_classes(draws):
+    min_size=1, max_size=12)), st.data())
+def test_residue_rows_and_direction_classes(draws, data):
     """On distinct labels with zero labels, repeated directions and
-    denominators 2 and 3: two labels share a residue modulo k iff they
-    differ by a rational multiple of k, k and -k share a row, and two
-    nonzero labels share a direction class iff they are proportional."""
+    denominators 2 and 3, and random stars of them: row k holds an entry
+    at each label of near[k] and at no other, two entries share a residue
+    iff their labels differ by a rational multiple of k, and k and -k
+    share a row; two nonzero labels in one direction class are
+    proportional, and two proportional nonzero labels in one star are in
+    one class."""
     labels = list(dict.fromkeys(LinearForm(coeffs).scale(c) for coeffs, c in draws))
     index = {form: k for k, form in enumerate(labels)}
     neg = [index.get(-form) for form in labels]
-    rows = _residue_rows(labels, neg)
+    home = [k if n is None else min(k, n) for k, n in enumerate(neg)]
+    some = st.integers(0, len(labels) - 1)
+    stars = data.draw(st.lists(st.lists(some, unique=True, max_size=4), max_size=6))
+    # near[h] as verify_gkm needs it: every star holding h or -h, and maybe more
+    near = [set(range(len(labels))) if data.draw(st.booleans()) else set() for _ in labels]
+    for h, a in data.draw(st.lists(st.tuples(some, some), max_size=8)):
+        near[home[h]].add(a)
+    for star in stars:
+        for k in star:
+            near[home[k]].update(star)
+    rows = _residue_rows(labels, home, near)
     for k, form in enumerate(labels):
-        if neg[k] is not None:
-            assert list(rows[k]) == list(rows[neg[k]])
-        for (a, la), (b, lb) in combinations(enumerate(labels), 2):
-            assert (rows[k][a] == rows[k][b]) == ((lb - la).proportional_to(form) is not None)
-    classes = _direction_classes(labels)
+        assert rows[k] is rows[home[k]]
+        if not form.is_zero():
+            assert {a for a, r in enumerate(rows[k]) if r is not None} == near[home[k]]
+        for a, b in combinations(near[home[k]], 2):
+            assert (rows[k][a] == rows[k][b]) == (
+                (labels[b] - labels[a]).proportional_to(form) is not None)
+    classes = _direction_classes(labels, neg, near)
     for a, form in enumerate(labels):
         assert (classes[a] is None) == form.is_zero()
-        for b, other in enumerate(labels):
-            if not (form.is_zero() or other.is_zero()):
-                assert (classes[a] == classes[b]) == (form.proportional_to(other) is not None)
+    for a, b in combinations(range(len(labels)), 2):
+        if None not in (classes[a], classes[b]):
+            proportional = labels[a].proportional_to(labels[b]) is not None
+            assert classes[a] != classes[b] or proportional
+            assert classes[a] == classes[b] or not (
+                proportional and any(a in star and b in star for star in stars))
+
+
+def test_direction_classes_merge_classes_first_met_apart():
+    """x and 2x share no star, so each takes a class of its own; 3x shares
+    a star with each of them, so it merges the two into one class."""
+    labels = [LinearForm([1, 0]), LinearForm([2, 0]), LinearForm([3, 0]), LinearForm([0, 1])]
+    near = [{0, 2}, {1, 2, 3}, {0, 1, 2, 3}, {1, 2, 3}]  # the stars {x, 3x} and {2x, 3x, y}
+    classes = _direction_classes(labels, [None] * 4, near)
+    assert classes[0] == classes[1] == classes[2] != classes[3]
 
 
 def test_b4_axioms_take_label_work_per_label(monkeypatch):
@@ -362,6 +389,24 @@ def test_b4_axioms_take_label_work_per_label(monkeypatch):
     assert verify_gkm(g).ok
     assert len(g.labels) == 32
     assert 0 < sum(calls.values()) <= 2 * len(g.labels) ** 2, calls
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_projective_space_axioms_take_label_work_per_entry(monkeypatch, n):
+    """CP^n, the type A coset graph with Sigma1 = {2..n}, is the complete
+    graph on n+1 vertices: its n(n+1) labels are all distinct, each on one
+    edge.  verify_gkm then divides and tests proportionality at most twice
+    per connection entry, not once per pair of labels."""
+    rs = RootSystem("A", n)
+    g = build_coset_graph(rs, frozenset(range(2, n + 1)), rs.full_sigma()).graph
+    calls = Counter()
+    for cls, name in [(LinearForm, "proportional_to"), (Polynomial, "divrem_linear")]:
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *a, real=real, name=name: (
+            calls.update([name]), real(*a))[1])
+    assert verify_gkm(g).ok
+    assert len(g.labels) == n * (n + 1)
+    assert 0 < sum(calls.values()) <= 2 * sum(map(len, g.connection)), calls
 
 
 # ----------------------------------------------------------------------
