@@ -3,8 +3,10 @@
 
 Covers: graph axioms for the flag graphs up to rank 4 and of A5 and
 D5, fiber-bundle axioms and holonomy for the standard bundles up to
-rank 3 and for the A4, B4 and D4 bundles with Sigma2 = {2,3,4}, basis
-verification for A2, A3, B2, B3, C3, D3 and every type at ranks 4 to 8,
+rank 3, for the A4, B4 and D4 bundles with Sigma2 = {2,3,4}, and for
+the A5 and B4 bundles with Sigma2 = {1}, whose 360 and 192 fibers have
+two vertices each, basis verification for A2, A3, B2, B3, C3, D3 and
+every type at ranks 4 to 8,
 the iteration consistency check (the iterated family equals the closed
 form) for A2, B2, D3, A3 and B3, and the bases over the invariants up to
 degree 4 for A2, B2, D3 and every type at rank 8.  Under a FAIL line of
@@ -34,7 +36,8 @@ CASES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3),
          ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("A", 5), ("D", 5)]
 BUNDLES = [("A", 2, {2}), ("A", 3, {2, 3}), ("A", 3, {1, 3}),
            ("B", 2, {2}), ("C", 2, {2}), ("D", 3, {2, 3}),
-           ("A", 4, {2, 3, 4}), ("B", 4, {2, 3, 4}), ("D", 4, {2, 3, 4})]
+           ("A", 4, {2, 3, 4}), ("B", 4, {2, 3, 4}), ("D", 4, {2, 3, 4}),
+           ("A", 5, {1}), ("B", 4, {1})]
 BASES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 3),
          ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("A", 5), ("B", 5), ("C", 5), ("D", 5),
          ("A", 6), ("B", 6), ("C", 6), ("D", 6), ("A", 7), ("B", 7), ("C", 7), ("D", 7),

@@ -149,7 +149,7 @@ def cmd_bundle(args) -> int:
         return _emit_report(rep)
     print(
         f"bundle with base on {b.base.nvertices} vertices and fibers of size "
-        f"{len(b.fiber_vertices(0))}"
+        f"{len(b.fibers()[0])}"
     )
     return 0
 

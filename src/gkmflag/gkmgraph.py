@@ -158,12 +158,13 @@ class GkmGraph:
     the star of its tail.  ``connection[e]`` is a tuple of positions: entry
     i is the position, in the star of dst(e), of the image of
     ``edges_at[src(e)][i]``.  The constructor refuses, with ValueError, a
-    connection tuple whose length is not the degree of the tail or whose
-    positions fall outside the star of the head, so every connection is a
-    function from star to star; whether it is a bijection is left to
-    :func:`verify_gkm`.  Equal tuples may be one shared object.
-    ``labels`` are the distinct edge labels in order of first occurrence
-    and ``edges[e].label is labels[label_id[e]]``.
+    label without ``varcount`` coefficients, and a connection tuple whose
+    length is not the degree of the tail or whose positions fall outside
+    the star of the head, so every connection is a function from star to
+    star; whether it is a bijection is left to :func:`verify_gkm`.  Equal
+    tuples may be one shared object.  ``labels`` are the distinct edge
+    labels in order of first occurrence and ``edges[e].label is
+    labels[label_id[e]]``.
     """
 
     def __init__(self, varcount: int, vertices: Sequence[str], edges: Sequence[Edge],
@@ -174,6 +175,9 @@ class GkmGraph:
         self.label_id = tuple(index.setdefault(label, len(index)) for _, _, label in edges)
         self.labels = tuple(index)
         self.edges = tuple(Edge(e[0], e[1], self.labels[k]) for e, k in zip(edges, self.label_id))
+        for form in self.labels:
+            if form.varcount != varcount:
+                raise ValueError(f"label {form} has {form.varcount} coefficients, not {varcount}")
         self.reverse = tuple(reverse)
         self.connection = tuple(map(tuple, connection))
         if len(self.reverse) != len(self.edges) or len(self.connection) != len(self.edges):
@@ -499,62 +503,66 @@ def degree_of(c: CohClass):
 
 
 def check_subgraph(g: GkmGraph, vertexset) -> bool:
-    """Does the stored connection preserve the induced edge sets?"""
+    """Does the stored connection preserve the edges the set induces?
+
+    Raises ValueError if the set is not one of vertex indices or induces a
+    disconnected subgraph.  Only the stars of the set are visited, each
+    once per induced edge at it, so the cost does not grow with g.
+    """
     vs = set(vertexset)
-    induced = {
-        eid for eid, e in enumerate(g.edges) if e.src in vs and e.dst in vs
-    }
-    if not _induced_connected(g, vs, induced):
-        raise ValueError("vertex set induces a disconnected subgraph")
-    for eid in induced:
-        e = g.edges[eid]
-        img = {g.along(eid, x) for x in g.edges_at[e.src] if x in induced}
-        want = {x for x in g.edges_at[e.dst] if x in induced}
-        if img != want:
-            return False
-    return True
+    return _restricts(g, vs, set(_induced_edges(g, vs)))
 
 
-def _induced_connected(g: GkmGraph, vs, induced) -> bool:
-    vs = list(vs)
-    if not vs:
-        return True
-    adj = {v: [] for v in vs}
-    for eid in induced:
-        adj[g.edges[eid].src].append(g.edges[eid].dst)
-    seen = {vs[0]}
-    stack = [vs[0]]
+def _induced_edges(g: GkmGraph, vs: set) -> list:
+    """The ids of the edges with both ends in ``vs``, in increasing order:
+    the edges in the stars of vs whose heads lie in vs.  The order is that
+    of ``g.edges`` even where edges are not grouped by tail, as in a graph
+    read from a file."""
+    if not all(_is_index(p, g.nvertices) for p in vs):
+        raise ValueError(f"vertex set holds a vertex outside 0..{g.nvertices - 1}")
+    return sorted(eid for p in vs for eid in g.edges_at[p] if g.edges[eid].dst in vs)
+
+
+def _restricts(g: GkmGraph, vs: set, induced) -> bool:
+    """:func:`check_subgraph` on ``induced``, the edges vs induces: a walk
+    along them from one vertex must reach all of vs, and then the
+    connection along each of them must send the induced edges at its tail
+    onto those at its head."""
+    stack = sorted(vs)[:1]
+    seen = set(stack)
     while stack:
-        p = stack.pop()
-        for q in adj[p]:
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return len(seen) == len(vs)
+        for eid in g.edges_at[stack.pop()]:
+            if eid in induced and g.edges[eid].dst not in seen:
+                seen.add(g.edges[eid].dst)
+                stack.append(g.edges[eid].dst)
+    if len(seen) != len(vs):
+        raise ValueError("vertex set induces a disconnected subgraph")
+    return all({b for a, b in g.connection_pairs(eid) if a in induced}
+               == {x for x in g.edges_at[g.edges[eid].dst] if x in induced} for eid in induced)
 
 
 def induced_subgraph(g: GkmGraph, vertexset):
     """The induced GKM subgraph; returns (graph, vertex_map, edge_map).
 
-    vertex_map and edge_map send old indices to new ones.  Raises if the
-    stored connection does not restrict (i.e. the set is not a GKM
-    subgraph for the stored connection).
+    vertex_map and edge_map send old indices to new ones, both in
+    increasing order.  Raises ValueError as :func:`check_subgraph` does,
+    and if the stored connection does not restrict (the set is not a GKM
+    subgraph for the stored connection).  Only the stars of the set are
+    visited, and the induced edges are found once.
     """
-    if not check_subgraph(g, vertexset):
-        raise ValueError("not a GKM subgraph for the stored connection")
-    vs = sorted(set(vertexset))
-    vmap = {old: new for new, old in enumerate(vs)}
-    eids = [
-        eid for eid, e in enumerate(g.edges) if e.src in vmap and e.dst in vmap
-    ]
+    vs = set(vertexset)
+    eids = _induced_edges(g, vs)
     emap = {old: new for new, old in enumerate(eids)}
+    if not _restricts(g, vs, emap):
+        raise ValueError("not a GKM subgraph for the stored connection")
+    vmap = {old: new for new, old in enumerate(sorted(vs))}
     edges = [Edge(vmap[g.edges[eid].src], vmap[g.edges[eid].dst], g.edges[eid].label)
              for eid in eids]
     reverse = [emap[g.reverse[eid]] for eid in eids]
     _, slot = _stars(edges, len(vs))
     connection = [tuple(slot[emap[b]] for a, b in g.connection_pairs(eid) if a in emap)
                   for eid in eids]
-    sub = GkmGraph(g.varcount, [g.vertices[v] for v in vs], edges, reverse, connection)
+    sub = GkmGraph(g.varcount, [g.vertices[v] for v in vmap], edges, reverse, connection)
     return sub, vmap, emap
 
 

@@ -232,11 +232,9 @@ class BundleMap:
 
     # -- fibers --------------------------------------------------------
 
-    def fiber_vertices(self, p: int):
-        return [q for q in range(self.total.nvertices) if self.pi[q] == p]
-
     def fibers(self):
-        """The total vertices over each base vertex, in increasing order."""
+        """The total vertices over each base vertex, in increasing order: the
+        one way fibers are derived, in one pass over pi."""
         out = [[] for _ in range(self.base.nvertices)]
         for q, p in enumerate(self.pi):
             out[p].append(q)
@@ -244,7 +242,7 @@ class BundleMap:
 
     def fiber_subgraph(self, p: int):
         """(subgraph, old->new vertex map, old->new edge map)."""
-        return induced_subgraph(self.total, self.fiber_vertices(p))
+        return induced_subgraph(self.total, self.fibers()[p])
 
     # -- lifting -------------------------------------------------------
 
@@ -350,25 +348,22 @@ def make_bundle(total: GkmGraph, base: GkmGraph, pi, transitions=None) -> Bundle
     b = BundleMap(total=total, base=base, pi=pi, dpi=dpi, transitions={})
     if transitions is None:
         transitions = {}
-        for beid in range(len(base.edges)):
-            e = base.edges[beid]
-            vmap = {}
-            for p in b.fiber_vertices(e.src):
-                te = b.lift_edge(beid, p)
-                vmap[p] = total.edges[te].dst
-            psi = _solve_transition_psi(b, beid, vmap)
-            transitions[beid] = Transition(vmap, psi)
+        fibers = b.fibers()
+        for beid, e in enumerate(base.edges):
+            fiber = fibers[e.src]
+            vmap = {p: total.edges[b.lift_edge(beid, p)].dst for p in fiber}
+            transitions[beid] = Transition(vmap, _solve_transition_psi(b, beid, fiber, vmap))
     b.transitions = transitions
     return b
 
 
-def _solve_transition_psi(b: BundleMap, beid: int, vmap):
-    """Linear part x -> x + c(x)*alpha_e pinned by the fiber labels."""
+def _solve_transition_psi(b: BundleMap, beid: int, fiber, vmap):
+    """Linear part x -> x + c(x)*alpha_e pinned by the labels of
+    ``fiber``, the fiber over the tail of base edge beid."""
     m = b.total.varcount
     alpha = b.base.edges[beid].label
     pairs = []
-    src = b.base.edges[beid].src
-    for p in b.fiber_vertices(src):
+    for p in fiber:
         for eid in b.total.edges_at[p]:
             if eid in b.dpi:
                 continue
@@ -507,11 +502,13 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
     Q*alpha" once per label lambda of the fiber subgraph over the tail of
     each base edge, read off its interned ``labels``, which are in order
     of first occurrence, so the first witness is that of a per-edge
-    check.  The fibers are derived from the bundle data once per call,
-    and each fiber subgraph on first use; lifts come from
-    :meth:`BundleMap.lift_edge`.  Nothing is stored on the bundle, whose
-    data may change after construction.  The transition checks walk the
-    base edges through :func:`_transition_faults`: an edge whose
+    check.  The fibers come from :meth:`BundleMap.fibers`, once per call,
+    and each fiber subgraph from :func:`induced_subgraph` on first use,
+    which reads only the stars of the fiber's vertices, so all of them
+    together read each total edge a bounded number of times; lifts come
+    from :meth:`BundleMap.lift_edge`.  Nothing is stored on the bundle,
+    whose data may change after construction.  The transition checks
+    walk the base edges through :func:`_transition_faults`: an edge whose
     transition cannot be checked (none is stored, or its vertex map is
     not a bijection of fibers) is a witness, and so is a vertex at which
     a base edge has not exactly one lift.
@@ -711,7 +708,7 @@ def holonomy_of_loop(b: BundleMap, loop_edges) -> tuple:
     """(vertex map on the start fiber, linear part) of transport around a loop."""
     if not loop_edges:
         raise ValueError("need a non-empty loop")
-    cur = {p: p for p in b.fiber_vertices(b.base.edges[loop_edges[0]].src)}
+    cur = {p: p for p in b.fibers()[b.base.edges[loop_edges[0]].src]}
     psi = linalg.identity_matrix(b.total.varcount)
     for beid in loop_edges:
         t = b.transitions[beid]

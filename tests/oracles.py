@@ -36,7 +36,9 @@ the stored table instead of streaming it from the walk, the term
 formatter writes a polynomial's text term by term with no memo and
 none of ``polyring``'s helpers, the file oracle writes a graph or bundle
 file with ``json.dumps`` from its dict form instead of streaming it from
-``%``-templates, and the basis oracle decides a family
+``%``-templates, the subgraph oracle finds the edges a vertex set
+induces by scanning every edge of the graph instead of the stars of the
+set, and the basis oracle decides a family
 given as classes by the class condition on every member and one
 |W| x |W| value determinant over the whole flag graph, with a
 degree-bounded grid of regular points when it vanishes, instead of by
@@ -167,6 +169,47 @@ def connection_dict(g, eid):
     e = g.edges[eid]
     head = g.edges_at[e.dst]
     return {e1: head[i] for e1, i in zip(g.edges_at[e.src], g.connection[eid])}
+
+
+def induced_subgraph_by_scan(g, vertexset):
+    """``gkmgraph.induced_subgraph`` by whole-graph scans: the edges the
+    set induces are found by a scan of every edge of g, once to check the
+    set and once to build the subgraph, and connectivity by a walk on an
+    adjacency dict built for it.  Returns (graph, vertex_map, edge_map) or
+    raises ValueError with the text ``induced_subgraph`` gives."""
+    vs = set(vertexset)
+    induced = {eid for eid, e in enumerate(g.edges) if e.src in vs and e.dst in vs}
+    adj = {v: [] for v in vs}
+    for eid in induced:
+        adj[g.edges[eid].src].append(g.edges[eid].dst)
+    stack = list(vs)[:1]
+    seen = set(stack)
+    while stack:
+        for q in adj[stack.pop()]:
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    if len(seen) != len(vs):
+        raise ValueError("vertex set induces a disconnected subgraph")
+    for eid in induced:
+        e, conn = g.edges[eid], connection_dict(g, eid)
+        if ({conn[x] for x in g.edges_at[e.src] if x in induced}
+                != {x for x in g.edges_at[e.dst] if x in induced}):
+            raise ValueError("not a GKM subgraph for the stored connection")
+    vmap = {old: new for new, old in enumerate(sorted(vs))}
+    eids = [eid for eid, e in enumerate(g.edges) if e.src in vmap and e.dst in vmap]
+    emap = {old: new for new, old in enumerate(eids)}
+    edges = [Edge(vmap[g.edges[eid].src], vmap[g.edges[eid].dst], g.edges[eid].label)
+             for eid in eids]
+    slot, degree = [], [0] * len(vmap)  # each new edge's position in its new star
+    for e in edges:
+        slot.append(degree[e.src])
+        degree[e.src] += 1
+    connection = [tuple(slot[emap[b]] for a, b in connection_dict(g, eid).items() if a in emap)
+                  for eid in eids]
+    sub = GkmGraph(g.varcount, [g.vertices[v] for v in sorted(vs)], edges,
+                   [emap[g.reverse[eid]] for eid in eids], connection)
+    return sub, vmap, emap
 
 
 def connection_failure(g):
@@ -498,11 +541,13 @@ def extend_by_edges(b, fiber_class, base_point=0):
     for u, value in zip(fib.reps, fiber_class.values):
         vals[total.vertex_of(rep * u)] = rep.act_poly(value)
 
+    fibers = b.fibers()
+
     def transported(beid):
         e = b.base.edges[beid]
         s = b.rs.reflection(e.label)
         return [(total.vertex_of(s * total.reps[x]), s.act_poly(vals[x]))
-                for x in b.fiber_vertices(e.src)]
+                for x in fibers[e.src]]
 
     tree, chords = base_tree(b, base_point)
     for beid in tree:
@@ -631,8 +676,7 @@ def express_by_cramer(b, classes, target):
     None if some fiber has no polynomial solution.
     """
     beta_vals = [[None] * b.base.nvertices for _ in classes]
-    for p in range(b.base.nvertices):
-        fverts = b.fiber_vertices(p)
+    for p, fverts in enumerate(b.fibers()):
         rows = [[c.values[v] for c in classes] for v in fverts]
         sol = linalg.solve_poly_square(rows, [target.values[v] for v in fverts])
         if sol is None:

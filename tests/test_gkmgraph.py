@@ -508,6 +508,14 @@ def test_degree_of(s3_graph):
     assert degree_of(one + c10) is None
 
 
+def test_constructor_refuses_a_label_without_varcount_coefficients():
+    """K3's labels have three coefficients.  Rebuilt with varcount 2, the
+    graph used to construct and pass every check of verify_gkm."""
+    g = complete_graph(3)
+    with pytest.raises(ValueError, match="label x1 - x2 has 3 coefficients, not 2"):
+        GkmGraph(2, g.vertices, g.edges, g.reverse, g.connection)
+
+
 def test_edge_antisymmetry(s3_graph):
     g = s3_graph.graph
     for eid in range(len(g.edges)):
@@ -532,6 +540,14 @@ def test_subgraph_disconnected_raises(s3_graph):
     g = s3_graph.graph
     with pytest.raises(ValueError):
         check_subgraph(g, {g.vertex_index("1,2,3"), g.vertex_index("2,3,1")})
+
+
+@pytest.mark.parametrize("outside", [-1, 6, "1,2,3"])
+def test_subgraph_of_a_vertex_outside_the_graph_raises(s3_graph, outside):
+    g = s3_graph.graph
+    for build in (check_subgraph, induced_subgraph):
+        with pytest.raises(ValueError, match="vertex outside 0..5"):
+            build(g, [0, outside])
 
 
 def test_induced_subgraph_is_gkm(s3_graph):

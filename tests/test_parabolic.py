@@ -9,8 +9,12 @@ from gkmflag.gkmgraph import (
     Edge,
     GkmGraph,
     GkmIso,
+    complete_graph,
     compose_iso,
+    graph_from_json,
     graph_hash,
+    graph_to_json,
+    induced_subgraph,
     invert_iso,
     verify_gkm,
     verify_iso,
@@ -46,6 +50,7 @@ from oracles import (
     coset_graph_from_reps,
     coset_projection,
     cosets_by_enumeration,
+    induced_subgraph_by_scan,
 )
 
 BUNDLES = [
@@ -572,8 +577,105 @@ def test_gkm_iso_check_stops_at_its_first_witness(monkeypatch):
     failed = {c.name: c.witness for c in verify_fiber_bundle(mutated).failures()}
     assert failed == {"transition-gkm-iso": "transition across (1,2,3,4 -> 2,1,3,4; x1 - x2) "
                                             "is not an isomorphism of labeled fibers"}
-    e = b.base.edges[0]
-    assert built == [b.fiber_vertices(e.src), b.fiber_vertices(e.dst)]
+    e, fibers = b.base.edges[0], b.fibers()
+    assert built == [fibers[e.src], fibers[e.dst]]
+
+
+# ----------------------------------------------------------------------
+# fiber subgraphs
+
+
+def subgraph_outcome(build, g, vs):
+    """What ``build(g, vs)`` gives: the subgraph's fields with the vertex
+    and edge maps as item lists, or the text of its ValueError."""
+    try:
+        sub, vmap, emap = build(g, vs)
+    except ValueError as exc:
+        return str(exc)
+    return (sub.varcount, sub.vertices, sub.edges, sub.reverse, sub.connection,
+            list(vmap.items()), list(emap.items()))
+
+
+def assert_subgraphs_match_the_scan(g, vertex_sets):
+    """induced_subgraph agrees with the whole-graph scan on each set;
+    returns the outcomes."""
+    outcomes = []
+    for vs in vertex_sets:
+        outcomes.append(subgraph_outcome(induced_subgraph, g, vs))
+        assert outcomes[-1] == subgraph_outcome(induced_subgraph_by_scan, g, vs), sorted(vs)
+    return outcomes
+
+
+def connected_sets(g, rng, count):
+    """``count`` random vertex sets of 2 to 6 vertices, each grown from a
+    vertex along random edges, so connected."""
+    for _ in range(count):
+        vs, size = {rng.randrange(g.nvertices)}, min(rng.randint(2, 6), g.nvertices)
+        while len(vs) < size:
+            vs.add(g.edges[rng.choice(g.edges_at[rng.choice(sorted(vs))])].dst)
+        yield vs
+
+
+def shuffled_graph(g, rng):
+    """g read back from its file with the edge entries, and so the edge
+    ids, in random order: its edges are no longer grouped by tail."""
+    data = graph_to_json(g)
+    order = rng.sample(range(len(g.edges)), len(g.edges))  # order[new id] = old id
+    new_id = {old: new for new, old in enumerate(order)}
+    data["edges"] = [data["edges"][old] for old in order]
+    data["connection"] = [{"edge": entry["edge"],
+                           "map": [[new_id[a], new_id[b]] for a, b in entry["map"]]}
+                          for entry in map(data["connection"].__getitem__, order)]
+    return graph_from_json(data)
+
+
+@pytest.mark.parametrize("kind, n", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                                     ("C", 2), ("C", 3), ("D", 3)])
+def test_fiber_subgraphs_of_every_coset_bundle_match_the_scan(kind, n):
+    rs = RootSystem(kind, n)
+    for sigma1, sigma2 in sigma_pairs(n):
+        b = build_bundle(rs, sigma1, sigma2)
+        outcomes = assert_subgraphs_match_the_scan(b.total, b.fibers())
+        assert not any(isinstance(o, str) for o in outcomes), (sigma1, sigma2)
+
+
+def test_subgraphs_of_a_product_and_of_a_shuffled_file_match_the_scan():
+    """Fibers and random connected sets of a product bundle and of the A3
+    flag graph read back with its edges shuffled, and a disconnected set;
+    between them they give subgraphs and both ValueError texts."""
+    rng = random.Random(31)
+    a2 = RootSystem("A", 2)
+    product = product_bundle(build_coset_graph(a2, {2}, {1, 2}).graph, complete_graph(3))
+    _, a3 = tower("A", 3)
+    shuffled = shuffled_graph(a3.total, rng)
+    assert any(star != tuple(range(star[0], star[0] + len(star))) for star in shuffled.edges_at)
+    outcomes = []
+    for g, fibers in ((product.total, product.fibers()), (shuffled, a3.fibers())):
+        outcomes += assert_subgraphs_match_the_scan(g, [*fibers, *connected_sets(g, rng, 60)])
+    flag = build_coset_graph(a2, frozenset(), frozenset({1, 2})).graph
+    disconnected = {flag.vertex_index("1,2,3"), flag.vertex_index("2,3,1")}
+    outcomes += assert_subgraphs_match_the_scan(flag, [disconnected])
+    assert outcomes[-1] == "vertex set induces a disconnected subgraph"
+    assert "not a GKM subgraph for the stored connection" in outcomes
+    assert sum(not isinstance(o, str) for o in outcomes) > len(a3.fibers())
+
+
+def test_fiber_subgraphs_read_the_stars_not_the_whole_total_graph(monkeypatch):
+    """A5 with Sigma2 = {1} has 360 fibers of two vertices.  Verifying it
+    iterates over the total edges a few times in all, where a scan of
+    them per fiber subgraph would take at least 2 x 360."""
+    _, b = tower("A", 5, frozenset({1}))
+    scans = []
+
+    class CountingEdges(tuple):
+        def __iter__(self):
+            scans.append(1)
+            return super().__iter__()
+
+    monkeypatch.setattr(b.total, "edges", CountingEdges(b.total.edges))
+    assert len(b.fibers()) == 360
+    assert verify_fiber_bundle(b).ok
+    assert len(scans) <= 10, len(scans)
 
 
 # ----------------------------------------------------------------------
