@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run the whole desk-scale verification battery and print CHECK lines.
 
-Covers: graph axioms for the flag graphs up to rank 4 and of A5 and
-D5, fiber-bundle axioms and holonomy for the standard bundles up to
+Covers: graph axioms for the flag graphs up to rank 4 and of A5, B5 and
+D5, a graph-file round trip of the B4 and D5 flag graphs (written by
+``graph_json_chunks``, read back by ``graph_from_json``, with the same
+axiom CHECK lines as the built graph), fiber-bundle axioms and holonomy for the standard bundles up to
 rank 3, for the A4, B4 and D4 bundles with Sigma2 = {2,3,4}, and for
 the A5 and B4 bundles with Sigma2 = {1}, whose 360 and 192 fibers have
 two vertices each, basis verification for A2, A3, B2, B3, C3, D3 and
@@ -14,13 +16,15 @@ a report, its failing CHECK lines are printed, indented.
 Exit code 0 iff everything passes.
 """
 
+import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gkmflag.gkmgraph import verify_gkm
+from gkmflag.gkmgraph import graph_from_json, graph_json_chunks, verify_gkm
 from gkmflag.invbases import (
     check_bases_over_invariants,
     check_d3_descriptions,
@@ -33,7 +37,8 @@ from gkmflag.rootsys import RootSystem
 from gkmflag.schubert import flag_graph
 
 CASES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3),
-         ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("A", 5), ("D", 5)]
+         ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("A", 5), ("B", 5), ("D", 5)]
+ROUND_TRIPS = [("B", 4), ("D", 5)]
 BUNDLES = [("A", 2, {2}), ("A", 3, {2, 3}), ("A", 3, {1, 3}),
            ("B", 2, {2}), ("C", 2, {2}), ("D", 3, {2, 3}),
            ("A", 4, {2, 3, 4}), ("B", 4, {2, 3, 4}), ("D", 4, {2, 3, 4}),
@@ -62,6 +67,18 @@ def main() -> int:
     for kind, n in CASES:
         rs = RootSystem(kind, n)
         ok &= show(f"axioms-{kind}{n}", verify_gkm(flag_graph(rs).graph))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, n in ROUND_TRIPS:
+            graph = flag_graph(RootSystem(kind, n)).graph
+            path = Path(tmp) / f"{kind}{n}.json"
+            with open(path, "w") as fh:
+                fh.writelines(graph_json_chunks(graph))
+            with open(path) as fh:
+                read = graph_from_json(json.load(fh))
+            good = verify_gkm(read).summary() == verify_gkm(graph).summary()
+            print(f"CHECK graph-file-{kind}{n}: {'PASS' if good else 'FAIL'}")
+            ok &= good
 
     for kind, n, sigma2 in BUNDLES:
         rs = RootSystem(kind, n)

@@ -53,13 +53,14 @@ coordinate, with entries in ``polyring``'s number normal form.
 
 A graph is an immutable value, like ``Polynomial`` and ``LinearForm``:
 its fields are tuples, fixed at construction.  A flag graph has
-|W|*|Phi+| oriented edges but only |Phi| distinct labels, so the
-constructor interns them once: ``labels`` holds each distinct form in
-order of first occurrence, ``label_id`` the index of each edge's label,
-and every ``Edge.label`` is the interned object.  Verification does its
-label arithmetic once per distinct label or pair of labels, by id, into
-tables local to one call, and a changed graph is a new graph, so no
-derived data can go stale.
+|W|*|Phi+| oriented edges but only |Phi| distinct labels, so the edges
+are int columns (``src``, ``dst``, ``label_id``, ``reverse``) beside
+``labels``, each distinct form once, in order of first occurrence; no
+object is built per edge, and :class:`Edge` values are built only when
+the ``edges`` view is read, for tests and callers outside the library.
+Verification does its label arithmetic once per distinct label or pair
+of labels, by id, into tables local to one call, and a changed graph is
+a new graph, so no derived data can go stale.
 
 The text layout of a graph file is known only here:
 :func:`graph_json_chunks` writes it as a stream of entries (a bundle file
@@ -71,11 +72,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import linalg
 from .polyring import LinearForm, Polynomial, parse_polynomial, parse_rational
@@ -150,81 +152,137 @@ class Report:
         return "\n".join(c.line() for c in self.checks)
 
 
+class _EdgeView(Sequence):
+    """The edges of a graph as a read-only sequence of :class:`Edge`, each
+    built from the columns when it is read; it equals the tuple of them."""
+
+    def __init__(self, g: GkmGraph):
+        self._g = g
+
+    def __len__(self):
+        return len(self._g.src)
+
+    def __getitem__(self, eid: int) -> Edge:
+        return Edge(self._g.src[eid], self._g.dst[eid], self._g.label(eid))
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, _EdgeView) else other)
+
+
 class GkmGraph:
     """Vertices, oriented labeled edges, and a stored per-edge connection.
 
-    Immutable: every field is a tuple.  ``edges_at[p]`` is the star of p,
-    its edge ids in increasing order, and ``slot[e]`` the position of e in
-    the star of its tail.  ``connection[e]`` is a tuple of positions: entry
-    i is the position, in the star of dst(e), of the image of
-    ``edges_at[src(e)][i]``.  The constructor refuses, with ValueError, a
-    label without ``varcount`` coefficients, and a connection tuple whose
-    length is not the degree of the tail or whose positions fall outside
-    the star of the head, so every connection is a function from star to
-    star; whether it is a bijection is left to :func:`verify_gkm`.  Equal
-    tuples may be one shared object.  ``labels`` are the distinct edge
-    labels in order of first occurrence and ``edges[e].label is
-    labels[label_id[e]]``.
+    Immutable: every field is a tuple.  The edges are int columns: edge e
+    runs from ``src[e]`` to ``dst[e]``, its label is
+    ``labels[label_id[e]]`` (also ``label(e)``), and ``reverse[e]`` is the
+    id of its reverse.  ``labels`` are the distinct labels in order of
+    first occurrence.  ``edges`` is a read-only view of the same edges
+    that builds an :class:`Edge` each time one is read, for tests and
+    callers that want ``g.edges[e].label``; no library loop walks it.
+    ``edges_at[p]`` is the star of p, its edge ids in increasing order,
+    and ``slot[e]`` the position of e in the star of its tail.
+    ``connection[e]`` is a tuple of positions: entry i is the position, in
+    the star of dst(e), of the image of ``edges_at[src(e)][i]``.  Equal
+    tuples may be one shared object.
+
+    ``GkmGraph(varcount, vertices, edges, reverse, connection)`` takes
+    (src, dst, label) triples such as :class:`Edge` and interns their
+    labels; :meth:`from_columns` takes the columns as they are.  One core
+    checks both and refuses, with ValueError: columns of unequal length, a
+    label without ``varcount`` coefficients, a label given twice, label
+    ids that do not number ``labels`` in order of first occurrence (so an
+    id out of range), an edge end that is not a vertex, and a connection
+    tuple whose length is not the degree of the tail or whose positions
+    fall outside the star of the head.  Each label is checked once, and
+    each connection tuple once per pair of tail and head degrees it
+    meets, so every connection is a function from star to star; whether
+    it is a bijection is left to :func:`verify_gkm`.
     """
 
     def __init__(self, varcount: int, vertices: Sequence[str], edges: Sequence[Edge],
                  reverse: Sequence[int], connection: Sequence[Sequence[int]]):
-        self.varcount = varcount
-        self.vertices = tuple(vertices)
-        index: dict[LinearForm, int] = {}
-        self.label_id = tuple(index.setdefault(label, len(index)) for _, _, label in edges)
-        self.labels = tuple(index)
-        self.edges = tuple(Edge(e[0], e[1], self.labels[k]) for e, k in zip(edges, self.label_id))
+        src, dst, forms = zip(*edges) if edges else ((), (), ())
+        index = {form: k for k, form in enumerate(dict.fromkeys(forms))}
+        self._set_columns(varcount, vertices, src, dst, index, map(index.__getitem__, forms),
+                          reverse, connection)
+
+    @classmethod
+    def from_columns(cls, varcount, vertices, src, dst, labels, label_id, reverse, connection):
+        """The graph whose edge e runs from src[e] to dst[e], labeled
+        labels[label_id[e]], with the given reverse and connection."""
+        return cls.__new__(cls)._set_columns(varcount, vertices, src, dst, labels, label_id,
+                                             reverse, connection)
+
+    def _set_columns(self, varcount, vertices, src, dst, labels, label_id, reverse, connection):
+        """The one core of both entries: store the columns, check them,
+        derive the stars, and return the graph."""
+        self.varcount, self.vertices, self.labels = varcount, tuple(vertices), tuple(labels)
+        self.src, self.dst, self.label_id, self.reverse = map(tuple, (src, dst, label_id, reverse))
+        self.connection = tuple(map(tuple, connection))
+        if len(set(map(len, (self.src, self.dst, self.label_id, self.reverse,
+                             self.connection)))) > 1:
+            raise ValueError("edges, reverse and connection must have equal length")
         for form in self.labels:
             if form.varcount != varcount:
                 raise ValueError(f"label {form} has {form.varcount} coefficients, not {varcount}")
-        self.reverse = tuple(reverse)
-        self.connection = tuple(map(tuple, connection))
-        if len(self.reverse) != len(self.edges) or len(self.connection) != len(self.edges):
-            raise ValueError("edges, reverse and connection must have equal length")
-        self.edges_at, self.slot = _stars(self.edges, len(self.vertices))
-        for (src, dst, _), conn in zip(self.edges, self.connection):
-            if (len(conn) != len(self.edges_at[src]) or min(conn) < 0
-                    or max(conn) >= len(self.edges_at[dst])):
-                raise ValueError(f"a connection must give a position in the star of "
-                                 f"vertex {dst} for each edge at vertex {src}")
+        if (len(set(self.labels)) != len(self.labels)
+                or list(dict.fromkeys(self.label_id)) != list(range(len(self.labels)))):
+            raise ValueError("labels must be distinct and numbered in order of first occurrence")
+        if self.src and not 0 <= min(ends := self.src + self.dst) <= max(ends) < len(vertices):
+            raise ValueError(f"edge ends must be vertices 0..{self.nvertices - 1}")
+        self.edges_at, self.slot = _stars(self.src, self.nvertices)
+        degree = list(map(len, self.edges_at)).__getitem__
+        keys = set(zip(self.connection, map(degree, self.src), map(degree, self.dst)))
+        bad = {(conn, tail, head) for conn, tail, head in keys
+               if len(conn) != tail or not 0 <= min(conn) <= max(conn) < head}
+        if bad:
+            eid = next(e for e, (conn, p, q) in enumerate(zip(self.connection, self.src, self.dst))
+                       if (conn, degree(p), degree(q)) in bad)
+            raise ValueError(f"a connection must give a position in the star of vertex "
+                             f"{self.dst[eid]} for each edge at vertex {self.src[eid]}")
+        return self
+
+    edges = property(_EdgeView, doc="The edges as a read-only sequence of :class:`Edge`.")
 
     @property
     def nvertices(self) -> int:
         return len(self.vertices)
 
+    def label(self, eid: int) -> LinearForm:
+        return self.labels[self.label_id[eid]]
+
     def along(self, eid: int, x: int) -> int:
         """The image of x, an edge at the tail of eid, under the connection
         along eid.  An edge elsewhere has no image; the caller checks."""
-        return self.edges_at[self.edges[eid].dst][self.connection[eid][self.slot[x]]]
+        return self.edges_at[self.dst[eid]][self.connection[eid][self.slot[x]]]
 
     def connection_pairs(self, eid: int):
         """(x, image of x) for each edge x at the tail of eid, in star order."""
-        src, dst, _ = self.edges[eid]
-        return zip(self.edges_at[src], map(self.edges_at[dst].__getitem__, self.connection[eid]))
+        return zip(self.edges_at[self.src[eid]],
+                   map(self.edges_at[self.dst[eid]].__getitem__, self.connection[eid]))
 
     def vertex_index(self, name: str) -> int:
         return self.vertices.index(name)
 
     def find_edges(self, src: int, dst: int):
-        return [eid for eid in self.edges_at[src] if self.edges[eid].dst == dst]
+        return [eid for eid in self.edges_at[src] if self.dst[eid] == dst]
 
     def edge_str(self, eid: int) -> str:
-        e = self.edges[eid]
-        return f"({self.vertices[e.src]} -> {self.vertices[e.dst]}; {e.label})"
+        names = self.vertices
+        return f"({names[self.src[eid]]} -> {names[self.dst[eid]]}; {self.label(eid)})"
 
     def __repr__(self):
-        return f"GkmGraph({self.nvertices} vertices, {len(self.edges)} oriented edges)"
+        return f"GkmGraph({self.nvertices} vertices, {len(self.src)} oriented edges)"
 
 
-def _stars(edges: Sequence[Edge], nvertices: int):
-    """(edges_at, slot): the star of each vertex and each edge's position
-    in the star of its tail."""
+def _stars(src: Sequence[int], nvertices: int):
+    """(edges_at, slot) for the tails ``src``: the star of each vertex and
+    each edge's position in the star of its tail."""
     edges_at: list[list[int]] = [[] for _ in range(nvertices)]
     slot = []
-    for eid, e in enumerate(edges):
-        slot.append(len(edges_at[e.src]))
-        edges_at[e.src].append(eid)
+    for eid, p in enumerate(src):
+        slot.append(len(edges_at[p]))
+        edges_at[p].append(eid)
     return tuple(map(tuple, edges_at)), tuple(slot)
 
 
@@ -283,18 +341,17 @@ def verify_gkm(g: GkmGraph) -> Report:
     # entries of row h that the congruence test reads; it holds every label
     # that shares a star with h or -h, and stops growing once it holds all
     near: list[set] = [set() for _ in home]
-    for (p, q, _), h in zip(g.edges, map(home.__getitem__, lid)):
+    for p, q, h in zip(g.src, g.dst, map(home.__getitem__, lid)):
         if len(near[h]) < len(home):
             near[h].update(stars[p], stars[q])
     at = [_picker(star) for star in stars]  # at[p] reads a table row at the labels of star p
     classes = _direction_classes(g.labels, neg, near)
     rep.first("independence", (
-        f"labels {g.edges[e1].label} and {g.edges[e2].label} at vertex {g.vertices[p]} "
-        f"are proportional"
+        f"labels {g.label(e1)} and {g.label(e2)} at vertex {g.vertices[p]} are proportional"
         # a zero label (class None) or a repeated class sends a star to its pairs
         for p, star in enumerate(g.edges_at) if len({*at[p](classes), None}) <= len(star)
         for e1, e2 in combinations(star, 2)
-        if g.edges[e1].label.proportional_to(g.edges[e2].label) is not None))
+        if g.label(e1).proportional_to(g.label(e2)) is not None))
     conns: dict[tuple, int] = {}  # the distinct connection tuples, numbered
     cid = [conns.setdefault(conn, len(conns)) for conn in g.connection]
     rep.first("connection-shape", _shape_faults(g, cid, list(conns)))
@@ -302,7 +359,7 @@ def verify_gkm(g: GkmGraph) -> Report:
     rows = _residue_rows(g.labels, home, near)
     rep.first("congruence", (
         f"congruence fails along {g.edge_str(eid)} at {g.edge_str(e1)} -> {g.edge_str(e2)}"
-        for eid, ((p, q, _), c, row) in enumerate(zip(g.edges, cid, map(rows.__getitem__, lid)))
+        for eid, (p, q, c, row) in enumerate(zip(g.src, g.dst, cid, map(rows.__getitem__, lid)))
         if at[p](row) != permute[c](at[q](row))
         for e1, e2 in g.connection_pairs(eid) if row[lid[e1]] != row[lid[e2]]))
     return rep
@@ -359,10 +416,10 @@ def _reversal_faults(g: GkmGraph, neg: Sequence):
     """The edge-reversal witnesses, edge by edge.  ``neg[k]`` is the id of
     the negation of label k, or None, so labels are compared by id; only
     the zero label is its own negation."""
-    for eid, ((src, dst, _), r, k) in enumerate(zip(g.edges, g.reverse, g.label_id)):
-        if not (0 <= r < len(g.edges) and g.reverse[r] == eid != r):
+    for eid, (src, dst, r, k) in enumerate(zip(g.src, g.dst, g.reverse, g.label_id)):
+        if not (0 <= r < len(g.src) and g.reverse[r] == eid != r):
             yield f"edge {g.edge_str(eid)} has no valid reverse"
-        elif g.edges[r].src != dst or g.edges[r].dst != src:
+        elif g.src[r] != dst or g.dst[r] != src:
             yield f"reverse of {g.edge_str(eid)} has wrong endpoints"
         elif g.label_id[r] != neg[k]:
             yield f"label of reverse of {g.edge_str(eid)} is not negated"
@@ -378,7 +435,7 @@ def _shape_faults(g: GkmGraph, cid: Sequence[int], conns: Sequence[tuple]):
     onto the star of the head iff it is as long as that star."""
     distinct = [len(set(conn)) == len(conn) for conn in conns]
     inverse = [tuple(sorted(range(len(conn)), key=conn.__getitem__)) for conn in conns]
-    for eid, ((src, dst, _), conn, c, r) in enumerate(zip(g.edges, g.connection, cid, g.reverse)):
+    for eid, (src, dst, conn, c, r) in enumerate(zip(g.src, g.dst, g.connection, cid, g.reverse)):
         head = g.edges_at[dst]
         if not (distinct[c] and len(conn) == len(head)):
             yield f"connection along {g.edge_str(eid)} is not a bijection E_p -> E_q"
@@ -386,7 +443,7 @@ def _shape_faults(g: GkmGraph, cid: Sequence[int], conns: Sequence[tuple]):
             yield f"connection along {g.edge_str(eid)} does not reverse the edge"
         # r lies at the head of e; its connection undoes conn exactly when it
         # leads back to the tail of e and is the inverse permutation
-        elif g.edges[r].dst != src or g.connection[r] != inverse[c]:
+        elif g.dst[r] != src or g.connection[r] != inverse[c]:
             yield f"connection along reverse of {g.edge_str(eid)} is not the inverse"
 
 
@@ -467,12 +524,12 @@ def coh_failure(c: CohClass):
     hyperplane where the label does.  An edge whose two values are equal
     passes without a division.
     """
-    g = c.graph
-    for eid, e in enumerate(g.edges):
-        if eid > g.reverse[eid]:
+    g, values = c.graph, c.values
+    for eid, (p, q, r, k) in enumerate(zip(g.src, g.dst, g.reverse, g.label_id)):
+        if eid > r:
             continue  # each unoriented edge once
-        hi, lo = c.values[e.dst], c.values[e.src]
-        if hi != lo and not (hi - lo).divrem_linear(e.label)[1].is_zero():
+        hi, lo = values[q], values[p]
+        if hi != lo and not (hi - lo).divrem_linear(g.labels[k])[1].is_zero():
             return eid
     return None
 
@@ -518,9 +575,9 @@ def _induced_edges(g: GkmGraph, vs: set) -> list:
     the edges in the stars of vs whose heads lie in vs.  The order is that
     of ``g.edges`` even where edges are not grouped by tail, as in a graph
     read from a file."""
-    if not all(_is_index(p, g.nvertices) for p in vs):
+    if not all(type(p) is int and 0 <= p < g.nvertices for p in vs):
         raise ValueError(f"vertex set holds a vertex outside 0..{g.nvertices - 1}")
-    return sorted(eid for p in vs for eid in g.edges_at[p] if g.edges[eid].dst in vs)
+    return sorted(eid for p in vs for eid in g.edges_at[p] if g.dst[eid] in vs)
 
 
 def _restricts(g: GkmGraph, vs: set, induced) -> bool:
@@ -532,13 +589,13 @@ def _restricts(g: GkmGraph, vs: set, induced) -> bool:
     seen = set(stack)
     while stack:
         for eid in g.edges_at[stack.pop()]:
-            if eid in induced and g.edges[eid].dst not in seen:
-                seen.add(g.edges[eid].dst)
-                stack.append(g.edges[eid].dst)
+            if eid in induced and g.dst[eid] not in seen:
+                seen.add(g.dst[eid])
+                stack.append(g.dst[eid])
     if len(seen) != len(vs):
         raise ValueError("vertex set induces a disconnected subgraph")
     return all({b for a, b in g.connection_pairs(eid) if a in induced}
-               == {x for x in g.edges_at[g.edges[eid].dst] if x in induced} for eid in induced)
+               == {x for x in g.edges_at[g.dst[eid]] if x in induced} for eid in induced)
 
 
 def induced_subgraph(g: GkmGraph, vertexset):
@@ -556,14 +613,17 @@ def induced_subgraph(g: GkmGraph, vertexset):
     if not _restricts(g, vs, emap):
         raise ValueError("not a GKM subgraph for the stored connection")
     vmap = {old: new for new, old in enumerate(sorted(vs))}
-    edges = [Edge(vmap[g.edges[eid].src], vmap[g.edges[eid].dst], g.edges[eid].label)
-             for eid in eids]
-    reverse = [emap[g.reverse[eid]] for eid in eids]
-    _, slot = _stars(edges, len(vs))
+    src = [vmap[g.src[eid]] for eid in eids]
+    # the labels of the induced edges, renumbered in order of first occurrence
+    ids = [g.label_id[eid] for eid in eids]
+    renumber = {k: new for new, k in enumerate(dict.fromkeys(ids))}
+    _, slot = _stars(src, len(vs))
     connection = [tuple(slot[emap[b]] for a, b in g.connection_pairs(eid) if a in emap)
                   for eid in eids]
-    sub = GkmGraph(g.varcount, [g.vertices[v] for v in vmap], edges, reverse, connection)
-    return sub, vmap, emap
+    return GkmGraph.from_columns(
+        g.varcount, [g.vertices[v] for v in vmap], src, [vmap[g.dst[eid]] for eid in eids],
+        [g.labels[k] for k in renumber], [renumber[k] for k in ids],
+        [emap[g.reverse[eid]] for eid in eids], connection), vmap, emap
 
 
 # ----------------------------------------------------------------------
@@ -603,14 +663,8 @@ def verify_iso(iso: GkmIso, g1: GkmGraph, g2: GkmGraph) -> bool:
         return False
     image = [iso.apply_form(label).coeffs for label in g1.labels]
     for p in range(g1.nvertices):
-        have = sorted(
-            ((iso.phi[g1.edges[eid].dst], image[g1.label_id[eid]])
-             for eid in g1.edges_at[p])
-        )
-        want = sorted(
-            ((g2.edges[eid].dst, g2.edges[eid].label.coeffs)
-             for eid in g2.edges_at[iso.phi[p]])
-        )
+        have = sorted((iso.phi[g1.dst[eid]], image[g1.label_id[eid]]) for eid in g1.edges_at[p])
+        want = sorted((g2.dst[eid], g2.label(eid).coeffs) for eid in g2.edges_at[iso.phi[p]])
         if have != want:
             return False
     return True
@@ -660,24 +714,15 @@ def complete_graph(n: int) -> GkmGraph:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    vertices = [str(i + 1) for i in range(n)]
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            coeffs = [0] * n
-            coeffs[i] += 1
-            coeffs[j] -= 1
-            edges.append(Edge(i, j, LinearForm(coeffs)))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]  # the edges, all labels distinct
+    labels = [LinearForm([(k == i) - (k == j) for k in range(n)]) for i, j in pairs]
     # (i, k) is at position k - (k > i) of the star at i, which starts at
     # edge id i*(n-1); along (i, j), (i, k) goes to (j, k) and (i, j) to (j, i)
-    reverse = [j * (n - 1) + i - (i > j) for i, j, _ in edges]
-    connection = []
-    for i, j, _ in edges:
-        images = [i if k == j else k for k in range(n) if k != i]
-        connection.append(tuple(k - (k > j) for k in images))
-    return GkmGraph(n, vertices, edges, reverse, connection)
+    reverse = [j * (n - 1) + i - (i > j) for i, j in pairs]
+    connection = [tuple(k - (k > j) for k in (i if k == j else k for k in range(n) if k != i))
+                  for i, j in pairs]
+    return GkmGraph.from_columns(n, [str(i + 1) for i in range(n)], *zip(*pairs), labels,
+                                 range(len(pairs)), reverse, connection)
 
 
 # ----------------------------------------------------------------------
@@ -691,14 +736,12 @@ def graph_to_json(g: GkmGraph) -> dict:
         "varcount": g.varcount,
         "vertices": list(g.vertices),
         "edges": [
-            {"src": e.src, "dst": e.dst,
-             "alpha": [str(c) for c in e.label.coeffs]}
-            for e in g.edges
+            {"src": p, "dst": q, "alpha": [str(c) for c in g.labels[k].coeffs]}
+            for p, q, k in zip(g.src, g.dst, g.label_id)
         ],
         "connection": [
-            {"edge": [g.edges[eid].src, g.edges[eid].dst],
-             "map": [[a, b] for a, b in g.connection_pairs(eid)]}
-            for eid in range(len(g.edges))
+            {"edge": [p, q], "map": [[a, b] for a, b in g.connection_pairs(eid)]}
+            for eid, (p, q) in enumerate(zip(g.src, g.dst))
         ],
     }
 
@@ -726,7 +769,7 @@ def graph_json_chunks(g: GkmGraph, depth: int = 0, edge_class: Sequence[str] | N
              else (f',{i3}"class": {_json_str(c)}' for c in edge_class))
     entry = f'{{{i3}"src": %d,{i3}"dst": %d,{i3}%s%s{i2}}}'
     entries = (entry % (src, dst, alpha[k], x)
-               for (src, dst, _), k, x in zip(g.edges, g.label_id, extra))
+               for src, dst, k, x in zip(g.src, g.dst, g.label_id, extra))
     yield from _json_items(entries, i2, i1)
     yield f',{i1}"connection": '
     # one template per star size: the edge, then its (edge, image) id pairs
@@ -736,7 +779,7 @@ def graph_json_chunks(g: GkmGraph, depth: int = 0, edge_class: Sequence[str] | N
                  for deg in set(map(len, filter(None, g.edges_at)))}
     entries = (templates[len(g.edges_at[src])]
                % (src, dst, *chain.from_iterable(g.connection_pairs(eid)))
-               for eid, (src, dst, _) in enumerate(g.edges))
+               for eid, (src, dst) in enumerate(zip(g.src, g.dst)))
     yield from _json_items(entries, i2, i1)
     yield i0 + "}" + ("" if depth else "\n")
 
@@ -752,10 +795,6 @@ def _json_items(texts, inner: str, outer: str):
     yield "[]" if sep[0] == "[" else outer + "]"
 
 
-def _is_index(v, n: int) -> bool:
-    return type(v) is int and 0 <= v < n
-
-
 def graph_from_json(data: dict) -> GkmGraph:
     """Parse :func:`graph_to_json` output.
 
@@ -763,9 +802,12 @@ def graph_from_json(data: dict) -> GkmGraph:
     lengths, vertex names that are not distinct strings, and a connection
     ``map`` that is not a function from the edges at the tail to the edges
     at the head (every edge at the tail paired once, each with an edge at
-    the head).  Equal connection tuples are stored once.  The axioms,
-    bijectivity of the connection among them, are left to
-    :func:`verify_gkm`.
+    the head).  The edge entries are checked column by column, and only a
+    failure walks them one at a time, to name the first bad entry; equal
+    forms written differently share one label.  Equal connection tuples
+    are stored once.  The graph is handed over as columns, with the
+    labels and ids read here.  The axioms, bijectivity of the connection
+    among them, are left to :func:`verify_gkm`.
     """
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
@@ -778,25 +820,21 @@ def graph_from_json(data: dict) -> GkmGraph:
     if not (isinstance(raw_edges, list) and isinstance(raw_connection, list)
             and len(raw_edges) == len(raw_connection)):
         raise ValueError("edges and connection must be lists of equal length")
-    n, edges = len(vertices), []
-    forms: dict[tuple, LinearForm] = {}  # each distinct alpha is parsed once
-    for eid, e in enumerate(raw_edges):
-        alpha = e.get("alpha") if isinstance(e, dict) else None
-        if not (isinstance(alpha, list) and len(alpha) == m
-                and all(isinstance(c, str) for c in alpha)
-                and _is_index(e.get("src"), n) and _is_index(e.get("dst"), n)):
-            raise ValueError(f"edge {eid}: need vertex indices src, dst and {m} rationals alpha")
-        key = tuple(alpha)
-        if key not in forms:
-            forms[key] = LinearForm([parse_rational(c) for c in alpha])
-        edges.append(Edge(e["src"], e["dst"], forms[key]))
-    edges_at, slot = _stars(edges, n)
+    columns = _edge_columns(raw_edges, m, n := len(vertices))
+    if columns is None:  # name the first bad entry
+        eid = next(eid for eid, e in enumerate(raw_edges) if _edge_columns([e], m, n) is None)
+        raise ValueError(f"edge {eid}: need vertex indices src, dst and {m} rationals alpha")
+    src, dst, keys = columns
+    index: dict[LinearForm, int] = {}  # each distinct alpha is parsed once; equal forms share an id
+    key_id = {key: index.setdefault(LinearForm(list(map(parse_rational, key))), len(index))
+              for key in dict.fromkeys(keys)}
+    edges_at, slot = _stars(src, n)
     maps = [entry.get("map") if isinstance(entry, dict) else None for entry in raw_connection]
     position = [dict(zip(star, range(len(star)))) for star in edges_at]
-    connection: list = [None] * len(edges)
+    connection: list = [None] * len(src)
     bad = []
     for star in filter(None, edges_at):
-        at_heads = [position[edges[e].dst] for e in star]
+        at_heads = [position[dst[e]] for e in star]
         conns = _star_maps([maps[e] for e in star], star, at_heads)
         if conns is None:  # name the first edge of the star whose map fails
             bad.append(next(e for e, at_head in zip(star, at_heads)
@@ -805,15 +843,31 @@ def graph_from_json(data: dict) -> GkmGraph:
         for eid, conn in zip(star, conns):
             connection[eid] = conn
     if bad:
-        src, dst, _ = edges[min(bad)]
-        raise ValueError(f"connection {min(bad)}: map must pair each edge at vertex {src} "
-                         f"once with an edge at vertex {dst}")
+        raise ValueError(f"connection {min(bad)}: map must pair each edge at vertex "
+                         f"{src[min(bad)]} once with an edge at vertex {dst[min(bad)]}")
     shared: dict[tuple, tuple] = {}
     connection = [shared.setdefault(conn, conn) for conn in connection]
     # the reverse of e is where the connection along e sends e itself
-    reverse = [edges_at[dst][conn[slot[eid]]]
-               for eid, ((_, dst, _), conn) in enumerate(zip(edges, connection))]
-    return GkmGraph(m, vertices, edges, reverse, connection)
+    reverse = [edges_at[q][conn[slot[eid]]] for eid, (q, conn) in enumerate(zip(dst, connection))]
+    return GkmGraph.from_columns(m, vertices, src, dst, index, list(map(key_id.__getitem__, keys)),
+                                 reverse, connection)
+
+
+def _edge_columns(entries: list, m: int, n: int):
+    """(src, dst, alpha) of the edge entries of a graph file, as three
+    lists, each alpha a tuple, or None unless every entry is a dict whose ``src`` and ``dst``
+    are ints in 0..n-1 and whose ``alpha`` is a list of m strings.  The
+    entries are checked together, one pass per condition over a column,
+    not entry by entry."""
+    if not all(map(isinstance, entries, repeat(dict))):
+        return None
+    src, dst, alphas = (list(map(dict.get, entries, repeat(k))) for k in ("src", "dst", "alpha"))
+    ends = src + dst
+    if (all(map(isinstance, alphas, repeat(list))) and set(map(len, alphas)) <= {m}
+            and all(map(isinstance, chain.from_iterable(alphas), repeat(str)))
+            and set(map(type, ends)) <= {int} and (not ends or 0 <= min(ends) <= max(ends) < n)):
+        return src, dst, list(map(tuple, alphas))
+    return None
 
 
 def _star_maps(maps: list, star: tuple, at_heads: list):
@@ -890,21 +944,13 @@ def class_from_json(data: dict, g: GkmGraph) -> CohClass:
 
 def graph_to_dot(g: GkmGraph, name: str = "gkm") -> str:
     """Undirected DOT rendering, one line per unoriented edge."""
-    lines = [f'graph "{name}" {{']
-    for v in g.vertices:
-        lines.append(f'  "{v}";')
-    seen = set()
-    rendered = []
-    for eid, e in enumerate(g.edges):
-        pair = frozenset((eid, g.reverse[eid]))
-        if pair in seen:
-            continue
-        seen.add(pair)
-        a, b = (eid, g.reverse[eid])
-        if (g.edges[a].src, g.edges[a].dst) > (g.edges[a].dst, g.edges[a].src):
-            a = b
-        e = g.edges[a]
-        rendered.append((e.src, e.dst, str(e.label)))
+    lines = [f'graph "{name}" {{', *(f'  "{v}";' for v in g.vertices)]
+    seen, rendered = set(), []
+    for eid, r in enumerate(g.reverse):
+        if frozenset((eid, r)) not in seen:
+            seen.add(frozenset((eid, r)))
+            a = r if g.src[eid] > g.dst[eid] else eid  # the orientation with src <= dst
+            rendered.append((g.src[a], g.dst[a], str(g.label(a))))
     for src, dst, label in sorted(rendered):
         lines.append(f'  "{g.vertices[src]}" -- "{g.vertices[dst]}" [label="{label}"];')
     lines.append("}")

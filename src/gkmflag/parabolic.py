@@ -122,7 +122,13 @@ class CosetGraph:
     the edge at p in direction roots[k], so directions are positions in
     stars and that permutation, one tuple per word, is the connection:
     every edge whose word agrees shares its tuple, and no edge takes a
-    group inverse.  The labels at a vertex are w beta for distinct
+    group inverse.  The graph is built as int columns
+    (:meth:`GkmGraph.from_columns`), with no ``Edge`` and no
+    ``LinearForm`` per edge: w beta depends on w only through the entries
+    of its one-line form at the support of beta, so the label id of edge
+    (p, k) is looked up by k and those entries, and ``act_linear`` runs
+    once per such key, in edge order, so the labels keep their order of
+    first occurrence.  The labels at a vertex are w beta for distinct
     positive roots beta, which are never proportional in a reduced root
     system, so the build checks no labels; the independence axiom of
     :func:`verify_gkm` reports that condition.
@@ -150,18 +156,28 @@ class CosetGraph:
         # u^-1 * roots[k] for u = s_i1 ... s_im, applying t_i1 first
         t = {i: [index[rs.simple_reflection(i).act_linear(b)] for b in roots] for i in sigma1}
         perm = {(): tuple(range(d))}
-        edges, reverse, connection = [], [], []
-        for p, w in enumerate(self.reps):
+        # w beta depends on w only through its entries on the support of
+        # beta: label_of sends (k, those entries) to the id of w beta in
+        # labels, which numbers the labels in order of first occurrence
+        support = [operator.itemgetter(*(i for i, c in enumerate(b.coeffs) if c)) for b in roots]
+        labels, label_of = {}, {}
+        dst, label_id, connection, reverse = [], [], [], []
+        for w in self.reps:
             for k, beta in enumerate(roots):
                 ws, word = rs.coset_min(w * refl[k], sigma1)
                 if word not in perm:
                     perm[word] = tuple(reduce(lambda js, i: [t[i][j] for j in js], word, range(d)))
-                q, dirs = self._vertex[ws], perm[word]
-                edges.append(Edge(p, q, w.act_linear(beta)))
+                q, dirs, key = self._vertex[ws], perm[word], (k, support[k](w))
+                if key not in label_of:
+                    label_of[key] = labels.setdefault(w.act_linear(beta), len(labels))
+                dst.append(q)
+                label_id.append(label_of[key])
                 connection.append(dirs)
                 reverse.append(q * d + dirs[k])
         names = [w.one_line_str() for w in self.reps]
-        return GkmGraph(rs.varcount, names, edges, reverse, connection)
+        src = [p for p in range(len(names)) for _ in roots]
+        return GkmGraph.from_columns(rs.varcount, names, src, dst, labels, label_id, reverse,
+                                     connection)
 
     # ------------------------------------------------------------------
 
@@ -265,14 +281,11 @@ class BundleMap:
         base edge ids instead, which disambiguates parallel edges.
         """
         path_edges = list(path) if edges else self._path_edges(path)
-        if path_edges and self.base.edges[path_edges[0]].src != self.pi[start]:
+        if path_edges and self.base.src[path_edges[0]] != self.pi[start]:
             raise ValueError("start vertex does not lie over the path head")
         out = [start]
-        cur = start
         for beid in path_edges:
-            te = self.lift_edge(beid, cur)
-            cur = self.total.edges[te].dst
-            out.append(cur)
+            out.append(self.total.dst[self.lift_edge(beid, out[-1])])
         return out
 
     def _path_edges(self, path):
@@ -289,9 +302,9 @@ class BundleMap:
 
     def transition_iso(self, base_eid: int) -> GkmIso:
         """The stored transition as an isomorphism of fiber subgraphs."""
-        e = self.base.edges[base_eid]
-        return _transition_iso(self.transitions[base_eid], self.fiber_subgraph(e.src)[1],
-                               self.fiber_subgraph(e.dst)[1])
+        p, q = self.base.src[base_eid], self.base.dst[base_eid]
+        return _transition_iso(self.transitions[base_eid], self.fiber_subgraph(p)[1],
+                               self.fiber_subgraph(q)[1])
 
 
 def _transition_iso(t: Transition, vmap_p, vmap_q) -> GkmIso:
@@ -313,7 +326,7 @@ def build_bundle(rs: RootSystem, sigma1, sigma2) -> BundleMap:
     total = build_coset_graph(rs, sigma1, full)
     base = build_coset_graph(rs, sigma2, full)
     pi = [base.vertex_of(w) for w in total.reps]
-    refls = [rs.reflection(e.label) for e in base.graph.edges]
+    refls = [rs.reflection(base.graph.labels[k]) for k in base.graph.label_id]
     vmaps = [{} for _ in refls]
     for q, p in enumerate(pi):
         for beid in base.graph.edges_at[p]:
@@ -336,12 +349,12 @@ def make_bundle(total: GkmGraph, base: GkmGraph, pi, transitions=None) -> Bundle
     """
     pi = list(pi)
     dpi = {}
-    for eid, e in enumerate(total.edges):
-        if pi[e.src] == pi[e.dst]:
+    for eid, (p, q) in enumerate(zip(total.src, total.dst)):
+        if pi[p] == pi[q]:
             continue
-        cands = base.find_edges(pi[e.src], pi[e.dst])
+        cands = base.find_edges(pi[p], pi[q])
         if len(cands) > 1:
-            cands = [c for c in cands if base.edges[c].label == e.label]
+            cands = [c for c in cands if base.label(c) == total.label(eid)]
         if len(cands) != 1:
             raise ValueError(f"cannot project edge {total.edge_str(eid)}")
         dpi[eid] = cands[0]
@@ -349,9 +362,8 @@ def make_bundle(total: GkmGraph, base: GkmGraph, pi, transitions=None) -> Bundle
     if transitions is None:
         transitions = {}
         fibers = b.fibers()
-        for beid, e in enumerate(base.edges):
-            fiber = fibers[e.src]
-            vmap = {p: total.edges[b.lift_edge(beid, p)].dst for p in fiber}
+        for beid, fiber in enumerate(map(fibers.__getitem__, base.src)):
+            vmap = {p: total.dst[b.lift_edge(beid, p)] for p in fiber}
             transitions[beid] = Transition(vmap, _solve_transition_psi(b, beid, fiber, vmap))
     b.transitions = transitions
     return b
@@ -360,27 +372,23 @@ def make_bundle(total: GkmGraph, base: GkmGraph, pi, transitions=None) -> Bundle
 def _solve_transition_psi(b: BundleMap, beid: int, fiber, vmap):
     """Linear part x -> x + c(x)*alpha_e pinned by the labels of
     ``fiber``, the fiber over the tail of base edge beid."""
-    m = b.total.varcount
-    alpha = b.base.edges[beid].label
+    total = b.total
+    m = total.varcount
+    alpha = b.base.label(beid)
     pairs = []
     for p in fiber:
-        for eid in b.total.edges_at[p]:
+        for eid in total.edges_at[p]:
             if eid in b.dpi:
                 continue
-            e = b.total.edges[eid]
             # the matching fiber edge between the transported endpoints
-            targets = [
-                t for t in b.total.edges_at[vmap[p]]
-                if b.total.edges[t].dst == vmap[e.dst]
-            ]
+            targets = total.find_edges(vmap[p], vmap[total.dst[eid]])
             if len(targets) != 1:
                 raise ValueError("ambiguous transported fiber edge")
-            pairs.append((e.label, b.total.edges[targets[0]].label))
+            pairs.append((total.label(eid), total.label(targets[0])))
     rows = []
     rhs = []
     for v, w in pairs:
-        diff = w - v
-        c = diff.proportional_to(alpha)
+        c = (w - v).proportional_to(alpha)
         if c is None:
             raise ValueError("fiber labels do not shift along the base label")
         rows.append(list(v.coeffs))
@@ -406,9 +414,7 @@ def product_bundle(base: GkmGraph, fiber: GkmGraph) -> BundleMap:
     if base.varcount != fiber.varcount:
         raise ValueError("base and fiber labels must share a coordinate space")
     nf = fiber.nvertices
-    vertices = [
-        f"{bv}|{fv}" for bv in base.vertices for fv in fiber.vertices
-    ]
+    vertices = [f"{bv}|{fv}" for bv in base.vertices for fv in fiber.vertices]
 
     def vid(b_, f_):
         return b_ * nf + f_
@@ -424,16 +430,15 @@ def product_bundle(base: GkmGraph, fiber: GkmGraph) -> BundleMap:
             p = vid(b_, f_)
             df = len(fiber.edges_at[f_])
             for beid in base.edges_at[b_]:
-                e = base.edges[beid]
-                edges.append(Edge(p, vid(e.dst, f_), e.label))
+                q = base.dst[beid]
+                edges.append(Edge(p, vid(q, f_), base.label(beid)))
                 r = base.reverse[beid]  # its lift at f_ is edge slot[r] of (src(r), f_)
-                reverse.append(first[vid(base.edges[r].src, f_)] + base.slot[r])
-                connection.append(base.connection[beid] + tuple(range(nb[e.dst], nb[e.dst] + df)))
+                reverse.append(first[vid(base.src[r], f_)] + base.slot[r])
+                connection.append(base.connection[beid] + tuple(range(nb[q], nb[q] + df)))
             for feid in fiber.edges_at[f_]:
-                e = fiber.edges[feid]
-                edges.append(Edge(p, vid(b_, e.dst), e.label))
+                edges.append(Edge(p, vid(b_, fiber.dst[feid]), fiber.label(feid)))
                 r = fiber.reverse[feid]
-                reverse.append(first[vid(b_, fiber.edges[r].src)] + nb[b_] + fiber.slot[r])
+                reverse.append(first[vid(b_, fiber.src[r])] + nb[b_] + fiber.slot[r])
                 connection.append(tuple(range(nb[b_]))
                                   + tuple(nb[b_] + i for i in fiber.connection[feid]))
     total = GkmGraph(base.varcount, vertices, edges, reverse, connection)
@@ -454,9 +459,9 @@ def _projection_fault(b: BundleMap) -> list:
         if not 0 <= p < b.base.nvertices:
             return [f"pi sends {b.total.vertices[q]} to {p}, not a base vertex"]
     for eid, beid in b.dpi.items():
-        if not 0 <= eid < len(b.total.edges):
+        if not 0 <= eid < len(b.total.src):
             return [f"dpi has key {eid}, not a total edge"]
-        if not 0 <= beid < len(b.base.edges):
+        if not 0 <= beid < len(b.base.src):
             return [f"dpi sends {b.total.edge_str(eid)} to {beid}, not a base edge"]
     return []
 
@@ -477,14 +482,14 @@ def verify_fibration(b: BundleMap) -> Report:
 
 def _morphism_faults(b: BundleMap):
     """The graph-morphism witnesses, total edge by total edge."""
-    for eid, e in enumerate(b.total.edges):
+    for eid, (p, q) in enumerate(zip(b.total.src, b.total.dst)):
         beid = b.dpi.get(eid)
-        if b.pi[e.src] == b.pi[e.dst]:
+        if b.pi[p] == b.pi[q]:
             if beid is not None:
                 yield f"edge {b.total.edge_str(eid)} misclassified"
         elif beid is None:
             yield f"horizontal edge {b.total.edge_str(eid)} has no projection"
-        elif (b.base.edges[beid].src, b.base.edges[beid].dst) != (b.pi[e.src], b.pi[e.dst]):
+        elif (b.base.src[beid], b.base.dst[beid]) != (b.pi[p], b.pi[q]):
             yield f"projection of {b.total.edge_str(eid)} has wrong endpoints"
 
 
@@ -521,12 +526,12 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
     total, base, dpi = b.total, b.base, b.dpi
     fibers = [] if blocked else b.fibers()  # with a pi outside the base it would raise
     rep.first("lifted-labels", chain(blocked, (
-        f"lift {total.edge_str(eid)} does not carry the base label {base.edges[beid].label}"
-        for eid, beid in dpi.items() if total.edges[eid].label != base.edges[beid].label)))
+        f"lift {total.edge_str(eid)} does not carry the base label {base.label(beid)}"
+        for eid, beid in dpi.items() if total.label(eid) != base.label(beid))))
     rep.first("connection-preserves-class", chain(blocked, (
         f"connection along {total.edge_str(eid)} mixes vertical and horizontal at "
         f"{total.edge_str(e1)}"
-        for eid in range(len(total.edges)) for e1, e2 in total.connection_pairs(eid)
+        for eid in range(len(total.src)) for e1, e2 in total.connection_pairs(eid)
         if (e1 in dpi) != (e2 in dpi))))
     rep.first("horizontal-connection-compatible", chain(blocked, (
         f"horizontal connection over {base.edge_str(beid)} is not compatible at "
@@ -534,11 +539,10 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
         for eid, beid in dpi.items() for e1, e2 in total.connection_pairs(eid)
         # a wrong dpi can send e1 off the tail of beid, where it has no image
         if e1 in dpi and dpi.get(e2) != (base.along(beid, dpi[e1])
-                                         if base.edges[dpi[e1]].src == base.edges[beid].src
-                                         else None))))
+                                         if base.src[dpi[e1]] == base.src[beid] else None))))
 
     def disagrees(beid, t, p, lifted):
-        if total.edges[lifted].dst != t.vmap[p]:
+        if total.dst[lifted] != t.vmap[p]:
             yield (f"transition across {base.edge_str(beid)} disagrees "
                    f"with path lifting at {total.vertices[p]}")
 
@@ -546,28 +550,29 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
         return (f"connection along a lift of {base.edge_str(beid)} does not follow the "
                 f"transition at {total.edge_str(e1)}"
                 for e1, e2 in total.connection_pairs(lifted)
-                if e1 not in dpi and (total.edges[e2].src != t.vmap[p]
-                                      or total.edges[e2].dst != t.vmap.get(total.edges[e1].dst)))
+                if e1 not in dpi and (total.src[e2] != t.vmap[p]
+                                      or total.dst[e2] != t.vmap.get(total.dst[e1])))
 
     subgraphs = {}  # base vertex -> its fiber subgraph, built on first use
 
-    def not_an_iso(beid, e, t):
+    def not_an_iso(beid, p, q, t):
         try:
-            for p in (e.src, e.dst):
-                if p not in subgraphs:
-                    subgraphs[p] = induced_subgraph(total, fibers[p])
+            for end in (p, q):
+                if end not in subgraphs:
+                    subgraphs[end] = induced_subgraph(total, fibers[end])
         except ValueError as exc:  # check_subgraph on a broken connection
             yield f"transition across {base.edge_str(beid)}: {exc}"
             return
-        (sub_p, vmap_p, _), (sub_q, vmap_q, _) = subgraphs[e.src], subgraphs[e.dst]
+        (sub_p, vmap_p, _), (sub_q, vmap_q, _) = subgraphs[p], subgraphs[q]
         iso = _transition_iso(t, vmap_p, vmap_q)
         if not verify_iso(iso, sub_p, sub_q):
             yield (f"transition across {base.edge_str(beid)} is not an "
                    f"isomorphism of labeled fibers")
         else:
+            alpha = base.label(beid)
             yield from (f"linear part across {base.edge_str(beid)} does not shift {label} "
-                        f"along {e.label}" for label in sub_p.labels
-                        if (iso.apply_form(label) - label).proportional_to(e.label) is None)
+                        f"along {alpha}" for label in sub_p.labels
+                        if (iso.apply_form(label) - label).proportional_to(alpha) is None)
 
     rep.first("transition-from-lifts", chain(blocked, _lift_faults(b, fibers, disagrees)))
     rep.first("transition-connection-compatible", chain(blocked, _lift_faults(b, fibers, unfollowed)))
@@ -579,30 +584,31 @@ def _transition_faults(b: BundleMap, fibers, faults):
     """The witnesses of one transition check, base edge by base edge: the
     reason an edge's transition cannot be used (none is stored, or its
     vertex map is not a bijection of the fibers), else the witnesses
-    ``faults(beid, e, t)`` yields for the edge and its transition."""
-    for beid, e in enumerate(b.base.edges):
+    ``faults(beid, p, q, t)`` yields for the edge from p to q and its
+    transition."""
+    for beid, (p, q) in enumerate(zip(b.base.src, b.base.dst)):
         t = b.transitions.get(beid)
         if t is None:
             yield f"no transition stored for {b.base.edge_str(beid)}"
-        elif sorted(t.vmap) != fibers[e.src] or sorted(t.vmap.values()) != fibers[e.dst]:
+        elif sorted(t.vmap) != fibers[p] or sorted(t.vmap.values()) != fibers[q]:
             yield f"transition across {b.base.edge_str(beid)} is not a bijection"
         else:
-            yield from faults(beid, e, t)
+            yield from faults(beid, p, q, t)
 
 
 def _lift_faults(b: BundleMap, fibers, faults):
     """:func:`_transition_faults` of a check on the lifts of each base
     edge, vertex by vertex over its tail: where the edge has not exactly
     one lift, the text of :meth:`BundleMap.lift_edge`, else the witnesses
-    ``faults(beid, t, p, lift)`` yields."""
-    def at_edge(beid, e, t):
-        for p in fibers[e.src]:
+    ``faults(beid, t, x, lift)`` yields."""
+    def at_edge(beid, p, q, t):
+        for x in fibers[p]:
             try:
-                lifted = b.lift_edge(beid, p)
+                lifted = b.lift_edge(beid, x)
             except ValueError as exc:
                 yield str(exc)
             else:
-                yield from faults(beid, t, p, lifted)
+                yield from faults(beid, t, x, lifted)
     return _transition_faults(b, fibers, at_edge)
 
 
@@ -658,14 +664,13 @@ def base_tree(b: BundleMap, base_point: int):
     queue = [base_point]
     for p in queue:
         for eid in b.base.edges_at[p]:
-            q = b.base.edges[eid].dst
+            q = b.base.dst[eid]
             if q not in seen:
                 seen.add(q)
                 tree.append(eid)
                 queue.append(q)
     in_tree = set(tree) | {b.base.reverse[eid] for eid in tree}
-    chords = [eid for eid in range(len(b.base.edges))
-              if eid not in in_tree and eid < b.base.reverse[eid]]
+    chords = [eid for eid, r in enumerate(b.base.reverse) if eid not in in_tree and eid < r]
     return tree, chords
 
 
@@ -686,20 +691,18 @@ def tree_transport(b: BundleMap, base_point: int):
     transports = {base_point: b.base_coset.reps[base_point]}
     path = {base_point: []}
     tree, chords = base_tree(b, base_point)
+    src, dst = b.base.src, b.base.dst
     for eid in tree:
-        e = b.base.edges[eid]
-        transports[e.dst] = rs.reflection(e.label) * transports[e.src]
-        path[e.dst] = path[e.src] + [eid]
+        transports[dst[eid]] = rs.reflection(b.base.label(eid)) * transports[src[eid]]
+        path[dst[eid]] = path[src[eid]] + [eid]
     seen = {rs.identity()}
     generators = []
     for eid in chords:
-        e = b.base.edges[eid]
-        h = transports[e.dst].inverse() * rs.reflection(e.label) * transports[e.src]
+        h = transports[dst[eid]].inverse() * rs.reflection(b.base.label(eid)) * transports[src[eid]]
         if h in seen:
             continue
         seen.add(h)
-        loop = (path[e.src] + [eid]
-                + [b.base.reverse[f] for f in reversed(path[e.dst])])
+        loop = path[src[eid]] + [eid] + [b.base.reverse[f] for f in reversed(path[dst[eid]])]
         generators.append((eid, loop, h))
     return transports, generators
 
@@ -708,7 +711,7 @@ def holonomy_of_loop(b: BundleMap, loop_edges) -> tuple:
     """(vertex map on the start fiber, linear part) of transport around a loop."""
     if not loop_edges:
         raise ValueError("need a non-empty loop")
-    cur = {p: p for p in b.fibers()[b.base.edges[loop_edges[0]].src]}
+    cur = {p: p for p in b.fibers()[b.base.src[loop_edges[0]]]}
     psi = linalg.identity_matrix(b.total.varcount)
     for beid in loop_edges:
         t = b.transitions[beid]
@@ -788,7 +791,7 @@ def holonomy_exhaustive(b: BundleMap, base_point: int = 0) -> HolonomyGroup:
             return
         for eid in b.base.edges_at[cur]:
             path.append(eid)
-            extend(path, b.base.edges[eid].dst)
+            extend(path, b.base.dst[eid])
             path.pop()
 
     extend([], base_point)
@@ -822,7 +825,7 @@ def bundle_json_chunks(b: BundleMap):
     out by :func:`gkmgraph.graph_json_chunks`, and the bytes are those of
     ``json.dumps`` with ``indent=1`` and a newline.
     """
-    classes = ("horizontal" if eid in b.dpi else "vertical" for eid in range(len(b.total.edges)))
+    classes = ("horizontal" if eid in b.dpi else "vertical" for eid in range(len(b.total.src)))
     yield '{\n "total": '
     yield from graph_json_chunks(b.total, 1, classes)
     yield ',\n "base": '

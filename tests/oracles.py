@@ -38,7 +38,10 @@ none of ``polyring``'s helpers, the file oracle writes a graph or bundle
 file with ``json.dumps`` from its dict form instead of streaming it from
 ``%``-templates, the subgraph oracle finds the edges a vertex set
 induces by scanning every edge of the graph instead of the stars of the
-set, and the basis oracle decides a family
+set, the per-edge coset oracle builds a coset graph from one ``Edge`` and
+one ``act_linear`` label per edge, interned by the ``GkmGraph``
+constructor, instead of writing int columns with label ids looked up by
+the entries of w on each direction's support, and the basis oracle decides a family
 given as classes by the class condition on every member and one
 |W| x |W| value determinant over the whole flag graph, with a
 degree-bounded grid of regular points when it vanishes, instead of by
@@ -55,6 +58,7 @@ that tamper with one build the tampered copy with it.
 import json
 import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, islice
 from math import comb
 from typing import Sequence
@@ -161,6 +165,33 @@ def coset_graph_from_reps(rs, sigma1, sigma2, reps):
             connection.append(directions)
             reverse.append(q * len(roots) + directions[k])
     return GkmGraph(rs.varcount, [w.one_line_str() for w in minimal], edges, reverse, connection)
+
+
+def coset_graph_by_edges(cg):
+    """The graph of the coset graph ``cg`` built edge by edge: for each
+    representative w and direction k, one ``Edge`` labeled
+    ``w.act_linear(roots[k])`` to the coset of w s_beta, with the
+    connection read off the word of the ``coset_min`` descent, handed to
+    the ``GkmGraph`` constructor, which interns the labels."""
+    rs, roots, sigma1 = cg.rs, cg.roots, cg.sigma1
+    d = len(roots)
+    index = {beta: k for k, beta in enumerate(roots)}
+    vertex = {w: p for p, w in enumerate(cg.reps)}
+    refl = [rs.reflection(beta) for beta in roots]
+    t = {i: [index[rs.simple_reflection(i).act_linear(b)] for b in roots] for i in sigma1}
+    perm = {(): tuple(range(d))}
+    edges, reverse, connection = [], [], []
+    for p, w in enumerate(cg.reps):
+        for k, beta in enumerate(roots):
+            ws, word = rs.coset_min(w * refl[k], sigma1)
+            if word not in perm:
+                perm[word] = tuple(reduce(lambda js, i: [t[i][j] for j in js], word, range(d)))
+            q, dirs = vertex[ws], perm[word]
+            edges.append(Edge(p, q, w.act_linear(beta)))
+            connection.append(dirs)
+            reverse.append(q * d + dirs[k])
+    names = [w.one_line_str() for w in cg.reps]
+    return GkmGraph(rs.varcount, names, edges, reverse, connection)
 
 
 def connection_dict(g, eid):

@@ -516,6 +516,98 @@ def test_constructor_refuses_a_label_without_varcount_coefficients():
         GkmGraph(2, g.vertices, g.edges, g.reverse, g.connection)
 
 
+# A path d - b - a - c: a and b have two edges, c and d one.  Each
+# connection tuple below is legal on the edges it is given for.
+PATH_VERTICES = ["a", "b", "c", "d"]
+PATH_LABELS = [LinearForm([1, 0]), LinearForm([0, 1]), LinearForm([1, 1])]
+PATH_EDGES = [Edge(0, 1, PATH_LABELS[0]), Edge(0, 2, PATH_LABELS[1]), Edge(1, 0, -PATH_LABELS[0]),
+              Edge(1, 3, PATH_LABELS[2]), Edge(2, 0, -PATH_LABELS[1]), Edge(3, 1, -PATH_LABELS[2])]
+PATH_REVERSE = [2, 4, 0, 5, 1, 3]
+PATH_CONNECTION = [(0, 1), (0, 0), (0, 1), (0, 0), (0,), (1,)]
+
+
+def path_graph(entry, edges=PATH_EDGES, connection=PATH_CONNECTION, labels=None, label_id=None):
+    """The path through the Edge-list constructor or through
+    ``from_columns`` (with the labels and ids given, or those of
+    ``edges``), with the given connection."""
+    if entry == "edges":
+        return GkmGraph(2, PATH_VERTICES, edges, PATH_REVERSE, connection)
+    forms = [e.label for e in edges]
+    labels = list(dict.fromkeys(forms)) if labels is None else labels
+    label_id = [labels.index(f) for f in forms] if label_id is None else label_id
+    return GkmGraph.from_columns(2, PATH_VERTICES, [e.src for e in edges], [e.dst for e in edges],
+                                 labels, label_id, PATH_REVERSE, connection)
+
+
+def test_both_constructor_entries_build_the_same_graph():
+    g, h = path_graph("edges"), path_graph("columns")
+    for name in ("src", "dst", "label_id", "labels", "reverse", "connection", "edges_at", "slot"):
+        assert getattr(g, name) == getattr(h, name), name
+    assert (g.src, g.dst, g.label_id) == ((0, 0, 1, 1, 2, 3), (1, 2, 0, 3, 0, 1), tuple(range(6)))
+    assert g.labels == tuple(e.label for e in PATH_EDGES)
+    assert g.edges_at == ((0, 1), (2, 3), (4,), (5,)) and g.slot == (0, 1, 0, 1, 0, 0)
+    assert tuple(g.edges) == tuple(PATH_EDGES) and g.edges == h.edges == tuple(PATH_EDGES)
+    assert checks_of(verify_gkm(g)) == checks_of(verify_gkm(h))
+    k3 = complete_graph(3)
+    assert GkmGraph(3, k3.vertices, k3.edges, k3.reverse, k3.connection).edges == k3.edges
+
+
+@pytest.mark.parametrize("entry", ["edges", "columns"])
+@pytest.mark.parametrize("shared,eid,tail,head", [(0, 1, 0, 2), (4, 0, 0, 1)],
+                         ids=["smaller-head-star", "other-tail-degree"])
+def test_constructor_checks_a_shared_connection_tuple_at_every_edge(entry, shared, eid, tail, head):
+    """The connection tuple of edge ``shared``, legal there, is also given
+    to edge ``eid``, whose head star is smaller or whose tail degree
+    differs, where it is out of range: one check per distinct tuple must
+    still look at every pair of degrees the tuple meets."""
+    connection = list(PATH_CONNECTION)
+    connection[eid] = connection[shared]
+    with pytest.raises(ValueError, match=f"^a connection must give a position in the star of "
+                                         f"vertex {head} for each edge at vertex {tail}$"):
+        path_graph(entry, connection=connection)
+
+
+@pytest.mark.parametrize("entry", ["edges", "columns"])
+def test_constructor_refuses_a_label_of_the_wrong_width(entry):
+    edges = list(PATH_EDGES)
+    edges[3] = Edge(1, 3, LinearForm([1, 1, 0]))
+    with pytest.raises(ValueError, match="label x1 \\+ x2 has 3 coefficients, not 2"):
+        path_graph(entry, edges=edges)
+
+
+def test_edge_list_constructor_interns_equal_forms_to_one_id():
+    """The Edge-list entry finds the labels and ids itself, so it can give
+    neither a repeated form nor an id out of range: equal forms that are
+    distinct objects share one id, and the first of them is the label."""
+    edges = list(PATH_EDGES)
+    edges[3] = Edge(1, 3, LinearForm([1, 0]))
+    g = path_graph("edges", edges=edges)
+    assert g.label_id == (0, 1, 2, 0, 3, 4) and g.labels[0] is edges[0].label
+
+
+@pytest.mark.parametrize("labels,label_id", [
+    ([e.label for e in PATH_EDGES[:5]] + [LinearForm([1, 0])], [0, 1, 2, 3, 4, 5]),
+    (PATH_LABELS + [-f for f in PATH_LABELS], [0, 1, 3, 2, 4, 6]),
+    (PATH_LABELS + [-f for f in PATH_LABELS], [0, 1, 3, 2, 4, -1]),
+    (PATH_LABELS + [-f for f in PATH_LABELS], [0, 1, 3, 2, 4, 5]),
+], ids=["repeated-form", "id-past-the-end", "negative-id", "not-first-occurrence"])
+def test_column_constructor_refuses_labels_and_ids_that_do_not_match(labels, label_id):
+    """``labels`` must be distinct and ``label_id`` must number them in
+    order of first occurrence, so every id is in range."""
+    with pytest.raises(ValueError, match="labels must be distinct and numbered"):
+        path_graph("columns", labels=labels, label_id=label_id)
+
+
+@pytest.mark.parametrize("entry", ["edges", "columns"])
+@pytest.mark.parametrize("end", [-1, 4])
+def test_constructor_refuses_an_edge_end_outside_the_vertices(entry, end):
+    """-1 used to be read as the last vertex, silently."""
+    edges = list(PATH_EDGES)
+    edges[5] = Edge(3, end, -PATH_LABELS[2])
+    with pytest.raises(ValueError, match="edge ends must be vertices 0..3"):
+        path_graph(entry, edges=edges)
+
+
 def test_edge_antisymmetry(s3_graph):
     g = s3_graph.graph
     for eid in range(len(g.edges)):
@@ -761,6 +853,27 @@ def test_graph_from_json_names_the_lowest_edge_with_a_malformed_map():
         data["connection"][eid]["map"][0][0] = True
     with pytest.raises(ValueError, match=r"^connection 0: map must pair each edge at vertex 2 "):
         graph_from_json(data)
+
+
+@pytest.mark.parametrize("variant", [
+    lambda e: e.update(src=True),
+    lambda e: e.update(dst=float(e["dst"])),
+    lambda e: e.update(dst=8),
+    lambda e: e["alpha"].pop(),
+    lambda e: e["alpha"].__setitem__(1, 0),
+    lambda e: [e["src"], e["dst"]],
+], ids=["bool-src", "float-dst", "index-n", "short-alpha", "non-string-coefficient", "non-dict"])
+def test_graph_from_json_names_a_malformed_edge_entry(variant):
+    """The edge entries are checked column by column; a malformed entry at
+    a middle edge of the B2 file is named with the text the per-entry
+    check gave."""
+    data = graph_to_json(build_coset_graph(RootSystem("B", 2), frozenset(), {1, 2}).graph)
+    mid = len(data["edges"]) // 2
+    entry = data["edges"][mid]
+    data["edges"][mid] = variant(entry) or entry
+    with pytest.raises(ValueError) as err:
+        graph_from_json(data)
+    assert str(err.value) == f"edge {mid}: need vertex indices src, dst and 2 rationals alpha"
 
 
 def test_graph_from_json_reads_a_map_in_any_order():

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from gkmflag.gkmgraph import (
     GkmGraph,
     GkmIso,
     complete_graph,
+    coh_failure,
     compose_iso,
     graph_from_json,
     graph_hash,
@@ -19,7 +21,7 @@ from gkmflag.gkmgraph import (
     verify_gkm,
     verify_iso,
 )
-from gkmflag import parabolic
+from gkmflag import gkmgraph, parabolic
 from gkmflag.linalg import identity_matrix, mat_vec
 from gkmflag.parabolic import (
     base_tree,
@@ -40,6 +42,7 @@ from gkmflag.parabolic import (
 )
 from gkmflag.polyring import LinearForm
 from gkmflag.rootsys import RootSystem, WeylElement
+from gkmflag.schubert import schubert_table
 
 from oracles import (
     bundle_to_json,
@@ -47,6 +50,7 @@ from oracles import (
     json_file_text,
     connection_dict,
     connection_failure,
+    coset_graph_by_edges,
     coset_graph_from_reps,
     coset_projection,
     cosets_by_enumeration,
@@ -214,6 +218,31 @@ def test_connection_reflects_labels(kind):
     assert len(hashes) == 27
     digest = hashlib.sha256("\n".join(hashes).encode()).hexdigest()
     assert digest == RANK3_GRAPH_DIGESTS[kind]
+
+
+def assert_columns_match_the_edge_oracle(cg):
+    g, oracle = cg.graph, coset_graph_by_edges(cg)
+    for name in ("src", "dst", "label_id", "labels", "reverse", "connection", "edges_at", "slot"):
+        assert getattr(g, name) == getattr(oracle, name), (cg, name)
+    assert tuple(g.edges) == tuple(oracle.edges), cg
+
+
+@pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                                    ("C", 2), ("C", 3), ("D", 3)])
+def test_column_build_matches_the_per_edge_oracle(kind, n):
+    """The columns of every coset graph up to rank 3, label ids found by
+    the entries of w on each direction's support, equal those of one Edge
+    and one act_linear label per edge interned by the constructor, labels
+    in the same order of first occurrence."""
+    rs = RootSystem(kind, n)
+    for sigma1, sigma2 in sigma_pairs(n):
+        assert_columns_match_the_edge_oracle(build_coset_graph(rs, sigma1, sigma2))
+
+
+@pytest.mark.parametrize("kind", "BD")
+def test_rank_4_flag_graph_columns_match_the_per_edge_oracle(kind):
+    rs = RootSystem(kind, 4)
+    assert_columns_match_the_edge_oracle(build_coset_graph(rs, frozenset(), rs.full_sigma()))
 
 
 @pytest.mark.parametrize("sigma1", [frozenset(), frozenset({2, 3})], ids=["flag", "sigma1-23"])
@@ -662,20 +691,42 @@ def test_subgraphs_of_a_product_and_of_a_shuffled_file_match_the_scan():
 
 def test_fiber_subgraphs_read_the_stars_not_the_whole_total_graph(monkeypatch):
     """A5 with Sigma2 = {1} has 360 fibers of two vertices.  Verifying it
-    iterates over the total edges a few times in all, where a scan of
-    them per fiber subgraph would take at least 2 x 360."""
+    passes over the total edges a few times in all, where a scan of them
+    per fiber subgraph would take at least 2 x 360.  A pass over the edges
+    iterates over one or more edge columns once each, so the passes are at
+    most the largest number of iterations over any one column."""
     _, b = tower("A", 5, frozenset({1}))
-    scans = []
+    scans = Counter()
 
-    class CountingEdges(tuple):
+    class CountingColumn(tuple):
         def __iter__(self):
-            scans.append(1)
+            scans[self.name] += 1
             return super().__iter__()
 
-    monkeypatch.setattr(b.total, "edges", CountingEdges(b.total.edges))
+    for name in ("src", "dst", "label_id", "reverse", "connection"):
+        column = CountingColumn(getattr(b.total, name))
+        column.name = name
+        monkeypatch.setattr(b.total, name, column)
     assert len(b.fibers()) == 360
     assert verify_fiber_bundle(b).ok
-    assert len(scans) <= 10, len(scans)
+    assert scans["src"] > 0 and max(scans.values()) <= 10, scans
+
+
+def test_library_walks_build_no_edge(monkeypatch):
+    """verify_gkm, coh_failure and verify_fiber_bundle, and the builds
+    before them, walk the edge columns: none reads the edges view, which
+    builds an Edge for each edge it gives."""
+    built = []
+    monkeypatch.setattr(gkmgraph, "Edge", lambda *args: built.append(args) or Edge(*args))
+    b3 = RootSystem("B", 3)
+    assert verify_gkm(build_coset_graph(b3, frozenset(), b3.full_sigma()).graph).ok
+    table = schubert_table(RootSystem("A", 3))
+    classes = [table.tau(u) for u in table.order]
+    assert len(classes) == 24 and all(coh_failure(c) is None for c in classes)
+    assert verify_fiber_bundle(build_bundle(RootSystem("A", 3), frozenset(), frozenset({2, 3}))).ok
+    assert built == []
+    flag = classes[0].graph
+    assert flag.edges[0].label == flag.labels[0] and len(built) == 1
 
 
 # ----------------------------------------------------------------------

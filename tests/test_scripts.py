@@ -26,6 +26,9 @@ def test_run_verification_passes():
     for kind in "ABCD":
         assert f"CHECK invariant-module-{kind}8: PASS\n" in out
     assert "CHECK axioms-D5: PASS\n" in out
+    assert "CHECK axioms-B5: PASS\n" in out
+    for name in ("B4", "D5"):
+        assert f"CHECK graph-file-{name}: PASS\n" in out
 
 
 def test_run_verification_prints_what_failed(capsys):
