@@ -855,10 +855,10 @@ def graph_from_json(data: dict) -> GkmGraph:
 
 def _edge_columns(entries: list, m: int, n: int):
     """(src, dst, alpha) of the edge entries of a graph file, as three
-    lists, each alpha a tuple, or None unless every entry is a dict whose ``src`` and ``dst``
-    are ints in 0..n-1 and whose ``alpha`` is a list of m strings.  The
-    entries are checked together, one pass per condition over a column,
-    not entry by entry."""
+    lists with each alpha a tuple, or None unless every entry is a dict
+    whose ``src`` and ``dst`` are ints in 0..n-1 and whose ``alpha`` is a
+    list of m strings.  The entries are checked together, one pass per
+    condition over a column, not entry by entry."""
     if not all(map(isinstance, entries, repeat(dict))):
         return None
     src, dst, alphas = (list(map(dict.get, entries, repeat(k))) for k in ("src", "dst", "alpha"))
