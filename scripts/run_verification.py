@@ -10,16 +10,22 @@ the A5 and B4 bundles with Sigma2 = {1}, whose 360 and 192 fibers have
 two vertices each, basis verification for A2, A3, B2, B3, C3, D3 and
 every type at ranks 4 to 8,
 the iteration consistency check (the iterated family equals the closed
-form) for A2, B2, D3, A3 and B3, and the bases over the invariants up to
-degree 4 for A2, B2, D3 and every type at rank 8.  Under a FAIL line of
+form) for A2, B2, D3, A3 and B3, the bases over the invariants up to
+degree 4 for A2, B2, D3 and every type at rank 8, and the graph
+Leray-Serre decomposition of the degree-4 target of seed 0 for B4 and
+D4: the coefficients beta_J of ``express_in_basis`` must reassemble
+exactly, sum_J pi^*(beta_J) * c_(0,J) == target.  Under a FAIL line of
 a report, its failing CHECK lines are printed, indented.
 Exit code 0 iff everything passes.
 """
 
 import json
+import operator
+import random
 import sys
 import tempfile
 import time
+from functools import reduce
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -29,12 +35,14 @@ from gkmflag.invbases import (
     check_bases_over_invariants,
     check_d3_descriptions,
     class_cI,
+    express_in_basis,
     iterated_family,
+    tower_bundle,
     verify_basis,
 )
-from gkmflag.parabolic import build_bundle, holonomy, verify_fiber_bundle
+from gkmflag.parabolic import build_bundle, holonomy, lift_class, verify_fiber_bundle
 from gkmflag.rootsys import RootSystem
-from gkmflag.schubert import flag_graph
+from gkmflag.schubert import flag_graph, seeded_random_class
 
 CASES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3),
          ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("A", 5), ("B", 5), ("D", 5)]
@@ -49,6 +57,7 @@ BASES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 3),
          ("A", 8), ("B", 8), ("C", 8), ("D", 8)]
 ITERATIONS = [("A", 2), ("B", 2), ("D", 3), ("A", 3), ("B", 3)]
 INVARIANTS = [("A", 2), ("B", 2), ("D", 3), ("A", 8), ("B", 8), ("C", 8), ("D", 8)]
+EXPRESSIONS = [("B", 4), ("D", 4)]
 
 
 def show(tag: str, rep) -> bool:
@@ -108,6 +117,17 @@ def main() -> int:
     for kind, n in INVARIANTS:
         rep = check_bases_over_invariants(RootSystem(kind, n), max_degree=4)
         ok &= show(f"invariant-module-{kind}{n}", rep)
+
+    for kind, n in EXPRESSIONS:
+        rs = RootSystem(kind, n)
+        target = seeded_random_class(rs, 4, random.Random(0))
+        b = tower_bundle(rs)
+        # each key names its class: "c[0,J]" is c_(0,J)
+        terms = [lift_class(b, beta) * class_cI(rs, tuple(map(int, name[2:-1].split(","))))
+                 for name, beta in express_in_basis(rs, target).items()]
+        good = reduce(operator.add, terms) == target
+        print(f"CHECK express-{kind}{n}: {'PASS' if good else 'FAIL'}")
+        ok &= good
 
     print(f"total: {'PASS' if ok else 'FAIL'} in {time.time() - t0:.1f}s")
     return 0 if ok else 1

@@ -80,7 +80,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
 from . import linalg
-from .polyring import LinearForm, Polynomial, parse_polynomial, parse_rational
+from .polyring import LinearForm, Polynomial, _div, parse_polynomial, parse_rational
 
 __all__ = [
     "Edge",
@@ -310,19 +310,20 @@ def verify_gkm(g: GkmGraph) -> Report:
       the edges labelled k or -k read, so an edge passes iff the residues
       of the labels at its tail equal those at its head permuted by its
       connection.
-    - Independence.  :func:`_direction_classes` puts proportional labels
-      that share a star into one class, testing h only against the
-      classes met in near[h].  A star of nonzero labels in distinct
-      classes passes; any other star walks its pairs with
-      ``proportional_to``, whose zero form is proportional to every form
-      while no nonzero form is proportional to it.
+    - Independence.  :func:`_direction` gives each nonzero label the id of
+      its direction, the label scaled to lead with coefficient 1, so two
+      nonzero labels are proportional iff their ids are equal; the zero
+      label's id is None.  A star of nonzero labels with distinct ids
+      passes; any other star walks its pairs with ``proportional_to``,
+      whose zero form is proportional to every form while no nonzero form
+      is proportional to it.
     - Connection shape.  Whether a connection tuple has distinct entries,
       and its inverse permutation, are found once per distinct tuple.
 
     Only a star or edge that fails its table test walks its pairs, so
     the walks over vertices and edges, and the first witness of each
-    check, are those of a per-edge check.  Each home h takes at most
-    |near[h]| divisions and as many proportionality tests, and the sizes
+    check, are those of a per-edge check.  Each label takes one scaling,
+    each home h at most |near[h]| divisions, and the sizes
     |near[h]| sum to at most min(|L|*|homes|, 2N) for |L| distinct labels
     and N connection entries: |Phi|^2/2 on a flag graph, and about N on a
     graph whose labels are mostly distinct, such as K_n or CP^n.
@@ -345,11 +346,11 @@ def verify_gkm(g: GkmGraph) -> Report:
         if len(near[h]) < len(home):
             near[h].update(stars[p], stars[q])
     at = [_picker(star) for star in stars]  # at[p] reads a table row at the labels of star p
-    classes = _direction_classes(g.labels, neg, near)
+    ids = [_direction(form) for form in g.labels]
     rep.first("independence", (
         f"labels {g.label(e1)} and {g.label(e2)} at vertex {g.vertices[p]} are proportional"
-        # a zero label (class None) or a repeated class sends a star to its pairs
-        for p, star in enumerate(g.edges_at) if len({*at[p](classes), None}) <= len(star)
+        # a zero label (id None) or a repeated direction sends a star to its pairs
+        for p, star in enumerate(g.edges_at) if len({*at[p](ids), None}) <= len(star)
         for e1, e2 in combinations(star, 2)
         if g.label(e1).proportional_to(g.label(e2)) is not None))
     conns: dict[tuple, int] = {}  # the distinct connection tuples, numbered
@@ -394,22 +395,12 @@ def _residue_rows(labels: Sequence[LinearForm], home: Sequence[int], near: Seque
     return rows
 
 
-def _direction_classes(labels: Sequence[LinearForm], neg: Sequence, near: Sequence) -> list:
-    """classes[a]: None for the zero label, else the id of a class of
-    proportional labels that holds every label proportional to labels[a]
-    and sharing a star with it.  A label and its negation (``neg``) take
-    one class at the first of them, h, which is tested once against each
-    class met in near[h] and merges those proportional to it into its own;
-    near[h] holds every label sharing a star with either."""
-    classes: list = [None] * len(labels)
-    for h, form in enumerate(labels):
-        if classes[h] is None and not form.is_zero():
-            merged = [c for c in {classes[b] for b in near[h]} - {None}
-                      if form.proportional_to(labels[c]) is not None]
-            if merged:
-                classes = [h if c in merged else c for c in classes]
-            classes[h] = classes[h if neg[h] is None else neg[h]] = h
-    return classes
+def _direction(form: LinearForm):
+    """None for the zero form, else the form scaled by the inverse of its
+    first nonzero coefficient: two nonzero forms are proportional iff
+    their directions are equal."""
+    lead = next((c for c in form.coeffs if c), None)
+    return None if lead is None else form.scale(_div(1, lead))
 
 
 def _reversal_faults(g: GkmGraph, neg: Sequence):

@@ -36,8 +36,7 @@ not use ``linalg``.
 
 The root data never changes after construction; the only state that
 grows is the set of caches declared in ``RootSystem.__init__``, including
-``coset_graph_cache`` (filled by ``parabolic.build_coset_graph``) and
-``schubert_table_cache`` (set by ``schubert.schubert_table``).
+``coset_graph_cache`` (filled by ``parabolic.build_coset_graph``).
 """
 
 from __future__ import annotations
@@ -224,7 +223,6 @@ class RootSystem:
         self._word_cache: dict = {}
         self._parabolic_cache: dict = {}
         self.coset_graph_cache: dict = {}
-        self.schubert_table_cache = None
 
     # ------------------------------------------------------------------
     # construction

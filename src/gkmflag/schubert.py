@@ -22,8 +22,13 @@ H_w = H_{w s_i} (1 + (w s_i)(alpha_i) u_i) (Billey's formula, applied one
 factor at a time), so the column at w is the column at w s_i plus
 c * (w s_i)(alpha_i) at v s_i for each of its terms c u_v with
 len(v s_i) > len(v).  The walk holds only the columns of two lengths at a
-time; ``SchubertTable`` keeps every column it yields, while
-``schubert_table_tsv`` streams one row per column and keeps none.
+time.  Since a step only raises lengths, a walk cut at length l, which
+drops every term longer than l, is exact on the terms it keeps.
+``schubert_table_tsv`` streams one row per column of the whole walk and
+keeps none, and ``seeded_random_class`` sums its target vertex by vertex
+from a walk cut at its degree, so no verb holds the whole table.  Only
+the objects of the paper that read every column (the key identity, the
+transition matrices) build a ``SchubertTable``, which keeps them all.
 
 The Weyl group acts on classes by f^w(v) = w^{-1} f(wv); averaging over
 the group symmetrizes a class, and the change of basis from symmetrized
@@ -63,7 +68,6 @@ __all__ = [
     "sign_of",
     "invariant_class",
     "invariant_decomposition",
-    "reassemble",
     "seeded_random_class",
     "invariant_table_tsv",
     "schubert_table_tsv",
@@ -181,15 +185,20 @@ def H_inv(rs: RootSystem, w: WeylElement, word=None) -> NilCoxElt:
     return H(rs, w.inverse(), word[::-1]).act(w)
 
 
-def walk_columns(rs: RootSystem):
-    """Yield (w, H(w)) for every w of ``rs.elements()``, in that order.
+def walk_columns(rs: RootSystem, max_length: int):
+    """Yield (w, H(w)) for every w of ``rs.elements()``, in that order,
+    without the terms c u_v with len(v) > ``max_length``.
 
     For w != e, with i the last letter of ``rs.reduced_word(w)``,
     w' = w s_i and a = w'(alpha_i), the column H(w) = H(w')(1 + a u_i) is
     H(w') plus c * a at v s_i for every term c u_v of H(w') with
     len(v s_i) > len(v): one generator step, with no general product.
-    The elements come by length and w' is one shorter than w, so only the
-    columns of the previous and the current length are held.
+    A step only raises lengths, so a term of length l at w comes only from
+    the terms of length l and l - 1 at w'; dropping every term longer than
+    ``max_length`` therefore leaves each kept term exact, and with
+    ``max_length`` = |Phi+| nothing is dropped.  The elements come by
+    length and w' is one shorter than w, so only the columns of the
+    previous and the current length are held, never the whole table.
     """
     order = rs.elements()
     level_len, prev_level = 0, {}
@@ -206,7 +215,7 @@ def walk_columns(rs: RootSystem):
         coeffs = dict(base)
         for v, c in base.items():
             vs = v * si
-            if rs.length(vs) > rs.length(v):
+            if rs.length(v) < rs.length(vs) <= max_length:
                 old = coeffs.get(vs)
                 new = c * a if old is None else old + c * a
                 if new.is_zero():
@@ -220,12 +229,13 @@ def walk_columns(rs: RootSystem):
 class SchubertTable:
     """All values tau_u(w) for one Weyl group: the column at w is H(w).
 
-    ``columns`` keeps every column of one ``walk_columns`` walk."""
+    ``columns`` keeps every column of one untruncated ``walk_columns``
+    walk."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.order = list(rs.elements())
-        self.columns = dict(walk_columns(rs))
+        self.columns = dict(walk_columns(rs, len(rs.positive_roots)))
 
     def tau_value(self, u: WeylElement, w: WeylElement) -> Polynomial:
         return self.columns[w].coefficient(u)
@@ -236,10 +246,9 @@ class SchubertTable:
 
 
 def schubert_table(rs: RootSystem) -> SchubertTable:
-    """The Schubert table of rs, built once and kept on the root system."""
-    if rs.schubert_table_cache is None:
-        rs.schubert_table_cache = SchubertTable(rs)
-    return rs.schubert_table_cache
+    """A new Schubert table of rs, for the objects that read the whole
+    table (the key identity, the transition matrices); no verb builds one."""
+    return SchubertTable(rs)
 
 
 def key_identity_check(rs: RootSystem, pairs=None):
@@ -333,14 +342,15 @@ class TransitionMatrix:
         return True
 
 
-def transition_matrices(rs: RootSystem, w: WeylElement):
-    """The pair (a^w, b^w) relating permuted and plain Schubert bases.
+def transition_matrices(table: SchubertTable, w: WeylElement):
+    """The pair (a^w, b^w) relating permuted and plain Schubert bases,
+    read off the table of the root system.
 
     a^w expresses tau_u^w in the tau basis with entries
     (-1)^len(v u^-1) tau_{v u^-1}(w^-1) for v weakly below u, and b^w is
     its inverse, with entries tau_{u v^-1}(w^-1).
     """
-    table = schubert_table(rs)
+    rs = table.rs
     winv = w.inverse()
     order = tuple(table.order)
     a_entries = {}
@@ -366,10 +376,11 @@ def transition_matrices(rs: RootSystem, w: WeylElement):
 
 def symmetrized_matrix(rs: RootSystem) -> TransitionMatrix:
     """Average of the a^w over the group: tau_u^sym = sum_v a_{u,v} tau_v."""
-    order = tuple(schubert_table(rs).order)
+    table = schubert_table(rs)
+    order = tuple(table.order)
     acc: dict = {}
     for w in rs.elements():
-        aw, _ = transition_matrices(rs, w)
+        aw, _ = transition_matrices(table, w)
         for key, val in aw.entries.items():
             cur = acc.get(key)
             acc[key] = val if cur is None else cur + val
@@ -426,26 +437,19 @@ def invariant_decomposition(rs: RootSystem, f: Polynomial) -> dict:
     return out
 
 
-def reassemble(rs: RootSystem, coeffs: dict) -> CohClass:
-    """sum_w coeffs[w] * tau_w as a class on the flag graph."""
-    table = schubert_table(rs)
-    flag = flag_graph(rs)
-    vals = [Polynomial.zero(rs.varcount) for _ in range(flag.nvertices)]
-    for w, coeff in coeffs.items():
-        for p, v in enumerate(flag.reps):
-            vals[p] = vals[p] + coeff * table.tau_value(w, v)
-    return CohClass(flag.graph, vals)
-
-
 def seeded_random_class(rs: RootSystem, degree: int, rng) -> CohClass:
     """A reproducible random class: a polynomial combination of tau's.
 
     Homogeneous of the requested degree; coefficients are random small
     integers on random monomials, so the result is a genuine class by
-    construction.
+    construction.  Only the tau_u with len(u) <= degree take a
+    coefficient, so the value at each w is summed from the column H(w) of
+    a ``walk_columns`` walk cut at ``degree``, which is exact on those
+    terms; the columns come in the order of the flag graph's vertices,
+    and no whole table is held.
     """
     coeffs = {}
-    for u in schubert_table(rs).order:
+    for u in rs.elements():
         rem = degree - rs.length(u)
         if rem < 0:
             continue
@@ -462,7 +466,10 @@ def seeded_random_class(rs: RootSystem, degree: int, rng) -> CohClass:
             coeffs[u] = poly
     if not coeffs:
         coeffs[rs.identity()] = Polynomial.one(rs.varcount)
-    return reassemble(rs, coeffs)
+    zero = Polynomial.zero(rs.varcount)
+    vals = [sum((coeffs[u] * tau for u, tau in col.coeffs.items() if u in coeffs), zero)
+            for _, col in walk_columns(rs, degree)]
+    return CohClass(flag_graph(rs).graph, vals)
 
 
 # ----------------------------------------------------------------------
@@ -496,7 +503,7 @@ def schubert_table_tsv(rs: RootSystem):
     order = rs.elements()
     names = ["tau[" + u.one_line_str() + "]" for u in order]
     yield "\t".join(["word", "one_line"] + names) + "\n"
-    for w, col in walk_columns(rs):
+    for w, col in walk_columns(rs, len(rs.positive_roots)):
         coeffs = col.coeffs
         cells = [str(coeffs[u]) if u in coeffs else "0" for u in order]
         yield "\t".join([*_row_labels(rs, w), *cells]) + "\n"

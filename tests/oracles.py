@@ -45,7 +45,9 @@ the entries of w on each direction's support, and the basis oracle decides a fam
 given as classes by the class condition on every member and one
 |W| x |W| value determinant over the whole flag graph, with a
 degree-bounded grid of regular points when it vanishes, instead of by
-one certificate per level of the tower.
+one certificate per level of the tower, and the reassembly oracles sum
+coefficient times tau_u over every vertex of the whole Schubert table
+instead of streaming a Schubert walk cut at the target's degree.
 
 The connection oracles read a connection's star positions through
 ``connection_dict``, which decodes them with ``edges_at`` alone, not with
@@ -770,6 +772,44 @@ def express_in_forms(f: Polynomial, forms: Sequence[LinearForm]):
             if c != 0:
                 out_terms[lam] = out_terms.get(lam, Fraction(0)) + c
     return Polynomial(k, out_terms)
+
+
+def reassemble(table, coeffs: dict) -> CohClass:
+    """sum_w coeffs[w] * tau_w as a class on the flag graph, read off the
+    whole Schubert table of its root system."""
+    rs = table.rs
+    flag = flag_graph(rs)
+    vals = [Polynomial.zero(rs.varcount) for _ in range(flag.nvertices)]
+    for w, coeff in coeffs.items():
+        for p, v in enumerate(flag.reps):
+            vals[p] = vals[p] + coeff * table.tau_value(w, v)
+    return CohClass(flag.graph, vals)
+
+
+def seeded_class_from_table(table, degree: int, rng) -> CohClass:
+    """``seeded_random_class`` drawn the same way, with the same calls of
+    ``rng`` in the same order, but summed by ``reassemble`` over the whole
+    Schubert table."""
+    rs = table.rs
+    coeffs = {}
+    for u in rs.elements():
+        rem = degree - rs.length(u)
+        if rem < 0:
+            continue
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            exps = [0] * rs.varcount
+            for _ in range(rem):
+                exps[rng.randrange(rs.varcount)] += 1
+            c = rng.randint(-3, 3)
+            if c:
+                terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
+        poly = Polynomial(rs.varcount, terms)
+        if not poly.is_zero():
+            coeffs[u] = poly
+    if not coeffs:
+        coeffs[rs.identity()] = Polynomial.one(rs.varcount)
+    return reassemble(table, coeffs)
 
 
 def schubert_tsv_from_table(rs):

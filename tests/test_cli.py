@@ -320,6 +320,22 @@ def test_stdout_matches_bench_references(capsys, tmp_path, key):
     assert hashlib.sha256(out.encode()).hexdigest() == references[key]
 
 
+def test_express_builds_no_whole_schubert_table(capsys, monkeypatch):
+    """``express`` sums its target from a truncated walk: it prints the
+    recorded stdout with ``SchubertTable`` unusable, and the root system
+    keeps no table."""
+    def refuse(self, rs):
+        raise AssertionError("express built a whole Schubert table")
+    monkeypatch.setattr(schubert.SchubertTable, "__init__", refuse)
+    references = json.loads(
+        (Path(__file__).parent.parent / "perfbench" / "references.json").read_text())
+    code, out, _ = run(capsys, "express", "--type", "B", "--rank", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == references[
+        "express --type B --rank 3 --seed 0"]
+    assert not hasattr(RootSystem("B", 3), "schubert_table_cache")
+
+
 def test_export_json_round_trip(tmp_path, capsys):
     path = tmp_path / "g.json"
     code, _, _ = run(capsys, "export", "--type", "A", "--rank", "2",

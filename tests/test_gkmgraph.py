@@ -15,7 +15,7 @@ from gkmflag.gkmgraph import (
     GkmGraph,
     GkmIso,
     Report,
-    _direction_classes,
+    _direction,
     _residue_rows,
     check_subgraph,
     class_from_json,
@@ -331,9 +331,8 @@ def test_residue_rows_and_direction_classes(draws, data):
     denominators 2 and 3, and random stars of them: row k holds an entry
     at each label of near[k] and at no other, two entries share a residue
     iff their labels differ by a rational multiple of k, and k and -k
-    share a row; two nonzero labels in one direction class are
-    proportional, and two proportional nonzero labels in one star are in
-    one class."""
+    share a row; the direction of a label is None iff the label is zero,
+    and two nonzero labels have one direction iff they are proportional."""
     labels = list(dict.fromkeys(LinearForm(coeffs).scale(c) for coeffs, c in draws))
     index = {form: k for k, form in enumerate(labels)}
     neg = [index.get(-form) for form in labels]
@@ -355,24 +354,12 @@ def test_residue_rows_and_direction_classes(draws, data):
         for a, b in combinations(near[home[k]], 2):
             assert (rows[k][a] == rows[k][b]) == (
                 (labels[b] - labels[a]).proportional_to(form) is not None)
-    classes = _direction_classes(labels, neg, near)
+    ids = [_direction(form) for form in labels]
     for a, form in enumerate(labels):
-        assert (classes[a] is None) == form.is_zero()
+        assert (ids[a] is None) == form.is_zero()
     for a, b in combinations(range(len(labels)), 2):
-        if None not in (classes[a], classes[b]):
-            proportional = labels[a].proportional_to(labels[b]) is not None
-            assert classes[a] != classes[b] or proportional
-            assert classes[a] == classes[b] or not (
-                proportional and any(a in star and b in star for star in stars))
-
-
-def test_direction_classes_merge_classes_first_met_apart():
-    """x and 2x share no star, so each takes a class of its own; 3x shares
-    a star with each of them, so it merges the two into one class."""
-    labels = [LinearForm([1, 0]), LinearForm([2, 0]), LinearForm([3, 0]), LinearForm([0, 1])]
-    near = [{0, 2}, {1, 2, 3}, {0, 1, 2, 3}, {1, 2, 3}]  # the stars {x, 3x} and {2x, 3x, y}
-    classes = _direction_classes(labels, [None] * 4, near)
-    assert classes[0] == classes[1] == classes[2] != classes[3]
+        if None not in (ids[a], ids[b]):
+            assert (ids[a] == ids[b]) == (labels[a].proportional_to(labels[b]) is not None)
 
 
 def test_b4_axioms_take_label_work_per_label(monkeypatch):

@@ -29,6 +29,8 @@ def test_run_verification_passes():
     assert "CHECK axioms-B5: PASS\n" in out
     for name in ("B4", "D5"):
         assert f"CHECK graph-file-{name}: PASS\n" in out
+    for name in ("B4", "D4"):
+        assert f"CHECK express-{name}: PASS\n" in out
 
 
 def test_run_verification_prints_what_failed(capsys):
