@@ -310,10 +310,10 @@ def verify_gkm(g: GkmGraph) -> Report:
       the edges labelled k or -k read, so an edge passes iff the residues
       of the labels at its tail equal those at its head permuted by its
       connection.
-    - Independence.  :func:`_direction` gives each nonzero label the id of
-      its direction, the label scaled to lead with coefficient 1, so two
-      nonzero labels are proportional iff their ids are equal; the zero
-      label's id is None.  A star of nonzero labels with distinct ids
+    - Independence.  Each nonzero label gets the number of its direction
+      (:func:`_direction`, the label scaled to lead with coefficient 1),
+      so two nonzero labels are proportional iff their ids are equal; the
+      zero label's id is None.  A star of nonzero labels with distinct ids
       passes; any other star walks its pairs with ``proportional_to``,
       whose zero form is proportional to every form while no nonzero form
       is proportional to it.
@@ -346,7 +346,8 @@ def verify_gkm(g: GkmGraph) -> Report:
         if len(near[h]) < len(home):
             near[h].update(stars[p], stars[q])
     at = [_picker(star) for star in stars]  # at[p] reads a table row at the labels of star p
-    ids = [_direction(form) for form in g.labels]
+    directions: dict = {None: None}  # numbered in order of first occurrence; zero stays None
+    ids = [directions.setdefault(_direction(form), len(directions)) for form in g.labels]
     rep.first("independence", (
         f"labels {g.label(e1)} and {g.label(e2)} at vertex {g.vertices[p]} are proportional"
         # a zero label (id None) or a repeated direction sends a star to its pairs
