@@ -54,13 +54,14 @@ coordinate, with entries in ``polyring``'s number normal form.
 A graph is an immutable value, like ``Polynomial`` and ``LinearForm``:
 its fields are tuples, fixed at construction.  A flag graph has
 |W|*|Phi+| oriented edges but only |Phi| distinct labels, so the edges
-are int columns (``src``, ``dst``, ``label_id``, ``reverse``) beside
-``labels``, each distinct form once, in order of first occurrence; no
-object is built per edge, and :class:`Edge` values are built only when
-the ``edges`` view is read, for tests and callers outside the library.
-Verification does its label arithmetic once per distinct label or pair
-of labels, by id, into tables local to one call, and a changed graph is
-a new graph, so no derived data can go stale.
+are int columns (``src``, ``dst``, ``label_id``) beside ``labels``, each
+distinct form once, in order of first occurrence; no object is built
+per edge, and :class:`Edge` values are built only when the ``edges``
+view is read, for tests and callers outside the library.  The reverse
+of each edge is not given but read off its connection, which sends the
+edge to its reverse.  Verification does its label arithmetic once per
+distinct label or pair of labels, by id, into tables local to one call,
+and a changed graph is a new graph, so no derived data can go stale.
 
 The text layout of a graph file is known only here:
 :func:`graph_json_chunks` writes it as a stream of entries (a bundle file
@@ -93,7 +94,6 @@ __all__ = [
     "is_coh_class",
     "coh_failure",
     "degree_of",
-    "check_subgraph",
     "induced_subgraph",
     "verify_iso",
     "pullback_class",
@@ -172,56 +172,42 @@ class _EdgeView(Sequence):
 class GkmGraph:
     """Vertices, oriented labeled edges, and a stored per-edge connection.
 
-    Immutable: every field is a tuple.  The edges are int columns: edge e
-    runs from ``src[e]`` to ``dst[e]``, its label is
-    ``labels[label_id[e]]`` (also ``label(e)``), and ``reverse[e]`` is the
-    id of its reverse.  ``labels`` are the distinct labels in order of
-    first occurrence.  ``edges`` is a read-only view of the same edges
-    that builds an :class:`Edge` each time one is read, for tests and
-    callers that want ``g.edges[e].label``; no library loop walks it.
-    ``edges_at[p]`` is the star of p, its edge ids in increasing order,
-    and ``slot[e]`` the position of e in the star of its tail.
+    ``GkmGraph(varcount, vertices, src, dst, labels, label_id,
+    connection)``: edge e runs from ``src[e]`` to ``dst[e]`` and is
+    labeled ``labels[label_id[e]]`` (also ``label(e)``), where ``labels``
+    are the distinct labels in order of first occurrence.
     ``connection[e]`` is a tuple of positions: entry i is the position, in
-    the star of dst(e), of the image of ``edges_at[src(e)][i]``.  Equal
-    tuples may be one shared object.
+    the star of dst(e), of the image of ``edges_at[src(e)][i]``; equal
+    tuples may be one shared object.  Immutable: every field is a tuple.
 
-    ``GkmGraph(varcount, vertices, edges, reverse, connection)`` takes
-    (src, dst, label) triples such as :class:`Edge` and interns their
-    labels; :meth:`from_columns` takes the columns as they are.  One core
-    checks both and refuses, with ValueError: columns of unequal length, a
-    label without ``varcount`` coefficients, a label given twice, label
-    ids that do not number ``labels`` in order of first occurrence (so an
-    id out of range), an edge end that is not a vertex, and a connection
-    tuple whose length is not the degree of the tail or whose positions
-    fall outside the star of the head.  Each label is checked once, and
-    each connection tuple once per pair of tail and head degrees it
-    meets, so every connection is a function from star to star; whether
-    it is a bijection is left to :func:`verify_gkm`.
+    Derived here: ``edges_at[p]``, the star of p, its edge ids in
+    increasing order; ``slot[e]``, the position of e in the star of its
+    tail; and ``reverse[e]``, where the connection along e sends e itself
+    (Guillemin & Zara), ``edges_at[dst[e]][connection[e][slot[e]]]``.
+    ``edges`` is a read-only view of the edges that builds an
+    :class:`Edge` each time one is read, for tests and callers that want
+    ``g.edges[e].label``; no library loop walks it.
+
+    Refused, with ValueError: columns of unequal length, a label without
+    ``varcount`` coefficients, a label given twice, label ids that do not
+    number ``labels`` in order of first occurrence (so an id out of
+    range), an edge end that is not a vertex, and a connection tuple
+    whose length is not the degree of the tail or whose positions fall
+    outside the star of the head.  Each label is checked once, and each
+    connection tuple once per pair of tail and head degrees it meets, so
+    every connection is a function from star to star and every reverse is
+    an edge at the head; whether the connection is a bijection, and the
+    reverse an involution, is left to :func:`verify_gkm`.
     """
 
-    def __init__(self, varcount: int, vertices: Sequence[str], edges: Sequence[Edge],
-                 reverse: Sequence[int], connection: Sequence[Sequence[int]]):
-        src, dst, forms = zip(*edges) if edges else ((), (), ())
-        index = {form: k for k, form in enumerate(dict.fromkeys(forms))}
-        self._set_columns(varcount, vertices, src, dst, index, map(index.__getitem__, forms),
-                          reverse, connection)
-
-    @classmethod
-    def from_columns(cls, varcount, vertices, src, dst, labels, label_id, reverse, connection):
-        """The graph whose edge e runs from src[e] to dst[e], labeled
-        labels[label_id[e]], with the given reverse and connection."""
-        return cls.__new__(cls)._set_columns(varcount, vertices, src, dst, labels, label_id,
-                                             reverse, connection)
-
-    def _set_columns(self, varcount, vertices, src, dst, labels, label_id, reverse, connection):
-        """The one core of both entries: store the columns, check them,
-        derive the stars, and return the graph."""
+    def __init__(self, varcount: int, vertices: Sequence[str], src: Sequence[int],
+                 dst: Sequence[int], labels: Sequence[LinearForm], label_id: Sequence[int],
+                 connection: Sequence[Sequence[int]]):
         self.varcount, self.vertices, self.labels = varcount, tuple(vertices), tuple(labels)
-        self.src, self.dst, self.label_id, self.reverse = map(tuple, (src, dst, label_id, reverse))
+        self.src, self.dst, self.label_id = map(tuple, (src, dst, label_id))
         self.connection = tuple(map(tuple, connection))
-        if len(set(map(len, (self.src, self.dst, self.label_id, self.reverse,
-                             self.connection)))) > 1:
-            raise ValueError("edges, reverse and connection must have equal length")
+        if len(set(map(len, (self.src, self.dst, self.label_id, self.connection)))) > 1:
+            raise ValueError("edge columns and connection must have equal length")
         for form in self.labels:
             if form.varcount != varcount:
                 raise ValueError(f"label {form} has {form.varcount} coefficients, not {varcount}")
@@ -240,7 +226,8 @@ class GkmGraph:
                        if (conn, degree(p), degree(q)) in bad)
             raise ValueError(f"a connection must give a position in the star of vertex "
                              f"{self.dst[eid]} for each edge at vertex {self.src[eid]}")
-        return self
+        self.reverse = tuple(self.edges_at[q][conn[i]]
+                             for q, conn, i in zip(self.dst, self.connection, self.slot))
 
     edges = property(_EdgeView, doc="The edges as a read-only sequence of :class:`Edge`.")
 
@@ -407,12 +394,12 @@ def _direction(form: LinearForm):
 def _reversal_faults(g: GkmGraph, neg: Sequence):
     """The edge-reversal witnesses, edge by edge.  ``neg[k]`` is the id of
     the negation of label k, or None, so labels are compared by id; only
-    the zero label is its own negation."""
-    for eid, (src, dst, r, k) in enumerate(zip(g.src, g.dst, g.reverse, g.label_id)):
-        if not (0 <= r < len(g.src) and g.reverse[r] == eid != r):
+    the zero label is its own negation.  The reverse r of e lies at the
+    head of e, so r leads back to the tail of e exactly when its own
+    reverse is e: a valid reverse has the endpoints of e swapped."""
+    for eid, (r, k) in enumerate(zip(g.reverse, g.label_id)):
+        if not g.reverse[r] == eid != r:
             yield f"edge {g.edge_str(eid)} has no valid reverse"
-        elif g.src[r] != dst or g.dst[r] != src:
-            yield f"reverse of {g.edge_str(eid)} has wrong endpoints"
         elif g.label_id[r] != neg[k]:
             yield f"label of reverse of {g.edge_str(eid)} is not negated"
         elif neg[k] == k:
@@ -424,15 +411,13 @@ def _shape_faults(g: GkmGraph, cid: Sequence[int], conns: Sequence[tuple]):
     index in ``conns``, the distinct connection tuples, of the tuple of e.
     Whether a tuple has distinct entries, and its inverse if it does, are
     found once per tuple; a tuple with distinct entries is a bijection
-    onto the star of the head iff it is as long as that star."""
+    onto the star of the head iff it is as long as that star.  It sends e
+    to its reverse by the definition of ``reverse``."""
     distinct = [len(set(conn)) == len(conn) for conn in conns]
     inverse = [tuple(sorted(range(len(conn)), key=conn.__getitem__)) for conn in conns]
     for eid, (src, dst, conn, c, r) in enumerate(zip(g.src, g.dst, g.connection, cid, g.reverse)):
-        head = g.edges_at[dst]
-        if not (distinct[c] and len(conn) == len(head)):
+        if not (distinct[c] and len(conn) == len(g.edges_at[dst])):
             yield f"connection along {g.edge_str(eid)} is not a bijection E_p -> E_q"
-        elif head[conn[g.slot[eid]]] != r:
-            yield f"connection along {g.edge_str(eid)} does not reverse the edge"
         # r lies at the head of e; its connection undoes conn exactly when it
         # leads back to the tail of e and is the inverse permutation
         elif g.dst[r] != src or g.connection[r] != inverse[c]:
@@ -497,9 +482,6 @@ class CohClass:
     def __hash__(self):
         return hash(self.values)
 
-    def value_at(self, name: str) -> Polynomial:
-        return self.values[self.graph.vertex_index(name)]
-
     def __repr__(self):
         body = ", ".join(
             f"{n}: {v}" for n, v in zip(self.graph.vertices, self.values)
@@ -551,17 +533,6 @@ def degree_of(c: CohClass):
 # subgraphs
 
 
-def check_subgraph(g: GkmGraph, vertexset) -> bool:
-    """Does the stored connection preserve the edges the set induces?
-
-    Raises ValueError if the set is not one of vertex indices or induces a
-    disconnected subgraph.  Only the stars of the set are visited, each
-    once per induced edge at it, so the cost does not grow with g.
-    """
-    vs = set(vertexset)
-    return _restricts(g, vs, set(_induced_edges(g, vs)))
-
-
 def _induced_edges(g: GkmGraph, vs: set) -> list:
     """The ids of the edges with both ends in ``vs``, in increasing order:
     the edges in the stars of vs whose heads lie in vs.  The order is that
@@ -573,10 +544,11 @@ def _induced_edges(g: GkmGraph, vs: set) -> list:
 
 
 def _restricts(g: GkmGraph, vs: set, induced) -> bool:
-    """:func:`check_subgraph` on ``induced``, the edges vs induces: a walk
-    along them from one vertex must reach all of vs, and then the
-    connection along each of them must send the induced edges at its tail
-    onto those at its head."""
+    """Does the stored connection preserve ``induced``, the edges vs
+    induces?  A walk along them from one vertex must reach all of vs, or
+    ValueError is raised; then the connection along each of them must send
+    the induced edges at its tail onto those at its head.  Only the stars
+    of vs are visited, so the cost does not grow with g."""
     stack = sorted(vs)[:1]
     seen = set(stack)
     while stack:
@@ -594,10 +566,11 @@ def induced_subgraph(g: GkmGraph, vertexset):
     """The induced GKM subgraph; returns (graph, vertex_map, edge_map).
 
     vertex_map and edge_map send old indices to new ones, both in
-    increasing order.  Raises ValueError as :func:`check_subgraph` does,
-    and if the stored connection does not restrict (the set is not a GKM
-    subgraph for the stored connection).  Only the stars of the set are
-    visited, and the induced edges are found once.
+    increasing order.  Raises ValueError if the set is not one of vertex
+    indices, if it induces a disconnected subgraph, and if the stored
+    connection does not restrict (the set is not a GKM subgraph for the
+    stored connection).  Only the stars of the set are visited, and the
+    induced edges are found once.
     """
     vs = set(vertexset)
     eids = _induced_edges(g, vs)
@@ -612,10 +585,9 @@ def induced_subgraph(g: GkmGraph, vertexset):
     _, slot = _stars(src, len(vs))
     connection = [tuple(slot[emap[b]] for a, b in g.connection_pairs(eid) if a in emap)
                   for eid in eids]
-    return GkmGraph.from_columns(
+    return GkmGraph(
         g.varcount, [g.vertices[v] for v in vmap], src, [vmap[g.dst[eid]] for eid in eids],
-        [g.labels[k] for k in renumber], [renumber[k] for k in ids],
-        [emap[g.reverse[eid]] for eid in eids], connection), vmap, emap
+        [g.labels[k] for k in renumber], [renumber[k] for k in ids], connection), vmap, emap
 
 
 # ----------------------------------------------------------------------
@@ -708,13 +680,12 @@ def complete_graph(n: int) -> GkmGraph:
         raise ValueError("need n >= 2")
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]  # the edges, all labels distinct
     labels = [LinearForm([(k == i) - (k == j) for k in range(n)]) for i, j in pairs]
-    # (i, k) is at position k - (k > i) of the star at i, which starts at
-    # edge id i*(n-1); along (i, j), (i, k) goes to (j, k) and (i, j) to (j, i)
-    reverse = [j * (n - 1) + i - (i > j) for i, j in pairs]
+    # (j, k) is at position k - (k > j) of the star at j; along (i, j),
+    # (i, k) goes to (j, k) and (i, j) to (j, i)
     connection = [tuple(k - (k > j) for k in (i if k == j else k for k in range(n) if k != i))
                   for i, j in pairs]
-    return GkmGraph.from_columns(n, [str(i + 1) for i in range(n)], *zip(*pairs), labels,
-                                 range(len(pairs)), reverse, connection)
+    return GkmGraph(n, [str(i + 1) for i in range(n)], *zip(*pairs), labels, range(len(pairs)),
+                    connection)
 
 
 # ----------------------------------------------------------------------
@@ -791,15 +762,17 @@ def graph_from_json(data: dict) -> GkmGraph:
     """Parse :func:`graph_to_json` output.
 
     Malformed structure raises ValueError: types, index ranges, label
-    lengths, vertex names that are not distinct strings, and a connection
-    ``map`` that is not a function from the edges at the tail to the edges
-    at the head (every edge at the tail paired once, each with an edge at
-    the head).  The edge entries are checked column by column, and only a
-    failure walks them one at a time, to name the first bad entry; equal
-    forms written differently share one label.  Equal connection tuples
-    are stored once.  The graph is handed over as columns, with the
-    labels and ids read here.  The axioms, bijectivity of the connection
-    among them, are left to :func:`verify_gkm`.
+    lengths, vertex names that are not distinct strings, a connection
+    ``edge`` that is not ``[src, dst]`` of the edge with the same index,
+    and a connection ``map`` that is not a function from the edges at the
+    tail to the edges at the head (every edge at the tail paired once, each
+    with an edge at the head).  The edge entries and the connection
+    ``edge`` fields are checked column by column, and only a failure walks
+    them one at a time, to name the first bad entry; equal forms written
+    differently share one label.  Equal connection tuples are stored
+    once.  The graph is handed over as columns, with the labels and ids
+    read here.  The axioms, bijectivity of the connection among them, are
+    left to :func:`verify_gkm`.
     """
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
@@ -817,10 +790,15 @@ def graph_from_json(data: dict) -> GkmGraph:
         eid = next(eid for eid, e in enumerate(raw_edges) if _edge_columns([e], m, n) is None)
         raise ValueError(f"edge {eid}: need vertex indices src, dst and {m} rationals alpha")
     src, dst, keys = columns
+    if not _ends_match(raw_connection, src, dst):  # name the first bad entry
+        eid = next(e for e in range(len(src))
+                   if not _ends_match(raw_connection[e:e + 1], src[e:e + 1], dst[e:e + 1]))
+        raise ValueError(f"connection {eid}: edge must be [{src[eid]}, {dst[eid]}], the src and "
+                         f"dst of edge {eid}")
     index: dict[LinearForm, int] = {}  # each distinct alpha is parsed once; equal forms share an id
     key_id = {key: index.setdefault(LinearForm(list(map(parse_rational, key))), len(index))
               for key in dict.fromkeys(keys)}
-    edges_at, slot = _stars(src, n)
+    edges_at, _ = _stars(src, n)
     maps = [entry.get("map") if isinstance(entry, dict) else None for entry in raw_connection]
     position = [dict(zip(star, range(len(star)))) for star in edges_at]
     connection: list = [None] * len(src)
@@ -839,10 +817,7 @@ def graph_from_json(data: dict) -> GkmGraph:
                          f"{src[min(bad)]} once with an edge at vertex {dst[min(bad)]}")
     shared: dict[tuple, tuple] = {}
     connection = [shared.setdefault(conn, conn) for conn in connection]
-    # the reverse of e is where the connection along e sends e itself
-    reverse = [edges_at[q][conn[slot[eid]]] for eid, (q, conn) in enumerate(zip(dst, connection))]
-    return GkmGraph.from_columns(m, vertices, src, dst, index, list(map(key_id.__getitem__, keys)),
-                                 reverse, connection)
+    return GkmGraph(m, vertices, src, dst, index, list(map(key_id.__getitem__, keys)), connection)
 
 
 def _edge_columns(entries: list, m: int, n: int):
@@ -860,6 +835,15 @@ def _edge_columns(entries: list, m: int, n: int):
             and set(map(type, ends)) <= {int} and (not ends or 0 <= min(ends) <= max(ends) < n)):
         return src, dst, list(map(tuple, alphas))
     return None
+
+
+def _ends_match(entries: list, src: list, dst: list) -> bool:
+    """Whether each connection entry is a dict whose ``edge`` is
+    ``[src, dst]`` of the edge with its index, two ints; one pass per
+    condition over the column, not entry by entry."""
+    ends = [entry.get("edge") if isinstance(entry, dict) else None for entry in entries]
+    return (ends == list(map(list, zip(src, dst)))
+            and set(map(type, chain.from_iterable(ends))) <= {int})
 
 
 def _star_maps(maps: list, star: tuple, at_heads: list):

@@ -41,13 +41,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import accumulate, chain
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import linalg
 from .gkmgraph import (
     CohClass,
-    Edge,
     GkmGraph,
     GkmIso,
     Report,
@@ -122,16 +121,18 @@ class CosetGraph:
     the edge at p in direction roots[k], so directions are positions in
     stars and that permutation, one tuple per word, is the connection:
     every edge whose word agrees shares its tuple, and no edge takes a
-    group inverse.  The graph is built as int columns
-    (:meth:`GkmGraph.from_columns`), with no ``Edge`` and no
-    ``LinearForm`` per edge: w beta depends on w only through the entries
-    of its one-line form at the support of beta, so the label id of edge
-    (p, k) is looked up by k and those entries, and ``act_linear`` runs
-    once per such key, in edge order, so the labels keep their order of
-    first occurrence.  The labels at a vertex are w beta for distinct
-    positive roots beta, which are never proportional in a reduced root
-    system, so the build checks no labels; the independence axiom of
-    :func:`verify_gkm` reports that condition.
+    group inverse.  The graph is handed to :class:`GkmGraph` as int
+    columns, with no ``Edge`` and no ``LinearForm`` per edge, and the
+    constructor reads each edge's reverse off its connection: the edge at
+    q in direction u^-1 beta, which leads to [w' s_{u^-1 beta}] = [w u] =
+    [w].  w beta depends on w only through the entries of its one-line
+    form at the support of beta, so the label id of edge (p, k) is looked
+    up by k and those entries, and ``act_linear`` runs once per such key,
+    in edge order, so the labels keep their order of first occurrence.
+    The labels at a vertex are w beta for distinct positive roots beta,
+    which are never proportional in a reduced root system, so the build
+    checks no labels; the independence axiom of :func:`verify_gkm`
+    reports that condition.
     """
 
     def __init__(self, rs: RootSystem, sigma1, sigma2):
@@ -161,7 +162,7 @@ class CosetGraph:
         # labels, which numbers the labels in order of first occurrence
         support = [operator.itemgetter(*(i for i, c in enumerate(b.coeffs) if c)) for b in roots]
         labels, label_of = {}, {}
-        dst, label_id, connection, reverse = [], [], [], []
+        dst, label_id, connection = [], [], []
         for w in self.reps:
             for k, beta in enumerate(roots):
                 ws, word = rs.coset_min(w * refl[k], sigma1)
@@ -173,11 +174,9 @@ class CosetGraph:
                 dst.append(q)
                 label_id.append(label_of[key])
                 connection.append(dirs)
-                reverse.append(q * d + dirs[k])
         names = [w.one_line_str() for w in self.reps]
         src = [p for p in range(len(names)) for _ in roots]
-        return GkmGraph.from_columns(rs.varcount, names, src, dst, labels, label_id, reverse,
-                                     connection)
+        return GkmGraph(rs.varcount, names, src, dst, labels, label_id, connection)
 
     # ------------------------------------------------------------------
 
@@ -190,12 +189,6 @@ class CosetGraph:
         if self.sigma1:
             w = self.rs.coset_min(w, self.sigma1)[0]
         return self._vertex[w]
-
-    def direction(self, eid: int) -> LinearForm:
-        return self.roots[eid % len(self.roots)]
-
-    def edge_id(self, p: int, beta: LinearForm) -> int:
-        return p * len(self.roots) + self.roots.index(beta)
 
     def __repr__(self):
         return (f"CosetGraph({self.rs.kind}{self.rs.rank}, "
@@ -271,47 +264,6 @@ class BundleMap:
                 f"{self.total.vertices[start]}"
             )
         return hits[0]
-
-    def lift_path(self, path, start: int, edges: bool = False):
-        """Lift a base path starting at ``start``; returns the visited
-        total vertices.
-
-        ``path`` is a list of base vertices by default (each consecutive
-        pair must be joined by a unique edge); pass ``edges=True`` to give
-        base edge ids instead, which disambiguates parallel edges.
-        """
-        path_edges = list(path) if edges else self._path_edges(path)
-        if path_edges and self.base.src[path_edges[0]] != self.pi[start]:
-            raise ValueError("start vertex does not lie over the path head")
-        out = [start]
-        for beid in path_edges:
-            out.append(self.total.dst[self.lift_edge(beid, out[-1])])
-        return out
-
-    def _path_edges(self, path):
-        edges = []
-        for a, b in zip(path, path[1:]):
-            cands = self.base.find_edges(a, b)
-            if len(cands) != 1:
-                raise ValueError(
-                    f"path step {a}->{b} matches {len(cands)} base edges; "
-                    "pass edge ids with edges=True instead"
-                )
-            edges.append(cands[0])
-        return edges
-
-    def transition_iso(self, base_eid: int) -> GkmIso:
-        """The stored transition as an isomorphism of fiber subgraphs."""
-        p, q = self.base.src[base_eid], self.base.dst[base_eid]
-        return _transition_iso(self.transitions[base_eid], self.fiber_subgraph(p)[1],
-                               self.fiber_subgraph(q)[1])
-
-
-def _transition_iso(t: Transition, vmap_p, vmap_q) -> GkmIso:
-    """``t`` as an isomorphism between the fiber subgraphs at its ends;
-    vmap_p and vmap_q renumber their vertices (see :func:`induced_subgraph`)."""
-    phi = {vmap_p[a]: vmap_q[b] for a, b in t.vmap.items()}
-    return GkmIso(tuple(phi[i] for i in range(len(vmap_p))), t.psi)
 
 
 def build_bundle(rs: RootSystem, sigma1, sigma2) -> BundleMap:
@@ -410,38 +362,34 @@ def _solve_transition_psi(b: BundleMap, beid: int, fiber, vmap):
 
 
 def product_bundle(base: GkmGraph, fiber: GkmGraph) -> BundleMap:
-    """The trivial bundle base x fiber -> base (labels share one space)."""
+    """The trivial bundle base x fiber -> base (labels share one space).
+
+    Vertex (b, f) is b * |fiber| + f, and its star is the base star at b,
+    then the fiber star at f, so a connection keeps the block it acts on
+    and shifts the other.  The labels are interned in order of first
+    occurrence."""
     if base.varcount != fiber.varcount:
         raise ValueError("base and fiber labels must share a coordinate space")
     nf = fiber.nvertices
     vertices = [f"{bv}|{fv}" for bv in base.vertices for fv in fiber.vertices]
-
-    def vid(b_, f_):
-        return b_ * nf + f_
-
-    # the star at (b, f) is the base star at b, then the fiber star at f
     nb = [len(star) for star in base.edges_at]
-    first = list(accumulate((nb[b_] + len(fiber.edges_at[f_])
-                             for b_ in range(base.nvertices) for f_ in range(nf)), initial=0))
-
-    edges, reverse, connection = [], [], []
+    index: dict = {}  # the labels, numbered in order of first occurrence
+    src, dst, label_id, connection = [], [], [], []
     for b_ in range(base.nvertices):
         for f_ in range(nf):
-            p = vid(b_, f_)
             df = len(fiber.edges_at[f_])
+            src += [b_ * nf + f_] * (nb[b_] + df)
             for beid in base.edges_at[b_]:
                 q = base.dst[beid]
-                edges.append(Edge(p, vid(q, f_), base.label(beid)))
-                r = base.reverse[beid]  # its lift at f_ is edge slot[r] of (src(r), f_)
-                reverse.append(first[vid(base.src[r], f_)] + base.slot[r])
+                dst.append(q * nf + f_)
+                label_id.append(index.setdefault(base.label(beid), len(index)))
                 connection.append(base.connection[beid] + tuple(range(nb[q], nb[q] + df)))
             for feid in fiber.edges_at[f_]:
-                edges.append(Edge(p, vid(b_, fiber.dst[feid]), fiber.label(feid)))
-                r = fiber.reverse[feid]
-                reverse.append(first[vid(b_, fiber.src[r])] + nb[b_] + fiber.slot[r])
+                dst.append(b_ * nf + fiber.dst[feid])
+                label_id.append(index.setdefault(fiber.label(feid), len(index)))
                 connection.append(tuple(range(nb[b_]))
                                   + tuple(nb[b_] + i for i in fiber.connection[feid]))
-    total = GkmGraph(base.varcount, vertices, edges, reverse, connection)
+    total = GkmGraph(base.varcount, vertices, src, dst, index, label_id, connection)
     pi = [b_ for b_ in range(base.nvertices) for _ in range(nf)]
     return make_bundle(total, base, pi)
 
@@ -560,11 +508,13 @@ def verify_fiber_bundle(b: BundleMap) -> Report:
             for end in (p, q):
                 if end not in subgraphs:
                     subgraphs[end] = induced_subgraph(total, fibers[end])
-        except ValueError as exc:  # check_subgraph on a broken connection
+        except ValueError as exc:  # induced_subgraph on a broken connection
             yield f"transition across {base.edge_str(beid)}: {exc}"
             return
         (sub_p, vmap_p, _), (sub_q, vmap_q, _) = subgraphs[p], subgraphs[q]
-        iso = _transition_iso(t, vmap_p, vmap_q)
+        # t as an isomorphism of the fiber subgraphs, renumbered by vmap_p and vmap_q
+        phi = {vmap_p[x]: vmap_q[y] for x, y in t.vmap.items()}
+        iso = GkmIso(tuple(phi[i] for i in range(len(vmap_p))), t.psi)
         if not verify_iso(iso, sub_p, sub_q):
             yield (f"transition across {base.edge_str(beid)} is not an "
                    f"isomorphism of labeled fibers")

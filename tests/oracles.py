@@ -39,8 +39,8 @@ file with ``json.dumps`` from its dict form instead of streaming it from
 ``%``-templates, the subgraph oracle finds the edges a vertex set
 induces by scanning every edge of the graph instead of the stars of the
 set, the per-edge coset oracle builds a coset graph from one ``Edge`` and
-one ``act_linear`` label per edge, interned by the ``GkmGraph``
-constructor, instead of writing int columns with label ids looked up by
+one ``act_linear`` label per edge, interned by :func:`edge_graph`,
+instead of writing int columns with label ids looked up by
 the entries of w on each direction's support, and the basis oracle decides a family
 given as classes by the class condition on every member and one
 |W| x |W| value determinant over the whole flag graph, with a
@@ -52,6 +52,13 @@ instead of streaming a Schubert walk cut at the target's degree.
 The connection oracles read a connection's star positions through
 ``connection_dict``, which decodes them with ``edges_at`` alone, not with
 ``GkmGraph.along`` or ``GkmGraph.connection_pairs``.
+
+Tests build graphs from ``Edge`` lists through :func:`edge_graph`,
+which interns the labels in order of first occurrence before it calls
+the ``GkmGraph`` constructor.  ``GkmGraph`` reads each edge's reverse off
+its connection; the coset oracles compute the reverse by their own
+route, the textbook formula, and return it beside the graph, and
+:func:`reverse_by_matching` finds it by endpoints and labels alone.
 
 ``changed_graph`` is not an oracle: graphs are immutable, so the tests
 that tamper with one build the tampered copy with it.
@@ -74,14 +81,41 @@ from gkmflag.rootsys import group_closure
 from gkmflag.schubert import flag_graph, schubert_table
 
 
+def edge_graph(varcount, vertices, edges, connection):
+    """The ``GkmGraph`` of a list of (src, dst, label) triples such as
+    ``Edge``, with the labels interned: equal forms share one id, the
+    first of them is the label, and ids number the labels in order of
+    first occurrence."""
+    src, dst, forms = zip(*edges) if edges else ((), (), ())
+    index = {form: k for k, form in enumerate(dict.fromkeys(forms))}
+    return GkmGraph(varcount, vertices, src, dst, index, map(index.__getitem__, forms), connection)
+
+
 def changed_graph(g, edges=None, connection=None):
     """A new graph equal to g but at the given edge ids: ``edges`` maps an
     edge id to its new Edge and ``connection`` to its new connection
-    tuple of star positions.  The vertices and the reverse map are g's."""
+    tuple of star positions.  The vertices are g's, and the reverse map is
+    read off the new connection."""
     edges, connection = edges or {}, connection or {}
-    return GkmGraph(g.varcount, g.vertices,
-                    [edges.get(eid, e) for eid, e in enumerate(g.edges)], g.reverse,
-                    [connection.get(eid, c) for eid, c in enumerate(g.connection)])
+    return edge_graph(g.varcount, g.vertices, [edges.get(eid, e) for eid, e in enumerate(g.edges)],
+                      [connection.get(eid, c) for eid, c in enumerate(g.connection)])
+
+
+def reverse_by_matching(g):
+    """The reverse of each edge of g found by its endpoints and label: the
+    one edge from its head to its tail whose label is its negation.  On a
+    graph whose labels at each vertex are pairwise independent there is at
+    most one; ValueError if there is none or more than one."""
+    back = {}
+    for eid, e in enumerate(g.edges):
+        back.setdefault((e.src, e.dst, e.label), []).append(eid)
+    out = []
+    for e in g.edges:
+        found = back.get((e.dst, e.src, -e.label), [])
+        if len(found) != 1:
+            raise ValueError(f"{len(found)} edges reverse {e}")
+        out.append(found[0])
+    return tuple(out)
 
 
 def naive_product(terms_a, terms_b, varcount):
@@ -150,7 +184,9 @@ def coset_graph_from_reps(rs, sigma1, sigma2, reps):
     (from :func:`closure_by_coordinates`), to the coset q of w s_beta,
     labeled w beta, and with u = (w s_beta)^-1 reps[q], found by group
     products, the connection sends direction beta' at p to direction
-    u^-1 beta' at q.  Vertices are named by the minimal representatives."""
+    u^-1 beta' at q.  Vertices are named by the minimal representatives.
+    Returns (graph, reverse), with reverse[e] the edge at q in direction
+    u^-1 beta, the image of direction beta."""
     minimal, vertex = cosets_by_enumeration(rs, sigma1, sigma2)
     if [vertex[w] for w in reps] != list(range(len(minimal))):
         raise ValueError("a representative lies in the wrong coset")
@@ -166,7 +202,8 @@ def coset_graph_from_reps(rs, sigma1, sigma2, reps):
             edges.append(Edge(p, q, w.act_linear(beta)))
             connection.append(directions)
             reverse.append(q * len(roots) + directions[k])
-    return GkmGraph(rs.varcount, [w.one_line_str() for w in minimal], edges, reverse, connection)
+    names = [w.one_line_str() for w in minimal]
+    return edge_graph(rs.varcount, names, edges, connection), tuple(reverse)
 
 
 def coset_graph_by_edges(cg):
@@ -174,7 +211,9 @@ def coset_graph_by_edges(cg):
     representative w and direction k, one ``Edge`` labeled
     ``w.act_linear(roots[k])`` to the coset of w s_beta, with the
     connection read off the word of the ``coset_min`` descent, handed to
-    the ``GkmGraph`` constructor, which interns the labels."""
+    :func:`edge_graph`, which interns the labels.  Returns (graph,
+    reverse), with reverse[e] the edge at q in the direction the
+    connection gives direction k."""
     rs, roots, sigma1 = cg.rs, cg.roots, cg.sigma1
     d = len(roots)
     index = {beta: k for k, beta in enumerate(roots)}
@@ -193,7 +232,7 @@ def coset_graph_by_edges(cg):
             connection.append(dirs)
             reverse.append(q * d + dirs[k])
     names = [w.one_line_str() for w in cg.reps]
-    return GkmGraph(rs.varcount, names, edges, reverse, connection)
+    return edge_graph(rs.varcount, names, edges, connection), tuple(reverse)
 
 
 def connection_dict(g, eid):
@@ -240,8 +279,7 @@ def induced_subgraph_by_scan(g, vertexset):
         degree[e.src] += 1
     connection = [tuple(slot[emap[b]] for a, b in connection_dict(g, eid).items() if a in emap)
                   for eid in eids]
-    sub = GkmGraph(g.varcount, [g.vertices[v] for v in sorted(vs)], edges,
-                   [emap[g.reverse[eid]] for eid in eids], connection)
+    sub = edge_graph(g.varcount, [g.vertices[v] for v in sorted(vs)], edges, connection)
     return sub, vmap, emap
 
 
@@ -323,14 +361,17 @@ def gkm_report_by_edges(g):
 
     Every label axiom is decided with fresh LinearForm arithmetic on each
     edge, pair of edges at a vertex and connection entry, so no verdict
-    is shared between edges that carry equal labels.
+    is shared between edges that carry equal labels.  The reverse of e is
+    the image of e under the connection along e, decoded by
+    :func:`connection_dict`.
     """
     out = []
 
+    reverse = [connection_dict(g, eid)[eid] for eid in range(len(g.edges))]
     bad = ""
     for eid, e in enumerate(g.edges):
-        r = g.reverse[eid] if 0 <= g.reverse[eid] < len(g.edges) else None
-        if r is None or g.reverse[r] != eid or r == eid:
+        r = reverse[eid]
+        if reverse[r] != eid or r == eid:
             bad = f"edge {g.edge_str(eid)} has no valid reverse"
             break
         re = g.edges[r]
@@ -369,10 +410,7 @@ def gkm_report_by_edges(g):
                 or len(set(conn.values())) != len(conn)):
             bad = f"connection along {g.edge_str(eid)} is not a bijection E_p -> E_q"
             break
-        if conn[eid] != g.reverse[eid]:
-            bad = f"connection along {g.edge_str(eid)} does not reverse the edge"
-            break
-        rconn = connection_dict(g, g.reverse[eid])
+        rconn = connection_dict(g, reverse[eid])
         if any(rconn.get(v) != k for k, v in conn.items()):
             bad = f"connection along reverse of {g.edge_str(eid)} is not the inverse"
             break
@@ -541,11 +579,12 @@ def coset_projection(rs, sigma1, sigma2):
     pi = [base.vertex_of(w) for w in total.reps]
     dpi = {}
     for eid, e in enumerate(total.graph.edges):
-        beta = total.direction(eid)
+        beta = total.roots[eid % len(total.roots)]  # edge p*d + k has direction roots[k]
         if beta in closure2:
             continue
         u = base.reps[pi[e.src]].inverse() * total.reps[e.src]
-        dpi[eid] = base.edge_id(pi[e.src], rs.positive_part(u.act_linear(beta)))
+        gamma = rs.positive_part(u.act_linear(beta))
+        dpi[eid] = pi[e.src] * len(base.roots) + base.roots.index(gamma)
     vmaps = {}
     for beid, e in enumerate(base.graph.edges):
         s = rs.reflection(e.label)

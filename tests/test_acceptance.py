@@ -12,6 +12,7 @@ import time
 from gkmflag.cli import main
 from gkmflag.gkmgraph import (
     Edge,
+    GkmIso,
     degree_of,
     is_coh_class,
     pullback_class,
@@ -363,10 +364,12 @@ def test_criterion_12_property_suite():
         b = build_bundle(rs, frozenset(), rs.full_sigma() - {1})
         fam = basis_family(rs)
         for beid in range(len(b.base.edges)):
-            iso = b.transition_iso(beid)
             e = b.base.edges[beid]
             sub_p, vmap_p, _ = b.fiber_subgraph(e.src)
             sub_q, vmap_q, _ = b.fiber_subgraph(e.dst)
+            # the stored transition as an isomorphism of the fiber subgraphs
+            phi = {vmap_p[x]: vmap_q[y] for x, y in b.transitions[beid].vmap.items()}
+            iso = GkmIso(tuple(phi[i] for i in range(len(vmap_p))), b.transitions[beid].psi)
             from gkmflag.gkmgraph import CohClass
 
             def restrict(c, sub, vmap):

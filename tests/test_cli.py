@@ -148,6 +148,21 @@ def _exponent_string(data):
     return data
 
 
+def _wrong_connection_edge(data):
+    data["connection"][0]["edge"] = [5, 5]
+    return data
+
+
+def _non_list_connection_edge(data):
+    data["connection"][1]["edge"] = "junk"
+    return data
+
+
+def _missing_connection_edge(data):
+    del data["connection"][2]["edge"]
+    return data
+
+
 @pytest.mark.parametrize("mutate", [
     _dst_out_of_range,
     _missing_connection_target,
@@ -163,10 +178,14 @@ def _exponent_string(data):
     _map_key_off_the_tail,
     _map_image_off_the_head,
     _missing_map_key,
+    _wrong_connection_edge,
+    _non_list_connection_edge,
+    _missing_connection_edge,
 ], ids=["dst-out-of-range", "missing-connection-target", "zero-denominator",
         "exponent-string", "top-level-list", "vertices-string", "varcount-zero", "deeply-nested",
         "vertices-not-strings", "vertices-repeated", "repeated-map-key", "map-key-off-the-tail",
-        "map-image-off-the-head", "missing-map-key"])
+        "map-image-off-the-head", "missing-map-key", "wrong-connection-edge",
+        "non-list-connection-edge", "missing-connection-edge"])
 def test_verify_malformed_graph_file_is_usage_error(tmp_path, capsys, mutate):
     """``mutate`` edits a valid graph's JSON, or is the raw file text."""
     rs = RootSystem("A", 2)
@@ -177,6 +196,32 @@ def test_verify_malformed_graph_file_is_usage_error(tmp_path, capsys, mutate):
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_verify_names_the_first_connection_entry_with_a_bad_edge(tmp_path, capsys):
+    """The connection ``edge`` fields of the B2 file are checked together;
+    a wrong, non-list, missing, float, long or bool field, with a wrong
+    field at the last entry too, is named at its own entry."""
+    rs = RootSystem("B", 2)
+    data = graph_to_json(build_coset_graph(rs, frozenset(), rs.full_sigma()).graph)
+    mid = len(data["connection"]) // 2
+    p, q = data["connection"][mid]["edge"]
+    one = next(eid for eid, entry in enumerate(data["connection"]) if entry["edge"] == [0, 1])
+    for eid, edge in [(mid, [q, p]), (mid, "junk"), (mid, None), (mid, [float(p), q]),
+                      (mid, [p, q, q]), (one, [False, True])]:
+        bad = json.loads(json.dumps(data))
+        bad["connection"][-1]["edge"] = [5, 5]
+        if edge is None:
+            del bad["connection"][eid]["edge"]
+        else:
+            bad["connection"][eid]["edge"] = edge
+        path = tmp_path / "bad_edge.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "verify", "--graph", str(path))
+        assert (code, out) == (2, ""), edge
+        src, dst = data["connection"][eid]["edge"]
+        assert err == (f"error: cannot load graph {path}: connection {eid}: edge must be "
+                       f"[{src}, {dst}], the src and dst of edge {eid}\n"), edge
 
 
 def test_verify_non_injective_connection_fails_its_check(tmp_path, capsys):

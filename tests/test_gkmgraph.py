@@ -17,7 +17,6 @@ from gkmflag.gkmgraph import (
     Report,
     _direction,
     _residue_rows,
-    check_subgraph,
     class_from_json,
     class_to_json,
     complete_graph,
@@ -43,7 +42,7 @@ from gkmflag.polyring import LinearForm, Polynomial
 from gkmflag.rootsys import RootSystem
 
 from oracles import (changed_graph, coh_failure_by_restriction, divrem_by_long_division,
-                     gkm_report_by_edges, json_file_text, restrict_to_hyperplane)
+                     edge_graph, gkm_report_by_edges, json_file_text, restrict_to_hyperplane)
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +172,7 @@ def test_full_flag_graph_shares_one_connection_tuple(kind, n):
 def test_graph_refuses_a_connection_that_is_not_star_positions(connection):
     l = LinearForm([1, -1])
     with pytest.raises(ValueError, match="position in the star of vertex"):
-        GkmGraph(2, ["a", "b"], [Edge(0, 1, l), Edge(1, 0, -l)], [1, 0], connection)
+        edge_graph(2, ["a", "b"], [Edge(0, 1, l), Edge(1, 0, -l)], connection)
 
 
 def test_connection_onto_a_smaller_star_is_not_a_bijection():
@@ -182,7 +181,7 @@ def test_connection_onto_a_smaller_star_is_not_a_bijection():
     injective."""
     l1, l2 = LinearForm([1, 0]), LinearForm([0, 1])
     edges = [Edge(0, 1, l1), Edge(1, 0, -l1), Edge(0, 2, l2), Edge(2, 0, -l2)]
-    g = GkmGraph(2, ["a", "b", "c"], edges, [1, 0, 3, 2], [(0, 0), (0,), (0, 0), (1,)])
+    g = edge_graph(2, ["a", "b", "c"], edges, [(0, 0), (0,), (0, 0), (1,)])
     rep = verify_gkm(g)
     assert [(c.name, c.passed, c.witness) for c in rep.checks] == gkm_report_by_edges(g)
     check = next(c for c in rep.checks if c.name == "connection-shape")
@@ -195,7 +194,7 @@ def test_connection_into_a_larger_star_is_not_a_bijection():
     has two edges and b one, so it is not onto; that edge comes first."""
     l1, l2 = LinearForm([1, 0]), LinearForm([0, 1])
     edges = [Edge(1, 0, l1), Edge(0, 1, -l1), Edge(0, 2, l2), Edge(2, 0, -l2)]
-    g = GkmGraph(2, ["a", "b", "c"], edges, [1, 0, 3, 2], [(0,), (0, 0), (0, 0), (1,)])
+    g = edge_graph(2, ["a", "b", "c"], edges, [(0,), (0, 0), (0, 0), (1,)])
     rep = verify_gkm(g)
     assert checks_of(rep) == gkm_report_by_edges(g)
     check = next(c for c in rep.checks if c.name == "connection-shape")
@@ -459,7 +458,7 @@ def test_restriction_verdicts_match_long_division_on_flag_graphs(kind, n):
 def test_coh_failure_with_three_term_labels():
     """A label with three nonzero coefficients is decided like any other."""
     l = LinearForm([2, -1, 3])
-    g = GkmGraph(3, ["a", "b"], [Edge(0, 1, l), Edge(1, 0, -l)], [1, 0], [(0,), (0,)])
+    g = edge_graph(3, ["a", "b"], [Edge(0, 1, l), Edge(1, 0, -l)], [(0,), (0,)])
     x1 = Polynomial.variable(3, 1)
     good = CohClass(g, [x1, x1 + x1 * l.to_polynomial()])
     bad = CohClass(g, [x1, x1 * x1])
@@ -500,43 +499,48 @@ def test_constructor_refuses_a_label_without_varcount_coefficients():
     graph used to construct and pass every check of verify_gkm."""
     g = complete_graph(3)
     with pytest.raises(ValueError, match="label x1 - x2 has 3 coefficients, not 2"):
-        GkmGraph(2, g.vertices, g.edges, g.reverse, g.connection)
+        GkmGraph(2, g.vertices, g.src, g.dst, g.labels, g.label_id, g.connection)
 
 
 # A path d - b - a - c: a and b have two edges, c and d one.  Each
-# connection tuple below is legal on the edges it is given for.
+# connection tuple below is legal on the edges it is given for, and sends
+# its edge to the edge PATH_REVERSE names.
 PATH_VERTICES = ["a", "b", "c", "d"]
 PATH_LABELS = [LinearForm([1, 0]), LinearForm([0, 1]), LinearForm([1, 1])]
 PATH_EDGES = [Edge(0, 1, PATH_LABELS[0]), Edge(0, 2, PATH_LABELS[1]), Edge(1, 0, -PATH_LABELS[0]),
               Edge(1, 3, PATH_LABELS[2]), Edge(2, 0, -PATH_LABELS[1]), Edge(3, 1, -PATH_LABELS[2])]
 PATH_REVERSE = [2, 4, 0, 5, 1, 3]
-PATH_CONNECTION = [(0, 1), (0, 0), (0, 1), (0, 0), (0,), (1,)]
+PATH_CONNECTION = [(0, 1), (0, 0), (0, 1), (0, 0), (1,), (1,)]
 
 
 def path_graph(entry, edges=PATH_EDGES, connection=PATH_CONNECTION, labels=None, label_id=None):
-    """The path through the Edge-list constructor or through
-    ``from_columns`` (with the labels and ids given, or those of
-    ``edges``), with the given connection."""
+    """The path through :func:`edge_graph`, which interns the labels of
+    ``edges``, or through the constructor with the columns of ``edges``
+    and the labels and ids given (or those of ``edges``), with the given
+    connection."""
     if entry == "edges":
-        return GkmGraph(2, PATH_VERTICES, edges, PATH_REVERSE, connection)
+        return edge_graph(2, PATH_VERTICES, edges, connection)
     forms = [e.label for e in edges]
     labels = list(dict.fromkeys(forms)) if labels is None else labels
     label_id = [labels.index(f) for f in forms] if label_id is None else label_id
-    return GkmGraph.from_columns(2, PATH_VERTICES, [e.src for e in edges], [e.dst for e in edges],
-                                 labels, label_id, PATH_REVERSE, connection)
+    return GkmGraph(2, PATH_VERTICES, [e.src for e in edges], [e.dst for e in edges], labels,
+                    label_id, connection)
 
 
 def test_both_constructor_entries_build_the_same_graph():
+    """The Edge-list helper and the constructor build one graph, whose
+    reverse is read off the connection."""
     g, h = path_graph("edges"), path_graph("columns")
     for name in ("src", "dst", "label_id", "labels", "reverse", "connection", "edges_at", "slot"):
         assert getattr(g, name) == getattr(h, name), name
     assert (g.src, g.dst, g.label_id) == ((0, 0, 1, 1, 2, 3), (1, 2, 0, 3, 0, 1), tuple(range(6)))
     assert g.labels == tuple(e.label for e in PATH_EDGES)
     assert g.edges_at == ((0, 1), (2, 3), (4,), (5,)) and g.slot == (0, 1, 0, 1, 0, 0)
+    assert g.reverse == tuple(PATH_REVERSE)
     assert tuple(g.edges) == tuple(PATH_EDGES) and g.edges == h.edges == tuple(PATH_EDGES)
     assert checks_of(verify_gkm(g)) == checks_of(verify_gkm(h))
     k3 = complete_graph(3)
-    assert GkmGraph(3, k3.vertices, k3.edges, k3.reverse, k3.connection).edges == k3.edges
+    assert edge_graph(3, k3.vertices, k3.edges, k3.connection).edges == k3.edges
 
 
 @pytest.mark.parametrize("entry", ["edges", "columns"])
@@ -563,7 +567,7 @@ def test_constructor_refuses_a_label_of_the_wrong_width(entry):
 
 
 def test_edge_list_constructor_interns_equal_forms_to_one_id():
-    """The Edge-list entry finds the labels and ids itself, so it can give
+    """The Edge-list helper finds the labels and ids itself, so it can give
     neither a repeated form nor an id out of range: equal forms that are
     distinct objects share one id, and the first of them is the label."""
     edges = list(PATH_EDGES)
@@ -607,26 +611,27 @@ def test_edge_antisymmetry(s3_graph):
 
 
 def test_subgraph_checks(s3_graph):
+    """The whole graph, a fiber and one long edge are GKM subgraphs for
+    the stored connection: induced_subgraph builds each."""
     g = s3_graph.graph
-    assert check_subgraph(g, range(g.nvertices))
     fiber = {g.vertex_index("1,2,3"), g.vertex_index("1,3,2")}
-    assert check_subgraph(g, fiber)
     long_edge = {g.vertex_index("1,2,3"), g.vertex_index("3,2,1")}
-    assert check_subgraph(g, long_edge)
+    for vs in (range(g.nvertices), fiber, long_edge):
+        sub, vmap, emap = induced_subgraph(g, vs)
+        assert sorted(vmap) == sorted(vs) and sub.nvertices == len(vmap)
 
 
 def test_subgraph_disconnected_raises(s3_graph):
     g = s3_graph.graph
-    with pytest.raises(ValueError):
-        check_subgraph(g, {g.vertex_index("1,2,3"), g.vertex_index("2,3,1")})
+    with pytest.raises(ValueError, match="disconnected"):
+        induced_subgraph(g, {g.vertex_index("1,2,3"), g.vertex_index("2,3,1")})
 
 
 @pytest.mark.parametrize("outside", [-1, 6, "1,2,3"])
 def test_subgraph_of_a_vertex_outside_the_graph_raises(s3_graph, outside):
     g = s3_graph.graph
-    for build in (check_subgraph, induced_subgraph):
-        with pytest.raises(ValueError, match="vertex outside 0..5"):
-            build(g, [0, outside])
+    with pytest.raises(ValueError, match="vertex outside 0..5"):
+        induced_subgraph(g, [0, outside])
 
 
 def test_induced_subgraph_is_gkm(s3_graph):

@@ -116,9 +116,9 @@ def test_family_sizes_up_to_5():
 def test_class_cI_values(a2, b2):
     assert all(v == Polynomial.one(3) for v in class_cI(a2, (0, 0)).values)
     c21 = class_cI(a2, (2, 1))
-    assert str(c21.value_at("2,3,1")) == "x2^2*x3"
+    assert str(c21.values[c21.graph.vertex_index("2,3,1")]) == "x2^2*x3"
     c21b = class_cI(b2, (2, 1))
-    assert str(c21b.value_at("-2,1")) == "x1*x2^2"
+    assert str(c21b.values[c21b.graph.vertex_index("-2,1")]) == "x1*x2^2"
 
 
 def test_class_cI_invariant_and_valid(a2, b2, d3):

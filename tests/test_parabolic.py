@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -8,13 +9,13 @@ import pytest
 
 from gkmflag.gkmgraph import (
     Edge,
-    GkmGraph,
     GkmIso,
     complete_graph,
     coh_failure,
     compose_iso,
     graph_from_json,
     graph_hash,
+    graph_json_chunks,
     graph_to_json,
     induced_subgraph,
     invert_iso,
@@ -54,7 +55,9 @@ from oracles import (
     coset_graph_from_reps,
     coset_projection,
     cosets_by_enumeration,
+    edge_graph,
     induced_subgraph_by_scan,
+    reverse_by_matching,
 )
 
 BUNDLES = [
@@ -185,7 +188,7 @@ def test_representative_independence(a2, b2):
         canonical = build_coset_graph(rs, sigma1, rs.full_sigma())
         w1 = rs.parabolic_elements(sigma1)
         reps = [w * rng.choice(w1) for w in canonical.reps]
-        rebuilt = coset_graph_from_reps(rs, sigma1, rs.full_sigma(), reps)
+        rebuilt, _ = coset_graph_from_reps(rs, sigma1, rs.full_sigma(), reps)
         assert canonical_structure(rebuilt) == canonical_structure(canonical.graph)
 
 
@@ -203,7 +206,8 @@ RANK3_GRAPH_DIGESTS = {
 def test_connection_reflects_labels(kind):
     """On every coset graph of rank 3, canonical and rebuilt from random
     representatives, the connection along e sends e1 to the edge at dst(e)
-    labeled s_{label(e)}(label(e1)); the canonical graphs are byte-stable."""
+    labeled s_{label(e)}(label(e1)), the reverse read off the connection is
+    the oracle's; the canonical graphs are byte-stable."""
     rs = RootSystem(kind, 3)
     rng = random.Random(kind)
     hashes = []
@@ -211,7 +215,8 @@ def test_connection_reflects_labels(kind):
         cg = build_coset_graph(rs, sigma1, sigma2)
         w1 = rs.parabolic_elements(sigma1)
         reps = [w * rng.choice(w1) for w in cg.reps]
-        rebuilt = coset_graph_from_reps(rs, sigma1, sigma2, reps)
+        rebuilt, reverse = coset_graph_from_reps(rs, sigma1, sigma2, reps)
+        assert rebuilt.reverse == reverse, (sigma1, sigma2)
         for g in (cg.graph, rebuilt):
             assert connection_failure(g) is None, (sigma1, sigma2)
         hashes.append(graph_hash(cg.graph))
@@ -221,10 +226,13 @@ def test_connection_reflects_labels(kind):
 
 
 def assert_columns_match_the_edge_oracle(cg):
-    g, oracle = cg.graph, coset_graph_by_edges(cg)
-    for name in ("src", "dst", "label_id", "labels", "reverse", "connection", "edges_at", "slot"):
+    """The columns equal the per-edge oracle's, and the reverse read off
+    the connection is the one the oracle computes."""
+    g, (oracle, reverse) = cg.graph, coset_graph_by_edges(cg)
+    for name in ("src", "dst", "label_id", "labels", "connection", "edges_at", "slot"):
         assert getattr(g, name) == getattr(oracle, name), (cg, name)
     assert tuple(g.edges) == tuple(oracle.edges), cg
+    assert g.reverse == reverse, cg
 
 
 @pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
@@ -243,6 +251,33 @@ def test_column_build_matches_the_per_edge_oracle(kind, n):
 def test_rank_4_flag_graph_columns_match_the_per_edge_oracle(kind):
     rs = RootSystem(kind, 4)
     assert_columns_match_the_edge_oracle(build_coset_graph(rs, frozenset(), rs.full_sigma()))
+
+
+def test_reverse_read_off_the_connection_matches_the_oracles():
+    """GkmGraph reads each edge's reverse off its connection.  It is the
+    edge found by endpoints and label on K_2 to K_5 and on a product
+    bundle's total graph; on every fiber subgraph of the product and of
+    the coset bundles it is the total graph's reverse, renumbered; and on
+    the B2 and B4 flag graphs read back from their files it is the one the
+    per-edge coset oracle computes."""
+    for n in range(2, 6):
+        g = complete_graph(n)
+        assert g.reverse == reverse_by_matching(g), n
+    a2 = RootSystem("A", 2)
+    product = product_bundle(build_coset_graph(a2, {2}, {1, 2}).graph, complete_graph(3))
+    assert product.total.reverse == reverse_by_matching(product.total)
+    bundles = [product] + [build_bundle(RootSystem(kind, n), frozenset(), sigma2)
+                           for kind, n, sigma2 in BUNDLES]
+    for b in bundles:
+        for fiber in b.fibers():
+            sub, _, emap = induced_subgraph(b.total, fiber)
+            assert [sub.reverse[new] for new in emap.values()] == [
+                emap[b.total.reverse[old]] for old in emap], (b.total, fiber)
+    for kind, n in [("B", 2), ("B", 4)]:
+        rs = RootSystem(kind, n)
+        cg = build_coset_graph(rs, frozenset(), rs.full_sigma())
+        back = graph_from_json(json.loads("".join(graph_json_chunks(cg.graph))))
+        assert back.reverse == coset_graph_by_edges(cg)[1], kind + str(n)
 
 
 @pytest.mark.parametrize("sigma1", [frozenset(), frozenset({2, 3})], ids=["flag", "sigma1-23"])
@@ -310,23 +345,27 @@ def test_all_bundles_verify():
 
 
 def test_lift_paths(a2):
+    """A base path lifted edge by edge with lift_edge, from a start over
+    its first vertex, visits the expected total vertices."""
     rs, b = tower("A", 2)
+
+    def lift(path_edges, start):
+        out = [start]
+        for beid in path_edges:
+            out.append(b.total.dst[b.lift_edge(beid, out[-1])])
+        return out
+
     start = b.total.vertex_index("1,2,3")
-    assert b.lift_path([], start) == [start]
-    lifted = b.lift_path([0, 1, 2, 0], start)
+    assert lift([], start) == [start]
+    steps = [b.base.find_edges(p, q) for p, q in [(0, 1), (1, 2), (2, 0)]]
+    assert [len(found) for found in steps] == [1, 1, 1]
+    lifted = lift([found[0] for found in steps], start)
     assert [b.total.vertices[q] for q in lifted] == ["1,2,3", "2,1,3", "3,1,2", "1,3,2"]
     # an edge followed by its reverse returns to the start
     beid = b.base.edges_at[0][0]
     back = b.base.reverse[beid]
-    out = b.lift_path([beid, back], start, edges=True)
+    out = lift([beid, back], start)
     assert out[0] == out[-1] == start
-
-
-def test_lift_path_bad_start(a2):
-    rs, b = tower("A", 2)
-    other = b.total.vertex_index("2,1,3")
-    with pytest.raises(ValueError):
-        b.lift_path([0, 1], other)
 
 
 def test_transition_formula_sn(a3):
@@ -899,8 +938,7 @@ def test_holonomy_refuses_a_one_vertex_base(a2):
 
 def test_trivial_product_bundle():
     def k2(label, names):
-        edges = [Edge(0, 1, label), Edge(1, 0, -label)]
-        return GkmGraph(3, names, edges, [1, 0], [(0,), (0,)])
+        return edge_graph(3, names, [Edge(0, 1, label), Edge(1, 0, -label)], [(0,), (0,)])
 
     base = k2(LinearForm([1, -1, 0]), ["a", "b"])
     fiber = k2(LinearForm([0, 0, 1]), ["u", "v"])
@@ -915,12 +953,11 @@ def test_make_bundle_matches_parallel_base_edges_by_label():
     """A base with two edges a -> b labeled x1 and x2: each horizontal
     edge projects onto the base edge with its own label."""
     x1, x2, x3 = (LinearForm([int(i == j) for j in range(3)]) for i in range(3))
-    base = GkmGraph(3, ["a", "b"],
-                    [Edge(0, 1, x1), Edge(0, 1, x2), Edge(1, 0, -x1), Edge(1, 0, -x2)],
-                    [2, 3, 0, 1],
-                    [(0, 1)] * 4)
-    fiber = GkmGraph(3, ["u", "v"], [Edge(0, 1, x3), Edge(1, 0, -x3)],
-                     [1, 0], [(0,), (0,)])
+    base = edge_graph(3, ["a", "b"],
+                      [Edge(0, 1, x1), Edge(0, 1, x2), Edge(1, 0, -x1), Edge(1, 0, -x2)],
+                      [(0, 1)] * 4)
+    assert base.reverse == (2, 3, 0, 1)
+    fiber = edge_graph(3, ["u", "v"], [Edge(0, 1, x3), Edge(1, 0, -x3)], [(0,), (0,)])
     product = product_bundle(base, fiber)
     b = make_bundle(product.total, base, product.pi)
     assert len(b.dpi) == 8

@@ -74,3 +74,26 @@ def test_export_graphs_writes_its_files(tmp_path):
         assert main(["export", *argv, "--out", str(exported)]) == 0
         assert (out_dir / name).read_bytes() == exported.read_bytes(), name
 
+
+
+def test_code_lines_counts_each_module_and_the_total(tmp_path):
+    """The script counts the library, its total is the sum of the modules,
+    and docstrings, comments and blank lines are not counted while a
+    string that spans lines counts every line."""
+    rows = [line.split("\t") for line in run_script("code_lines.py").splitlines()]
+    library = sorted(path.name for path in (SCRIPTS.parent / "src" / "gkmflag").glob("*.py"))
+    assert [name for name, _ in rows[:-1]] == library
+    assert rows[-1][0] == "total" and int(rows[-1][1]) == sum(int(n) for _, n in rows[:-1])
+    (tmp_path / "one.py").write_text(
+        '"""A module docstring\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):\n"
+        '    """One docstring line."""\n'
+        "    return (x +  # a trailing comment\n"
+        "            1)\n"
+        "\n"
+        'TEXT = """a string\n'
+        'that is not a docstring"""\n')
+    (tmp_path / "two.py").write_text("")
+    assert run_script("code_lines.py", str(tmp_path)) == "one.py\t5\ntwo.py\t0\ntotal\t5\n"
