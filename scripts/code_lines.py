@@ -7,12 +7,10 @@ module, class or function body.  Blank lines, comments and docstrings
 are not counted; a string or bracket that spans lines counts every line
 it spans.
 
-Examples:
-    python scripts/code_lines.py              # the modules of src/gkmflag
-    python scripts/code_lines.py path/to/dir  # the *.py files of a directory
+Example:
+    python scripts/code_lines.py
 """
 
-import argparse
 import ast
 import io
 import tokenize
@@ -45,11 +43,7 @@ def code_lines(source: str) -> int:
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("directory", nargs="?", type=Path, default=PACKAGE)
-    args = ap.parse_args()
-    counts = {path.name: code_lines(path.read_text())
-              for path in sorted(args.directory.glob("*.py"))}
+    counts = {path.name: code_lines(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     for name, count in counts.items():
         print(f"{name}\t{count}")
     print(f"total\t{sum(counts.values())}")

@@ -76,7 +76,7 @@ def test_export_graphs_writes_its_files(tmp_path):
 
 
 
-def test_code_lines_counts_each_module_and_the_total(tmp_path):
+def test_code_lines_counts_each_module_and_the_total():
     """The script counts the library, its total is the sum of the modules,
     and docstrings, comments and blank lines are not counted while a
     string that spans lines counts every line."""
@@ -84,7 +84,10 @@ def test_code_lines_counts_each_module_and_the_total(tmp_path):
     library = sorted(path.name for path in (SCRIPTS.parent / "src" / "gkmflag").glob("*.py"))
     assert [name for name, _ in rows[:-1]] == library
     assert rows[-1][0] == "total" and int(rows[-1][1]) == sum(int(n) for _, n in rows[:-1])
-    (tmp_path / "one.py").write_text(
+    spec = importlib.util.spec_from_file_location("code_lines", SCRIPTS / "code_lines.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.code_lines(
         '"""A module docstring\n\nover three lines."""\n'
         "\n"
         "# a comment\n"
@@ -94,6 +97,5 @@ def test_code_lines_counts_each_module_and_the_total(tmp_path):
         "            1)\n"
         "\n"
         'TEXT = """a string\n'
-        'that is not a docstring"""\n')
-    (tmp_path / "two.py").write_text("")
-    assert run_script("code_lines.py", str(tmp_path)) == "one.py\t5\ntwo.py\t0\ntotal\t5\n"
+        'that is not a docstring"""\n') == 5
+    assert script.code_lines("") == 0
