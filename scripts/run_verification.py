@@ -3,8 +3,9 @@
 
 Covers: graph axioms for the flag graphs up to rank 4 and of A5, B5 and
 D5, a graph-file round trip of the B4 and D5 flag graphs (written by
-``graph_json_chunks``, read back by ``graph_from_json``, with the same
-axiom CHECK lines as the built graph), fiber-bundle axioms and holonomy for the standard bundles up to
+``graph_json_chunks``, read back by ``graph_from_text`` as ``verify --graph``
+reads a file, with the same axiom CHECK lines as the built graph),
+fiber-bundle axioms and holonomy for the standard bundles up to
 rank 3, for the A4, B4 and D4 bundles with Sigma2 = {2,3,4}, and for
 the A5 and B4 bundles with Sigma2 = {1}, whose 360 and 192 fibers have
 two vertices each, basis verification for A2, A3, B2, B3, C3, D3 and
@@ -19,7 +20,6 @@ a report, its failing CHECK lines are printed, indented.
 Exit code 0 iff everything passes.
 """
 
-import json
 import operator
 import random
 import sys
@@ -30,7 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gkmflag.gkmgraph import graph_from_json, graph_json_chunks, verify_gkm
+from gkmflag.gkmgraph import graph_from_text, graph_json_chunks, verify_gkm
 from gkmflag.invbases import (
     check_bases_over_invariants,
     check_d3_descriptions,
@@ -83,8 +83,7 @@ def main() -> int:
             path = Path(tmp) / f"{kind}{n}.json"
             with open(path, "w") as fh:
                 fh.writelines(graph_json_chunks(graph))
-            with open(path) as fh:
-                read = graph_from_json(json.load(fh))
+            read = graph_from_text(path.read_text())
             good = verify_gkm(read).summary() == verify_gkm(graph).summary()
             print(f"CHECK graph-file-{kind}{n}: {'PASS' if good else 'FAIL'}")
             ok &= good

@@ -112,8 +112,7 @@ def cmd_verify(args) -> int:
     if args.graph:
         try:
             with open(args.graph) as fh:
-                data = json.load(fh)
-            g = gkmgraph.graph_from_json(data)
+                g = gkmgraph.graph_from_text(fh.read())
         except (OSError, json.JSONDecodeError, KeyError, ValueError, RecursionError) as exc:
             raise SystemExit2(f"cannot load graph {args.graph}: {exc}")
     else:

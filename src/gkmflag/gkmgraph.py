@@ -65,18 +65,22 @@ and a changed graph is a new graph, so no derived data can go stale.
 
 The text layout of a graph file is known only here:
 :func:`graph_json_chunks` writes it as a stream of entries (a bundle file
-nests two graphs through it), :func:`graph_from_json` reads it, and
-:func:`graph_to_json` gives it as a dict, which :func:`graph_hash` hashes.
+nests two graphs through it), :func:`graph_from_text` reads a file's text
+and hands its connection entries to :func:`graph_from_json` one at a
+time, :func:`graph_from_json` also builds a graph from the parsed data
+(each graph of a bundle file), and :func:`graph_to_json` gives the file
+as a dict, which :func:`graph_hash` hashes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
 from operator import itemgetter
+from json.decoder import WHITESPACE, scanstring as _scanstring
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
@@ -102,6 +106,7 @@ __all__ = [
     "complete_graph",
     "graph_to_json",
     "graph_from_json",
+    "graph_from_text",
     "graph_json_chunks",
     "graph_hash",
     "graph_to_dot",
@@ -247,9 +252,6 @@ class GkmGraph:
         """(x, image of x) for each edge x at the tail of eid, in star order."""
         return zip(self.edges_at[self.src[eid]],
                    map(self.edges_at[self.dst[eid]].__getitem__, self.connection[eid]))
-
-    def vertex_index(self, name: str) -> int:
-        return self.vertices.index(name)
 
     def find_edges(self, src: int, dst: int):
         return [eid for eid in self.edges_at[src] if self.dst[eid] == dst]
@@ -758,21 +760,105 @@ def _json_items(texts, inner: str, outer: str):
     yield "[]" if sep[0] == "[" else outer + "]"
 
 
+_DECODER = json.JSONDecoder()
+_space = WHITESPACE.match  # _space(text, pos).end(): the end of the whitespace at pos
+_HEAD_KEYS = {"varcount", "vertices", "edges"}  # what graph_from_json reads before the connection
+
+
+def graph_from_text(text: str) -> GkmGraph:
+    """Read a graph file, given as its text.
+
+    The top-level object is decoded here, key by key, with ``json``'s
+    own decoder for each key and each value.  A ``connection`` list that
+    follows ``varcount``, ``vertices`` and ``edges``, as in every written
+    file, is not decoded whole: :func:`graph_from_json` gets an iterator
+    that decodes its entries one at a time.  In any other order it is
+    decoded whole; both feed the same checks.  Text that is not one JSON
+    value raises ``json.JSONDecodeError``, as ``json.loads`` does, and so
+    does a key repeated in the top-level object, whose last value
+    ``json.loads`` would keep.
+    """
+    pos = _space(text, 0).end()
+    # anything but an object is decoded whole, for graph_from_json to refuse
+    return graph_from_json(_members(text, pos + 1, {}) if text[pos:pos + 1] == "{"
+                           else json.loads(text))
+
+
+def _members(text: str, pos: int, data: dict):
+    """Decode members of the top-level object into ``data``, from ``pos``,
+    just after its ``{`` or after the last member in ``data``, through the
+    end of the text, and return ``data``.  A ``connection`` list after the
+    other three keys becomes an iterator, :func:`_entries`, which decodes
+    the rest of the object once the list is read: keys that
+    :func:`graph_from_json` does not read, checked for syntax and
+    repetition against a copy of the keys, so that no cycle holds ``data``
+    and the text.  Text is indexed only through slices, so no input raises
+    IndexError."""
+    pos = _space(text, pos).end()
+    while text[pos:pos + 1] != "}":
+        if data:
+            pos = _after(text, pos, ",")
+        if text[pos:pos + 1] != '"':
+            raise json.JSONDecodeError("Expecting property name in double quotes", text, pos)
+        key, end = _scanstring(text, pos + 1)
+        if key in data:
+            raise json.JSONDecodeError(f"Repeated key {key!r}", text, pos)
+        pos = _after(text, end, ":")
+        if key == "connection" and text[pos:pos + 1] == "[" and data.keys() >= _HEAD_KEYS:
+            data[key] = _entries(text, pos + 1, dict.fromkeys([*data, key]))
+            return data
+        data[key], pos = _DECODER.raw_decode(text, pos)
+        pos = _space(text, pos).end()
+    pos = _space(text, pos + 1).end()
+    if pos != len(text):
+        raise json.JSONDecodeError("Extra data", text, pos)
+    return data
+
+
+def _entries(text: str, pos: int, seen: dict):
+    """The entries of the list that opens just before ``pos``, each
+    decoded as it is read; after the list, :func:`_members` decodes the
+    rest of the object into ``seen``, which holds the keys before it."""
+    pos, more = _space(text, pos).end(), False
+    while text[pos:pos + 1] != "]":
+        if more:
+            pos = _after(text, pos, ",")
+        entry, pos = _DECODER.raw_decode(text, pos)
+        yield entry
+        pos, more = _space(text, pos).end(), True
+    _members(text, pos + 1, seen)
+
+
+def _after(text: str, pos: int, char: str) -> int:
+    """The position past ``char``, which must come next at or after
+    ``pos`` but for whitespace, and past the whitespace after it."""
+    pos = _space(text, pos).end()
+    if text[pos:pos + 1] != char:
+        raise json.JSONDecodeError(f"Expecting {char!r} delimiter", text, pos)
+    return _space(text, pos + 1).end()
+
+
 def graph_from_json(data: dict) -> GkmGraph:
-    """Parse :func:`graph_to_json` output.
+    """Parse :func:`graph_to_json` output, whose ``connection`` may also be
+    an iterator over its entries, as :func:`graph_from_text` gives it.
 
     Malformed structure raises ValueError: types, index ranges, label
     lengths, vertex names that are not distinct strings, a connection
     ``edge`` that is not ``[src, dst]`` of the edge with the same index,
     and a connection ``map`` that is not a function from the edges at the
     tail to the edges at the head (every edge at the tail paired once, each
-    with an edge at the head).  The edge entries and the connection
-    ``edge`` fields are checked column by column, and only a failure walks
-    them one at a time, to name the first bad entry; equal forms written
-    differently share one label.  Equal connection tuples are stored
-    once.  The graph is handed over as columns, with the labels and ids
-    read here.  The axioms, bijectivity of the connection among them, are
-    left to :func:`verify_gkm`.
+    with an edge at the head).  The edge entries are checked column by
+    column, and only a failure walks them one at a time, to name the first
+    bad entry; equal forms written differently share one label.  The
+    connection entries are read in order, once: each ``edge`` is checked
+    as it arrives, and the first bad one is named at once, before any bad
+    map.  Each ``map`` is held only until the last edge of its tail's star
+    has arrived; then the maps of that star are read together and
+    dropped, and the lowest edge whose map fails is named after the last
+    entry.  Equal connection tuples are stored once.  The graph is handed
+    over as columns, with the labels and ids read here.  The axioms,
+    bijectivity of the connection among them, are left to
+    :func:`verify_gkm`.
     """
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
@@ -782,41 +868,50 @@ def graph_from_json(data: dict) -> GkmGraph:
     if not all(isinstance(v, str) for v in vertices) or len(set(vertices)) != len(vertices):
         raise ValueError("vertex names must be distinct strings")
     raw_edges, raw_connection = data.get("edges"), data.get("connection")
-    if not (isinstance(raw_edges, list) and isinstance(raw_connection, list)
-            and len(raw_edges) == len(raw_connection)):
-        raise ValueError("edges and connection must be lists of equal length")
+    unequal = "edges and connection must be lists of equal length"
+    if not (isinstance(raw_edges, list) and isinstance(raw_connection, (list, Iterator))):
+        raise ValueError(unequal)
     columns = _edge_columns(raw_edges, m, n := len(vertices))
     if columns is None:  # name the first bad entry
         eid = next(eid for eid, e in enumerate(raw_edges) if _edge_columns([e], m, n) is None)
         raise ValueError(f"edge {eid}: need vertex indices src, dst and {m} rationals alpha")
     src, dst, keys = columns
-    if not _ends_match(raw_connection, src, dst):  # name the first bad entry
-        eid = next(e for e in range(len(src))
-                   if not _ends_match(raw_connection[e:e + 1], src[e:e + 1], dst[e:e + 1]))
-        raise ValueError(f"connection {eid}: edge must be [{src[eid]}, {dst[eid]}], the src and "
-                         f"dst of edge {eid}")
     index: dict[LinearForm, int] = {}  # each distinct alpha is parsed once; equal forms share an id
     key_id = {key: index.setdefault(LinearForm(list(map(parse_rational, key))), len(index))
               for key in dict.fromkeys(keys)}
     edges_at, _ = _stars(src, n)
-    maps = [entry.get("map") if isinstance(entry, dict) else None for entry in raw_connection]
     position = [dict(zip(star, range(len(star)))) for star in edges_at]
+    left = list(map(len, edges_at))  # per vertex, the edges of its star still to arrive
+    maps: dict[int, object] = {}  # the maps of the edges whose star is not complete
     connection: list = [None] * len(src)
+    shared: dict[tuple, tuple] = {}
     bad = []
-    for star in filter(None, edges_at):
-        at_heads = [position[dst[e]] for e in star]
-        conns = _star_maps([maps[e] for e in star], star, at_heads)
-        if conns is None:  # name the first edge of the star whose map fails
-            bad.append(next(e for e, at_head in zip(star, at_heads)
-                            if _star_maps([maps[e]], star, [at_head]) is None))
+    for eid, entry in enumerate(raw_connection):
+        if eid == len(src):
+            raise ValueError(unequal)
+        edge = entry.get("edge") if isinstance(entry, dict) else None
+        if not (edge == [src[eid], dst[eid]] and type(edge[0]) is type(edge[1]) is int):
+            raise ValueError(f"connection {eid}: edge must be [{src[eid]}, {dst[eid]}], the src "
+                             f"and dst of edge {eid}")
+        maps[eid] = entry.get("map")
+        left[src[eid]] -= 1
+        if left[src[eid]]:
             continue
-        for eid, conn in zip(star, conns):
-            connection[eid] = conn
+        star = edges_at[src[eid]]
+        star_maps = [maps.pop(e) for e in star]
+        at_heads = [position[dst[e]] for e in star]
+        conns = _star_maps(star_maps, star, at_heads)
+        if conns is None:  # name the first edge of the star whose map fails
+            bad.append(next(e for e, one, at_head in zip(star, star_maps, at_heads)
+                            if _star_maps([one], star, [at_head]) is None))
+            continue
+        for e, conn in zip(star, conns):
+            connection[e] = shared.setdefault(conn, conn)
+    if any(left):
+        raise ValueError(unequal)
     if bad:
         raise ValueError(f"connection {min(bad)}: map must pair each edge at vertex "
                          f"{src[min(bad)]} once with an edge at vertex {dst[min(bad)]}")
-    shared: dict[tuple, tuple] = {}
-    connection = [shared.setdefault(conn, conn) for conn in connection]
     return GkmGraph(m, vertices, src, dst, index, list(map(key_id.__getitem__, keys)), connection)
 
 
@@ -835,15 +930,6 @@ def _edge_columns(entries: list, m: int, n: int):
             and set(map(type, ends)) <= {int} and (not ends or 0 <= min(ends) <= max(ends) < n)):
         return src, dst, list(map(tuple, alphas))
     return None
-
-
-def _ends_match(entries: list, src: list, dst: list) -> bool:
-    """Whether each connection entry is a dict whose ``edge`` is
-    ``[src, dst]`` of the edge with its index, two ints; one pass per
-    condition over the column, not entry by entry."""
-    ends = [entry.get("edge") if isinstance(entry, dict) else None for entry in entries]
-    return (ends == list(map(list, zip(src, dst)))
-            and set(map(type, chain.from_iterable(ends))) <= {int})
 
 
 def _star_maps(maps: list, star: tuple, at_heads: list):

@@ -259,7 +259,7 @@ def test_criterion_07_bundle_axioms_and_mutations():
 
     b = copy.deepcopy(bundles[3])
     g = b.base
-    beid = g.find_edges(g.vertex_index("1,2"), g.vertex_index("-2,1"))[0]
+    beid = g.find_edges(g.vertices.index("1,2"), g.vertices.index("-2,1"))[0]
     b.transitions[beid].psi = identity_matrix(2)
     assert not verify_fiber_bundle(b).ok
     elapsed = time.time() - start

@@ -163,39 +163,126 @@ def _missing_connection_edge(data):
     return data
 
 
-@pytest.mark.parametrize("mutate", [
-    _dst_out_of_range,
-    _missing_connection_target,
-    _zero_denominator,
-    _exponent_string,
-    lambda data: [data],
-    lambda data: {**data, "vertices": "123456"},
-    lambda data: {**data, "varcount": 0},
-    "[" * 200000 + "]" * 200000,
-    lambda data: {**data, "vertices": [{"a": 1}] * len(data["vertices"])},
-    lambda data: {**data, "vertices": ["a"] * len(data["vertices"])},
-    _repeated_map_key,
-    _map_key_off_the_tail,
-    _map_image_off_the_head,
-    _missing_map_key,
-    _wrong_connection_edge,
-    _non_list_connection_edge,
-    _missing_connection_edge,
-], ids=["dst-out-of-range", "missing-connection-target", "zero-denominator",
-        "exponent-string", "top-level-list", "vertices-string", "varcount-zero", "deeply-nested",
-        "vertices-not-strings", "vertices-repeated", "repeated-map-key", "map-key-off-the-tail",
-        "map-image-off-the-head", "missing-map-key", "wrong-connection-edge",
-        "non-list-connection-edge", "missing-connection-edge"])
+MALFORMED = [
+    pytest.param(_dst_out_of_range, id="dst-out-of-range"),
+    pytest.param(_missing_connection_target, id="missing-connection-target"),
+    pytest.param(_zero_denominator, id="zero-denominator"),
+    pytest.param(_exponent_string, id="exponent-string"),
+    pytest.param(lambda data: [data], id="top-level-list"),
+    pytest.param(lambda data: {**data, "vertices": "123456"}, id="vertices-string"),
+    pytest.param(lambda data: {**data, "varcount": 0}, id="varcount-zero"),
+    pytest.param("[" * 200000 + "]" * 200000, id="deeply-nested"),
+    pytest.param(lambda data: {**data, "vertices": [{"a": 1}] * len(data["vertices"])},
+                 id="vertices-not-strings"),
+    pytest.param(lambda data: {**data, "vertices": ["a"] * len(data["vertices"])},
+                 id="vertices-repeated"),
+    pytest.param(_repeated_map_key, id="repeated-map-key"),
+    pytest.param(_map_key_off_the_tail, id="map-key-off-the-tail"),
+    pytest.param(_map_image_off_the_head, id="map-image-off-the-head"),
+    pytest.param(_missing_map_key, id="missing-map-key"),
+    pytest.param(_wrong_connection_edge, id="wrong-connection-edge"),
+    pytest.param(_non_list_connection_edge, id="non-list-connection-edge"),
+    pytest.param(_missing_connection_edge, id="missing-connection-edge"),
+    pytest.param(lambda data: {**data, "connection": data["connection"][:-1]},
+                 id="connection-short"),
+    pytest.param(lambda data: {**data, "connection": data["connection"] * 2},
+                 id="connection-long"),
+    pytest.param(lambda data: {**data, "connection": {}}, id="connection-object"),
+]
+
+
+def _k3_data():
+    rs = RootSystem("A", 2)
+    return graph_to_json(build_coset_graph(rs, frozenset({2}), rs.full_sigma()).graph)
+
+
+@pytest.mark.parametrize("mutate", MALFORMED)
 def test_verify_malformed_graph_file_is_usage_error(tmp_path, capsys, mutate):
     """``mutate`` edits a valid graph's JSON, or is the raw file text."""
-    rs = RootSystem("A", 2)
-    data = graph_to_json(build_coset_graph(rs, frozenset({2}), rs.full_sigma()).graph)
     path = tmp_path / "malformed.json"
-    path.write_text(mutate if isinstance(mutate, str) else json.dumps(mutate(data)))
+    path.write_text(mutate if isinstance(mutate, str) else json.dumps(mutate(_k3_data())))
     code, out, err = run(capsys, "verify", "--graph", str(path))
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize("mutate", [case for case in MALFORMED
+                                    if not isinstance(case.values[0], str)])
+@pytest.mark.parametrize("indent", [1, None], ids=["written", "compact"])
+def test_reader_refuses_a_malformed_graph_as_the_parsed_file_is_refused(mutate, indent):
+    """The streaming reader raises the ValueError, with its message, that
+    ``graph_from_json`` raises on the parsed file."""
+    text = json.dumps(mutate(_k3_data()), indent=indent)
+    with pytest.raises(ValueError) as parsed:
+        graph_from_json(json.loads(text))
+    with pytest.raises(ValueError) as streamed:
+        gkmgraph.graph_from_text(text)
+    assert type(streamed.value) is type(parsed.value)
+    assert str(streamed.value) == str(parsed.value)
+
+
+def _a2_flag():
+    rs = RootSystem("A", 2)
+    return build_coset_graph(rs, frozenset(), rs.full_sigma()).graph
+
+
+def test_verify_refuses_a_graph_file_cut_short(tmp_path, capsys):
+    """The A2 flag file cut at every tenth character, short of its closing
+    brace, exits 2 with one error line."""
+    text = "".join(gkmgraph.graph_json_chunks(_a2_flag()))
+    path = tmp_path / "cut.json"
+    for end in range(0, len(text.rstrip()), 10):
+        path.write_text(text[:end])
+        code, out, err = run(capsys, "verify", "--graph", str(path))
+        assert (code, out) == (2, ""), end
+        assert err.startswith(f"error: cannot load graph {path}: ") and err.count("\n") == 1, end
+        assert "Traceback" not in err, end
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda text: text + "x", "Extra data"),
+    (lambda text: text + "{}\n", "Extra data"),
+    (lambda text: text.rstrip()[:-1] + ',\n "varcount": 3\n}\n', "Repeated key 'varcount'"),
+    (lambda text: '{"edges": [],' + text[1:], "Repeated key 'edges'"),
+    (lambda text: text.replace('},\n  {\n   "edge"', '}\n  {\n   "edge"', 1),
+     "Expecting ',' delimiter"),
+], ids=["trailing-text", "trailing-object", "key-repeated-after-connection",
+        "key-repeated-before-connection", "connection-entries-without-comma"])
+def test_verify_refuses_a_graph_file_off_the_grammar(tmp_path, capsys, edit, message):
+    """A graph file holds one object, its list entries apart by commas and
+    each of its keys given once: text after the object, entries without a
+    comma and a repeated key, whose last value ``json.load`` would keep,
+    each exit 2."""
+    path = tmp_path / "edited.json"
+    path.write_text(edit("".join(gkmgraph.graph_json_chunks(_a2_flag()))))
+    code, out, err = run(capsys, "verify", "--graph", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot load graph {path}: {message}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("reorder", [
+    lambda data: {"connection": data.pop("connection"), **data},
+    lambda data: {"note": "from elsewhere", **data},
+    lambda data: {**data, "note": {"nested": [1, 2]}},
+], ids=["connection-first", "unknown-key-first", "unknown-key-last"])
+def test_verify_reads_the_keys_in_any_order_and_skips_unknown_ones(tmp_path, capsys, reorder):
+    """The connection before the edges is decoded whole, and an unknown
+    key is read and ignored: the graph and the report are the canonical
+    file's."""
+    g = _a2_flag()
+    canonical = tmp_path / "canonical.json"
+    canonical.write_text("".join(gkmgraph.graph_json_chunks(g)))
+    want = run(capsys, "verify", "--graph", str(canonical))
+    text = json.dumps(reorder(graph_to_json(g)), indent=1)
+    path = tmp_path / "reordered.json"
+    path.write_text(text)
+    assert run(capsys, "verify", "--graph", str(path)) == want
+    assert want[0] == 0
+    read = gkmgraph.graph_from_text(text)
+    assert graph_hash(read) == graph_hash(g)
+    assert (read.connection, read.reverse) == (g.connection, g.reverse)
 
 
 def test_verify_names_the_first_connection_entry_with_a_bad_edge(tmp_path, capsys):

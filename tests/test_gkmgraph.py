@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -24,6 +25,7 @@ from gkmflag.gkmgraph import (
     degree_of,
     coh_failure,
     graph_from_json,
+    graph_from_text,
     graph_hash,
     graph_json_chunks,
     graph_to_dot,
@@ -411,7 +413,7 @@ def test_first_coordinate_class(s3_graph):
 def test_broken_class_witness(s3_graph):
     g = s3_graph.graph
     vals = [Polynomial.zero(3)] * g.nvertices
-    vals[g.vertex_index("1,2,3")] = Polynomial.variable(3, 1)
+    vals[g.vertices.index("1,2,3")] = Polynomial.variable(3, 1)
     c = CohClass(g, vals)
     bad = coh_failure(c)
     assert bad is not None
@@ -614,8 +616,8 @@ def test_subgraph_checks(s3_graph):
     """The whole graph, a fiber and one long edge are GKM subgraphs for
     the stored connection: induced_subgraph builds each."""
     g = s3_graph.graph
-    fiber = {g.vertex_index("1,2,3"), g.vertex_index("1,3,2")}
-    long_edge = {g.vertex_index("1,2,3"), g.vertex_index("3,2,1")}
+    fiber = {g.vertices.index("1,2,3"), g.vertices.index("1,3,2")}
+    long_edge = {g.vertices.index("1,2,3"), g.vertices.index("3,2,1")}
     for vs in (range(g.nvertices), fiber, long_edge):
         sub, vmap, emap = induced_subgraph(g, vs)
         assert sorted(vmap) == sorted(vs) and sub.nvertices == len(vmap)
@@ -624,7 +626,7 @@ def test_subgraph_checks(s3_graph):
 def test_subgraph_disconnected_raises(s3_graph):
     g = s3_graph.graph
     with pytest.raises(ValueError, match="disconnected"):
-        induced_subgraph(g, {g.vertex_index("1,2,3"), g.vertex_index("2,3,1")})
+        induced_subgraph(g, {g.vertices.index("1,2,3"), g.vertices.index("2,3,1")})
 
 
 @pytest.mark.parametrize("outside", [-1, 6, "1,2,3"])
@@ -636,7 +638,7 @@ def test_subgraph_of_a_vertex_outside_the_graph_raises(s3_graph, outside):
 
 def test_induced_subgraph_is_gkm(s3_graph):
     g = s3_graph.graph
-    fiber = [g.vertex_index("1,2,3"), g.vertex_index("1,3,2")]
+    fiber = [g.vertices.index("1,2,3"), g.vertices.index("1,3,2")]
     sub, vmap, _ = induced_subgraph(g, fiber)
     assert verify_gkm(sub).ok
     assert sub.nvertices == 2
@@ -833,18 +835,24 @@ def test_graph_from_json_refuses_a_malformed_map(pairs):
 
 def test_graph_from_json_names_the_lowest_edge_with_a_malformed_map():
     """With the edge ids of K3 reversed, edge 0 sits at the last vertex;
-    breaking its map and that of edge 5, at vertex 0, names edge 0."""
+    breaking its map and that of edge 5, at vertex 0, names edge 0.  With
+    edge 0 and 5 at vertex 0 and edges 1 and 2 at vertex 1, the star of
+    edge 0 is complete only after that of edge 1; breaking both maps still
+    names edge 0."""
     data = graph_to_json(complete_graph(3))
-    last = len(data["edges"]) - 1
-    data["edges"].reverse()
-    data["connection"] = [{"edge": entry["edge"],
-                           "map": [[last - x, last - y] for x, y in entry["map"]]}
-                          for entry in reversed(data["connection"])]
-    assert graph_from_json(copy.deepcopy(data)).edges[0].src == 2
-    for eid in (0, last):
-        data["connection"][eid]["map"][0][0] = True
-    with pytest.raises(ValueError, match=r"^connection 0: map must pair each edge at vertex 2 "):
-        graph_from_json(data)
+    for new_id, other, vertex in [((5, 4, 3, 2, 1, 0), 5, 2), ((0, 5, 1, 2, 3, 4), 1, 0)]:
+        edges, connection = [None] * 6, [None] * 6
+        for old, (edge, entry) in enumerate(zip(data["edges"], data["connection"])):
+            edges[new_id[old]] = edge
+            connection[new_id[old]] = {"edge": entry["edge"],
+                                       "map": [[new_id[x], new_id[y]] for x, y in entry["map"]]}
+        renumbered = {**data, "edges": edges, "connection": connection}
+        assert graph_from_json(copy.deepcopy(renumbered)).edges[0].src == vertex
+        for eid in (0, other):
+            renumbered["connection"][eid]["map"][0][0] = True
+        with pytest.raises(ValueError, match=rf"^connection 0: map must pair each edge at "
+                                             rf"vertex {vertex} "):
+            graph_from_json(renumbered)
 
 
 @pytest.mark.parametrize("variant", [
@@ -872,6 +880,50 @@ def test_graph_from_json_reads_a_map_in_any_order():
     g = graph_from_json(_k3_map([[1, 3], [0, 2]]))
     assert g.connection == complete_graph(3).connection
     assert g.reverse == complete_graph(3).reverse
+
+
+def _columns(g):
+    return (g.varcount, g.vertices, g.src, g.dst, g.labels, g.label_id, g.connection, g.reverse)
+
+
+def _assert_reader_matches_the_parsed_file(g):
+    """``graph_from_text`` reads the written file and a compact dump of
+    ``g`` into the columns that ``graph_from_json`` reads from the parsed
+    file, with equal connection tuples shared alike."""
+    for text in ("".join(graph_json_chunks(g)),
+                 json.dumps(graph_to_json(g), separators=(",", ":"))):
+        read, parsed = graph_from_text(text), graph_from_json(json.loads(text))
+        assert _columns(read) == _columns(parsed) == _columns(g)
+        assert len({id(c) for c in read.connection}) == len({id(c) for c in parsed.connection})
+
+
+@pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                                    ("C", 2), ("C", 3), ("D", 3)])
+def test_graph_from_text_matches_the_parsed_file_on_every_coset_graph(kind, n):
+    rs = RootSystem(kind, n)
+    for sigma1 in subsets(rs.full_sigma()):
+        _assert_reader_matches_the_parsed_file(build_coset_graph(rs, sigma1, rs.full_sigma()).graph)
+
+
+def test_graph_from_text_matches_the_parsed_file_on_k5():
+    _assert_reader_matches_the_parsed_file(complete_graph(5))
+
+
+def test_graph_from_text_holds_less_than_half_of_the_parsed_file():
+    """Reading the B3 flag file a connection entry at a time peaks, by
+    ``tracemalloc``, at no more than half of parsing it whole first."""
+    rs = RootSystem("B", 3)
+    text = "".join(graph_json_chunks(build_coset_graph(rs, frozenset(), rs.full_sigma()).graph))
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(graph_from_text) <= peak(lambda t: graph_from_json(json.loads(t))) / 2
 
 
 def test_class_json_round_trip(s3_graph):

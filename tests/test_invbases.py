@@ -116,9 +116,9 @@ def test_family_sizes_up_to_5():
 def test_class_cI_values(a2, b2):
     assert all(v == Polynomial.one(3) for v in class_cI(a2, (0, 0)).values)
     c21 = class_cI(a2, (2, 1))
-    assert str(c21.values[c21.graph.vertex_index("2,3,1")]) == "x2^2*x3"
+    assert str(c21.values[c21.graph.vertices.index("2,3,1")]) == "x2^2*x3"
     c21b = class_cI(b2, (2, 1))
-    assert str(c21b.values[c21b.graph.vertex_index("-2,1")]) == "x1*x2^2"
+    assert str(c21b.values[c21b.graph.vertices.index("-2,1")]) == "x1*x2^2"
 
 
 def test_class_cI_invariant_and_valid(a2, b2, d3):
@@ -157,7 +157,7 @@ def test_base_tau_b_half_edge(b2):
     b = tower_bundle(b2)
     tau = _base_classes(b2)[1]
     g = b.base
-    p, q = g.vertex_index("1,2"), g.vertex_index("-1,2")
+    p, q = g.vertices.index("1,2"), g.vertices.index("-1,2")
     eid = g.find_edges(p, q)[0]
     half = (tau.values[p] - tau.values[q]).scale(1) # x1 - (-x1) = 2x1
     assert g.edges[eid].label.to_polynomial().scale(2) == half
@@ -168,9 +168,9 @@ def test_b_base_is_not_plain_complete_graph(b2):
     labels, not the complete graph's."""
     b = tower_bundle(b2)
     g = b.base
-    p1 = g.vertex_index("1,2")    # omega_1^+
-    m1 = g.vertex_index("-1,2")   # omega_1^-
-    m2 = g.vertex_index("-2,1")   # omega_2^-
+    p1 = g.vertices.index("1,2")    # omega_1^+
+    m1 = g.vertices.index("-1,2")   # omega_1^-
+    m2 = g.vertices.index("-2,1")   # omega_2^-
     total = (
         g.edges[g.find_edges(p1, m1)[0]].label
         + g.edges[g.find_edges(m1, m2)[0]].label

@@ -98,9 +98,9 @@ def test_flag_graph_a2(a2):
     cg = build_coset_graph(a2, frozenset(), a2.full_sigma())
     assert cg.nvertices == 6
     g = cg.graph
-    eid = g.find_edges(g.vertex_index("1,2,3"), g.vertex_index("1,3,2"))[0]
+    eid = g.find_edges(g.vertices.index("1,2,3"), g.vertices.index("1,3,2"))[0]
     assert str(g.edges[eid].label) == "x2 - x3"
-    eid = g.find_edges(g.vertex_index("2,3,1"), g.vertex_index("3,2,1"))[0]
+    eid = g.find_edges(g.vertices.index("2,3,1"), g.vertices.index("3,2,1"))[0]
     assert str(g.edges[eid].label) == "x2 - x3"
 
 
@@ -116,7 +116,7 @@ def test_k4_from_a3(a3):
 def test_b2_base_half_label(b2):
     cg = build_coset_graph(b2, frozenset({2}), b2.full_sigma())
     g = cg.graph
-    eid = g.find_edges(g.vertex_index("1,2"), g.vertex_index("-1,2"))[0]
+    eid = g.find_edges(g.vertices.index("1,2"), g.vertices.index("-1,2"))[0]
     assert str(g.edges[eid].label) == "x1"
 
 
@@ -355,7 +355,7 @@ def test_lift_paths(a2):
             out.append(b.total.dst[b.lift_edge(beid, out[-1])])
         return out
 
-    start = b.total.vertex_index("1,2,3")
+    start = b.total.vertices.index("1,2,3")
     assert lift([], start) == [start]
     steps = [b.base.find_edges(p, q) for p, q in [(0, 1), (1, 2), (2, 0)]]
     assert [len(found) for found in steps] == [1, 1, 1]
@@ -391,7 +391,7 @@ def test_transition_composition_with_reverse(b2):
 def test_b2_transition_psi_is_sign_flip(b2):
     rs, b = tower("B", 2)
     g = b.base
-    eid = g.find_edges(g.vertex_index("1,2"), g.vertex_index("-1,2"))[0]
+    eid = g.find_edges(g.vertices.index("1,2"), g.vertices.index("-1,2"))[0]
     psi = b.transitions[eid].psi
     assert psi == rs.reflection(LinearForm([1, 0])).matrix()
     assert psi[0][0] == -1
@@ -574,7 +574,7 @@ def test_psi_mutation_detected(b2):
     rs, b = tower("B", 2)
     mutated = copy.deepcopy(b)
     g = b.base
-    eid = g.find_edges(g.vertex_index("1,2"), g.vertex_index("-2,1"))[0]
+    eid = g.find_edges(g.vertices.index("1,2"), g.vertices.index("-2,1"))[0]
     mutated.transitions[eid].psi = identity_matrix(2)
     rep = verify_fiber_bundle(mutated)
     assert not rep.ok
@@ -721,7 +721,7 @@ def test_subgraphs_of_a_product_and_of_a_shuffled_file_match_the_scan():
     for g, fibers in ((product.total, product.fibers()), (shuffled, a3.fibers())):
         outcomes += assert_subgraphs_match_the_scan(g, [*fibers, *connected_sets(g, rng, 60)])
     flag = build_coset_graph(a2, frozenset(), frozenset({1, 2})).graph
-    disconnected = {flag.vertex_index("1,2,3"), flag.vertex_index("2,3,1")}
+    disconnected = {flag.vertices.index("1,2,3"), flag.vertices.index("2,3,1")}
     outcomes += assert_subgraphs_match_the_scan(flag, [disconnected])
     assert outcomes[-1] == "vertex set induces a disconnected subgraph"
     assert "not a GKM subgraph for the stored connection" in outcomes

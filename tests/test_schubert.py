@@ -318,10 +318,10 @@ def test_invariant_class_examples(a2, b2):
     assert all(v == Polynomial.one(3) for v in one.values)
     c10 = invariant_class(a2, x(a2, 1))
     assert is_coh_class(c10)
-    assert str(c10.values[c10.graph.vertex_index("3,1,2")]) == "x3"
+    assert str(c10.values[c10.graph.vertices.index("3,1,2")]) == "x3"
     c31 = invariant_class(b2, x(b2, 1) ** 3 * x(b2, 2))
     # row s2s1 of the worked table
-    assert str(c31.values[c31.graph.vertex_index("-2,1")]) == "-x1*x2^3"
+    assert str(c31.values[c31.graph.vertices.index("-2,1")]) == "-x1*x2^3"
     assert is_coh_class(c31)
 
 
