@@ -286,9 +286,9 @@ def test_verify_reads_the_keys_in_any_order_and_skips_unknown_ones(tmp_path, cap
 
 
 def test_verify_names_the_first_connection_entry_with_a_bad_edge(tmp_path, capsys):
-    """The connection ``edge`` fields of the B2 file are checked together;
-    a wrong, non-list, missing, float, long or bool field, with a wrong
-    field at the last entry too, is named at its own entry."""
+    """The connection ``edge`` fields of the B2 file are checked as the
+    entries arrive; a wrong, non-list, missing, float, long or bool field,
+    with a wrong field at the last entry too, is named at its own entry."""
     rs = RootSystem("B", 2)
     data = graph_to_json(build_coset_graph(rs, frozenset(), rs.full_sigma()).graph)
     mid = len(data["connection"]) // 2

@@ -836,7 +836,7 @@ def test_graph_from_json_refuses_a_malformed_map(pairs):
 def test_graph_from_json_names_the_lowest_edge_with_a_malformed_map():
     """With the edge ids of K3 reversed, edge 0 sits at the last vertex;
     breaking its map and that of edge 5, at vertex 0, names edge 0.  With
-    edge 0 and 5 at vertex 0 and edges 1 and 2 at vertex 1, the star of
+    edges 0 and 5 at vertex 0 and edges 1 and 2 at vertex 1, the star of
     edge 0 is complete only after that of edge 1; breaking both maps still
     names edge 0."""
     data = graph_to_json(complete_graph(3))
