@@ -101,7 +101,7 @@ def cmd_build(args) -> int:
     cg = parabolic.build_coset_graph(rs, args.sigma1, sigma2)
     print(
         f"built {rs.kind}{rs.rank} coset graph on {cg.nvertices} vertices, "
-        f"{len(cg.graph.edges)} oriented edges"
+        f"{len(cg.graph.src)} oriented edges"
     )
     if args.out:
         _write_out(args, gkmgraph.graph_json_chunks(cg.graph))

@@ -55,9 +55,8 @@ A graph is an immutable value, like ``Polynomial`` and ``LinearForm``:
 its fields are tuples, fixed at construction.  A flag graph has
 |W|*|Phi+| oriented edges but only |Phi| distinct labels, so the edges
 are int columns (``src``, ``dst``, ``label_id``) beside ``labels``, each
-distinct form once, in order of first occurrence; no object is built
-per edge, and :class:`Edge` values are built only when the ``edges``
-view is read, for tests and callers outside the library.  The reverse
+distinct form once, in order of first occurrence, and no object is built
+per edge: edge e is ``src[e]``, ``dst[e]`` and ``label(e)``.  The reverse
 of each edge is not given but read off its connection, which sends the
 edge to its reverse.  Verification does its label arithmetic once per
 distinct label or pair of labels, by id, into tables local to one call,
@@ -82,20 +81,17 @@ from itertools import chain, combinations, repeat
 from operator import itemgetter
 from json.decoder import WHITESPACE, scanstring as _scanstring
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import NamedTuple
 
 from . import linalg
 from .polyring import LinearForm, Polynomial, _div, parse_polynomial, parse_rational
 
 __all__ = [
-    "Edge",
     "GkmGraph",
     "CohClass",
     "GkmIso",
     "Check",
     "Report",
     "verify_gkm",
-    "is_coh_class",
     "coh_failure",
     "degree_of",
     "induced_subgraph",
@@ -113,12 +109,6 @@ __all__ = [
     "class_to_json",
     "class_from_json",
 ]
-
-
-class Edge(NamedTuple):
-    src: int
-    dst: int
-    label: LinearForm
 
 
 @dataclass
@@ -157,23 +147,6 @@ class Report:
         return "\n".join(c.line() for c in self.checks)
 
 
-class _EdgeView(Sequence):
-    """The edges of a graph as a read-only sequence of :class:`Edge`, each
-    built from the columns when it is read; it equals the tuple of them."""
-
-    def __init__(self, g: GkmGraph):
-        self._g = g
-
-    def __len__(self):
-        return len(self._g.src)
-
-    def __getitem__(self, eid: int) -> Edge:
-        return Edge(self._g.src[eid], self._g.dst[eid], self._g.label(eid))
-
-    def __eq__(self, other):
-        return tuple(self) == (tuple(other) if isinstance(other, _EdgeView) else other)
-
-
 class GkmGraph:
     """Vertices, oriented labeled edges, and a stored per-edge connection.
 
@@ -189,9 +162,7 @@ class GkmGraph:
     increasing order; ``slot[e]``, the position of e in the star of its
     tail; and ``reverse[e]``, where the connection along e sends e itself
     (Guillemin & Zara), ``edges_at[dst[e]][connection[e][slot[e]]]``.
-    ``edges`` is a read-only view of the edges that builds an
-    :class:`Edge` each time one is read, for tests and callers that want
-    ``g.edges[e].label``; no library loop walks it.
+    The graph has ``len(src)`` edges.
 
     Refused, with ValueError: columns of unequal length, a label without
     ``varcount`` coefficients, a label given twice, label ids that do not
@@ -233,8 +204,6 @@ class GkmGraph:
                              f"{self.dst[eid]} for each edge at vertex {self.src[eid]}")
         self.reverse = tuple(self.edges_at[q][conn[i]]
                              for q, conn, i in zip(self.dst, self.connection, self.slot))
-
-    edges = property(_EdgeView, doc="The edges as a read-only sequence of :class:`Edge`.")
 
     @property
     def nvertices(self) -> int:
@@ -510,10 +479,6 @@ def coh_failure(c: CohClass):
     return None
 
 
-def is_coh_class(c: CohClass) -> bool:
-    return coh_failure(c) is None
-
-
 def degree_of(c: CohClass):
     """2k when every nonzero value is homogeneous of degree k; else None."""
     degs = set()
@@ -538,7 +503,7 @@ def degree_of(c: CohClass):
 def _induced_edges(g: GkmGraph, vs: set) -> list:
     """The ids of the edges with both ends in ``vs``, in increasing order:
     the edges in the stars of vs whose heads lie in vs.  The order is that
-    of ``g.edges`` even where edges are not grouped by tail, as in a graph
+    of the edge ids even where edges are not grouped by tail, as in a graph
     read from a file."""
     if not all(type(p) is int and 0 <= p < g.nvertices for p in vs):
         raise ValueError(f"vertex set holds a vertex outside 0..{g.nvertices - 1}")

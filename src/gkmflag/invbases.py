@@ -476,7 +476,7 @@ def _basis_failures(classes, names, label: str) -> dict:
             f"({', '.join(map(str, pt))}); the classes are not a module "
             f"basis there")
     if "homogeneity" not in out:
-        degree_sum, length_sum = sum(degrees) // 2, len(graph.edges) // 2
+        degree_sum, length_sum = sum(degrees) // 2, len(graph.src) // 2
         if degree_sum != length_sum:
             out["degree-sum"] = (f"class degrees sum to {degree_sum} but the "
                                  f"Schubert lengths on {label} sum to {length_sum}")
@@ -632,7 +632,7 @@ def _invariant_monomials(gens, degree: int, varcount: int):
     return out
 
 
-def check_bases_over_invariants(rs: RootSystem, max_degree: int = 6) -> Report:
+def check_bases_over_invariants(rs: RootSystem, max_degree: int) -> Report:
     """Degree by degree up to ``max_degree``: do {g * x^I}, for g a product
     of fundamental invariants and I in the index set, span the
     polynomials of that degree?  Only the indices of degree at most

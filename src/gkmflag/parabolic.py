@@ -122,7 +122,7 @@ class CosetGraph:
     stars and that permutation, one tuple per word, is the connection:
     every edge whose word agrees shares its tuple, and no edge takes a
     group inverse.  The graph is handed to :class:`GkmGraph` as int
-    columns, with no ``Edge`` and no ``LinearForm`` per edge, and the
+    columns, with no ``LinearForm`` or other object per edge, and the
     constructor reads each edge's reverse off its connection: the edge at
     q in direction u^-1 beta, which leads to [w' s_{u^-1 beta}] = [w u] =
     [w].  w beta depends on w only through the entries of its one-line

@@ -48,7 +48,6 @@ __all__ = [
     "Polynomial",
     "parse_polynomial",
     "parse_rational",
-    "format_rational",
     "grlex_key",
 ]
 
@@ -77,10 +76,6 @@ def parse_rational(s: str):
         return _q(Fraction(s.strip()))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
-
-
-def format_rational(c: Fraction) -> str:
-    return str(c)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -511,11 +506,11 @@ class Polynomial:
             mag = abs(c)
             parts.append(" - " if c < 0 else " + ")
             if not mono:
-                parts.append(format_rational(mag))
+                parts.append(str(mag))
             elif mag == 1:
                 parts.append(mono)
             else:
-                parts.append(format_rational(mag) + "*" + mono)
+                parts.append(str(mag) + "*" + mono)
         parts[0] = "-" if parts[0] == " - " else ""
         return "".join(parts)
 

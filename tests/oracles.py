@@ -53,9 +53,11 @@ The connection oracles read a connection's star positions through
 ``connection_dict``, which decodes them with ``edges_at`` alone, not with
 ``GkmGraph.along`` or ``GkmGraph.connection_pairs``.
 
-Tests build graphs from ``Edge`` lists through :func:`edge_graph`,
-which interns the labels in order of first occurrence before it calls
-the ``GkmGraph`` constructor.  ``GkmGraph`` reads each edge's reverse off
+``GkmGraph`` keeps its edges as int columns only.  Tests name an edge
+as an :class:`Edge` (src, dst, label), list a graph's edges with
+:func:`edges_of`, and build graphs from such lists through
+:func:`edge_graph`, which interns the labels in order of first
+occurrence before it calls the ``GkmGraph`` constructor.  ``GkmGraph`` reads each edge's reverse off
 its connection; the coset oracles compute the reverse by their own
 route, the textbook formula, and return it beside the graph, and
 :func:`reverse_by_matching` finds it by endpoints and labels alone.
@@ -70,15 +72,26 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, islice
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from gkmflag import linalg
-from gkmflag.gkmgraph import CohClass, Edge, GkmGraph, Report, coh_failure, graph_to_json
+from gkmflag.gkmgraph import CohClass, GkmGraph, Report, coh_failure, graph_to_json
 from gkmflag.invbases import _basis_failures, class_cI, index_set, tower_bundle
 from gkmflag.parabolic import base_tree, build_coset_graph, typical_fiber
 from gkmflag.polyring import LinearForm, Polynomial, grlex_key
 from gkmflag.rootsys import group_closure
 from gkmflag.schubert import flag_graph, schubert_table
+
+
+class Edge(NamedTuple):
+    src: int
+    dst: int
+    label: LinearForm
+
+
+def edges_of(g):
+    """The edges of g as a tuple of :class:`Edge`, in edge-id order."""
+    return tuple(map(Edge, g.src, g.dst, map(g.labels.__getitem__, g.label_id)))
 
 
 def edge_graph(varcount, vertices, edges, connection):
@@ -91,13 +104,14 @@ def edge_graph(varcount, vertices, edges, connection):
     return GkmGraph(varcount, vertices, src, dst, index, map(index.__getitem__, forms), connection)
 
 
-def changed_graph(g, edges=None, connection=None):
-    """A new graph equal to g but at the given edge ids: ``edges`` maps an
-    edge id to its new Edge and ``connection`` to its new connection
-    tuple of star positions.  The vertices are g's, and the reverse map is
-    read off the new connection."""
-    edges, connection = edges or {}, connection or {}
-    return edge_graph(g.varcount, g.vertices, [edges.get(eid, e) for eid, e in enumerate(g.edges)],
+def changed_graph(g, labels=None, connection=None):
+    """A new graph equal to g but at the given edge ids: ``labels`` maps an
+    edge id to its new label and ``connection`` to its new connection
+    tuple of star positions.  The vertices and edge ends are g's, and the
+    reverse map is read off the new connection."""
+    labels, connection = labels or {}, connection or {}
+    forms = [labels.get(eid, g.label(eid)) for eid in range(len(g.src))]
+    return edge_graph(g.varcount, g.vertices, list(zip(g.src, g.dst, forms)),
                       [connection.get(eid, c) for eid, c in enumerate(g.connection)])
 
 
@@ -106,11 +120,11 @@ def reverse_by_matching(g):
     one edge from its head to its tail whose label is its negation.  On a
     graph whose labels at each vertex are pairwise independent there is at
     most one; ValueError if there is none or more than one."""
-    back = {}
-    for eid, e in enumerate(g.edges):
+    back, edges = {}, edges_of(g)
+    for eid, e in enumerate(edges):
         back.setdefault((e.src, e.dst, e.label), []).append(eid)
     out = []
-    for e in g.edges:
+    for e in edges:
         found = back.get((e.dst, e.src, -e.label), [])
         if len(found) != 1:
             raise ValueError(f"{len(found)} edges reverse {e}")
@@ -238,9 +252,8 @@ def coset_graph_by_edges(cg):
 def connection_dict(g, eid):
     """The connection along eid as {edge at the tail: its image}, decoded
     from star positions through ``edges_at`` alone."""
-    e = g.edges[eid]
-    head = g.edges_at[e.dst]
-    return {e1: head[i] for e1, i in zip(g.edges_at[e.src], g.connection[eid])}
+    head = g.edges_at[g.dst[eid]]
+    return {e1: head[i] for e1, i in zip(g.edges_at[g.src[eid]], g.connection[eid])}
 
 
 def induced_subgraph_by_scan(g, vertexset):
@@ -250,10 +263,11 @@ def induced_subgraph_by_scan(g, vertexset):
     adjacency dict built for it.  Returns (graph, vertex_map, edge_map) or
     raises ValueError with the text ``induced_subgraph`` gives."""
     vs = set(vertexset)
-    induced = {eid for eid, e in enumerate(g.edges) if e.src in vs and e.dst in vs}
+    scanned = edges_of(g)
+    induced = {eid for eid, e in enumerate(scanned) if e.src in vs and e.dst in vs}
     adj = {v: [] for v in vs}
     for eid in induced:
-        adj[g.edges[eid].src].append(g.edges[eid].dst)
+        adj[scanned[eid].src].append(scanned[eid].dst)
     stack = list(vs)[:1]
     seen = set(stack)
     while stack:
@@ -264,14 +278,14 @@ def induced_subgraph_by_scan(g, vertexset):
     if len(seen) != len(vs):
         raise ValueError("vertex set induces a disconnected subgraph")
     for eid in induced:
-        e, conn = g.edges[eid], connection_dict(g, eid)
+        e, conn = scanned[eid], connection_dict(g, eid)
         if ({conn[x] for x in g.edges_at[e.src] if x in induced}
                 != {x for x in g.edges_at[e.dst] if x in induced}):
             raise ValueError("not a GKM subgraph for the stored connection")
     vmap = {old: new for new, old in enumerate(sorted(vs))}
-    eids = [eid for eid, e in enumerate(g.edges) if e.src in vmap and e.dst in vmap]
+    eids = [eid for eid, e in enumerate(scanned) if e.src in vmap and e.dst in vmap]
     emap = {old: new for new, old in enumerate(eids)}
-    edges = [Edge(vmap[g.edges[eid].src], vmap[g.edges[eid].dst], g.edges[eid].label)
+    edges = [Edge(vmap[scanned[eid].src], vmap[scanned[eid].dst], scanned[eid].label)
              for eid in eids]
     slot, degree = [], [0] * len(vmap)  # each new edge's position in its new star
     for e in edges:
@@ -290,11 +304,12 @@ def connection_failure(g):
     On a coset graph the labels at a vertex are distinct, so this pins
     the connection down completely.
     """
-    for eid, e in enumerate(g.edges):
+    edges = edges_of(g)
+    for eid, e in enumerate(edges):
         for e1, e2 in connection_dict(g, eid).items():
-            image = g.edges[e2]
-            if (g.edges[e1].src != e.src or image.src != e.dst
-                    or image.label != reflect_form(e.label, g.edges[e1].label)):
+            image = edges[e2]
+            if (edges[e1].src != e.src or image.src != e.dst
+                    or image.label != reflect_form(e.label, edges[e1].label)):
                 return eid, e1
     return None
 
@@ -321,7 +336,7 @@ def coh_failure_by_restriction(c):
     non-multiple of its label: a difference that does not vanish on the
     label's hyperplane."""
     g = c.graph
-    for eid, e in enumerate(g.edges):
+    for eid, e in enumerate(edges_of(g)):
         if eid > g.reverse[eid]:
             continue
         if not restrict_to_hyperplane(c.values[e.dst] - c.values[e.src], e.label).is_zero():
@@ -365,16 +380,16 @@ def gkm_report_by_edges(g):
     the image of e under the connection along e, decoded by
     :func:`connection_dict`.
     """
-    out = []
+    out, edges = [], edges_of(g)
 
-    reverse = [connection_dict(g, eid)[eid] for eid in range(len(g.edges))]
+    reverse = [connection_dict(g, eid)[eid] for eid in range(len(edges))]
     bad = ""
-    for eid, e in enumerate(g.edges):
+    for eid, e in enumerate(edges):
         r = reverse[eid]
         if reverse[r] != eid or r == eid:
             bad = f"edge {g.edge_str(eid)} has no valid reverse"
             break
-        re = g.edges[r]
+        re = edges[r]
         if (re.src, re.dst) != (e.dst, e.src):
             bad = f"reverse of {g.edge_str(eid)} has wrong endpoints"
             break
@@ -393,8 +408,8 @@ def gkm_report_by_edges(g):
     for p in range(g.nvertices):
         eids = g.edges_at[p]
         for i, j in combinations(range(len(eids)), 2):
-            li = g.edges[eids[i]].label
-            lj = g.edges[eids[j]].label
+            li = edges[eids[i]].label
+            lj = edges[eids[j]].label
             if li.proportional_to(lj) is not None:
                 bad = f"labels {li} and {lj} at vertex {g.vertices[p]} are proportional"
                 break
@@ -403,7 +418,7 @@ def gkm_report_by_edges(g):
     out.append(("independence", not bad, bad))
 
     bad = ""
-    for eid, e in enumerate(g.edges):
+    for eid, e in enumerate(edges):
         conn = connection_dict(g, eid)
         if (set(conn.keys()) != set(g.edges_at[e.src])
                 or set(conn.values()) != set(g.edges_at[e.dst])
@@ -417,9 +432,9 @@ def gkm_report_by_edges(g):
     out.append(("connection-shape", not bad, bad))
 
     bad = ""
-    for eid, e in enumerate(g.edges):
+    for eid, e in enumerate(edges):
         for e1, e2 in connection_dict(g, eid).items():
-            diff = g.edges[e2].label - g.edges[e1].label
+            diff = edges[e2].label - edges[e1].label
             if diff.proportional_to(e.label) is None:
                 bad = (f"congruence fails along {g.edge_str(eid)} at "
                        f"{g.edge_str(e1)} -> {g.edge_str(e2)}")
@@ -479,7 +494,7 @@ def schubert_by_conditions(rs, u):
         rhs.append(prod.terms.get(e, Fraction(0)))
     # divisibility along every unoriented edge
     rem_cache = {}
-    for eid, edge in enumerate(g.edges):
+    for eid, edge in enumerate(edges_of(g)):
         if eid > g.reverse[eid]:
             continue
         a = flag.reps[edge.src]
@@ -578,7 +593,7 @@ def coset_projection(rs, sigma1, sigma2):
     closure2 = set(rs.closure(sigma2))
     pi = [base.vertex_of(w) for w in total.reps]
     dpi = {}
-    for eid, e in enumerate(total.graph.edges):
+    for eid, e in enumerate(edges_of(total.graph)):
         beta = total.roots[eid % len(total.roots)]  # edge p*d + k has direction roots[k]
         if beta in closure2:
             continue
@@ -586,7 +601,7 @@ def coset_projection(rs, sigma1, sigma2):
         gamma = rs.positive_part(u.act_linear(beta))
         dpi[eid] = pi[e.src] * len(base.roots) + base.roots.index(gamma)
     vmaps = {}
-    for beid, e in enumerate(base.graph.edges):
+    for beid, e in enumerate(edges_of(base.graph)):
         s = rs.reflection(e.label)
         vmaps[beid] = {x: total.vertex_of(s * total.reps[x])
                        for x in range(total.nvertices) if pi[x] == e.src}
@@ -616,10 +631,9 @@ def extend_by_edges(b, fiber_class, base_point=0):
     fibers = b.fibers()
 
     def transported(beid):
-        e = b.base.edges[beid]
-        s = b.rs.reflection(e.label)
+        s = b.rs.reflection(b.base.label(beid))
         return [(total.vertex_of(s * total.reps[x]), s.act_poly(vals[x]))
-                for x in fibers[e.src]]
+                for x in fibers[b.base.src[beid]]]
 
     tree, chords = base_tree(b, base_point)
     for beid in tree:

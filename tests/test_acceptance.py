@@ -11,10 +11,9 @@ import time
 
 from gkmflag.cli import main
 from gkmflag.gkmgraph import (
-    Edge,
     GkmIso,
+    coh_failure,
     degree_of,
-    is_coh_class,
     pullback_class,
     verify_gkm,
 )
@@ -51,7 +50,7 @@ from gkmflag.schubert import (
     transition_matrices,
 )
 
-from oracles import changed_graph, express_in_forms, reassemble, schubert_by_conditions
+from oracles import changed_graph, edges_of, express_in_forms, reassemble, schubert_by_conditions
 
 A2 = RootSystem("A", 2)
 A3 = RootSystem("A", 3)
@@ -135,7 +134,7 @@ def test_criterion_03_schubert_defining_conditions():
         tab = schubert_table(rs)
         for u in tab.order:
             c = tab.tau(u)
-            assert is_coh_class(c)
+            assert coh_failure(c) is None
             assert degree_of(c) == 2 * rs.length(u)
             for v in tab.order:
                 if not tab.tau_value(u, v).is_zero():
@@ -246,13 +245,12 @@ def test_criterion_07_bundle_axioms_and_mutations():
     # single-field mutations are detected
     b = copy.deepcopy(bundles[3])  # the rank-2 signed bundle
     eid = min(b.dpi)  # the first horizontal edge
-    old = b.total.edges[eid]
-    b.total = changed_graph(b.total, edges={eid: Edge(old.src, old.dst, old.label + old.label)})
+    b.total = changed_graph(b.total, labels={eid: b.total.label(eid).scale(2)})
     assert not verify_fiber_bundle(b).ok
 
     b = copy.deepcopy(bundles[0])
     conn = list(b.total.connection[0])
-    keys = [i for i, k in enumerate(b.total.edges_at[b.total.edges[0].src]) if k != 0]
+    keys = [i for i, k in enumerate(b.total.edges_at[b.total.src[0]]) if k != 0]
     conn[keys[0]], conn[keys[1]] = conn[keys[1]], conn[keys[0]]
     b.total = changed_graph(b.total, connection={0: tuple(conn)})
     assert not verify_fiber_bundle(b).ok
@@ -315,7 +313,7 @@ def test_criterion_10_constructive_free_module():
         betas = express_in_basis(A2, target)  # reassembly checked inside
         assert list(betas) == ["c[0,0]", "c[0,1]"]
         for beta in betas.values():
-            assert is_coh_class(beta)
+            assert coh_failure(beta) is None
     elapsed = time.time() - start
     assert elapsed < 30
     print(f"\nACCEPTANCE 10 (free-module decomposition over the base for 10 "
@@ -351,20 +349,19 @@ def test_criterion_12_property_suite():
         fam = basis_family(rs)
         for c in fam.classes[:4]:
             for d in fam.classes[:4]:
-                assert is_coh_class(c + d) and is_coh_class(c * d)
+                assert coh_failure(c + d) is None and coh_failure(c * d) is None
     # sampled at rank 3
     for rs in rank3:
         for _ in range(25):
             c = seeded_random_class(rs, rng.randint(0, 3), rng)
             d = seeded_random_class(rs, rng.randint(0, 3), rng)
-            assert is_coh_class(c + d) and is_coh_class(c * d)
+            assert coh_failure(c + d) is None and coh_failure(c * d) is None
 
     # pullback functoriality through bundle transitions
     for rs in rank2:
         b = build_bundle(rs, frozenset(), rs.full_sigma() - {1})
         fam = basis_family(rs)
-        for beid in range(len(b.base.edges)):
-            e = b.base.edges[beid]
+        for beid, e in enumerate(edges_of(b.base)):
             sub_p, vmap_p, _ = b.fiber_subgraph(e.src)
             sub_q, vmap_q, _ = b.fiber_subgraph(e.dst)
             # the stored transition as an isomorphism of the fiber subgraphs

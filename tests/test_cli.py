@@ -81,6 +81,15 @@ def test_bad_flags_exit_2(capsys):
     assert main(["table", "--rank", "2"]) == 2  # no --type
 
 
+@pytest.mark.parametrize("argv,line", [
+    (("--type", "B", "--rank", "3"), "built B3 coset graph on 48 vertices, 432 oriented edges"),
+    (("--type", "A", "--rank", "3", "--sigma1", "2,3"),
+     "built A3 coset graph on 4 vertices, 12 oriented edges"),
+])
+def test_build_counts_vertices_and_oriented_edges(capsys, argv, line):
+    assert run(capsys, "build", *argv) == (0, line + "\n", "")
+
+
 def test_verify_built_graph(capsys):
     code, out, _ = run(capsys, "verify", "--type", "B", "--rank", "2")
     assert code == 0

@@ -8,10 +8,8 @@ from collections import Counter
 import pytest
 
 from gkmflag.gkmgraph import (
-    Edge,
     GkmIso,
     complete_graph,
-    coh_failure,
     compose_iso,
     graph_from_json,
     graph_hash,
@@ -22,7 +20,7 @@ from gkmflag.gkmgraph import (
     verify_gkm,
     verify_iso,
 )
-from gkmflag import gkmgraph, parabolic
+from gkmflag import parabolic
 from gkmflag.linalg import identity_matrix, mat_vec
 from gkmflag.parabolic import (
     base_tree,
@@ -43,9 +41,9 @@ from gkmflag.parabolic import (
 )
 from gkmflag.polyring import LinearForm
 from gkmflag.rootsys import RootSystem, WeylElement
-from gkmflag.schubert import schubert_table
 
 from oracles import (
+    Edge,
     bundle_to_json,
     changed_graph,
     json_file_text,
@@ -56,6 +54,7 @@ from oracles import (
     coset_projection,
     cosets_by_enumeration,
     edge_graph,
+    edges_of,
     induced_subgraph_by_scan,
     reverse_by_matching,
 )
@@ -80,11 +79,11 @@ def tower(kind, n, sigma2=None):
 def canonical_structure(g):
     """Labeled-graph shape independent of edge ordering, for comparisons."""
     key = {}
-    for eid, e in enumerate(g.edges):
+    for eid, e in enumerate(edges_of(g)):
         key[eid] = (g.vertices[e.src], g.vertices[e.dst], str(e.label))
     edges = sorted(key.values())
     conn = set()
-    for eid in range(len(g.edges)):
+    for eid in range(len(g.src)):
         for a, b in connection_dict(g, eid).items():
             conn.add((key[eid], key[a], key[b]))
     return edges, conn
@@ -99,9 +98,9 @@ def test_flag_graph_a2(a2):
     assert cg.nvertices == 6
     g = cg.graph
     eid = g.find_edges(g.vertices.index("1,2,3"), g.vertices.index("1,3,2"))[0]
-    assert str(g.edges[eid].label) == "x2 - x3"
+    assert str(g.label(eid)) == "x2 - x3"
     eid = g.find_edges(g.vertices.index("2,3,1"), g.vertices.index("3,2,1"))[0]
-    assert str(g.edges[eid].label) == "x2 - x3"
+    assert str(g.label(eid)) == "x2 - x3"
 
 
 def test_k4_from_a3(a3):
@@ -109,7 +108,7 @@ def test_k4_from_a3(a3):
     assert cg.nvertices == 4
     g = cg.graph
     for p in range(4):
-        assert {g.edges[eid].dst for eid in g.edges_at[p]} == set(range(4)) - {p}
+        assert {g.dst[eid] for eid in g.edges_at[p]} == set(range(4)) - {p}
     assert verify_gkm(g).ok
 
 
@@ -117,7 +116,7 @@ def test_b2_base_half_label(b2):
     cg = build_coset_graph(b2, frozenset({2}), b2.full_sigma())
     g = cg.graph
     eid = g.find_edges(g.vertices.index("1,2"), g.vertices.index("-1,2"))[0]
-    assert str(g.edges[eid].label) == "x1"
+    assert str(g.label(eid)) == "x1"
 
 
 def test_all_built_graphs_pass_axioms():
@@ -231,7 +230,6 @@ def assert_columns_match_the_edge_oracle(cg):
     g, (oracle, reverse) = cg.graph, coset_graph_by_edges(cg)
     for name in ("src", "dst", "label_id", "labels", "connection", "edges_at", "slot"):
         assert getattr(g, name) == getattr(oracle, name), (cg, name)
-    assert tuple(g.edges) == tuple(oracle.edges), cg
     assert g.reverse == reverse, cg
 
 
@@ -292,7 +290,7 @@ def test_b4_build_takes_no_group_inverse(sigma1, monkeypatch):
     monkeypatch.setattr(WeylElement, "inverse", lambda w: calls.append(w) or real(w))
     cg = build_coset_graph(rs, sigma1, rs.full_sigma())
     assert calls == []
-    assert len(cg.graph.edges) == cg.nvertices * len(cg.roots)
+    assert len(cg.graph.src) == cg.nvertices * len(cg.roots)
     assert (len(set(cg.graph.connection)) == 1) == (not sigma1)
 
 
@@ -372,7 +370,7 @@ def test_transition_formula_sn(a3):
     """Across the base edge i -> j the transition is left multiplication
     by the transposition (i, j)."""
     rs, b = tower("A", 3)
-    for beid, e in enumerate(b.base.edges):
+    for beid, e in enumerate(edges_of(b.base)):
         refl = rs.reflection(e.label)
         t = b.transitions[beid]
         for p, q in t.vmap.items():
@@ -381,7 +379,7 @@ def test_transition_formula_sn(a3):
 
 def test_transition_composition_with_reverse(b2):
     rs, b = tower("B", 2)
-    for beid in range(len(b.base.edges)):
+    for beid in range(len(b.base.src)):
         t = b.transitions[beid]
         back = b.transitions[b.base.reverse[beid]]
         for p, q in t.vmap.items():
@@ -400,10 +398,10 @@ def test_b2_transition_psi_is_sign_flip(b2):
 def test_psi_shifts_along_base_label(b2, d3):
     for rs in (b2, d3):
         b = build_bundle(rs, frozenset(), rs.full_sigma() - {1})
-        for beid, e in enumerate(b.base.edges):
+        for beid, e in enumerate(edges_of(b.base)):
             t = b.transitions[beid]
             sub, _, _ = b.fiber_subgraph(e.src)
-            for fe in sub.edges:
+            for fe in edges_of(sub):
                 diff = LinearForm(mat_vec(t.psi, fe.label.coeffs)) - fe.label
                 assert diff.proportional_to(e.label) is not None
 
@@ -517,8 +515,8 @@ def test_fiber_that_is_not_a_subgraph_is_reported():
     transition-gkm-iso at the first base edge that touches it."""
     _, b = tower("A", 2)
     mutated = copy.deepcopy(b)
-    eid = next(e for e in range(len(b.total.edges)) if e not in b.dpi)
-    h = next(e for e in b.total.edges_at[b.total.edges[eid].src] if e in b.dpi)
+    eid = next(e for e in range(len(b.total.src)) if e not in b.dpi)
+    h = next(e for e in b.total.edges_at[b.total.src[eid]] if e in b.dpi)
     conn = list(b.total.connection[eid])
     i, j = b.total.slot[eid], b.total.slot[h]
     conn[i], conn[j] = conn[j], conn[i]
@@ -536,10 +534,9 @@ def test_changed_fiber_labels_are_checked_as_they_stand():
     _, b = tower("A", 3)
     assert verify_fiber_bundle(b).ok
     mutated = copy.deepcopy(b)
-    eid = next(e for e in range(len(b.total.edges)) if e not in b.dpi)
-    old = b.total.edges
-    mutated.total = changed_graph(b.total, edges={
-        f: Edge(old[f].src, old[f].dst, old[f].label.scale(2)) for f in (eid, b.total.reverse[eid])})
+    eid = next(e for e in range(len(b.total.src)) if e not in b.dpi)
+    mutated.total = changed_graph(b.total, labels={
+        f: b.total.label(f).scale(2) for f in (eid, b.total.reverse[eid])})
     failed = {c.name: c.witness for c in verify_fiber_bundle(mutated).failures()}
     assert failed["transition-gkm-iso"] == (
         "transition across (1,2,3,4 -> 2,1,3,4; x1 - x2) is not an isomorphism "
@@ -550,9 +547,7 @@ def test_label_mutation_detected(b2):
     rs, b = tower("B", 2)
     mutated = copy.deepcopy(b)
     eid = min(b.dpi)  # the first horizontal edge
-    old = b.total.edges[eid]
-    mutated.total = changed_graph(
-        b.total, edges={eid: Edge(old.src, old.dst, old.label + old.label)})
+    mutated.total = changed_graph(b.total, labels={eid: b.total.label(eid).scale(2)})
     rep = verify_fiber_bundle(mutated)
     assert not rep.ok
 
@@ -562,7 +557,7 @@ def test_connection_mutation_detected(a2):
     mutated = copy.deepcopy(b)
     eid = 0
     conn = list(b.total.connection[eid])
-    keys = [i for i, k in enumerate(b.total.edges_at[b.total.edges[eid].src]) if k != eid]
+    keys = [i for i, k in enumerate(b.total.edges_at[b.total.src[eid]]) if k != eid]
     a, bb = keys[0], keys[1]
     conn[a], conn[bb] = conn[bb], conn[a]
     mutated.total = changed_graph(b.total, connection={eid: tuple(conn)})
@@ -589,7 +584,7 @@ def _conjugated_transition(rs, b, beid):
     """Left multiplication by s_alpha w s_2 w^-1, w over the source: an
     isomorphism of the labeled fibers whose linear part does not shift
     the fiber labels along alpha."""
-    e = b.base.edges[beid]
+    e = edges_of(b.base)[beid]
     w = b.base_coset.reps[e.src]
     g = rs.reflection(e.label) * w * rs.simple_reflection(2) * w.inverse()
     t = b.transitions[beid]
@@ -645,8 +640,8 @@ def test_gkm_iso_check_stops_at_its_first_witness(monkeypatch):
     failed = {c.name: c.witness for c in verify_fiber_bundle(mutated).failures()}
     assert failed == {"transition-gkm-iso": "transition across (1,2,3,4 -> 2,1,3,4; x1 - x2) "
                                             "is not an isomorphism of labeled fibers"}
-    e, fibers = b.base.edges[0], b.fibers()
-    assert built == [fibers[e.src], fibers[e.dst]]
+    fibers = b.fibers()
+    assert built == [fibers[b.base.src[0]], fibers[b.base.dst[0]]]
 
 
 # ----------------------------------------------------------------------
@@ -660,7 +655,7 @@ def subgraph_outcome(build, g, vs):
         sub, vmap, emap = build(g, vs)
     except ValueError as exc:
         return str(exc)
-    return (sub.varcount, sub.vertices, sub.edges, sub.reverse, sub.connection,
+    return (sub.varcount, sub.vertices, edges_of(sub), sub.reverse, sub.connection,
             list(vmap.items()), list(emap.items()))
 
 
@@ -680,7 +675,7 @@ def connected_sets(g, rng, count):
     for _ in range(count):
         vs, size = {rng.randrange(g.nvertices)}, min(rng.randint(2, 6), g.nvertices)
         while len(vs) < size:
-            vs.add(g.edges[rng.choice(g.edges_at[rng.choice(sorted(vs))])].dst)
+            vs.add(g.dst[rng.choice(g.edges_at[rng.choice(sorted(vs))])])
         yield vs
 
 
@@ -688,7 +683,7 @@ def shuffled_graph(g, rng):
     """g read back from its file with the edge entries, and so the edge
     ids, in random order: its edges are no longer grouped by tail."""
     data = graph_to_json(g)
-    order = rng.sample(range(len(g.edges)), len(g.edges))  # order[new id] = old id
+    order = rng.sample(range(len(g.src)), len(g.src))  # order[new id] = old id
     new_id = {old: new for new, old in enumerate(order)}
     data["edges"] = [data["edges"][old] for old in order]
     data["connection"] = [{"edge": entry["edge"],
@@ -749,23 +744,6 @@ def test_fiber_subgraphs_read_the_stars_not_the_whole_total_graph(monkeypatch):
     assert len(b.fibers()) == 360
     assert verify_fiber_bundle(b).ok
     assert scans["src"] > 0 and max(scans.values()) <= 10, scans
-
-
-def test_library_walks_build_no_edge(monkeypatch):
-    """verify_gkm, coh_failure and verify_fiber_bundle, and the builds
-    before them, walk the edge columns: none reads the edges view, which
-    builds an Edge for each edge it gives."""
-    built = []
-    monkeypatch.setattr(gkmgraph, "Edge", lambda *args: built.append(args) or Edge(*args))
-    b3 = RootSystem("B", 3)
-    assert verify_gkm(build_coset_graph(b3, frozenset(), b3.full_sigma()).graph).ok
-    table = schubert_table(RootSystem("A", 3))
-    classes = [table.tau(u) for u in table.order]
-    assert len(classes) == 24 and all(coh_failure(c) is None for c in classes)
-    assert verify_fiber_bundle(build_bundle(RootSystem("A", 3), frozenset(), frozenset({2, 3}))).ok
-    assert built == []
-    flag = classes[0].graph
-    assert flag.edges[0].label == flag.labels[0] and len(built) == 1
 
 
 # ----------------------------------------------------------------------
@@ -829,10 +807,10 @@ def test_generators_come_from_loops(a2):
         for loop, iso in group.generators:
             assert loop, "generator without a loop"
             # the loop is a closed edge path at the base point
-            assert b.base.edges[loop[0]].src == bp
-            assert b.base.edges[loop[-1]].dst == bp
+            assert b.base.src[loop[0]] == bp
+            assert b.base.dst[loop[-1]] == bp
             for e1, e2 in zip(loop, loop[1:]):
-                assert b.base.edges[e1].dst == b.base.edges[e2].src
+                assert b.base.dst[e1] == b.base.src[e2]
             # transport around the loop, conjugated to the typical fiber
             vmap, psi = holonomy_of_loop(b, loop)
             on_fiber = GkmIso(tuple(vm[vmap[v]] for v in sorted(vm, key=vm.get)), psi)
@@ -847,10 +825,10 @@ def test_base_tree_spans(a3):
     assert len(tree) == n - 1
     reached = {0}
     for eid in tree:
-        assert b.base.edges[eid].src in reached
-        reached.add(b.base.edges[eid].dst)
+        assert b.base.src[eid] in reached
+        reached.add(b.base.dst[eid])
     assert reached == set(range(n))
-    assert 2 * (len(tree) + len(chords)) == len(b.base.edges)
+    assert 2 * (len(tree) + len(chords)) == len(b.base.src)
 
 
 _SMALL_TYPES = [("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 3)]
@@ -889,7 +867,7 @@ def _negative_label_counts(g, xi):
     """Coefficients of sum over vertices v of t^k, k = #labels at v negative at xi."""
     counts = [0] * (max(len(at) for at in g.edges_at) + 1)
     for at in g.edges_at:
-        counts[sum(1 for eid in at if g.edges[eid].label.dot(xi) < 0)] += 1
+        counts[sum(1 for eid in at if g.label(eid).dot(xi) < 0)] += 1
     return counts
 
 
@@ -961,8 +939,9 @@ def test_make_bundle_matches_parallel_base_edges_by_label():
     product = product_bundle(base, fiber)
     b = make_bundle(product.total, base, product.pi)
     assert len(b.dpi) == 8
+    edges, base_edges = edges_of(b.total), edges_of(base)
     for eid, beid in b.dpi.items():
-        e, be = b.total.edges[eid], base.edges[beid]
+        e, be = edges[eid], base_edges[beid]
         assert (be.src, be.dst, be.label) == (b.pi[e.src], b.pi[e.dst], e.label)
 
 
@@ -972,7 +951,7 @@ def test_make_bundle_matches_built(a2):
     rs, b = tower("A", 2)
     rebuilt = make_bundle(b.total, b.base, b.pi)
     assert rebuilt.dpi == b.dpi
-    for beid in range(len(b.base.edges)):
+    for beid in range(len(b.base.src)):
         assert rebuilt.transitions[beid].vmap == b.transitions[beid].vmap
     assert verify_fiber_bundle(rebuilt).ok
 
@@ -1033,7 +1012,7 @@ def test_d3_base_partition_structure(d3):
                 .Polynomial.variable(3, 1)) for w in b.base_coset.reps]
     for p in range(g.nvertices):
         missing = set(range(g.nvertices)) - {p} - {
-            g.edges[eid].dst for eid in g.edges_at[p]
+            g.dst[eid] for eid in g.edges_at[p]
         }
         assert len(missing) == 1
         q = missing.pop()

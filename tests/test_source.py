@@ -88,3 +88,19 @@ def test_graph_file_layout_lives_in_gkmgraph():
                   if isinstance(node, ast.Attribute)
                   and node.attr in ("graph_to_json", "bundle_to_json")]
     assert found == []
+
+
+def test_no_per_edge_view():
+    """A graph is its edge columns: no module of the library, the scripts
+    or the benchmark defines a class ``Edge`` or reads an ``edges``
+    attribute, so no walk builds an object per edge."""
+    root = PACKAGE.parents[1]
+    found = []
+    for path in sorted([*PACKAGE.glob("*.py"), *(root / "scripts").glob("*.py"),
+                        *(root / "perfbench").glob("*.py")]):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}: class {node.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and node.name == "Edge"]
+        found += [f"{path.name}:{node.lineno}: .edges" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "edges"]
+    assert found == []
