@@ -31,7 +31,7 @@ import sys
 
 from . import gkmgraph, invbases, parabolic, schubert
 from .gkmgraph import Report
-from .rootsys import DEFAULT_GROUP_CAP, RootSystem, weyl_group_order
+from .rootsys import DEFAULT_GROUP_CAP, RootSystem, WeylElement, weyl_group_order
 
 __all__ = ["main"]
 
@@ -47,18 +47,11 @@ def _parse_sigma(text):
 
 def _root_system(args) -> RootSystem:
     if args.type is None or args.rank is None:
-        raise SystemExit2("--type and --rank are required for this command")
-    try:
-        order = weyl_group_order(args.type, args.rank)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+        raise ValueError("--type and --rank are required for this command")
+    order = weyl_group_order(args.type, args.rank)
     if order > args.max_group_order:
-        raise SystemExit2(f"group order {order} exceeds --max-group-order")
+        raise ValueError(f"group order {order} exceeds --max-group-order")
     return RootSystem(args.type, args.rank)
-
-
-class SystemExit2(Exception):
-    """Usage error carrying its message; handled in main()."""
 
 
 def _write_out(args, text):
@@ -71,7 +64,7 @@ def _write_out(args, text):
         try:
             fh = open(args.out, "w")
         except OSError as exc:
-            raise SystemExit2(f"cannot write {args.out}: {exc}")
+            raise ValueError(f"cannot write {args.out}: {exc}")
         try:
             with fh:
                 fh.writelines(chunks)
@@ -80,7 +73,7 @@ def _write_out(args, text):
                 with contextlib.suppress(OSError):
                     os.remove(args.out)
             if isinstance(exc, OSError):
-                raise SystemExit2(f"cannot write {args.out}: {exc}")
+                raise ValueError(f"cannot write {args.out}: {exc}")
             raise
     else:
         sys.stdout.writelines(chunks)
@@ -114,7 +107,7 @@ def cmd_verify(args) -> int:
             with open(args.graph) as fh:
                 g = gkmgraph.graph_from_text(fh.read())
         except (OSError, json.JSONDecodeError, KeyError, ValueError, RecursionError) as exc:
-            raise SystemExit2(f"cannot load graph {args.graph}: {exc}")
+            raise ValueError(f"cannot load graph {args.graph}: {exc}")
     else:
         rs = _root_system(args)
         sigma2 = args.sigma2 if args.sigma2 else rs.full_sigma()
@@ -139,7 +132,7 @@ def cmd_table(args) -> int:
 def cmd_bundle(args) -> int:
     rs = _root_system(args)
     if not args.sigma2:
-        raise SystemExit2("bundle needs --sigma2")
+        raise ValueError("bundle needs --sigma2")
     b = parabolic.build_bundle(rs, args.sigma1, args.sigma2)
     if args.out:
         _write_out(args, parabolic.bundle_json_chunks(b))
@@ -156,17 +149,15 @@ def cmd_bundle(args) -> int:
 def cmd_holonomy(args) -> int:
     rs = _root_system(args)
     if not args.sigma2:
-        raise SystemExit2("holonomy needs --sigma2")
+        raise ValueError("holonomy needs --sigma2")
     b = parabolic.build_bundle(rs, args.sigma1, args.sigma2)
     base_point = 0
     if args.base_point:
-        from .rootsys import WeylElement
-
         try:
             w = WeylElement.from_one_line(args.base_point)
             base_point = b.base_coset.vertex_of(w)
         except (ValueError, KeyError):
-            raise SystemExit2(f"bad base point {args.base_point!r}")
+            raise ValueError(f"bad base point {args.base_point!r}")
     group = parabolic.holonomy(b, base_point=base_point)
     # the cycle search may refuse a large base; do it before printing
     ex = parabolic.holonomy_exhaustive(b, group.base_point) if args.exhaustive else None
@@ -176,14 +167,14 @@ def cmd_holonomy(args) -> int:
     print(f"holonomy group order: {group.order}")
     if ex is not None:
         rep.add("holonomy-exhaustive-agrees",
-                ex.element_keys() == group.element_keys(),
+                set(ex.elements) == set(group.elements),
                 f"cycle search found order {ex.order}")
     return _emit_report(rep)
 
 
 def cmd_basis(args) -> int:
     if args.max_degree < 0:
-        raise SystemExit2("--max-degree must be non-negative")
+        raise ValueError("--max-degree must be non-negative")
     rs = _root_system(args)
     basis_rep = invbases.verify_basis(rs)
     rep = Report(list(basis_rep.checks))
@@ -197,7 +188,7 @@ def cmd_basis(args) -> int:
 
 def cmd_express(args) -> int:
     if args.degree < 0:
-        raise SystemExit2("--degree must be non-negative")
+        raise ValueError("--degree must be non-negative")
     rs = _root_system(args)
     rng = random.Random(args.seed)
     target = schubert.seeded_random_class(rs, args.degree, rng)
@@ -215,16 +206,16 @@ def cmd_express(args) -> int:
 
 def cmd_export(args) -> int:
     if args.what != "class" and args.index is not None:
-        raise SystemExit2(f"--index is read only with --what class, not {args.what}")
+        raise ValueError(f"--index is read only with --what class, not {args.what}")
     if args.what == "class" and args.format == "dot":
-        raise SystemExit2("class export has no DOT format")
+        raise ValueError("class export has no DOT format")
     if args.what == "class" and (args.sigma1 or args.sigma2):
-        raise SystemExit2("class export reads neither --sigma1 nor --sigma2")
+        raise ValueError("class export reads neither --sigma1 nor --sigma2")
     rs = _root_system(args)
     sigma2 = args.sigma2 if args.sigma2 else rs.full_sigma()
     if args.what == "bundle":
         if not args.sigma2:
-            raise SystemExit2("bundle export needs --sigma2")
+            raise ValueError("bundle export needs --sigma2")
         b = parabolic.build_bundle(rs, args.sigma1, args.sigma2)
         if args.format == "dot":
             _write_out(args, gkmgraph.graph_to_dot(b.total, name="total"))
@@ -233,11 +224,11 @@ def cmd_export(args) -> int:
         return 0
     if args.what == "class":
         if not args.index:
-            raise SystemExit2("class export needs --index")
+            raise ValueError("class export needs --index")
         try:
             I = tuple(int(v) for v in args.index.split(","))
         except ValueError:
-            raise SystemExit2(f"bad index {args.index!r}")
+            raise ValueError(f"bad index {args.index!r}")
         c = invbases.class_cI(rs, I)
         _write_out(args, json.dumps(gkmgraph.class_to_json(c), indent=1) + "\n")
         return 0
@@ -337,9 +328,6 @@ def main(argv=None) -> int:
         # unwritable --out file.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: cannot write to stdout", file=sys.stderr)
-        return 2
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -561,12 +561,13 @@ def induced_subgraph(g: GkmGraph, vertexset):
 # isomorphisms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class GkmIso:
     """A vertex bijection Phi plus a label-intertwining linear map Psi.
 
     ``phi`` maps vertex indices of the source graph to vertex indices of
-    the target; ``psi`` is a square matrix applied to labels.
+    the target; ``psi`` is a square matrix applied to labels.  Isos
+    compare, hash and sort as the pair (phi, psi).
     """
 
     phi: tuple
@@ -574,9 +575,6 @@ class GkmIso:
 
     def apply_form(self, form: LinearForm) -> LinearForm:
         return LinearForm(linalg.mat_vec(self.psi, form.coeffs))
-
-    def key(self):
-        return (self.phi, self.psi)
 
 
 def verify_iso(iso: GkmIso, g1: GkmGraph, g2: GkmGraph) -> bool:

@@ -77,7 +77,6 @@ __all__ = [
     "base_tree",
     "tree_transport",
     "holonomy",
-    "upsilon_elements",
     "lift_class",
 ]
 
@@ -569,17 +568,13 @@ def _lift_faults(b: BundleMap, fibers, faults):
 @dataclass
 class HolonomyGroup:
     base_point: int
-    fiber: "CosetGraph | GkmGraph"
     generators: list  # (loop as base edge ids, GkmIso)
-    elements: list  # GkmIso, canonically ordered
+    elements: list  # GkmIso, sorted
     matches_upsilon: bool | None = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def element_keys(self):
-        return {iso.key() for iso in self.elements}
 
 
 def typical_fiber(b: BundleMap) -> CosetGraph:
@@ -588,14 +583,11 @@ def typical_fiber(b: BundleMap) -> CosetGraph:
     return build_coset_graph(b.rs, b.sigma1, b.sigma2)
 
 
-def fiber_model_iso(b: BundleMap, p: int, rep: WeylElement | None = None) -> GkmIso:
+def fiber_model_iso(b: BundleMap, p: int) -> GkmIso:
     """(phi_w, psi_w): typical fiber -> fiber subgraph over base vertex p."""
     fib = typical_fiber(b)
-    if rep is None:
-        rep = b.base_coset.reps[p]
-    elif b.base_coset.vertex_of(rep) != p:
-        raise ValueError("representative lies over a different base vertex")
-    sub, vmap, _ = b.fiber_subgraph(p)
+    rep = b.base_coset.reps[p]
+    _, vmap, _ = b.fiber_subgraph(p)
     phi = tuple(
         vmap[b.total_coset.vertex_of(rep * u)] for u in fib.reps
     )
@@ -675,13 +667,6 @@ def _left_mult_iso(fib: CosetGraph, w: WeylElement) -> GkmIso:
     return GkmIso(tuple(fib.vertex_of(w * u) for u in fib.reps), w.matrix())
 
 
-def upsilon_elements(b: BundleMap):
-    """Left multiplication by W(Sigma2) on the typical fiber, as iso pairs."""
-    fib = typical_fiber(b)
-    return sorted((_left_mult_iso(fib, w) for w in b.rs.parabolic_elements(b.sigma2)),
-                  key=GkmIso.key)
-
-
 def holonomy(b: BundleMap, base_point: int = 0) -> HolonomyGroup:
     """The holonomy group of a coset bundle, exactly, from one spanning tree.
 
@@ -712,9 +697,8 @@ def holonomy(b: BundleMap, base_point: int = 0) -> HolonomyGroup:
     fib = typical_fiber(b)
     return HolonomyGroup(
         base_point,
-        fib,
         [(loop, _left_mult_iso(fib, h)) for _, loop, h in generators],
-        sorted((_left_mult_iso(fib, w) for w in elements), key=GkmIso.key),
+        sorted(_left_mult_iso(fib, w) for w in elements),
         set(elements) == set(rs.parabolic_elements(b.sigma2)),
     )
 
@@ -745,11 +729,10 @@ def holonomy_exhaustive(b: BundleMap, base_point: int = 0) -> HolonomyGroup:
             path.pop()
 
     extend([], base_point)
-    fib, vm, _ = b.fiber_subgraph(base_point)
+    _, vm, _ = b.fiber_subgraph(base_point)
     if b.rs is not None:
         rho = fiber_model_iso(b, base_point)  # typical fiber -> fiber over base point
         rho_inv = invert_iso(rho)
-        fib = typical_fiber(b)
     gens = []
     for loop in loops:
         vmap, psi = holonomy_of_loop(b, loop)
@@ -757,10 +740,9 @@ def holonomy_exhaustive(b: BundleMap, base_point: int = 0) -> HolonomyGroup:
         if b.rs is not None:
             iso = compose_iso(compose_iso(rho, iso), rho_inv)
         gens.append((loop, iso))
-    ident = GkmIso(tuple(range(fib.nvertices)), linalg.identity_matrix(b.total.varcount))
-    elements = sorted(group_closure([ident], [iso for _, iso in gens], compose_iso),
-                      key=GkmIso.key)
-    return HolonomyGroup(base_point, fib, gens, elements)
+    ident = GkmIso(tuple(range(len(vm))), linalg.identity_matrix(b.total.varcount))
+    elements = sorted(group_closure([ident], [iso for _, iso in gens], compose_iso))
+    return HolonomyGroup(base_point, gens, elements)
 
 
 # ----------------------------------------------------------------------

@@ -267,9 +267,6 @@ class RootSystem:
     # ------------------------------------------------------------------
     # roots and reflections
 
-    def is_positive_root(self, form: LinearForm) -> bool:
-        return form in self._pos_set
-
     def positive_part(self, form: LinearForm) -> LinearForm:
         if form in self._pos_set:
             return form

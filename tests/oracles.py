@@ -171,7 +171,7 @@ def cosets_by_enumeration(rs, sigma1, sigma2):
     multiplied out from its first element, which must be its only element
     of least length."""
     def length(w):
-        return sum(not rs.is_positive_root(w.act_linear(beta)) for beta in rs.positive_roots)
+        return sum(w.act_linear(beta) not in rs.positive_roots for beta in rs.positive_roots)
 
     def group(sigma):
         return group_closure([rs.identity()], [rs.simple_reflection(i) for i in sigma],
@@ -486,7 +486,7 @@ def schubert_by_conditions(rs, u):
     prod = Polynomial.one(rs.varcount)
     ui = u.inverse()
     for beta in rs.positive_roots:
-        if not rs.is_positive_root(ui.act_linear(beta)):
+        if ui.act_linear(beta) not in rs.positive_roots:
             prod = prod * beta.to_polynomial()
     for e in monos:
         row = {unknown(u, e): Fraction(1)}

@@ -362,6 +362,7 @@ def test_holonomy_verb(capsys):
     assert code == 0
     assert "holonomy group order: 2" in out
     assert "CHECK holonomy-equals-group-action: PASS" in out
+    assert "CHECK holonomy-exhaustive-agrees: PASS" in out
 
 
 def test_holonomy_base_point(capsys):

@@ -728,7 +728,7 @@ def _tau_diagonal_at(rs, pt):
     for w in rs.elements():
         wi = w.inverse()
         for beta in rs.positive_roots:
-            if not rs.is_positive_root(wi.act_linear(beta)):
+            if wi.act_linear(beta) not in rs.positive_roots:
                 out *= beta.to_polynomial().evaluate(pt)
     return out
 

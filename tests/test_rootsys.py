@@ -356,7 +356,7 @@ def test_sigma_difference_invariance_rank_le_3():
                             image = {rs.positive_part(w.act_linear(b)) for b in diff}
                             moved = {w.act_linear(b) for b in diff}
                             assert moved == {
-                                b for b in moved if rs.is_positive_root(b)
+                                b for b in moved if b in rs.positive_roots
                             }, (kind, n, s1, s2)
                             assert image == diff
 

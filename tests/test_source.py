@@ -104,3 +104,28 @@ def test_no_per_edge_view():
         found += [f"{path.name}:{node.lineno}: .edges" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "edges"]
     assert found == []
+
+
+def test_no_unused_top_level_imports():
+    """Every name a module's top-level imports bind is read somewhere in
+    that module, or exported through its ``__all__``, in the library,
+    the scripts and the tests."""
+    root = PACKAGE.parents[1]
+    found = []
+    for path in sorted([*PACKAGE.glob("*.py"), *(root / "scripts").glob("*.py"),
+                        *(root / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound, exported = {}, set()
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                bound.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                             for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [f"{path.name}:{line}: {name}" for name, line in bound.items()
+                  if name not in read and name not in exported]
+    assert found == []
