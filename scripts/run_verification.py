@@ -93,7 +93,7 @@ def main() -> int:
         b = build_bundle(rs, frozenset(), frozenset(sigma2))
         tag = f"{kind}{n}-S2={','.join(map(str, sorted(sigma2)))}"
         ok &= show(f"bundle-{tag}", verify_fiber_bundle(b))
-        group = holonomy(b)
+        group = holonomy(rs, frozenset(), frozenset(sigma2))
         good = bool(group.matches_upsilon)
         print(f"CHECK holonomy-{tag}: {'PASS' if good else 'FAIL'} "
               f"(order {group.order})")

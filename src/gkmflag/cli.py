@@ -150,17 +150,22 @@ def cmd_holonomy(args) -> int:
     rs = _root_system(args)
     if not args.sigma2:
         raise ValueError("holonomy needs --sigma2")
-    b = parabolic.build_bundle(rs, args.sigma1, args.sigma2)
+    # the typical fiber checks the Sigma pair before the base point is read
+    parabolic.build_coset_graph(rs, args.sigma1, args.sigma2)
     base_point = 0
     if args.base_point:
+        base = parabolic.build_coset_graph(rs, args.sigma2, rs.full_sigma())
         try:
-            w = WeylElement.from_one_line(args.base_point)
-            base_point = b.base_coset.vertex_of(w)
+            base_point = base.vertex_of(WeylElement.from_one_line(args.base_point))
         except (ValueError, KeyError):
             raise ValueError(f"bad base point {args.base_point!r}")
-    group = parabolic.holonomy(b, base_point=base_point)
-    # the cycle search may refuse a large base; do it before printing
-    ex = parabolic.holonomy_exhaustive(b, group.base_point) if args.exhaustive else None
+    group = parabolic.holonomy(rs, args.sigma1, args.sigma2, base_point)
+    # only the cycle search reads a bundle, and it may refuse a large base;
+    # run it before printing
+    ex = None
+    if args.exhaustive:
+        b = parabolic.build_bundle(rs, args.sigma1, args.sigma2)
+        ex = parabolic.holonomy_exhaustive(b, base_point)
     rep = Report()
     rep.add("holonomy-equals-group-action", bool(group.matches_upsilon),
             f"computed order {group.order}")

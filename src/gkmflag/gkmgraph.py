@@ -98,7 +98,6 @@ __all__ = [
     "verify_iso",
     "pullback_class",
     "compose_iso",
-    "invert_iso",
     "complete_graph",
     "graph_to_json",
     "graph_from_json",
@@ -604,16 +603,6 @@ def compose_iso(first: GkmIso, second: GkmIso) -> GkmIso:
     phi = tuple(second.phi[p] for p in first.phi)
     psi = linalg.mat_mul(second.psi, first.psi)
     return GkmIso(phi, psi)
-
-
-def invert_iso(iso: GkmIso) -> GkmIso:
-    phi = [0] * len(iso.phi)
-    for p, q in enumerate(iso.phi):
-        phi[q] = p
-    psi = linalg.invert_fraction(iso.psi)
-    if psi is None:
-        raise ValueError("Psi is not invertible")
-    return GkmIso(tuple(phi), psi)
 
 
 def pullback_class(iso: GkmIso, g1: GkmGraph, g2: GkmGraph, c2: CohClass) -> CohClass:

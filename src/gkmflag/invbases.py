@@ -62,7 +62,6 @@ from .parabolic import (
     build_coset_graph,
     lift_class,
     tree_transport,
-    typical_fiber,
 )
 from .polyring import LinearForm, Polynomial
 from .rootsys import RootSystem
@@ -255,11 +254,12 @@ def extend_invariant(b: BundleMap, fiber_class: CohClass,
     """
     if b.rs is None:
         raise ValueError("extension needs a coset bundle")
-    fib = typical_fiber(b)
+    rs, full = b.rs, b.rs.full_sigma()
+    fib = build_coset_graph(rs, b.sigma1, b.sigma2)
     values = fiber_class.values
     if len(values) != fib.nvertices:
         raise ValueError("class does not live on the typical fiber")
-    transports, generators = tree_transport(b, base_point)
+    transports, generators = tree_transport(build_coset_graph(rs, b.sigma2, full), base_point)
     for beid, _, h in generators:
         if any(values[fib.vertex_of(h * u)] != h.act_poly(value)
                for u, value in zip(fib.reps, values)):
@@ -271,10 +271,11 @@ def extend_invariant(b: BundleMap, fiber_class: CohClass,
     if bad is not None:
         raise ValueError("input is not a class on the typical fiber; fails at "
                          + fib.graph.edge_str(bad))
+    total = build_coset_graph(rs, b.sigma1, full)
     vals = [None] * b.total.nvertices
     for g in transports.values():
         for u, value in zip(fib.reps, values):
-            vals[b.total_coset.vertex_of(g * u)] = g.act_poly(value)
+            vals[total.vertex_of(g * u)] = g.act_poly(value)
     return CohClass(b.total, vals)
 
 
@@ -286,7 +287,7 @@ def fiber_invariant_classes(b: BundleMap):
     [j_1..j_{n-1}] becomes the monomial x2^{j_1} ... xn^{j_{n-1}}, the
     monomial of (0,) + J.
     """
-    fib = typical_fiber(b)
+    fib = build_coset_graph(b.rs, b.sigma1, b.sigma2)
     out = []
     for I in _fiber_indices(b.rs):
         mono = _index_monomial(b.rs, I)

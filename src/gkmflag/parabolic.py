@@ -21,16 +21,21 @@ of the reflections of its edge labels.  Holonomy is computed exactly from
 one breadth-first spanning tree of the base: the loops "tree path, one
 non-tree edge, tree path back" generate the fundamental group of a
 graph, so their transports generate the holonomy group, a subgroup of
-W(Sigma2) (optionally cross-checked by exhausting short based cycles
-through the stored transition data).  For these bundles the group is
-W(Sigma2) acting on the typical fiber by left multiplication; whether
-that identity holds is reported in ``HolonomyGroup.matches_upsilon``.
+W(Sigma2).  :func:`holonomy` reads only the root system and the Sigma
+pair, through the coset graphs of base and typical fiber that
+:func:`build_coset_graph` caches, and builds no bundle.  For these
+bundles the group is W(Sigma2) acting on the typical fiber by left
+multiplication; whether that identity holds is reported in
+``HolonomyGroup.matches_upsilon``.  The cross-check,
+:func:`holonomy_exhaustive`, exhausts short based cycles through the
+stored transitions of a bundle instead.
 
 A :class:`BundleMap` stores only the bundle data: the total and base
 graphs, pi on vertices, dpi on edges (its keys are the horizontal edges;
-every other edge is vertical), the transitions, and the coset metadata
-of a Weyl-group bundle.  Nothing derived is stored: each function derives
-fibers, lifts and fiber subgraphs from that data when called, so a
+every other edge is vertical), the transitions, and the root system and
+Sigma pair of a Weyl-group bundle.  Nothing derived is stored: each
+function derives fibers, lifts and fiber subgraphs from that data when
+called, and the coset graphs from :func:`build_coset_graph`, so a
 bundle whose data changed is checked as it now stands.  Bundles assembled
 from raw graph data (no Weyl group behind them) are also supported for
 axiom verification; see :func:`make_bundle` and :func:`product_bundle`.
@@ -54,7 +59,6 @@ from .gkmgraph import (
     graph_from_json,
     graph_json_chunks,
     induced_subgraph,
-    invert_iso,
     verify_gkm,
     verify_iso,
 )
@@ -224,7 +228,8 @@ class BundleMap:
     to a base vertex, ``dpi`` sends each horizontal total edge to a base
     edge (an edge is horizontal exactly when it is a key of ``dpi``), and
     ``transitions`` holds one :class:`Transition` per base edge.  Coset
-    bundles also carry their coset graphs, root system and Sigma pair.
+    bundles also carry their root system and Sigma pair, from which
+    :func:`build_coset_graph` gives their coset graphs.
     """
 
     total: GkmGraph
@@ -232,8 +237,6 @@ class BundleMap:
     pi: list
     dpi: dict  # horizontal total edge -> base edge
     transitions: dict  # base edge -> Transition
-    total_coset: CosetGraph | None = None
-    base_coset: CosetGraph | None = None
     rs: RootSystem | None = None
     sigma1: frozenset | None = None
     sigma2: frozenset | None = None
@@ -247,10 +250,6 @@ class BundleMap:
         for q, p in enumerate(self.pi):
             out[p].append(q)
         return out
-
-    def fiber_subgraph(self, p: int):
-        """(subgraph, old->new vertex map, old->new edge map)."""
-        return induced_subgraph(self.total, self.fibers()[p])
 
     # -- lifting -------------------------------------------------------
 
@@ -285,8 +284,7 @@ def build_bundle(rs: RootSystem, sigma1, sigma2) -> BundleMap:
     transitions = {beid: Transition(vmaps[beid], refl.matrix())
                    for beid, refl in enumerate(refls)}
     return replace(make_bundle(total.graph, base.graph, pi, transitions),
-                   total_coset=total, base_coset=base, rs=rs,
-                   sigma1=sigma1, sigma2=sigma2)
+                   rs=rs, sigma1=sigma1, sigma2=sigma2)
 
 
 def make_bundle(total: GkmGraph, base: GkmGraph, pi, transitions=None) -> BundleMap:
@@ -577,25 +575,19 @@ class HolonomyGroup:
         return len(self.elements)
 
 
-def typical_fiber(b: BundleMap) -> CosetGraph:
-    if b.rs is None:
-        raise ValueError("typical fiber as a coset graph needs Weyl-group data")
-    return build_coset_graph(b.rs, b.sigma1, b.sigma2)
+def fiber_model_iso(b: BundleMap, p: int, vm) -> GkmIso:
+    """(phi_w, psi_w): typical fiber -> fiber subgraph over base vertex p
+    of a coset bundle, whose vertex map is ``vm`` (total vertex ->
+    subgraph vertex); u goes to [r u], r the representative of p."""
+    rs, full = b.rs, b.rs.full_sigma()
+    r = build_coset_graph(rs, b.sigma2, full).reps[p]
+    total = build_coset_graph(rs, b.sigma1, full)
+    return GkmIso(tuple(vm[total.vertex_of(r * u)]
+                        for u in build_coset_graph(rs, b.sigma1, b.sigma2).reps), r.matrix())
 
 
-def fiber_model_iso(b: BundleMap, p: int) -> GkmIso:
-    """(phi_w, psi_w): typical fiber -> fiber subgraph over base vertex p."""
-    fib = typical_fiber(b)
-    rep = b.base_coset.reps[p]
-    _, vmap, _ = b.fiber_subgraph(p)
-    phi = tuple(
-        vmap[b.total_coset.vertex_of(rep * u)] for u in fib.reps
-    )
-    return GkmIso(phi, rep.matrix())
-
-
-def base_tree(b: BundleMap, base_point: int):
-    """(tree, chords) for a breadth-first spanning tree of the base.
+def base_tree(g: GkmGraph, base_point: int):
+    """(tree, chords) for a breadth-first spanning tree of the base g.
 
     ``tree`` lists the tree edges in BFS order from ``base_point``, so
     each leaves a vertex reached before; ``chords`` lists every base edge
@@ -605,20 +597,20 @@ def base_tree(b: BundleMap, base_point: int):
     tree = []
     queue = [base_point]
     for p in queue:
-        for eid in b.base.edges_at[p]:
-            q = b.base.dst[eid]
+        for eid in g.edges_at[p]:
+            q = g.dst[eid]
             if q not in seen:
                 seen.add(q)
                 tree.append(eid)
                 queue.append(q)
-    in_tree = set(tree) | {b.base.reverse[eid] for eid in tree}
-    chords = [eid for eid, r in enumerate(b.base.reverse) if eid not in in_tree and eid < r]
+    in_tree = set(tree) | {g.reverse[eid] for eid in tree}
+    chords = [eid for eid, r in enumerate(g.reverse) if eid not in in_tree and eid < r]
     return tree, chords
 
 
-def tree_transport(b: BundleMap, base_point: int):
-    """(transports, generators) of a coset bundle, from one walk of
-    :func:`base_tree`.
+def tree_transport(base: CosetGraph, base_point: int):
+    """(transports, generators) over the base coset graph W/W(Sigma2) of a
+    coset bundle, from one walk of :func:`base_tree`.
 
     Transport across a base edge labeled gamma is left multiplication by
     s_gamma, so ``transports[q]`` = T_q . r (r the representative of the
@@ -629,31 +621,30 @@ def tree_transport(b: BundleMap, base_point: int):
     ``generators`` lists (chord, loop as base edge ids, h) for each chord
     whose h is not the identity and not met at an earlier chord.
     """
-    rs = b.rs
-    transports = {base_point: b.base_coset.reps[base_point]}
+    rs, g = base.rs, base.graph
+    transports = {base_point: base.reps[base_point]}
     path = {base_point: []}
-    tree, chords = base_tree(b, base_point)
-    src, dst = b.base.src, b.base.dst
+    tree, chords = base_tree(g, base_point)
+    src, dst = g.src, g.dst
     for eid in tree:
-        transports[dst[eid]] = rs.reflection(b.base.label(eid)) * transports[src[eid]]
+        transports[dst[eid]] = rs.reflection(g.label(eid)) * transports[src[eid]]
         path[dst[eid]] = path[src[eid]] + [eid]
     seen = {rs.identity()}
     generators = []
     for eid in chords:
-        h = transports[dst[eid]].inverse() * rs.reflection(b.base.label(eid)) * transports[src[eid]]
+        h = transports[dst[eid]].inverse() * rs.reflection(g.label(eid)) * transports[src[eid]]
         if h in seen:
             continue
         seen.add(h)
-        loop = path[src[eid]] + [eid] + [b.base.reverse[f] for f in reversed(path[dst[eid]])]
+        loop = path[src[eid]] + [eid] + [g.reverse[f] for f in reversed(path[dst[eid]])]
         generators.append((eid, loop, h))
     return transports, generators
 
 
-def holonomy_of_loop(b: BundleMap, loop_edges) -> tuple:
-    """(vertex map on the start fiber, linear part) of transport around a loop."""
-    if not loop_edges:
-        raise ValueError("need a non-empty loop")
-    cur = {p: p for p in b.fibers()[b.base.src[loop_edges[0]]]}
+def holonomy_of_loop(b: BundleMap, fiber, loop_edges) -> tuple:
+    """(vertex map on ``fiber``, linear part) of transport around a loop
+    of base edges that starts at the base vertex under ``fiber``."""
+    cur = {p: p for p in fiber}
     psi = linalg.identity_matrix(b.total.varcount)
     for beid in loop_edges:
         t = b.transitions[beid]
@@ -667,39 +658,40 @@ def _left_mult_iso(fib: CosetGraph, w: WeylElement) -> GkmIso:
     return GkmIso(tuple(fib.vertex_of(w * u) for u in fib.reps), w.matrix())
 
 
-def holonomy(b: BundleMap, base_point: int = 0) -> HolonomyGroup:
-    """The holonomy group of a coset bundle, exactly, from one spanning tree.
+def holonomy(rs: RootSystem, sigma1, sigma2, base_point: int = 0) -> HolonomyGroup:
+    """The holonomy group of the coset bundle W/W(Sigma1) -> W/W(Sigma2),
+    exactly, from one spanning tree.
 
-    Transport across a base edge labeled gamma is left multiplication by
-    s_gamma, so transport along a path is one Weyl element.
-    :func:`tree_transport` walks the spanning tree once; each unoriented
-    non-tree edge e = (p -> q) gives the loop "tree path, e, tree path
-    back", whose holonomy on the typical fiber is
-    h = r^{-1} . T_q^{-1} . s_e . T_p . r, an element of W(Sigma2) (T the
-    tree transport, r the base representative).  These loops generate the
-    fundamental group of the base (Serre, *Trees*), and backtracking is
-    trivial because an edge and its reverse carry the same reflection, so
-    the distinct non-identity h generate the whole holonomy group.
-    ``generators`` holds their left-multiplication isos with the loops as
-    base edge ids; ``matches_upsilon`` reports whether the group is all of
-    W(Sigma2).  When Sigma2 is every simple root the base is one vertex
-    without loops, so ValueError is raised.
+    It reads only the root system and the Sigma pair: the base W/W(Sigma2)
+    and the typical fiber W(Sigma2)/W(Sigma1) come from
+    :func:`build_coset_graph`, and no bundle is built.  Transport across a
+    base edge labeled gamma is left multiplication by s_gamma, so
+    transport along a path is one Weyl element.  :func:`tree_transport`
+    walks the spanning tree once; each unoriented non-tree edge
+    e = (p -> q) gives the loop "tree path, e, tree path back", whose
+    holonomy on the typical fiber is h = r^{-1} . T_q^{-1} . s_e . T_p . r,
+    an element of W(Sigma2) (T the tree transport, r the base
+    representative).  These loops generate the fundamental group of the
+    base (Serre, *Trees*), and backtracking is trivial because an edge and
+    its reverse carry the same reflection, so the distinct non-identity h
+    generate the whole holonomy group.  ``generators`` holds their
+    left-multiplication isos with the loops as base edge ids;
+    ``matches_upsilon`` reports whether the group is all of W(Sigma2).  A
+    bad Sigma pair raises ValueError as :func:`build_coset_graph` does;
+    when Sigma2 is every simple root the base is one vertex without
+    loops, so ValueError is raised too.
     """
-    if b.rs is None:
-        raise ValueError("constructive holonomy needs Weyl-group data; "
-                         "use holonomy_exhaustive for raw bundles")
-    rs = b.rs
-    if b.sigma2 == rs.full_sigma():
+    fib = build_coset_graph(rs, sigma1, sigma2)
+    if fib.sigma2 == rs.full_sigma():
         raise ValueError("Sigma2 contains every simple root, so the base is "
                          "one vertex and has no loops")
-    _, generators = tree_transport(b, base_point)
+    _, generators = tree_transport(build_coset_graph(rs, fib.sigma2, rs.full_sigma()), base_point)
     elements = group_closure([rs.identity()], [h for _, _, h in generators], operator.mul)
-    fib = typical_fiber(b)
     return HolonomyGroup(
         base_point,
         [(loop, _left_mult_iso(fib, h)) for _, loop, h in generators],
         sorted(_left_mult_iso(fib, w) for w in elements),
-        set(elements) == set(rs.parabolic_elements(b.sigma2)),
+        set(elements) == set(rs.parabolic_elements(fib.sigma2)),
     )
 
 
@@ -707,12 +699,15 @@ def holonomy_exhaustive(b: BundleMap, base_point: int = 0) -> HolonomyGroup:
     """Subgroup generated by all based cycles of at most EXHAUSTIVE_MAX_LEN
     edges, on a base of at most EXHAUSTIVE_MAX_BASE vertices.
 
-    Transport is read from the stored transitions.  Only guaranteed to
-    exhaust the holonomy group for the coset bundles (where it is
-    cross-checked against the constructive generators, conjugated to the
-    typical fiber by :func:`fiber_model_iso`); for arbitrary data it
-    reports the subgroup its cycles happen to generate on the fiber over
-    the base point.
+    It reads the base graph and the stored transitions of ``b``: the fiber
+    over the base point and its subgraph are derived once, and every loop
+    is transported from that vertex list.  Only guaranteed to exhaust the
+    holonomy group for the coset bundles, where the transports are
+    conjugated to the typical fiber by rho = :func:`fiber_model_iso`, so
+    they compare with :func:`holonomy`; rho^-1 inverts the vertex map of
+    rho and takes r^-1 for its linear part, r the Weyl element of the base
+    point.  For arbitrary data it reports the subgroup its cycles happen
+    to generate on the fiber over the base point.
     """
     if b.base.nvertices > EXHAUSTIVE_MAX_BASE:
         raise ValueError("base too large for exhaustive cycle enumeration")
@@ -729,18 +724,19 @@ def holonomy_exhaustive(b: BundleMap, base_point: int = 0) -> HolonomyGroup:
             path.pop()
 
     extend([], base_point)
-    _, vm, _ = b.fiber_subgraph(base_point)
-    if b.rs is not None:
-        rho = fiber_model_iso(b, base_point)  # typical fiber -> fiber over base point
-        rho_inv = invert_iso(rho)
+    fiber = b.fibers()[base_point]
+    _, vm, _ = induced_subgraph(b.total, fiber)
     gens = []
     for loop in loops:
-        vmap, psi = holonomy_of_loop(b, loop)
-        iso = GkmIso(tuple(vm[vmap[p]] for p in sorted(vm)), psi)
-        if b.rs is not None:
-            iso = compose_iso(compose_iso(rho, iso), rho_inv)
-        gens.append((loop, iso))
-    ident = GkmIso(tuple(range(len(vm))), linalg.identity_matrix(b.total.varcount))
+        vmap, psi = holonomy_of_loop(b, fiber, loop)
+        gens.append((loop, GkmIso(tuple(vm[vmap[p]] for p in fiber), psi)))
+    if b.rs is not None:
+        rho = fiber_model_iso(b, base_point, vm)  # typical fiber -> fiber over base point
+        r = build_coset_graph(b.rs, b.sigma2, b.rs.full_sigma()).reps[base_point]
+        rho_inv = GkmIso(tuple(sorted(range(len(fiber)), key=rho.phi.__getitem__)),
+                         r.inverse().matrix())
+        gens = [(loop, compose_iso(compose_iso(rho, iso), rho_inv)) for loop, iso in gens]
+    ident = GkmIso(tuple(range(len(fiber))), linalg.identity_matrix(b.total.varcount))
     elements = sorted(group_closure([ident], [iso for _, iso in gens], compose_iso))
     return HolonomyGroup(base_point, gens, elements)
 

@@ -77,7 +77,7 @@ from typing import NamedTuple, Sequence
 from gkmflag import linalg
 from gkmflag.gkmgraph import CohClass, GkmGraph, Report, coh_failure, graph_to_json
 from gkmflag.invbases import _basis_failures, class_cI, index_set, tower_bundle
-from gkmflag.parabolic import base_tree, build_coset_graph, typical_fiber
+from gkmflag.parabolic import base_tree, build_coset_graph
 from gkmflag.polyring import LinearForm, Polynomial, grlex_key
 from gkmflag.rootsys import group_closure
 from gkmflag.schubert import flag_graph, schubert_table
@@ -619,11 +619,12 @@ def extend_by_edges(b, fiber_class, base_point=0):
     disagrees is named in the ValueError.  Then the input must be a class
     on the typical fiber.
     """
-    fib = typical_fiber(b)
+    full = b.rs.full_sigma()
+    fib = build_coset_graph(b.rs, b.sigma1, b.sigma2)
     if len(fiber_class.values) != fib.nvertices:
         raise ValueError("class does not live on the typical fiber")
-    total = b.total_coset
-    rep = b.base_coset.reps[base_point]
+    total = build_coset_graph(b.rs, b.sigma1, full)
+    rep = build_coset_graph(b.rs, b.sigma2, full).reps[base_point]
     vals = [None] * b.total.nvertices
     for u, value in zip(fib.reps, fiber_class.values):
         vals[total.vertex_of(rep * u)] = rep.act_poly(value)
@@ -635,7 +636,7 @@ def extend_by_edges(b, fiber_class, base_point=0):
         return [(total.vertex_of(s * total.reps[x]), s.act_poly(vals[x]))
                 for x in fibers[b.base.src[beid]]]
 
-    tree, chords = base_tree(b, base_point)
+    tree, chords = base_tree(b.base, base_point)
     for beid in tree:
         for y, value in transported(beid):
             vals[y] = value

