@@ -8,7 +8,10 @@ reads a file, with the same axiom CHECK lines as the built graph),
 fiber-bundle axioms and holonomy for the standard bundles up to
 rank 3, for the A4, B4 and D4 bundles with Sigma2 = {2,3,4}, and for
 the A5 and B4 bundles with Sigma2 = {1}, whose 360 and 192 fibers have
-two vertices each, basis verification for A2, A3, B2, B3, C3, D3 and
+two vertices each, the cycle search of ``holonomy_exhaustive`` against
+that holonomy group on each of these bundles whose base has at most
+EXHAUSTIVE_MAX_BASE vertices (all but the two with Sigma2 = {1}), basis
+verification for A2, A3, B2, B3, C3, D3 and
 every type at ranks 4 to 8,
 the iteration consistency check (the iterated family equals the closed
 form) for A2, B2, D3, A3 and B3, the bases over the invariants up to
@@ -40,7 +43,14 @@ from gkmflag.invbases import (
     tower_bundle,
     verify_basis,
 )
-from gkmflag.parabolic import build_bundle, holonomy, lift_class, verify_fiber_bundle
+from gkmflag.parabolic import (
+    EXHAUSTIVE_MAX_BASE,
+    build_bundle,
+    holonomy,
+    holonomy_exhaustive,
+    lift_class,
+    verify_fiber_bundle,
+)
 from gkmflag.rootsys import RootSystem
 from gkmflag.schubert import flag_graph, seeded_random_class
 
@@ -98,6 +108,10 @@ def main() -> int:
         print(f"CHECK holonomy-{tag}: {'PASS' if good else 'FAIL'} "
               f"(order {group.order})")
         ok &= good
+        if b.base.nvertices <= EXHAUSTIVE_MAX_BASE:
+            good = holonomy_exhaustive(b).elements == group.elements
+            print(f"CHECK holonomy-exhaustive-{tag}: {'PASS' if good else 'FAIL'}")
+            ok &= good
 
     for kind, n in BASES:
         rs = RootSystem(kind, n)

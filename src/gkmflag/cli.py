@@ -150,8 +150,8 @@ def cmd_holonomy(args) -> int:
     rs = _root_system(args)
     if not args.sigma2:
         raise ValueError("holonomy needs --sigma2")
-    # the typical fiber checks the Sigma pair before the base point is read
-    parabolic.build_coset_graph(rs, args.sigma1, args.sigma2)
+    # the Sigma pair is checked before the base point is read
+    parabolic.check_sigmas(rs, args.sigma1, args.sigma2)
     base_point = 0
     if args.base_point:
         base = parabolic.build_coset_graph(rs, args.sigma2, rs.full_sigma())

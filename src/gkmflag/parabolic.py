@@ -27,8 +27,12 @@ pair, through the coset graphs of base and typical fiber that
 bundles the group is W(Sigma2) acting on the typical fiber by left
 multiplication; whether that identity holds is reported in
 ``HolonomyGroup.matches_upsilon``.  The cross-check,
-:func:`holonomy_exhaustive`, exhausts short based cycles through the
-stored transitions of a bundle instead.
+:func:`holonomy_exhaustive`, reads the stored transitions of a bundle
+instead: from the typical fiber placed over the base point, it walks the
+distinct states (base vertex, transport) that based paths of at most
+EXHAUSTIVE_MAX_LEN edges reach, so each state is extended once along
+each base edge, and it closes the group over the distinct transports of
+the loops among them.
 
 A :class:`BundleMap` stores only the bundle data: the total and base
 graphs, pi on vertices, dpi on edges (its keys are the horizontal edges;
@@ -70,6 +74,7 @@ __all__ = [
     "BundleMap",
     "Transition",
     "HolonomyGroup",
+    "check_sigmas",
     "build_coset_graph",
     "build_bundle",
     "make_bundle",
@@ -90,7 +95,7 @@ EXHAUSTIVE_MAX_LEN = 6
 EXHAUSTIVE_MAX_BASE = 8
 
 
-def _check_sigmas(rs: RootSystem, sigma1, sigma2):
+def check_sigmas(rs: RootSystem, sigma1, sigma2):
     """(Sigma1, Sigma2) as frozensets of simple-root indices, Sigma1 within
     Sigma2; the indices are checked first, so a bad set is named as given."""
     sigma1, sigma2 = frozenset(sigma1), frozenset(sigma2)
@@ -139,7 +144,7 @@ class CosetGraph:
     """
 
     def __init__(self, rs: RootSystem, sigma1, sigma2):
-        sigma1, sigma2 = _check_sigmas(rs, sigma1, sigma2)
+        sigma1, sigma2 = check_sigmas(rs, sigma1, sigma2)
         self.rs = rs
         self.sigma1 = sigma1
         self.sigma2 = sigma2
@@ -271,7 +276,7 @@ def build_bundle(rs: RootSystem, sigma1, sigma2) -> BundleMap:
     labeled gamma sends [x] to [s_gamma x]; :func:`make_bundle` matches
     the horizontal edges to their base edges.
     """
-    sigma1, sigma2 = _check_sigmas(rs, sigma1, sigma2)
+    sigma1, sigma2 = check_sigmas(rs, sigma1, sigma2)
     full = rs.full_sigma()
     total = build_coset_graph(rs, sigma1, full)
     base = build_coset_graph(rs, sigma2, full)
@@ -575,17 +580,6 @@ class HolonomyGroup:
         return len(self.elements)
 
 
-def fiber_model_iso(b: BundleMap, p: int, vm) -> GkmIso:
-    """(phi_w, psi_w): typical fiber -> fiber subgraph over base vertex p
-    of a coset bundle, whose vertex map is ``vm`` (total vertex ->
-    subgraph vertex); u goes to [r u], r the representative of p."""
-    rs, full = b.rs, b.rs.full_sigma()
-    r = build_coset_graph(rs, b.sigma2, full).reps[p]
-    total = build_coset_graph(rs, b.sigma1, full)
-    return GkmIso(tuple(vm[total.vertex_of(r * u)]
-                        for u in build_coset_graph(rs, b.sigma1, b.sigma2).reps), r.matrix())
-
-
 def base_tree(g: GkmGraph, base_point: int):
     """(tree, chords) for a breadth-first spanning tree of the base g.
 
@@ -641,18 +635,6 @@ def tree_transport(base: CosetGraph, base_point: int):
     return transports, generators
 
 
-def holonomy_of_loop(b: BundleMap, fiber, loop_edges) -> tuple:
-    """(vertex map on ``fiber``, linear part) of transport around a loop
-    of base edges that starts at the base vertex under ``fiber``."""
-    cur = {p: p for p in fiber}
-    psi = linalg.identity_matrix(b.total.varcount)
-    for beid in loop_edges:
-        t = b.transitions[beid]
-        cur = {p: t.vmap[q] for p, q in cur.items()}
-        psi = linalg.mat_mul(t.psi, psi)
-    return cur, psi
-
-
 def _left_mult_iso(fib: CosetGraph, w: WeylElement) -> GkmIso:
     """Left multiplication by w on the typical fiber: u -> [w u], psi = w."""
     return GkmIso(tuple(fib.vertex_of(w * u) for u in fib.reps), w.matrix())
@@ -677,15 +659,16 @@ def holonomy(rs: RootSystem, sigma1, sigma2, base_point: int = 0) -> HolonomyGro
     generate the whole holonomy group.  ``generators`` holds their
     left-multiplication isos with the loops as base edge ids;
     ``matches_upsilon`` reports whether the group is all of W(Sigma2).  A
-    bad Sigma pair raises ValueError as :func:`build_coset_graph` does;
-    when Sigma2 is every simple root the base is one vertex without
-    loops, so ValueError is raised too.
+    bad Sigma pair raises ValueError as :func:`check_sigmas` does; when
+    Sigma2 is every simple root the base is one vertex without loops, so
+    ValueError is raised too, before any coset graph is built.
     """
-    fib = build_coset_graph(rs, sigma1, sigma2)
-    if fib.sigma2 == rs.full_sigma():
+    sigma1, sigma2 = check_sigmas(rs, sigma1, sigma2)
+    if sigma2 == rs.full_sigma():
         raise ValueError("Sigma2 contains every simple root, so the base is "
                          "one vertex and has no loops")
-    _, generators = tree_transport(build_coset_graph(rs, fib.sigma2, rs.full_sigma()), base_point)
+    fib = build_coset_graph(rs, sigma1, sigma2)
+    _, generators = tree_transport(build_coset_graph(rs, sigma2, rs.full_sigma()), base_point)
     elements = group_closure([rs.identity()], [h for _, _, h in generators], operator.mul)
     return HolonomyGroup(
         base_point,
@@ -699,46 +682,53 @@ def holonomy_exhaustive(b: BundleMap, base_point: int = 0) -> HolonomyGroup:
     """Subgroup generated by all based cycles of at most EXHAUSTIVE_MAX_LEN
     edges, on a base of at most EXHAUSTIVE_MAX_BASE vertices.
 
-    It reads the base graph and the stored transitions of ``b``: the fiber
-    over the base point and its subgraph are derived once, and every loop
-    is transported from that vertex list.  Only guaranteed to exhaust the
-    holonomy group for the coset bundles, where the transports are
-    conjugated to the typical fiber by rho = :func:`fiber_model_iso`, so
-    they compare with :func:`holonomy`; rho^-1 inverts the vertex map of
-    rho and takes r^-1 for its linear part, r the Weyl element of the base
-    point.  For arbitrary data it reports the subgroup its cycles happen
-    to generate on the fiber over the base point.
+    It reads the base graph and the stored transitions of ``b``.  The
+    walk starts in the frame the group is reported in: on a coset bundle
+    the typical fiber W(Sigma2)/W(Sigma1), placed over the base point by
+    its representative r (u goes to [r u], and Psi starts as r), so the
+    group compares with :func:`holonomy`; on other data the fiber over
+    the base point, in increasing order, with Psi the identity.  A state
+    is (base vertex, images of the start vertices, Psi), and each layer
+    extends every state of the last along each base edge through its
+    transition; a dict drops repeated states, so the layers hold the
+    transports of all paths of each length without multiplying out one
+    path twice.  A state back at the base point is the transport
+    (position of each image among the start vertices, r^-1 Psi) of a
+    loop.  ``generators`` holds one (loop, iso) pair per distinct
+    transport, with the first loop that reached it, shortest first, and
+    the group is closed over those isos.  Only guaranteed to exhaust the
+    holonomy group for the coset bundles; for arbitrary data it reports
+    the subgroup its cycles happen to generate.
     """
     if b.base.nvertices > EXHAUSTIVE_MAX_BASE:
         raise ValueError("base too large for exhaustive cycle enumeration")
-    loops = []
-
-    def extend(path, cur):
-        if len(path) >= 1 and cur == base_point:
-            loops.append(list(path))
-        if len(path) >= EXHAUSTIVE_MAX_LEN:
-            return
-        for eid in b.base.edges_at[cur]:
-            path.append(eid)
-            extend(path, b.base.dst[eid])
-            path.pop()
-
-    extend([], base_point)
-    fiber = b.fibers()[base_point]
-    _, vm, _ = induced_subgraph(b.total, fiber)
-    gens = []
-    for loop in loops:
-        vmap, psi = holonomy_of_loop(b, fiber, loop)
-        gens.append((loop, GkmIso(tuple(vm[vmap[p]] for p in fiber), psi)))
-    if b.rs is not None:
-        rho = fiber_model_iso(b, base_point, vm)  # typical fiber -> fiber over base point
-        r = build_coset_graph(b.rs, b.sigma2, b.rs.full_sigma()).reps[base_point]
-        rho_inv = GkmIso(tuple(sorted(range(len(fiber)), key=rho.phi.__getitem__)),
-                         r.inverse().matrix())
-        gens = [(loop, compose_iso(compose_iso(rho, iso), rho_inv)) for loop, iso in gens]
-    ident = GkmIso(tuple(range(len(fiber))), linalg.identity_matrix(b.total.varcount))
-    elements = sorted(group_closure([ident], [iso for _, iso in gens], compose_iso))
-    return HolonomyGroup(base_point, gens, elements)
+    ident = linalg.identity_matrix(b.total.varcount)
+    if b.rs is None:
+        start, psi, back = b.fibers()[base_point], ident, ident
+    else:
+        full = b.rs.full_sigma()
+        r = build_coset_graph(b.rs, b.sigma2, full).reps[base_point]
+        total = build_coset_graph(b.rs, b.sigma1, full)
+        start = [total.vertex_of(r * u) for u in build_coset_graph(b.rs, b.sigma1, b.sigma2).reps]
+        psi, back = r.matrix(), r.inverse().matrix()
+    position = {x: i for i, x in enumerate(start)}
+    layer = {(base_point, tuple(start), psi): []}  # state -> the first path reaching it
+    found = {}  # transport -> the first loop reaching it
+    for _ in range(EXHAUSTIVE_MAX_LEN):
+        nxt = {}
+        for (p, images, psi), path in layer.items():
+            for eid in b.base.edges_at[p]:
+                t = b.transitions[eid]
+                state = (b.base.dst[eid], tuple(t.vmap[x] for x in images),
+                         linalg.mat_mul(t.psi, psi))
+                nxt.setdefault(state, path + [eid])
+        layer = nxt
+        for (p, images, psi), loop in layer.items():
+            if p == base_point:
+                iso = GkmIso(tuple(position[x] for x in images), linalg.mat_mul(back, psi))
+                found.setdefault(iso, loop)
+    elements = sorted(group_closure([GkmIso(tuple(range(len(start))), ident)], found, compose_iso))
+    return HolonomyGroup(base_point, [(loop, iso) for iso, loop in found.items()], elements)
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,11 @@ once per distinct label, the Chevalley oracle checks a Schubert
 table by the equivariant Chevalley formula, with tau_{s_i} in closed
 form, instead of by nilCoxeter products or the class condition, the
 projection oracle maps the edges of a coset bundle by the Weyl action
-instead of by matching endpoints, the extension oracle carries
-values across the base edge by edge instead of testing holonomy
+instead of by matching endpoints, the loop and model-iso oracles
+multiply out the transport around one base loop edge by edge and place
+the typical fiber on the induced subgraph over a base vertex, instead of
+walking distinct transport states from the placed fiber, the extension
+oracle carries values across the base edge by edge instead of testing holonomy
 elements, the restriction oracle decides the class condition by
 substituting the solution of label = 0 into each edge difference
 instead of dividing, the long-division oracle divides by a linear form
@@ -75,7 +78,7 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from gkmflag import linalg
-from gkmflag.gkmgraph import CohClass, GkmGraph, Report, coh_failure, graph_to_json
+from gkmflag.gkmgraph import CohClass, GkmGraph, GkmIso, Report, coh_failure, graph_to_json
 from gkmflag.invbases import _basis_failures, class_cI, index_set, tower_bundle
 from gkmflag.parabolic import base_tree, build_coset_graph
 from gkmflag.polyring import LinearForm, Polynomial, grlex_key
@@ -606,6 +609,30 @@ def coset_projection(rs, sigma1, sigma2):
         vmaps[beid] = {x: total.vertex_of(s * total.reps[x])
                        for x in range(total.nvertices) if pi[x] == e.src}
     return pi, dpi, vmaps
+
+
+def fiber_model_iso(b, p, vm):
+    """(phi_w, psi_w): typical fiber -> fiber subgraph over base vertex p
+    of a coset bundle, whose vertex map is ``vm`` (total vertex ->
+    subgraph vertex); u goes to [r u], r the representative of p."""
+    rs, full = b.rs, b.rs.full_sigma()
+    r = build_coset_graph(rs, b.sigma2, full).reps[p]
+    total = build_coset_graph(rs, b.sigma1, full)
+    return GkmIso(tuple(vm[total.vertex_of(r * u)]
+                        for u in build_coset_graph(rs, b.sigma1, b.sigma2).reps), r.matrix())
+
+
+def holonomy_of_loop(b, fiber, loop_edges):
+    """(vertex map on ``fiber``, linear part) of transport around a loop
+    of base edges that starts at the base vertex under ``fiber``,
+    multiplied out edge by edge through the stored transitions."""
+    cur = {p: p for p in fiber}
+    psi = linalg.identity_matrix(b.total.varcount)
+    for beid in loop_edges:
+        t = b.transitions[beid]
+        cur = {p: t.vmap[q] for p, q in cur.items()}
+        psi = linalg.mat_mul(t.psi, psi)
+    return cur, psi
 
 
 def extend_by_edges(b, fiber_class, base_point=0):

@@ -431,6 +431,19 @@ def test_holonomy_errors_come_in_order(capsys, argv, message):
         2, "", f"error: {message}\n")
 
 
+def test_holonomy_refuses_a_full_sigma2_before_any_coset_graph(capsys, monkeypatch):
+    """A Sigma2 that holds every simple root is refused from the Sigma pair
+    alone, before the 5,040-vertex typical fiber of A6 is built."""
+    built = []
+    coset_graph = parabolic.CosetGraph
+    monkeypatch.setattr(parabolic, "CosetGraph",
+                        lambda *args: built.append(args) or coset_graph(*args))
+    assert run(capsys, "holonomy", "--type", "A", "--rank", "6", "--sigma2", "1,2,3,4,5,6") == (
+        2, "", "error: Sigma2 contains every simple root, so the base is one vertex "
+        "and has no loops\n")
+    assert built == []
+
+
 def test_basis_verb(capsys):
     code, out, _ = run(capsys, "basis", "--type", "A", "--rank", "2",
                        "--max-degree", "3")

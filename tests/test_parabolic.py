@@ -19,7 +19,7 @@ from gkmflag.gkmgraph import (
     verify_gkm,
     verify_iso,
 )
-from gkmflag import parabolic
+from gkmflag import linalg, parabolic
 from gkmflag.linalg import identity_matrix, mat_vec
 from gkmflag.parabolic import (
     base_tree,
@@ -27,10 +27,8 @@ from gkmflag.parabolic import (
     build_coset_graph,
     bundle_from_json,
     bundle_json_chunks,
-    fiber_model_iso,
     holonomy,
     holonomy_exhaustive,
-    holonomy_of_loop,
     make_bundle,
     product_bundle,
     verify_fiber_bundle,
@@ -52,6 +50,8 @@ from oracles import (
     cosets_by_enumeration,
     edge_graph,
     edges_of,
+    fiber_model_iso,
+    holonomy_of_loop,
     induced_subgraph_by_scan,
     reverse_by_matching,
 )
@@ -769,12 +769,28 @@ def test_holonomy_base_point_independent(a2):
             assert set(group.elements) == elements
 
 
-def test_holonomy_exhaustive_agrees(a2, b2):
-    for rs in (a2, b2):
-        b = build_bundle(rs, frozenset(), rs.full_sigma() - {1})
-        cons = holonomy(rs, b.sigma1, b.sigma2)
-        exh = holonomy_exhaustive(b, cons.base_point)
-        assert set(exh.elements) == set(cons.elements)
+def test_holonomy_exhaustive_agrees():
+    """The cycle search gives the constructive group at every base point
+    of every Sigma1 within a proper Sigma2 up to rank 3 whose base has at
+    most EXHAUSTIVE_MAX_BASE vertices, and of D4 with Sigma2 = {2,3,4} at
+    base point 0."""
+    def agrees(b, bp):
+        exh = holonomy_exhaustive(b, bp)
+        assert exh.elements == holonomy(b.rs, b.sigma1, b.sigma2, bp).elements, (
+            b.rs, b.sigma1, b.sigma2, bp)
+        return 1
+
+    checked = 0
+    for kind, n in _SMALL_TYPES:
+        rs = RootSystem(kind, n)
+        for sigma1, sigma2 in sigma_pairs(n):
+            if (len(sigma2) < n and len(rs.coset_reps(sigma2, rs.full_sigma()))
+                    <= parabolic.EXHAUSTIVE_MAX_BASE):
+                b = build_bundle(rs, sigma1, sigma2)
+                checked += sum(agrees(b, bp) for bp in range(b.base.nvertices))
+    assert checked == 290
+    d4 = RootSystem("D", 4)
+    agrees(build_bundle(d4, frozenset(), frozenset({2, 3, 4})), 0)
 
 
 @pytest.mark.parametrize("kind,n,sigma2,orders", [
@@ -793,8 +809,8 @@ def test_holonomy_exhaustive_sees_a_tampered_transition(kind, n, sigma2, orders)
 
 @pytest.mark.parametrize("kind,n,sigma2", [("A", 3, {2, 3}), ("B", 2, {2})], ids=["A3", "B2"])
 def test_holonomy_exhaustive_derives_the_base_fiber_once(monkeypatch, kind, n, sigma2):
-    """The fiber over the base point and its subgraph are derived once per
-    call, and every loop is transported from that vertex list."""
+    """The walk derives the fibers at most once per call and builds no
+    fiber subgraph: the start frame is a vertex list."""
     rs, b = tower(kind, n, frozenset(sigma2))
     calls = Counter()
 
@@ -809,8 +825,49 @@ def test_holonomy_exhaustive_derives_the_base_fiber_once(monkeypatch, kind, n, s
     monkeypatch.setattr(parabolic, "induced_subgraph",
                         counted("induced_subgraph", induced_subgraph))
     group = holonomy_exhaustive(b, 0)
-    assert calls == {"fibers": 1, "induced_subgraph": 1}
+    assert calls["fibers"] <= 1
+    assert calls["induced_subgraph"] == 0
     assert set(group.elements) == set(holonomy(rs, b.sigma1, b.sigma2).elements)
+
+
+@pytest.mark.parametrize("kind,n,sigma2,bound", [("A", 3, {2, 3}, 400), ("B", 2, {2}, 150)],
+                         ids=["A3", "B2"])
+def test_holonomy_exhaustive_multiplies_each_state_once(monkeypatch, kind, n, sigma2, bound):
+    """Psi is multiplied once per distinct state and base edge, not once
+    per edge of every loop, and the group is closed over the distinct
+    transports only (A3: 190 products, B2: 69)."""
+    rs, b = tower(kind, n, frozenset(sigma2))
+    calls = Counter()
+    mat_mul = linalg.mat_mul
+
+    def counted(a, c):
+        calls["mat_mul"] += 1
+        return mat_mul(a, c)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    group = holonomy_exhaustive(b, 0)
+    assert calls["mat_mul"] <= bound
+    assert group.order == len(rs.parabolic_elements(sigma2))
+
+
+def test_holonomy_exhaustive_generators_come_from_loops():
+    """Each generator is the transport around its loop, multiplied out
+    edge by edge and read on the typical fiber, and no two are equal."""
+    for kind, n, sigma1, sigma2 in [("A", 3, (), {2, 3}), ("B", 3, {1}, {1, 2}),
+                                    ("B", 3, (), {1, 2})]:
+        rs = RootSystem(kind, n)
+        b = build_bundle(rs, frozenset(sigma1), frozenset(sigma2))
+        for bp in range(b.base.nvertices):
+            group = holonomy_exhaustive(b, bp)
+            fiber = b.fibers()[bp]
+            _, vm, _ = induced_subgraph(b.total, fiber)
+            rho = fiber_model_iso(b, bp, vm)  # typical fiber -> fiber over bp
+            for loop, iso in group.generators:
+                assert b.base.src[loop[0]] == bp and b.base.dst[loop[-1]] == bp
+                vmap, psi = holonomy_of_loop(b, fiber, loop)
+                on_fiber = GkmIso(tuple(vm[vmap[v]] for v in fiber), psi)
+                assert compose_iso(rho, on_fiber) == compose_iso(iso, rho)
+            assert len({iso for _, iso in group.generators}) == len(group.generators)
 
 
 def test_generators_come_from_loops(a2):

@@ -31,6 +31,7 @@ def test_run_verification_passes():
         assert f"CHECK graph-file-{name}: PASS\n" in out
     for name in ("B4", "D4"):
         assert f"CHECK express-{name}: PASS\n" in out
+        assert f"CHECK holonomy-exhaustive-{name}-S2=2,3,4: PASS\n" in out
 
 
 def test_run_verification_prints_what_failed(capsys):
