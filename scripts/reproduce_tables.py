@@ -21,7 +21,7 @@ def emit(kind, rank):
     rs = RootSystem(kind, rank)
     print(f"# invariant classes on the {kind}{rank} flag graph "
           f"({len(rs.elements())} elements)")
-    sys.stdout.write(invariant_table_tsv(rs, index_set(kind, rank)))
+    sys.stdout.writelines(invariant_table_tsv(rs, index_set(kind, rank)))
     print()
 
 

@@ -9,8 +9,11 @@ fiber-bundle axioms and holonomy for the standard bundles up to
 rank 3, for the A4, B4 and D4 bundles with Sigma2 = {2,3,4}, and for
 the A5 and B4 bundles with Sigma2 = {1}, whose 360 and 192 fibers have
 two vertices each, the cycle search of ``holonomy_exhaustive`` against
-that holonomy group on each of these bundles whose base has at most
-EXHAUSTIVE_MAX_BASE vertices (all but the two with Sigma2 = {1}), basis
+that holonomy group, mapped onto the typical fiber by
+``left_multiplication``, on each of these bundles whose base has at most
+EXHAUSTIVE_MAX_BASE vertices (all but the two with Sigma2 = {1}), the
+holonomy group alone for A6, B6 and D6 with Sigma2 = {2,...,n} and for
+A7 with Sigma2 = {2,...,7} (only the base is built), basis
 verification for A2, A3, B2, B3, C3, D3 and
 every type at ranks 4 to 8,
 the iteration consistency check (the iterated family equals the closed
@@ -46,8 +49,10 @@ from gkmflag.invbases import (
 from gkmflag.parabolic import (
     EXHAUSTIVE_MAX_BASE,
     build_bundle,
+    build_coset_graph,
     holonomy,
     holonomy_exhaustive,
+    left_multiplication,
     lift_class,
     verify_fiber_bundle,
 )
@@ -79,6 +84,15 @@ def show(tag: str, rep) -> bool:
     return rep.ok
 
 
+def show_holonomy(rs, sigma2, tag):
+    """Print the CHECK line of the holonomy group over W/W(Sigma2), which
+    passes when the group is all of W(Sigma2); return the group."""
+    group = holonomy(rs, frozenset(sigma2))
+    print(f"CHECK holonomy-{tag}: {'PASS' if group.matches_upsilon else 'FAIL'} "
+          f"(order {group.order})")
+    return group
+
+
 def main() -> int:
     t0 = time.time()
     ok = True
@@ -103,15 +117,19 @@ def main() -> int:
         b = build_bundle(rs, frozenset(), frozenset(sigma2))
         tag = f"{kind}{n}-S2={','.join(map(str, sorted(sigma2)))}"
         ok &= show(f"bundle-{tag}", verify_fiber_bundle(b))
-        group = holonomy(rs, frozenset(), frozenset(sigma2))
-        good = bool(group.matches_upsilon)
-        print(f"CHECK holonomy-{tag}: {'PASS' if good else 'FAIL'} "
-              f"(order {group.order})")
-        ok &= good
+        group = show_holonomy(rs, sigma2, tag)
+        ok &= bool(group.matches_upsilon)
         if b.base.nvertices <= EXHAUSTIVE_MAX_BASE:
-            good = holonomy_exhaustive(b).elements == group.elements
+            fib = build_coset_graph(rs, frozenset(), frozenset(sigma2))
+            good = holonomy_exhaustive(b).elements == sorted(
+                left_multiplication(fib, h) for h in group.elements)
             print(f"CHECK holonomy-exhaustive-{tag}: {'PASS' if good else 'FAIL'}")
             ok &= good
+
+    for kind, n in [("A", 6), ("B", 6), ("D", 6), ("A", 7)]:
+        sigma2 = range(2, n + 1)
+        tag = f"{kind}{n}-S2={','.join(map(str, sigma2))}"
+        ok &= bool(show_holonomy(RootSystem(kind, n), sigma2, tag).matches_upsilon)
 
     for kind, n in BASES:
         rs = RootSystem(kind, n)

@@ -16,8 +16,9 @@ does not read: only build, verify, bundle, holonomy and export take
 takes --index only with ``--what class``, which has no DOT form and
 takes no --sigma1/--sigma2.  A run that exhausts memory exits 2 with one
 ``error:`` line, like a usage error.  Graph and bundle files, like the
-Schubert table, are streamed to --out or stdout as their writers produce
-them, and an --out file whose writing fails part way is removed.
+invariant-class and Schubert tables, are streamed to --out or stdout as
+their writers produce them, and an --out file whose writing fails part
+way is removed.
 """
 
 from __future__ import annotations
@@ -159,21 +160,21 @@ def cmd_holonomy(args) -> int:
             base_point = base.vertex_of(WeylElement.from_one_line(args.base_point))
         except (ValueError, KeyError):
             raise ValueError(f"bad base point {args.base_point!r}")
-    group = parabolic.holonomy(rs, args.sigma1, args.sigma2, base_point)
-    # only the cycle search reads a bundle, and it may refuse a large base;
-    # run it before printing
-    ex = None
-    if args.exhaustive:
-        b = parabolic.build_bundle(rs, args.sigma1, args.sigma2)
-        ex = parabolic.holonomy_exhaustive(b, base_point)
+    group = parabolic.holonomy(rs, args.sigma2, base_point)
     rep = Report()
     rep.add("holonomy-equals-group-action", bool(group.matches_upsilon),
             f"computed order {group.order}")
-    print(f"holonomy group order: {group.order}")
-    if ex is not None:
+    # only the cycle search reads a bundle, and it may refuse a large base;
+    # run it before printing.  Its isos act on the typical fiber, where the
+    # Weyl elements of the group act by left multiplication.
+    if args.exhaustive:
+        ex = parabolic.holonomy_exhaustive(parabolic.build_bundle(rs, args.sigma1, args.sigma2),
+                                           base_point)
+        fib = parabolic.build_coset_graph(rs, args.sigma1, args.sigma2)
         rep.add("holonomy-exhaustive-agrees",
-                set(ex.elements) == set(group.elements),
+                set(ex.elements) == {parabolic.left_multiplication(fib, h) for h in group.elements},
                 f"cycle search found order {ex.order}")
+    print(f"holonomy group order: {group.order}")
     return _emit_report(rep)
 
 

@@ -21,18 +21,22 @@ of the reflections of its edge labels.  Holonomy is computed exactly from
 one breadth-first spanning tree of the base: the loops "tree path, one
 non-tree edge, tree path back" generate the fundamental group of a
 graph, so their transports generate the holonomy group, a subgroup of
-W(Sigma2).  :func:`holonomy` reads only the root system and the Sigma
-pair, through the coset graphs of base and typical fiber that
-:func:`build_coset_graph` caches, and builds no bundle.  For these
-bundles the group is W(Sigma2) acting on the typical fiber by left
-multiplication; whether that identity holds is reported in
+W(Sigma2).  :func:`holonomy` returns that subgroup as Weyl elements: it
+reads only the root system and Sigma2, through the base coset graph
+W/W(Sigma2) that :func:`build_coset_graph` caches, and builds no bundle
+and no typical fiber.  The transports are products of the reflections
+in the base labels, so the group does not depend on Sigma1, which only
+fixes the typical fiber W(Sigma2)/W(Sigma1) it acts on, by
+:func:`left_multiplication` (Upsilon).  For these bundles the group is
+all of W(Sigma2); whether that identity holds is reported in
 ``HolonomyGroup.matches_upsilon``.  The cross-check,
 :func:`holonomy_exhaustive`, reads the stored transitions of a bundle
-instead: from the typical fiber placed over the base point, it walks the
-distinct states (base vertex, transport) that based paths of at most
-EXHAUSTIVE_MAX_LEN edges reach, so each state is extended once along
-each base edge, and it closes the group over the distinct transports of
-the loops among them.
+instead and returns isos of the typical fiber: from the typical fiber
+placed over the base point, it walks the distinct states (base vertex,
+transport) that based paths of at most EXHAUSTIVE_MAX_LEN edges reach,
+so each state is extended once along each base edge, and it closes the
+group over the distinct transports of the loops among them; the two
+groups compare through :func:`left_multiplication`.
 
 A :class:`BundleMap` stores only the bundle data: the total and base
 graphs, pi on vertices, dpi on edges (its keys are the horizontal edges;
@@ -86,6 +90,7 @@ __all__ = [
     "base_tree",
     "tree_transport",
     "holonomy",
+    "left_multiplication",
     "lift_class",
 ]
 
@@ -570,9 +575,13 @@ def _lift_faults(b: BundleMap, fibers, faults):
 
 @dataclass
 class HolonomyGroup:
+    """A holonomy group at a base point, with the loops behind its
+    generators.  :func:`holonomy` gives Weyl elements of W(Sigma2), and
+    :func:`holonomy_exhaustive` isos of the typical fiber."""
+
     base_point: int
-    generators: list  # (loop as base edge ids, GkmIso)
-    elements: list  # GkmIso, sorted
+    generators: list  # (loop as base edge ids, element)
+    elements: list  # the whole group, sorted: WeylElement by (length, one-line), or GkmIso
     matches_upsilon: bool | None = None
 
     @property
@@ -585,8 +594,11 @@ def base_tree(g: GkmGraph, base_point: int):
 
     ``tree`` lists the tree edges in BFS order from ``base_point``, so
     each leaves a vertex reached before; ``chords`` lists every base edge
-    outside the tree once, in its lower-numbered orientation.
+    outside the tree once, in its lower-numbered orientation.  A base
+    point outside 0..n-1 raises ValueError.
     """
+    if not 0 <= base_point < g.nvertices:
+        raise ValueError(f"base point {base_point} is not a base vertex 0..{g.nvertices - 1}")
     seen = {base_point}
     tree = []
     queue = [base_point]
@@ -616,9 +628,9 @@ def tree_transport(base: CosetGraph, base_point: int):
     whose h is not the identity and not met at an earlier chord.
     """
     rs, g = base.rs, base.graph
+    tree, chords = base_tree(g, base_point)
     transports = {base_point: base.reps[base_point]}
     path = {base_point: []}
-    tree, chords = base_tree(g, base_point)
     src, dst = g.src, g.dst
     for eid in tree:
         transports[dst[eid]] = rs.reflection(g.label(eid)) * transports[src[eid]]
@@ -635,46 +647,49 @@ def tree_transport(base: CosetGraph, base_point: int):
     return transports, generators
 
 
-def _left_mult_iso(fib: CosetGraph, w: WeylElement) -> GkmIso:
-    """Left multiplication by w on the typical fiber: u -> [w u], psi = w."""
+def left_multiplication(fib: CosetGraph, w: WeylElement) -> GkmIso:
+    """Upsilon(w), left multiplication by w in W(Sigma2) on the typical
+    fiber W(Sigma2)/W(Sigma1): u -> [w u], psi = w."""
     return GkmIso(tuple(fib.vertex_of(w * u) for u in fib.reps), w.matrix())
 
 
-def holonomy(rs: RootSystem, sigma1, sigma2, base_point: int = 0) -> HolonomyGroup:
-    """The holonomy group of the coset bundle W/W(Sigma1) -> W/W(Sigma2),
-    exactly, from one spanning tree.
+def holonomy(rs: RootSystem, sigma2, base_point: int = 0) -> HolonomyGroup:
+    """The holonomy group of the coset bundles W/W(Sigma1) -> W/W(Sigma2),
+    exactly, from one spanning tree, as a subgroup of W(Sigma2).
 
-    It reads only the root system and the Sigma pair: the base W/W(Sigma2)
-    and the typical fiber W(Sigma2)/W(Sigma1) come from
-    :func:`build_coset_graph`, and no bundle is built.  Transport across a
-    base edge labeled gamma is left multiplication by s_gamma, so
-    transport along a path is one Weyl element.  :func:`tree_transport`
-    walks the spanning tree once; each unoriented non-tree edge
-    e = (p -> q) gives the loop "tree path, e, tree path back", whose
-    holonomy on the typical fiber is h = r^{-1} . T_q^{-1} . s_e . T_p . r,
-    an element of W(Sigma2) (T the tree transport, r the base
+    It reads only the root system and Sigma2: the base W/W(Sigma2) comes
+    from :func:`build_coset_graph`, and no bundle and no typical fiber is
+    built.  Transport across a base edge labeled gamma is left
+    multiplication by s_gamma, so transport along a path is one Weyl
+    element.  :func:`tree_transport` walks the spanning tree once; each
+    unoriented non-tree edge e = (p -> q) gives the loop "tree path, e,
+    tree path back", whose holonomy is h = r^{-1} . T_q^{-1} . s_e .
+    T_p . r, an element of W(Sigma2) (T the tree transport, r the base
     representative).  These loops generate the fundamental group of the
     base (Serre, *Trees*), and backtracking is trivial because an edge and
     its reverse carry the same reflection, so the distinct non-identity h
-    generate the whole holonomy group.  ``generators`` holds their
-    left-multiplication isos with the loops as base edge ids;
+    generate the whole holonomy group.  Nothing here reads Sigma1: for
+    every Sigma1 within Sigma2 the group is the same, acting on the
+    typical fiber W(Sigma2)/W(Sigma1) by :func:`left_multiplication`.
+    ``elements`` lists the group in canonical (length, one-line) order,
+    ``generators`` the (loop as base edge ids, h) pairs, and
     ``matches_upsilon`` reports whether the group is all of W(Sigma2).  A
-    bad Sigma pair raises ValueError as :func:`check_sigmas` does; when
+    bad Sigma2 raises ValueError as :func:`check_sigmas` does; when
     Sigma2 is every simple root the base is one vertex without loops, so
-    ValueError is raised too, before any coset graph is built.
+    ValueError is raised too, before any coset graph is built; so is a
+    base point outside the base, by :func:`base_tree`.
     """
-    sigma1, sigma2 = check_sigmas(rs, sigma1, sigma2)
+    _, sigma2 = check_sigmas(rs, (), sigma2)
     if sigma2 == rs.full_sigma():
         raise ValueError("Sigma2 contains every simple root, so the base is "
                          "one vertex and has no loops")
-    fib = build_coset_graph(rs, sigma1, sigma2)
     _, generators = tree_transport(build_coset_graph(rs, sigma2, rs.full_sigma()), base_point)
     elements = group_closure([rs.identity()], [h for _, _, h in generators], operator.mul)
     return HolonomyGroup(
         base_point,
-        [(loop, _left_mult_iso(fib, h)) for _, loop, h in generators],
-        sorted(_left_mult_iso(fib, w) for w in elements),
-        set(elements) == set(rs.parabolic_elements(fib.sigma2)),
+        [(loop, h) for _, loop, h in generators],
+        sorted(elements, key=rs.sort_key),
+        set(elements) == set(rs.parabolic_elements(sigma2)),
     )
 
 
@@ -686,7 +701,8 @@ def holonomy_exhaustive(b: BundleMap, base_point: int = 0) -> HolonomyGroup:
     walk starts in the frame the group is reported in: on a coset bundle
     the typical fiber W(Sigma2)/W(Sigma1), placed over the base point by
     its representative r (u goes to [r u], and Psi starts as r), so the
-    group compares with :func:`holonomy`; on other data the fiber over
+    group is the image of :func:`holonomy` under
+    :func:`left_multiplication`; on other data the fiber over
     the base point, in increasing order, with Psi the identity.  A state
     is (base vertex, images of the start vertices, Psi), and each layer
     extends every state of the last along each base edge through its
@@ -698,10 +714,13 @@ def holonomy_exhaustive(b: BundleMap, base_point: int = 0) -> HolonomyGroup:
     transport, with the first loop that reached it, shortest first, and
     the group is closed over those isos.  Only guaranteed to exhaust the
     holonomy group for the coset bundles; for arbitrary data it reports
-    the subgroup its cycles happen to generate.
+    the subgroup its cycles happen to generate.  A base point outside
+    0..n-1 raises ValueError.
     """
     if b.base.nvertices > EXHAUSTIVE_MAX_BASE:
         raise ValueError("base too large for exhaustive cycle enumeration")
+    if not 0 <= base_point < b.base.nvertices:
+        raise ValueError(f"base point {base_point} is not a base vertex 0..{b.base.nvertices - 1}")
     ident = linalg.identity_matrix(b.total.varcount)
     if b.rs is None:
         start, psi, back = b.fibers()[base_point], ident, ident

@@ -35,6 +35,8 @@ the group symmetrizes a class, and the change of basis from symmetrized
 Schubert classes back to Schubert classes is unitriangular for the weak
 left order.  Divided differences decompose any invariant class c_T(f),
 f a polynomial, with coefficient (-1)^len(w) * partial_w(f) on tau_w.
+The table of the invariant classes c_I is streamed one row per element
+by ``invariant_table_tsv``, as the Schubert table is.
 """
 
 from __future__ import annotations
@@ -480,19 +482,19 @@ def _row_labels(rs: RootSystem, w: WeylElement):
     return rs.word_str(w), w.one_line_str()
 
 
-def invariant_table_tsv(rs: RootSystem, indices) -> str:
-    """Rows = group elements, columns = c_I values; layout of the worked tables."""
-    names = ["c[" + ",".join(str(i) for i in I) + "]" for I in indices]
-    lines = ["\t".join(["word", "one_line"] + names)]
-    monos = []
-    for I in indices:
-        exps = list(I) + [0] * (rs.varcount - len(I))
-        monos.append(Polynomial.monomial(rs.varcount, exps))
-    for w in rs.elements():
-        word, one = _row_labels(rs, w)
-        cells = [str(w.act_poly(m)) for m in monos]
-        lines.append("\t".join([word, one] + cells))
-    return "\n".join(lines) + "\n"
+def invariant_table_tsv(rs: RootSystem, indices):
+    """Rows = group elements, columns = c_I values; layout of the worked tables.
+
+    Yields the header line, then the row of each element in canonical
+    order, as ``schubert_table_tsv`` does, so the whole table is never
+    held.  A group over the enumeration cap is refused before the header."""
+    order = rs.elements()
+    names = ("c[" + ",".join(map(str, I)) + "]" for I in indices)
+    yield "\t".join(["word", "one_line", *names]) + "\n"
+    monos = [Polynomial.monomial(rs.varcount, list(I) + [0] * (rs.varcount - len(I)))
+             for I in indices]
+    for w in order:
+        yield "\t".join([*_row_labels(rs, w), *(str(w.act_poly(m)) for m in monos)]) + "\n"
 
 
 def schubert_table_tsv(rs: RootSystem):

@@ -270,7 +270,7 @@ def test_criterion_08_holonomy_groups():
 
     expected_orders = {}
     for rs, sigma2 in BUNDLE_SPECS:
-        group = holonomy(rs, frozenset(), sigma2)
+        group = holonomy(rs, sigma2)
         assert group.matches_upsilon
         expected_orders[(rs.kind, rs.rank, tuple(sorted(sigma2)))] = group.order
     assert expected_orders[("A", 2, (2,))] == 2

@@ -686,7 +686,8 @@ def test_memory_exhaustion_exits_2_without_traceback(capsys, monkeypatch):
     (parabolic, "bundle_json_chunks",
      ("export", "--what", "bundle", "--type", "A", "--rank", "2", "--sigma2", "2")),
     (schubert, "schubert_table_tsv", ("schubert", "--type", "A", "--rank", "2")),
-], ids=["export-graph", "export-bundle", "schubert"])
+    (schubert, "invariant_table_tsv", ("table", "--type", "A", "--rank", "2")),
+], ids=["export-graph", "export-bundle", "schubert", "table"])
 def test_out_file_is_removed_when_a_streamed_write_fails(capsys, monkeypatch, tmp_path,
                                                          module, writer, argv):
     """Chunks that run out of memory part way leave no truncated file."""
@@ -707,9 +708,11 @@ def test_out_file_is_removed_when_a_streamed_write_fails(capsys, monkeypatch, tm
     ("export", "--type", "A", "--rank", "2"),
     ("export", "--what", "bundle", "--type", "A", "--rank", "2", "--sigma2", "2"),
     ("build", "--type", "A", "--rank", "2", "--out", "flag.json"),
-], ids=["export-graph", "export-bundle", "build"])
+    ("table", "--type", "A", "--rank", "2"),
+], ids=["export-graph", "export-bundle", "build", "table"])
 def test_graph_and_bundle_files_are_streamed(monkeypatch, capsys, argv):
-    """The verbs hand the file over in chunks, never as one string."""
+    """The verbs hand the file, or the invariant-class table, over in
+    chunks, never as one string."""
     handed = []
     monkeypatch.setattr(cli, "_write_out", lambda args, text: handed.append(text))
     assert run(capsys, *argv)[0] == 0

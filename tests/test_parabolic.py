@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from gkmflag.gkmgraph import (
+    CohClass,
     GkmIso,
     complete_graph,
     compose_iso,
@@ -20,6 +21,7 @@ from gkmflag.gkmgraph import (
     verify_iso,
 )
 from gkmflag import linalg, parabolic
+from gkmflag.invbases import extend_invariant
 from gkmflag.linalg import identity_matrix, mat_vec
 from gkmflag.parabolic import (
     base_tree,
@@ -29,6 +31,7 @@ from gkmflag.parabolic import (
     bundle_json_chunks,
     holonomy,
     holonomy_exhaustive,
+    left_multiplication,
     make_bundle,
     product_bundle,
     verify_fiber_bundle,
@@ -71,6 +74,13 @@ def tower(kind, n, sigma2=None):
     if sigma2 is None:
         sigma2 = rs.full_sigma() - {1}
     return rs, build_bundle(rs, frozenset(), sigma2)
+
+
+def upsilon(rs, sigma1, sigma2, elements):
+    """Weyl elements of W(Sigma2) as their left-multiplication isos of the
+    typical fiber W(Sigma2)/W(Sigma1), sorted."""
+    fib = build_coset_graph(rs, sigma1, sigma2)
+    return sorted(left_multiplication(fib, h) for h in elements)
 
 
 def canonical_structure(g):
@@ -752,7 +762,7 @@ def test_holonomy_orders():
         ("C", 2, frozenset({2}), 2),
         ("D", 3, frozenset({2, 3}), 4),
     ]:
-        group = holonomy(RootSystem(kind, n), frozenset(), sigma2)
+        group = holonomy(RootSystem(kind, n), sigma2)
         assert group.order == order, (kind, n)
         assert group.matches_upsilon
 
@@ -761,12 +771,47 @@ def test_holonomy_base_point_independent(a2):
     rs, b = tower("A", 2)
     elements = None
     for p in range(b.base.nvertices):
-        group = holonomy(rs, b.sigma1, b.sigma2, base_point=p)
+        group = holonomy(rs, b.sigma2, base_point=p)
         assert group.matches_upsilon
         if elements is None:
             elements = set(group.elements)
         else:
             assert set(group.elements) == elements
+
+
+def test_holonomy_builds_only_the_base(monkeypatch):
+    """On a fresh root system, the group of A4 with Sigma2 = {2,3,4} is
+    read off the 5-vertex base alone: one coset graph is constructed, the
+    120-vertex typical fiber is not, and no element is turned into an iso."""
+    built, mapped = [], []
+    coset_graph, upsilon_ = parabolic.CosetGraph, parabolic.left_multiplication
+    monkeypatch.setattr(parabolic, "CosetGraph",
+                        lambda *args: built.append(args[1:]) or coset_graph(*args))
+    monkeypatch.setattr(parabolic, "left_multiplication",
+                        lambda *args: mapped.append(args) or upsilon_(*args))
+    rs = RootSystem("A", 4)
+    group = holonomy(rs, {2, 3, 4})
+    assert built == [(frozenset({2, 3, 4}), rs.full_sigma())]
+    assert mapped == []
+    assert group.order == 24 and group.matches_upsilon
+    assert group.elements == rs.parabolic_elements(frozenset({2, 3, 4}))
+    assert all(isinstance(h, WeylElement) for _, h in group.generators)
+
+
+@pytest.mark.parametrize("base_point", [-1, 4], ids=["below", "above"])
+@pytest.mark.parametrize("call", [
+    lambda b, bp: holonomy(b.rs, b.sigma2, bp),
+    holonomy_exhaustive,
+    lambda b, bp: extend_invariant(b, CohClass(
+        build_coset_graph(b.rs, b.sigma1, b.sigma2).graph, [Polynomial.one(4)] * 6), bp),
+], ids=["holonomy", "holonomy_exhaustive", "extend_invariant"])
+def test_base_point_outside_the_base_is_refused(call, base_point):
+    """A base point outside 0..3 of the A3 base with Sigma2 = {2,3} is a
+    ValueError that names it, not a misread vertex (-1 would index the
+    last one) or a bare KeyError or IndexError."""
+    _, b = tower("A", 3, frozenset({2, 3}))
+    with pytest.raises(ValueError, match=rf"^base point {base_point} is not a base vertex 0\.\.3$"):
+        call(b, base_point)
 
 
 def test_holonomy_exhaustive_agrees():
@@ -776,7 +821,8 @@ def test_holonomy_exhaustive_agrees():
     base point 0."""
     def agrees(b, bp):
         exh = holonomy_exhaustive(b, bp)
-        assert exh.elements == holonomy(b.rs, b.sigma1, b.sigma2, bp).elements, (
+        assert exh.elements == upsilon(b.rs, b.sigma1, b.sigma2,
+                                       holonomy(b.rs, b.sigma2, bp).elements), (
             b.rs, b.sigma1, b.sigma2, bp)
         return 1
 
@@ -802,9 +848,11 @@ def test_holonomy_exhaustive_sees_a_tampered_transition(kind, n, sigma2, orders)
     replaced by the identity makes the two groups differ."""
     rs, b = tower(kind, n, frozenset(sigma2))
     b.transitions[0].psi = identity_matrix(rs.varcount)
-    exh, cons = holonomy_exhaustive(b, 0), holonomy(rs, b.sigma1, b.sigma2)
+    exh, cons = holonomy_exhaustive(b, 0), holonomy(rs, b.sigma2)
     assert (exh.order, cons.order) == orders
-    assert set(exh.elements) != set(cons.elements)
+    # both sides are isos of the typical fiber, so the inequality is not
+    # that of a Weyl element and an iso
+    assert set(exh.elements) != set(upsilon(rs, b.sigma1, b.sigma2, cons.elements))
 
 
 @pytest.mark.parametrize("kind,n,sigma2", [("A", 3, {2, 3}), ("B", 2, {2})], ids=["A3", "B2"])
@@ -827,7 +875,8 @@ def test_holonomy_exhaustive_derives_the_base_fiber_once(monkeypatch, kind, n, s
     group = holonomy_exhaustive(b, 0)
     assert calls["fibers"] <= 1
     assert calls["induced_subgraph"] == 0
-    assert set(group.elements) == set(holonomy(rs, b.sigma1, b.sigma2).elements)
+    assert set(group.elements) == set(
+        upsilon(rs, b.sigma1, b.sigma2, holonomy(rs, b.sigma2).elements))
 
 
 @pytest.mark.parametrize("kind,n,sigma2,bound", [("A", 3, {2, 3}, 400), ("B", 2, {2}, 150)],
@@ -882,14 +931,16 @@ def test_generators_come_from_loops(a2):
     ]:
         rs = RootSystem(kind, n)
         b = build_bundle(rs, frozenset(sigma1), frozenset(sigma2))
-        group = holonomy(rs, sigma1, sigma2)
+        group = holonomy(rs, sigma2)
         assert group.matches_upsilon
         assert group.order == len(rs.parabolic_elements(sigma2))
         bp = group.base_point
         fiber = b.fibers()[bp]
         _, vm, _ = induced_subgraph(b.total, fiber)
         rho = fiber_model_iso(b, bp, vm)  # typical fiber -> fiber over bp
-        for loop, iso in group.generators:
+        fib = build_coset_graph(rs, b.sigma1, b.sigma2)
+        isos = [(loop, left_multiplication(fib, h)) for loop, h in group.generators]
+        for loop, iso in isos:
             assert loop, "generator without a loop"
             # the loop is a closed edge path at the base point
             assert b.base.src[loop[0]] == bp
@@ -901,7 +952,7 @@ def test_generators_come_from_loops(a2):
             on_fiber = GkmIso(tuple(vm[vmap[v]] for v in fiber), psi)
             # rho^-1 . on_fiber . rho == iso, without inverting rho
             assert compose_iso(rho, on_fiber) == compose_iso(iso, rho)
-        assert len({iso for _, iso in group.generators}) == len(group.generators)
+        assert len({iso for _, iso in isos}) == len(group.generators)
 
 
 def test_base_tree_spans(a3):
@@ -922,17 +973,20 @@ _SMALL_TYPES = [("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("C", 3), ("D"
 
 @pytest.mark.parametrize("kind,n", _SMALL_TYPES)
 def test_holonomy_is_sigma2_action_for_every_proper_sigma2(kind, n):
-    """Every Sigma1 within every proper Sigma2, the empty set included
-    (order 1).  The order stays |W(Sigma2)| for Sigma1 != {} because psi
-    is faithful even where the vertex action is not."""
+    """Every proper Sigma2, the empty set included (order 1), and every
+    Sigma1 within it: Upsilon on W(Sigma2)/W(Sigma1) gives ``order``
+    distinct isos even for Sigma1 != {}, because psi is faithful even
+    where the vertex action is not."""
     rs = RootSystem(kind, n)
     for k in range(n):
         for sigma2 in itertools.combinations(range(1, n + 1), k):
+            group = holonomy(rs, sigma2)
+            assert group.matches_upsilon, (kind, n, sigma2)
+            assert group.order == len(rs.parabolic_elements(sigma2))
             for j in range(k + 1):
                 for sigma1 in itertools.combinations(sigma2, j):
-                    group = holonomy(rs, sigma1, sigma2)
-                    assert group.matches_upsilon, (kind, n, sigma1, sigma2)
-                    assert group.order == len(rs.parabolic_elements(sigma2))
+                    isos = upsilon(rs, sigma1, sigma2, group.elements)
+                    assert len(set(isos)) == group.order, (kind, n, sigma1, sigma2)
 
 
 @pytest.mark.parametrize("kind,n", _SMALL_TYPES)
@@ -995,7 +1049,7 @@ def test_betti_numbers_from_negative_labels(kind, n):
 
 def test_holonomy_refuses_a_one_vertex_base(a2):
     with pytest.raises(ValueError, match="every simple root"):
-        holonomy(a2, frozenset(), a2.full_sigma())
+        holonomy(a2, a2.full_sigma())
 
 
 def test_trivial_product_bundle():
@@ -1106,7 +1160,7 @@ def test_holonomy_all_base_points_d3(d3):
     b = build_bundle(d3, frozenset(), frozenset({2, 3}))
     elements = None
     for p in range(b.base.nvertices):
-        group = holonomy(d3, b.sigma1, b.sigma2, base_point=p)
+        group = holonomy(d3, b.sigma2, base_point=p)
         assert group.matches_upsilon
         elements = set(group.elements) if elements is None else elements
         assert set(group.elements) == elements

@@ -32,6 +32,7 @@ def test_run_verification_passes():
     for name in ("B4", "D4"):
         assert f"CHECK express-{name}: PASS\n" in out
         assert f"CHECK holonomy-exhaustive-{name}-S2=2,3,4: PASS\n" in out
+    assert "CHECK holonomy-A7-S2=2,3,4,5,6,7: PASS (order 5040)\n" in out
 
 
 def test_run_verification_prints_what_failed(capsys):
